@@ -11,11 +11,11 @@
 //! xdl explain <file.dl> <fact>
 //! xdl grammar <file.dl> [--words <len>] [--monadic first|second]
 //! xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]
-//! xdl serve [--port <p>] [--threads <n>] [--no-reorder] [--verify] [--wal <dir>]
+//! xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>]
 //!           [--fsync always|batch|never] [--compact-every <n>]
 //!           [--max-conns <n>] [--max-inflight <n>] [--deadline-ms <ms>]
 //!           [--budget <n>] [--grace-ms <ms>] [--slow-query-ms <ms>]
-//!           [--limit-events <n>] [--no-metrics] [--resident-forms <n>]
+//!           [--no-metrics] [--resident-forms <n>]
 //!           [--drain-sync-cost <n>] [--rebuild-ms <ms>]
 //! xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]...
 //!           [--staleness <ms> | --any] [--stats] [--trace] [--shutdown] ['?- atom.']
@@ -27,9 +27,9 @@
 //! counters are byte-identical to `--threads 1` at any `n`. For `serve`,
 //! `--threads` sets both the connection workers and the per-query
 //! evaluation threads (when omitted, evaluation defaults to the machine's
-//! available parallelism), joins are greedily reordered by default
-//! (`--no-reorder` restores source order), and `--resident-forms <n>`
-//! bounds the incrementally maintained query forms (0 disables; default 8).
+//! available parallelism), joins are always greedily reordered, and
+//! `--resident-forms <n>` bounds the incrementally maintained query forms
+//! (0 disables; default 8).
 //! `--drain-sync-cost <n>` sets the derivation-bound delta above which a
 //! resident drain is deferred to the maintenance thread instead of running
 //! on the ingest path, and `--rebuild-ms <ms>` the base backoff between
@@ -82,10 +82,10 @@ fn usage() -> String {
      xdl explain <file.dl> <fact>\n  \
      xdl grammar <file.dl> [--words <len>] [--monadic first|second]\n  \
      xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]\n  \
-     xdl serve [--port <p>] [--threads <n>] [--no-reorder] [--verify] [--wal <dir>] \
+     xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>] \
      [--fsync always|batch|never] [--compact-every <n>] [--max-conns <n>] \
      [--max-inflight <n>] [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
-     [--slow-query-ms <ms>] [--limit-events <n>] [--no-metrics] [--resident-forms <n>] \
+     [--slow-query-ms <ms>] [--no-metrics] [--resident-forms <n>] \
      [--drain-sync-cost <n>] [--rebuild-ms <ms>]\n  \
      xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]... \
      [--staleness <ms> | --any] [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
@@ -554,7 +554,6 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     let mut cfg = ServerConfig {
         addr: format!("127.0.0.1:{port}"),
         threads: threads.unwrap_or(4),
-        reorder_joins: !flag(rest, "--no-reorder"),
         verify: flag(rest, "--verify"),
         ..ServerConfig::default()
     };
@@ -597,9 +596,6 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             ms.parse()
                 .map_err(|_| "--slow-query-ms takes milliseconds")?,
         );
-    }
-    if let Some(n) = option_value(rest, "--limit-events") {
-        cfg.limit_events = n.parse().map_err(|_| "--limit-events takes a number")?;
     }
     if let Some(n) = option_value(rest, "--drain-sync-cost") {
         cfg.drain_sync_cost = n

@@ -973,7 +973,8 @@ impl<'a> Machine<'a> {
 
     /// §3.1 boolean cut: retire rules defining proven zero-arity predicates,
     /// then transitively retire rules whose head predicate has no remaining
-    /// consumer and is not the query predicate.
+    /// consumer and is not the query predicate. A negated literal consumes
+    /// its predicate just as a positive one does.
     fn apply_boolean_cut(&mut self) {
         // Retire rules of proven boolean predicates.
         for i in 0..self.plans.len() {
@@ -995,7 +996,7 @@ impl<'a> Machine<'a> {
             }
             for (i, plan) in self.plans.iter().enumerate() {
                 if self.active[i] {
-                    for l in &plan.body {
+                    for l in plan.body.iter().chain(&plan.negatives) {
                         consumed[l.pred.0 as usize] = true;
                     }
                 }

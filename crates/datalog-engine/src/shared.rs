@@ -298,6 +298,13 @@ impl SharedDatabase {
         Ok(Arc::clone(rel))
     }
 
+    /// The arity `pred` is registered at, if it is registered.
+    pub fn arity(&self, pred: &PredRef) -> Option<usize> {
+        lock_or_recover(self.rels.read())
+            .get(pred)
+            .map(|rel| rel.arity())
+    }
+
     /// Insert one fact, registering the predicate on first sight. Returns
     /// `Ok(true)` if the fact was new.
     pub fn insert(&self, pred: &PredRef, tuple: &[Value]) -> Result<bool, SharedDbError> {

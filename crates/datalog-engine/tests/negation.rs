@@ -151,6 +151,45 @@ fn naive_and_seminaive_agree_under_negation() {
 }
 
 #[test]
+fn boolean_cut_keeps_rules_read_only_through_negation() {
+    // `flagged` has one consumer, and it is a negated literal. The cut
+    // must count it: retiring `flagged` (and then `above`) after the seed
+    // round would leave `flagged` incomplete and answer every employee.
+    let p = parse_program(
+        "above(X, Y) :- boss(X, Y).\n\
+         above(X, Y) :- boss(X, Z), above(Z, Y).\n\
+         flagged(X) :- above(X, Y), bad(Y).\n\
+         clean(X) :- emp(X), not flagged(X).\n\
+         ?- clean(X).",
+    )
+    .unwrap()
+    .program;
+    let input = fs(&[
+        ("boss", &[1, 2]),
+        ("boss", &[2, 3]),
+        ("boss", &[3, 4]),
+        ("boss", &[5, 6]),
+        ("bad", &[4]),
+        ("emp", &[1]),
+        ("emp", &[2]),
+        ("emp", &[3]),
+        ("emp", &[5]),
+    ]);
+    let run = |opts: EvalOptions| query_answers(&p, &input, &opts).unwrap().0;
+    let oracle = run(EvalOptions {
+        strategy: Strategy::Naive,
+        ..EvalOptions::default()
+    });
+    assert_eq!(oracle.rows, [vec![Value::int(5)]].into());
+    let cut = run(EvalOptions {
+        boolean_cut: true,
+        ..EvalOptions::default()
+    });
+    assert_eq!(cut, oracle, "cut on must equal the naive oracle");
+    assert_eq!(run(EvalOptions::default()), oracle, "and cut off");
+}
+
+#[test]
 fn negation_with_constants_and_wildcard_query() {
     let p = parse_program(
         "orphan(X) :- node(X), not edge(X, X).\n\

@@ -50,6 +50,12 @@ use datalog_ast::PredRef;
 use datalog_engine::incremental::ResidentEval;
 use datalog_opt::PreparedProgram;
 
+/// Prepared forms the server keeps before LRU eviction. Prepared programs
+/// are small and depend only on the rules, so one generous bound serves
+/// every deployment; resident state has its own bound
+/// (`--resident-forms`).
+pub const PREPARED_CAPACITY: usize = 256;
+
 /// Cache key: the query form.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FormKey {
@@ -61,6 +67,20 @@ pub struct FormKey {
     pub adornment: String,
 }
 
+/// One rendered answer table: what every answer source hands to the
+/// response tail. Cloning shares the payload.
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// The exact payload `QUERY` returns (what `xdl run` would print).
+    pub payload: Arc<str>,
+    /// Number of answers (for the response header).
+    pub answers: usize,
+    /// Frontier version the payload was rendered at (the resident's
+    /// [`Frontier::version`](datalog_engine::incremental::Frontier) for
+    /// resident serves, the DB snapshot version for cold evaluations).
+    pub frontier: u64,
+}
+
 /// A memoized answer payload, valid while the support watermarks hold.
 #[derive(Debug, Clone)]
 pub struct CachedAnswers {
@@ -70,14 +90,8 @@ pub struct CachedAnswers {
     /// `(pred, committed row count)` for every predicate in the form's EDB
     /// support set, at evaluation time.
     pub watermarks: Vec<(PredRef, usize)>,
-    /// The exact payload `QUERY` returned (what `xdl run` would print).
-    pub payload: String,
-    /// Number of answers (for the response header).
-    pub answers: usize,
-    /// Frontier version the payload was rendered at (the resident's
-    /// [`Frontier::version`](datalog_engine::incremental::Frontier) for
-    /// resident serves, the DB snapshot version for cold evaluations).
-    pub frontier: u64,
+    /// The memoized table.
+    pub table: Rendered,
     /// When the payload was rendered. `now - published_at` bounds the
     /// staleness of serving this memo: every row it misses arrived later.
     pub published_at: Instant,
@@ -103,8 +117,9 @@ pub struct ResidentForm {
 /// One cache entry: the prepared program plus reuse bookkeeping.
 #[derive(Debug)]
 pub struct Entry {
-    /// The optimizer's output for this form.
-    pub prepared: PreparedProgram,
+    /// The optimizer's output for this form. Shared, so a query stage can
+    /// keep reading it after the cache lock drops.
+    pub prepared: Arc<PreparedProgram>,
     /// One-slot answer cache.
     pub answers: Option<CachedAnswers>,
     /// Pinned resident evaluation, if this form is being maintained
@@ -136,6 +151,17 @@ pub struct Entry {
 }
 
 impl Entry {
+    /// What this form would keep resident: its prepared program, when the
+    /// form is monotone and its bound class is admitted. The one
+    /// eligibility test — first pin, lazy rebuild and background rebuild
+    /// all ask here (whether pinning is enabled at all is the caller's
+    /// `--resident-forms` check).
+    pub fn pin_target(&self) -> Option<&Arc<PreparedProgram>> {
+        (ResidentEval::supports(&self.prepared.program)
+            && ResidentEval::admits_bound_class(self.prepared.bound_class))
+        .then_some(&self.prepared)
+    }
+
     /// Drop resident state and every piece of bookkeeping that describes
     /// it (used by eviction, poisoning, and capacity shrink).
     pub fn clear_resident(&mut self) {
@@ -156,9 +182,6 @@ pub struct PreparedCache {
     clock: u64,
     /// Total answer-slot invalidations caused by ingestion.
     pub invalidations: u64,
-    /// Times an eligible query found its resident evicted (or poisoned)
-    /// and had to recompute from cold.
-    pub fallback_recomputes: u64,
 }
 
 impl PreparedCache {
@@ -170,7 +193,6 @@ impl PreparedCache {
             resident_capacity: 0,
             clock: 0,
             invalidations: 0,
-            fallback_recomputes: 0,
         }
     }
 
@@ -282,7 +304,7 @@ impl PreparedCache {
         self.clock += 1;
         let clock = self.clock;
         self.entries.entry(key).or_insert(Entry {
-            prepared,
+            prepared: Arc::new(prepared),
             answers: None,
             resident: None,
             applied_mirror: BTreeMap::new(),
@@ -417,9 +439,11 @@ mod tests {
         let memo = CachedAnswers {
             query_repr: "x".into(),
             watermarks: vec![],
-            payload: String::new(),
-            answers: 0,
-            frontier: 1,
+            table: Rendered {
+                payload: "".into(),
+                answers: 0,
+                frontier: 1,
+            },
             published_at: Instant::now(),
             stale: false,
         };

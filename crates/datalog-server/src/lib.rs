@@ -37,6 +37,7 @@ pub mod client;
 pub mod fault;
 pub mod metrics;
 pub mod protocol;
+mod query;
 pub mod server;
 pub mod wal;
 

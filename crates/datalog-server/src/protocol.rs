@@ -69,6 +69,11 @@ use std::io::{BufRead, Write};
 /// new `ERR stale` line reads as an ordinary uncoded message on v3.
 pub const PROTOCOL_VERSION: u32 = 4;
 
+/// Longest request line the server reads, newline included. A longer one
+/// is answered with one `ERR` and the connection is closed: the server
+/// never buffers without bound for a client that sends no newline.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Machine-readable error class carried by a coded `ERR` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {

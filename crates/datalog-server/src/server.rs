@@ -1,4 +1,5 @@
-//! The server: shared state, request handling, and the accept loop.
+//! The server: shared state, ingest, maintenance, and the accept loop.
+//! `QUERY` runs through the staged pipeline in `query.rs`.
 //!
 //! N worker threads block in `accept()` on one shared listener; each
 //! connection is served to completion by the worker that accepted it, so
@@ -52,8 +53,9 @@
 //! ## Incremental serving (PR 7)
 //!
 //! With `--resident-forms=N` (default 8), up to N cached forms pin a
-//! [`ResidentEval`]: the retained semi-naive state of their canonical
-//! program, advanced by *delta propagation* instead of being recomputed.
+//! [`ResidentEval`](datalog_engine::incremental::ResidentEval): the
+//! retained semi-naive state of their canonical program, advanced by
+//! *delta propagation* instead of being recomputed.
 //! Ingestion still inserts first and invalidates answer slots after (the
 //! memo-correctness invariant), then *drains* pending shared-store rows
 //! into every resident whose support set the fact touches. A query over a
@@ -62,9 +64,10 @@
 //! shared store append-only) and serves answers straight off the resident
 //! frontier — byte-identical to a cold evaluation at the same watermarks,
 //! at any thread count. Only monotone forms are eligible
-//! ([`ResidentEval::supports`]); a resident lost to LRU eviction or
-//! poisoned by a mid-propagation trip falls back to cold recompute (and
-//! re-pins), counted in `xdl_fallback_recomputes_total`.
+//! ([`Entry::pin_target`](crate::cache::Entry::pin_target)); a resident
+//! lost to LRU eviction or poisoned by a mid-propagation trip falls back
+//! to cold recompute (and re-pins), counted in
+//! `xdl_fallback_recomputes_total`.
 //!
 //! ## Bounded-staleness serving (PR 9)
 //!
@@ -92,7 +95,7 @@
 //! [`FaultPlan`] can inject slow and failing drains to exercise all of it.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -102,22 +105,19 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use datalog_adorn::query_adornment;
-use datalog_ast::{
-    parse_atom, parse_program, parse_rule, Atom, PredRef, Program, Query, Rule, Value,
-};
-use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact, ResidentEval};
+use datalog_ast::{parse_atom, parse_program, parse_rule, Atom, PredRef, Rule, Value};
+use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact};
 use datalog_engine::{
-    query_answers_full, AnswerSet, CancelToken, DbSnapshot, EngineError, EvalOptions, EvalStats,
-    FactSet, SharedDatabase,
+    AnswerSet, CancelToken, DbSnapshot, EngineError, SharedDatabase, SharedDbError,
 };
-use datalog_opt::{fingerprint_rules, prepare, OptimizerConfig, PreparedProgram};
+use datalog_opt::{fingerprint_rules, PreparedProgram};
 use datalog_trace::{Json, PhaseEvent};
 
-use crate::cache::{CachedAnswers, FormKey, PreparedCache, ResidentForm};
+use crate::cache::{FormKey, PreparedCache, ResidentForm, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
-use crate::metrics::{verb_index, Phase, ServerMetrics};
-use crate::protocol::{Consistency, ErrCode, Request, Response, PROTOCOL_VERSION};
+use crate::metrics::{verb_index, ServerMetrics};
+use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE, PROTOCOL_VERSION};
+use crate::query::build_resident;
 use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
 
 /// Server configuration.
@@ -136,12 +136,6 @@ pub struct ServerConfig {
     /// (`--resident-forms`; 0 disables pinning entirely and restores the
     /// invalidate-and-recompute serving behavior).
     pub resident_forms: usize,
-    /// Greedily reorder join bodies in the prepared (serving) path. On by
-    /// default — the server always wants the cheapest join order; `xdl
-    /// run` keeps it off so experiment counters reflect source order.
-    pub reorder_joins: bool,
-    /// Prepared-form cache capacity.
-    pub cache_capacity: usize,
     /// Run translation validation on every optimizer invocation
     /// (`OptimizerConfig::verify`): a query whose optimization cannot be
     /// re-justified is answered with an error instead of a wrong table.
@@ -180,9 +174,6 @@ pub struct ServerConfig {
     /// Log a structured JSON line to stderr for every query at or over
     /// this wall-clock threshold (request id, form, phase breakdown).
     pub slow_query_ms: Option<u64>,
-    /// Capacity of the `limit_events` ring surfaced by `STATS`; evictions
-    /// beyond it are counted in `xdl_limit_events_dropped_total`.
-    pub limit_events: usize,
     /// Backpressure threshold for resident drains: a drain whose
     /// bound-polynomial-estimated cost (static derivation bound at current
     /// cardinalities minus the bound at the form's applied watermarks) is
@@ -209,8 +200,6 @@ impl Default for ServerConfig {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(default_parallelism),
             resident_forms: 8,
-            reorder_joins: true,
-            cache_capacity: 256,
             verify: false,
             wal_dir: None,
             fsync: FsyncPolicy::Always,
@@ -223,7 +212,6 @@ impl Default for ServerConfig {
             grace_ms: 2000,
             metrics: true,
             slow_query_ms: None,
-            limit_events: LIMIT_EVENT_RING,
             drain_sync_cost: DRAIN_SYNC_COST,
             rebuild_ms: 50,
             fault: Arc::new(FaultPlan::new()),
@@ -243,11 +231,11 @@ fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+pub(crate) fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -256,7 +244,7 @@ fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 /// Decrement an [`AtomicUsize`] on scope exit (in-flight query guard).
-struct Decrement<'a>(&'a AtomicUsize);
+pub(crate) struct Decrement<'a>(pub(crate) &'a AtomicUsize);
 
 impl Drop for Decrement<'_> {
     fn drop(&mut self) {
@@ -266,19 +254,14 @@ impl Drop for Decrement<'_> {
 
 /// Everything the worker threads share.
 pub struct ServerState {
-    rules: RwLock<(Vec<Rule>, u64)>,
-    db: SharedDatabase,
-    cache: Mutex<PreparedCache>,
-    last_trace: Mutex<Option<Json>>,
+    /// The configuration, normalized once by [`ServerState::from_config`]
+    /// (thread counts and the rebuild backoff are at least 1).
+    pub(crate) cfg: ServerConfig,
+    pub(crate) rules: RwLock<(Vec<Rule>, u64)>,
+    pub(crate) db: SharedDatabase,
+    pub(crate) cache: Mutex<PreparedCache>,
+    pub(crate) last_trace: Mutex<Option<Json>>,
     shutdown: AtomicBool,
-    threads: usize,
-    eval_threads: usize,
-    /// Resident-form bound (`--resident-forms`; 0 disables incremental
-    /// serving). Mirrors the cache's own capacity; kept here so handlers
-    /// can gate eligibility without locking the cache.
-    resident_forms: usize,
-    reorder_joins: bool,
-    verify: bool,
     /// The write-ahead log, when durability is configured.
     wal: Mutex<Option<Wal>>,
     /// Ingest/compaction coordination: ingests hold a read guard across
@@ -286,46 +269,30 @@ pub struct ServerState {
     /// (state snapshot + log truncate), so the snapshot can never miss a
     /// record the truncation discards.
     ingest_gate: RwLock<()>,
-    fault: Arc<FaultPlan>,
     /// Cancelled when the shutdown grace period expires; every evaluation
     /// carries a clone.
-    cancel: CancelToken,
-    deadline_ms: Option<u64>,
-    fact_budget: Option<u64>,
-    /// Pre-eval `ERR bound` refusals (see [`ServerConfig::bound_admission`]).
-    bound_admission: bool,
-    /// Backpressure threshold for synchronous drains
-    /// (see [`ServerConfig::drain_sync_cost`]).
-    drain_sync_cost: u64,
-    /// Base backoff of background rebuilds ([`ServerConfig::rebuild_ms`]).
-    rebuild_ms: u64,
+    pub(crate) cancel: CancelToken,
     /// Job queue of the maintenance thread (deferred drains and rebuilds).
-    /// `None` on plain in-process states ([`ServerState::new`]) — deferred
-    /// work is then picked up lazily by the next eligible query.
-    maintenance: Mutex<Option<Sender<DrainJob>>>,
-    grace_ms: u64,
-    max_conns: usize,
-    max_inflight: usize,
-    inflight: AtomicUsize,
+    /// `None` until [`ServerState::start_maintenance`] — deferred work is
+    /// then picked up lazily by the next eligible query.
+    pub(crate) maintenance: Mutex<Option<Sender<DrainJob>>>,
+    pub(crate) inflight: AtomicUsize,
     active_conns: AtomicUsize,
     /// The metric surface every counter and span records into (see
     /// [`crate::metrics`]); `STATS` and `METRICS` read the same atomics.
-    metrics: ServerMetrics,
-    /// `--slow-query-ms`: structured stderr log threshold.
-    slow_query_ms: Option<u64>,
-    /// Capacity of the `limit_events` ring (`--limit-events`).
-    limit_ring: usize,
+    pub(crate) metrics: ServerMetrics,
     /// Startup recovery summary (present when a WAL was replayed).
     recovery: Option<Json>,
     /// Ring of recent `LimitTripped` events (as JSON), newest last.
     limit_events: Mutex<Vec<Json>>,
 }
 
-/// Default cap on the `limit_events` ring (`--limit-events` overrides).
+/// Capacity of the `limit_events` ring surfaced by `STATS`; evictions
+/// beyond it are counted in `xdl_limit_events_dropped_total`.
 const LIMIT_EVENT_RING: usize = 64;
 
 /// One unit of deferred resident maintenance.
-enum DrainJob {
+pub(crate) enum DrainJob {
     /// Catch a lagging resident up to the current database (deferred off
     /// the ingest path by the drain-cost policy).
     Drain(FormKey),
@@ -334,153 +301,45 @@ enum DrainJob {
     Rebuild { key: FormKey, attempt: u32 },
 }
 
-/// A snapshot of the answer memo taken under the cache lock, carried into
-/// stale-plan execution as the contention fallback: if the form lock is
-/// held by a drain, this payload can be served instead — its age
-/// (`published_at.elapsed()`) is a correct upper staleness bound.
-struct StaleMemo {
-    payload: String,
-    answers: usize,
-    frontier: u64,
-    published_at: Instant,
-}
-
-/// How an eligible query over *live* resident state is served. Decided
-/// under the cache lock from mirror-only data (lag, staleness anchor,
-/// drain cost), executed after the lock drops.
-enum ResidentAction {
-    /// Block on the form lock, propagate to the query snapshot, serve at
-    /// staleness zero. Used for `fresh` reads and for over-budget bounded
-    /// reads whose estimated drain cost is below the synchronous ceiling.
-    Fresh,
-    /// Serve the last published frontier without catching up. `anchor` is
-    /// the conservative staleness origin — `pending_since` when the form
-    /// lags, `None` when it was fully drained at decision time (the serve
-    /// is then indistinguishable from fresh); `budget` caps how old the
-    /// memo fallback may be under lock contention (`None` = any age).
-    Stale {
-        anchor: Option<Instant>,
-        memo: Option<StaleMemo>,
-        budget: Option<Duration>,
-    },
-    /// Frontier older than the staleness budget and the drain too costly
-    /// to run synchronously: answer `ERR stale <bound_ms>`.
-    Refuse { bound_ms: u64 },
-}
-
-/// A [`ResidentAction`] plus everything needed to execute it without
-/// re-consulting the cache: the form handle, its support set, and the
-/// query atom spliced into the canonical program's namespace.
-struct ResidentPlan {
-    form: Arc<Mutex<ResidentForm>>,
-    support: BTreeSet<PredRef>,
-    q_atom: Atom,
-    action: ResidentAction,
-}
-
-/// One extraction off a locked form's frontier: the rendered payload plus
-/// the identity needed to memoize and label it.
-struct FrontierRead {
-    payload: String,
-    n_answers: usize,
-    frontier: u64,
-    applied: BTreeMap<PredRef, usize>,
-}
-
 impl ServerState {
-    /// Fresh state with an empty rule set and EDB, no WAL, and no limits.
-    pub fn new(cache_capacity: usize, threads: usize) -> ServerState {
-        ServerState {
-            rules: RwLock::new((Vec::new(), fingerprint_rules(&[]))),
-            db: SharedDatabase::new(),
-            cache: Mutex::new(PreparedCache::new(cache_capacity)),
-            last_trace: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-            threads,
-            eval_threads: 1,
-            resident_forms: 0,
-            reorder_joins: true,
-            verify: false,
-            wal: Mutex::new(None),
-            ingest_gate: RwLock::new(()),
-            fault: Arc::new(FaultPlan::new()),
-            cancel: CancelToken::new(),
-            deadline_ms: None,
-            fact_budget: None,
-            bound_admission: true,
-            drain_sync_cost: DRAIN_SYNC_COST,
-            rebuild_ms: 50,
-            maintenance: Mutex::new(None),
-            grace_ms: 2000,
-            max_conns: usize::MAX,
-            max_inflight: 0,
-            inflight: AtomicUsize::new(0),
-            active_conns: AtomicUsize::new(0),
-            metrics: ServerMetrics::new(true),
-            slow_query_ms: None,
-            limit_ring: LIMIT_EVENT_RING,
-            recovery: None,
-            limit_events: Mutex::new(Vec::new()),
-        }
-    }
-
     /// The metric surface (for `METRICS`, tests, and in-process drivers).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
     }
 
-    /// Enable translation validation for every prepared form
-    /// (`xdl serve --verify`).
-    pub fn with_verify(mut self, verify: bool) -> ServerState {
-        self.verify = verify;
-        self
-    }
-
-    /// Attach per-query limits (deadline and derived-fact budget).
-    pub fn with_limits(
-        mut self,
-        deadline_ms: Option<u64>,
-        fact_budget: Option<u64>,
-    ) -> ServerState {
-        self.deadline_ms = deadline_ms;
-        self.fact_budget = fact_budget;
-        self
-    }
-
-    /// Attach a fault-injection plan.
-    pub fn with_fault(mut self, fault: Arc<FaultPlan>) -> ServerState {
-        self.fault = fault;
-        self
-    }
-
-    /// Build state from a full config: applies limits, opens the WAL, and
-    /// replays snapshot + log into the fresh state.
+    /// Build state from a config: an empty rule set and EDB, then — when a
+    /// WAL directory is configured — the replay of snapshot + log.
     pub fn from_config(cfg: &ServerConfig) -> std::io::Result<ServerState> {
-        let mut state = ServerState::new(cfg.cache_capacity, cfg.threads.max(1));
-        state.metrics = ServerMetrics::new(cfg.metrics);
-        state.slow_query_ms = cfg.slow_query_ms;
-        state.limit_ring = cfg.limit_events.max(1);
-        state.eval_threads = cfg.eval_threads.max(1);
-        state.resident_forms = cfg.resident_forms;
-        lock(&state.cache).set_resident_capacity(cfg.resident_forms);
-        state.reorder_joins = cfg.reorder_joins;
-        state.verify = cfg.verify;
-        state.fault = Arc::clone(&cfg.fault);
-        state.deadline_ms = cfg.deadline_ms;
-        state.fact_budget = cfg.fact_budget;
-        state.bound_admission = cfg.bound_admission;
-        state.drain_sync_cost = cfg.drain_sync_cost;
-        state.rebuild_ms = cfg.rebuild_ms.max(1);
-        state.grace_ms = cfg.grace_ms;
-        state.max_inflight = cfg.max_inflight;
-        state.max_conns = if cfg.max_conns == 0 {
-            usize::MAX
-        } else {
-            cfg.max_conns
+        let mut cfg = cfg.clone();
+        cfg.threads = cfg.threads.max(1);
+        cfg.eval_threads = cfg.eval_threads.max(1);
+        cfg.rebuild_ms = cfg.rebuild_ms.max(1);
+        let mut cache = PreparedCache::new(PREPARED_CAPACITY);
+        cache.set_resident_capacity(cfg.resident_forms);
+        let mut state = ServerState {
+            rules: RwLock::new((Vec::new(), fingerprint_rules(&[]))),
+            db: SharedDatabase::new(),
+            cache: Mutex::new(cache),
+            last_trace: Mutex::new(None),
+            shutdown: AtomicBool::new(false),
+            wal: Mutex::new(None),
+            ingest_gate: RwLock::new(()),
+            cancel: CancelToken::new(),
+            maintenance: Mutex::new(None),
+            inflight: AtomicUsize::new(0),
+            active_conns: AtomicUsize::new(0),
+            metrics: ServerMetrics::new(cfg.metrics),
+            recovery: None,
+            limit_events: Mutex::new(Vec::new()),
+            cfg,
         };
-        if let Some(dir) = &cfg.wal_dir {
-            let (mut wal, mut recovery) =
-                Wal::open(dir, cfg.fsync, cfg.compact_every, Arc::clone(&cfg.fault))?;
+        if let Some(dir) = state.cfg.wal_dir.clone() {
+            let (mut wal, mut recovery) = Wal::open(
+                &dir,
+                state.cfg.fsync,
+                state.cfg.compact_every,
+                Arc::clone(&state.cfg.fault),
+            )?;
             wal.set_metrics(
                 Arc::clone(&state.metrics.wal_append_seconds),
                 Arc::clone(&state.metrics.wal_fsync_seconds),
@@ -545,10 +404,13 @@ impl ServerState {
         }
         self.note_limit(
             "shutdown",
-            &format!("draining; in-flight queries get {}ms grace", self.grace_ms),
+            &format!(
+                "draining; in-flight queries get {}ms grace",
+                self.cfg.grace_ms
+            ),
         );
         let cancel = self.cancel.clone();
-        let grace = Duration::from_millis(self.grace_ms);
+        let grace = Duration::from_millis(self.cfg.grace_ms);
         std::thread::spawn(move || {
             std::thread::sleep(grace);
             cancel.cancel();
@@ -557,13 +419,13 @@ impl ServerState {
 
     /// Record one limit trip in the event ring. Evictions are counted
     /// (`xdl_limit_events_dropped_total`), never silent.
-    fn note_limit(&self, kind: &str, detail: &str) {
+    pub(crate) fn note_limit(&self, kind: &str, detail: &str) {
         let ev = PhaseEvent::LimitTripped {
             kind: kind.to_string(),
             detail: detail.to_string(),
         };
         let mut ring = lock(&self.limit_events);
-        while ring.len() >= self.limit_ring {
+        while ring.len() >= LIMIT_EVENT_RING {
             ring.remove(0);
             self.metrics.limit_events_dropped.inc();
         }
@@ -744,7 +606,7 @@ impl ServerState {
     /// The caller holds the *form* lock and must NOT hold the cache lock.
     /// `Err(())` means the propagation failed and the eval is poisoned —
     /// the caller must run [`Self::poison_form`].
-    fn propagate(
+    pub(crate) fn propagate(
         &self,
         support: &BTreeSet<PredRef>,
         form: &mut ResidentForm,
@@ -767,12 +629,12 @@ impl ServerState {
         // sleeps while holding the form lock (the widest window for
         // concurrent stale serves), a failing drain runs under an
         // already-cancelled token and poisons the state.
-        let delay = self.fault.drain_delay_ms();
+        let delay = self.cfg.fault.drain_delay_ms();
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
         let abort = CancelToken::new();
-        if self.fault.drain_should_fail() {
+        if self.cfg.fault.drain_should_fail() {
             abort.cancel();
         }
         let t0 = Instant::now();
@@ -804,7 +666,7 @@ impl ServerState {
     /// evaluated at the snapshot's cardinalities minus the bound at the
     /// form's applied watermarks — an upper envelope on how much new
     /// derivation a catch-up can possibly do.
-    fn drain_cost(
+    pub(crate) fn drain_cost(
         prepared: &PreparedProgram,
         snapshot: &DbSnapshot,
         applied: &BTreeMap<PredRef, usize>,
@@ -835,7 +697,12 @@ impl ServerState {
     /// concurrent drain must not regress it) and re-anchor `pending_since`.
     /// `t_anchor` is when the drained snapshot was captured: any row still
     /// missing arrived after it, so it is a correct staleness anchor.
-    fn finish_drain(&self, key: &FormKey, applied: &BTreeMap<PredRef, usize>, t_anchor: Instant) {
+    pub(crate) fn finish_drain(
+        &self,
+        key: &FormKey,
+        applied: &BTreeMap<PredRef, usize>,
+        t_anchor: Instant,
+    ) {
         let lagged = self.db.snapshot();
         let mut cache = lock(&self.cache);
         let Some(e) = cache.peek_mut(key) else {
@@ -856,7 +723,7 @@ impl ServerState {
     /// A propagation failed: count the poisoning, drop the resident, and
     /// schedule a rebuild (background when the maintenance thread runs,
     /// lazily by the next eligible query otherwise).
-    fn poison_form(&self, key: &FormKey) {
+    pub(crate) fn poison_form(&self, key: &FormKey) {
         self.metrics.resident_poisonings.inc();
         let attempt = {
             let mut cache = lock(&self.cache);
@@ -933,7 +800,7 @@ impl ServerState {
     /// the ingest gate — the snapshot taken here necessarily includes the
     /// rows just inserted.
     fn drain_residents(&self, touched: &[PredRef]) {
-        if self.resident_forms == 0 || touched.is_empty() {
+        if self.cfg.resident_forms == 0 || touched.is_empty() {
             return;
         }
         let t_snap = Instant::now();
@@ -957,7 +824,7 @@ impl ServerState {
                 // drain's snapshot; an already-set anchor is older and wins.
                 entry.pending_since.get_or_insert(t_snap);
                 let cost = Self::drain_cost(&entry.prepared, &snapshot, &entry.applied_mirror);
-                if cost <= self.drain_sync_cost {
+                if cost <= self.cfg.drain_sync_cost {
                     inline.push((
                         key.clone(),
                         Arc::clone(form),
@@ -1000,7 +867,7 @@ impl ServerState {
     /// backoff). Called by [`Server::spawn`]; in-process harnesses may call
     /// it too. No-op (returns `None`) when resident serving is disabled.
     pub fn start_maintenance(self: &Arc<Self>) -> Option<JoinHandle<()>> {
-        if self.resident_forms == 0 {
+        if self.cfg.resident_forms == 0 {
             return None;
         }
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1064,7 +931,7 @@ impl ServerState {
     fn background_rebuild(&self, key: &FormKey, attempt: u32) {
         if attempt > 1 {
             let shift = (attempt - 1).min(16);
-            let wait = (self.rebuild_ms << shift).min(REBUILD_BACKOFF_CAP_MS);
+            let wait = (self.cfg.rebuild_ms << shift).min(REBUILD_BACKOFF_CAP_MS);
             std::thread::sleep(Duration::from_millis(wait));
         }
         if self.is_shutdown() {
@@ -1091,341 +958,68 @@ impl ServerState {
     /// resident, or ineligible, `Err(next_attempt)` when construction
     /// failed (counted as a poisoning).
     fn rebuild_resident(&self, key: &FormKey) -> Result<bool, u32> {
+        let started = Instant::now();
         let snapshot = self.db.snapshot();
-        let staged = {
+        let prepared = {
             let mut cache = lock(&self.cache);
             let Some(e) = cache.peek_mut(key) else {
                 return Ok(false);
             };
-            if e.resident.is_some()
-                || !ResidentEval::supports(&e.prepared.program)
-                || !ResidentEval::admits_bound_class(e.prepared.bound_class)
-            {
-                return Ok(false);
+            match e.pin_target() {
+                Some(prepared) if e.resident.is_none() => Arc::clone(prepared),
+                _ => return Ok(false),
             }
-            (e.prepared.program.clone(), e.prepared.support.clone())
         };
-        let (canonical, support) = staged;
-        let mut input = FactSet::new();
-        for pred in &support {
-            for row in snapshot.rows(pred) {
-                input.insert(pred.clone(), row);
-            }
-        }
         // The failing-drain fault also covers rebuilds: an armed plan
-        // cancels the construction, exercising the repeatedly-poisoned
+        // fails the construction, exercising the repeatedly-poisoned
         // backoff path end to end.
-        let abort = CancelToken::new();
-        if self.fault.drain_should_fail() {
-            abort.cancel();
-        }
-        let opts = EvalOptions {
-            boolean_cut: true,
-            reorder_joins: self.reorder_joins,
-            threads: self.eval_threads,
-            cancel: Some(self.cancel.joined(&abort)),
-            metrics: Some(self.metrics.eval.clone()),
-            ..EvalOptions::default()
+        let built = if self.cfg.fault.drain_should_fail() {
+            None
+        } else {
+            let (_, cost_hints) = Self::live_bound(&prepared, &snapshot);
+            build_resident(&prepared, &snapshot, &self.eval_opts(started, cost_hints)).ok()
         };
-        match ResidentEval::new(&canonical, &input, &opts) {
-            Ok(eval) => {
-                let applied = support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect();
-                let mut cache = lock(&self.cache);
-                if cache.peek_mut(key).is_some_and(|e| e.resident.is_none())
-                    && cache.pin_resident(key, ResidentForm { eval, applied })
-                {
+        let mut cache = lock(&self.cache);
+        match built {
+            Some(form) => {
+                let pinned = cache.peek_mut(key).is_some_and(|e| e.resident.is_none())
+                    && cache.pin_resident(key, form);
+                if pinned {
                     self.metrics.resident_rebuilds.inc();
-                    return Ok(true);
                 }
-                Ok(false)
+                Ok(pinned)
             }
-            Err(_) => {
+            None => {
                 self.metrics.resident_poisonings.inc();
-                let mut cache = lock(&self.cache);
-                let attempt = cache
-                    .peek_mut(key)
-                    .map(|e| {
-                        e.rebuild_attempts += 1;
-                        e.rebuild_attempts
-                    })
-                    .unwrap_or(1);
-                Err(attempt)
+                Err(cache.peek_mut(key).map_or(1, |e| {
+                    e.rebuild_attempts += 1;
+                    e.rebuild_attempts
+                }))
             }
         }
     }
 
-    /// Extract the query's answers off the form's current frontier (the
-    /// caller holds the form lock).
-    fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> FrontierRead {
-        let answers = form.eval.answers(q_atom);
-        FrontierRead {
-            payload: render_answers(&answers),
-            n_answers: answers.len(),
-            frontier: form.eval.frontier().version,
-            applied: form.applied.clone(),
-        }
-    }
-
-    /// Execute a [`ResidentPlan`] decided under the cache lock. `Some` is
-    /// the final response; `None` means the resident state died mid-plan
-    /// (poisoned — already counted and cleaned up) and the caller must
-    /// recompute from cold.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_resident_plan(
-        &self,
-        plan: ResidentPlan,
-        queue_drain: bool,
-        key: &FormKey,
-        query: &Query,
-        query_repr: &str,
-        snapshot: &DbSnapshot,
-        t_snap: Instant,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Option<Response> {
-        match plan.action {
-            ResidentAction::Refuse { bound_ms } => {
-                if queue_drain {
-                    let sender = lock(&self.maintenance).clone();
-                    match sender {
-                        Some(tx) => {
-                            let _ = tx.send(DrainJob::Drain(key.clone()));
-                        }
-                        None => {
-                            if let Some(e) = lock(&self.cache).peek_mut(key) {
-                                e.drain_queued = false;
-                            }
-                        }
-                    }
-                }
-                self.metrics.stale_refusals.inc();
-                self.note_limit(
-                    "stale",
-                    &format!(
-                        "query over {} refused: resident frontier {bound_ms}ms stale, \
-                         drain too costly to run synchronously",
-                        key.pred
-                    ),
-                );
-                Some(Response::err_stale(
-                    bound_ms,
-                    "frontier exceeds staleness budget while a drain is pending; \
-                     retry, loosen the budget, or request fresh",
-                ))
-            }
-            ResidentAction::Fresh => {
-                // Blocking catch-up: lock the form, propagate to the query
-                // snapshot, serve at staleness zero.
-                let served = {
-                    let mut g = lock(&plan.form);
-                    match self.propagate(&plan.support, &mut g, snapshot) {
-                        Ok(_) => Some(Self::read_frontier(&g, &plan.q_atom)),
-                        Err(()) => None,
-                    }
-                };
-                let Some(read) = served else {
-                    self.poison_form(key);
-                    return None;
-                };
-                self.finish_drain(key, &read.applied, t_snap);
-                Some(self.respond_resident(
-                    key,
-                    query,
-                    query_repr,
-                    read,
-                    t_snap,
-                    Duration::ZERO,
-                    "resident",
-                    started,
-                    req_id,
-                    d_parse,
-                    t_cache,
-                ))
-            }
-            ResidentAction::Stale {
-                anchor,
-                memo,
-                budget,
-            } => {
-                // Serve the published frontier without catching up. Try the
-                // form lock first: a bounded/any reader must not queue
-                // behind a drain that is busy applying newer rows.
-                let grabbed = match plan.form.try_lock() {
-                    Ok(g) => Some(g),
-                    Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    Err(std::sync::TryLockError::WouldBlock) => None,
-                };
-                let read = match grabbed {
-                    Some(g) => {
-                        if g.eval.poisoned() {
-                            drop(g);
-                            self.poison_form(key);
-                            return None;
-                        }
-                        Self::read_frontier(&g, &plan.q_atom)
-                    }
-                    None => {
-                        // Contended: the stale answer memo is the no-wait
-                        // asset when its age fits the budget; otherwise
-                        // block after all (still correct, just slower).
-                        if let Some(m) = memo {
-                            let age = m.published_at.elapsed();
-                            if budget.map_or(true, |b| age <= b) {
-                                return Some(self.respond_memo(
-                                    key, query, &m, age, started, req_id, d_parse, t_cache,
-                                ));
-                            }
-                        }
-                        let g = lock(&plan.form);
-                        if g.eval.poisoned() {
-                            drop(g);
-                            self.poison_form(key);
-                            return None;
-                        }
-                        Self::read_frontier(&g, &plan.q_atom)
-                    }
-                };
-                let (publish_anchor, staleness, tag) = match anchor {
-                    // Fully drained at decision time: the frontier serve is
-                    // indistinguishable from a fresh read.
-                    None => (t_snap, Duration::ZERO, "resident"),
-                    Some(a) => (a, a.elapsed(), "stale"),
-                };
-                Some(self.respond_resident(
-                    key,
-                    query,
-                    query_repr,
-                    read,
-                    publish_anchor,
-                    staleness,
-                    tag,
-                    started,
-                    req_id,
-                    d_parse,
-                    t_cache,
-                ))
-            }
-        }
-    }
-
-    /// Memoize + answer a frontier serve (`cache=resident` at staleness
-    /// zero, `cache=stale` otherwise). `publish_anchor` is the staleness
-    /// origin recorded on the memo — for a stale serve this is
-    /// `pending_since`, NOT now: the payload already misses rows that
-    /// arrived at the anchor, so aging must start there.
-    #[allow(clippy::too_many_arguments)]
-    fn respond_resident(
-        &self,
-        key: &FormKey,
-        query: &Query,
-        query_repr: &str,
-        read: FrontierRead,
-        publish_anchor: Instant,
-        staleness: Duration,
-        tag: &'static str,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Response {
-        let trace = {
-            let mut cache = lock(&self.cache);
-            cache.peek_mut(key).map(|entry| {
-                // Memo-tag with the form's *applied* watermarks: if a drain
-                // raced us past the query snapshot, the served frontier is
-                // the newer (monotone superset) one, and the slot must
-                // advertise what was served.
-                let watermarks: Vec<(PredRef, usize)> = entry
-                    .prepared
-                    .support
-                    .iter()
-                    .map(|p| (p.clone(), read.applied.get(p).copied().unwrap_or(0)))
-                    .collect();
-                entry.answers = Some(CachedAnswers {
-                    query_repr: query_repr.to_string(),
-                    watermarks,
-                    payload: read.payload.clone(),
-                    answers: read.n_answers,
-                    frontier: read.frontier,
-                    published_at: publish_anchor,
-                    stale: !staleness.is_zero(),
-                });
-                Self::trace_json(query, key, tag, None, &entry.prepared)
-            })
+    /// `Err` when a tuple clashes with the arity `pred` is stored at (the
+    /// first tuple's, for a predicate not stored yet). FACT and LOAD ask
+    /// *before* anything is logged: a refused request must leave no WAL
+    /// record behind (it would be skipped at every recovery until
+    /// compaction) and apply nothing. Two first-ever facts of one predicate
+    /// racing with different arities can still both pass; the loser is
+    /// then refused by the insert.
+    fn check_arity(&self, pred: &PredRef, tuples: &[Vec<Value>]) -> Result<(), String> {
+        let stored = self.db.arity(pred);
+        let Some(expected) = stored.or_else(|| tuples.first().map(Vec::len)) else {
+            return Ok(());
         };
-        if !staleness.is_zero() {
-            self.metrics.stale_serves.inc();
+        match tuples.iter().find(|t| t.len() != expected) {
+            None => Ok(()),
+            Some(t) => Err(SharedDbError::Arity {
+                pred: pred.to_string(),
+                expected,
+                found: t.len(),
+            }
+            .to_string()),
         }
-        self.metrics
-            .staleness_bound_seconds
-            .record_duration(staleness);
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        self.log_slow_query(
-            req_id,
-            key,
-            tag,
-            started,
-            &[("parse", d_parse), ("cache", d_cache)],
-            None,
-        );
-        Response::ok()
-            .with_info("cache", tag)
-            .with_info("answers", read.n_answers)
-            .with_info("frontier", read.frontier)
-            .with_info("staleness_us", staleness.as_micros())
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&read.payload)
-    }
-
-    /// Answer straight off the stale answer memo (`cache=stale_answers`):
-    /// the no-wait fallback when the form lock is contended. The reported
-    /// staleness is the memo's age since its publication anchor.
-    #[allow(clippy::too_many_arguments)]
-    fn respond_memo(
-        &self,
-        key: &FormKey,
-        query: &Query,
-        memo: &StaleMemo,
-        age: Duration,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Response {
-        self.metrics.stale_serves.inc();
-        self.metrics.staleness_bound_seconds.record_duration(age);
-        let trace = lock(&self.cache)
-            .peek_mut(key)
-            .map(|entry| Self::trace_json(query, key, "stale_answers", None, &entry.prepared));
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        self.log_slow_query(
-            req_id,
-            key,
-            "stale_answers",
-            started,
-            &[("parse", d_parse), ("cache", d_cache)],
-            None,
-        );
-        Response::ok()
-            .with_info("cache", "stale_answers")
-            .with_info("answers", memo.answers)
-            .with_info("frontier", memo.frontier)
-            .with_info("staleness_us", age.as_micros())
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&memo.payload)
     }
 
     fn handle_fact(&self, text: &str) -> Response {
@@ -1447,6 +1041,9 @@ impl ServerState {
                     atom.pred
                 ));
             }
+        }
+        if let Err(e) = self.check_arity(&atom.pred, std::slice::from_ref(&values)) {
+            return Response::err(e);
         }
         let new = {
             let _gate = read_lock(&self.ingest_gate);
@@ -1518,6 +1115,13 @@ impl ServerState {
                     "{path}: {pred} is derived by rules; facts may only be loaded \
                      for EDB predicates"
                 ));
+            }
+        }
+        // Arity clashes are refused here, before anything is logged or
+        // applied: a LOAD is all-or-nothing.
+        for (pred, tuples) in &parsed.facts {
+            if let Err(e) = self.check_arity(pred, tuples) {
+                return Response::err(format!("{path}: {e}"));
             }
         }
         // Validation passed. Log everything this LOAD will apply, then
@@ -1592,7 +1196,7 @@ impl ServerState {
 
     /// Convert a resource-limit trip into its coded `ERR` response, with
     /// the partial stats embedded, and record counters + trace event.
-    fn limit_response(&self, e: &EngineError) -> Response {
+    pub(crate) fn limit_response(&self, e: &EngineError) -> Response {
         let (code, kind, counter) = match e {
             EngineError::DeadlineExceeded { .. } => {
                 (ErrCode::Deadline, "deadline", &self.metrics.deadline_trips)
@@ -1623,12 +1227,12 @@ impl ServerState {
     /// Evaluate a prepared form's static derivation bound and join-cost
     /// hints against a snapshot's live EDB cardinalities. The bound is the
     /// admission ceiling (`ERR bound` when it exceeds the fact budget);
-    /// the hints feed [`EvalOptions::cost_hints`].
-    fn live_bound(
+    /// the hints feed [`eval_opts`](ServerState::eval_opts).
+    pub(crate) fn live_bound(
         prepared: &PreparedProgram,
         snapshot: &DbSnapshot,
-    ) -> (u64, Arc<std::collections::BTreeMap<String, u64>>) {
-        let cards: std::collections::BTreeMap<String, u64> = prepared
+    ) -> (u64, Arc<BTreeMap<String, u64>>) {
+        let cards: BTreeMap<String, u64> = prepared
             .bounds
             .edb
             .iter()
@@ -1638,578 +1242,6 @@ impl ServerState {
             prepared.bounds.eval_total(&cards),
             Arc::new(prepared.bounds.cost_hints(&cards)),
         )
-    }
-
-    fn handle_query(&self, text: &str, consistency: Consistency) -> Response {
-        let started = Instant::now();
-        // Admission control runs before any parsing or optimizer work:
-        // under overload the cheapest thing to do with a query is refuse it.
-        self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _inflight = Decrement(&self.inflight);
-        if self.max_inflight > 0 && self.inflight.load(Ordering::Acquire) > self.max_inflight {
-            self.metrics.shed_queries.inc();
-            self.note_limit(
-                "busy",
-                &format!("query shed at in-flight budget {}", self.max_inflight),
-            );
-            return Response::err_code(
-                ErrCode::Busy,
-                format!(
-                    "server at query capacity ({} in flight), retry",
-                    self.max_inflight
-                ),
-            );
-        }
-        // One id per admitted query; it appears in the slow-query log so a
-        // line on stderr can be correlated with client-side observations.
-        let req_id = self.metrics.next_request_id();
-        let parsed = match parse_program(text) {
-            Ok(p) => p,
-            Err(e) => return Response::err(e.render_at("query")),
-        };
-        if !parsed.program.rules.is_empty() || !parsed.facts.is_empty() {
-            return Response::err("QUERY takes a single '?- atom.' (no rules or facts)");
-        }
-        let Some(query) = parsed.program.query else {
-            return Response::err("QUERY takes a single '?- atom.'");
-        };
-        if self
-            .fault
-            .should_panic_on_query(&query.atom.pred.name.as_str())
-        {
-            panic!(
-                "injected fault: panic during query over {}",
-                query.atom.pred
-            );
-        }
-        let adornment = match query_adornment(&query) {
-            Ok(a) => a,
-            Err(e) => return Response::err(e.to_string()),
-        };
-
-        let (rules, fingerprint) = {
-            let g = read_lock(&self.rules);
-            (g.0.clone(), g.1)
-        };
-        let program = Program::with_query(rules, query.clone());
-        if let Err(e) = program.validate() {
-            return Response::err(e.to_string());
-        }
-        // Parse span: request text → validated, adorned program.
-        let d_parse = started.elapsed();
-        self.metrics.phase_seconds[Phase::Parse as usize].record_duration(d_parse);
-        let key = FormKey {
-            fingerprint,
-            pred: query.atom.pred.name.as_str(),
-            adornment: adornment.to_string(),
-        };
-        let query_repr = query.atom.to_string();
-
-        // Snapshot before consulting the answer slot: ingestion inserts the
-        // fact first and invalidates after, so a slot whose watermarks still
-        // match this snapshot cannot be stale. `t_snap` is the staleness
-        // anchor for everything served off this snapshot.
-        let t_snap = Instant::now();
-        let snapshot = self.db.snapshot();
-        self.metrics.queries.inc();
-
-        let t_cache = Instant::now();
-        let mut cache = lock(&self.cache);
-        // `pin` (canonical program + spliced query atom) marks an eligible
-        // form whose evaluation should build a ResidentEval instead of a
-        // throwaway fixpoint (pinning re-checks residency under the lock).
-        #[allow(clippy::type_complexity)]
-        let mut resolved: Option<(
-            &'static str,
-            Program,
-            std::collections::BTreeSet<PredRef>,
-            Option<(Program, Atom)>,
-            Option<(u64, Arc<std::collections::BTreeMap<String, u64>>)>,
-        )> = None;
-        // Serving plan for live resident state: decided under the cache
-        // lock, executed after it drops (lock order — the cache lock is
-        // never held while blocking on a form lock).
-        let mut plan: Option<ResidentPlan> = None;
-        let mut queue_drain = false;
-        let mut fallback = false;
-        if let Some(entry) = cache.get_mut(&key) {
-            entry.hits += 1;
-            self.metrics.prepared_hits.inc();
-            if let Some(slot) = &entry.answers {
-                if slot.query_repr == query_repr
-                    && slot.watermarks == snapshot.watermarks_for(&entry.prepared.support)
-                {
-                    // Serve the memoized payload: no eval, no optimizer,
-                    // zero new phase events. Watermark match means no
-                    // acknowledged row is missing — staleness zero in any
-                    // consistency mode.
-                    self.metrics.answer_hits.inc();
-                    self.metrics
-                        .staleness_bound_seconds
-                        .record_duration(Duration::ZERO);
-                    let resp = Response::ok()
-                        .with_info("cache", "answers")
-                        .with_info("answers", slot.answers)
-                        .with_info("frontier", slot.frontier)
-                        .with_info("staleness_us", 0)
-                        .with_info("wall_us", started.elapsed().as_micros())
-                        .with_payload_text(&slot.payload);
-                    let trace = Self::trace_json(&query, &key, "answers", None, &entry.prepared);
-                    drop(cache);
-                    let d_cache = t_cache.elapsed();
-                    self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-                    *lock(&self.last_trace) = Some(trace);
-                    self.log_slow_query(
-                        req_id,
-                        &key,
-                        "answers",
-                        started,
-                        &[("parse", d_parse), ("cache", d_cache)],
-                        None,
-                    );
-                    return resp;
-                }
-            }
-            let eligible = self.resident_forms > 0
-                && ResidentEval::supports(&entry.prepared.program)
-                && ResidentEval::admits_bound_class(entry.prepared.bound_class);
-            if eligible {
-                if let (Some(form), Some(q_atom)) = (
-                    entry.resident.as_ref(),
-                    entry.prepared.instantiate_atom(&query.atom),
-                ) {
-                    // Decide how to serve live resident state. Lag and the
-                    // staleness anchor come from the mirror — no form lock.
-                    let lag = snapshot.lag_from(&entry.prepared.support, &entry.applied_mirror);
-                    let anchor = entry.pending_since.unwrap_or(t_snap);
-                    let staleness_now = anchor.elapsed();
-                    let budget = match consistency {
-                        Consistency::Bounded(d) => Some(Duration::from_millis(d)),
-                        _ => None,
-                    };
-                    let memo = entry
-                        .answers
-                        .as_ref()
-                        .filter(|s| s.query_repr == query_repr)
-                        .map(|s| StaleMemo {
-                            payload: s.payload.clone(),
-                            answers: s.answers,
-                            frontier: s.frontier,
-                            published_at: s.published_at,
-                        });
-                    let decided = match consistency {
-                        Consistency::Fresh => ResidentAction::Fresh,
-                        // Fully drained: the frontier IS fresh; serve it via
-                        // try-lock so this read never queues behind a drain
-                        // that is applying even newer rows.
-                        _ if lag == 0 => ResidentAction::Stale {
-                            anchor: None,
-                            memo,
-                            budget,
-                        },
-                        // Defensive: lag without an anchor (should not
-                        // happen — drains set `pending_since` before
-                        // releasing the cache lock). Correctness first.
-                        _ if entry.pending_since.is_none() => ResidentAction::Fresh,
-                        Consistency::Any => ResidentAction::Stale {
-                            anchor: Some(anchor),
-                            memo,
-                            budget,
-                        },
-                        Consistency::Bounded(d) if staleness_now.as_millis() <= u128::from(d) => {
-                            ResidentAction::Stale {
-                                anchor: Some(anchor),
-                                memo,
-                                budget,
-                            }
-                        }
-                        Consistency::Bounded(_) => {
-                            // Over budget: catch up synchronously only when
-                            // the bound polynomial says the drain is cheap;
-                            // otherwise refuse and make sure a drain is on
-                            // its way.
-                            let cost =
-                                Self::drain_cost(&entry.prepared, &snapshot, &entry.applied_mirror);
-                            if cost <= self.drain_sync_cost {
-                                ResidentAction::Fresh
-                            } else {
-                                if !entry.drain_queued {
-                                    entry.drain_queued = true;
-                                    queue_drain = true;
-                                }
-                                ResidentAction::Refuse {
-                                    bound_ms: staleness_now.as_millis().min(u128::from(u64::MAX))
-                                        as u64,
-                                }
-                            }
-                        }
-                    };
-                    plan = Some(ResidentPlan {
-                        form: Arc::clone(form),
-                        support: entry.prepared.support.clone(),
-                        q_atom,
-                        action: decided,
-                    });
-                } else if entry.resident.is_none() {
-                    // Evicted by the resident LRU, or dropped earlier as
-                    // poisoned: recompute from cold and re-pin below — the
-                    // lazy rebuild (no background loop required).
-                    fallback = true;
-                }
-            }
-            let pin = eligible
-                .then(|| {
-                    entry
-                        .prepared
-                        .instantiate_atom(&query.atom)
-                        .map(|qa| (entry.prepared.program.clone(), qa))
-                })
-                .flatten();
-            let bound_info = Self::live_bound(&entry.prepared, &snapshot);
-            resolved = entry.prepared.instantiate(&query.atom).map(|p| {
-                (
-                    "hit",
-                    p,
-                    entry.prepared.support.clone(),
-                    pin,
-                    Some(bound_info),
-                )
-            });
-        }
-        if fallback {
-            cache.fallback_recomputes += 1;
-            self.metrics.fallback_recomputes.inc();
-        }
-        if let Some(plan) = plan {
-            drop(cache);
-            match self.execute_resident_plan(
-                plan,
-                queue_drain,
-                &key,
-                &query,
-                &query_repr,
-                &snapshot,
-                t_snap,
-                started,
-                req_id,
-                d_parse,
-                t_cache,
-            ) {
-                Some(resp) => return resp,
-                None => {
-                    // The plan died under us (propagation poisoned the
-                    // state, already cleaned up): recompute from cold this
-                    // request; the rebuild is scheduled or lazy.
-                    {
-                        let mut cache = lock(&self.cache);
-                        cache.fallback_recomputes += 1;
-                    }
-                    self.metrics.fallback_recomputes.inc();
-                    fallback = true;
-                    cache = lock(&self.cache);
-                }
-            }
-        }
-        let (status, eval_program, support, pin, bound_info) = match resolved {
-            Some(t) => t,
-            None => {
-                self.metrics.cache_misses.inc();
-                let prepared = match prepare(
-                    &program.rules,
-                    &query.atom.pred,
-                    &adornment,
-                    &OptimizerConfig {
-                        verify: self.verify,
-                        ..OptimizerConfig::default()
-                    },
-                ) {
-                    Ok(p) => p,
-                    Err(e) => return Response::err(format!("optimizer: {e}")),
-                };
-                let entry = cache.insert(key.clone(), prepared);
-                let bound_info = Self::live_bound(&entry.prepared, &snapshot);
-                match entry.prepared.instantiate(&query.atom) {
-                    Some(p) => {
-                        let pin = (self.resident_forms > 0
-                            && ResidentEval::supports(&entry.prepared.program)
-                            && ResidentEval::admits_bound_class(entry.prepared.bound_class))
-                        .then(|| {
-                            entry
-                                .prepared
-                                .instantiate_atom(&query.atom)
-                                .map(|qa| (entry.prepared.program.clone(), qa))
-                        })
-                        .flatten();
-                        (
-                            "miss",
-                            p,
-                            entry.prepared.support.clone(),
-                            pin,
-                            Some(bound_info),
-                        )
-                    }
-                    // Defensive: fall back to the unoptimized program; its
-                    // support is computed directly so cached answers still
-                    // invalidate correctly.
-                    None => (
-                        "miss",
-                        program.clone(),
-                        datalog_opt::edb_support(&program),
-                        None,
-                        None,
-                    ),
-                }
-            }
-        };
-        drop(cache);
-        // Cache span: lock → memoized answers / prepared form / cold
-        // prepare. On a cold miss this includes the optimizer run — the
-        // cost the prepared-query cache exists to amortize.
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-
-        // Bound-aware admission: the prepared form carries a static
-        // derivation bound (a polynomial in EDB cardinalities); evaluated
-        // against this snapshot's live counts it upper-bounds what the
-        // fixpoint can derive. If that certified ceiling already exceeds
-        // the fact budget, the budget trip is inevitable — refuse now,
-        // before a single evaluation iteration, instead of burning the
-        // budget to find out.
-        if let (true, Some(budget), Some((bound, _))) =
-            (self.bound_admission, self.fact_budget, bound_info.as_ref())
-        {
-            if *bound > budget {
-                self.metrics.admission_rejected.inc();
-                let detail = format!(
-                    "static derivation bound {bound} facts exceeds fact budget {budget} \
-                     at current cardinalities; refused before evaluation"
-                );
-                self.note_limit("bound", &detail);
-                return Response::err_code(ErrCode::Bound, detail);
-            }
-        }
-
-        let opts = EvalOptions {
-            boolean_cut: true,
-            // The serving path defaults both on: reordered joins (cheapest
-            // order, not source order) and the iteration fan-out. Workers
-            // poll the same deadline/cancel the serial path does, so the
-            // limit envelope is unchanged.
-            reorder_joins: self.reorder_joins,
-            threads: self.eval_threads,
-            deadline: self
-                .deadline_ms
-                .map(|ms| started + Duration::from_millis(ms)),
-            fact_budget: self.fact_budget,
-            cancel: Some(self.cancel.clone()),
-            metrics: Some(self.metrics.eval.clone()),
-            // Join-reorder cost hints from the bounds analysis, evaluated
-            // at this snapshot's cardinalities: ties in the greedy order
-            // break toward the predicate with the smaller derivation bound.
-            cost_hints: bound_info.as_ref().map(|(_, h)| h.clone()),
-            ..EvalOptions::default()
-        };
-        let t_eval = Instant::now();
-        // An eligible form without resident state evaluates by *building*
-        // it: `ResidentEval::new` runs the same cold fixpoint, it just
-        // keeps its working state for later delta propagation. The input
-        // is restricted to the form's support set — the EDB predicates
-        // reachable from the query, the only ones that can affect its
-        // answers.
-        let mut pinned: Option<ResidentEval> = None;
-        let (answers, eval_stats) = if let Some((canonical, q_atom)) = &pin {
-            let mut input = FactSet::new();
-            for pred in &support {
-                for row in snapshot.rows(pred) {
-                    input.insert(pred.clone(), row);
-                }
-            }
-            match ResidentEval::new(canonical, &input, &opts) {
-                Ok(resident) => {
-                    let answers = resident.answers(q_atom);
-                    let stats = resident.initial_stats();
-                    pinned = Some(resident);
-                    (answers, stats)
-                }
-                // A tripped query is answered with its partial stats, NOT
-                // memoized, and nothing is pinned.
-                Err(e) if e.is_limit() => return self.limit_response(&e),
-                Err(e) => return Response::err(format!("evaluation: {e}")),
-            }
-        } else {
-            let facts = snapshot.to_factset();
-            match query_answers_full(&eval_program, &facts, &opts) {
-                Ok((answers, out)) => (answers, out.stats),
-                // A tripped query is answered with its partial stats and NOT
-                // memoized: the cache must never serve a truncated table.
-                Err(e) if e.is_limit() => return self.limit_response(&e),
-                Err(e) => return Response::err(format!("evaluation: {e}")),
-            }
-        };
-        let d_eval = t_eval.elapsed();
-        self.metrics.phase_seconds[Phase::Eval as usize].record_duration(d_eval);
-
-        let t_serialize = Instant::now();
-        let payload = render_answers(&answers);
-        // Frontier identity of this serve: the freshly built resident's
-        // version when one was pinned, the DB snapshot version otherwise.
-        let frontier = pinned
-            .as_ref()
-            .map(|r| r.frontier().version)
-            .unwrap_or_else(|| snapshot.version());
-
-        let mut cache = lock(&self.cache);
-        let trace = cache.get_mut(&key).map(|entry| {
-            entry.answers = Some(CachedAnswers {
-                query_repr,
-                watermarks: snapshot.watermarks_for(&support),
-                payload: payload.clone(),
-                answers: answers.len(),
-                frontier,
-                published_at: t_snap,
-                stale: false,
-            });
-            Self::trace_json(
-                &query,
-                &key,
-                status,
-                (status == "miss").then_some(()),
-                &entry.prepared,
-            )
-        });
-        if let Some(resident) = pinned {
-            // Pin unless a concurrent query beat us to it. `applied`
-            // records the snapshot this state was built from, so the next
-            // catch-up starts exactly where construction stopped.
-            if cache.get_mut(&key).is_some_and(|e| e.resident.is_none()) {
-                let applied = support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect();
-                let pinned_now = cache.pin_resident(
-                    &key,
-                    ResidentForm {
-                        eval: resident,
-                        applied,
-                    },
-                );
-                // A re-pin after eviction or poisoning IS the lazy rebuild
-                // (satellite of the self-healing loop): count it.
-                if pinned_now && fallback {
-                    self.metrics.resident_rebuilds.inc();
-                }
-            }
-        }
-        drop(cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        let d_serialize = t_serialize.elapsed();
-        self.metrics.phase_seconds[Phase::Serialize as usize].record_duration(d_serialize);
-        self.log_slow_query(
-            req_id,
-            &key,
-            status,
-            started,
-            &[
-                ("parse", d_parse),
-                ("cache", d_cache),
-                ("eval", d_eval),
-                ("serialize", d_serialize),
-            ],
-            Some(&eval_stats),
-        );
-
-        self.metrics
-            .staleness_bound_seconds
-            .record_duration(Duration::ZERO);
-        Response::ok()
-            .with_info("cache", status)
-            .with_info("answers", answers.len())
-            .with_info("frontier", frontier)
-            .with_info("staleness_us", 0)
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&payload)
-    }
-
-    /// Emit one structured JSON line on stderr when a query's wall time
-    /// crosses the `--slow-query-ms` threshold. One line per slow query,
-    /// machine-parseable, with the request id, form identity, cache
-    /// outcome, per-phase breakdown, and (when evaluation ran) the
-    /// engine's [`EvalStats`].
-    fn log_slow_query(
-        &self,
-        req_id: u64,
-        key: &FormKey,
-        cache: &str,
-        started: Instant,
-        phases: &[(&str, Duration)],
-        stats: Option<&EvalStats>,
-    ) {
-        let Some(threshold_ms) = self.slow_query_ms else {
-            return;
-        };
-        let wall = started.elapsed();
-        if wall.as_millis() < u128::from(threshold_ms) {
-            return;
-        }
-        self.metrics.slow_queries.inc();
-        let mut phase_doc = Json::obj();
-        for (name, d) in phases {
-            phase_doc = phase_doc.with(name, d.as_micros());
-        }
-        let mut doc = Json::obj()
-            .with("slow_query", true)
-            .with("req_id", req_id)
-            .with("pred", key.pred.as_str())
-            .with("adornment", key.adornment.as_str())
-            .with("cache", cache)
-            .with("threshold_ms", threshold_ms)
-            .with("wall_us", wall.as_micros())
-            .with("phases_us", phase_doc);
-        if let Some(s) = stats {
-            doc = doc.with(
-                "stats",
-                Json::obj()
-                    .with("iterations", s.iterations)
-                    .with("facts_derived", s.facts_derived)
-                    .with("derivations", s.derivations)
-                    .with("duplicates", s.duplicates)
-                    .with("tuples_scanned", s.tuples_scanned)
-                    .with("index_probes", s.index_probes),
-            );
-        }
-        eprintln!("{doc}");
-    }
-
-    /// The `TRACE` document for one query. `new_events` holds the phase
-    /// events the optimizer emitted *for this request* — the full trace on
-    /// a cold miss, empty on any cache hit (the observable promised by the
-    /// prepared-query cache).
-    fn trace_json(
-        query: &Query,
-        key: &FormKey,
-        status: &str,
-        fresh: Option<()>,
-        prepared: &PreparedProgram,
-    ) -> Json {
-        let new_events: Vec<Json> = if fresh.is_some() {
-            prepared.report.events().map(|e| e.to_json()).collect()
-        } else {
-            Vec::new()
-        };
-        Json::obj()
-            .with("query", query.to_string())
-            .with(
-                "form",
-                Json::obj()
-                    .with("fingerprint", format!("{:016x}", key.fingerprint))
-                    .with("pred", key.pred.as_str())
-                    .with("adornment", key.adornment.as_str()),
-            )
-            .with("cache", status)
-            .with("new_events", Json::Arr(new_events))
-            .with("prepared_report", prepared.report.to_json())
     }
 
     /// Total sealed storage runs across the shared EDB and every resident
@@ -2271,13 +1303,13 @@ impl ServerState {
                 "incremental_applied_facts",
                 m.incremental_applied_facts.get(),
             )
-            .with("fallback_recomputes", cache.fallback_recomputes)
+            .with("fallback_recomputes", m.fallback_recomputes.get())
             .with("resident_rebuilds", m.resident_rebuilds.get())
             .with("resident_poisonings", m.resident_poisonings.get())
             .with("stale_serves", m.stale_serves.get())
             .with("stale_refusals", m.stale_refusals.get())
             .with("background_drains", m.background_drains.get())
-            .with("threads", self.threads)
+            .with("threads", self.cfg.threads)
             .with("inflight", self.inflight.load(Ordering::Acquire) as u64)
             .with("shed_connections", m.shed_conns.get())
             .with("shed_queries", m.shed_queries.get())
@@ -2288,7 +1320,7 @@ impl ServerState {
             .with("cancelled_queries", m.cancelled_queries.get())
             .with("panics_recovered", m.panics_recovered.get())
             .with("wal_errors", m.wal_errors.get())
-            .with("faults_injected", self.fault.fired())
+            .with("faults_injected", self.cfg.fault.fired())
             .with(
                 "storage",
                 Json::obj()
@@ -2429,12 +1461,12 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     return;
                 }
                 let active = state.active_conns.fetch_add(1, Ordering::AcqRel) + 1;
-                if active > state.max_conns {
+                if state.cfg.max_conns > 0 && active > state.cfg.max_conns {
                     state.active_conns.fetch_sub(1, Ordering::AcqRel);
                     state.metrics.shed_conns.inc();
                     state.note_limit(
                         "busy",
-                        &format!("connection shed at limit {}", state.max_conns),
+                        &format!("connection shed at limit {}", state.cfg.max_conns),
                     );
                     shed_connection(stream);
                     continue;
@@ -2464,7 +1496,9 @@ fn shed_connection(mut stream: TcpStream) {
 
 /// Serve one client until it disconnects, errors, or the server shuts
 /// down. A short read timeout lets the worker notice shutdown while a
-/// client idles.
+/// client idles; a request line that arrives in pieces across timeouts is
+/// kept and completed, and one longer than [`MAX_REQUEST_LINE`] is answered
+/// with one `ERR` and the connection closed.
 fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     // Responses are written as one buffered chunk; without TCP_NODELAY the
@@ -2476,12 +1510,17 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes, not a `String`: a timeout may split a multi-byte character.
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // `line` holds at most the limit here, so there is room for at
+        // least the one byte that proves a line over-long.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
             Ok(_) => {}
+            // `read_until` keeps what it read before the error: the next
+            // round appends the rest of the line.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -2493,8 +1532,17 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
             }
             Err(_) => return,
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_REQUEST_LINE {
+            let resp = Response::err(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
+            ));
+            let _ = write_buffered(&resp, &mut writer);
+            return;
+        }
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if trimmed.is_empty() {
+            line.clear();
             continue;
         }
         let resp = match Request::parse(trimmed) {
@@ -2506,7 +1554,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     // The accepted stream's local address IS the listening
                     // address, so a throwaway connection per worker suffices.
                     if let Ok(addr) = writer.local_addr() {
-                        for _ in 0..state.threads {
+                        for _ in 0..state.cfg.threads {
                             let _ = TcpStream::connect(addr);
                         }
                     }
@@ -2516,6 +1564,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
             }
             Err(msg) => Response::err(msg),
         };
+        line.clear();
         if write_buffered(&resp, &mut writer).is_err() {
             return;
         }
@@ -2539,6 +1588,11 @@ fn write_buffered(resp: &Response, writer: &mut TcpStream) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Consistency;
+
+    fn state_with(cfg: ServerConfig) -> ServerState {
+        ServerState::from_config(&cfg).unwrap()
+    }
 
     /// Unique-per-test temp dir, removed on drop (even on panic).
     struct TempDir(PathBuf);
@@ -2579,7 +1633,7 @@ mod tests {
 
     #[test]
     fn state_rejects_idb_facts_and_bad_queries() {
-        let state = ServerState::new(8, 1);
+        let state = state_with(ServerConfig::default());
         let dir = TempDir::new("idb");
         let file = dir.0.join("tc.dl");
         std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\n").unwrap();
@@ -2648,7 +1702,10 @@ mod tests {
             }
         }
         std::fs::write(&file, &text).unwrap();
-        let state = ServerState::new(8, 1).with_limits(Some(5), None);
+        let state = state_with(ServerConfig {
+            deadline_ms: Some(5),
+            ..ServerConfig::default()
+        });
         assert!(state.handle(&Request::Load(file.display().to_string())).ok);
         let resp = state.handle(&Request::query("?- big(1, X, Y, Z)."));
         assert!(!resp.ok);
@@ -2669,24 +1726,22 @@ mod tests {
     }
 
     #[test]
-    fn limit_event_ring_capacity_is_configurable_and_drops_are_counted() {
-        let state = ServerState::from_config(&ServerConfig {
-            limit_events: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        for i in 0..5 {
+    fn limit_event_ring_is_bounded_and_drops_are_counted() {
+        let state = state_with(ServerConfig::default());
+        for i in 0..LIMIT_EVENT_RING + 3 {
             state.note_limit("busy", &format!("event {i}"));
         }
-        // The ring holds only the newest two events...
+        // The ring holds only the newest events...
         let ring = lock(&state.limit_events);
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.len(), LIMIT_EVENT_RING);
         let held = Json::Arr(ring.clone()).to_string();
         drop(ring);
+        let newest = LIMIT_EVENT_RING + 2;
         assert!(
-            held.contains("event 3") && held.contains("event 4"),
+            held.contains("event 3\"") && held.contains(&format!("event {newest}\"")),
             "{held}"
         );
+        assert!(!held.contains("event 2\""), "{held}");
         // ...and the three evictions are visible as a metric, not silent.
         assert_eq!(state.metrics.limit_events_dropped.get(), 3);
         let scrape = state.metrics.render_prometheus();
@@ -2698,7 +1753,7 @@ mod tests {
 
     #[test]
     fn metrics_verb_renders_both_formats_and_samples_gauges() {
-        let state = ServerState::new(2, 1);
+        let state = state_with(ServerConfig::default());
         let dir = TempDir::new("metrics-verb");
         let file = dir.0.join("tc.dl");
         std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\np(3, 4).\n").unwrap();
@@ -2731,7 +1786,7 @@ mod tests {
 
     #[test]
     fn shed_query_at_inflight_budget_zero_means_unlimited() {
-        let state = ServerState::new(8, 1);
+        let state = state_with(ServerConfig::default());
         // max_inflight == 0: a query is admitted (and fails on substance,
         // not on admission).
         let resp = state.handle(&Request::query("?- nosuch(X)."));
@@ -2741,7 +1796,10 @@ mod tests {
     #[test]
     fn panic_in_handler_is_contained() {
         let fault = Arc::new(FaultPlan::new());
-        let state = ServerState::new(8, 1).with_fault(Arc::clone(&fault));
+        let state = state_with(ServerConfig {
+            fault: Arc::clone(&fault),
+            ..ServerConfig::default()
+        });
         let dir = TempDir::new("panic");
         let file = dir.0.join("tc.dl");
         std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\n").unwrap();
@@ -2770,16 +1828,11 @@ mod tests {
     fn serving_path_defaults_to_reordered_joins() {
         // The prepared/serving path always wants the cheapest join order;
         // only `xdl run` keeps source order (for experiment counters).
-        // Pin the default so a regression here is loud.
-        assert!(ServerConfig::default().reorder_joins);
-        let state = ServerState::new(8, 1);
-        assert!(state.reorder_joins, "fresh state serves reordered joins");
-        let cfg = ServerConfig {
-            reorder_joins: false,
-            ..ServerConfig::default()
-        };
-        let state = ServerState::from_config(&cfg).unwrap();
-        assert!(!state.reorder_joins, "--no-reorder must reach eval");
+        // Pin it so a regression here is loud.
+        let state = state_with(ServerConfig::default());
+        let opts = state.eval_opts(Instant::now(), Arc::new(BTreeMap::new()));
+        assert!(opts.reorder_joins, "every served fixpoint reorders joins");
+        assert!(!datalog_engine::EvalOptions::default().reorder_joins);
     }
 
     #[test]
@@ -2821,7 +1874,7 @@ mod tests {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         assert_eq!(ServerConfig::default().eval_threads, expected);
         let state = ServerState::from_config(&ServerConfig::default()).unwrap();
-        assert_eq!(state.eval_threads, expected.max(1));
+        assert_eq!(state.cfg.eval_threads, expected.max(1));
     }
 
     /// The tentpole identity: with resident forms enabled, every QUERY
@@ -3089,7 +2142,7 @@ mod tests {
 
     #[test]
     fn draining_state_refuses_new_work_with_shutdown_code() {
-        let state = ServerState::new(8, 1);
+        let state = state_with(ServerConfig::default());
         assert!(state.handle(&Request::Shutdown).ok);
         let resp = state.handle(&Request::query("?- a(X)."));
         assert_eq!(resp.code, Some(ErrCode::Shutdown), "{}", resp.error);

@@ -253,16 +253,114 @@ fn slow_client_dribbling_bytes_gets_a_full_answer() {
         writer.write_all(std::slice::from_ref(b)).unwrap();
         writer.flush().unwrap();
         if i % 4 == 0 {
-            std::thread::sleep(Duration::from_millis(60));
+            std::thread::sleep(Duration::from_millis(250));
         }
     }
     let mut reader = BufReader::new(stream);
     let mut header = String::new();
     reader.read_line(&mut header).unwrap();
-    assert!(header.starts_with("OK "), "{header}");
+    assert!(header.starts_with("OK 4 "), "{header}");
 
     // The dribbler did not wedge the other worker.
     assert!(c.query("?- a(X, _).").unwrap().ok);
+    c.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn over_long_request_line_gets_one_err_and_the_connection_closes() {
+    let server = Server::spawn(&ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // One byte past the limit and no newline in sight: the server must
+    // stop buffering, say why, and hang up. (Exactly the bytes it will
+    // read, so the close is a clean FIN and the `ERR` is not lost to a
+    // reset.)
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .write_all(&vec![b'a'; datalog_server::protocol::MAX_REQUEST_LINE + 1])
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("ERR request line exceeds "), "{reply}");
+    assert_eq!(reply.lines().count(), 1, "one ERR, then EOF: {reply}");
+
+    // A line of exactly the limit is still a request (here: an unknown
+    // command), and the server serves on.
+    let mut line = vec![b'a'; datalog_server::protocol::MAX_REQUEST_LINE];
+    *line.last_mut().unwrap() = b'\n';
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(&line).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert!(header.starts_with("ERR unknown command"), "{header:.80}");
+    drop((writer, reader));
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert!(c.fact("p(1, 2).").unwrap().ok);
+    c.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn arity_refused_fact_and_load_leave_wal_and_database_untouched() {
+    let dir = TempDir::new("arity");
+    let wal_dir = dir.path().join("wal");
+    let cfg = ServerConfig {
+        threads: 1,
+        wal_dir: Some(wal_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let facts_of = |stats: &str| -> String {
+        let at = stats.find("\"facts\":").expect("STATS has a facts count");
+        stats[at..].split(',').next().unwrap().to_string()
+    };
+    {
+        let server = Server::spawn(&cfg).unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        let rules = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
+        assert!(c.load(rules.to_str().unwrap()).unwrap().ok);
+        assert_eq!(c.query("?- a(1, X).").unwrap().get("cache"), Some("miss"));
+        let log_len = std::fs::metadata(wal_dir.join("wal.log")).unwrap().len();
+        let facts = facts_of(&c.stats().unwrap().payload_text());
+
+        // `p` is stored at arity 2. The refused FACT...
+        let resp = c.fact("p(7).").unwrap();
+        assert!(!resp.ok);
+        assert!(resp.error.contains("arity"), "{}", resp.error);
+        // ...and a LOAD whose clash sorts *after* facts it could apply
+        // (`n` < `p`) — and after one that extends a memoized form.
+        let bad = dir.file("bad.dl", "n(1).\np(8, 9).\np(1, 2, 3).\n");
+        let resp = c.load(bad.to_str().unwrap()).unwrap();
+        assert!(!resp.ok);
+        assert!(resp.error.contains("arity"), "{}", resp.error);
+        // A file that disagrees with itself about a new predicate, too.
+        let bad = dir.file("self.dl", "m(1).\nm(1, 2).\n");
+        assert!(!c.load(bad.to_str().unwrap()).unwrap().ok);
+
+        // Nothing was logged, nothing applied, no memo staled.
+        assert_eq!(
+            std::fs::metadata(wal_dir.join("wal.log")).unwrap().len(),
+            log_len
+        );
+        let stats = c.stats().unwrap().payload_text();
+        assert_eq!(facts_of(&stats), facts, "{stats}");
+        assert_eq!(
+            c.query("?- a(1, X).").unwrap().get("cache"),
+            Some("answers")
+        );
+        c.shutdown().unwrap();
+        server.join();
+    }
+    let server = Server::spawn(&cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.stats().unwrap().payload_text();
+    assert!(stats.contains("\"skipped\":0"), "{stats}");
     c.shutdown().unwrap();
     server.join();
 }

@@ -12,7 +12,10 @@ mod util;
 
 use std::collections::BTreeMap;
 
-use datalog_server::{Client, Consistency, Server, ServerConfig};
+use datalog_server::metrics::Phase;
+use datalog_server::{
+    Client, Consistency, FaultPlan, Request, Response, Server, ServerConfig, ServerState,
+};
 use util::TempDir;
 
 const TC_RULES: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n";
@@ -584,6 +587,90 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
 
     server.shutdown();
     server.join();
+}
+
+/// All six `cache=` sources leave through one response tail: same header
+/// keys in the same order, one staleness sample and one cache-phase sample
+/// per answer. In-process and without the maintenance thread, so a
+/// deferred drain stays pending until a reader resolves it and every
+/// source is reached deterministically.
+#[test]
+fn every_cache_source_answers_through_the_same_tail() {
+    let dir = TempDir::new("metrics-tail");
+    let fault = std::sync::Arc::new(FaultPlan::default());
+    let state = std::sync::Arc::new(
+        ServerState::from_config(&ServerConfig {
+            drain_sync_cost: 0,
+            fault: std::sync::Arc::clone(&fault),
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    // `a` is monotone (pins a resident); `c` negates, so it never does.
+    let rules = dir.path().join("rules.dl");
+    let src = format!("{TC_RULES}c(X) :- n(X), not d(X).\np(1, 2).\nn(1).\nn(2).\nd(2).\n");
+    std::fs::write(&rules, src).unwrap();
+    assert!(state.handle(&Request::Load(rules.display().to_string())).ok);
+
+    let samples = |state: &ServerState| {
+        let m = state.metrics();
+        (
+            m.staleness_bound_seconds.snapshot().count,
+            m.phase_seconds[Phase::Cache as usize].snapshot().count,
+        )
+    };
+    let check = |source: &str, resp: &Response, before: (u64, u64), answered: u64| {
+        assert!(resp.ok, "{source}: {}", resp.error);
+        assert_eq!(resp.get("cache"), Some(source));
+        let keys: Vec<&str> = resp.info.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["cache", "answers", "frontier", "staleness_us", "wall_us"],
+            "{source}"
+        );
+        let after = samples(&state);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (answered, answered),
+            "{source}: one staleness sample and one cache-phase sample per answer"
+        );
+    };
+    let ask = |source: &str, consistency: Consistency, text: &str| {
+        let before = samples(&state);
+        let resp = state.handle(&Request::Query {
+            text: text.into(),
+            consistency,
+        });
+        check(source, &resp, before, 1);
+    };
+
+    let a = "?- a(X, _).";
+    ask("miss", Consistency::Fresh, "?- c(X).");
+    ask("hit", Consistency::Fresh, "?- c(1).");
+    ask("answers", Consistency::Fresh, "?- c(1).");
+    ask("miss", Consistency::Fresh, a);
+    // The ingest-side drain is priced out and nobody runs it: the form lags.
+    assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
+    ask("stale", Consistency::Any, a);
+    // A fresh reader now drains under the form lock, slowly. Once the
+    // fault has fired it is inside that lock, so a relaxed reader finds it
+    // contended and is answered off the answer memo.
+    fault.slow_drains(300);
+    let fired = fault.fired();
+    let before = samples(&state);
+    let drainer = {
+        let state = std::sync::Arc::clone(&state);
+        std::thread::spawn(move || state.handle(&Request::query(a)))
+    };
+    while fault.fired() == fired {
+        std::thread::yield_now();
+    }
+    ask("stale_answers", Consistency::Any, a);
+    let drained = drainer.join().unwrap();
+    fault.slow_drains(0);
+    // Two answers since the drainer started: the relaxed read (counted
+    // on its own above, while the drainer still slept) and the drainer's.
+    check("resident", &drained, before, 2);
 }
 
 #[test]

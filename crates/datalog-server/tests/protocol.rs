@@ -73,6 +73,30 @@ fn roundtrip_matches_xdl_run_byte_for_byte() {
 }
 
 #[test]
+fn predicate_read_only_through_negation_is_served_whole() {
+    // The boolean cut used to retire `flagged` (consumed only by a negated
+    // literal) after the seed round, and every employee came back clean.
+    let dir = TempDir::new("negation");
+    let server = spawn(1);
+    let mut c = Client::connect(server.addr()).unwrap();
+    let src = "above(X, Y) :- boss(X, Y).\nabove(X, Y) :- boss(X, Z), above(Z, Y).\n\
+               flagged(X) :- above(X, Y), bad(Y).\nclean(X) :- emp(X), not flagged(X).\n\
+               boss(1, 2).\nboss(2, 3).\nboss(3, 4).\nboss(5, 6).\nbad(4).\n\
+               emp(1).\nemp(2).\nemp(3).\nemp(5).\n";
+    let file = dir.file("clean.dl", src);
+    assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+    let resp = c.query("?- clean(X).").unwrap();
+    assert!(resp.ok, "{}", resp.error);
+    assert_eq!(resp.payload_text(), "X\n5\n");
+    assert_eq!(
+        resp.payload_text(),
+        xdl_run_reference(&format!("{src}?- clean(X)."))
+    );
+    c.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
 fn repeat_query_form_hits_cache_with_zero_new_events() {
     let dir = TempDir::new("repeat");
     let server = spawn(2);

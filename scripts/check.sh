@@ -152,19 +152,6 @@ if ! cmp -s "$smoke_dir/threads1.out" "$smoke_dir/threads4.out"; then
 fi
 echo "check.sh: scaling smoke ok"
 
-# Scaling experiment: record a quick E12 run so BENCH history accumulates
-# alongside the committed full-mode BENCH_e12.json.
-mkdir -p bench_history
-./target/release/harness e12 --quick --json \
-    > "bench_history/e12-$(date +%s).json"
-echo "check.sh: e12 recorded ($(ls bench_history | wc -l) history entries)"
-
-# Telemetry overhead experiment: record a quick E13 run (metrics on vs
-# no-op registry) alongside the committed full-mode BENCH_e13.json.
-./target/release/harness e13 --quick --json \
-    > "bench_history/e13-$(date +%s).json"
-echo "check.sh: e13 recorded ($(ls bench_history | wc -l) history entries)"
-
 # Incremental-serving smoke: ingest after a warm query, then demand the
 # resident-frontier answer is byte-identical to a server with residency
 # disabled (--resident-forms 0 forces invalidate-and-recompute).
@@ -196,13 +183,6 @@ if ! cmp -s "$smoke_dir/inc8.out" "$smoke_dir/inc0.out"; then
     exit 1
 fi
 echo "check.sh: incremental serving smoke ok"
-
-# Incremental serving experiment: record a quick E14 run (resident delta
-# propagation vs invalidate-recompute) alongside the committed full-mode
-# BENCH_e14.json.
-./target/release/harness e14 --quick --json \
-    > "bench_history/e14-$(date +%s).json"
-echo "check.sh: e14 recorded ($(ls bench_history | wc -l) history entries)"
 
 # Bounded-staleness smoke: with every drain deferred (--drain-sync-cost 0)
 # a relaxed read (--any / --staleness 50) still answers off the published
@@ -247,13 +227,6 @@ fi
 wait "$serve_pid"
 serve_pid=""
 echo "check.sh: bounded-staleness smoke ok"
-
-# Bounded-staleness experiment: record a quick E15 run (recompute baseline
-# vs synchronous fresh vs staleness=50 under a FACT flood) alongside the
-# committed full-mode BENCH_e15.json.
-./target/release/harness e15 --quick --json \
-    > "bench_history/e15-$(date +%s).json"
-echo "check.sh: e15 recorded ($(ls bench_history | wc -l) history entries)"
 
 # Crash-recovery smoke: ingest through a WAL-backed server, SIGKILL it
 # (no shutdown, no flush), restart on the same WAL directory, and demand
@@ -367,13 +340,6 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: manifest-recovery smoke ok"
 
-# Storage experiment: record a quick E16 run (legacy postings vs sorted
-# runs on ingest / cold probes / crash recovery) alongside the committed
-# full-mode BENCH_e16.json.
-./target/release/harness e16 --quick --json \
-    > "bench_history/e16-$(date +%s).json"
-echo "check.sh: e16 recorded ($(ls bench_history | wc -l) history entries)"
-
 # Parallel-host re-record: committed scaling numbers measured on a 1-core
 # host say nothing about parallel speedup (the exported host_parallelism
 # field marks the provenance; files recorded before the field count as
@@ -386,5 +352,12 @@ if [ "${cores:-1}" -gt 1 ] \
 else
     echo "check.sh: BENCH_e12.json re-record not needed (cores=$cores)"
 fi
+
+# Load benchmark: the four workloads of BENCHMARK.json at a tenth of their
+# op counts, untraced then traced. It builds bench/ against the crates and
+# exits non-zero when an output check fails (a served response that
+# differs from the closed-form oracle, a broken layer walk).
+bench/run.sh --quick > /dev/null
+echo "check.sh: bench/run.sh --quick ok"
 
 echo "check.sh: all green"
