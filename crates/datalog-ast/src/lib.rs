@@ -41,7 +41,7 @@ pub use atom::Atom;
 pub use intern::Symbol;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError, ParsedProgram};
 pub use pred::PredRef;
-pub use program::{Program, Query};
+pub use program::{check_arity, Program, Query};
 pub use rule::Rule;
 pub use subst::{freeze_rule, unify_atoms, FrozenRule, Subst};
 pub use term::{Term, Value, Var};

@@ -44,6 +44,34 @@ pub struct Program {
     pub query: Option<Query>,
 }
 
+/// Check one occurrence of a predicate against the arity its earlier
+/// occurrences fixed (`known`), or — for a first occurrence of an adorned
+/// predicate — against its adornment: the argument count must match the
+/// adornment length (pre-projection form) or its needed count
+/// (post-projection form). The per-atom step of [`Program::arities`], public
+/// so a caller holding a validated rule set's arities can check one more
+/// atom (a query) without re-walking the rules.
+pub fn check_arity(known: Option<usize>, atom: &Atom) -> Result<(), AstError> {
+    match known {
+        Some(k) if k != atom.arity() => Err(AstError::ArityMismatch {
+            pred: atom.pred.to_string(),
+            expected: k,
+            found: atom.arity(),
+        }),
+        Some(_) => Ok(()),
+        None => match &atom.pred.adornment {
+            Some(ad) if atom.arity() != ad.len() && atom.arity() != ad.needed_count() => {
+                Err(AstError::AdornmentMismatch {
+                    pred: atom.pred.name.as_str(),
+                    adornment: ad.to_string(),
+                    args: atom.arity(),
+                })
+            }
+            _ => Ok(()),
+        },
+    }
+}
+
 impl Program {
     /// A program from rules, no query.
     pub fn new(rules: Vec<Rule>) -> Program {
@@ -108,29 +136,8 @@ impl Program {
     pub fn arities(&self) -> Result<BTreeMap<PredRef, usize>, AstError> {
         let mut map: BTreeMap<PredRef, usize> = BTreeMap::new();
         let mut visit = |atom: &Atom| -> Result<(), AstError> {
-            match map.get(&atom.pred) {
-                None => {
-                    if let Some(ad) = &atom.pred.adornment {
-                        let k = atom.arity();
-                        if k != ad.len() && k != ad.needed_count() {
-                            return Err(AstError::AdornmentMismatch {
-                                pred: atom.pred.name.as_str(),
-                                adornment: ad.to_string(),
-                                args: k,
-                            });
-                        }
-                    }
-                    map.insert(atom.pred.clone(), atom.arity());
-                }
-                Some(&k) if k != atom.arity() => {
-                    return Err(AstError::ArityMismatch {
-                        pred: atom.pred.to_string(),
-                        expected: k,
-                        found: atom.arity(),
-                    });
-                }
-                Some(_) => {}
-            }
+            check_arity(map.get(&atom.pred).copied(), atom)?;
+            map.entry(atom.pred.clone()).or_insert(atom.arity());
             Ok(())
         };
         for r in &self.rules {

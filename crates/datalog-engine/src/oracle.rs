@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use datalog_ast::{freeze_rule, Program, Value};
+use datalog_ast::{freeze_rule, Program, Term, Value};
 
 use crate::eval::{evaluate, query_answers, EvalOptions};
 use crate::facts::FactSet;
@@ -113,7 +113,8 @@ pub fn theorem_5_2_test(
 pub struct EquivCheckConfig {
     /// Number of random instances to try.
     pub instances: usize,
-    /// Domain size (constants are `0..domain`).
+    /// Domain size: instances draw from `0..domain` plus every constant
+    /// that occurs in either program's rules or query.
     pub domain: i64,
     /// Facts generated per predicate (before deduplication).
     pub facts_per_pred: usize,
@@ -188,6 +189,25 @@ pub fn bounded_equiv_check(
             }
         }
     }
+    // A query or rule that mentions a constant outside `0..domain` (or any
+    // symbol) is false for both programs on every instance that cannot
+    // contain it, and the comparison would pass vacuously: the constants
+    // the programs name are part of the domain.
+    let mut domain: Vec<Value> = (0..cfg.domain).map(Value::Int).collect();
+    let atoms = [p1, p2].into_iter().flat_map(|p| {
+        let rule_atoms = p
+            .rules
+            .iter()
+            .flat_map(|r| std::iter::once(&r.head).chain(&r.body).chain(&r.negative));
+        rule_atoms.chain(p.query.iter().map(|q| &q.atom))
+    });
+    for term in atoms.flat_map(|atom| &atom.terms) {
+        if let Term::Const(v) = term {
+            if !domain.contains(v) {
+                domain.push(*v);
+            }
+        }
+    }
     // Round 0: the *critical instance* — the union of every rule's frozen
     // body, restricted to non-derived predicates. This instance exercises
     // each rule at least once and deterministically exposes the classic
@@ -232,7 +252,7 @@ pub fn bounded_equiv_check(
             let n = rng.gen_range(0..=cfg.facts_per_pred);
             for _ in 0..n {
                 let tuple: Vec<Value> = (0..*arity)
-                    .map(|_| Value::Int(rng.gen_range(0..cfg.domain)))
+                    .map(|_| domain[rng.gen_range(0..domain.len())])
                     .collect();
                 instance.insert(pred.clone(), tuple);
             }
@@ -370,6 +390,28 @@ mod tests {
         .program;
         let w = bounded_equiv_check(&original, &optimized, &EquivCheckConfig::default()).unwrap();
         assert!(w.is_none(), "unexpected witness: {w:?}");
+    }
+
+    /// A query about a constant outside `0..domain` is false for both
+    /// programs on every instance drawn from `0..domain` alone; the check
+    /// must not accept a deletion on that vacuous agreement.
+    #[test]
+    fn bounded_check_draws_the_constants_the_programs_name() {
+        for who in ["116", "carol"] {
+            let p = parse_program(&format!(
+                "above(X, Y) :- mgr(X, Y).\n\
+                 above(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+                 flagged(X) :- above(X, Y), audit(Y).\n\
+                 ?- flagged({who})."
+            ))
+            .unwrap()
+            .program;
+            // Without the exit rule `above` is empty and nobody is flagged.
+            let w = bounded_equiv_check(&p, &p.without_rule(0), &EquivCheckConfig::default())
+                .unwrap()
+                .unwrap_or_else(|| panic!("no witness for ?- flagged({who})."));
+            assert_eq!((w.answers1.len(), w.answers2.len()), (1, 0));
+        }
     }
 
     #[test]

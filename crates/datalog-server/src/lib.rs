@@ -10,7 +10,7 @@
 //! existential adornment — not on the concrete query atom or the EDB. A
 //! service that answers many queries against a persistent, growing fact
 //! base should therefore optimize each form **once** and reuse it. The
-//! three pieces:
+//! pieces:
 //!
 //! * **prepared-query cache** ([`cache`]): forms map to fully optimized
 //!   programs (`datalog_opt::prepare`); repeats skip the optimizer, which
@@ -18,8 +18,14 @@
 //! * **snapshot-isolated reads** (`datalog_engine::shared`): worker
 //!   threads evaluate against consistent watermark snapshots of the
 //!   append-only EDB while `FACT`/`LOAD` ingest concurrently;
-//! * **incremental invalidation**: a new fact clears memoized answers only
-//!   for forms whose optimized program transitively reads that predicate.
+//! * **dependency-scoped answer memos**: a memoized answer is valid while
+//!   the relations its form's optimized program transitively reads sit at
+//!   the watermarks it was rendered at, so a new fact outdates only the
+//!   forms that read its predicate — and ingestion never touches the cache
+//!   for it;
+//! * **resident forms** ([`cache::Residency`]): monotone forms keep their
+//!   fixpoint and absorb new facts as deltas (`maintain.rs` drains and
+//!   rebuilds them; `ingest.rs` is the one `FACT`/`LOAD` path).
 //!
 //! Start it with `xdl serve [--port P] [--threads N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see
@@ -35,6 +41,8 @@
 pub mod cache;
 pub mod client;
 pub mod fault;
+mod ingest;
+mod maintain;
 pub mod metrics;
 pub mod protocol;
 mod query;

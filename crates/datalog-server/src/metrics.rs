@@ -82,7 +82,7 @@ pub struct ServerMetrics {
     pub answer_hits: Arc<Counter>,
     /// Cold misses (full optimizer run).
     pub cache_misses: Arc<Counter>,
-    /// Answer slots cleared by ingestion.
+    /// Lookups that found their form's answer slot out of date.
     pub invalidations: Arc<Counter>,
     /// New facts applied to resident forms by delta propagation.
     pub incremental_applied_facts: Arc<Counter>,

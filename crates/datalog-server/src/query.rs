@@ -4,14 +4,15 @@
 //! |---|---|---|---|
 //! | [`resolve`](ServerState::resolve) | [`QueryCtx`] | parse | rules (read), briefly |
 //! | [`choose_source`](ServerState::choose_source) | [`Source`] | cache | cache — across the optimizer on a miss |
-//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form, then cache to memoize |
-//! | [`serve_cold`](ServerState::serve_cold) | [`Served`] | eval, serialize | none while evaluating; cache to memoize and pin |
+//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form, then cache once to settle and memoize |
+//! | [`serve_cold`](ServerState::serve_cold) | [`Served`] | eval, serialize | none while evaluating; cache once to memoize and pin |
 //! | [`respond`](ServerState::respond) | `Response` | — | `last_trace` |
 //!
 //! Lock order is cache → form, and a stage never *blocks* on a form lock
-//! while it holds the cache lock: `choose_source` decides from the
-//! cache-side mirror (`applied_mirror`, `pending_since`) and hands the form
-//! handle out; the serve stages lock it after the cache lock has dropped.
+//! while it holds the cache lock: `choose_source` decides from what
+//! `Residency::Live` records beside the form (applied watermarks, lag) and
+//! hands the form handle out; the serve stages lock it after the cache
+//! lock has dropped.
 //!
 //! `respond` is the only place a QUERY `OK` header, a phase span, the
 //! `TRACE` document, a slow-query line and a `staleness_bound_seconds`
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use datalog_adorn::query_adornment;
-use datalog_ast::{parse_program, Adornment, Atom, PredRef, Program, Query};
+use datalog_ast::{check_arity, parse_program, Adornment, Atom, Query};
 use datalog_engine::incremental::ResidentEval;
 use datalog_engine::{
     query_answers_full, DbSnapshot, EngineError, EvalOptions, EvalStats, FactSet,
@@ -33,10 +34,10 @@ use datalog_engine::{
 use datalog_opt::{prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::Json;
 
-use crate::cache::{CachedAnswers, Entry, FormKey, Rendered, ResidentForm};
+use crate::cache::{watermarks_at, Entry, FormKey, Rendered, Residency, ResidentForm};
 use crate::metrics::{Phase, PHASES};
 use crate::protocol::{Consistency, ErrCode, Response};
-use crate::server::{lock, read_lock, render_answers, Decrement, DrainJob, ServerState};
+use crate::server::{lock, read_lock, render_answers, Decrement, RuleSet, ServerState};
 
 /// A resolved query: everything the later stages read, fixed before the
 /// cache is consulted.
@@ -50,37 +51,18 @@ pub(crate) struct QueryCtx {
     /// Rendered query atom: column names and constants matter for
     /// byte-identity of a memoized payload, not just the form.
     query_repr: String,
-    /// The rule set with the query attached (what a cold miss optimizes).
-    program: Program,
+    /// The rule set the query was checked against (what a cold miss
+    /// optimizes).
+    rules: Arc<RuleSet>,
     adornment: Adornment,
-    /// Taken before the answer slot is consulted: ingestion inserts first
-    /// and invalidates after, so a slot whose watermarks still match this
-    /// snapshot cannot be stale.
+    /// Taken before the answer slot is consulted: a slot whose watermarks
+    /// still match this snapshot misses no row acknowledged before it.
     snapshot: DbSnapshot,
     /// Staleness anchor for everything served off `snapshot`.
     t_snap: Instant,
     d_parse: Duration,
     t_cache: Instant,
     consistency: Consistency,
-}
-
-impl QueryCtx {
-    /// The answer slot for `table`, valid while `watermarks` hold.
-    fn slot(
-        &self,
-        table: &Rendered,
-        watermarks: Vec<(PredRef, usize)>,
-        published_at: Instant,
-        stale: bool,
-    ) -> CachedAnswers {
-        CachedAnswers {
-            query_repr: self.query_repr.clone(),
-            watermarks,
-            table: table.clone(),
-            published_at,
-            stale,
-        }
-    }
 }
 
 /// Where a query's answer comes from, decided under the cache lock.
@@ -94,7 +76,7 @@ pub(crate) enum Source {
 }
 
 /// How to serve live resident state: the form handle plus a decision made
-/// from mirror-only data (lag, staleness anchor, drain cost).
+/// without its lock (lag, staleness anchor, drain cost).
 pub(crate) struct ResidentPlan {
     form: Arc<Mutex<ResidentForm>>,
     prepared: Arc<PreparedProgram>,
@@ -109,7 +91,7 @@ enum ResidentAction {
     /// reads whose estimated drain cost is below the synchronous ceiling.
     Fresh,
     /// Serve the last published frontier without catching up. `anchor` is
-    /// the conservative staleness origin — `pending_since` when the form
+    /// the conservative staleness origin — `Lag::since` when the form
     /// lags, `None` when it was fully drained at decision time (the serve
     /// is then indistinguishable from fresh). `memo` is the answer slot's
     /// table and publication instant, the no-wait fallback when a drain
@@ -121,9 +103,9 @@ enum ResidentAction {
         budget: Option<Duration>,
     },
     /// Frontier older than the staleness budget and the drain too costly
-    /// to run synchronously: answer `ERR stale <bound_ms>`, after queueing
-    /// a drain when none is on its way.
-    Refuse { bound_ms: u64, queue_drain: bool },
+    /// to run synchronously: answer `ERR stale <bound_ms>` (the lag is
+    /// marked deferred, so the maintenance thread is on it).
+    Refuse { bound_ms: u64 },
 }
 
 /// A cold evaluation of one prepared form.
@@ -158,12 +140,6 @@ struct ColdSpans {
     stats: EvalStats,
 }
 
-/// One extraction off a locked form's frontier.
-struct FrontierRead {
-    table: Rendered,
-    applied: BTreeMap<PredRef, usize>,
-}
-
 /// The one cold input: the snapshot restricted to a form's EDB support —
 /// the only predicates that can affect its answers.
 fn support_input(prepared: &PreparedProgram, snapshot: &DbSnapshot) -> FactSet {
@@ -189,22 +165,17 @@ pub(crate) fn build_resident(
     let eval = ResidentEval::new(&prepared.program, &support_input(prepared, snapshot), opts)?;
     Ok(ResidentForm {
         eval,
-        applied: snapshot
-            .watermarks_for(&prepared.support)
-            .into_iter()
-            .collect(),
+        applied: watermarks_at(prepared, snapshot),
     })
 }
 
-fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> FrontierRead {
+/// One extraction off a locked form's frontier.
+pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
     let answers = form.eval.answers(q_atom);
-    FrontierRead {
-        table: Rendered {
-            payload: render_answers(&answers).into(),
-            answers: answers.len(),
-            frontier: form.eval.frontier().version,
-        },
-        applied: form.applied.clone(),
+    Rendered {
+        payload: render_answers(&answers).into(),
+        answers: answers.len(),
+        frontier: form.eval.frontier().version,
     }
 }
 
@@ -254,7 +225,7 @@ impl ServerState {
                 }
             },
         };
-        Ok(self.respond(&ctx, served))
+        Ok(self.respond(ctx, served))
     }
 
     /// Request text → validated, adorned query against a snapshot.
@@ -282,17 +253,15 @@ impl ServerState {
             );
         }
         let adornment = query_adornment(&query).map_err(|e| Response::err(e.to_string()))?;
-        let (rules, fingerprint) = {
-            let g = read_lock(&self.rules);
-            (g.0.clone(), g.1)
-        };
-        let program = Program::with_query(rules, query.clone());
-        program
-            .validate()
+        let rules = Arc::clone(&read_lock(&self.rules));
+        // The rule set was validated when it last changed; the query adds
+        // one atom to check against its arities.
+        let known = rules.arities.as_ref().map_err(Response::err)?;
+        check_arity(known.get(&query.atom.pred).copied(), &query.atom)
             .map_err(|e| Response::err(e.to_string()))?;
         let d_parse = started.elapsed();
         let key = FormKey {
-            fingerprint,
+            fingerprint: rules.fingerprint,
             pred,
             adornment: adornment.to_string(),
         };
@@ -306,7 +275,7 @@ impl ServerState {
             key,
             query,
             query_repr,
-            program,
+            rules,
             adornment,
             snapshot,
             t_snap,
@@ -324,16 +293,18 @@ impl ServerState {
         if let Some(entry) = cache.get_mut(&ctx.key) {
             entry.hits += 1;
             self.metrics.prepared_hits.inc();
-            if let Some(slot) = &entry.answers {
-                if slot.query_repr == ctx.query_repr
-                    && slot.watermarks == ctx.snapshot.watermarks_for(&entry.prepared.support)
-                {
+            if let Some(memo) = &entry.memo {
+                if !memo.current_at(&ctx.snapshot) {
+                    // Ingestion never touches the slot; this lookup is
+                    // where it is found out of date.
+                    self.metrics.invalidations.inc();
+                } else if memo.query_repr == ctx.query_repr {
                     // Watermark match means no acknowledged row is missing:
                     // staleness zero in any consistency mode.
                     self.metrics.answer_hits.inc();
                     return Ok(Source::Memo(Served {
                         tag: "answers",
-                        table: slot.table.clone(),
+                        table: memo.table.clone(),
                         staleness: Duration::ZERO,
                         prepared: Arc::clone(&entry.prepared),
                         cold: None,
@@ -341,7 +312,7 @@ impl ServerState {
                 }
             }
             let pin = self.pin_atom(ctx, entry);
-            if let (Some(form), Some(q_atom)) = (&entry.resident, &pin) {
+            if let (Some(form), Some(q_atom)) = (entry.live_form(), &pin) {
                 return Ok(Source::Resident(ResidentPlan {
                     form: Arc::clone(form),
                     prepared: Arc::clone(&entry.prepared),
@@ -349,9 +320,9 @@ impl ServerState {
                     action: self.resident_action(ctx, entry),
                 }));
             }
-            // Eligible but not resident: evicted by the resident LRU, or
-            // dropped earlier as poisoned.
-            let rebuild = pin.is_some() && entry.resident.is_none();
+            // Eligible but not live: evicted by the resident LRU, or lost
+            // to a poisoning. Pinning again is the lazy rebuild.
+            let rebuild = pin.is_some();
             if rebuild {
                 self.metrics.fallback_recomputes.inc();
             }
@@ -367,13 +338,8 @@ impl ServerState {
             verify: self.cfg.verify,
             ..OptimizerConfig::default()
         };
-        let prepared = prepare(
-            &ctx.program.rules,
-            &ctx.query.atom.pred,
-            &ctx.adornment,
-            &cfg,
-        )
-        .map_err(|e| Response::err(format!("optimizer: {e}")))?;
+        let prepared = prepare(&ctx.rules.rules, &ctx.query.atom.pred, &ctx.adornment, &cfg)
+            .map_err(|e| Response::err(format!("optimizer: {e}")))?;
         let entry = cache.insert(ctx.key.clone(), prepared);
         Ok(Source::Cold(ColdPlan {
             status: "miss",
@@ -392,44 +358,47 @@ impl ServerState {
         entry.pin_target()?.instantiate_atom(&ctx.query.atom)
     }
 
-    /// Decide how to read live resident state. Lag and the staleness
-    /// anchor come from the cache-side mirror — no form lock.
+    /// Decide how to read a live form without its lock, from what
+    /// `Residency::Live` records beside it.
     fn resident_action(&self, ctx: &QueryCtx, entry: &mut Entry) -> ResidentAction {
         let budget = match ctx.consistency {
             Consistency::Fresh => return ResidentAction::Fresh,
             Consistency::Any => None,
             Consistency::Bounded(ms) => Some(Duration::from_millis(ms)),
         };
-        let lag = ctx
-            .snapshot
-            .lag_from(&entry.prepared.support, &entry.applied_mirror);
-        let anchor = match entry.pending_since {
+        let Residency::Live { applied, lag, .. } = &mut entry.residency else {
+            return ResidentAction::Fresh;
+        };
+        let behind = ctx.snapshot.lag_from(&entry.prepared.support, applied) > 0;
+        let anchor = match lag {
             // Fully drained: the frontier IS fresh; serve it via try-lock
             // so this read never queues behind a drain that is applying
             // even newer rows.
-            _ if lag == 0 => None,
-            Some(since) => Some(since),
-            // Lag without an anchor should not happen (drains set
-            // `pending_since` before releasing the cache lock):
-            // correctness first.
+            _ if !behind => None,
+            Some(lag) => Some(lag.since),
+            // Rows the snapshot has and no drain has anchored yet (the
+            // ingest that inserted them is between its insert and its
+            // publish): correctness first.
             None => return ResidentAction::Fresh,
         };
         let staleness_now = anchor.map_or(Duration::ZERO, |a| a.elapsed());
         if budget.is_some_and(|b| staleness_now.as_millis() > b.as_millis()) {
             // Over budget: catch up synchronously only when the bound
             // polynomial says the drain is cheap; otherwise refuse and
-            // make sure a drain is on its way.
-            let cost = Self::drain_cost(&entry.prepared, &ctx.snapshot, &entry.applied_mirror);
+            // leave the drain to the maintenance thread.
+            let cost = Self::drain_cost(&entry.prepared, &ctx.snapshot, applied);
             if cost <= self.cfg.drain_sync_cost {
                 return ResidentAction::Fresh;
             }
+            if let Some(lag) = lag {
+                lag.deferred = true;
+            }
             return ResidentAction::Refuse {
                 bound_ms: u64::try_from(staleness_now.as_millis()).unwrap_or(u64::MAX),
-                queue_drain: !std::mem::replace(&mut entry.drain_queued, true),
             };
         }
         let memo = entry
-            .answers
+            .memo
             .as_ref()
             .filter(|s| s.query_repr == ctx.query_repr)
             .map(|s| (s.table.clone(), s.published_at));
@@ -442,7 +411,7 @@ impl ServerState {
 
     /// Execute a [`ResidentPlan`] with the cache lock released. `Ok(None)`
     /// means the resident state died mid-plan (poisoned — already counted
-    /// and cleaned up) and the caller must recompute from cold; `Err` is a
+    /// and `Lost`) and the caller must recompute from cold; `Err` is a
     /// staleness refusal.
     fn serve_resident(
         &self,
@@ -457,93 +426,66 @@ impl ServerState {
             prepared: Arc::clone(&plan.prepared),
             cold: None,
         };
-        // `publish_anchor` is the staleness origin recorded on the memo —
-        // for a stale serve this is `pending_since`, NOT now: the payload
-        // already misses rows that arrived at the anchor, so aging must
-        // start there.
-        let (read, publish_anchor, staleness, tag) = match &plan.action {
-            ResidentAction::Refuse {
-                bound_ms,
-                queue_drain,
-            } => return Err(self.refuse_stale(key, *bound_ms, *queue_drain)),
+        let (anchor, memo, budget) = match &plan.action {
+            ResidentAction::Refuse { bound_ms } => return Err(self.refuse_stale(key, *bound_ms)),
             ResidentAction::Fresh => {
-                let read = {
-                    let mut g = lock(&plan.form);
-                    self.propagate(&plan.prepared.support, &mut g, &ctx.snapshot)
-                        .ok()
-                        .map(|_| read_frontier(&g, &plan.q_atom))
-                };
-                let Some(read) = read else {
-                    self.poison_form(key);
-                    return Ok(None);
-                };
-                self.finish_drain(key, &read.applied, ctx.t_snap);
-                (read, ctx.t_snap, Duration::ZERO, "resident")
+                // Block on the form, catch up to the query's snapshot, read
+                // and memoize: staleness zero by construction.
+                let read = Some((&plan.q_atom, ctx.query_repr.as_str()));
+                let drained = self.drain(key, &plan.form, &ctx.snapshot, ctx.t_snap, read);
+                return Ok(drained
+                    .ok()
+                    .flatten()
+                    .map(|table| served("resident", table, Duration::ZERO)));
             }
             ResidentAction::Stale {
                 anchor,
                 memo,
                 budget,
-            } => {
-                // Try the form lock first: a bounded/any reader must not
-                // queue behind a drain that is busy applying newer rows.
-                let g = match plan.form.try_lock() {
-                    Ok(g) => g,
-                    Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(TryLockError::WouldBlock) => {
-                        // Contended: the answer memo is the no-wait asset
-                        // when its age fits the budget; otherwise block
-                        // after all (still correct, just slower).
-                        if let Some((table, published_at)) = memo {
-                            let age = published_at.elapsed();
-                            if budget.map_or(true, |b| age <= b) {
-                                return Ok(Some(served("stale_answers", table.clone(), age)));
-                            }
+            } => (anchor, memo, budget),
+        };
+        // Try the form lock first: a bounded/any reader must not queue
+        // behind a drain that is busy applying newer rows.
+        let (table, applied) = {
+            let g = match plan.form.try_lock() {
+                Ok(g) => g,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    // Contended: the answer memo is the no-wait asset when
+                    // its age fits the budget; otherwise block after all
+                    // (still correct, just slower).
+                    if let Some((table, published_at)) = memo {
+                        let age = published_at.elapsed();
+                        if budget.map_or(true, |b| age <= b) {
+                            return Ok(Some(served("stale_answers", table.clone(), age)));
                         }
-                        lock(&plan.form)
                     }
-                };
-                if g.eval.poisoned() {
-                    drop(g);
-                    self.poison_form(key);
-                    return Ok(None);
+                    lock(&plan.form)
                 }
-                let read = read_frontier(&g, &plan.q_atom);
-                match anchor {
-                    None => (read, ctx.t_snap, Duration::ZERO, "resident"),
-                    Some(a) => (read, *a, a.elapsed(), "stale"),
-                }
+            };
+            if g.eval.poisoned() {
+                drop(g);
+                self.poison(key, &plan.form);
+                return Ok(None);
             }
+            (read_frontier(&g, &plan.q_atom), g.applied.clone())
+        };
+        // The memo ages from the staleness origin — `Lag::since` for a
+        // lagging serve, NOT now: the payload already misses rows that
+        // arrived at the anchor.
+        let (published_at, staleness, tag) = match anchor {
+            None => (ctx.t_snap, Duration::ZERO, "resident"),
+            Some(a) => (*a, a.elapsed(), "stale"),
         };
         if let Some(entry) = lock(&self.cache).peek_mut(key) {
-            // Memo-tag with the form's *applied* watermarks: if a drain
-            // raced us past the query snapshot, the served frontier is the
-            // newer (monotone superset) one, and the slot must advertise
-            // what was served.
-            let watermarks = read.applied.into_iter().collect();
-            entry.answers = Some(ctx.slot(
-                &read.table,
-                watermarks,
-                publish_anchor,
-                !staleness.is_zero(),
-            ));
+            // Tagged with the form's *applied* watermarks: what was served.
+            entry.memoize(&ctx.query_repr, &table, applied, published_at);
         }
-        Ok(Some(served(tag, read.table, staleness)))
+        Ok(Some(served(tag, table, staleness)))
     }
 
-    fn refuse_stale(&self, key: &FormKey, bound_ms: u64, queue_drain: bool) -> Response {
-        if queue_drain {
-            match lock(&self.maintenance).clone() {
-                Some(tx) => {
-                    let _ = tx.send(DrainJob::Drain(key.clone()));
-                }
-                None => {
-                    if let Some(e) = lock(&self.cache).peek_mut(key) {
-                        e.drain_queued = false;
-                    }
-                }
-            }
-        }
+    fn refuse_stale(&self, key: &FormKey, bound_ms: u64) -> Response {
+        self.wake_maintenance();
         self.metrics.stale_refusals.inc();
         self.note_limit(
             "stale",
@@ -652,20 +594,11 @@ impl ServerState {
         {
             let mut cache = lock(&self.cache);
             if let Some(entry) = cache.get_mut(&ctx.key) {
-                let watermarks = ctx.snapshot.watermarks_for(&prepared.support);
-                entry.answers = Some(ctx.slot(&table, watermarks, ctx.t_snap, false));
+                let watermarks = watermarks_at(prepared, &ctx.snapshot);
+                entry.memoize(&ctx.query_repr, &table, watermarks, ctx.t_snap);
             }
             if let Some(form) = pinned {
-                // Pin unless a concurrent query beat us to it. A re-pin
-                // after eviction or poisoning IS the lazy rebuild.
-                if cache
-                    .peek_mut(&ctx.key)
-                    .is_some_and(|e| e.resident.is_none())
-                    && cache.pin_resident(&ctx.key, form)
-                    && plan.rebuild
-                {
-                    self.metrics.resident_rebuilds.inc();
-                }
+                self.pin_built(&mut cache, &ctx.key, form, plan.rebuild);
             }
         }
         Ok(Served {
@@ -683,7 +616,7 @@ impl ServerState {
     }
 
     /// The response tail, shared by every source.
-    fn respond(&self, ctx: &QueryCtx, served: Served) -> Response {
+    fn respond(&self, ctx: QueryCtx, served: Served) -> Response {
         let mut spans = [None; PHASES.len()];
         spans[Phase::Parse as usize] = Some(ctx.d_parse);
         match &served.cold {
@@ -707,8 +640,13 @@ impl ServerState {
         if !served.staleness.is_zero() {
             self.metrics.stale_serves.inc();
         }
-        *lock(&self.last_trace) = Some(Self::trace_json(ctx, &served));
-        self.log_slow_query(ctx, &served, &spans);
+        self.log_slow_query(&ctx, &served, &spans);
+        *lock(&self.last_trace) = Some(LastQuery {
+            query: ctx.query,
+            key: ctx.key,
+            tag: served.tag,
+            prepared: served.prepared,
+        });
         Response::ok()
             .with_info("cache", served.tag)
             .with_info("answers", served.table.answers)
@@ -760,28 +698,38 @@ impl ServerState {
         }
         eprintln!("{doc}");
     }
+}
 
-    /// The `TRACE` document for one query. `new_events` holds the phase
-    /// events the optimizer emitted *for this request* — the full trace on
-    /// a cold miss, empty on any cache hit (the observable promised by the
+/// What `TRACE` renders: the last answered query and how it was served.
+pub(crate) struct LastQuery {
+    query: Query,
+    key: FormKey,
+    tag: &'static str,
+    prepared: Arc<PreparedProgram>,
+}
+
+impl LastQuery {
+    /// The `TRACE` document. `new_events` holds the phase events the
+    /// optimizer emitted *for this request* — the full trace on a cold
+    /// miss, empty on any cache hit (the observable promised by the
     /// prepared-query cache).
-    fn trace_json(ctx: &QueryCtx, served: &Served) -> Json {
-        let report = &served.prepared.report;
-        let new_events: Vec<Json> = if served.tag == "miss" {
+    pub(crate) fn to_json(&self) -> Json {
+        let report = &self.prepared.report;
+        let new_events: Vec<Json> = if self.tag == "miss" {
             report.events().map(|e| e.to_json()).collect()
         } else {
             Vec::new()
         };
         Json::obj()
-            .with("query", ctx.query.to_string())
+            .with("query", self.query.to_string())
             .with(
                 "form",
                 Json::obj()
-                    .with("fingerprint", format!("{:016x}", ctx.key.fingerprint))
-                    .with("pred", ctx.key.pred.as_str())
-                    .with("adornment", ctx.key.adornment.as_str()),
+                    .with("fingerprint", format!("{:016x}", self.key.fingerprint))
+                    .with("pred", self.key.pred.as_str())
+                    .with("adornment", self.key.adornment.as_str()),
             )
-            .with("cache", served.tag)
+            .with("cache", self.tag)
             .with("new_events", Json::Arr(new_events))
             .with("prepared_report", report.to_json())
     }

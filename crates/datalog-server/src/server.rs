@@ -1,5 +1,7 @@
-//! The server: shared state, ingest, maintenance, and the accept loop.
-//! `QUERY` runs through the staged pipeline in `query.rs`.
+//! The server: shared state, request dispatch, `STATS`/`METRICS`/`TRACE`,
+//! WAL compaction and the accept loop. `QUERY` runs through the staged
+//! pipeline in `query.rs`, `FACT`/`LOAD` through `ingest.rs`, and resident
+//! forms are drained and rebuilt by `maintain.rs`.
 //!
 //! N worker threads block in `accept()` on one shared listener; each
 //! connection is served to completion by the worker that accepted it, so
@@ -15,13 +17,6 @@
 //!   (optimization is the expensive, memoized step; serializing it
 //!   deduplicates concurrent cold misses of the same form);
 //! * the last query's trace, served by `TRACE`.
-//!
-//! The paper's IDB/EDB convention (§1.1: the IDB holds no facts) is
-//! enforced at the boundary: `FACT` refuses predicates derived by rules,
-//! `LOAD` refuses rules whose head predicate already has stored facts.
-//! This keeps every optimization the cache reuses valid — query
-//! equivalence of the optimized program is only guaranteed on IDB-empty
-//! inputs.
 //!
 //! ## Fault tolerance
 //!
@@ -50,49 +45,14 @@
 //! [`PhaseEvent::LimitTripped`](datalog_trace::PhaseEvent) and counted in
 //! `STATS`.
 //!
-//! ## Incremental serving (PR 7)
+//! ## Resident forms
 //!
-//! With `--resident-forms=N` (default 8), up to N cached forms pin a
-//! [`ResidentEval`](datalog_engine::incremental::ResidentEval): the
-//! retained semi-naive state of their canonical program, advanced by
-//! *delta propagation* instead of being recomputed.
-//! Ingestion still inserts first and invalidates answer slots after (the
-//! memo-correctness invariant), then *drains* pending shared-store rows
-//! into every resident whose support set the fact touches. A query over a
-//! resident form defensively catches the resident up to its own snapshot
-//! (the drain and the query race benignly: catch-up is idempotent and the
-//! shared store append-only) and serves answers straight off the resident
-//! frontier — byte-identical to a cold evaluation at the same watermarks,
-//! at any thread count. Only monotone forms are eligible
-//! ([`Entry::pin_target`](crate::cache::Entry::pin_target)); a resident
-//! lost to LRU eviction or poisoned by a mid-propagation trip falls back
-//! to cold recompute (and re-pins), counted in
-//! `xdl_fallback_recomputes_total`.
-//!
-//! ## Bounded-staleness serving (PR 9)
-//!
-//! Every converged propagation publishes an immutable
-//! [`Frontier`](datalog_engine::incremental::Frontier) (version counter +
-//! input watermark + timestamp), and `QUERY` accepts a consistency mode
-//! (protocol v4): `fresh` (the default — byte-identical to blocking
-//! catch-up), `staleness=<ms>`, or `any`. Drains are *backpressure-aware*:
-//! the ingest path estimates each touched resident's drain cost from the
-//! PR 8 size-bound polynomials (bound at current cardinalities minus bound
-//! at the form's applied watermarks) and drains synchronously only below
-//! `--drain-sync-cost`; costlier drains are deferred to a background
-//! maintenance thread while readers are served off the last published
-//! frontier (`cache=stale`) or, when the form lock is contended by the
-//! drain itself, off the retained answer memo (`cache=stale_answers`).
-//! Every response carries `frontier=` and `staleness_us=` (an upper bound:
-//! wall age of the earliest instant an unapplied row can have arrived). A
-//! bounded reader whose budget cannot be met without a refused synchronous
-//! catch-up gets `ERR stale <bound_ms>`.
-//!
-//! Resident state is *self-healing*: a poisoned form is rebuilt — lazily
-//! by the next eligible query (even without the maintenance thread) or in
-//! the background with capped exponential backoff — counted in
-//! `xdl_resident_rebuilds_total` / `xdl_resident_poisonings_total`.
-//! [`FaultPlan`] can inject slow and failing drains to exercise all of it.
+//! With `--resident-forms=N` (default 8) up to N monotone forms keep their
+//! fixpoint resident and absorb ingested facts as deltas; `QUERY` takes a
+//! consistency mode (`fresh` | `staleness=<ms>` | `any`) and every
+//! response carries `frontier=` and `staleness_us=`. The states a form
+//! moves through are [`cache::Residency`](crate::cache::Residency); who
+//! moves it, under which lock, is `maintain.rs`'s module docs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -100,24 +60,20 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use datalog_ast::{parse_atom, parse_program, parse_rule, Atom, PredRef, Rule, Value};
-use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact};
-use datalog_engine::{
-    AnswerSet, CancelToken, DbSnapshot, EngineError, SharedDatabase, SharedDbError,
-};
+use datalog_ast::{PredRef, Program, Rule, Value};
+use datalog_engine::{AnswerSet, CancelToken, DbSnapshot, EngineError, SharedDatabase};
 use datalog_opt::{fingerprint_rules, PreparedProgram};
 use datalog_trace::{Json, PhaseEvent};
 
-use crate::cache::{FormKey, PreparedCache, ResidentForm, PREPARED_CAPACITY};
+use crate::cache::{PreparedCache, ResidentForm, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE, PROTOCOL_VERSION};
-use crate::query::build_resident;
+use crate::query::LastQuery;
 use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
 
 /// Server configuration.
@@ -223,9 +179,6 @@ impl Default for ServerConfig {
 /// synchronous drain path (and its latency envelope) of PR 7.
 const DRAIN_SYNC_COST: u64 = 250_000;
 
-/// Ceiling of the rebuild backoff (milliseconds).
-const REBUILD_BACKOFF_CAP_MS: u64 = 5_000;
-
 /// The machine's available parallelism (1 when it cannot be determined).
 fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -239,7 +192,7 @@ pub(crate) fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
+pub(crate) fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -252,15 +205,46 @@ impl Drop for Decrement<'_> {
     }
 }
 
+/// The rule set with everything derived from it, computed once per change.
+pub(crate) struct RuleSet {
+    pub(crate) rules: Vec<Rule>,
+    /// [`fingerprint_rules`] of `rules` — the form-key component.
+    pub(crate) fingerprint: u64,
+    /// Base predicates some rule derives (the IDB, which holds no facts).
+    pub(crate) heads: BTreeSet<PredRef>,
+    /// Every predicate's arity when the set validates; otherwise the error
+    /// each query over it reports (a `LOAD` validates its own file, so
+    /// only two files that disagree get here).
+    pub(crate) arities: Result<BTreeMap<PredRef, usize>, String>,
+}
+
+impl RuleSet {
+    pub(crate) fn new(rules: Vec<Rule>) -> RuleSet {
+        let program = Program::new(rules);
+        let arities = program
+            .validate()
+            .and_then(|()| program.arities())
+            .map_err(|e| e.to_string());
+        RuleSet {
+            fingerprint: fingerprint_rules(&program.rules),
+            heads: program.rules.iter().map(|r| r.head.pred.base()).collect(),
+            arities,
+            rules: program.rules,
+        }
+    }
+}
+
 /// Everything the worker threads share.
 pub struct ServerState {
     /// The configuration, normalized once by [`ServerState::from_config`]
     /// (thread counts and the rebuild backoff are at least 1).
     pub(crate) cfg: ServerConfig,
-    pub(crate) rules: RwLock<(Vec<Rule>, u64)>,
+    /// Replaced whole by a `LOAD` that adds rules; a query clones the
+    /// handle and reads it without the lock.
+    pub(crate) rules: RwLock<Arc<RuleSet>>,
     pub(crate) db: SharedDatabase,
     pub(crate) cache: Mutex<PreparedCache>,
-    pub(crate) last_trace: Mutex<Option<Json>>,
+    pub(crate) last_trace: Mutex<Option<LastQuery>>,
     shutdown: AtomicBool,
     /// The write-ahead log, when durability is configured.
     wal: Mutex<Option<Wal>>,
@@ -268,14 +252,14 @@ pub struct ServerState {
     /// (WAL append + DB apply), compaction holds the write guard across
     /// (state snapshot + log truncate), so the snapshot can never miss a
     /// record the truncation discards.
-    ingest_gate: RwLock<()>,
+    pub(crate) ingest_gate: RwLock<()>,
     /// Cancelled when the shutdown grace period expires; every evaluation
     /// carries a clone.
     pub(crate) cancel: CancelToken,
-    /// Job queue of the maintenance thread (deferred drains and rebuilds).
-    /// `None` until [`ServerState::start_maintenance`] — deferred work is
-    /// then picked up lazily by the next eligible query.
-    pub(crate) maintenance: Mutex<Option<Sender<DrainJob>>>,
+    /// The maintenance thread's wake-up handle. Unset until
+    /// [`ServerState::start_maintenance`] — deferred work is then picked
+    /// up lazily by the next eligible query.
+    pub(crate) maintenance: OnceLock<Thread>,
     pub(crate) inflight: AtomicUsize,
     active_conns: AtomicUsize,
     /// The metric surface every counter and span records into (see
@@ -290,16 +274,6 @@ pub struct ServerState {
 /// Capacity of the `limit_events` ring surfaced by `STATS`; evictions
 /// beyond it are counted in `xdl_limit_events_dropped_total`.
 const LIMIT_EVENT_RING: usize = 64;
-
-/// One unit of deferred resident maintenance.
-pub(crate) enum DrainJob {
-    /// Catch a lagging resident up to the current database (deferred off
-    /// the ingest path by the drain-cost policy).
-    Drain(FormKey),
-    /// Rebuild a poisoned/lost resident from scratch; `attempt` drives the
-    /// capped exponential backoff.
-    Rebuild { key: FormKey, attempt: u32 },
-}
 
 impl ServerState {
     /// The metric surface (for `METRICS`, tests, and in-process drivers).
@@ -317,7 +291,7 @@ impl ServerState {
         let mut cache = PreparedCache::new(PREPARED_CAPACITY);
         cache.set_resident_capacity(cfg.resident_forms);
         let mut state = ServerState {
-            rules: RwLock::new((Vec::new(), fingerprint_rules(&[]))),
+            rules: RwLock::new(Arc::new(RuleSet::new(Vec::new()))),
             db: SharedDatabase::new(),
             cache: Mutex::new(cache),
             last_trace: Mutex::new(None),
@@ -325,7 +299,7 @@ impl ServerState {
             wal: Mutex::new(None),
             ingest_gate: RwLock::new(()),
             cancel: CancelToken::new(),
-            maintenance: Mutex::new(None),
+            maintenance: OnceLock::new(),
             inflight: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
             metrics: ServerMetrics::new(cfg.metrics),
@@ -346,12 +320,13 @@ impl ServerState {
             );
             let mut applied = 0u64;
             let mut skipped = 0u64;
-            // Manifest recovery: rules first (so log-tail facts meet the
-            // same IDB checks), then each run file bulk-loaded — one
-            // order-preserving sort-dedup per batch instead of per-row
-            // parsing and hashing — then the log tail replayed on top.
+            // Manifest recovery: rules, then each run file bulk-loaded —
+            // one order-preserving sort-dedup per batch instead of per-row
+            // parsing and hashing — then the log tail replayed on top, in
+            // the order it was written. Everything here was admitted before
+            // it was logged; `replay` does not admit it again.
             for rule in &recovery.rules {
-                match state.apply_op(&WalOp::Rule(rule.clone())) {
+                match state.replay(&WalOp::Rule(rule.clone())) {
                     Ok(()) => applied += 1,
                     Err(_) => skipped += 1,
                 }
@@ -365,7 +340,7 @@ impl ServerState {
                 }
             }
             for op in &recovery.ops {
-                match state.apply_op(op) {
+                match state.replay(op) {
                     Ok(()) => applied += 1,
                     Err(_) => skipped += 1,
                 }
@@ -489,38 +464,10 @@ impl ServerState {
         }
     }
 
-    /// Apply one recovered WAL operation to the in-memory state (no
-    /// logging — the record is already durable). Failures are skipped, not
-    /// fatal: a record that was valid when logged can only become invalid
-    /// through manual log surgery.
-    fn apply_op(&self, op: &WalOp) -> Result<(), String> {
-        match op {
-            WalOp::Fact(text) => {
-                let atom = parse_atom(text).map_err(|e| e.render_at("wal"))?;
-                let values = atom
-                    .ground_values()
-                    .ok_or_else(|| format!("wal fact '{atom}' is not ground"))?;
-                self.db
-                    .insert(&atom.pred, &values)
-                    .map_err(|e| e.to_string())?;
-                Ok(())
-            }
-            WalOp::Rule(text) => {
-                let rule = parse_rule(text).map_err(|e| e.render_at("wal"))?;
-                let mut rules = write_lock(&self.rules);
-                if !rules.0.contains(&rule) {
-                    rules.0.push(rule);
-                    rules.1 = fingerprint_rules(&rules.0);
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Append accepted operations to the WAL (no-op without one). On
     /// failure the caller must not apply or acknowledge them. The caller
     /// holds the ingest gate (read).
-    fn wal_append(&self, ops: &[WalOp]) -> Result<(), Response> {
+    pub(crate) fn wal_append(&self, ops: &[WalOp]) -> Result<(), Response> {
         let mut guard = lock(&self.wal);
         let Some(wal) = guard.as_mut() else {
             return Ok(());
@@ -540,7 +487,7 @@ impl ServerState {
     /// Snapshot + truncate the log if enough records accumulated. Takes
     /// the ingest gate exclusively, so no in-flight ingest can sit between
     /// its WAL record and its DB apply while the state is snapshotted.
-    fn maybe_compact(&self) {
+    pub(crate) fn maybe_compact(&self) {
         {
             let guard = lock(&self.wal);
             match guard.as_ref() {
@@ -569,11 +516,10 @@ impl ServerState {
 
     /// The full current state as manifest material: rule texts plus one
     /// [`RunBatch`] per stored predicate (rows in ingestion order, so a
-    /// restart rebuilds identical row ids). Rules come first so replayed
-    /// facts meet the same IDB checks they passed at ingest.
+    /// restart rebuilds identical row ids).
     fn state_batches(&self) -> (Vec<String>, Vec<RunBatch>) {
         let rules: Vec<String> = read_lock(&self.rules)
-            .0
+            .rules
             .iter()
             .map(|r| r.to_string())
             .collect();
@@ -595,603 +541,6 @@ impl ServerState {
             });
         }
         (rules, batches)
-    }
-
-    /// Propagate every shared-store row past the form's applied watermarks
-    /// (per support predicate, rows `[applied[p], watermark(p))`) through
-    /// the retained semi-naive state. Idempotent (the resident dedups) and
-    /// gap-free (the shared store is append-only), so concurrent drains
-    /// and a query's defensive catch-up race benignly.
-    ///
-    /// The caller holds the *form* lock and must NOT hold the cache lock.
-    /// `Err(())` means the propagation failed and the eval is poisoned —
-    /// the caller must run [`Self::poison_form`].
-    pub(crate) fn propagate(
-        &self,
-        support: &BTreeSet<PredRef>,
-        form: &mut ResidentForm,
-        snapshot: &DbSnapshot,
-    ) -> Result<u64, ()> {
-        if form.eval.poisoned() {
-            return Err(());
-        }
-        let mut batch: Vec<DeltaFact> = Vec::new();
-        for pred in support {
-            let start = form.applied.get(pred).copied().unwrap_or(0);
-            for row in snapshot.rows_from(pred, start) {
-                batch.push(DeltaFact::new(pred.clone(), row));
-            }
-        }
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        // Fault hooks fire only on real propagation work: a slow drain
-        // sleeps while holding the form lock (the widest window for
-        // concurrent stale serves), a failing drain runs under an
-        // already-cancelled token and poisons the state.
-        let delay = self.cfg.fault.drain_delay_ms();
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
-        }
-        let abort = CancelToken::new();
-        if self.cfg.fault.drain_should_fail() {
-            abort.cancel();
-        }
-        let t0 = Instant::now();
-        // No deadline: a propagation either completes or poisons the
-        // frontier, so the only limits worth carrying are the shutdown
-        // drain and the injected abort.
-        let limits = DeltaLimits {
-            deadline: None,
-            cancel: Some(self.cancel.joined(&abort)),
-        };
-        match form.eval.apply_deltas(&batch, &limits) {
-            Ok(report) => {
-                for pred in support {
-                    form.applied.insert(pred.clone(), snapshot.count(pred));
-                }
-                self.metrics
-                    .incremental_applied_facts
-                    .add(report.new_facts as u64);
-                self.metrics
-                    .incremental_seconds
-                    .record_duration(t0.elapsed());
-                Ok(report.new_facts as u64)
-            }
-            Err(_) => Err(()),
-        }
-    }
-
-    /// Bound-polynomial drain-cost estimate: the static derivation bound
-    /// evaluated at the snapshot's cardinalities minus the bound at the
-    /// form's applied watermarks — an upper envelope on how much new
-    /// derivation a catch-up can possibly do.
-    pub(crate) fn drain_cost(
-        prepared: &PreparedProgram,
-        snapshot: &DbSnapshot,
-        applied: &BTreeMap<PredRef, usize>,
-    ) -> u64 {
-        let now_cards: BTreeMap<String, u64> = prepared
-            .bounds
-            .edb
-            .iter()
-            .map(|p| (p.to_string(), snapshot.count(&p.base()) as u64))
-            .collect();
-        let then_cards: BTreeMap<String, u64> = prepared
-            .bounds
-            .edb
-            .iter()
-            .map(|p| {
-                let n = applied.get(&p.base()).copied().unwrap_or(0);
-                (p.to_string(), n as u64)
-            })
-            .collect();
-        prepared
-            .bounds
-            .eval_total(&now_cards)
-            .saturating_sub(prepared.bounds.eval_total(&then_cards))
-    }
-
-    /// Post-drain bookkeeping under a short cache lock: merge the form's
-    /// applied watermarks into the mirror (per-predicate max — a slower
-    /// concurrent drain must not regress it) and re-anchor `pending_since`.
-    /// `t_anchor` is when the drained snapshot was captured: any row still
-    /// missing arrived after it, so it is a correct staleness anchor.
-    pub(crate) fn finish_drain(
-        &self,
-        key: &FormKey,
-        applied: &BTreeMap<PredRef, usize>,
-        t_anchor: Instant,
-    ) {
-        let lagged = self.db.snapshot();
-        let mut cache = lock(&self.cache);
-        let Some(e) = cache.peek_mut(key) else {
-            return;
-        };
-        for (p, n) in applied {
-            let m = e.applied_mirror.entry(p.clone()).or_insert(0);
-            *m = (*m).max(*n);
-        }
-        let lag = lagged.lag_from(&e.prepared.support, &e.applied_mirror);
-        e.pending_since = (lag > 0).then(|| match e.pending_since {
-            Some(older) => older.min(t_anchor),
-            None => t_anchor,
-        });
-        e.rebuild_attempts = 0;
-    }
-
-    /// A propagation failed: count the poisoning, drop the resident, and
-    /// schedule a rebuild (background when the maintenance thread runs,
-    /// lazily by the next eligible query otherwise).
-    pub(crate) fn poison_form(&self, key: &FormKey) {
-        self.metrics.resident_poisonings.inc();
-        let attempt = {
-            let mut cache = lock(&self.cache);
-            let Some(e) = cache.peek_mut(key) else {
-                return;
-            };
-            e.clear_resident();
-            e.rebuild_attempts += 1;
-            e.rebuild_attempts
-        };
-        self.note_limit(
-            "poisoned",
-            &format!(
-                "resident form {} poisoned mid-propagation; rebuild scheduled (attempt {attempt})",
-                key.pred
-            ),
-        );
-        self.schedule_rebuild(key.clone(), attempt);
-    }
-
-    /// Hand a rebuild to the maintenance thread, or leave it to the lazy
-    /// query-path rebuild when no thread exists (plain in-process states).
-    fn schedule_rebuild(&self, key: FormKey, attempt: u32) {
-        let sender = lock(&self.maintenance).clone();
-        if let Some(tx) = sender {
-            if let Some(e) = lock(&self.cache).peek_mut(&key) {
-                if e.drain_queued {
-                    return;
-                }
-                e.drain_queued = true;
-            }
-            let _ = tx.send(DrainJob::Rebuild { key, attempt });
-        }
-    }
-
-    /// Drain one form to `snapshot`, holding only the form lock (blocking
-    /// acquisition; the caller must not hold the cache lock). Returns
-    /// whether the resident survived.
-    fn drain_one(
-        &self,
-        key: &FormKey,
-        form: &Arc<Mutex<ResidentForm>>,
-        support: &BTreeSet<PredRef>,
-        snapshot: &DbSnapshot,
-        t_anchor: Instant,
-    ) -> bool {
-        let result = {
-            let mut g = lock(form);
-            self.propagate(support, &mut g, snapshot).map(|_| {
-                support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect::<BTreeMap<_, _>>()
-            })
-        };
-        match result {
-            Ok(applied) => {
-                self.finish_drain(key, &applied, t_anchor);
-                true
-            }
-            Err(()) => {
-                self.poison_form(key);
-                false
-            }
-        }
-    }
-
-    /// Ingestion-side propagation, backpressure-aware: for every resident
-    /// whose support one of `touched` belongs to, estimate the drain cost
-    /// and either drain synchronously (cheap), defer to the maintenance
-    /// thread (costly — readers serve the published frontier meanwhile),
-    /// or just mark the lag pending for query-time lazy catch-up when no
-    /// maintenance thread exists. Runs after the answer-slot staling, off
-    /// the ingest gate — the snapshot taken here necessarily includes the
-    /// rows just inserted.
-    fn drain_residents(&self, touched: &[PredRef]) {
-        if self.cfg.resident_forms == 0 || touched.is_empty() {
-            return;
-        }
-        let t_snap = Instant::now();
-        let snapshot = self.db.snapshot();
-        let mut inline: Vec<(FormKey, Arc<Mutex<ResidentForm>>, BTreeSet<PredRef>)> = Vec::new();
-        let mut deferred: Vec<FormKey> = Vec::new();
-        {
-            let mut cache = lock(&self.cache);
-            for (key, entry) in cache.iter_mut() {
-                let Some(form) = entry.resident.as_ref() else {
-                    continue;
-                };
-                if !touched.iter().any(|p| entry.prepared.depends_on(p)) {
-                    continue;
-                }
-                let lag = snapshot.lag_from(&entry.prepared.support, &entry.applied_mirror);
-                if lag == 0 {
-                    continue;
-                }
-                // Rows past the mirror arrived no earlier than the previous
-                // drain's snapshot; an already-set anchor is older and wins.
-                entry.pending_since.get_or_insert(t_snap);
-                let cost = Self::drain_cost(&entry.prepared, &snapshot, &entry.applied_mirror);
-                if cost <= self.cfg.drain_sync_cost {
-                    inline.push((
-                        key.clone(),
-                        Arc::clone(form),
-                        entry.prepared.support.clone(),
-                    ));
-                } else if !entry.drain_queued {
-                    entry.drain_queued = true;
-                    deferred.push(key.clone());
-                }
-            }
-        }
-        for (key, form, support) in &inline {
-            self.drain_one(key, form, support, &snapshot, t_snap);
-        }
-        if !deferred.is_empty() {
-            let sender = lock(&self.maintenance).clone();
-            match sender {
-                Some(tx) => {
-                    for key in deferred {
-                        let _ = tx.send(DrainJob::Drain(key));
-                    }
-                }
-                None => {
-                    // No maintenance thread: clear the queued marker so a
-                    // later ingest can reconsider; `pending_since` keeps the
-                    // staleness accounting honest and the next eligible
-                    // query catches up lazily.
-                    let mut cache = lock(&self.cache);
-                    for key in &deferred {
-                        if let Some(e) = cache.peek_mut(key) {
-                            e.drain_queued = false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Spawn the background maintenance thread (deferred drains, rebuild
-    /// backoff). Called by [`Server::spawn`]; in-process harnesses may call
-    /// it too. No-op (returns `None`) when resident serving is disabled.
-    pub fn start_maintenance(self: &Arc<Self>) -> Option<JoinHandle<()>> {
-        if self.cfg.resident_forms == 0 {
-            return None;
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        *lock(&self.maintenance) = Some(tx);
-        let state = Arc::clone(self);
-        Some(std::thread::spawn(move || state.maintenance_loop(&rx)))
-    }
-
-    fn maintenance_loop(&self, rx: &Receiver<DrainJob>) {
-        loop {
-            if self.is_shutdown() {
-                return;
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(DrainJob::Drain(key)) => self.background_drain(&key),
-                Ok(DrainJob::Rebuild { key, attempt }) => self.background_rebuild(&key, attempt),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-
-    /// Execute one deferred drain: catch the form up to the *current*
-    /// database (not the snapshot that queued it — later ingests fold in
-    /// for free).
-    fn background_drain(&self, key: &FormKey) {
-        let t_snap = Instant::now();
-        let snapshot = self.db.snapshot();
-        let handle = {
-            let mut cache = lock(&self.cache);
-            let Some(e) = cache.peek_mut(key) else {
-                return;
-            };
-            // Cleared before the drain: an ingest arriving mid-drain may
-            // queue a follow-up job, which is idempotent and cheap.
-            e.drain_queued = false;
-            e.resident
-                .as_ref()
-                .map(|f| (Arc::clone(f), e.prepared.support.clone()))
-        };
-        let Some((form, support)) = handle else {
-            return;
-        };
-        if self.drain_one(key, &form, &support, &snapshot, t_snap) {
-            self.metrics.background_drains.inc();
-            // The maintenance thread owns the slack after a deferred
-            // drain: seal the resident's freshly-applied tail into
-            // bloom-gated sorted runs (and consolidate) off the query
-            // path. Skipped under contention — the next seal point
-            // (freeze barrier or threshold) picks it up.
-            if let Ok(mut g) = form.try_lock() {
-                g.eval.seal_storage();
-            }
-            self.db.seal_storage();
-        }
-    }
-
-    /// One background rebuild attempt, after its capped exponential
-    /// backoff. A repeatedly failing rebuild re-queues itself with a
-    /// doubled delay; success resets the counter.
-    fn background_rebuild(&self, key: &FormKey, attempt: u32) {
-        if attempt > 1 {
-            let shift = (attempt - 1).min(16);
-            let wait = (self.cfg.rebuild_ms << shift).min(REBUILD_BACKOFF_CAP_MS);
-            std::thread::sleep(Duration::from_millis(wait));
-        }
-        if self.is_shutdown() {
-            return;
-        }
-        {
-            let mut cache = lock(&self.cache);
-            let Some(e) = cache.peek_mut(key) else {
-                return;
-            };
-            e.drain_queued = false;
-            if e.resident.is_some() {
-                // A query already rebuilt it lazily.
-                return;
-            }
-        }
-        if let Err(next_attempt) = self.rebuild_resident(key) {
-            self.schedule_rebuild(key.clone(), next_attempt);
-        }
-    }
-
-    /// Rebuild a lost resident from a fresh snapshot and pin it. `Ok(true)`
-    /// when pinned (counted), `Ok(false)` when the form is gone, already
-    /// resident, or ineligible, `Err(next_attempt)` when construction
-    /// failed (counted as a poisoning).
-    fn rebuild_resident(&self, key: &FormKey) -> Result<bool, u32> {
-        let started = Instant::now();
-        let snapshot = self.db.snapshot();
-        let prepared = {
-            let mut cache = lock(&self.cache);
-            let Some(e) = cache.peek_mut(key) else {
-                return Ok(false);
-            };
-            match e.pin_target() {
-                Some(prepared) if e.resident.is_none() => Arc::clone(prepared),
-                _ => return Ok(false),
-            }
-        };
-        // The failing-drain fault also covers rebuilds: an armed plan
-        // fails the construction, exercising the repeatedly-poisoned
-        // backoff path end to end.
-        let built = if self.cfg.fault.drain_should_fail() {
-            None
-        } else {
-            let (_, cost_hints) = Self::live_bound(&prepared, &snapshot);
-            build_resident(&prepared, &snapshot, &self.eval_opts(started, cost_hints)).ok()
-        };
-        let mut cache = lock(&self.cache);
-        match built {
-            Some(form) => {
-                let pinned = cache.peek_mut(key).is_some_and(|e| e.resident.is_none())
-                    && cache.pin_resident(key, form);
-                if pinned {
-                    self.metrics.resident_rebuilds.inc();
-                }
-                Ok(pinned)
-            }
-            None => {
-                self.metrics.resident_poisonings.inc();
-                Err(cache.peek_mut(key).map_or(1, |e| {
-                    e.rebuild_attempts += 1;
-                    e.rebuild_attempts
-                }))
-            }
-        }
-    }
-
-    /// `Err` when a tuple clashes with the arity `pred` is stored at (the
-    /// first tuple's, for a predicate not stored yet). FACT and LOAD ask
-    /// *before* anything is logged: a refused request must leave no WAL
-    /// record behind (it would be skipped at every recovery until
-    /// compaction) and apply nothing. Two first-ever facts of one predicate
-    /// racing with different arities can still both pass; the loser is
-    /// then refused by the insert.
-    fn check_arity(&self, pred: &PredRef, tuples: &[Vec<Value>]) -> Result<(), String> {
-        let stored = self.db.arity(pred);
-        let Some(expected) = stored.or_else(|| tuples.first().map(Vec::len)) else {
-            return Ok(());
-        };
-        match tuples.iter().find(|t| t.len() != expected) {
-            None => Ok(()),
-            Some(t) => Err(SharedDbError::Arity {
-                pred: pred.to_string(),
-                expected,
-                found: t.len(),
-            }
-            .to_string()),
-        }
-    }
-
-    fn handle_fact(&self, text: &str) -> Response {
-        let atom = match parse_atom(text) {
-            Ok(a) => a,
-            Err(e) => return Response::err(e.render_at("fact")),
-        };
-        if atom.pred.is_adorned() {
-            return Response::err("facts must use base (unadorned) predicates");
-        }
-        let Some(values) = atom.ground_values() else {
-            return Response::err(format!("fact '{atom}' is not ground"));
-        };
-        {
-            let rules = read_lock(&self.rules);
-            if rules.0.iter().any(|r| r.head.pred.base() == atom.pred) {
-                return Response::err(format!(
-                    "{} is derived by rules; facts may only be asserted for EDB predicates",
-                    atom.pred
-                ));
-            }
-        }
-        if let Err(e) = self.check_arity(&atom.pred, std::slice::from_ref(&values)) {
-            return Response::err(e);
-        }
-        let new = {
-            let _gate = read_lock(&self.ingest_gate);
-            // Log before apply: an acknowledged fact is a durable fact.
-            if let Err(resp) = self.wal_append(&[WalOp::Fact(atom.to_string())]) {
-                return resp;
-            }
-            match self.db.insert(&atom.pred, &values) {
-                Ok(n) => n,
-                Err(e) => return Response::err(e.to_string()),
-            }
-        };
-        if new {
-            let cleared = lock(&self.cache).invalidate_edb(&atom.pred);
-            self.metrics.invalidations.add(cleared as u64);
-            // Then propagation: residents absorb the row as a delta batch
-            // instead of losing their state.
-            self.drain_residents(std::slice::from_ref(&atom.pred));
-        }
-        self.maybe_compact();
-        Response::ok()
-            .with_info("new", new)
-            .with_info("pred", &atom.pred)
-            .with_info("version", self.db.version())
-    }
-
-    fn handle_load(&self, path: &str) -> Response {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return Response::err(format!("cannot read {path}: {e}")),
-        };
-        let parsed = match parse_program(&text) {
-            Ok(p) => p,
-            Err(e) => return Response::err(e.render_at(path)),
-        };
-        if let Err(e) = parsed.program.validate() {
-            return Response::err(format!("{path}: {e}"));
-        }
-        let rules = write_lock(&self.rules);
-        let fresh: Vec<Rule> = parsed
-            .program
-            .rules
-            .iter()
-            .filter(|r| !rules.0.contains(r))
-            .cloned()
-            .collect();
-        // IDB predicates hold no facts (§1.1): a rule head must not collide
-        // with already-stored facts, and loaded facts must stay EDB-only
-        // w.r.t. the merged rule set.
-        let snapshot = self.db.snapshot();
-        for r in &fresh {
-            let head = r.head.pred.base();
-            if snapshot.count(&head) > 0 {
-                return Response::err(format!(
-                    "cannot load rule for {head}: facts already stored for it \
-                     (IDB predicates hold no facts)"
-                ));
-            }
-        }
-        let merged_heads: Vec<PredRef> = rules
-            .0
-            .iter()
-            .chain(fresh.iter())
-            .map(|r| r.head.pred.base())
-            .collect();
-        for pred in parsed.facts.keys() {
-            if merged_heads.contains(&pred.base()) {
-                return Response::err(format!(
-                    "{path}: {pred} is derived by rules; facts may only be loaded \
-                     for EDB predicates"
-                ));
-            }
-        }
-        // Arity clashes are refused here, before anything is logged or
-        // applied: a LOAD is all-or-nothing.
-        for (pred, tuples) in &parsed.facts {
-            if let Err(e) = self.check_arity(pred, tuples) {
-                return Response::err(format!("{path}: {e}"));
-            }
-        }
-        // Validation passed. Log everything this LOAD will apply, then
-        // apply. The rules lock is released first: the WAL/ingest-gate
-        // order must stay `gate → wal` with no rule lock held (compaction
-        // takes them in that order too).
-        drop(rules);
-        let mut ops: Vec<WalOp> = fresh.iter().map(|r| WalOp::Rule(r.to_string())).collect();
-        for (pred, tuples) in &parsed.facts {
-            for t in tuples {
-                ops.push(WalOp::Fact(Atom::fact(pred.clone(), t.clone()).to_string()));
-            }
-        }
-
-        let (new_rules, total_rules, new_facts, touched) = {
-            let _gate = read_lock(&self.ingest_gate);
-            if let Err(resp) = self.wal_append(&ops) {
-                return resp;
-            }
-            let mut rules = write_lock(&self.rules);
-            // Another LOAD may have raced in while the lock was released;
-            // re-filter so duplicates stay out (the WAL tolerates them).
-            let fresh: Vec<Rule> = fresh.into_iter().filter(|r| !rules.0.contains(r)).collect();
-            let new_rules = fresh.len();
-            if new_rules > 0 {
-                rules.0.extend(fresh);
-                rules.1 = fingerprint_rules(&rules.0);
-            }
-            let total_rules = rules.0.len();
-            drop(rules);
-
-            let mut new_facts = 0usize;
-            let mut touched: Vec<PredRef> = Vec::new();
-            for (pred, tuples) in &parsed.facts {
-                let mut any = false;
-                for t in tuples {
-                    match self.db.insert(pred, t) {
-                        Ok(true) => {
-                            new_facts += 1;
-                            any = true;
-                        }
-                        Ok(false) => {}
-                        Err(e) => return Response::err(format!("{path}: {e}")),
-                    }
-                }
-                if any {
-                    touched.push(pred.clone());
-                }
-            }
-            (new_rules, total_rules, new_facts, touched)
-        };
-        if !touched.is_empty() {
-            let mut cache = lock(&self.cache);
-            for p in &touched {
-                let cleared = cache.invalidate_edb(p);
-                self.metrics.invalidations.add(cleared as u64);
-            }
-            drop(cache);
-            self.drain_residents(&touched);
-        }
-        self.maybe_compact();
-        let mut resp = Response::ok()
-            .with_info("rules", total_rules)
-            .with_info("new_rules", new_rules)
-            .with_info("new_facts", new_facts)
-            .with_info("version", self.db.version());
-        if parsed.program.query.is_some() {
-            resp = resp.with_info("query_ignored", true);
-        }
-        resp
     }
 
     /// Convert a resource-limit trip into its coded `ERR` response, with
@@ -1224,6 +573,16 @@ impl ServerState {
         Response::err_code(code, detail)
     }
 
+    /// The cardinality of every EDB predicate a form's bound polynomials
+    /// mention, as `count` reports it for the base predicate.
+    pub(crate) fn edb_cards(
+        prepared: &PreparedProgram,
+        count: impl Fn(&PredRef) -> usize,
+    ) -> BTreeMap<String, u64> {
+        let card = |p: &PredRef| (p.to_string(), count(&p.base()) as u64);
+        prepared.bounds.edb.iter().map(card).collect()
+    }
+
     /// Evaluate a prepared form's static derivation bound and join-cost
     /// hints against a snapshot's live EDB cardinalities. The bound is the
     /// admission ceiling (`ERR bound` when it exceeds the fact budget);
@@ -1232,12 +591,7 @@ impl ServerState {
         prepared: &PreparedProgram,
         snapshot: &DbSnapshot,
     ) -> (u64, Arc<BTreeMap<String, u64>>) {
-        let cards: BTreeMap<String, u64> = prepared
-            .bounds
-            .edb
-            .iter()
-            .map(|p| (p.to_string(), snapshot.count(&p.base()) as u64))
-            .collect();
+        let cards = Self::edb_cards(prepared, |p| snapshot.count(p));
         (
             prepared.bounds.eval_total(&cards),
             Arc::new(prepared.bounds.cost_hints(&cards)),
@@ -1254,7 +608,7 @@ impl ServerState {
             let mut cache = lock(&self.cache);
             cache
                 .iter_mut()
-                .filter_map(|(_, e)| e.resident.as_ref().map(Arc::clone))
+                .filter_map(|(_, e)| e.live_form().map(Arc::clone))
                 .collect()
         };
         for form in residents {
@@ -1269,7 +623,7 @@ impl ServerState {
         self.metrics.sync_storage(self.storage_run_total());
         let (rule_count, fingerprint) = {
             let g = read_lock(&self.rules);
-            (g.0.len(), g.1)
+            (g.rules.len(), g.fingerprint)
         };
         let cache = lock(&self.cache);
         let wal_doc = {
@@ -1297,7 +651,7 @@ impl ServerState {
             .with("prepared_hits", cache.total_hits())
             .with("cache_misses", m.cache_misses.get())
             .with("answer_hits", m.answer_hits.get())
-            .with("invalidations", cache.invalidations)
+            .with("invalidations", m.invalidations.get())
             .with("resident_forms", cache.resident_count())
             .with(
                 "incremental_applied_facts",
@@ -1369,7 +723,7 @@ impl ServerState {
 
     fn handle_trace(&self) -> Response {
         match &*lock(&self.last_trace) {
-            Some(doc) => Response::ok().with_payload_text(&doc.to_string()),
+            Some(last) => Response::ok().with_payload_text(&last.to_json().to_string()),
             None => Response::err("no query has been evaluated yet"),
         }
     }
@@ -1494,13 +848,24 @@ fn shed_connection(mut stream: TcpStream) {
     let _ = stream.write_all(&buf);
 }
 
-/// Serve one client until it disconnects, errors, or the server shuts
-/// down. A short read timeout lets the worker notice shutdown while a
-/// client idles; a request line that arrives in pieces across timeouts is
-/// kept and completed, and one longer than [`MAX_REQUEST_LINE`] is answered
-/// with one `ERR` and the connection closed.
+/// How long a worker waits on an idle client before it looks at the
+/// shutdown flag again.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// How long a response write may make no progress before the connection
+/// is closed: a worker is also a connection slot, and a client that
+/// stopped reading must not hold one forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Serve one client until it disconnects, errors, stops reading, or the
+/// server shuts down. A short read timeout lets the worker notice shutdown
+/// while a client idles; a request line that arrives in pieces across
+/// timeouts is kept and completed, and one longer than
+/// [`MAX_REQUEST_LINE`] is answered with one `ERR` and the connection
+/// closed.
 fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Responses are written as one buffered chunk; without TCP_NODELAY the
     // line-per-write pattern would stall ~40ms per exchange on loopback
     // (Nagle vs. delayed ACK).
@@ -1656,6 +1021,29 @@ mod tests {
         assert!(resp.ok, "{}", resp.error);
         assert_eq!(resp.get("cache"), Some("miss"));
         assert_eq!(resp.payload, vec!["X", "1"]);
+    }
+
+    #[test]
+    fn queries_over_two_files_that_disagree_report_the_rule_sets_error() {
+        // Each LOAD validates its own file; the merged set is checked once,
+        // when it changes, and every query over it reports that result.
+        let state = state_with(ServerConfig::default());
+        let dir = TempDir::new("disagree");
+        for (name, text) in [
+            ("one.dl", "a(X) :- p(X).\n"),
+            ("two.dl", "b(X) :- p(X, X).\n"),
+        ] {
+            let file = dir.0.join(name);
+            std::fs::write(&file, text).unwrap();
+            assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+        }
+        for q in ["?- a(X).", "?- b(X).", "?- nosuch(X)."] {
+            let resp = state.handle(&Request::query(q));
+            assert_eq!(
+                resp.error, "predicate p used with arity 2, expected 1",
+                "{q}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@ use datalog_ast::parse_program;
 use datalog_engine::{query_answers_full, EvalOptions, FactSet};
 use datalog_opt::{optimize, OptimizerConfig};
 use datalog_server::{
-    render_answers, Client, Consistency, ErrCode, FaultPlan, Server, ServerConfig,
+    render_answers, Client, Consistency, ErrCode, FaultPlan, Request, Response, Server,
+    ServerConfig, ServerState,
 };
 use util::TempDir;
 
@@ -304,6 +305,55 @@ fn over_long_request_line_gets_one_err_and_the_connection_closes() {
     let mut c = Client::connect(server.addr()).unwrap();
     assert!(c.fact("p(1, 2).").unwrap().ok);
     c.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn client_that_stops_reading_frees_its_worker() {
+    let dir = TempDir::new("noread");
+    let server = Server::spawn(&ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // ~3 MB per answer: 150 long symbols, all pairs.
+    let mut src = String::from("pair(X, Y) :- w(X), w(Y).\n");
+    for i in 0..150 {
+        src.push_str(&format!("w(s{i:03}_{}).\n", "x".repeat(56)));
+    }
+    let file = dir.file("pairs.dl", &src);
+    {
+        // The one worker serves one connection at a time: set up, then
+        // hang up so the next client is accepted.
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+        let warm = c.query("?- pair(X, Y).").unwrap();
+        assert_eq!(warm.payload.len(), 1 + 150 * 150);
+    }
+
+    // A hundred pipelined queries (~300 MB of answers, far past what loopback
+    // socket buffers hold) from a client that never reads a byte: once the
+    // buffers fill, the worker's write makes no progress.
+    let mut hog = TcpStream::connect(server.addr()).unwrap();
+    hog.write_all("QUERY ?- pair(X, Y).\n".repeat(100).as_bytes())
+        .unwrap();
+
+    // A second client waits in the backlog for the only worker. It must be
+    // served once the write timeout closes the first connection.
+    let second = TcpStream::connect(server.addr()).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = second.try_clone().unwrap();
+    writer.write_all(b"STATS\n").unwrap();
+    let mut header = String::new();
+    BufReader::new(second)
+        .read_line(&mut header)
+        .expect("the worker is pinned by the client that stopped reading");
+    assert!(header.starts_with("OK "), "{header}");
+    drop((hog, writer));
+
+    server.shutdown();
     server.join();
 }
 
@@ -746,6 +796,202 @@ fn repeatedly_poisoned_resident_heals_via_backoff_rebuilds() {
 
     c.shutdown().unwrap();
     server.join();
+}
+
+/// One unsigned field of a `STATS` document.
+fn stat(stats: &str, key: &str) -> u64 {
+    let at = stats
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("STATS has no {key}: {stats}"));
+    let digits = &stats[at + key.len() + 3..];
+    digits[..digits.find(|c: char| !c.is_ascii_digit()).unwrap()]
+        .parse()
+        .unwrap()
+}
+
+/// Poll `STATS` until `key` reaches `want` (the maintenance thread moves
+/// it), failing after five seconds.
+fn await_stat(stats: &mut dyn FnMut() -> String, key: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stat(&stats(), key) != want {
+        assert!(Instant::now() < deadline, "{key} never reached {want}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// One form through every residency state and back: after each step the
+/// `cache=` tag, whether the answer is stale, and the `STATS` values that
+/// count residency transitions. In-process, with the maintenance thread
+/// started only once the deferred lag has been observed, so each state is
+/// reached deterministically.
+#[test]
+fn residency_walks_every_state_with_its_tag_and_counters() {
+    let dir = TempDir::new("walk");
+    let fault = Arc::new(FaultPlan::new());
+    let state = Arc::new(
+        ServerState::from_config(&ServerConfig {
+            resident_forms: 1,
+            drain_sync_cost: 0,
+            rebuild_ms: 2000,
+            fault: Arc::clone(&fault),
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    let file = dir.file(
+        "two.dl",
+        &format!("{TC_RULES}b(X, Y) :- q(X, Y).\np(1, 2).\nq(7, 8).\n"),
+    );
+    assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+    let mut stats = || state.handle(&Request::Stats).payload_text();
+    // (resident_forms, resident_poisonings, resident_rebuilds,
+    //  background_drains, fallback_recomputes)
+    let counters = |stats: &str| {
+        [
+            "resident_forms",
+            "resident_poisonings",
+            "resident_rebuilds",
+            "background_drains",
+            "fallback_recomputes",
+        ]
+        .map(|key| stat(stats, key))
+    };
+    let ask = |consistency: Consistency, text: &str| -> Response {
+        let resp = state.handle(&Request::Query {
+            text: text.into(),
+            consistency,
+        });
+        assert!(resp.ok, "{text}: {}", resp.error);
+        resp
+    };
+    let stale_us = |resp: &Response| -> u64 { resp.get("staleness_us").unwrap().parse().unwrap() };
+
+    // Cold: nothing pinned, nothing counted.
+    assert_eq!(counters(&stats()), [0, 0, 0, 0, 0]);
+
+    // Cold → Live: the cold miss pins what it built.
+    let resp = ask(Consistency::Fresh, "?- a(1, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("miss"), 0));
+    assert_eq!(counters(&stats()), [1, 0, 0, 0, 0]);
+
+    // Live → lagging (deferred): the drain is priced off the ingest path
+    // and nobody runs it yet; a relaxed read sees the old frontier.
+    assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
+    let resp = ask(Consistency::Any, "?- a(1, X).");
+    assert_eq!(resp.get("cache"), Some("stale"));
+    assert!(stale_us(&resp) > 0);
+    assert_eq!(resp.payload, vec!["X", "2"]);
+    assert_eq!(counters(&stats()), [1, 0, 0, 0, 0]);
+
+    // Lagging → drained: the maintenance thread finds the deferred mark.
+    let maintenance = state.start_maintenance().expect("residency is enabled");
+    await_stat(&mut stats, "background_drains", 1);
+    let resp = ask(Consistency::Any, "?- a(1, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+    assert_eq!(resp.payload, vec!["X", "2", "3"]);
+    assert_eq!(counters(&stats()), [1, 0, 0, 1, 0]);
+
+    // Drained → poisoned → Lost: the next deferred drain fails, and so does
+    // the first rebuild; the second is four seconds of backoff away.
+    fault.fail_drains(2);
+    assert!(state.handle(&Request::Fact("p(3, 4).".into())).ok);
+    await_stat(&mut stats, "resident_poisonings", 2);
+    assert_eq!(counters(&stats()), [0, 2, 0, 1, 0]);
+
+    // Lost → rebuilt: a query does not wait for the backoff. It recomputes
+    // from cold and pins the result.
+    let resp = ask(Consistency::Fresh, "?- a(1, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("hit"), 0));
+    assert_eq!(resp.payload, vec!["X", "2", "3", "4"]);
+    assert_eq!(counters(&stats()), [1, 2, 1, 1, 1]);
+    let resp = ask(Consistency::Fresh, "?- a(2, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+
+    // Live → evicted: the single resident slot goes to another form.
+    let resp = ask(Consistency::Fresh, "?- b(7, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("miss"), 0));
+    assert_eq!(counters(&stats()), [1, 2, 1, 1, 1]);
+
+    // Evicted → re-pinned, the same way a lost form comes back.
+    let resp = ask(Consistency::Fresh, "?- a(3, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("hit"), 0));
+    assert_eq!(counters(&stats()), [1, 2, 2, 1, 2]);
+    let resp = ask(Consistency::Fresh, "?- a(2, X).");
+    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+    assert_eq!(resp.payload, vec!["X", "3", "4"]);
+
+    assert!(state.handle(&Request::Shutdown).ok);
+    maintenance.join().unwrap();
+}
+
+/// A server whose form over `a` sits in a four-second rebuild backoff
+/// (poisoned, first rebuild failed) beside a healthy live form over `b`.
+/// Every drain is deferred to the maintenance thread.
+fn server_with_a_form_in_backoff(dir: &TempDir) -> (Server, Client) {
+    let fault = Arc::new(FaultPlan::new());
+    let server = Server::spawn(&ServerConfig {
+        threads: 2,
+        drain_sync_cost: 0,
+        rebuild_ms: 2000,
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let file = dir.file(
+        "two.dl",
+        &format!("{TC_RULES}b(X, Y) :- q(X, Y).\np(1, 2).\nq(7, 8).\n"),
+    );
+    assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+    assert!(c.query("?- a(1, X).").unwrap().ok);
+    assert!(c.query("?- b(7, X).").unwrap().ok);
+    fault.fail_drains(2);
+    assert!(c.fact("p(2, 3).").unwrap().ok);
+    await_stat(
+        &mut || c.stats().unwrap().payload_text(),
+        "resident_poisonings",
+        2,
+    );
+    (server, c)
+}
+
+#[test]
+fn a_form_in_backoff_does_not_delay_another_forms_deferred_drain() {
+    let dir = TempDir::new("backoff-drain");
+    let (server, mut c) = server_with_a_form_in_backoff(&dir);
+    let started = Instant::now();
+    assert!(c.fact("q(8, 9).").unwrap().ok);
+    await_stat(
+        &mut || c.stats().unwrap().payload_text(),
+        "background_drains",
+        1,
+    );
+    // A few 50 ms ticks at most — not the other form's four seconds.
+    assert!(
+        started.elapsed() < Duration::from_millis(1500),
+        "healthy form waited {:?} for its drain",
+        started.elapsed()
+    );
+    let resp = c.query_at(Consistency::Any, "?- b(8, X).").unwrap();
+    assert_eq!(resp.get("staleness_us"), Some("0"));
+    assert_eq!(resp.payload, vec!["X", "9"]);
+    c.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn shutdown_does_not_wait_out_a_rebuild_backoff() {
+    let dir = TempDir::new("backoff-join");
+    let (server, mut c) = server_with_a_form_in_backoff(&dir);
+    let started = Instant::now();
+    c.shutdown().unwrap();
+    server.join();
+    // Well inside the 2 s grace period, let alone the 4 s backoff.
+    assert!(
+        started.elapsed() < Duration::from_millis(1500),
+        "join took {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]

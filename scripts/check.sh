@@ -5,6 +5,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The gate reads the tree; it must not write it. Compared at the end, so a
+# developer's own uncommitted work does not trip it.
+tree_before=$(git status --porcelain)
+
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
@@ -340,24 +344,18 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: manifest-recovery smoke ok"
 
-# Parallel-host re-record: committed scaling numbers measured on a 1-core
-# host say nothing about parallel speedup (the exported host_parallelism
-# field marks the provenance; files recorded before the field count as
-# 1-core). On a multi-core host, refresh the full E12 record once.
-cores=$( (nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null) || echo 1 )
-if [ "${cores:-1}" -gt 1 ] \
-    && ! grep -Eq '"host_parallelism": *([2-9]|[0-9]{2,})' BENCH_e12.json; then
-    ./target/release/harness e12 --json > BENCH_e12.json
-    echo "check.sh: BENCH_e12.json re-recorded on a ${cores}-core host"
-else
-    echo "check.sh: BENCH_e12.json re-record not needed (cores=$cores)"
-fi
-
 # Load benchmark: the four workloads of BENCHMARK.json at a tenth of their
 # op counts, untraced then traced. It builds bench/ against the crates and
 # exits non-zero when an output check fails (a served response that
 # differs from the closed-form oracle, a broken layer walk).
 bench/run.sh --quick > /dev/null
 echo "check.sh: bench/run.sh --quick ok"
+
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "check.sh: the gate changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
+echo "check.sh: working tree left as found"
 
 echo "check.sh: all green"

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use datalog_engine::{query_answers, EvalOptions};
+use datalog_ast::parse_program;
+use datalog_engine::{query_answers, EvalOptions, FactSet};
 use datalog_opt::{optimize, OptimizerConfig};
 use xdl_integration_tests::{instance_strategy, program_strategy};
 
@@ -71,5 +72,29 @@ proptest! {
             "optimized did more work: {} vs {} facts\nprogram:\n{}\noptimized:\n{}",
             sp.facts_derived, so.facts_derived, program.to_text(), out.program.to_text()
         );
+    }
+}
+
+/// A query that names a constant the equivalence oracle's `0..domain`
+/// instances cannot contain — a larger integer, a symbol — must still come
+/// out of the optimizer with its answers: `xdl run` == `xdl run
+/// --no-optimize`.
+#[test]
+fn constants_in_the_query_survive_the_pipeline() {
+    for (who, boss) in [("116", "2"), ("carol", "bob")] {
+        let src = format!(
+            "above(X, Y) :- mgr(X, Y).\n\
+             above(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+             flagged(X) :- above(X, Y), audit(Y).\n\
+             mgr(0, 1). mgr(1, {boss}). mgr({boss}, 3). mgr({who}, {boss}). audit(3).\n\
+             ?- flagged({who})."
+        );
+        let parsed = parse_program(&src).unwrap();
+        let facts = FactSet::from_parsed(&parsed.facts);
+        let out = optimize(&parsed.program, &OptimizerConfig::default()).unwrap();
+        let (orig, _) = query_answers(&parsed.program, &facts, &EvalOptions::default()).unwrap();
+        let (opt, _) = query_answers(&out.program, &facts, &eval_opts_with_cut()).unwrap();
+        assert_eq!(orig.as_bool(), Some(true), "{src}");
+        assert_eq!(orig.rows, opt.rows, "optimized:\n{}", out.program.to_text());
     }
 }
