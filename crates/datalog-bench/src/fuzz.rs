@@ -74,13 +74,22 @@ fn thread_differential(
     failures
 }
 
-/// Incremental maintenance arm: load half the instance cold into resident
-/// semi-naive state at 1 and 4 threads, then ingest the rest in batches.
-/// After every batch the two resident frontiers must be *byte* identical
-/// (rows in insertion order, provenance, per-batch reports modulo wall
-/// time, cumulative stats), and the 1-thread frontier must match a cold
-/// full fixpoint over everything applied so far — set-identical database
-/// dump and byte-identical query answers. Returns disagreements found.
+/// Facts the single-fact pass of [`incremental_differential`] holds back.
+const SINGLE_FACT_TAIL: usize = 4;
+
+/// Incremental maintenance arm: load part of the instance cold into
+/// resident semi-naive state at 1 and 4 threads, then ingest the rest in
+/// batches. After every batch the two resident frontiers must be *byte*
+/// identical (rows in insertion order, provenance, per-batch reports modulo
+/// wall time, cumulative stats), and the 1-thread frontier must match a
+/// cold full fixpoint over everything applied so far — set-identical
+/// database dump and byte-identical query answers.
+///
+/// Two passes: half the instance in batches of three (deltas about as long
+/// as the relations, so variants keep the base join order), and all but the
+/// last [`SINGLE_FACT_TAIL`] facts followed by one fact per batch (one-row
+/// deltas against nearly full relations, so variants start from the delta).
+/// Returns disagreements found.
 fn incremental_differential(
     program: &datalog_ast::Program,
     instance: &datalog_engine::FactSet,
@@ -89,18 +98,31 @@ fn incremental_differential(
     if !ResidentEval::supports(program) {
         return 0; // non-monotone programs fall outside the resident path
     }
+    // FactSet iteration is BTreeMap-ordered, so the splits are deterministic.
+    let facts: Vec<Fact> = instance
+        .iter()
+        .map(|(pred, tuple)| Fact::new(pred.clone(), tuple.clone()))
+        .collect();
+    let tail = facts.len().saturating_sub(SINGLE_FACT_TAIL);
+    incremental_pass(program, &facts, facts.len() / 2, 3, &mut complain)
+        + incremental_pass(program, &facts, tail, 1, &mut complain)
+}
+
+/// One pass of [`incremental_differential`]: `facts[..split]` loaded cold,
+/// the rest ingested `chunk` facts per batch.
+fn incremental_pass(
+    program: &datalog_ast::Program,
+    facts: &[Fact],
+    split: usize,
+    chunk: usize,
+    mut complain: impl FnMut(&str),
+) -> u64 {
     let mut failures = 0u64;
     let opts = |threads: usize| EvalOptions {
         threads,
         record_provenance: true,
         ..EvalOptions::default()
     };
-    // FactSet iteration is BTreeMap-ordered, so the split is deterministic.
-    let facts: Vec<Fact> = instance
-        .iter()
-        .map(|(pred, tuple)| Fact::new(pred.clone(), tuple.clone()))
-        .collect();
-    let split = facts.len() / 2;
     let mut loaded = datalog_engine::FactSet::new();
     for f in &facts[..split] {
         loaded.insert(f.pred.clone(), f.tuple.clone());
@@ -118,7 +140,7 @@ fn incremental_differential(
     let [ref mut r1, ref mut r4] = residents[..] else {
         unreachable!()
     };
-    for batch in facts[split..].chunks(3) {
+    for batch in facts[split..].chunks(chunk) {
         let limits = DeltaLimits::default();
         let (rep1, rep4) = match (
             r1.apply_deltas(batch, &limits),

@@ -93,10 +93,10 @@ impl Database {
     }
 
     /// Build the index over `cols` on a predicate's relation (see
-    /// [`Relation::ensure_index`]). The evaluator calls this for every
-    /// probe column set its compiled join plans need, *before* the first
-    /// iteration — after that the whole database can be probed through
-    /// `&Database` and therefore shared across worker threads.
+    /// [`Relation::ensure_index`]). The evaluator calls this at each
+    /// iteration barrier for every probe column set the join orders it
+    /// just planned need — after that the whole database can be probed
+    /// through `&Database` and therefore shared across worker threads.
     pub fn ensure_index(&mut self, id: PredId, cols: &[usize]) {
         self.relations[id.0 as usize].ensure_index(cols);
     }

@@ -6,10 +6,22 @@
 //!
 //! The semi-naive strategy addresses each rule once per *delta literal*: at
 //! iteration `k` the literal designated as the delta ranges over the rows
-//! its predicate gained during iteration `k-1`; literals to its left see the
-//! full relation as of the start of iteration `k`, literals to its right see
-//! the relation as of the start of iteration `k-1`. This enumerates every
-//! new body instantiation exactly once.
+//! its predicate gained during iteration `k-1`; literals at earlier body
+//! positions range over the full relation as of the start of iteration `k`,
+//! literals at later body positions over the relation as of the start of
+//! iteration `k-1`. This enumerates every new body instantiation exactly
+//! once.
+//!
+//! A literal's *range* is fixed by its body position; the *order* in which
+//! the join walks the literals is not. Every rule compiles to a base order
+//! (the body, left to right) and one delta-first order per body position
+//! (that literal, then greedily the literal with the most bound columns).
+//! A variant walks its delta-first order when its delta is shorter than the
+//! range the base order would walk first, so propagating a handful of new
+//! rows costs a handful of probes instead of a scan of the outer relation.
+//! Both orders enumerate the same instantiations, so `derivations`,
+//! `facts_derived`, `duplicates` and `iterations` do not depend on the
+//! choice; only `tuples_scanned` and `index_probes` do.
 //!
 //! The **boolean-cut runtime** of §3.1 is implemented here: when the program
 //! was rewritten so that existential subqueries became zero-arity `B`
@@ -25,11 +37,11 @@
 //! *frozen*: the iteration's work is decomposed into [`Task`]s — one per
 //! (rule, delta-variant, chunk) — whose enumeration reads only state fixed
 //! at the iteration barrier (rows below the iteration-start marks, plus the
-//! up-front composite indexes). Enumeration writes candidate tuples and
-//! their premises into per-task buffers. Then the buffers are *merged*:
-//! applied to the database in the fixed task order, which is where
-//! deduplication, provenance, the fact budget, and the per-rule profile
-//! attribution happen.
+//! composite indexes ensured there for the planned orders). Enumeration
+//! writes candidate tuples and their premises into per-task buffers. Then
+//! the buffers are *merged*: applied to the database in the fixed task
+//! order, which is where deduplication, provenance, the fact budget, and
+//! the per-rule profile attribution happen.
 //!
 //! Because the task list is planned from frozen state and the merge replays
 //! buffers in task order, the executor is irrelevant to the result: running
@@ -38,7 +50,7 @@
 //! produces byte-identical databases, stats, provenance, and profile
 //! counters at any thread count.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -70,10 +82,11 @@ const CHUNK_MIN_ROWS: usize = 1024;
 /// drown the merge in overhead on huge deltas.
 const MAX_CHUNKS_PER_VARIANT: usize = 8;
 
-/// Minimum estimated work (sum of every task's body-literal range lengths)
-/// before an iteration engages the worker pool. Below this, thread spawn
-/// overhead exceeds the enumeration itself; since the executor cannot
-/// change the result, falling back to the serial path is free.
+/// Minimum estimated work (rows the iteration's tasks walk first: the sum
+/// of their outer range lengths) before an iteration engages the worker
+/// pool. Below this, thread spawn overhead exceeds the enumeration itself;
+/// since the executor cannot change the result, falling back to the serial
+/// path is free.
 const PARALLEL_MIN_WORK: usize = 2048;
 
 /// Fixpoint strategy.
@@ -194,11 +207,19 @@ enum Slot {
 struct LitPlan {
     pred: PredId,
     slots: Vec<Slot>,
-    /// Columns bound when the join reaches this literal (constants plus
-    /// variables bound by earlier body literals), sorted ascending. Planned
-    /// at compile time; non-empty sets name the composite index the literal
-    /// probes, and the union over all plans is built up front so probing
-    /// never mutates the database. Empty means the literal scans its range.
+}
+
+/// One step of a join order: the body literal visited and how it is read.
+#[derive(Debug, Clone)]
+struct Step {
+    /// Body position of the literal. It fixes the literal's row range in a
+    /// delta variant and its slot in the premise list, whatever the order.
+    lit: usize,
+    /// Columns bound when the join reaches this step (constants plus
+    /// variables bound by earlier steps), sorted ascending. Non-empty sets
+    /// name the composite index the step probes; it is ensured at the
+    /// barrier of the first iteration that plans this order, so probing
+    /// never mutates the database. Empty means the step scans its range.
     probe: Box<[usize]>,
 }
 
@@ -208,6 +229,12 @@ pub(crate) struct RulePlan {
     head: PredId,
     head_slots: Vec<Slot>,
     body: Vec<LitPlan>,
+    /// The body walked left to right: the seed round, the naive strategy
+    /// and every variant whose delta is not the shorter range walk this.
+    base: Vec<Step>,
+    /// `delta_first[d]` starts at body literal `d`, then greedily takes the
+    /// literal with the most bound columns (ties: body position).
+    delta_first: Vec<Vec<Step>>,
     /// Negated literals, checked once the positive body is fully matched.
     /// Safety guarantees all their variables are bound by then, and
     /// stratification guarantees their relations are complete.
@@ -234,15 +261,18 @@ pub(crate) enum Trip {
 }
 
 /// One schedulable unit of an iteration: a (rule, delta-variant, chunk)
-/// triple. `outer` is the row-id range the *first* body literal enumerates
-/// (its delta or full range, possibly one chunk of it); every other literal
-/// derives its range from the variant and the frozen marks. Planned from
-/// frozen state, so the task list is identical at any thread count.
+/// triple. `outer` is the row-id range the *first step* of the task's join
+/// order enumerates (its literal's range, possibly one chunk of it); every
+/// other literal derives its range from the variant and the frozen marks.
+/// Planned from frozen state, so the task list is identical at any thread
+/// count.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     plan_idx: usize,
     /// `None` = all literals read `Full` (naive strategy / seed round).
     delta_idx: Option<usize>,
+    /// Walk `delta_first[delta_idx]` instead of the base order.
+    delta_first: bool,
     outer: (usize, usize),
     /// First chunk of its variant: carries the variant's `evals` count in
     /// the profile so chunking doesn't inflate it.
@@ -260,6 +290,16 @@ struct IterView<'a> {
     boolean_cut: bool,
     deadline: Option<Instant>,
     cancel: Option<&'a CancelToken>,
+}
+
+impl RulePlan {
+    /// The join order `task` walks.
+    fn order(&self, task: Task) -> &[Step] {
+        match task.delta_idx {
+            Some(d) if task.delta_first => &self.delta_first[d],
+            _ => &self.base,
+        }
+    }
 }
 
 impl IterView<'_> {
@@ -295,16 +335,20 @@ struct TaskOut {
 /// database: all effects land in the returned [`TaskOut`].
 fn enumerate_task(view: &IterView<'_>, task: Task) -> TaskOut {
     let t0 = Instant::now();
+    let plan = &view.plans[task.plan_idx];
     let mut en = Enumerator {
         view,
-        plan: &view.plans[task.plan_idx],
+        plan,
+        order: plan.order(task),
         delta_idx: task.delta_idx,
         until_check: LIMIT_CHECK_INTERVAL,
         stop: false,
         out: TaskOut::default(),
     };
     let mut bindings: Vec<Option<Value>> = vec![None; en.plan.nvars];
-    let mut premises: Vec<(PredId, u32)> = Vec::with_capacity(en.plan.body.len());
+    // One slot per body literal, filled as the walk reaches it, so a
+    // premise list reads in body order whichever order enumerated it.
+    let mut premises: Vec<(PredId, u32)> = vec![(PredId(0), 0); plan.body.len()];
     en.join_from(task.outer, 0, &mut bindings, &mut premises);
     en.out.wall_ns = t0.elapsed().as_nanos() as u64;
     en.out
@@ -315,6 +359,7 @@ fn enumerate_task(view: &IterView<'_>, task: Task) -> TaskOut {
 struct Enumerator<'v> {
     view: &'v IterView<'v>,
     plan: &'v RulePlan,
+    order: &'v [Step],
     delta_idx: Option<usize>,
     /// Countdown to the next cooperative limit check.
     until_check: u32,
@@ -350,25 +395,26 @@ impl Enumerator<'_> {
     fn join_from(
         &mut self,
         outer: (usize, usize),
-        lit: usize,
+        step: usize,
         bindings: &mut Vec<Option<Value>>,
-        premises: &mut Vec<(PredId, u32)>,
+        premises: &mut [(PredId, u32)],
     ) {
-        let plan = self.plan;
-        if lit == plan.body.len() {
+        let (plan, order) = (self.plan, self.order);
+        let Some(Step { lit, probe }) = order.get(step) else {
             if self.negatives_hold(bindings) {
                 self.emit(bindings, premises);
             }
             return;
-        }
-        let lp = &plan.body[lit];
-        let (start, end) = if lit == 0 {
+        };
+        let lp = &plan.body[*lit];
+        let (start, end) = if step == 0 {
             outer
         } else {
+            // The range follows the literal's body position, not the step.
             let range = match self.delta_idx {
                 None => Range::Full,
-                Some(d) if lit < d => Range::Full,
-                Some(d) if lit == d => Range::Delta,
+                Some(d) if *lit < d => Range::Full,
+                Some(d) if *lit == d => Range::Delta,
                 Some(_) => Range::Old,
             };
             self.view.bounds(lp.pred, range)
@@ -376,10 +422,10 @@ impl Enumerator<'_> {
         if start >= end {
             return;
         }
-        if lp.probe.is_empty() {
+        if probe.is_empty() {
             // No bound column: scan the range.
             for row_id in start as u32..end as u32 {
-                if !self.try_row(outer, lit, row_id, bindings, premises) {
+                if !self.try_row(outer, step, row_id, bindings, premises) {
                     return;
                 }
             }
@@ -387,8 +433,7 @@ impl Enumerator<'_> {
             // Probe the composite index over every bound column; the
             // binary-searched subslice holds exactly this range's hits.
             self.out.index_probes += 1;
-            let key: Vec<Value> = lp
-                .probe
+            let key: Vec<Value> = probe
                 .iter()
                 .map(|&col| match &lp.slots[col] {
                     Slot::Const(c) => *c,
@@ -400,24 +445,24 @@ impl Enumerator<'_> {
                 .view
                 .db
                 .relation(lp.pred)
-                .probe_range(&lp.probe, &key, start, end);
+                .probe_range(probe, &key, start, end);
             for row_id in hits.iter() {
-                if !self.try_row(outer, lit, row_id, bindings, premises) {
+                if !self.try_row(outer, step, row_id, bindings, premises) {
                     return;
                 }
             }
         }
     }
 
-    /// Match one candidate row at `lit` and recurse. Returns `false` when
+    /// Match one candidate row at `step` and recurse. Returns `false` when
     /// the enumeration must unwind (limit trip or boolean stop).
     fn try_row(
         &mut self,
         outer: (usize, usize),
-        lit: usize,
+        step: usize,
         row_id: u32,
         bindings: &mut Vec<Option<Value>>,
-        premises: &mut Vec<(PredId, u32)>,
+        premises: &mut [(PredId, u32)],
     ) -> bool {
         self.out.tuples_scanned += 1;
         // Cooperative limit check: a task enumerating a pathological cross
@@ -430,6 +475,7 @@ impl Enumerator<'_> {
                 return false;
             }
         }
+        let lit = self.order[step].lit;
         let lp = &self.plan.body[lit];
         let row = self.view.db.relation(lp.pred).row(row_id as usize);
         // Match the row against the slots, recording new bindings so we can
@@ -447,9 +493,8 @@ impl Enumerator<'_> {
             },
         });
         if ok {
-            premises.push((lp.pred, row_id));
-            self.join_from(outer, lit + 1, bindings, premises);
-            premises.pop();
+            premises[lit] = (lp.pred, row_id);
+            self.join_from(outer, step + 1, bindings, premises);
         }
         for v in bound_here {
             bindings[v as usize] = None;
@@ -593,10 +638,10 @@ impl<'a> Machine<'a> {
 
     /// Decompose one iteration into its tasks, in the fixed (rule, variant,
     /// chunk) merge order, plus an estimate of the total enumeration work
-    /// (sum of body-literal range lengths) used to decide whether the
-    /// worker pool is worth engaging. Reads only frozen iteration-start
-    /// state — never the thread count — so every executor applies the
-    /// identical task sequence.
+    /// (the rows the tasks walk first) used to decide whether the worker
+    /// pool is worth engaging. Reads only frozen iteration-start state —
+    /// never the thread count — so every executor applies the identical
+    /// task sequence.
     fn plan_tasks(&self, mine: &[usize], seed_round: bool) -> (Vec<Task>, usize) {
         let mut tasks = Vec::new();
         let mut work = 0usize;
@@ -628,8 +673,11 @@ impl<'a> Machine<'a> {
     }
 
     /// Push one join variant's tasks, splitting a large outer range into
-    /// chunks, and return the variant's estimated work. Chunk count and
-    /// boundaries depend only on the frozen range length.
+    /// chunks, and return the variant's estimated work: the length of the
+    /// outer range, i.e. the rows its tasks walk. The variant starts from
+    /// its delta when that is shorter than the range the base order walks
+    /// first; order, chunk count and boundaries depend only on the frozen
+    /// range lengths.
     fn push_variant(
         &self,
         tasks: &mut Vec<Task>,
@@ -637,7 +685,7 @@ impl<'a> Machine<'a> {
         delta_idx: Option<usize>,
     ) -> usize {
         let plan = &self.plans[plan_idx];
-        let outer = match plan.body.first() {
+        let base_outer = match plan.body.first() {
             None => (0, 0),
             Some(l0) => {
                 let range = match delta_idx {
@@ -647,17 +695,18 @@ impl<'a> Machine<'a> {
                 self.bounds(l0.pred, range)
             }
         };
+        let (outer, delta_first) = match delta_idx {
+            Some(d) => {
+                let delta = self.bounds(plan.body[d].pred, Range::Delta);
+                if delta.1 - delta.0 < base_outer.1 - base_outer.0 {
+                    (delta, true)
+                } else {
+                    (base_outer, false)
+                }
+            }
+            None => (base_outer, false),
+        };
         let len = outer.1 - outer.0;
-        let work: usize = len
-            + plan
-                .body
-                .iter()
-                .skip(1)
-                .map(|l| {
-                    let (s, e) = self.bounds(l.pred, Range::Full);
-                    e - s
-                })
-                .sum::<usize>();
         // A boolean head stops at its first witness; chunking it would only
         // enumerate witnesses the merge discards.
         let chunks = if plan.body.is_empty() || (self.boolean_cut && plan.head_slots.is_empty()) {
@@ -669,11 +718,32 @@ impl<'a> Machine<'a> {
             tasks.push(Task {
                 plan_idx,
                 delta_idx,
+                delta_first,
                 outer: (outer.0 + len * c / chunks, outer.0 + len * (c + 1) / chunks),
                 lead: c == 0,
             });
         }
-        work
+        len
+    }
+
+    /// Ensure every composite index the planned tasks probe. Called at the
+    /// iteration barrier, after the marks are taken and storage is sealed
+    /// and before the view is frozen, so from here on the inner loop probes
+    /// through `&Relation` only ([`crate::relation::Relation::probe_range`])
+    /// — which is what lets workers share the database. An index is built
+    /// the first time an order that probes it is planned and kept fresh by
+    /// `insert` from then on; one that no planned order probes never exists
+    /// (a cold run's EDB deltas are empty, so it never builds the indexes
+    /// only an EDB-delta variant wants).
+    fn ensure_planned_indexes(&mut self, tasks: &[Task]) {
+        for &task in tasks.iter().filter(|t| t.lead) {
+            let plan = &self.plans[task.plan_idx];
+            for step in plan.order(task) {
+                if !step.probe.is_empty() {
+                    self.db.ensure_index(plan.body[step.lit].pred, &step.probe);
+                }
+            }
+        }
     }
 
     /// Serial executor: enumerate and merge each task in order. Returns
@@ -931,10 +1001,12 @@ impl<'a> Machine<'a> {
             self.db.seal_storage();
             let before = self.db.total_facts();
             // Freeze → plan → fan out → merge. The seed round (and the
-            // naive strategy, every round) reads all literals Full;
-            // semi-naive rounds get one variant per non-empty delta.
+            // naive strategy, every round) reads all literals Full in the
+            // base order; semi-naive rounds get one variant per non-empty
+            // delta, each in the order its range lengths select.
             let seed_round = first || matches!(strategy, Strategy::Naive);
             let (tasks, work) = self.plan_tasks(mine, seed_round);
+            self.ensure_planned_indexes(&tasks);
             let workers = self.threads.min(tasks.len());
             let (parallel_ns, merge_ns) = if workers > 1 && work >= PARALLEL_MIN_WORK {
                 self.run_parallel(&tasks, workers)
@@ -1122,6 +1194,58 @@ fn greedy_order(
     order
 }
 
+/// Plan one join order over `body` with each step's probe columns. `first
+/// == None` walks the body left to right; `Some(d)` starts at literal `d`
+/// and then repeatedly takes the literal with the most bound columns (ties:
+/// body position), so every later step probes as selectively as the
+/// bindings allow.
+///
+/// A column is bound when the join reaches a step iff it holds a constant
+/// or a variable some *earlier* step binds. (A variable repeated within one
+/// literal is first bound by the row match itself, so it does not count.)
+/// Columns are enumerated ascending, hence `probe` comes out sorted as the
+/// index requires.
+fn plan_order(body: &[LitPlan], first: Option<usize>) -> Vec<Step> {
+    let mut bound_vars: HashSet<u16> = HashSet::new();
+    let probe_of = |lit: usize, bound_vars: &HashSet<u16>| -> Box<[usize]> {
+        body[lit]
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| match s {
+                Slot::Const(_) => true,
+                Slot::Var(v) => bound_vars.contains(v),
+            })
+            .map(|(col, _)| col)
+            .collect()
+    };
+    let mut remaining: Vec<usize> = (0..body.len()).collect();
+    let mut steps = Vec::with_capacity(body.len());
+    while !remaining.is_empty() {
+        let pos = match first {
+            None => 0,
+            Some(d) if steps.is_empty() => d,
+            Some(_) => (0..remaining.len())
+                .max_by_key(|&k| {
+                    (
+                        probe_of(remaining[k], &bound_vars).len(),
+                        std::cmp::Reverse(k),
+                    )
+                })
+                .expect("nonempty"),
+        };
+        let lit = remaining.remove(pos);
+        let probe = probe_of(lit, &bound_vars);
+        for s in &body[lit].slots {
+            if let Slot::Var(v) = s {
+                bound_vars.insert(*v);
+            }
+        }
+        steps.push(Step { lit, probe });
+    }
+    steps
+}
+
 pub(crate) fn compile(
     program: &Program,
     db: &mut Database,
@@ -1150,46 +1274,23 @@ pub(crate) fn compile(
         } else {
             rule.body.iter().collect()
         };
-        let mut body: Vec<LitPlan> = ordered_body
+        let body: Vec<LitPlan> = ordered_body
             .iter()
             .map(|a| LitPlan {
                 pred: db.pred_id(&a.pred).expect("registered above"),
                 slots: a.terms.iter().map(|t| slot_of(t, &mut var_ids)).collect(),
-                probe: Box::default(),
             })
             .collect();
-        // Statically plan each literal's probe columns: a column is bound
-        // when the join reaches the literal iff it holds a constant or a
-        // variable some *earlier* literal binds. (A variable repeated
-        // within one literal is first bound by the row match itself, so it
-        // does not count.) The enumeration order of `slots` is ascending,
-        // hence `probe` comes out sorted as the index requires.
-        let mut bound_vars: HashSet<u16> = HashSet::new();
-        for lp in body.iter_mut() {
-            lp.probe = lp
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| match s {
-                    Slot::Const(_) => true,
-                    Slot::Var(v) => bound_vars.contains(v),
-                })
-                .map(|(col, _)| col)
-                .collect();
-            for s in &lp.slots {
-                if let Slot::Var(v) = s {
-                    bound_vars.insert(*v);
-                }
-            }
-        }
+        let base = plan_order(&body, None);
+        let delta_first = (0..body.len())
+            .map(|d| plan_order(&body, Some(d)))
+            .collect();
         let negatives: Vec<LitPlan> = rule
             .negative
             .iter()
             .map(|a| LitPlan {
                 pred: db.pred_id(&a.pred).expect("registered above"),
                 slots: a.terms.iter().map(|t| slot_of(t, &mut var_ids)).collect(),
-                // Negation is a fully-bound membership test, not a probe.
-                probe: Box::default(),
             })
             .collect();
         let head_slots: Vec<Slot> = rule
@@ -1203,6 +1304,8 @@ pub(crate) fn compile(
             head: db.pred_id(&rule.head.pred).expect("registered above"),
             head_slots,
             body,
+            base,
+            delta_first,
             negatives,
             nvars: var_ids.len(),
         });
@@ -1234,24 +1337,6 @@ pub(crate) fn load_input(
     Ok(())
 }
 
-/// Build every composite index the compiled probes need, up front: the
-/// join plans fix which columns arrive bound at each literal, so the
-/// column sets are known statically. From here on the inner loop probes
-/// through `&Relation` only ([`crate::relation::Relation::probe_range`]),
-/// which is what lets each iteration freeze the database and share it
-/// across workers. `insert` keeps the indexes fresh as the fixpoint grows.
-pub(crate) fn ensure_probe_indexes(db: &mut Database, plans: &[RulePlan]) {
-    let wanted: BTreeSet<(PredId, &[usize])> = plans
-        .iter()
-        .flat_map(|p| &p.body)
-        .filter(|lp| !lp.probe.is_empty())
-        .map(|lp| (lp.pred, &*lp.probe))
-        .collect();
-    for (pred, cols) in wanted {
-        db.ensure_index(pred, cols);
-    }
-}
-
 /// Run a fixpoint evaluation of `program` over `input`.
 ///
 /// `input` may seed IDB predicates — that is how the uniform-equivalence
@@ -1276,7 +1361,6 @@ pub fn evaluate(
     )?;
     let arities = program.arities()?;
     load_input(&mut db, &arities, input)?;
-    ensure_probe_indexes(&mut db, &plans);
     let n_preds = db.pred_count();
     let query_pred = program
         .query

@@ -17,8 +17,9 @@
 //! - **Legacy**: the original duplicate `seen` set + hash postings, kept as
 //!   the differential-testing oracle (`fuzz --smoke` compares the two).
 //!
-//! Indices are *planned up front* (from the compiled join plans) via
-//! [`Relation::ensure_index`] and maintained incrementally by
+//! Indices are *planned* (from the compiled join orders) and built via
+//! [`Relation::ensure_index`] at the barrier of the first iteration whose
+//! tasks probe them, and maintained incrementally by
 //! [`Relation::insert`] from then on. Probing is a `&self` operation
 //! ([`Relation::probe_range`]), which is what lets one frozen relation be
 //! shared across worker threads during a parallel fixpoint iteration.

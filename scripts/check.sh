@@ -344,6 +344,19 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: manifest-recovery smoke ok"
 
+# Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
+# thread counts, storage backends, resident vs cold in bulk and single-fact
+# batches, optimizer on and off) over programs nobody wrote by hand. The
+# seed comes from the clock and is printed first; 1500 rounds is about 20 s
+# on a 2-core sandbox.
+fuzz_rounds=1500
+fuzz_seed=$(date +%s)
+echo "check.sh: random fuzz arm, $fuzz_rounds rounds from seed $fuzz_seed"
+if ! ./target/release/fuzz "$fuzz_rounds" "$fuzz_seed"; then
+    echo "check.sh: fuzz failed; reproduce with: ./target/release/fuzz $fuzz_rounds $fuzz_seed" >&2
+    exit 1
+fi
+
 # Load benchmark: the four workloads of BENCHMARK.json at a tenth of their
 # op counts, untraced then traced. It builds bench/ against the crates and
 # exits non-zero when an output check fails (a served response that
