@@ -48,9 +48,16 @@ impl Symbol {
         Symbol(id)
     }
 
-    /// The interned string.
+    /// The interned string, cloned out of the table.
     pub fn as_str(&self) -> String {
-        interner().read().expect("interner poisoned").strings[self.0 as usize].clone()
+        self.with_str(str::to_owned)
+    }
+
+    /// Run `f` on the interned string in place, under the interner's read
+    /// lock — no allocation. `f` must not intern (the lock is not
+    /// reentrant for writers).
+    pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        f(&interner().read().expect("interner poisoned").strings[self.0 as usize])
     }
 
     /// Raw id; stable within a process run. Useful for dense tables.
@@ -61,7 +68,7 @@ impl Symbol {
 
 impl std::fmt::Display for Symbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.as_str())
+        self.with_str(|s| f.write_str(s))
     }
 }
 
@@ -120,6 +127,14 @@ mod tests {
         let b = fresh_symbol("$t");
         assert_ne!(a, b);
         assert!(a.as_str().starts_with("$t"));
+    }
+
+    #[test]
+    fn with_str_borrows_the_interned_string() {
+        let a = Symbol::intern("borrowed_name");
+        assert_eq!(a.with_str(str::len), "borrowed_name".len());
+        assert!(a.with_str(|s| s.starts_with("borrowed")));
+        assert_eq!(a.with_str(str::to_owned), a.as_str());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Value {
     /// True if this is a skolem constant produced by [`Value::fresh_skolem`].
     pub fn is_skolem(&self) -> bool {
         match self {
-            Value::Sym(s) => s.as_str().starts_with("$c"),
+            Value::Sym(s) => s.with_str(|s| s.starts_with("$c")),
             Value::Int(_) => false,
         }
     }
@@ -86,7 +86,7 @@ impl Var {
 
     /// Whether this variable came from a `_` wildcard.
     pub fn is_wildcard(&self) -> bool {
-        self.0.as_str().starts_with("$_")
+        self.0.with_str(|s| s.starts_with("$_"))
     }
 
     /// The variable's name.

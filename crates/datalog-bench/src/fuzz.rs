@@ -5,7 +5,9 @@
 //! a small fixed-seed smoke round on every `cargo test`, keeping the
 //! differential oracle exercised without a separate manual step.
 
+use datalog_ast::{Atom, Term, Value};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
+use datalog_engine::oracle::extract_by_matching;
 use datalog_engine::{evaluate, extract_answers, query_answers, EvalOptions, Strategy};
 use datalog_opt::{optimize, OptimizerConfig};
 
@@ -74,6 +76,61 @@ fn thread_differential(
     failures
 }
 
+/// Selective reads of `q`: its first variable bound to a constant the
+/// instance stores, its last variable bound to one nothing stores, and —
+/// with two variable positions — the last one repeating the first. (A query
+/// without variables is already a point read and is returned as is.)
+fn point_reads(q: &Atom, instance: &datalog_engine::FactSet) -> Vec<Atom> {
+    let vars: Vec<usize> = (0..q.terms.len())
+        .filter(|&i| q.terms[i].is_var())
+        .collect();
+    let (Some(&first), Some(&last)) = (vars.first(), vars.last()) else {
+        return vec![q.clone()];
+    };
+    let domain = instance.active_domain();
+    let stored = domain.iter().nth(domain.len() / 2).copied();
+    let bind = |at: usize, term: Term| {
+        let mut atom = q.clone();
+        atom.terms[at] = term;
+        atom
+    };
+    let mut reads: Vec<Atom> = stored
+        .map(|c| bind(first, Term::Const(c)))
+        .into_iter()
+        .collect();
+    reads.push(bind(last, Term::Const(Value::int(-1))));
+    if first != last {
+        reads.push(bind(last, q.terms[first]));
+    }
+    reads
+}
+
+/// Point-read arm, cold side: after a cold fixpoint the compiled read
+/// (planned index or scan) must return what unifying the atom with every
+/// stored fact returns. Returns disagreements found.
+fn point_read_differential(
+    program: &datalog_ast::Program,
+    instance: &datalog_engine::FactSet,
+    mut complain: impl FnMut(&str),
+) -> u64 {
+    let (Some(q), Ok(cold)) = (
+        &program.query,
+        evaluate(program, instance, &EvalOptions::default()),
+    ) else {
+        return 0; // the reference arm already complained
+    };
+    let mut failures = 0;
+    for atom in point_reads(&q.atom, instance) {
+        if extract_answers(&atom, &cold.database) != extract_by_matching(&atom, &cold.database) {
+            complain(&format!(
+                "point read ?- {atom}. diverges from matching (cold)"
+            ));
+            failures += 1;
+        }
+    }
+    failures
+}
+
 /// Facts the single-fact pass of [`incremental_differential`] holds back.
 const SINGLE_FACT_TAIL: usize = 4;
 
@@ -83,7 +140,10 @@ const SINGLE_FACT_TAIL: usize = 4;
 /// identical (rows in insertion order, provenance, per-batch reports modulo
 /// wall time, cumulative stats), and the 1-thread frontier must match a
 /// cold full fixpoint over everything applied so far — set-identical
-/// database dump and byte-identical query answers.
+/// database dump and byte-identical query answers, for the program's query
+/// and for its [`point_reads`] (resident, cold and the matching oracle
+/// all agreeing; the resident reads create read indexes that later batches
+/// leave with uncovered rows).
 ///
 /// Two passes: half the instance in batches of three (deltas about as long
 /// as the relations, so variants keep the base join order), and all but the
@@ -203,6 +263,17 @@ fn incremental_pass(
             if extract_answers(&q.atom, &cold.database) != r1.answers(&q.atom) {
                 complain("incremental: resident answers diverge from cold answers");
                 failures += 1;
+            }
+            for atom in point_reads(&q.atom, &loaded) {
+                let resident = r1.answers(&atom);
+                if resident != extract_answers(&atom, &cold.database)
+                    || resident != extract_by_matching(&atom, r1.database())
+                {
+                    complain(&format!(
+                        "incremental: point read ?- {atom}. diverges (resident / cold / matching)"
+                    ));
+                    failures += 1;
+                }
             }
         }
     }
@@ -489,6 +560,11 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         )
         .expect("profiled evaluates");
         failures += check("profiled", &a.rows);
+        // Point reads of the query off the cold database vs the matching
+        // oracle.
+        failures += point_read_differential(&program, &instance, |msg| {
+            complain!("seed {seed}: {msg}");
+        });
         // Parallel determinism: byte-identical databases, stats partitions,
         // provenance, and profile counters at 1 vs 2 vs 8 threads.
         failures += thread_differential(&program, &instance, |msg| {

@@ -31,6 +31,12 @@
 //! "if `q4` does not appear anywhere else in the program, the rule defining
 //! it can also be discarded after `B2` is shown true").
 //!
+//! The final select/project is [`extract_answers`]: the query atom is
+//! compiled once into selections, equalities and output columns and read
+//! off the relation as a membership test, an index probe or a projecting
+//! scan — never by matching the atom against each row (that is
+//! [`crate::oracle::extract_by_matching`], kept as the test reference).
+//!
 //! # Execution model: freeze, fan out, merge
 //!
 //! Each fixpoint iteration runs in two halves. First the database is
@@ -54,7 +60,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use datalog_ast::{subst, Program, Term, Value};
+use datalog_ast::{Program, Term, Value};
 use datalog_trace::metrics::EvalHists;
 use datalog_trace::{EvalProfile, IterationProfile, PredDelta, RuleProfile};
 
@@ -1457,34 +1463,115 @@ pub fn query_answers_full(
 
 /// Extract the answers of `q_atom` from a saturated `database`: the
 /// distinct bindings of the atom's named variables (wildcards are projected
-/// out), matched against the atom's relation. Constants in the atom act as
+/// out), read off the atom's relation. Constants in the atom act as
 /// selections; a repeated variable forces equality. Pure read — usable
-/// against any frontier, including a resident incremental one.
+/// against any frontier — and a read that creates nothing: with a constant
+/// in the atom it probes a `[col]` index the fixpoint planned if there is
+/// one, and otherwise scans (see `read_answers`). An unregistered
+/// predicate, or one stored at another arity, has no answers.
 pub fn extract_answers(q_atom: &datalog_ast::Atom, database: &Database) -> AnswerSet {
-    let mut answers = AnswerSet::default();
-    // Output columns: named variables in first-occurrence order.
-    let mut out_vars = Vec::new();
-    for v in q_atom.var_occurrences() {
-        if !v.is_wildcard() && !out_vars.contains(&v) {
-            out_vars.push(v);
-        }
-    }
-    answers.columns = out_vars.iter().map(|v| v.name()).collect();
-    if let Some(id) = database.pred_id(&q_atom.pred) {
-        for row in database.relation(id).iter() {
-            let fact = datalog_ast::Atom::fact(q_atom.pred.clone(), row.to_vec());
-            let mut s = subst::Subst::new();
-            if subst::match_atom(q_atom, &fact, &mut s) {
-                let tuple: Vec<Value> = out_vars
-                    .iter()
-                    .map(|v| match s.resolve(Term::Var(*v)) {
-                        Term::Const(c) => c,
-                        Term::Var(_) => unreachable!("matched against ground fact"),
-                    })
-                    .collect();
-                answers.rows.insert(tuple);
+    read_answers(q_atom, database, false)
+}
+
+/// A query atom compiled for reading, once per read: no row is matched
+/// against the atom again.
+struct ReadPlan {
+    /// `(col, const)`: the column holds the constant.
+    selections: Vec<(usize, Value)>,
+    /// `(col, first_col)`: a repeated variable — the column agrees with the
+    /// variable's first occurrence.
+    equalities: Vec<(usize, usize)>,
+    /// Where the answer's columns come from: the named variables' first
+    /// occurrences, in order. Wildcards are dropped.
+    out_cols: Vec<usize>,
+}
+
+impl ReadPlan {
+    /// The plan, and the names of its output columns.
+    fn compile(q_atom: &datalog_ast::Atom) -> (ReadPlan, Vec<String>) {
+        let mut plan = ReadPlan {
+            selections: Vec::new(),
+            equalities: Vec::new(),
+            out_cols: Vec::new(),
+        };
+        let mut columns = Vec::new();
+        let mut first_seen: Vec<(datalog_ast::Var, usize)> = Vec::new();
+        for (col, term) in q_atom.terms.iter().enumerate() {
+            match *term {
+                Term::Const(c) => plan.selections.push((col, c)),
+                Term::Var(v) => match first_seen.iter().find(|(seen, _)| *seen == v) {
+                    Some(&(_, first)) => plan.equalities.push((col, first)),
+                    None => {
+                        first_seen.push((v, col));
+                        if !v.is_wildcard() {
+                            plan.out_cols.push(col);
+                            columns.push(v.name());
+                        }
+                    }
+                },
             }
         }
+        (plan, columns)
+    }
+
+    fn admits(&self, row: &[Value]) -> bool {
+        self.selections.iter().all(|&(col, c)| row[col] == c)
+            && self
+                .equalities
+                .iter()
+                .all(|&(col, first)| row[col] == row[first])
+    }
+}
+
+/// The one answer extraction: [`extract_answers`] (cold evaluations,
+/// `xdl run`) and [`crate::incremental::ResidentEval::answers`] both end
+/// here. The atom is compiled to a [`ReadPlan`] and executed in one of
+/// three shapes: a membership test when every column is bound; an index
+/// probe on a bound column ([`Relation::select`], the remaining selections
+/// and equalities filtering the hits); a projection-only scan otherwise.
+/// Each answer is projected straight off the row slice.
+///
+/// `create_index` is who-may-create: a resident form, which will be read
+/// again, lets the probe fill the read slot of the first bound column the
+/// first time a constant arrives there; a cold database is read once and
+/// is never sorted for it.
+///
+/// [`Relation::select`]: crate::relation::Relation::select
+pub(crate) fn read_answers(
+    q_atom: &datalog_ast::Atom,
+    database: &Database,
+    create_index: bool,
+) -> AnswerSet {
+    let (plan, columns) = ReadPlan::compile(q_atom);
+    let mut answers = AnswerSet {
+        columns,
+        ..AnswerSet::default()
+    };
+    // The engine's own guard (the server's `check_arity` comes first): a
+    // relation of another arity matches nothing, and must not be indexed
+    // by this atom's columns.
+    let Some(rel) = database
+        .pred_id(&q_atom.pred)
+        .map(|id| database.relation(id))
+        .filter(|rel| rel.arity() == q_atom.terms.len())
+    else {
+        return answers;
+    };
+    if plan.selections.len() == rel.arity() {
+        let tuple: Vec<Value> = plan.selections.iter().map(|&(_, c)| c).collect();
+        if rel.contains(&tuple) {
+            answers.rows.insert(Vec::new());
+        }
+        return answers;
+    }
+    let mut take = |row: &[Value]| {
+        if plan.admits(row) {
+            let answer = plan.out_cols.iter().map(|&col| row[col]).collect();
+            answers.rows.insert(answer);
+        }
+    };
+    if !rel.select(&plan.selections, create_index, &mut take) {
+        rel.iter().for_each(take);
     }
     answers
 }
@@ -1505,6 +1592,85 @@ mod tests {
     const TC: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\n\
                       a(X, Y) :- p(X, Y).\n\
                       ?- a(X, Y).";
+
+    fn q(src: &str) -> datalog_ast::Atom {
+        datalog_ast::parse_atom(src).unwrap()
+    }
+
+    #[test]
+    fn a_read_of_an_unknown_predicate_or_another_arity_is_empty_but_named() {
+        let p = parse_program(TC).unwrap().program;
+        let db = evaluate(&p, &chain_edb(4), &EvalOptions::default())
+            .unwrap()
+            .database;
+        assert_eq!(extract_answers(&q("a(X, Y)"), &db).len(), 10);
+        for (atom, columns) in [
+            // Not registered at all.
+            ("nope(X, Y)", vec!["X", "Y"]),
+            ("nope(3, Y)", vec!["Y"]),
+            // Registered with two columns: one too few, one too many, and
+            // shapes whose column indexes would run off a two-column row.
+            ("a(X)", vec!["X"]),
+            ("a(X, Y, Z)", vec!["X", "Y", "Z"]),
+            ("a(X, _, 4)", vec!["X"]),
+            ("a(X, Y, X)", vec!["X", "Y"]),
+            ("a(0, 1, 2)", vec![]),
+            ("p(_, _, Z)", vec!["Z"]),
+        ] {
+            let got = extract_answers(&q(atom), &db);
+            assert_eq!(got.columns, columns, "{atom}");
+            assert!(got.rows.is_empty(), "{atom} answered {:?}", got.rows);
+            // The matching oracle (what extraction used to be) agrees, so
+            // what a client is sent for such a read has not changed.
+            assert_eq!(got, crate::oracle::extract_by_matching(&q(atom), &db));
+        }
+        // A resident form may create indexes; it must not try to on a
+        // relation the atom does not fit.
+        let r = crate::incremental::ResidentEval::new(&p, &chain_edb(4), &EvalOptions::default())
+            .unwrap();
+        assert!(r.answers(&q("a(X, _, 4)")).is_empty());
+        assert!(r.answers(&q("nope(1)")).is_empty());
+        assert_eq!(r.answers(&q("a(0, 1, 2)")).as_bool(), Some(false));
+    }
+
+    #[test]
+    fn the_three_read_shapes_agree_with_matching() {
+        let p = parse_program(TC).unwrap().program;
+        let db = evaluate(&p, &chain_edb(6), &EvalOptions::default())
+            .unwrap()
+            .database;
+        let rows = |atom: &str| -> Vec<Vec<i64>> {
+            let got = extract_answers(&q(atom), &db);
+            assert_eq!(got, crate::oracle::extract_by_matching(&q(atom), &db));
+            got.rows
+                .iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|v| match v {
+                            Value::Int(i) => *i,
+                            Value::Sym(_) => unreachable!(),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        // Fully bound: a membership test, a boolean answer.
+        assert_eq!(rows("a(0, 6)"), vec![Vec::<i64>::new()]);
+        assert!(rows("a(6, 0)").is_empty());
+        // A constant: a probe (column 0 is planned by the join) or a
+        // filtered scan (column 1 is not), projected to the free column.
+        assert_eq!(rows("a(4, Y)"), vec![vec![5], vec![6]]);
+        assert_eq!(rows("a(X, 2)"), vec![vec![0], vec![1]]);
+        assert!(rows("a(X, 0)").is_empty());
+        // Repeated variable, wildcard, all free.
+        assert!(rows("a(X, X)").is_empty());
+        assert_eq!(rows("a(_, Y)").len(), 6);
+        assert_eq!(rows("a(Y, X)").len(), 21);
+        assert_eq!(extract_answers(&q("a(Y, X)"), &db).columns, ["Y", "X"]);
+        // A cold read creates nothing.
+        let a = db.relation(db.pred_id(&PredRef::new("a")).unwrap());
+        assert!(!a.has_read_index(0) && !a.has_read_index(1));
+    }
 
     #[test]
     fn transitive_closure_chain() {

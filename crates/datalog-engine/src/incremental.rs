@@ -59,7 +59,7 @@ use datalog_trace::metrics::EvalHists;
 
 use crate::cancel::CancelToken;
 use crate::database::Database;
-use crate::eval::{compile, extract_answers, load_input, EvalOptions, Machine, RulePlan, Strategy};
+use crate::eval::{compile, load_input, read_answers, EvalOptions, Machine, RulePlan, Strategy};
 use crate::facts::{AnswerSet, FactSet};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
@@ -420,8 +420,12 @@ impl ResidentEval {
 
     /// Extract `q_atom`'s answers from the resident frontier (canonically
     /// sorted, hence byte-identical to a cold run's at the same facts).
+    /// The same read as [`crate::extract_answers`], except that resident
+    /// state is read again and again, so the first read that binds a column
+    /// no index covers creates that column's read index and every later one
+    /// probes it: a point read costs its answers, not the relation.
     pub fn answers(&self, q_atom: &Atom) -> AnswerSet {
-        extract_answers(q_atom, &self.db)
+        read_answers(q_atom, &self.db, true)
     }
 
     /// The resident database (EDB + all derived facts at the frontier).
@@ -493,7 +497,7 @@ impl ResidentEval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate;
+    use crate::eval::{evaluate, extract_answers};
     use datalog_ast::parse_program;
 
     const TC: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\n\
@@ -770,6 +774,67 @@ mod tests {
         r.apply_deltas(&[audit], &DeltaLimits::default()).unwrap();
         assert!(r.database().relation(above).has_index(&[1]));
         assert_eq!(r.answers(&q_atom(src)).len(), 17);
+    }
+
+    #[test]
+    fn a_resident_read_fills_the_slot_of_its_first_bound_column_only() {
+        let src = "above(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+                   above(X, Y) :- mgr(X, Y).\n\
+                   flagged(X) :- above(X, Y), audit(Y).\n\
+                   path(X, Y, Z) :- mgr(X, Y), mgr(Y, Z).\n\
+                   ?- flagged(X).";
+        let p = parse_program(src).unwrap().program;
+        let mut input = FactSet::new();
+        for i in 0..20 {
+            input.insert(PredRef::new("mgr"), vec![Value::int(i + 1), Value::int(i)]);
+        }
+        input.insert(PredRef::new("audit"), vec![Value::int(10)]);
+        let mut r = ResidentEval::new(&p, &input, &EvalOptions::default()).unwrap();
+        let atom = |s: &str| datalog_ast::parse_atom(s).unwrap();
+        let slots = |r: &ResidentEval, pred: &str| -> Vec<bool> {
+            let rel = r
+                .database()
+                .relation(r.database().pred_id(&PredRef::new(pred)).unwrap());
+            (0..rel.arity()).map(|c| rel.has_read_index(c)).collect()
+        };
+        // All-free, existential, repeated-variable and fully bound reads
+        // bind no column to probe: no slot.
+        for free in ["above(X, Y)", "above(X, _)", "above(X, X)", "above(7, 3)"] {
+            r.answers(&atom(free));
+        }
+        assert_eq!(r.answers(&atom("above(7, 3)")).as_bool(), Some(true));
+        assert_eq!(slots(&r, "above"), [false, false]);
+        // Column 0 of `above` is probed by the recursive rule, so a read
+        // bound there uses the planned index; column 1 has none, so the
+        // first read bound there fills its slot — exactly that one.
+        assert_eq!(r.answers(&atom("above(7, Y)")).len(), 7);
+        assert_eq!(slots(&r, "above"), [false, false]);
+        let overhead = r.database().storage_overhead_bytes();
+        let below_five = r.answers(&atom("above(X, 5)"));
+        assert_eq!(below_five.len(), 15);
+        assert_eq!(slots(&r, "above"), [false, true]);
+        // 4 bytes a row of `above` (20 + 19 + … + 1 pairs), accounted.
+        assert_eq!(r.database().storage_overhead_bytes(), overhead + 4 * 210);
+        assert_eq!(r.answers(&atom("above(X, 5)")), below_five);
+        // Two bound columns of three: the first one's slot, then that slot
+        // serves reads bound elsewhere as well.
+        assert_eq!(r.answers(&atom("path(X, 4, 3)")).len(), 1);
+        assert_eq!(slots(&r, "path"), [false, true, false]);
+        assert_eq!(r.answers(&atom("path(_, 9, 8)")).as_bool(), Some(true));
+        assert_eq!(r.answers(&atom("path(X, Y, 3)")).len(), 1);
+        assert_eq!(slots(&r, "path"), [false, true, true]);
+        // `extract_answers` never creates, even on a resident's database.
+        extract_answers(&atom("mgr(X, 3)"), r.database());
+        assert_eq!(slots(&r, "mgr"), [false, false]);
+        // An `audit` delta makes the planner index `above` on column 1:
+        // the planned index takes the slot's place and the read is the same.
+        let audit = Fact::new(PredRef::new("audit"), vec![Value::int(3)]);
+        r.apply_deltas(&[audit], &DeltaLimits::default()).unwrap();
+        let above = r.database().pred_id(&PredRef::new("above")).unwrap();
+        assert!(r.database().relation(above).has_index(&[1]));
+        assert_eq!(slots(&r, "above"), [false, false]);
+        assert_eq!(r.answers(&atom("above(X, 5)")), below_five);
+        assert_eq!(slots(&r, "above"), [false, false]);
     }
 
     /// Three-literal bodies with the delta first, in the middle and at the

@@ -17,16 +17,21 @@
 //!   equivalence between two programs: generate random instances, compare
 //!   answers. Used pervasively by the test suites and by the optimizer's
 //!   `validate_deletions` mode.
+//! * [`extract_by_matching`] — answer extraction by unifying the query atom
+//!   with every stored fact: what [`crate::extract_answers`] did before it
+//!   became a compiled read, kept as the reference the differential tests
+//!   and the fuzzer compare the read plan against. No serving path calls it.
 
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use datalog_ast::{freeze_rule, Program, Term, Value};
+use datalog_ast::{freeze_rule, subst, Atom, Program, Term, Value};
 
+use crate::database::Database;
 use crate::eval::{evaluate, query_answers, EvalOptions};
-use crate::facts::FactSet;
+use crate::facts::{AnswerSet, FactSet};
 use crate::optimistic::{optimistic_fixpoint, Grounding};
 use crate::EngineError;
 
@@ -268,6 +273,39 @@ pub fn bounded_equiv_check(
         }
     }
     Ok(None)
+}
+
+/// Reference answer extraction: walk the whole relation, turn every row
+/// into a ground [`Atom`] and unify the query atom with it. Slow by design
+/// (an `Atom` and a `Subst` per row) and independent of the read plan, the
+/// read indexes and the storage backend's probe paths.
+pub fn extract_by_matching(q_atom: &Atom, database: &Database) -> AnswerSet {
+    let mut answers = AnswerSet::default();
+    // Output columns: named variables in first-occurrence order.
+    let mut out_vars = Vec::new();
+    for v in q_atom.var_occurrences() {
+        if !v.is_wildcard() && !out_vars.contains(&v) {
+            out_vars.push(v);
+        }
+    }
+    answers.columns = out_vars.iter().map(|v| v.name()).collect();
+    if let Some(id) = database.pred_id(&q_atom.pred) {
+        for row in database.relation(id).iter() {
+            let fact = Atom::fact(q_atom.pred.clone(), row.to_vec());
+            let mut s = subst::Subst::new();
+            if subst::match_atom(q_atom, &fact, &mut s) {
+                let tuple: Vec<Value> = out_vars
+                    .iter()
+                    .map(|v| match s.resolve(Term::Var(*v)) {
+                        Term::Const(c) => c,
+                        Term::Var(_) => unreachable!("matched against ground fact"),
+                    })
+                    .collect();
+                answers.rows.insert(tuple);
+            }
+        }
+    }
+    answers
 }
 
 #[cfg(test)]

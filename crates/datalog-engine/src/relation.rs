@@ -23,13 +23,27 @@
 //! [`Relation::insert`] from then on. Probing is a `&self` operation
 //! ([`Relation::probe_range`]), which is what lets one frozen relation be
 //! shared across worker threads during a parallel fixpoint iteration.
+//!
+//! Answer extraction has its own, cheaper structure: one **read index**
+//! slot per column ([`crate::storage::ReadIndex`], sorted-run storage
+//! only), empty until a read that is allowed to create it
+//! ([`Relation::select`] with `create`) binds that column to a constant.
+//! It is a bare id permutation — 4 bytes a row, keys read through the row
+//! store — covering a prefix of the rows; `insert` does nothing for it, a
+//! reader filters the uncovered rows, and [`Relation::seal`] folds them in
+//! once [`TAIL_LIMIT`] have gathered. A column has at most one index: a
+//! planned `[col]` index serves reads too, and building one empties the
+//! slot. The join path never looks at a slot.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use datalog_ast::Value;
 
-use crate::storage::{self, IndexRuns, Postings, ProbeHits, StorageMode, TupleRuns, TAIL_LIMIT};
+use crate::storage::{
+    self, IndexRuns, Postings, ProbeHits, ReadIndex, StorageMode, TupleRuns, TAIL_LIMIT,
+};
 
 /// Legacy backend: duplicate tuple set + composite hash postings.
 #[derive(Debug, Clone, Default)]
@@ -38,11 +52,27 @@ struct LegacyStore {
     indices: HashMap<Box<[usize]>, Postings>,
 }
 
-/// Sorted-run backend: run-based dedup + run-based composite indices.
+/// Sorted-run backend: run-based dedup + run-based composite indices, and
+/// one lazily filled read-index slot per column (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct SortedStore {
     dedup: TupleRuns,
     indices: HashMap<Box<[usize]>, IndexRuns>,
+    read: Box<[OnceLock<ReadIndex>]>,
+}
+
+impl SortedStore {
+    /// Fold the uncovered rows into every filled read slot whose uncovered
+    /// tail has reached `min_tail` rows.
+    fn fold_read_tails(&mut self, rows: &[Box<[Value]>], min_tail: usize) {
+        for (col, slot) in self.read.iter_mut().enumerate() {
+            if let Some(index) = slot.get_mut() {
+                if rows.len() - index.covered() >= min_tail {
+                    index.extend_to(rows, col);
+                }
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -78,7 +108,10 @@ impl Relation {
             rows: Vec::new(),
             store: match mode {
                 StorageMode::Legacy => Store::Legacy(LegacyStore::default()),
-                StorageMode::SortedRun => Store::Sorted(SortedStore::default()),
+                StorageMode::SortedRun => Store::Sorted(SortedStore {
+                    read: (0..arity).map(|_| OnceLock::new()).collect(),
+                    ..SortedStore::default()
+                }),
             },
         }
     }
@@ -164,11 +197,15 @@ impl Relation {
     /// sealing changes only the acceleration structures, never the rows or
     /// their ids. The evaluator calls this at every freeze barrier so each
     /// iteration's probes run against consolidated runs; inserts also seal
-    /// automatically past [`TAIL_LIMIT`] to bound tail memory.
+    /// automatically past [`TAIL_LIMIT`] to bound tail memory. A filled
+    /// read slot follows the same limit: its uncovered rows are folded in
+    /// once there are [`TAIL_LIMIT`] of them, so after any seal a read
+    /// filters fewer than that.
     pub fn seal(&mut self) {
         let Store::Sorted(s) = &mut self.store else {
             return;
         };
+        s.fold_read_tails(&self.rows, TAIL_LIMIT);
         let end = self.rows.len();
         if end > s.dedup.sealed() {
             let start = s.dedup.sealed();
@@ -196,12 +233,13 @@ impl Relation {
     /// compaction: afterwards every probe pays one bloom check and one
     /// binary search instead of one per run. Like sealing, it changes
     /// only the acceleration structures — rows, ids, and probe results
-    /// are untouched.
+    /// are untouched. Filled read slots are brought to full coverage.
     pub fn consolidate(&mut self) {
         self.seal();
         let Store::Sorted(s) = &mut self.store else {
             return;
         };
+        s.fold_read_tails(&self.rows, 1);
         if s.dedup.run_count() <= 1 {
             return;
         }
@@ -222,8 +260,9 @@ impl Relation {
     }
 
     /// Estimated heap bytes spent on acceleration structures (dedup +
-    /// indices) beyond the row store itself. The sorted-run backend's whole
-    /// point is that this is a fraction of the legacy figure.
+    /// indices + filled read slots) beyond the row store itself. The
+    /// sorted-run backend's whole point is that this is a fraction of the
+    /// legacy figure.
     pub fn overhead_bytes_estimate(&self) -> usize {
         match &self.store {
             Store::Legacy(s) => {
@@ -250,7 +289,13 @@ impl Relation {
                     .iter()
                     .map(|(cols, index)| index.bytes_estimate(cols.len()))
                     .sum();
-                dedup + indices
+                let read: usize = s
+                    .read
+                    .iter()
+                    .filter_map(|slot| slot.get())
+                    .map(ReadIndex::bytes)
+                    .sum();
+                dedup + indices + read
             }
         }
     }
@@ -262,7 +307,9 @@ impl Relation {
     /// On sorted-run storage a late-planned index is built from the sealed
     /// dedup-run bounds — contiguous range scans, one sort per run — rather
     /// than a full-table hash build, and the rebuild is counted in the
-    /// process-wide storage telemetry.
+    /// process-wide storage telemetry. A planned single-column index takes
+    /// over from that column's read slot, which is emptied: one index per
+    /// column.
     pub fn ensure_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty(), "index over the empty column set");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not sorted");
@@ -285,6 +332,9 @@ impl Relation {
                 }
                 let index = IndexRuns::build(&self.rows, cols, &s.dedup.bounds(), s.dedup.sealed());
                 s.indices.insert(cols.into(), index);
+                if let [col] = cols {
+                    s.read[*col].take();
+                }
             }
         }
     }
@@ -338,6 +388,73 @@ impl Relation {
             Store::Legacy(s) => s.indices.contains_key(cols),
             Store::Sorted(s) => s.indices.contains_key(cols),
         }
+    }
+
+    /// Whether column `col`'s read slot is filled (never on legacy
+    /// storage). Separate from [`Relation::has_index`], which answers for
+    /// planned indexes only.
+    pub fn has_read_index(&self, col: usize) -> bool {
+        self.read_index_covered(col).is_some()
+    }
+
+    /// How many rows column `col`'s read slot covers — the id prefix
+    /// `[0, covered)` — or `None` while the slot is empty.
+    pub fn read_index_covered(&self, col: usize) -> Option<usize> {
+        Some(self.read_slot(col)?.get()?.covered())
+    }
+
+    fn read_slot(&self, col: usize) -> Option<&OnceLock<ReadIndex>> {
+        match &self.store {
+            Store::Legacy(_) => None,
+            Store::Sorted(s) => Some(&s.read[col]),
+        }
+    }
+
+    /// Narrow a read through an index: given the `(column, constant)`
+    /// pairs a read binds, visit every row that agrees with **one** of
+    /// them — the first whose column has a planned `[col]` index or a
+    /// filled read slot — and return `true`. The caller still applies all
+    /// its filters to what it is shown. When no bound column is indexed,
+    /// `create` decides: a reader that keeps the relation (a resident
+    /// form) fills the read slot of the first bound column and probes it;
+    /// one that reads once (a cold evaluation's extraction) gets `false`,
+    /// having visited nothing, and scans — sorting a relation costs more
+    /// than one pass over it. Legacy storage has no slots to fill.
+    ///
+    /// Rows are visited in no particular order.
+    pub fn select<'a>(
+        &'a self,
+        bound: &[(usize, Value)],
+        create: bool,
+        mut visit: impl FnMut(&'a [Value]),
+    ) -> bool {
+        let indexed = |col: usize| self.has_index(&[col]) || self.has_read_index(col);
+        let picked = bound.iter().find(|&&(col, _)| indexed(col)).or_else(|| {
+            bound
+                .first()
+                .filter(|&&(col, _)| create && self.read_slot(col).is_some())
+        });
+        let Some(&(col, key)) = picked else {
+            return false;
+        };
+        if self.has_index(&[col]) {
+            let hits = self.probe_range(&[col], &[key], 0, self.rows.len());
+            hits.iter().for_each(|id| visit(&self.rows[id as usize]));
+            return true;
+        }
+        let index = self
+            .read_slot(col)
+            .expect("a picked column without a planned index has a read slot")
+            .get_or_init(|| ReadIndex::build(&self.rows, col));
+        for &id in index.group(&self.rows, col, key) {
+            visit(&self.rows[id as usize]);
+        }
+        for row in &self.rows[index.covered()..] {
+            if row[col] == key {
+                visit(row);
+            }
+        }
+        true
     }
 
     /// Iterate all rows.
@@ -573,6 +690,147 @@ mod tests {
                 legacy.probe_range(&[0], &t(&[k]), 0, legacy.len()).to_vec(),
             );
         }
+    }
+
+    /// Rows whose column `col` holds `key`, by scanning.
+    fn scan(r: &Relation, col: usize, key: i64) -> Vec<Vec<Value>> {
+        let mut hits: Vec<Vec<Value>> = r
+            .iter()
+            .filter(|row| row[col] == Value::int(key))
+            .map(|row| row.to_vec())
+            .collect();
+        hits.sort();
+        hits
+    }
+
+    /// Rows `select` visits for `bound`, or `None` when it declined.
+    fn selected(r: &Relation, bound: &[(usize, i64)], create: bool) -> Option<Vec<Vec<Value>>> {
+        let bound: Vec<(usize, Value)> = bound.iter().map(|&(c, k)| (c, Value::int(k))).collect();
+        let mut hits = Vec::new();
+        let served = r.select(&bound, create, |row| hits.push(row.to_vec()));
+        hits.sort();
+        served.then_some(hits)
+    }
+
+    #[test]
+    fn select_declines_without_an_index_unless_it_may_create_one() {
+        both_modes(|mode| {
+            let mut r = Relation::with_mode(2, mode);
+            for i in 0..50i64 {
+                r.insert(&t(&[i % 5, i]));
+            }
+            assert_eq!(selected(&r, &[(0, 3)], false), None);
+            assert_eq!(selected(&r, &[], true), None, "nothing bound");
+            assert!(!r.has_read_index(0) && !r.has_read_index(1));
+            // A planned index serves a read on either backend, and no slot
+            // is filled beside it.
+            r.ensure_index(&[0]);
+            assert_eq!(selected(&r, &[(0, 3)], false), Some(scan(&r, 0, 3)));
+            assert_eq!(selected(&r, &[(0, 3)], true), Some(scan(&r, 0, 3)));
+            assert_eq!(selected(&r, &[(0, 9)], true), Some(vec![]));
+            assert!(!r.has_read_index(0));
+            // With two columns bound the indexed one is probed, even when
+            // it is not the first.
+            assert_eq!(
+                selected(&r, &[(0, 2), (1, 7)], true),
+                Some(scan(&r, 0, 2)),
+                "the caller filters on column 1"
+            );
+            assert!(!r.has_read_index(1));
+        });
+        // Legacy storage has no slot to fill: the read scans.
+        let mut legacy = Relation::with_mode(2, StorageMode::Legacy);
+        legacy.insert(&t(&[1, 2]));
+        assert_eq!(selected(&legacy, &[(1, 2)], true), None);
+        assert!(!legacy.has_read_index(1));
+    }
+
+    #[test]
+    fn read_index_covers_a_prefix_and_the_reader_filters_the_rest() {
+        let mut r = Relation::new(2);
+        for i in 0..200i64 {
+            r.insert(&t(&[i, i % 7]));
+        }
+        let before = r.overhead_bytes_estimate();
+        assert_eq!(selected(&r, &[(1, 3)], true), Some(scan(&r, 1, 3)));
+        assert!(r.has_read_index(1) && !r.has_read_index(0));
+        assert!(!r.has_index(&[1]), "a read slot is not a planned index");
+        // 4 bytes a covered row, accounted.
+        assert_eq!(r.read_index_covered(1), Some(200));
+        assert_eq!(r.overhead_bytes_estimate(), before + 4 * 200);
+        // Rows inserted afterwards are not in the slot (insert does no
+        // per-slot work) but every read still sees them, across seals that
+        // are too small to fold.
+        for i in 200..300i64 {
+            r.insert(&t(&[i, i % 7]));
+            if i % 25 == 0 {
+                r.seal();
+            }
+            assert_eq!(selected(&r, &[(1, 3)], false), Some(scan(&r, 1, 3)));
+        }
+        assert_eq!(selected(&r, &[(1, 99)], false), Some(vec![]));
+        assert_eq!(r.read_index_covered(1), Some(200));
+        // Consolidation brings the slot to full coverage.
+        r.consolidate();
+        assert_eq!(r.read_index_covered(1), Some(300));
+        for k in 0..8 {
+            assert_eq!(selected(&r, &[(1, k)], false), Some(scan(&r, 1, k)));
+        }
+    }
+
+    #[test]
+    fn seal_folds_the_uncovered_rows_at_the_tail_limit() {
+        let mut r = Relation::new(2);
+        for i in 0..10i64 {
+            r.insert(&t(&[i % 3, i]));
+        }
+        assert_eq!(selected(&r, &[(0, 1)], true), Some(scan(&r, 0, 1)));
+        // One row short of the limit: sealing leaves the slot alone.
+        for i in 10..(10 + TAIL_LIMIT as i64 - 1) {
+            r.insert(&t(&[i % 3, i]));
+        }
+        r.seal();
+        assert_eq!(r.read_index_covered(0), Some(10));
+        assert_eq!(selected(&r, &[(0, 1)], false), Some(scan(&r, 0, 1)));
+        // The next row reaches it: the seal folds everything in, keys
+        // interleaved with the covered ones, and reads agree with a scan.
+        r.insert(&t(&[0, -1]));
+        r.seal();
+        assert_eq!(r.read_index_covered(0), Some(r.len()));
+        for k in 0..4 {
+            assert_eq!(selected(&r, &[(0, k)], false), Some(scan(&r, 0, k)));
+        }
+        // Inserts that cross the limit on their own seal automatically.
+        for i in 0..(2 * TAIL_LIMIT as i64) {
+            r.insert(&t(&[i % 3, 100_000 + i]));
+        }
+        assert!(r.len() - r.read_index_covered(0).unwrap() < TAIL_LIMIT);
+        assert_eq!(selected(&r, &[(0, 2)], false), Some(scan(&r, 0, 2)));
+    }
+
+    #[test]
+    fn a_planned_index_takes_over_from_the_read_slot() {
+        let mut r = Relation::new(3);
+        for i in 0..120i64 {
+            r.insert(&t(&[i % 4, i % 6, i]));
+        }
+        let before = r.overhead_bytes_estimate();
+        assert_eq!(selected(&r, &[(1, 5)], true), Some(scan(&r, 1, 5)));
+        assert!(r.has_read_index(1));
+        assert_eq!(r.overhead_bytes_estimate(), before + 4 * 120);
+        // A composite index that merely contains the column leaves the
+        // slot; the single-column one replaces it.
+        r.ensure_index(&[1, 2]);
+        assert!(r.has_read_index(1));
+        r.ensure_index(&[1]);
+        assert!(!r.has_read_index(1) && r.has_index(&[1]));
+        assert_eq!(selected(&r, &[(1, 5)], true), Some(scan(&r, 1, 5)));
+        assert!(!r.has_read_index(1), "the planned index serves the read");
+        // A clone carries its slots along.
+        assert_eq!(selected(&r, &[(0, 1)], true), Some(scan(&r, 0, 1)));
+        let copy = r.clone();
+        assert!(copy.has_read_index(0));
+        assert_eq!(selected(&copy, &[(0, 1)], false), Some(scan(&r, 0, 1)));
     }
 
     #[test]

@@ -757,6 +757,88 @@ impl IndexRuns {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Read index
+// ---------------------------------------------------------------------------
+
+/// A single-column index for answer extraction: the ids of rows
+/// `[0, covered)` sorted by `(row[col], id)` and nothing else — 4 bytes a
+/// row. Keys are read through the row store, so a probe is a binary search
+/// with one dependent load per step; that is the price of not materializing
+/// a second copy of the column in a form that every resident relation would
+/// hold privately. Rows past `covered` are the reader's to filter; the
+/// owning relation folds them in at a seal once [`TAIL_LIMIT`] of them have
+/// gathered (see [`crate::relation::Relation::seal`]).
+#[derive(Debug, Clone)]
+pub struct ReadIndex {
+    ids: Vec<u32>,
+}
+
+impl ReadIndex {
+    /// Index every row of `rows` on column `col`. The sort runs over flat
+    /// `(Value, u32)` pairs — comparing through `rows[id][col]` instead
+    /// costs two dependent loads per comparison and was measured at several
+    /// times the build time.
+    pub fn build(rows: &[Box<[Value]>], col: usize) -> ReadIndex {
+        ReadIndex {
+            ids: sorted_pairs(rows, col, 0)
+                .into_iter()
+                .map(|(_, id)| id)
+                .collect(),
+        }
+    }
+
+    /// Rows `[0, covered)` are indexed.
+    pub fn covered(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Fold rows `[covered, rows.len())` in: each new id is binary-searched
+    /// to its place (new ids are larger than every covered id, so it goes
+    /// after its key's group) and the old ids are copied across in
+    /// segments — the covered keys are never re-read wholesale.
+    pub fn extend_to(&mut self, rows: &[Box<[Value]>], col: usize) {
+        let fresh = sorted_pairs(rows, col, self.ids.len());
+        if fresh.is_empty() {
+            return;
+        }
+        let old = std::mem::take(&mut self.ids);
+        let mut ids = Vec::with_capacity(rows.len());
+        let mut copied = 0;
+        for (key, id) in fresh {
+            let at = copied + old[copied..].partition_point(|&o| rows[o as usize][col] <= key);
+            ids.extend_from_slice(&old[copied..at]);
+            ids.push(id);
+            copied = at;
+        }
+        ids.extend_from_slice(&old[copied..]);
+        self.ids = ids;
+    }
+
+    /// Ids of the covered rows whose column `col` equals `key`, ascending.
+    pub fn group(&self, rows: &[Box<[Value]>], col: usize, key: Value) -> &[u32] {
+        let lo = self.ids.partition_point(|&id| rows[id as usize][col] < key);
+        let len = self.ids[lo..].partition_point(|&id| rows[id as usize][col] == key);
+        &self.ids[lo..lo + len]
+    }
+
+    /// Heap footprint: the id array.
+    pub fn bytes(&self) -> usize {
+        self.ids.len() * 4
+    }
+}
+
+/// `(row[col], id)` for rows `[from, rows.len())`, sorted.
+fn sorted_pairs(rows: &[Box<[Value]>], col: usize, from: usize) -> Vec<(Value, u32)> {
+    let mut pairs: Vec<(Value, u32)> = rows[from..]
+        .iter()
+        .enumerate()
+        .map(|(i, row)| (row[col], (from + i) as u32))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
 /// Which backing structure a [`crate::relation::Relation`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageMode {

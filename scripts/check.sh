@@ -94,10 +94,29 @@ if ! grep -q '"xdl_requests_total"' "$smoke_dir/metrics.json"; then
     echo "check.sh: METRICS JSON readout missing families" >&2
     exit 1
 fi
+# Point reads: the four texts share the `a[nn]` form, which stays resident
+# between invocations, and alternating them keeps the one-text answer memo
+# out of the way — so in the first pass a read builds the read index it
+# needs (or finds the planned one) and in the second it probes it. Each
+# must be byte-identical to an unoptimized `xdl run` on the same text.
+for pass in 1 2; do
+    for q in 'a(1, Y)' 'a(X, 3)' 'a(1, 3)' 'a(X, X)'; do
+        { cat "$smoke_dir/tc.dl"; printf '?- %s.\n' "$q"; } > "$smoke_dir/point.dl"
+        ./target/release/xdl run --no-optimize "$smoke_dir/point.dl" \
+            > "$smoke_dir/ran-point.out"
+        ./target/release/xdl query --connect "$addr" "?- $q." \
+            > "$smoke_dir/served-point.out"
+        if ! cmp -s "$smoke_dir/served-point.out" "$smoke_dir/ran-point.out"; then
+            echo "check.sh: served ?- $q. (pass $pass) differs from xdl run:" >&2
+            diff "$smoke_dir/served-point.out" "$smoke_dir/ran-point.out" >&2 || true
+            exit 1
+        fi
+    done
+done
 ./target/release/xdl query --connect "$addr" --shutdown
 wait "$serve_pid"
 serve_pid=""
-echo "check.sh: server smoke ok (incl. METRICS scrape)"
+echo "check.sh: server smoke ok (incl. METRICS scrape and point reads)"
 
 # Telemetry suite: the Prometheus text-format parser, histogram
 # invariants, counter monotonicity across scrapes, and the strict JSON
@@ -363,6 +382,11 @@ fi
 # differs from the closed-form oracle, a broken layer walk).
 bench/run.sh --quick > /dev/null
 echo "check.sh: bench/run.sh --quick ok"
+
+# The benchmark's own tests, against the crates as they are now: proof that
+# bench/ (which no crates PR may edit) still builds and passes unedited.
+cargo test -q --offline --manifest-path bench/Cargo.toml --target-dir target > /dev/null
+echo "check.sh: bench self-tests ok"
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
     echo "check.sh: the gate changed the working tree:" >&2
