@@ -30,11 +30,11 @@ fn main() {
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
     if ids.iter().any(|a| a.as_str() == "list") {
-        emit("available experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 (or `all`)\n");
+        emit(&experiments::list_text());
         return;
     }
     if ids.is_empty() {
-        eprintln!("usage: harness <all | e1..e14 ...> [--quick] [--json]");
+        eprintln!("{}", experiments::usage());
         std::process::exit(2);
     }
 

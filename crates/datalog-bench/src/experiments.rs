@@ -1,4 +1,4 @@
-//! The experiment suite (E1–E12). See DESIGN.md §5 for the index mapping
+//! The experiment suite (E1–E15). See DESIGN.md §5 for the index mapping
 //! each experiment to its paper anchor, and EXPERIMENTS.md for recorded
 //! results and shape expectations.
 //!
@@ -1293,239 +1293,54 @@ pub fn e15(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E16 — sorted-run storage, three axes against the legacy hash-postings
-/// backend it replaced (results are byte-identical; this measures cost):
-///
-/// (a) **ingest**: N inserts (~25% duplicates) into a [`Relation`] under
-///     each backend, with the acceleration-structure overhead estimate as
-///     memory notes — sorted runs retire the boxed-tuple `seen` set and
-///     posting lists for 4-byte id arrays plus ~1 byte/row of bloom bits;
-/// (b) **cold probes**: M point probes (~75% absent keys) against a
-///     sealed, indexed relation; each sorted run gates its binary search
-///     behind a bloom filter, and the measured skip rate is reported;
-/// (c) **crash recovery**: ingest through a WAL-backed server, then time a
-///     cold `ServerState::from_config` on the surviving directory — text
-///     log replay (parse + per-row hashed insert per record) vs the
-///     manifest swap (typed run files bulk-loaded with one order-
-///     preserving sort-dedup per predicate, log tail on top).
-pub fn e16(quick: bool) -> ExperimentResult {
-    use datalog_ast::Value;
-    use datalog_engine::{storage_counters, Relation, StorageMode};
-    use datalog_server::{Client, FsyncPolicy, Server, ServerConfig, ServerState};
-    use std::time::Instant;
+/// An experiment: run it, in quick mode or not.
+pub type Experiment = fn(bool) -> ExperimentResult;
 
-    let mut r = ExperimentResult::new(
-        "e16",
-        "sorted-run storage: ingest + cold-probe + crash-recovery walls, \
-         legacy hash postings vs merge-joinable runs",
-    );
-    r.note("expect: dedup memory drops (no duplicate tuple storage), cold probes");
-    r.note("short-circuit on bloom skips, and manifest recovery beats text replay");
-
-    let row = |r: &mut ExperimentResult, label: &str, params: &str, facts: u64, us: u128| {
-        r.rows.push(crate::measure::Measurement {
-            label: label.into(),
-            params: params.into(),
-            answers: 0,
-            facts,
-            duplicates: 0,
-            scanned: 0,
-            iterations: 0,
-            retired: 0,
-            wall_us: us,
-            rules: Vec::new(),
-        });
-    };
-
-    // Deterministic key stream with ~25% duplicates (xorshift into a key
-    // space three-quarters the insert count).
-    let n: u64 = if quick { 20_000 } else { 120_000 };
-    let keyspace = (n * 3 / 4).max(1) as i64;
-    let tuples: Vec<[Value; 2]> = {
-        let mut s = 0x9e3779b97f4a7c15u64;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                let k = (s % keyspace as u64) as i64;
-                [Value::int(k), Value::int(k + 1)]
-            })
-            .collect()
-    };
-
-    // (a) Ingest: per-backend median wall over several fresh relations
-    // (single-pass walls on a shared host are too noisy to compare) +
-    // overhead estimate.
-    let reps: usize = if quick { 3 } else { 5 };
-    let params = format!("ingest n={n} (~25% dup)");
-    for (label, mode) in [
-        ("legacy-postings", StorageMode::Legacy),
-        ("sorted-runs", StorageMode::SortedRun),
-    ] {
-        let mut walls = Vec::with_capacity(reps);
-        let mut kept = None;
-        for _ in 0..reps {
-            let mut rel = Relation::with_mode(2, mode);
-            rel.ensure_index(&[0]);
-            let t0 = Instant::now();
-            for t in &tuples {
-                rel.insert(t);
-            }
-            walls.push(t0.elapsed());
-            rel.seal();
-            kept = Some(rel);
-        }
-        walls.sort();
-        let wall = walls[walls.len() / 2];
-        let rel = kept.expect("at least one ingest rep");
-        r.note(format!(
-            "{label}: ingest {}us (median of {reps}), {} rows, overhead ~{} KiB, {} runs",
-            wall.as_micros(),
-            rel.len(),
-            rel.overhead_bytes_estimate() / 1024,
-            rel.run_count()
-        ));
-        row(&mut r, label, &params, rel.len() as u64, wall.as_micros());
-    }
-
-    // (b) Cold probes: ~75% of probed keys are absent; the sorted backend
-    // skips those runs on the bloom gate instead of binary-searching.
-    // Probes run against the read-optimized serving state — fully
-    // consolidated to one run, as the maintenance path leaves it.
-    let m: u64 = if quick { 60_000 } else { 400_000 };
-    let params = format!("probe m={m} (~75% absent)");
-    for (label, mode) in [
-        ("legacy-postings", StorageMode::Legacy),
-        ("sorted-runs", StorageMode::SortedRun),
-    ] {
-        let mut rel = Relation::with_mode(2, mode);
-        rel.ensure_index(&[0]);
-        for t in &tuples {
-            rel.insert(t);
-        }
-        rel.consolidate();
-        let before = storage_counters();
-        let mut walls = Vec::with_capacity(reps);
-        let mut hits = 0u64;
-        for rep in 0..reps {
-            let mut rep_hits = 0u64;
-            let t0 = Instant::now();
-            for i in 0..m {
-                // Probe space 4x the key space: ~1 in 4 keys exist.
-                let k = ((i.wrapping_mul(2654435761)) % (4 * keyspace as u64)) as i64;
-                rep_hits += rel.probe_range(&[0], &[Value::int(k)], 0, rel.len()).len() as u64;
-            }
-            walls.push(t0.elapsed());
-            if rep == 0 {
-                hits = rep_hits;
-            }
-        }
-        walls.sort();
-        let wall = walls[walls.len() / 2];
-        let after = storage_counters();
-        let probes = after.bloom_probes - before.bloom_probes;
-        let skips = after.bloom_skips - before.bloom_skips;
-        let rate = if probes > 0 {
-            skips as f64 / probes as f64 * 100.0
-        } else {
-            0.0
-        };
-        r.note(format!(
-            "{label}: {m} probes in {}us (median of {reps}), {hits} hits, \
-             bloom skip rate {rate:.1}% ({skips}/{probes})",
-            wall.as_micros()
-        ));
-        row(&mut r, label, &params, hits, wall.as_micros());
-    }
-
-    // (c) Crash recovery: same ingest volume through a WAL-backed server;
-    // `compact_every: 0` leaves a pure text log to replay, `256` leaves a
-    // run-file manifest plus a short log tail. The restart is measured as
-    // a cold `ServerState::from_config` on the surviving directory.
-    let facts: i64 = if quick { 1_000 } else { 6_000 };
-    let params = format!("recover facts={facts}");
-    let base = std::env::temp_dir().join(format!("datalog-bench-e16-{}", std::process::id()));
-    for (label, compact_every) in [("text-replay", 0u64), ("manifest-swap", 256)] {
-        let dir = base.join(label);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir for e16");
-        let cfg = ServerConfig {
-            threads: 2,
-            wal_dir: Some(dir.clone()),
-            fsync: FsyncPolicy::Never,
-            compact_every,
-            ..ServerConfig::default()
-        };
-        {
-            let server = Server::spawn(&cfg).expect("bind");
-            let mut c = Client::connect(server.addr()).expect("connect");
-            for i in 0..facts {
-                assert!(c.fact(&format!("p({i}, {}).", i + 1)).expect("fact").ok);
-            }
-            c.shutdown().expect("shutdown");
-            server.join();
-        }
-        let t0 = Instant::now();
-        let state = ServerState::from_config(&cfg).expect("recover");
-        let wall = t0.elapsed();
-        assert!(state.recovery().is_some(), "{label}: no recovery summary");
-        let recovered = state.recovery().map(|j| j.to_string()).unwrap_or_default();
-        r.note(format!(
-            "{label}: restart {}us, {} facts, recovery {recovered}",
-            wall.as_micros(),
-            facts
-        ));
-        row(&mut r, label, &params, facts as u64, wall.as_micros());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    r
-}
+/// Every experiment, in order: the one table `all`, `by_id`, `harness
+/// list` and the harness usage line read.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("e15", e15),
+];
 
 /// All experiments in order.
 pub fn all(quick: bool) -> Vec<ExperimentResult> {
-    vec![
-        e1(quick),
-        e2(quick),
-        e3(quick),
-        e4(quick),
-        e5(quick),
-        e6(quick),
-        e7(quick),
-        e8(quick),
-        e9(quick),
-        e10(quick),
-        e11(quick),
-        e12(quick),
-        e13(quick),
-        e14(quick),
-        e15(quick),
-        e16(quick),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(quick)).collect()
 }
 
 /// Look up one experiment by id.
 pub fn by_id(id: &str, quick: bool) -> Option<ExperimentResult> {
-    match id {
-        "e1" => Some(e1(quick)),
-        "e2" => Some(e2(quick)),
-        "e3" => Some(e3(quick)),
-        "e4" => Some(e4(quick)),
-        "e5" => Some(e5(quick)),
-        "e6" => Some(e6(quick)),
-        "e7" => Some(e7(quick)),
-        "e8" => Some(e8(quick)),
-        "e9" => Some(e9(quick)),
-        "e10" => Some(e10(quick)),
-        "e11" => Some(e11(quick)),
-        "e12" => Some(e12(quick)),
-        "e13" => Some(e13(quick)),
-        "e14" => Some(e14(quick)),
-        "e15" => Some(e15(quick)),
-        "e16" => Some(e16(quick)),
-        _ => None,
-    }
+    let (_, run) = EXPERIMENTS.iter().find(|(name, _)| *name == id)?;
+    Some(run(quick))
+}
+
+/// The experiment ids, space-separated.
+fn ids() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    ids.join(" ")
+}
+
+/// What `harness list` prints.
+pub fn list_text() -> String {
+    format!("available experiments: {} (or `all`)\n", ids())
+}
+
+/// The harness usage line.
+pub fn usage() -> String {
+    format!("usage: harness <all | {} ...> [--quick] [--json]", ids())
 }
 
 #[cfg(test)]
@@ -1570,5 +1385,19 @@ mod tests {
     fn by_id_dispatch() {
         assert!(by_id("e1", true).is_some());
         assert!(by_id("e42", true).is_none());
+    }
+
+    #[test]
+    fn the_table_has_unique_ids_and_list_prints_exactly_it() {
+        let table: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        let unique: std::collections::BTreeSet<&str> = table.iter().copied().collect();
+        assert_eq!(unique.len(), table.len(), "duplicate id in {table:?}");
+        let listed = list_text();
+        let listed = listed
+            .strip_prefix("available experiments: ")
+            .and_then(|l| l.strip_suffix(" (or `all`)\n"))
+            .expect("list framing");
+        assert_eq!(listed.split(' ').collect::<Vec<_>>(), table);
+        assert!(usage().contains(listed), "{}", usage());
     }
 }

@@ -7,8 +7,10 @@
 
 use datalog_ast::{Atom, Term, Value};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
-use datalog_engine::oracle::extract_by_matching;
-use datalog_engine::{evaluate, extract_answers, query_answers, EvalOptions, Strategy};
+use datalog_engine::oracle::{check_indexes, extract_by_matching};
+use datalog_engine::{
+    evaluate, extract_answers, query_answers, Database, EvalOptions, PredId, Strategy,
+};
 use datalog_opt::{optimize, OptimizerConfig};
 
 use crate::workloads::{edb_for, random_program};
@@ -243,6 +245,10 @@ fn incremental_pass(
             complain("incremental: resident databases diverge (row-id order)");
             failures += 1;
         }
+        for (threads, r) in [(1, &*r1), (4, &*r4)] {
+            let label = format!("incremental: storage@threads={threads}");
+            failures += check_storage(r.database(), &label, &mut complain);
+        }
         // Cold identity: a from-scratch fixpoint over everything applied so
         // far must reach the same model and the same rendered answers.
         for f in batch {
@@ -280,142 +286,55 @@ fn incremental_pass(
     failures
 }
 
-/// Storage differential arm: the sorted-run backend (the default) against
-/// the legacy hash-postings backend it replaced, at 1 and 4 threads.
-/// Storage sits *below* the logical contract — same row ids, same
-/// insertion order, same delta ranges — so everything observable must be
-/// byte identical: every relation's rows in row-id order, the full stats
-/// partition, provenance, and profile counters. The resident ingest path
-/// is replayed under both backends too: after every `apply_deltas` batch
-/// the two frontiers and their reports (walls aside) must agree.
+/// Storage self-check: every relation of `db` against a scan of its own
+/// rows ([`check_indexes`]) — each planned index probed with every stored
+/// key and one absent key over the full id range, an empty one, an
+/// interior one and a short suffix — then the same on a copy grown by one
+/// fresh row, so each index also answers from its mutable tail. Returns
+/// the number of disagreements found.
+fn check_storage(db: &Database, label: &str, mut complain: impl FnMut(&str)) -> u64 {
+    let mut failures = 0;
+    for p in 0..db.pred_count() {
+        let id = PredId(p as u32);
+        let rel = db.relation(id);
+        // The generator stores small integers, so this row is fresh.
+        let mut grown = rel.clone();
+        grown.insert(&vec![Value::int(i64::MAX); rel.arity()]);
+        for (copy, r) in [("", rel), (", grown", &grown)] {
+            let n = r.len();
+            let ranges = [
+                (0, n),
+                (n / 2, n / 2),
+                (n / 3, 2 * n / 3),
+                (n - n.min(3), n),
+            ];
+            if let Err(e) = check_indexes(r, &ranges) {
+                complain(&format!("{label}: {}{copy}: {e}", db.pred_ref(id)));
+                failures += 1;
+            }
+        }
+    }
+    failures
+}
+
+/// Storage arm: [`check_storage`] on the cold databases at 1 and 4
+/// threads (the incremental arm checks each resident after every batch).
 /// Returns the number of disagreements found.
-fn storage_differential(
+fn storage_self_check(
     program: &datalog_ast::Program,
     instance: &datalog_engine::FactSet,
     mut complain: impl FnMut(&str),
 ) -> u64 {
-    let mut failures = 0u64;
-    let opts = |threads: usize, legacy: bool| EvalOptions {
-        threads,
-        legacy_storage: legacy,
-        profile: true,
-        record_provenance: true,
-        ..EvalOptions::default()
-    };
+    let mut failures = 0;
     for threads in [1usize, 4] {
-        let label = format!("storage@threads={threads}");
-        let (sorted, legacy) = match (
-            evaluate(program, instance, &opts(threads, false)),
-            evaluate(program, instance, &opts(threads, true)),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                complain(&format!(
-                    "{label}: evaluation failed (sorted err={}, legacy err={})",
-                    a.is_err(),
-                    b.is_err()
-                ));
-                return failures + 1;
-            }
+        let opts = EvalOptions {
+            threads,
+            ..EvalOptions::default()
         };
-        if sorted.stats != legacy.stats {
-            complain(&format!(
-                "{label}: stats diverge\n sorted: {:?}\n legacy: {:?}",
-                sorted.stats, legacy.stats
-            ));
-            failures += 1;
-        }
-        if sorted.provenance != legacy.provenance {
-            complain(&format!("{label}: provenance diverges"));
-            failures += 1;
-        }
-        let rows_match = (0..sorted.database.pred_count()).all(|p| {
-            let id = datalog_engine::PredId(p as u32);
-            sorted
-                .database
-                .relation(id)
-                .iter()
-                .eq(legacy.database.relation(id).iter())
-        });
-        if sorted.database.pred_count() != legacy.database.pred_count() || !rows_match {
-            complain(&format!("{label}: databases diverge (row-id order)"));
-            failures += 1;
-        }
-        let sp = sorted.profile.as_ref().map(|p| p.counters_only());
-        let lp = legacy.profile.as_ref().map(|p| p.counters_only());
-        if sp != lp {
-            complain(&format!("{label}: profile counters diverge"));
-            failures += 1;
-        }
-    }
-    // Resident ingest path under both backends.
-    if !ResidentEval::supports(program) {
-        return failures;
-    }
-    let facts: Vec<Fact> = instance
-        .iter()
-        .map(|(pred, tuple)| Fact::new(pred.clone(), tuple.clone()))
-        .collect();
-    let split = facts.len() / 2;
-    let mut loaded = datalog_engine::FactSet::new();
-    for f in &facts[..split] {
-        loaded.insert(f.pred.clone(), f.tuple.clone());
-    }
-    let built = (
-        ResidentEval::new(program, &loaded, &opts(1, false)),
-        ResidentEval::new(program, &loaded, &opts(1, true)),
-    );
-    let (mut sorted, mut legacy) = match built {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            complain(&format!(
-                "storage: resident construction failed (sorted err={}, legacy err={})",
-                a.is_err(),
-                b.is_err()
-            ));
-            return failures + 1;
-        }
-    };
-    for batch in facts[split..].chunks(3) {
-        let limits = DeltaLimits::default();
-        let (rs, rl) = match (
-            sorted.apply_deltas(batch, &limits),
-            legacy.apply_deltas(batch, &limits),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                complain(&format!(
-                    "storage: resident propagation failed: {a:?} / {b:?}"
-                ));
-                return failures + 1;
-            }
-        };
-        let strip = |r: &datalog_engine::incremental::DeltaReport| {
-            let mut r = *r;
-            r.wall_ns = 0;
-            r
-        };
-        if strip(&rs) != strip(&rl) {
-            complain(&format!(
-                "storage: resident batch reports diverge\n sorted: {rs:?}\n legacy: {rl:?}"
-            ));
-            failures += 1;
-        }
-        let rows_match = (0..sorted.database().pred_count()).all(|p| {
-            let id = datalog_engine::PredId(p as u32);
-            sorted
-                .database()
-                .relation(id)
-                .iter()
-                .eq(legacy.database().relation(id).iter())
-        });
-        if sorted.database().pred_count() != legacy.database().pred_count() || !rows_match {
-            complain("storage: resident databases diverge (row-id order)");
-            failures += 1;
-        }
-        if sorted.provenance() != legacy.provenance() {
-            complain("storage: resident provenance diverges");
-            failures += 1;
+        // An evaluation failure is the reference arm's to report.
+        if let Ok(out) = evaluate(program, instance, &opts) {
+            let label = format!("storage@threads={threads}");
+            failures += check_storage(&out.database, &label, &mut complain);
         }
     }
     failures
@@ -575,9 +494,8 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         failures += incremental_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });
-        // Storage backends: sorted-run (default) vs legacy hash postings
-        // must be byte-identical everywhere, cold and resident.
-        failures += storage_differential(&program, &instance, |msg| {
+        // Storage: every index of the cold databases against a scan.
+        failures += storage_self_check(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });
         // Static size bounds: actual derived counts never exceed the

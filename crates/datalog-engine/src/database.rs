@@ -7,7 +7,6 @@ use datalog_ast::{PredRef, Value};
 
 use crate::facts::FactSet;
 use crate::relation::Relation;
-use crate::storage::StorageMode;
 
 /// Dense predicate id within one [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,26 +23,12 @@ pub struct Database {
     by_ref: HashMap<PredRef, PredId>,
     refs: Vec<PredRef>,
     relations: Vec<Relation>,
-    mode: StorageMode,
 }
 
 impl Database {
-    /// Empty database (sorted-run storage).
+    /// Empty database.
     pub fn new() -> Database {
         Database::default()
-    }
-
-    /// Empty database with an explicit storage backend for its relations.
-    pub fn with_storage(mode: StorageMode) -> Database {
-        Database {
-            mode,
-            ..Database::default()
-        }
-    }
-
-    /// The storage backend newly registered relations use.
-    pub fn storage_mode(&self) -> StorageMode {
-        self.mode
     }
 
     /// Register (or look up) a predicate with the given arity.
@@ -63,7 +48,7 @@ impl Database {
         let id = PredId(self.refs.len() as u32);
         self.by_ref.insert(pred.clone(), id);
         self.refs.push(pred.clone());
-        self.relations.push(Relation::with_mode(arity, self.mode));
+        self.relations.push(Relation::new(arity));
         id
     }
 
@@ -145,15 +130,15 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
-    /// Seal every relation's mutable tail into sorted runs (no-op on
-    /// legacy storage). The evaluator calls this at each freeze barrier.
+    /// Seal every relation's mutable tail into sorted runs. The evaluator
+    /// calls this at each freeze barrier.
     pub fn seal_storage(&mut self) {
         for rel in &mut self.relations {
             rel.seal();
         }
     }
 
-    /// Total sealed sorted runs across all relations (0 on legacy).
+    /// Total sealed sorted runs across all relations.
     pub fn storage_runs(&self) -> usize {
         self.relations.iter().map(|r| r.run_count()).sum()
     }

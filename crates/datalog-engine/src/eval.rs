@@ -160,11 +160,6 @@ pub struct EvalOptions {
     /// cardinalities; `None` keeps the purely structural greedy order
     /// byte-for-byte.
     pub cost_hints: Option<std::sync::Arc<std::collections::BTreeMap<String, u64>>>,
-    /// Evaluate on the legacy append-only storage backend (duplicate
-    /// `seen` set + hash postings) instead of sorted runs. Results are
-    /// byte-identical either way — this exists for differential testing
-    /// (`fuzz --smoke`) and the E16 storage experiment.
-    pub legacy_storage: bool,
 }
 
 impl Default for EvalOptions {
@@ -182,7 +177,6 @@ impl Default for EvalOptions {
             threads: 1,
             metrics: None,
             cost_hints: None,
-            legacy_storage: false,
         }
     }
 }
@@ -1354,11 +1348,7 @@ pub fn evaluate(
     opts: &EvalOptions,
 ) -> Result<EvalOutput, EngineError> {
     program.validate()?;
-    let mut db = if opts.legacy_storage {
-        Database::with_storage(crate::storage::StorageMode::Legacy)
-    } else {
-        Database::new()
-    };
+    let mut db = Database::new();
     let plans = compile(
         program,
         &mut db,

@@ -226,11 +226,7 @@ impl ResidentEval {
                 .unwrap_or_default();
             return Err(EngineError::NonMonotone { pred });
         }
-        let mut db = if opts.legacy_storage {
-            Database::with_storage(crate::storage::StorageMode::Legacy)
-        } else {
-            Database::new()
-        };
+        let mut db = Database::new();
         let plans = compile(
             program,
             &mut db,
@@ -480,7 +476,7 @@ impl ResidentEval {
     }
 
     /// Total sealed sorted-run count across the resident database's
-    /// relations (0 on legacy storage) — the `xdl_storage_runs` input.
+    /// relations — the `xdl_storage_runs` input.
     pub fn storage_runs(&self) -> usize {
         self.db.storage_runs()
     }

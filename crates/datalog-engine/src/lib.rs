@@ -10,9 +10,8 @@
 //!   input/output currency and by the equivalence oracles;
 //! * [`Relation`]/[`Database`]: interned-predicate tuple storage backed by
 //!   sorted runs — a bounded mutable tail plus immutable runs per planned
-//!   key-column set, bloom-gated probes, and binary-search dedup (the
-//!   legacy hash-postings backend survives as a differential oracle, see
-//!   [`storage::StorageMode`]);
+//!   key-column set, bloom-gated probes, and binary-search dedup — the one
+//!   tuple store, also behind the server's [`SharedDatabase`];
 //! * naive and **semi-naive** fixpoint evaluation ([`evaluate`]) with
 //!   instrumented [`EvalStats`] (facts derived, derivations, duplicate hits,
 //!   tuples scanned, index probes, iterations) — the machine-independent
@@ -54,7 +53,7 @@ pub use provenance::{DerivationTree, Provenance};
 pub use relation::Relation;
 pub use shared::{lock_or_recover, DbSnapshot, SharedDatabase, SharedDbError, SharedRelation};
 pub use stats::EvalStats;
-pub use storage::{storage_counters, take_consolidation_ns, StorageCounters, StorageMode};
+pub use storage::{storage_counters, take_consolidation_ns, StorageCounters};
 
 use datalog_ast::AstError;
 

@@ -21,8 +21,11 @@
 //!   with every stored fact: what [`crate::extract_answers`] did before it
 //!   became a compiled read, kept as the reference the differential tests
 //!   and the fuzzer compare the read plan against. No serving path calls it.
+//! * [`check_indexes`] — a relation's planned indexes and membership test
+//!   against a filtered scan of its rows: the storage reference for the
+//!   unit tests and the fuzzer's storage self-check.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +36,7 @@ use crate::database::Database;
 use crate::eval::{evaluate, query_answers, EvalOptions};
 use crate::facts::{AnswerSet, FactSet};
 use crate::optimistic::{optimistic_fixpoint, Grounding};
+use crate::relation::Relation;
 use crate::EngineError;
 
 /// Sagiv's frozen-rule test: is `program` *uniformly equivalent* to
@@ -278,7 +282,7 @@ pub fn bounded_equiv_check(
 /// Reference answer extraction: walk the whole relation, turn every row
 /// into a ground [`Atom`] and unify the query atom with it. Slow by design
 /// (an `Atom` and a `Subst` per row) and independent of the read plan, the
-/// read indexes and the storage backend's probe paths.
+/// read indexes and the store's probe paths.
 pub fn extract_by_matching(q_atom: &Atom, database: &Database) -> AnswerSet {
     let mut answers = AnswerSet::default();
     // Output columns: named variables in first-occurrence order.
@@ -306,6 +310,47 @@ pub fn extract_by_matching(q_atom: &Atom, database: &Database) -> AnswerSet {
         }
     }
     answers
+}
+
+/// Reference storage check: every stored row is distinct and `contains`
+/// finds it, and every planned index, probed over each of `ranges` with
+/// every stored key and an absent one, returns exactly the ids a
+/// filtered scan of [`Relation::rows_in`] finds, in ascending order.
+/// Independent of the runs, tails and bloom filters it checks. Returns the
+/// first disagreement.
+pub fn check_indexes(rel: &Relation, ranges: &[(usize, usize)]) -> Result<(), String> {
+    let mut distinct = BTreeSet::new();
+    for row in rel.iter() {
+        if !distinct.insert(row) {
+            return Err(format!("row {row:?} is stored twice"));
+        }
+        if !rel.contains(row) {
+            return Err(format!("contains misses stored row {row:?}"));
+        }
+    }
+    for cols in rel.index_columns() {
+        let project = |row: &[Value]| -> Vec<Value> { cols.iter().map(|&c| row[c]).collect() };
+        // The tests and the fuzzer store small values, never this one.
+        let absent = vec![Value::int(i64::MIN); cols.len()];
+        let keys: BTreeSet<Vec<Value>> = rel.iter().map(project).chain([absent]).collect();
+        for &(start, end) in ranges {
+            let mut scan: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
+            for (id, row) in rel.rows_in(start, end) {
+                scan.entry(project(row)).or_default().push(id as u32);
+            }
+            for key in &keys {
+                let probed = rel.probe_range(cols, key, start, end).to_vec();
+                let want = scan.get(key).map_or(&[][..], Vec::as_slice);
+                if probed != want {
+                    return Err(format!(
+                        "index {cols:?}, key {key:?}, ids {start}..{end}: \
+                         probe {probed:?}, scan {want:?}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,19 +3,19 @@
 //!
 //! Rows are append-only and keep insertion order, which is what lets
 //! semi-naive evaluation address "the delta" as a contiguous row-id range.
-//! Two backends implement the same logical contract
-//! ([`crate::storage::StorageMode`]):
-//!
-//! - **SortedRun** (default): a bounded mutable tail plus immutable sorted
-//!   runs. Dedup is a bloom-gated binary search over flat `(hash, id)`
-//!   pairs (no duplicate `seen` copy of any tuple — the row store is only
-//!   consulted to verify a hash match); probes binary-search each run's
-//!   materialized key array and emit per-run slices whose concatenation is
-//!   ascending — byte-identical to the hash-postings order. Runs are sealed
-//!   at the freeze barrier (see [`Relation::seal`]) and consolidated
-//!   geometrically.
-//! - **Legacy**: the original duplicate `seen` set + hash postings, kept as
-//!   the differential-testing oracle (`fuzz --smoke` compares the two).
+//! The rows are the only full copy of any tuple; everything else is an
+//! acceleration structure derived beside them (see [`crate::storage`]): a
+//! bounded mutable tail plus immutable sorted runs. Dedup is a bloom-gated
+//! binary search over flat `(hash, id)` pairs that consults the rows only
+//! to verify a hash match; a probe binary-searches each run's materialized
+//! key array. Every run covers a contiguous id range, so a probe emits
+//! ascending ids within `[start, end)` — a delta range's hits, in row-id
+//! order, with no copying. Runs are sealed at the freeze barrier (see
+//! [`Relation::seal`]) and consolidated geometrically. The same structure
+//! holds the server's shared EDB ([`crate::shared`]), so a tuple is
+//! deduplicated by one piece of code whether it arrives by `FACT`, by
+//! recovery or from a fixpoint. The reference the tests hold it to is a
+//! filtered scan of [`Relation::rows_in`] ([`crate::oracle::check_indexes`]).
 //!
 //! Indices are *planned* (from the compiled join orders) and built via
 //! [`Relation::ensure_index`] at the barrier of the first iteration whose
@@ -25,94 +25,42 @@
 //! shared across worker threads during a parallel fixpoint iteration.
 //!
 //! Answer extraction has its own, cheaper structure: one **read index**
-//! slot per column ([`crate::storage::ReadIndex`], sorted-run storage
-//! only), empty until a read that is allowed to create it
-//! ([`Relation::select`] with `create`) binds that column to a constant.
-//! It is a bare id permutation — 4 bytes a row, keys read through the row
-//! store — covering a prefix of the rows; `insert` does nothing for it, a
-//! reader filters the uncovered rows, and [`Relation::seal`] folds them in
-//! once [`TAIL_LIMIT`] have gathered. A column has at most one index: a
-//! planned `[col]` index serves reads too, and building one empties the
-//! slot. The join path never looks at a slot.
+//! slot per column ([`crate::storage::ReadIndex`]), empty until a read
+//! that is allowed to create it ([`Relation::select`] with `create`) binds
+//! that column to a constant. It is a bare id permutation — 4 bytes a row,
+//! keys read through the row store — covering a prefix of the rows;
+//! `insert` does nothing for it, a reader filters the uncovered rows, and
+//! [`Relation::seal`] folds them in once [`TAIL_LIMIT`] have gathered. A
+//! column has at most one index: a planned `[col]` index serves reads too,
+//! and building one empties the slot. The join path never looks at a slot.
 
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use datalog_ast::Value;
 
-use crate::storage::{
-    self, IndexRuns, Postings, ProbeHits, ReadIndex, StorageMode, TupleRuns, TAIL_LIMIT,
-};
-
-/// Legacy backend: duplicate tuple set + composite hash postings.
-#[derive(Debug, Clone, Default)]
-struct LegacyStore {
-    seen: HashSet<Box<[Value]>>,
-    indices: HashMap<Box<[usize]>, Postings>,
-}
-
-/// Sorted-run backend: run-based dedup + run-based composite indices, and
-/// one lazily filled read-index slot per column (see the module docs).
-#[derive(Debug, Clone, Default)]
-struct SortedStore {
-    dedup: TupleRuns,
-    indices: HashMap<Box<[usize]>, IndexRuns>,
-    read: Box<[OnceLock<ReadIndex>]>,
-}
-
-impl SortedStore {
-    /// Fold the uncovered rows into every filled read slot whose uncovered
-    /// tail has reached `min_tail` rows.
-    fn fold_read_tails(&mut self, rows: &[Box<[Value]>], min_tail: usize) {
-        for (col, slot) in self.read.iter_mut().enumerate() {
-            if let Some(index) = slot.get_mut() {
-                if rows.len() - index.covered() >= min_tail {
-                    index.extend_to(rows, col);
-                }
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Store {
-    Legacy(LegacyStore),
-    Sorted(SortedStore),
-}
-
-impl Default for Store {
-    fn default() -> Store {
-        Store::Sorted(SortedStore::default())
-    }
-}
+use crate::storage::{self, IndexRuns, ProbeHits, ReadIndex, TupleRuns, TAIL_LIMIT};
 
 /// A stored relation. See the module docs for the storage contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     arity: usize,
     rows: Vec<Box<[Value]>>,
-    store: Store,
+    dedup: TupleRuns,
+    indices: HashMap<Box<[usize]>, IndexRuns>,
+    /// One lazily filled read-index slot per column.
+    read: Box<[OnceLock<ReadIndex>]>,
 }
 
 impl Relation {
-    /// New empty relation of the given arity (sorted-run storage).
+    /// New empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
-        Relation::with_mode(arity, StorageMode::SortedRun)
-    }
-
-    /// New empty relation with an explicit storage backend.
-    pub fn with_mode(arity: usize, mode: StorageMode) -> Relation {
         Relation {
             arity,
             rows: Vec::new(),
-            store: match mode {
-                StorageMode::Legacy => Store::Legacy(LegacyStore::default()),
-                StorageMode::SortedRun => Store::Sorted(SortedStore {
-                    read: (0..arity).map(|_| OnceLock::new()).collect(),
-                    ..SortedStore::default()
-                }),
-            },
+            dedup: TupleRuns::default(),
+            indices: HashMap::new(),
+            read: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -137,46 +85,75 @@ impl Relation {
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn insert(&mut self, tuple: &[Value]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity, "relation arity mismatch");
-        match &mut self.store {
-            Store::Legacy(s) => {
-                if s.seen.contains(tuple) {
-                    return false;
+        if self.dedup.contains(&self.rows, tuple) {
+            return false;
+        }
+        self.push(tuple.into());
+        true
+    }
+
+    /// Append a row known to be new: index tails, dedup tail, rows, and an
+    /// automatic seal once the tail reaches [`TAIL_LIMIT`].
+    fn push(&mut self, row: Box<[Value]>) {
+        let row_id = self.rows.len() as u32;
+        for (cols, index) in self.indices.iter_mut() {
+            index.tail_insert(cols, &row, row_id);
+        }
+        self.dedup.note_insert(row.clone());
+        self.rows.push(row);
+        if self.dedup.tail_len() >= TAIL_LIMIT {
+            self.seal();
+        }
+    }
+
+    /// Bulk-load a batch of rows and seal it; returns the number of new
+    /// rows. The result is exactly that of inserting the rows one by one —
+    /// first sightings kept, in batch order — but into an empty relation
+    /// duplicates are found by one order-preserving sort instead of per-row
+    /// hashing, and the whole batch becomes one sorted run at once (the
+    /// manifest-recovery fast path).
+    ///
+    /// # Panics
+    /// Panics (debug) on arity mismatch; callers validate arities upfront.
+    pub fn load_batch(&mut self, batch: Vec<Box<[Value]>>) -> usize {
+        debug_assert!(batch.iter().all(|row| row.len() == self.arity));
+        let before = self.rows.len();
+        if self.rows.is_empty() {
+            // Order-preserving distinct: sort indices by (tuple, position),
+            // mark later equal positions as duplicates, keep first sightings
+            // in their original ingestion order. The seal below indexes
+            // them, so no tail entry is written.
+            let mut idx: Vec<u32> = (0..batch.len() as u32).collect();
+            idx.sort_unstable_by(|&a, &b| {
+                batch[a as usize][..]
+                    .cmp(&batch[b as usize][..])
+                    .then(a.cmp(&b))
+            });
+            let mut dup = vec![false; batch.len()];
+            for w in idx.windows(2) {
+                if batch[w[0] as usize] == batch[w[1] as usize] {
+                    dup[w[1] as usize] = true;
                 }
-                let boxed: Box<[Value]> = tuple.into();
-                let row_id = self.rows.len() as u32;
-                for (cols, index) in s.indices.iter_mut() {
-                    let key: Box<[Value]> = cols.iter().map(|&c| boxed[c]).collect();
-                    index.entry(key).or_default().push(row_id);
-                }
-                s.seen.insert(boxed.clone());
-                self.rows.push(boxed);
-                true
             }
-            Store::Sorted(s) => {
-                if s.dedup.contains(&self.rows, tuple) {
-                    return false;
+            for (i, row) in batch.into_iter().enumerate() {
+                if !dup[i] {
+                    self.rows.push(row);
                 }
-                let boxed: Box<[Value]> = tuple.into();
-                let row_id = self.rows.len() as u32;
-                for (cols, index) in s.indices.iter_mut() {
-                    index.tail_insert(cols, &boxed, row_id);
+            }
+        } else {
+            for row in batch {
+                if !self.dedup.contains(&self.rows, &row) {
+                    self.push(row);
                 }
-                s.dedup.note_insert(boxed.clone());
-                self.rows.push(boxed);
-                if s.dedup.tail_len() >= TAIL_LIMIT {
-                    self.seal();
-                }
-                true
             }
         }
+        self.seal();
+        self.rows.len() - before
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        match &self.store {
-            Store::Legacy(s) => s.seen.contains(tuple),
-            Store::Sorted(s) => s.dedup.contains(&self.rows, tuple),
-        }
+        self.dedup.contains(&self.rows, tuple)
     }
 
     /// Row by id.
@@ -192,158 +169,122 @@ impl Relation {
             .map(move |(i, r)| (start + i, &**r))
     }
 
+    /// Fold the uncovered rows into every filled read slot whose uncovered
+    /// tail has reached `min_tail` rows.
+    fn fold_read_tails(&mut self, min_tail: usize) {
+        for (col, slot) in self.read.iter_mut().enumerate() {
+            if let Some(index) = slot.get_mut() {
+                if self.rows.len() - index.covered() >= min_tail {
+                    index.extend_to(&self.rows, col);
+                }
+            }
+        }
+    }
+
     /// Seal the mutable tail into a sorted run and consolidate runs
-    /// geometrically. A no-op on legacy storage, and safe at any point:
-    /// sealing changes only the acceleration structures, never the rows or
-    /// their ids. The evaluator calls this at every freeze barrier so each
-    /// iteration's probes run against consolidated runs; inserts also seal
-    /// automatically past [`TAIL_LIMIT`] to bound tail memory. A filled
-    /// read slot follows the same limit: its uncovered rows are folded in
-    /// once there are [`TAIL_LIMIT`] of them, so after any seal a read
-    /// filters fewer than that.
+    /// geometrically. Safe at any point: sealing changes only the
+    /// acceleration structures, never the rows or their ids. The evaluator
+    /// calls this at every freeze barrier so each iteration's probes run
+    /// against consolidated runs; inserts also seal automatically past
+    /// [`TAIL_LIMIT`] to bound tail memory. A filled read slot follows the
+    /// same limit: its uncovered rows are folded in once there are
+    /// [`TAIL_LIMIT`] of them, so after any seal a read filters fewer than
+    /// that.
     pub fn seal(&mut self) {
-        let Store::Sorted(s) = &mut self.store else {
-            return;
-        };
-        s.fold_read_tails(&self.rows, TAIL_LIMIT);
+        self.fold_read_tails(TAIL_LIMIT);
         let end = self.rows.len();
-        if end > s.dedup.sealed() {
-            let start = s.dedup.sealed();
-            s.dedup.seal_to(&self.rows, end);
-            for (cols, index) in s.indices.iter_mut() {
+        if end > self.dedup.sealed() {
+            let start = self.dedup.sealed();
+            self.dedup.seal_to(&self.rows, end);
+            for (cols, index) in self.indices.iter_mut() {
                 index.seal_range(&self.rows, cols, start, end);
             }
         }
-        if !s.dedup.wants_merge() {
+        if !self.dedup.wants_merge() {
             return;
         }
         let t0 = std::time::Instant::now();
-        while s.dedup.wants_merge() {
-            s.dedup.merge_last_two();
-            for (cols, index) in s.indices.iter_mut() {
+        while self.dedup.wants_merge() {
+            self.dedup.merge_last_two();
+            for (cols, index) in self.indices.iter_mut() {
                 index.merge_last_two(cols);
             }
         }
         storage::note_consolidation(t0.elapsed().as_nanos() as u64);
     }
 
-    /// Seal and merge every run into one (a no-op on legacy storage).
-    /// The geometric policy in [`Relation::seal`] bounds amortized ingest
-    /// cost; this is the read-optimized endpoint for idle or maintenance
-    /// compaction: afterwards every probe pays one bloom check and one
-    /// binary search instead of one per run. Like sealing, it changes
-    /// only the acceleration structures — rows, ids, and probe results
-    /// are untouched. Filled read slots are brought to full coverage.
+    /// Seal and merge every run into one. The geometric policy in
+    /// [`Relation::seal`] bounds amortized ingest cost; this is the
+    /// read-optimized endpoint for idle or maintenance compaction:
+    /// afterwards every probe pays one bloom check and one binary search
+    /// instead of one per run. Like sealing, it changes only the
+    /// acceleration structures — rows, ids, and probe results are
+    /// untouched. Filled read slots are brought to full coverage.
     pub fn consolidate(&mut self) {
         self.seal();
-        let Store::Sorted(s) = &mut self.store else {
-            return;
-        };
-        s.fold_read_tails(&self.rows, 1);
-        if s.dedup.run_count() <= 1 {
+        self.fold_read_tails(1);
+        if self.dedup.run_count() <= 1 {
             return;
         }
         let t0 = std::time::Instant::now();
-        s.dedup.consolidate();
-        for (cols, index) in s.indices.iter_mut() {
+        self.dedup.consolidate();
+        for (cols, index) in self.indices.iter_mut() {
             index.consolidate(cols);
         }
         storage::note_consolidation(t0.elapsed().as_nanos() as u64);
     }
 
-    /// Number of sealed sorted runs (0 on legacy storage).
+    /// Number of sealed sorted runs.
     pub fn run_count(&self) -> usize {
-        match &self.store {
-            Store::Legacy(_) => 0,
-            Store::Sorted(s) => s.dedup.run_count(),
-        }
+        self.dedup.run_count()
     }
 
     /// Estimated heap bytes spent on acceleration structures (dedup +
-    /// indices + filled read slots) beyond the row store itself. The
-    /// sorted-run backend's whole point is that this is a fraction of the
-    /// legacy figure.
+    /// indices + filled read slots) beyond the row store itself.
     pub fn overhead_bytes_estimate(&self) -> usize {
-        match &self.store {
-            Store::Legacy(s) => {
-                let seen = s.seen.len() * storage::tail_entry_bytes(self.arity);
-                let indices: usize = s
-                    .indices
-                    .iter()
-                    .map(|(cols, index)| {
-                        index
-                            .iter()
-                            .map(|(k, v)| {
-                                16 + k.len() * std::mem::size_of::<Value>() + v.len() * 4 + 16
-                            })
-                            .sum::<usize>()
-                            + cols.len()
-                    })
-                    .sum();
-                seen + indices
-            }
-            Store::Sorted(s) => {
-                let dedup = s.dedup.bytes_estimate(self.arity);
-                let indices: usize = s
-                    .indices
-                    .iter()
-                    .map(|(cols, index)| index.bytes_estimate(cols.len()))
-                    .sum();
-                let read: usize = s
-                    .read
-                    .iter()
-                    .filter_map(|slot| slot.get())
-                    .map(ReadIndex::bytes)
-                    .sum();
-                dedup + indices + read
-            }
-        }
+        let dedup = self.dedup.bytes_estimate(self.arity);
+        let indices: usize = self
+            .indices
+            .iter()
+            .map(|(cols, index)| index.bytes_estimate(cols.len()))
+            .sum();
+        let read: usize = self
+            .read
+            .iter()
+            .filter_map(|slot| slot.get())
+            .map(ReadIndex::bytes)
+            .sum();
+        dedup + indices + read
     }
 
     /// Build the index over the column set `cols` if it does not exist yet.
     /// `cols` must be non-empty, strictly ascending, and within the arity.
     /// Once built, the index is maintained incrementally by `insert`.
     ///
-    /// On sorted-run storage a late-planned index is built from the sealed
-    /// dedup-run bounds — contiguous range scans, one sort per run — rather
-    /// than a full-table hash build, and the rebuild is counted in the
-    /// process-wide storage telemetry. A planned single-column index takes
-    /// over from that column's read slot, which is emptied: one index per
-    /// column.
+    /// A late-planned index is built from the sealed dedup-run bounds —
+    /// contiguous range scans, one sort per run — rather than a full-table
+    /// hash build, and the rebuild is counted in the process-wide storage
+    /// telemetry. A planned single-column index takes over from that
+    /// column's read slot, which is emptied: one index per column.
     pub fn ensure_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty(), "index over the empty column set");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not sorted");
         debug_assert!(cols.iter().all(|&c| c < self.arity), "column out of range");
-        match &mut self.store {
-            Store::Legacy(s) => {
-                if s.indices.contains_key(cols) {
-                    return;
-                }
-                let mut index = Postings::new();
-                for (i, row) in self.rows.iter().enumerate() {
-                    let key: Box<[Value]> = cols.iter().map(|&c| row[c]).collect();
-                    index.entry(key).or_default().push(i as u32);
-                }
-                s.indices.insert(cols.into(), index);
-            }
-            Store::Sorted(s) => {
-                if s.indices.contains_key(cols) {
-                    return;
-                }
-                let index = IndexRuns::build(&self.rows, cols, &s.dedup.bounds(), s.dedup.sealed());
-                s.indices.insert(cols.into(), index);
-                if let [col] = cols {
-                    s.read[*col].take();
-                }
-            }
+        if self.indices.contains_key(cols) {
+            return;
+        }
+        let index = IndexRuns::build(&self.rows, cols, &self.dedup.bounds(), self.dedup.sealed());
+        self.indices.insert(cols.into(), index);
+        if let [col] = cols {
+            self.read[*col].take();
         }
     }
 
     /// Ids of rows in `[start, end)` whose projection onto `cols` equals
-    /// `key`. Row ids within each posting/run group are ascending, so the
-    /// `[start, end)` bounds are found by binary search instead of a linear
-    /// filter — the caller gets exactly the delta range's hits with no
-    /// copying, in ascending id order regardless of backend.
+    /// `key`, in ascending id order. Row ids within each run group are
+    /// ascending, so the `[start, end)` bounds are found by binary search
+    /// instead of a linear filter — the caller gets exactly the delta
+    /// range's hits with no copying.
     ///
     /// The index over `cols` must have been built with
     /// [`Relation::ensure_index`]; probing is read-only so a frozen
@@ -359,40 +300,28 @@ impl Relation {
         end: usize,
     ) -> ProbeHits<'_> {
         let mut out = ProbeHits::new();
-        match &self.store {
-            Store::Legacy(s) => {
-                let index = s
-                    .indices
-                    .get(cols)
-                    .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"));
-                if let Some(postings) = index.get(key) {
-                    let lo = postings.partition_point(|&id| (id as usize) < start);
-                    let hi = postings.partition_point(|&id| (id as usize) < end);
-                    out.push(&postings[lo..hi]);
-                }
-            }
-            Store::Sorted(s) => {
-                let index = s
-                    .indices
-                    .get(cols)
-                    .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"));
-                index.probe(key, start, end, &mut out);
-            }
-        }
+        let index = self
+            .indices
+            .get(cols)
+            .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"));
+        index.probe(key, start, end, &mut out);
         out
     }
 
     /// Whether an index over the column set `cols` has been materialized.
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        match &self.store {
-            Store::Legacy(s) => s.indices.contains_key(cols),
-            Store::Sorted(s) => s.indices.contains_key(cols),
-        }
+        self.indices.contains_key(cols)
     }
 
-    /// Whether column `col`'s read slot is filled (never on legacy
-    /// storage). Separate from [`Relation::has_index`], which answers for
-    /// planned indexes only.
+    /// The column sets of the planned indexes, in ascending order.
+    pub fn index_columns(&self) -> Vec<&[usize]> {
+        let mut cols: Vec<&[usize]> = self.indices.keys().map(|c| &**c).collect();
+        cols.sort_unstable();
+        cols
+    }
+
+    /// Whether column `col`'s read slot is filled. Separate from
+    /// [`Relation::has_index`], which answers for planned indexes only.
     pub fn has_read_index(&self, col: usize) -> bool {
         self.read_index_covered(col).is_some()
     }
@@ -400,14 +329,7 @@ impl Relation {
     /// How many rows column `col`'s read slot covers — the id prefix
     /// `[0, covered)` — or `None` while the slot is empty.
     pub fn read_index_covered(&self, col: usize) -> Option<usize> {
-        Some(self.read_slot(col)?.get()?.covered())
-    }
-
-    fn read_slot(&self, col: usize) -> Option<&OnceLock<ReadIndex>> {
-        match &self.store {
-            Store::Legacy(_) => None,
-            Store::Sorted(s) => Some(&s.read[col]),
-        }
+        Some(self.read[col].get()?.covered())
     }
 
     /// Narrow a read through an index: given the `(column, constant)`
@@ -419,7 +341,7 @@ impl Relation {
     /// form) fills the read slot of the first bound column and probes it;
     /// one that reads once (a cold evaluation's extraction) gets `false`,
     /// having visited nothing, and scans — sorting a relation costs more
-    /// than one pass over it. Legacy storage has no slots to fill.
+    /// than one pass over it.
     ///
     /// Rows are visited in no particular order.
     pub fn select<'a>(
@@ -429,11 +351,10 @@ impl Relation {
         mut visit: impl FnMut(&'a [Value]),
     ) -> bool {
         let indexed = |col: usize| self.has_index(&[col]) || self.has_read_index(col);
-        let picked = bound.iter().find(|&&(col, _)| indexed(col)).or_else(|| {
-            bound
-                .first()
-                .filter(|&&(col, _)| create && self.read_slot(col).is_some())
-        });
+        let picked = bound
+            .iter()
+            .find(|&&(col, _)| indexed(col))
+            .or_else(|| bound.first().filter(|_| create));
         let Some(&(col, key)) = picked else {
             return false;
         };
@@ -442,10 +363,7 @@ impl Relation {
             hits.iter().for_each(|id| visit(&self.rows[id as usize]));
             return true;
         }
-        let index = self
-            .read_slot(col)
-            .expect("a picked column without a planned index has a read slot")
-            .get_or_init(|| ReadIndex::build(&self.rows, col));
+        let index = self.read[col].get_or_init(|| ReadIndex::build(&self.rows, col));
         for &id in index.group(&self.rows, col, key) {
             visit(&self.rows[id as usize]);
         }
@@ -466,27 +384,22 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use std::collections::HashSet;
 
     fn t(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&v| Value::int(v)).collect()
     }
 
-    fn both_modes(f: impl Fn(StorageMode)) {
-        f(StorageMode::Legacy);
-        f(StorageMode::SortedRun);
-    }
-
     #[test]
     fn insert_dedups() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(2, mode);
-            assert!(r.insert(&t(&[1, 2])));
-            assert!(!r.insert(&t(&[1, 2])));
-            assert!(r.insert(&t(&[2, 1])));
-            assert_eq!(r.len(), 2);
-            assert!(r.contains(&t(&[1, 2])));
-            assert!(!r.contains(&t(&[3, 3])));
-        });
+        let mut r = Relation::new(2);
+        assert!(r.insert(&t(&[1, 2])));
+        assert!(!r.insert(&t(&[1, 2])));
+        assert!(r.insert(&t(&[2, 1])));
+        assert_eq!(r.len(), 2);
+        assert!(r.contains(&t(&[1, 2])));
+        assert!(!r.contains(&t(&[3, 3])));
     }
 
     #[test]
@@ -502,84 +415,76 @@ mod tests {
 
     #[test]
     fn ensure_index_builds_then_insert_maintains() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(2, mode);
-            r.insert(&t(&[1, 10]));
-            r.insert(&t(&[2, 20]));
-            r.insert(&t(&[1, 30]));
-            assert!(!r.has_index(&[0]));
-            r.ensure_index(&[0]);
-            assert!(r.has_index(&[0]));
-            let hits = r.probe_range(&[0], &t(&[1]), 0, 3);
-            assert_eq!(hits.to_vec(), vec![0, 2]);
-            // Insert after index creation: index must stay in sync.
-            r.insert(&t(&[1, 40]));
-            let hits = r.probe_range(&[0], &t(&[1]), 0, 4);
-            assert_eq!(hits.to_vec(), vec![0, 2, 3]);
-            // Probing a missing value yields nothing.
-            assert!(r.probe_range(&[0], &t(&[9]), 0, 4).is_empty());
-        });
+        let mut r = Relation::new(2);
+        r.insert(&t(&[1, 10]));
+        r.insert(&t(&[2, 20]));
+        r.insert(&t(&[1, 30]));
+        assert!(!r.has_index(&[0]));
+        r.ensure_index(&[0]);
+        assert!(r.has_index(&[0]));
+        let hits = r.probe_range(&[0], &t(&[1]), 0, 3);
+        assert_eq!(hits.to_vec(), vec![0, 2]);
+        // Insert after index creation: index must stay in sync.
+        r.insert(&t(&[1, 40]));
+        let hits = r.probe_range(&[0], &t(&[1]), 0, 4);
+        assert_eq!(hits.to_vec(), vec![0, 2, 3]);
+        // Probing a missing value yields nothing.
+        assert!(r.probe_range(&[0], &t(&[9]), 0, 4).is_empty());
     }
 
     #[test]
     fn probe_range_binary_searches_the_bounds() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(2, mode);
-            // Rows 0..8; even row ids carry key 7.
-            for i in 0..8 {
-                r.insert(&t(&[if i % 2 == 0 { 7 } else { 1 }, i]));
-            }
-            r.ensure_index(&[0]);
-            let key = t(&[7]);
-            // Full range: all even ids.
-            assert_eq!(r.probe_range(&[0], &key, 0, 8).to_vec(), vec![0, 2, 4, 6]);
-            // A delta range strictly inside: only the hits within it.
-            assert_eq!(r.probe_range(&[0], &key, 2, 6).to_vec(), vec![2, 4]);
-            // Boundaries are half-open: start is inclusive, end exclusive.
-            assert_eq!(r.probe_range(&[0], &key, 2, 7).to_vec(), vec![2, 4, 6]);
-            assert_eq!(r.probe_range(&[0], &key, 3, 6).to_vec(), vec![4]);
-            // Ranges touching the ends and empty ranges.
-            assert_eq!(r.probe_range(&[0], &key, 6, 8).to_vec(), vec![6]);
-            assert!(r.probe_range(&[0], &key, 7, 8).is_empty());
-            assert!(r.probe_range(&[0], &key, 4, 4).is_empty());
-        });
+        let mut r = Relation::new(2);
+        // Rows 0..8; even row ids carry key 7.
+        for i in 0..8 {
+            r.insert(&t(&[if i % 2 == 0 { 7 } else { 1 }, i]));
+        }
+        r.ensure_index(&[0]);
+        let key = t(&[7]);
+        // Full range: all even ids.
+        assert_eq!(r.probe_range(&[0], &key, 0, 8).to_vec(), vec![0, 2, 4, 6]);
+        // A delta range strictly inside: only the hits within it.
+        assert_eq!(r.probe_range(&[0], &key, 2, 6).to_vec(), vec![2, 4]);
+        // Boundaries are half-open: start is inclusive, end exclusive.
+        assert_eq!(r.probe_range(&[0], &key, 2, 7).to_vec(), vec![2, 4, 6]);
+        assert_eq!(r.probe_range(&[0], &key, 3, 6).to_vec(), vec![4]);
+        // Ranges touching the ends and empty ranges.
+        assert_eq!(r.probe_range(&[0], &key, 6, 8).to_vec(), vec![6]);
+        assert!(r.probe_range(&[0], &key, 7, 8).is_empty());
+        assert!(r.probe_range(&[0], &key, 4, 4).is_empty());
     }
 
     #[test]
     fn composite_index_probes_all_bound_columns() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(3, mode);
-            r.insert(&t(&[1, 5, 9]));
-            r.insert(&t(&[1, 6, 9]));
-            r.insert(&t(&[1, 5, 8]));
-            r.insert(&t(&[2, 5, 9]));
-            r.ensure_index(&[0, 2]);
-            assert!(r.has_index(&[0, 2]));
-            assert!(!r.has_index(&[0]));
-            assert_eq!(
-                r.probe_range(&[0, 2], &t(&[1, 9]), 0, 4).to_vec(),
-                vec![0, 1]
-            );
-            assert_eq!(r.probe_range(&[0, 2], &t(&[2, 9]), 0, 4).to_vec(), vec![3]);
-            assert!(r.probe_range(&[0, 2], &t(&[2, 8]), 0, 4).is_empty());
-            // The composite index stays fresh across inserts too.
-            r.insert(&t(&[1, 7, 9]));
-            assert_eq!(
-                r.probe_range(&[0, 2], &t(&[1, 9]), 0, 5).to_vec(),
-                vec![0, 1, 4]
-            );
-        });
+        let mut r = Relation::new(3);
+        r.insert(&t(&[1, 5, 9]));
+        r.insert(&t(&[1, 6, 9]));
+        r.insert(&t(&[1, 5, 8]));
+        r.insert(&t(&[2, 5, 9]));
+        r.ensure_index(&[0, 2]);
+        assert!(r.has_index(&[0, 2]));
+        assert!(!r.has_index(&[0]));
+        assert_eq!(
+            r.probe_range(&[0, 2], &t(&[1, 9]), 0, 4).to_vec(),
+            vec![0, 1]
+        );
+        assert_eq!(r.probe_range(&[0, 2], &t(&[2, 9]), 0, 4).to_vec(), vec![3]);
+        assert!(r.probe_range(&[0, 2], &t(&[2, 8]), 0, 4).is_empty());
+        // The composite index stays fresh across inserts too.
+        r.insert(&t(&[1, 7, 9]));
+        assert_eq!(
+            r.probe_range(&[0, 2], &t(&[1, 9]), 0, 5).to_vec(),
+            vec![0, 1, 4]
+        );
     }
 
     #[test]
     fn zero_arity_relation_holds_one_row() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(0, mode);
-            assert!(r.insert(&[]));
-            assert!(!r.insert(&[]));
-            assert_eq!(r.len(), 1);
-            assert!(r.contains(&[]));
-        });
+        let mut r = Relation::new(0);
+        assert!(r.insert(&[]));
+        assert!(!r.insert(&[]));
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(&[]));
     }
 
     #[test]
@@ -649,47 +554,153 @@ mod tests {
         assert!(!r.contains(&t(&[8, 8])));
     }
 
+    /// A seeded xorshift generator for the property tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        /// A tuple over a domain small enough to repeat itself.
+        fn tuple(&mut self) -> Vec<Value> {
+            t(&[
+                self.below(50) as i64,
+                self.below(6) as i64,
+                self.below(20) as i64,
+            ])
+        }
+    }
+
+    /// The store against a scan of its own rows: every planned index over
+    /// empty, interior, full and random id ranges ([`oracle::check_indexes`]),
+    /// `contains` against membership in the rows for tuples that may or may
+    /// not be stored, and `select` on every column for a stored and an
+    /// absent key against the rows holding that key.
+    fn check_against_scan(r: &Relation, rng: &mut Rng, step: &str) {
+        let n = r.len();
+        let a = rng.below(n as u64 + 1) as usize;
+        let b = a + rng.below((n - a) as u64 + 1) as usize;
+        let ranges = [
+            (0, n),
+            (0, 0),
+            (n / 2, n / 2),
+            (n / 3, 2 * n / 3),
+            (n.saturating_sub(5), n),
+            (a, b),
+        ];
+        if let Err(e) = oracle::check_indexes(r, &ranges) {
+            panic!("{step}: {e}");
+        }
+        let stored: HashSet<&[Value]> = r.iter().collect();
+        for _ in 0..32 {
+            let tuple = rng.tuple();
+            assert_eq!(r.contains(&tuple), stored.contains(&tuple[..]), "{step}");
+        }
+        for col in 0..r.arity() {
+            let present = match n {
+                0 => 0,
+                _ => match r.row(rng.below(n as u64) as usize)[col] {
+                    Value::Int(i) => i,
+                    Value::Sym(_) => unreachable!("integer rows"),
+                },
+            };
+            for key in [present, -1] {
+                let visited = selected(r, &[(col, key)], true).expect("may create");
+                assert_eq!(visited, scan(r, col, key), "{step}: select [{col}] = {key}");
+            }
+        }
+    }
+
     #[test]
-    fn sorted_and_legacy_storage_agree() {
-        let mut sorted = Relation::new(2);
-        let mut legacy = Relation::with_mode(2, StorageMode::Legacy);
-        sorted.ensure_index(&[1]);
-        legacy.ensure_index(&[1]);
-        // A deterministic pseudo-random workload with duplicates.
-        let mut x = 42u64;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
+    fn indexes_contains_and_select_match_a_scan() {
+        let mut rng = Rng(0x5eed_0001);
+        let mut r = Relation::new(3);
+        let mut model: HashSet<Vec<Value>> = HashSet::new();
+        let insert = |r: &mut Relation, rng: &mut Rng, model: &mut HashSet<Vec<Value>>, k| {
+            for _ in 0..k {
+                let tuple = rng.tuple();
+                assert_eq!(r.insert(&tuple), model.insert(tuple.clone()));
+            }
         };
-        for _ in 0..2000 {
-            let tuple = t(&[(step() % 50) as i64, (step() % 20) as i64]);
-            assert_eq!(sorted.insert(&tuple), legacy.insert(&tuple));
-            if step() % 97 == 0 {
-                sorted.seal();
+        r.ensure_index(&[0]);
+        check_against_scan(&r, &mut rng, "empty");
+        // No explicit seal: inserts cross TAIL_LIMIT and seal on their own.
+        while r.run_count() == 0 {
+            let k = 1 + rng.below(300);
+            insert(&mut r, &mut rng, &mut model, k);
+            check_against_scan(&r, &mut rng, "automatic seals");
+        }
+        // Explicit seals at random points, and the two late plans.
+        for round in 0..24 {
+            let k = 1 + rng.below(150);
+            insert(&mut r, &mut rng, &mut model, k);
+            check_against_scan(&r, &mut rng, &format!("round {round}"));
+            if rng.below(3) == 0 {
+                r.seal();
+                check_against_scan(&r, &mut rng, &format!("seal after round {round}"));
+            }
+            if round == 8 {
+                r.ensure_index(&[2]);
+                check_against_scan(&r, &mut rng, "late single-column index");
+            }
+            if round == 16 {
+                r.ensure_index(&[1, 2]);
+                check_against_scan(&r, &mut rng, "late composite index");
             }
         }
-        assert_eq!(sorted.len(), legacy.len());
-        for k in 0..20i64 {
-            let key = t(&[k]);
-            for (start, end) in [(0, sorted.len()), (13, sorted.len() / 2), (600, 601)] {
-                assert_eq!(
-                    sorted.probe_range(&[1], &key, start, end).to_vec(),
-                    legacy.probe_range(&[1], &key, start, end).to_vec(),
-                    "key {k} range {start}..{end}"
-                );
-            }
+        // A small run on top of a large one stays separate until
+        // consolidation.
+        insert(&mut r, &mut rng, &mut model, 40);
+        r.seal();
+        assert!(r.run_count() >= 2);
+        r.consolidate();
+        assert_eq!(r.run_count(), 1);
+        check_against_scan(&r, &mut rng, "consolidated");
+        insert(&mut r, &mut rng, &mut model, 200);
+        check_against_scan(&r, &mut rng, "tail after consolidation");
+        // A clone is a store of its own: both grow apart and both agree
+        // with their scans.
+        let mut copy = r.clone();
+        check_against_scan(&copy, &mut rng, "clone");
+        let mut copy_model = model.clone();
+        insert(&mut copy, &mut rng, &mut copy_model, 300);
+        insert(&mut r, &mut rng, &mut model, 100);
+        check_against_scan(&copy, &mut rng, "clone grown");
+        check_against_scan(&r, &mut rng, "original grown");
+        assert_eq!(r.len(), model.len());
+        assert_eq!(copy.len(), copy_model.len());
+        assert!(
+            model.len() > 2 * TAIL_LIMIT && model.len() < 4000,
+            "no duplicates drawn"
+        );
+    }
+
+    #[test]
+    fn load_batch_keeps_first_sightings_like_per_row_inserts() {
+        let mut rng = Rng(0x5eed_0002);
+        let batch = |rng: &mut Rng, k| -> Vec<Box<[Value]>> {
+            (0..k).map(|_| rng.tuple().into_boxed_slice()).collect()
+        };
+        let (first, second) = (batch(&mut rng, 2500), batch(&mut rng, 1500));
+        let mut bulk = Relation::new(3);
+        let mut slow = Relation::new(3);
+        // An index planned on the empty relation is filled by the seal.
+        bulk.ensure_index(&[1]);
+        for rows in [first, second] {
+            let fresh = rows.iter().filter(|row| slow.insert(row)).count();
+            assert_eq!(bulk.load_batch(rows), fresh);
+            assert!(bulk.iter().eq(slow.iter()), "rows or their order differ");
+            check_against_scan(&bulk, &mut rng, "after a batch");
         }
-        // Late-planned index over existing sealed runs.
-        sorted.ensure_index(&[0]);
-        legacy.ensure_index(&[0]);
-        for k in 0..50i64 {
-            assert_eq!(
-                sorted.probe_range(&[0], &t(&[k]), 0, sorted.len()).to_vec(),
-                legacy.probe_range(&[0], &t(&[k]), 0, legacy.len()).to_vec(),
-            );
-        }
+        assert!(bulk.run_count() >= 1);
+        // A batch of nothing but duplicates adds nothing.
+        let again: Vec<Box<[Value]>> = slow.iter().take(10).map(Box::from).collect();
+        assert_eq!(bulk.load_batch(again), 0);
+        assert_eq!(bulk.len(), slow.len());
     }
 
     /// Rows whose column `col` holds `key`, by scanning.
@@ -714,35 +725,27 @@ mod tests {
 
     #[test]
     fn select_declines_without_an_index_unless_it_may_create_one() {
-        both_modes(|mode| {
-            let mut r = Relation::with_mode(2, mode);
-            for i in 0..50i64 {
-                r.insert(&t(&[i % 5, i]));
-            }
-            assert_eq!(selected(&r, &[(0, 3)], false), None);
-            assert_eq!(selected(&r, &[], true), None, "nothing bound");
-            assert!(!r.has_read_index(0) && !r.has_read_index(1));
-            // A planned index serves a read on either backend, and no slot
-            // is filled beside it.
-            r.ensure_index(&[0]);
-            assert_eq!(selected(&r, &[(0, 3)], false), Some(scan(&r, 0, 3)));
-            assert_eq!(selected(&r, &[(0, 3)], true), Some(scan(&r, 0, 3)));
-            assert_eq!(selected(&r, &[(0, 9)], true), Some(vec![]));
-            assert!(!r.has_read_index(0));
-            // With two columns bound the indexed one is probed, even when
-            // it is not the first.
-            assert_eq!(
-                selected(&r, &[(0, 2), (1, 7)], true),
-                Some(scan(&r, 0, 2)),
-                "the caller filters on column 1"
-            );
-            assert!(!r.has_read_index(1));
-        });
-        // Legacy storage has no slot to fill: the read scans.
-        let mut legacy = Relation::with_mode(2, StorageMode::Legacy);
-        legacy.insert(&t(&[1, 2]));
-        assert_eq!(selected(&legacy, &[(1, 2)], true), None);
-        assert!(!legacy.has_read_index(1));
+        let mut r = Relation::new(2);
+        for i in 0..50i64 {
+            r.insert(&t(&[i % 5, i]));
+        }
+        assert_eq!(selected(&r, &[(0, 3)], false), None);
+        assert_eq!(selected(&r, &[], true), None, "nothing bound");
+        assert!(!r.has_read_index(0) && !r.has_read_index(1));
+        // A planned index serves a read, and no slot is filled beside it.
+        r.ensure_index(&[0]);
+        assert_eq!(selected(&r, &[(0, 3)], false), Some(scan(&r, 0, 3)));
+        assert_eq!(selected(&r, &[(0, 3)], true), Some(scan(&r, 0, 3)));
+        assert_eq!(selected(&r, &[(0, 9)], true), Some(vec![]));
+        assert!(!r.has_read_index(0));
+        // With two columns bound the indexed one is probed, even when
+        // it is not the first.
+        assert_eq!(
+            selected(&r, &[(0, 2), (1, 7)], true),
+            Some(scan(&r, 0, 2)),
+            "the caller filters on column 1"
+        );
+        assert!(!r.has_read_index(1));
     }
 
     #[test]
@@ -831,24 +834,5 @@ mod tests {
         let copy = r.clone();
         assert!(copy.has_read_index(0));
         assert_eq!(selected(&copy, &[(0, 1)], false), Some(scan(&r, 0, 1)));
-    }
-
-    #[test]
-    fn sorted_overhead_is_smaller_than_legacy() {
-        let mut sorted = Relation::new(3);
-        let mut legacy = Relation::with_mode(3, StorageMode::Legacy);
-        sorted.ensure_index(&[0]);
-        legacy.ensure_index(&[0]);
-        for i in 0..5000i64 {
-            sorted.insert(&t(&[i % 100, i, i * 7]));
-            legacy.insert(&t(&[i % 100, i, i * 7]));
-        }
-        sorted.seal();
-        assert!(
-            sorted.overhead_bytes_estimate() * 2 < legacy.overhead_bytes_estimate(),
-            "sorted {} vs legacy {}",
-            sorted.overhead_bytes_estimate(),
-            legacy.overhead_bytes_estimate()
-        );
     }
 }

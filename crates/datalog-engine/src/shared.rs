@@ -3,17 +3,19 @@
 //! `datalog-server` keeps one long-lived fact store that a writer thread
 //! grows (FACT/LOAD ingestion) while N worker threads evaluate queries.
 //! The storage contract that makes this safe is the same one the in-process
-//! [`Relation`](crate::Relation) already exploits for semi-naive deltas:
-//! **rows are append-only**, so the prefix `[0, w)` of a relation is
-//! immutable once `w` rows have been committed.
+//! [`Relation`] already exploits for semi-naive deltas: **rows are
+//! append-only**, so the prefix `[0, w)` of a relation is immutable once
+//! `w` rows have been committed.
 //!
-//! A [`SharedRelation`] therefore carries, next to its row vector, a
-//! *committed watermark* (an atomic row count, published with `Release`
-//! ordering after the row is in place). A [`DbSnapshot`] is nothing but an
-//! `Arc` handle per relation plus the watermark observed at capture time:
-//! cheap to take (no row copying), and every read through it is clamped to
-//! the captured watermark — a reader can never observe a torn or
-//! half-ingested state, only a consistent prefix of the ingestion order.
+//! A [`SharedRelation`] is therefore that same [`Relation`] — one tuple
+//! store, one dedup path for `FACT`, `LOAD`, recovery and fixpoints alike
+//! — behind a lock, plus a *committed watermark* (an atomic row count,
+//! published with `Release` ordering after the row is in place). A
+//! [`DbSnapshot`] is nothing but an `Arc` handle per relation plus the
+//! watermark observed at capture time: cheap to take (no row copying), and
+//! every read through it is clamped to the captured watermark — a reader
+//! can never observe a torn or half-ingested state, only a consistent
+//! prefix of the ingestion order.
 //! Row memory itself is only touched under the relation's `RwLock` (a `Vec`
 //! push may reallocate), but the lock is held per-access, never across a
 //! whole query evaluation, so ingestion and evaluation interleave freely.
@@ -30,7 +32,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use datalog_ast::{PredRef, Value};
 
 use crate::facts::FactSet;
-use crate::storage::{TupleRuns, TAIL_LIMIT};
+use crate::relation::Relation;
 
 /// Recover the guard from a possibly poisoned lock acquisition.
 ///
@@ -78,16 +80,24 @@ impl std::fmt::Display for SharedDbError {
 
 impl std::error::Error for SharedDbError {}
 
-/// Interior row storage: append-only rows plus sorted-run dedup (bloom-
-/// gated binary search against the rows themselves — no duplicate copy of
-/// any tuple), guarded by one lock so insert (check + push) is atomic.
-#[derive(Debug, Default)]
-struct RelStore {
-    rows: Vec<Box<[Value]>>,
-    dedup: TupleRuns,
+impl SharedDbError {
+    /// The same error, naming `pred`.
+    fn for_pred(self, pred: &PredRef) -> SharedDbError {
+        match self {
+            SharedDbError::Arity {
+                expected, found, ..
+            } => SharedDbError::Arity {
+                pred: pred.to_string(),
+                expected,
+                found,
+            },
+        }
+    }
 }
 
-/// One predicate's shared, append-only relation.
+/// One predicate's shared, append-only relation: a [`Relation`] behind a
+/// lock, so insert (check + push) is atomic, and the committed watermark
+/// beside it.
 ///
 /// Readers address rows through a watermark they captured earlier; the
 /// watermark is published only after the row is fully in place, so
@@ -95,7 +105,7 @@ struct RelStore {
 #[derive(Debug)]
 pub struct SharedRelation {
     arity: usize,
-    store: RwLock<RelStore>,
+    store: RwLock<Relation>,
     /// Number of committed rows, published with `Release` after each insert.
     committed: AtomicUsize,
 }
@@ -105,7 +115,7 @@ impl SharedRelation {
     pub fn new(arity: usize) -> SharedRelation {
         SharedRelation {
             arity,
-            store: RwLock::new(RelStore::default()),
+            store: RwLock::new(Relation::new(arity)),
             committed: AtomicUsize::new(0),
         }
     }
@@ -125,121 +135,65 @@ impl SharedRelation {
         self.len() == 0
     }
 
-    /// Insert a tuple; returns `Ok(true)` if it was new. Duplicates are
-    /// dropped exactly as in [`crate::Relation`].
-    pub fn insert(&self, tuple: &[Value]) -> Result<bool, SharedDbError> {
-        if tuple.len() != self.arity {
-            return Err(SharedDbError::Arity {
-                pred: String::new(), // filled in by SharedDatabase
-                expected: self.arity,
-                found: tuple.len(),
-            });
+    fn check_arity(&self, found: usize) -> Result<(), SharedDbError> {
+        if found == self.arity {
+            return Ok(());
         }
-        let mut g = lock_or_recover(self.store.write());
-        let RelStore { rows, dedup } = &mut *g;
-        if dedup.contains(rows, tuple) {
+        Err(SharedDbError::Arity {
+            pred: String::new(), // filled in by SharedDatabase
+            expected: self.arity,
+            found,
+        })
+    }
+
+    /// Insert a tuple; returns `Ok(true)` if it was new. Duplicates are
+    /// dropped by [`Relation::insert`].
+    pub fn insert(&self, tuple: &[Value]) -> Result<bool, SharedDbError> {
+        self.check_arity(tuple.len())?;
+        let mut rel = lock_or_recover(self.store.write());
+        if !rel.insert(tuple) {
             return Ok(false);
         }
-        let boxed: Box<[Value]> = tuple.into();
-        dedup.note_insert(boxed.clone());
-        rows.push(boxed);
-        if dedup.tail_len() >= TAIL_LIMIT {
-            dedup.seal_to(rows, rows.len());
-        }
-        let n = rows.len();
         // Publish while still holding the write lock so `committed` can
         // never run ahead of a concurrent writer's in-flight push.
-        self.committed.store(n, Ordering::Release);
+        self.committed.store(rel.len(), Ordering::Release);
         Ok(true)
     }
 
-    /// Bulk-load a batch of rows (recovery fast path): duplicates are
-    /// eliminated by one order-preserving sort instead of per-row hashing,
-    /// then the whole batch is sealed into sorted runs at once. Returns the
-    /// number of new rows committed.
+    /// Bulk-load a batch of rows (recovery fast path, see
+    /// [`Relation::load_batch`]). Returns the number of new rows committed.
     pub fn load_batch(&self, batch: Vec<Box<[Value]>>) -> Result<usize, SharedDbError> {
         for tuple in &batch {
-            if tuple.len() != self.arity {
-                return Err(SharedDbError::Arity {
-                    pred: String::new(), // filled in by SharedDatabase
-                    expected: self.arity,
-                    found: tuple.len(),
-                });
-            }
+            self.check_arity(tuple.len())?;
         }
-        let mut g = lock_or_recover(self.store.write());
-        let RelStore { rows, dedup } = &mut *g;
-        let before = rows.len();
-        if rows.is_empty() {
-            // Order-preserving distinct: sort indices by (tuple, position),
-            // mark later equal positions as duplicates, keep first sightings
-            // in their original ingestion order.
-            let mut idx: Vec<u32> = (0..batch.len() as u32).collect();
-            idx.sort_unstable_by(|&a, &b| {
-                batch[a as usize][..]
-                    .cmp(&batch[b as usize][..])
-                    .then(a.cmp(&b))
-            });
-            let mut dup = vec![false; batch.len()];
-            for w in idx.windows(2) {
-                if batch[w[0] as usize] == batch[w[1] as usize] {
-                    dup[w[1] as usize] = true;
-                }
-            }
-            for (i, row) in batch.into_iter().enumerate() {
-                if !dup[i] {
-                    rows.push(row);
-                }
-            }
-        } else {
-            for tuple in batch {
-                if dedup.contains(rows, &tuple) {
-                    continue;
-                }
-                dedup.note_insert(tuple.clone());
-                rows.push(tuple);
-            }
-        }
-        dedup.seal_to(rows, rows.len());
-        while dedup.wants_merge() {
-            dedup.merge_last_two();
-        }
-        let n = rows.len();
-        self.committed.store(n, Ordering::Release);
-        Ok(n - before)
+        let mut rel = lock_or_recover(self.store.write());
+        let fresh = rel.load_batch(batch);
+        self.committed.store(rel.len(), Ordering::Release);
+        Ok(fresh)
     }
 
-    /// Seal the dedup tail into a sorted run and consolidate. Called by the
-    /// server's maintenance thread; inserts also seal past [`TAIL_LIMIT`].
+    /// Seal the tail into a sorted run and consolidate. Called by the
+    /// server's maintenance thread; inserts also seal past
+    /// [`crate::storage::TAIL_LIMIT`].
     pub fn seal(&self) {
-        let mut g = lock_or_recover(self.store.write());
-        let RelStore { rows, dedup } = &mut *g;
-        dedup.seal_to(rows, rows.len());
-        while dedup.wants_merge() {
-            dedup.merge_last_two();
-        }
+        lock_or_recover(self.store.write()).seal();
     }
 
     /// Number of sealed dedup runs (the `xdl_storage_runs` input).
     pub fn run_count(&self) -> usize {
-        lock_or_recover(self.store.read()).dedup.run_count()
-    }
-
-    /// Copy of the immutable prefix `[0, watermark)`, in insertion order.
-    /// The read lock is held only for the duration of the copy.
-    pub fn prefix(&self, watermark: usize) -> Vec<Vec<Value>> {
-        self.range(0, watermark)
+        lock_or_recover(self.store.read()).run_count()
     }
 
     /// Copy of the immutable row range `[start, end)` (both clamped to the
-    /// committed rows), in insertion order. Incremental consumers use this
-    /// to read exactly the rows ingested between two watermarks they
-    /// observed — the append-only contract makes any such range immutable.
+    /// committed rows), in insertion order; the read lock is held only for
+    /// the copy. Incremental consumers use this to read exactly the rows
+    /// ingested between two watermarks they observed — the append-only
+    /// contract makes any such range immutable.
     pub fn range(&self, start: usize, end: usize) -> Vec<Vec<Value>> {
-        let g = lock_or_recover(self.store.read());
-        let end = end.min(g.rows.len());
+        let rel = lock_or_recover(self.store.read());
+        let end = end.min(rel.len());
         let start = start.min(end);
-        g.rows[start..end].iter().map(|r| r.to_vec()).collect()
+        rel.rows_in(start, end).map(|(_, r)| r.to_vec()).collect()
     }
 }
 
@@ -271,31 +225,16 @@ impl SharedDatabase {
         pred: &PredRef,
         arity: usize,
     ) -> Result<Arc<SharedRelation>, SharedDbError> {
-        {
-            let g = lock_or_recover(self.rels.read());
-            if let Some(rel) = g.get(pred) {
-                if rel.arity() != arity {
-                    return Err(SharedDbError::Arity {
-                        pred: pred.to_string(),
-                        expected: rel.arity(),
-                        found: arity,
-                    });
-                }
-                return Ok(Arc::clone(rel));
-            }
-        }
-        let mut g = lock_or_recover(self.rels.write());
-        let rel = g
-            .entry(pred.clone())
-            .or_insert_with(|| Arc::new(SharedRelation::new(arity)));
-        if rel.arity() != arity {
-            return Err(SharedDbError::Arity {
-                pred: pred.to_string(),
-                expected: rel.arity(),
-                found: arity,
-            });
-        }
-        Ok(Arc::clone(rel))
+        let known = lock_or_recover(self.rels.read()).get(pred).map(Arc::clone);
+        let rel = known.unwrap_or_else(|| {
+            let mut g = lock_or_recover(self.rels.write());
+            let rel = g
+                .entry(pred.clone())
+                .or_insert_with(|| Arc::new(SharedRelation::new(arity)));
+            Arc::clone(rel)
+        });
+        rel.check_arity(arity).map_err(|e| e.for_pred(pred))?;
+        Ok(rel)
     }
 
     /// The arity `pred` is registered at, if it is registered.
@@ -309,30 +248,11 @@ impl SharedDatabase {
     /// `Ok(true)` if the fact was new.
     pub fn insert(&self, pred: &PredRef, tuple: &[Value]) -> Result<bool, SharedDbError> {
         let rel = self.register(pred, tuple.len())?;
-        let new = rel.insert(tuple).map_err(|e| match e {
-            SharedDbError::Arity {
-                expected, found, ..
-            } => SharedDbError::Arity {
-                pred: pred.to_string(),
-                expected,
-                found,
-            },
-        })?;
+        let new = rel.insert(tuple).map_err(|e| e.for_pred(pred))?;
         if new {
             self.version.fetch_add(1, Ordering::AcqRel);
         }
         Ok(new)
-    }
-
-    /// Bulk-load a [`FactSet`]; returns the number of *new* facts.
-    pub fn load(&self, facts: &FactSet) -> Result<usize, SharedDbError> {
-        let mut fresh = 0;
-        for (pred, tuple) in facts.iter() {
-            if self.insert(pred, tuple)? {
-                fresh += 1;
-            }
-        }
-        Ok(fresh)
     }
 
     /// Bulk-load one predicate's rows (the manifest-recovery fast path):
@@ -345,15 +265,7 @@ impl SharedDatabase {
         rows: Vec<Box<[Value]>>,
     ) -> Result<usize, SharedDbError> {
         let rel = self.register(pred, arity)?;
-        let fresh = rel.load_batch(rows).map_err(|e| match e {
-            SharedDbError::Arity {
-                expected, found, ..
-            } => SharedDbError::Arity {
-                pred: pred.to_string(),
-                expected,
-                found,
-            },
-        })?;
+        let fresh = rel.load_batch(rows).map_err(|e| e.for_pred(pred))?;
         if fresh > 0 {
             self.version.fetch_add(fresh as u64, Ordering::AcqRel);
         }
@@ -461,7 +373,7 @@ impl DbSnapshot {
         self.rels
             .iter()
             .find(|(p, _, _)| p == pred)
-            .map_or_else(Vec::new, |(_, rel, w)| rel.prefix(*w))
+            .map_or_else(Vec::new, |(_, rel, w)| rel.range(0, *w))
     }
 
     /// Rows of one predicate from `start` up to this snapshot's watermark,
@@ -499,7 +411,7 @@ impl DbSnapshot {
     pub fn to_factset(&self) -> FactSet {
         let mut fs = FactSet::new();
         for (pred, rel, w) in &self.rels {
-            for row in rel.prefix(*w) {
+            for row in rel.range(0, *w) {
                 fs.insert(pred.clone(), row);
             }
         }

@@ -1,12 +1,11 @@
-//! Sorted-run (LSM-style) storage primitives shared by [`crate::relation`]
-//! and [`crate::shared`].
+//! Sorted-run (LSM-style) storage primitives behind
+//! [`crate::relation::Relation`], the one tuple store.
 //!
 //! A relation's rows stay append-only in insertion order (that contract is
 //! what semi-naive delta ranges and byte-identical parallel merges are built
-//! on); what changes is the *acceleration structure* beside them. Instead of
-//! a duplicate `seen: HashSet<Box<[Value]>>` plus hash postings per index,
-//! rows are covered by a small mutable tail and a stack of immutable sorted
-//! **runs**:
+//! on); beside them sit *acceleration structures* that hold no second copy
+//! of a tuple. Rows are covered by a small mutable tail and a stack of
+//! immutable sorted **runs**:
 //!
 //! - a **dedup run** ([`TupleRuns`]) holds `(tuple hash, id)` pairs for a
 //!   contiguous insertion range, sorted by hash — membership is a
@@ -19,11 +18,13 @@
 //!   equal-hash span, and clamps the key's group to the requested delta
 //!   range; per-row box pointers are never chased.
 //!
-//! Every run covers a contiguous id range and runs are stacked in range
-//! order, so emitting per-run group slices in run order (then the tail)
-//! yields ids in globally ascending order — exactly the order the legacy
-//! hash postings produced. That is the invariant that keeps evaluation
-//! byte-identical across storage backends.
+//! **Run contiguity.** Every run covers a contiguous id range, runs are
+//! stacked in range order, and ids within a key's group in one run are
+//! ascending. So emitting per-run group slices in run order, then the
+//! tail's postings, yields exactly the ids in `[start, end)` whose key
+//! matches, in ascending order — the order a filtered scan of the rows
+//! produces, and the invariant that keeps evaluation independent of where
+//! the run boundaries fall.
 //!
 //! Runs are sealed at the freeze barrier (and when the tail exceeds
 //! [`TAIL_LIMIT`]) and consolidated geometrically so at most O(log n) runs
@@ -44,10 +45,6 @@ use datalog_ast::Value;
 
 /// Rows covered by the mutable tail before an automatic seal.
 pub const TAIL_LIMIT: usize = 1024;
-
-/// Legacy hash postings: projection key → ascending ids (std hashing —
-/// this is the preserved pre-sorted-run layout).
-pub type Postings = HashMap<Box<[Value]>, Vec<u32>>;
 
 /// Hasher state for run tails (see [`FastHasher`]). Tail maps are never
 /// iterated — only probed and cleared — so the hasher cannot leak into
@@ -487,7 +484,7 @@ impl TupleRuns {
 
 /// Estimated heap cost of one `HashSet<Box<[Value]>>` entry: the fat box
 /// pointer, the boxed values, and amortized table overhead.
-pub fn tail_entry_bytes(arity: usize) -> usize {
+fn tail_entry_bytes(arity: usize) -> usize {
     16 + arity * std::mem::size_of::<Value>() + 16
 }
 
@@ -556,7 +553,7 @@ impl IndexRun {
 #[derive(Debug, Clone, Default)]
 pub struct IndexRuns {
     runs: Vec<IndexRun>,
-    /// Postings for rows past the last sealed run.
+    /// Tail postings for rows past the last sealed run.
     tail: TailPostings,
 }
 
@@ -837,17 +834,6 @@ fn sorted_pairs(rows: &[Box<[Value]>], col: usize, from: usize) -> Vec<(Value, u
         .collect();
     pairs.sort_unstable();
     pairs
-}
-
-/// Which backing structure a [`crate::relation::Relation`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Append-only rows + duplicate `seen` set + hash postings (the
-    /// pre-sorted-run layout, kept as a differential-testing oracle).
-    Legacy,
-    /// Sorted runs + bounded tail (the default).
-    #[default]
-    SortedRun,
 }
 
 #[cfg(test)]

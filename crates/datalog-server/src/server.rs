@@ -347,8 +347,8 @@ impl ServerState {
             }
             state.recovery = Some(
                 Json::obj()
-                    .with("from_snapshot", recovery.from_snapshot)
                     .with("run_files", recovery.run_files)
+                    .with("lost_run_files", recovery.lost_run_files)
                     .with("run_rows", recovery.run_rows)
                     .with("batch_rows", batch_rows)
                     .with("from_log", recovery.from_log)

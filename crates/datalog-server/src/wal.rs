@@ -42,12 +42,16 @@
 //! ([`datalog_engine::SharedDatabase::load_batch`]) instead of re-parsing
 //! and re-hashing every fact's text — then replays the log tail on top.
 //! Run files from superseded generations are garbage-collected after the
-//! swap. The pre-manifest format (`snapshot.dat`, record-framed text ops)
-//! is still read on startup so existing WAL directories upgrade in place
-//! at their next compaction.
+//! swap. [`Wal::open`] reads exactly this format. A directory in any
+//! other — a manifest another version wrote, a pre-manifest snapshot — is
+//! refused with an error naming the file, touching nothing: starting empty
+//! would serve a table missing every snapshotted fact, and the next
+//! compaction would make the loss permanent. A run file that is missing
+//! or corrupt is salvaged around and counted in
+//! [`Recovery::lost_run_files`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,18 +170,19 @@ pub struct RunBatch {
 /// What [`Wal::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Text operations to apply *after* the batches: legacy `snapshot.dat`
-    /// records (if no manifest exists), then the log tail, in order.
+    /// Text operations to apply *after* the batches: the log tail, in
+    /// order.
     pub ops: Vec<WalOp>,
     /// Rule sources from the manifest (applied before any facts).
     pub rules: Vec<String>,
     /// Typed row batches from the manifest's run files, bulk-loadable
     /// without re-parsing any fact text.
     pub batches: Vec<RunBatch>,
-    /// Records recovered from a legacy `snapshot.dat`.
-    pub from_snapshot: u64,
     /// Run files loaded from the manifest.
     pub run_files: u64,
+    /// Run lines of the manifest that loaded nothing: unparseable, or
+    /// naming a file that is missing or fails its CRC or decode.
+    pub lost_run_files: u64,
     /// Rows loaded across all run files.
     pub run_rows: u64,
     /// Records recovered from `wal.log`.
@@ -215,10 +220,6 @@ pub struct Wal {
 
 fn log_path(dir: &Path) -> PathBuf {
     dir.join("wal.log")
-}
-
-fn snapshot_path(dir: &Path) -> PathBuf {
-    dir.join("snapshot.dat")
 }
 
 fn manifest_path(dir: &Path) -> PathBuf {
@@ -328,10 +329,83 @@ fn encode_record(op: &WalOp) -> Vec<u8> {
     rec
 }
 
+/// Refuse a WAL directory: an `InvalidData` error naming `file`.
+fn refuse(file: &Path, why: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("refusing to recover from {}: {why}", file.display()),
+    )
+}
+
+/// Read `dir`'s manifest, if any, into `recovery`, or refuse the directory
+/// (see the module docs).
+fn read_manifest(dir: &Path, recovery: &mut Recovery) -> std::io::Result<()> {
+    let path = manifest_path(dir);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            let orphan = dir.join("snapshot.dat");
+            if orphan.exists() {
+                return Err(refuse(
+                    &orphan,
+                    "a pre-manifest snapshot, which this version does not read",
+                ));
+            }
+            return Ok(());
+        }
+        Err(e) => return Err(refuse(&path, &e.to_string())),
+    };
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or_default();
+    if header != MANIFEST_HEADER {
+        return Err(refuse(
+            &path,
+            &format!("header {header:?}, this version reads {MANIFEST_HEADER:?}"),
+        ));
+    }
+    for line in lines {
+        if let Some(rule) = line.strip_prefix("rule ") {
+            recovery.rules.push(rule.to_string());
+        } else if let Some(rest) = line.strip_prefix("run ") {
+            match read_run_line(dir, rest) {
+                Some(batch) => {
+                    recovery.run_files += 1;
+                    recovery.run_rows += batch.rows.len() as u64;
+                    recovery.batches.push(batch);
+                }
+                None => recovery.lost_run_files += 1,
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Load the batch one manifest `run` line names: `<file> <arity> <rows>
+/// <crc> <pred>`. `None` when the line does not parse or the file is
+/// missing, fails its CRC, or does not decode.
+fn read_run_line(dir: &Path, line: &str) -> Option<RunBatch> {
+    let mut it = line.splitn(5, ' ');
+    let file = it.next()?;
+    let arity = it.next()?.parse::<usize>().ok()?;
+    let rows = it.next()?.parse::<usize>().ok()?;
+    let crc = it.next()?.parse::<u32>().ok()?;
+    let pred = it.next()?;
+    let bytes = std::fs::read(dir.join(file)).ok()?;
+    if crc32(&bytes) != crc {
+        return None;
+    }
+    Some(RunBatch {
+        pred: pred.to_string(),
+        arity,
+        rows: decode_run_file(&bytes, arity, rows)?,
+    })
+}
+
 impl Wal {
-    /// Open (creating if needed) the WAL in `dir`, replaying snapshot and
-    /// log. A torn log tail is truncated on the spot so the next append
-    /// lands on a clean boundary.
+    /// Open (creating if needed) the WAL in `dir`, reading the manifest and
+    /// the log. A torn log tail is truncated on the spot so the next append
+    /// lands on a clean boundary. A directory in a format this version does
+    /// not read is refused untouched (see the module docs).
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
@@ -341,56 +415,7 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         let mut recovery = Recovery::default();
 
-        if let Ok(text) = std::fs::read_to_string(manifest_path(dir)) {
-            // Manifest recovery: typed run-file batches, no text replay.
-            // A missing or corrupt run file is salvaged around (the
-            // manifest rename was atomic; run files were fsynced before
-            // it), mirroring the legacy intact-prefix policy.
-            let mut lines = text.lines();
-            if lines.next() == Some(MANIFEST_HEADER) {
-                for line in lines {
-                    if let Some(rule) = line.strip_prefix("rule ") {
-                        recovery.rules.push(rule.to_string());
-                    } else if let Some(rest) = line.strip_prefix("run ") {
-                        let mut it = rest.splitn(5, ' ');
-                        let (Some(file), Some(arity), Some(rows), Some(crc), Some(pred)) = (
-                            it.next(),
-                            it.next().and_then(|w| w.parse::<usize>().ok()),
-                            it.next().and_then(|w| w.parse::<usize>().ok()),
-                            it.next().and_then(|w| w.parse::<u32>().ok()),
-                            it.next(),
-                        ) else {
-                            continue;
-                        };
-                        let Ok(bytes) = std::fs::read(dir.join(file)) else {
-                            continue;
-                        };
-                        if crc32(&bytes) != crc {
-                            continue;
-                        }
-                        let Some(decoded) = decode_run_file(&bytes, arity, rows) else {
-                            continue;
-                        };
-                        recovery.run_files += 1;
-                        recovery.run_rows += decoded.len() as u64;
-                        recovery.batches.push(RunBatch {
-                            pred: pred.to_string(),
-                            arity,
-                            rows: decoded,
-                        });
-                    }
-                }
-            }
-        } else if let Ok(bytes) = std::fs::read(snapshot_path(dir)) {
-            // Legacy record-framed snapshot: written atomically (temp +
-            // rename); a torn one means rename never happened on this
-            // filesystem's watch — still, salvage the intact prefix
-            // rather than refuse to start.
-            let (ops, good) = scan_records(&bytes);
-            recovery.from_snapshot = ops.len() as u64;
-            recovery.ops.extend(ops);
-            let _ = good;
-        }
+        read_manifest(dir, &mut recovery)?;
 
         let path = log_path(dir);
         let bytes = match std::fs::read(&path) {
@@ -513,8 +538,8 @@ impl Wal {
     /// `batches` the complete current facts, one batch per predicate in
     /// ingestion order. Each run file is written under a fresh generation,
     /// fsynced, and renamed into place; the manifest rename is the commit
-    /// point; superseded run files (and any legacy `snapshot.dat`) are
-    /// garbage-collected afterwards, best-effort.
+    /// point; superseded run files are garbage-collected afterwards,
+    /// best-effort.
     pub fn compact(&mut self, rules: &[String], batches: &[RunBatch]) -> std::io::Result<()> {
         self.run_gen += 1;
         let gen = self.run_gen;
@@ -565,8 +590,7 @@ impl Wal {
         self.sync()?;
         self.since_snapshot = 0;
         self.snapshots += 1;
-        // GC: the legacy snapshot and run files no manifest references.
-        let _ = std::fs::remove_file(snapshot_path(&self.dir));
+        // GC: run files no manifest references.
         if let Ok(entries) = std::fs::read_dir(&self.dir) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
@@ -583,13 +607,6 @@ impl Wal {
     pub fn log_file(&self) -> PathBuf {
         log_path(&self.dir)
     }
-}
-
-/// Read the raw bytes of a WAL directory's log (test helper).
-pub fn read_log_bytes(dir: &Path) -> std::io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    File::open(log_path(dir))?.read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -812,35 +829,95 @@ mod tests {
         std::fs::write(dir.0.join(qfile), &bytes).unwrap();
         let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
         assert_eq!(rec.run_files, 1, "intact batch survives");
+        assert_eq!(rec.lost_run_files, 1);
         assert_eq!(rec.batches[0].pred, "p");
     }
 
+    /// Every file in `dir` with its bytes.
+    fn contents(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    /// Open `dir`, expect a refusal naming `file`, and expect every byte on
+    /// disk to be where it was.
+    fn assert_refused_untouched(dir: &Path, file: &str) {
+        let before = contents(dir);
+        let err = Wal::open(dir, FsyncPolicy::Always, 0, plan()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(file), "{err}");
+        assert_eq!(
+            contents(dir),
+            before,
+            "a refused open changed the directory"
+        );
+    }
+
     #[test]
-    fn legacy_snapshot_dat_is_still_read() {
-        let dir = TempDir::new("legacy");
-        // Hand-write a pre-manifest snapshot.dat in the record format.
-        let ops = vec![
-            WalOp::Rule("a(X) :- p(X).".into()),
-            WalOp::Fact("p(1)".into()),
-        ];
-        let mut buf = Vec::new();
-        for op in &ops {
-            buf.extend_from_slice(&encode_record(op));
+    fn unknown_manifest_header_is_refused_untouched() {
+        let dir = TempDir::new("header");
+        {
+            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+            wal.compact(&[], &[batch("p", 1, vec![vec![Value::int(1)]])])
+                .unwrap();
+            wal.append(&WalOp::Fact("p(2)".into())).unwrap();
         }
-        std::fs::write(snapshot_path(&dir.0), &buf).unwrap();
-        let (mut wal, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-        assert_eq!(rec.from_snapshot, 2);
-        assert_eq!(rec.ops, ops);
-        assert!(rec.batches.is_empty());
-        // The next compaction upgrades in place: manifest written, legacy
-        // snapshot removed.
-        wal.compact(
-            &["a(X) :- p(X).".to_string()],
-            &[batch("p", 1, vec![vec![Value::int(1)]])],
-        )
-        .unwrap();
-        assert!(manifest_path(&dir.0).exists());
-        assert!(!snapshot_path(&dir.0).exists());
+        // Another version's manifest: same body, bumped header.
+        let path = manifest_path(&dir.0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let body = text.strip_prefix(MANIFEST_HEADER).unwrap();
+        std::fs::write(&path, format!("xdl-snapshot-manifest v2{body}")).unwrap();
+        assert_refused_untouched(&dir.0, "snapshot.manifest");
+        assert!(Wal::open(&dir.0, FsyncPolicy::Always, 0, plan())
+            .unwrap_err()
+            .to_string()
+            .contains("xdl-snapshot-manifest v2"));
+    }
+
+    #[test]
+    fn orphan_snapshot_dat_is_refused_untouched() {
+        let dir = TempDir::new("orphan");
+        // A pre-manifest snapshot in the record format, and a log beside it.
+        let mut buf = encode_record(&WalOp::Rule("a(X) :- p(X).".into()));
+        buf.extend_from_slice(&encode_record(&WalOp::Fact("p(1)".into())));
+        std::fs::write(dir.0.join("snapshot.dat"), &buf).unwrap();
+        std::fs::write(log_path(&dir.0), encode_record(&WalOp::Fact("p(2)".into()))).unwrap();
+        assert_refused_untouched(&dir.0, "snapshot.dat");
+        // A manifest beside it is the snapshot; the old file is ignored.
+        std::fs::write(manifest_path(&dir.0), format!("{MANIFEST_HEADER}\n")).unwrap();
+        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+        assert_eq!(rec.ops, vec![WalOp::Fact("p(2)".into())]);
+    }
+
+    #[test]
+    fn run_lines_that_load_nothing_are_counted_as_lost() {
+        let dir = TempDir::new("lost");
+        {
+            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+            wal.compact(&[], &[batch("p", 1, vec![vec![Value::int(1)]])])
+                .unwrap();
+        }
+        // Four run lines that load nothing: unparseable, a missing file, a
+        // CRC mismatch, and a file whose CRC matches but which does not
+        // decode.
+        std::fs::write(dir.0.join("run-7-0.xrs"), b"not a run file").unwrap();
+        let junk_crc = crc32(b"not a run file");
+        let mut manifest = std::fs::read_to_string(manifest_path(&dir.0)).unwrap();
+        manifest.push_str("run run-7-0.xrs one 1 0 q\n");
+        manifest.push_str("run run-7-9.xrs 1 1 0 q\n");
+        manifest.push_str(&format!("run run-7-0.xrs 1 1 {} q\n", junk_crc ^ 1));
+        manifest.push_str(&format!("run run-7-0.xrs 1 1 {junk_crc} q\n"));
+        std::fs::write(manifest_path(&dir.0), manifest).unwrap();
+        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+        assert_eq!(rec.run_files, 1, "the intact batch loads");
+        assert_eq!(rec.batches[0].pred, "p");
+        assert_eq!(rec.lost_run_files, 4);
     }
 
     #[test]

@@ -146,38 +146,24 @@ fn filled_slots(db: &Database) -> Vec<(String, usize, usize, usize)> {
     out
 }
 
-fn opts(legacy_storage: bool) -> EvalOptions {
-    EvalOptions {
-        legacy_storage,
-        ..EvalOptions::default()
-    }
-}
-
 #[test]
 fn cold_reads_match_the_oracle_and_create_nothing() {
-    for legacy in [false, true] {
-        for seed in 1..=3u64 {
-            let mut rng = Rng(seed);
-            let input = factset(&edges(12, 30, &mut rng));
-            let out = evaluate(&program(RULES), &input, &opts(legacy)).unwrap();
-            for q in all_atoms(&out.database, &mut rng) {
-                let got = extract_answers(&q, &out.database);
-                check(
-                    &format!("cold legacy={legacy} seed={seed}"),
-                    &q,
-                    &out.database,
-                    got,
-                );
-            }
-            assert_eq!(
-                filled_slots(&out.database),
-                [],
-                "a cold read sorted a relation"
-            );
+    for seed in 1..=3u64 {
+        let mut rng = Rng(seed);
+        let input = factset(&edges(12, 30, &mut rng));
+        let out = evaluate(&program(RULES), &input, &EvalOptions::default()).unwrap();
+        for q in all_atoms(&out.database, &mut rng) {
+            let got = extract_answers(&q, &out.database);
+            check(&format!("cold seed={seed}"), &q, &out.database, got);
         }
+        assert_eq!(
+            filled_slots(&out.database),
+            [],
+            "a cold read sorted a relation"
+        );
     }
     // Nothing stored at all: every relation empty or unregistered.
-    let out = evaluate(&program(RULES), &FactSet::new(), &opts(false)).unwrap();
+    let out = evaluate(&program(RULES), &FactSet::new(), &EvalOptions::default()).unwrap();
     for q in all_atoms(&out.database, &mut Rng(9)) {
         let got = extract_answers(&q, &out.database);
         check("cold empty", &q, &out.database, got);
@@ -189,7 +175,8 @@ fn resident_reads_match_the_oracle_with_an_uncovered_tail_and_after_its_fold() {
     let mut rng = Rng(0xfeed);
     let facts = edges(48, 150, &mut rng);
     let (loaded, rest) = facts.split_at(40);
-    let mut r = ResidentEval::new(&program(RULES), &factset(loaded), &opts(false)).unwrap();
+    let mut r =
+        ResidentEval::new(&program(RULES), &factset(loaded), &EvalOptions::default()).unwrap();
     let read_all = |label: &str, r: &ResidentEval, rng: &mut Rng| {
         for q in all_atoms(r.database(), rng) {
             check(label, &q, r.database(), r.answers(&q));
@@ -249,7 +236,12 @@ fn reads_match_the_oracle_across_the_tail_limit_and_after_consolidation() {
     let (loaded, rest) = facts.split_at(1400);
     // `load_input` crosses TAIL_LIMIT on `e` (inserts seal on their own),
     // the fixpoint crosses it on `t`.
-    let mut r = ResidentEval::new(&program(FLAT_RULES), &factset(loaded), &opts(false)).unwrap();
+    let mut r = ResidentEval::new(
+        &program(FLAT_RULES),
+        &factset(loaded),
+        &EvalOptions::default(),
+    )
+    .unwrap();
     assert!(r.storage_runs() >= 2);
     let read_sample = |label: &str, db: &Database, read: &dyn Fn(&Atom) -> AnswerSet| {
         let mut rng = Rng(label.len() as u64);
@@ -287,25 +279,4 @@ fn reads_match_the_oracle_across_the_tail_limit_and_after_consolidation() {
     assert!(slots.iter().all(|(_, _, covered, len)| covered == len));
     read_sample("consolidated", &copy, &|q| extract_answers(q, &copy));
     assert_eq!(filled_slots(&copy), slots);
-}
-
-#[test]
-fn legacy_storage_reads_match_the_oracle_and_sorted_storage() {
-    let mut rng = Rng(0x1e9);
-    let facts = edges(14, 60, &mut rng);
-    let (loaded, rest) = facts.split_at(30);
-    let p = program(RULES);
-    let mut legacy = ResidentEval::new(&p, &factset(loaded), &opts(true)).unwrap();
-    let mut sorted = ResidentEval::new(&p, &factset(loaded), &opts(false)).unwrap();
-    for batch in std::iter::once(&[][..]).chain(rest.chunks(1)) {
-        legacy.apply_deltas(batch, &DeltaLimits::default()).unwrap();
-        sorted.apply_deltas(batch, &DeltaLimits::default()).unwrap();
-        for q in all_atoms(legacy.database(), &mut rng).iter().step_by(3) {
-            let got = legacy.answers(q);
-            assert_eq!(got, sorted.answers(q), "legacy vs sorted: ?- {q}.");
-            check("legacy resident", q, legacy.database(), got);
-        }
-    }
-    assert_eq!(filled_slots(legacy.database()), []);
-    assert!(!filled_slots(sorted.database()).is_empty());
 }

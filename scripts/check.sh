@@ -305,8 +305,8 @@ echo "check.sh: crash-recovery smoke ok"
 # Manifest-recovery smoke: same SIGKILL discipline, but with compaction
 # enabled (--compact-every 4) so the surviving WAL directory holds a
 # run-file manifest instead of a pure text log. The restart must load the
-# run batches (a `recovered` line with nonzero run_files) and answer
-# byte-identically.
+# run batches (a `recovered` line with nonzero run_files and no lost ones)
+# and answer byte-identically.
 ./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal-man" \
     --compact-every 4 > "$smoke_dir/serve-man.out" &
 serve_pid=$!
@@ -346,7 +346,8 @@ if [ -z "$addr" ]; then
     exit 1
 fi
 if ! grep -q '^recovered ' "$smoke_dir/serve-man2.out" \
-    || ! grep -Eq '"run_files":[1-9]' "$smoke_dir/serve-man2.out"; then
+    || ! grep -Eq '"run_files":[1-9]' "$smoke_dir/serve-man2.out" \
+    || ! grep -q '"lost_run_files":0' "$smoke_dir/serve-man2.out"; then
     echo "check.sh: restart did not recover from run files:" >&2
     cat "$smoke_dir/serve-man2.out" >&2
     exit 1
@@ -363,9 +364,29 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: manifest-recovery smoke ok"
 
+# Manifest refusal: a copy of that directory whose manifest carries another
+# version's header must be refused — non-zero exit, the file named on
+# stderr — and left byte for byte as it was. (A server that starts instead
+# is stopped by `timeout`, whose status 124 counts as a failure.)
+cp -r "$smoke_dir/wal-man" "$smoke_dir/wal-v2"
+{ echo 'xdl-snapshot-manifest v2'; tail -n +2 "$smoke_dir/wal-man/snapshot.manifest"; } \
+    > "$smoke_dir/wal-v2/snapshot.manifest"
+cp -r "$smoke_dir/wal-v2" "$smoke_dir/wal-v2.orig"
+status=0
+timeout 10 ./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-v2" \
+    > "$smoke_dir/serve-v2.out" 2> "$smoke_dir/serve-v2.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] \
+    || ! grep -q 'snapshot.manifest' "$smoke_dir/serve-v2.err" \
+    || ! diff -r "$smoke_dir/wal-v2.orig" "$smoke_dir/wal-v2" >&2; then
+    echo "check.sh: a v2 manifest was not refused untouched (exit $status):" >&2
+    cat "$smoke_dir/serve-v2.out" "$smoke_dir/serve-v2.err" >&2
+    exit 1
+fi
+echo "check.sh: manifest-refusal smoke ok"
+
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
-# thread counts, storage backends, resident vs cold in bulk and single-fact
-# batches, optimizer on and off) over programs nobody wrote by hand. The
+# thread counts, resident vs cold in bulk and single-fact batches, the
+# storage self-check, optimizer on and off) over programs nobody wrote by hand. The
 # seed comes from the clock and is printed first; 1500 rounds is about 20 s
 # on a 2-core sandbox.
 fuzz_rounds=1500
