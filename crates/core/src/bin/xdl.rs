@@ -15,10 +15,9 @@
 //!           [--fsync always|batch|never] [--compact-every <n>]
 //!           [--max-conns <n>] [--max-inflight <n>] [--deadline-ms <ms>]
 //!           [--budget <n>] [--grace-ms <ms>] [--slow-query-ms <ms>]
-//!           [--no-metrics] [--resident-forms <n>]
-//!           [--drain-sync-cost <n>] [--rebuild-ms <ms>]
+//!           [--no-metrics] [--resident-forms <n>] [--rebuild-ms <ms>]
 //! xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]...
-//!           [--staleness <ms> | --any] [--stats] [--trace] [--shutdown] ['?- atom.']
+//!           [--stats] [--trace] [--shutdown] ['?- atom.']
 //! xdl metrics --connect <addr> [--json | --watch]
 //! ```
 //!
@@ -30,13 +29,8 @@
 //! available parallelism), joins are always greedily reordered, and
 //! `--resident-forms <n>` bounds the incrementally maintained query forms
 //! (0 disables; default 8).
-//! `--drain-sync-cost <n>` sets the derivation-bound delta above which a
-//! resident drain is deferred to the maintenance thread instead of running
-//! on the ingest path, and `--rebuild-ms <ms>` the base backoff between
-//! rebuild attempts for a poisoned resident. For `query`,
-//! `--staleness <ms>` allows answers served off a frontier at most that
-//! old and `--any` accepts whatever frontier is published (default: fresh,
-//! byte-identical to `xdl run`).
+//! `--rebuild-ms <ms>` sets the base backoff between rebuild attempts for
+//! a poisoned resident. `query` answers are byte-identical to `xdl run`.
 //!
 //! Exit codes: 0 on success; 1 when `lint` reports an error-severity
 //! diagnostic or `verify-opt` fails a check; 2 on usage or I/O errors.
@@ -85,10 +79,9 @@ fn usage() -> String {
      xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>] \
      [--fsync always|batch|never] [--compact-every <n>] [--max-conns <n>] \
      [--max-inflight <n>] [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
-     [--slow-query-ms <ms>] [--no-metrics] [--resident-forms <n>] \
-     [--drain-sync-cost <n>] [--rebuild-ms <ms>]\n  \
+     [--slow-query-ms <ms>] [--no-metrics] [--resident-forms <n>] [--rebuild-ms <ms>]\n  \
      xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]... \
-     [--staleness <ms> | --any] [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
+     [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
      xdl metrics --connect <addr> [--json | --watch]"
         .to_owned()
 }
@@ -597,11 +590,6 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
                 .map_err(|_| "--slow-query-ms takes milliseconds")?,
         );
     }
-    if let Some(n) = option_value(rest, "--drain-sync-cost") {
-        cfg.drain_sync_cost = n
-            .parse()
-            .map_err(|_| "--drain-sync-cost takes a derivation-bound delta")?;
-    }
     if let Some(ms) = option_value(rest, "--rebuild-ms") {
         cfg.rebuild_ms = ms.parse().map_err(|_| "--rebuild-ms takes milliseconds")?;
     }
@@ -626,8 +614,6 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
     let mut loads: Vec<&str> = Vec::new();
     let mut facts: Vec<&str> = Vec::new();
     let mut query_text: Option<&str> = None;
-    let mut staleness: Option<u64> = None;
-    let mut any = false;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
@@ -640,16 +626,6 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
                 facts.push(rest.get(i + 1).ok_or("--fact takes a ground atom")?);
                 i += 1;
             }
-            "--staleness" => {
-                staleness = Some(
-                    rest.get(i + 1)
-                        .ok_or("--staleness takes milliseconds")?
-                        .parse::<u64>()
-                        .map_err(|_| "--staleness takes milliseconds")?,
-                );
-                i += 1;
-            }
-            "--any" => any = true,
             "--stats" | "--trace" | "--shutdown" => {}
             s if s.starts_with("--") => return Err(format!("unknown option '{s}'\n{}", usage())),
             s => {
@@ -687,19 +663,9 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
         send(format!("FACT {atom}"))?;
     }
     if let Some(q) = query_text {
-        // Consistency mode: `--any` reads whatever frontier is published,
-        // `--staleness <ms>` bounds how old it may be, default is fresh.
-        let mode: String = match (any, staleness) {
-            (true, Some(_)) => return Err("query takes --any or --staleness, not both".into()),
-            (true, None) => "any ".into(),
-            (false, Some(ms)) => format!("staleness={ms} "),
-            (false, None) => String::new(),
-        };
-        let resp = send(format!("QUERY {mode}{q}"))?;
+        let resp = send(format!("QUERY {q}"))?;
         // Byte-identical to `xdl run` on the same program and facts.
         print!("{}", resp.payload_text());
-    } else if any || staleness.is_some() {
-        return Err("--any/--staleness need a '?- atom.' to apply to".into());
     }
     if flag(rest, "--stats") {
         println!("{}", send("STATS".to_string())?.payload_text().trim_end());

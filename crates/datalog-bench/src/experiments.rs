@@ -1,4 +1,4 @@
-//! The experiment suite (E1–E15). See DESIGN.md §5 for the index mapping
+//! The experiment suite (E1–E14). See DESIGN.md §5 for the index mapping
 //! each experiment to its paper anchor, and EXPERIMENTS.md for recorded
 //! results and shape expectations.
 //!
@@ -1114,185 +1114,6 @@ pub fn e14(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E15 — bounded-staleness serving: query tail latency under an ingest
-/// burst. A dedicated writer floods isolated `FACT`s for the whole
-/// measurement window while 1/4/8 clients time query round trips on the
-/// warm recursive form, under three serving disciplines:
-///
-/// * `recompute-baseline` — `resident_forms: 0`: every query re-runs the
-///   fixpoint after each invalidation (the pre-incremental server);
-/// * `fresh-sync` — resident frontier with synchronous catch-up: each
-///   query pays the pending delta drain before answering (protocol v4
-///   `fresh`, the default — byte-identical answers, staleness 0);
-/// * `bounded-stale` — `drain_sync_cost: 0` defers every drain to the
-///   maintenance thread and clients ask for `staleness=50`: reads come
-///   off the last published frontier while drains run behind.
-///
-/// Reported per client count: p50/p99 round trip per discipline plus the
-/// number of `ERR stale` refusals (bounded reads whose budget could not
-/// be met). `wall_us` per row is the run's total wall time.
-pub fn e15(quick: bool) -> ExperimentResult {
-    use datalog_server::{Client, Consistency, Server, ServerConfig};
-    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let mut r = ExperimentResult::new(
-        "e15",
-        "bounded-staleness serving: query p50/p99 under a FACT flood; \
-         recompute baseline vs synchronous fresh vs staleness=50 at 1/4/8 clients",
-    );
-    r.note("expect: bounded-stale trims the ingest-burst tail — queries stop paying");
-    r.note("for drains they did not cause; fresh keeps byte-identity and pays catch-up");
-
-    let n: i64 = if quick { 64 } else { 256 };
-    let per_client: usize = if quick { 25 } else { 100 };
-
-    let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
-    for i in 0..n {
-        src.push_str(&format!("p({i}, {}).\n", i + 1));
-    }
-    let dir = std::env::temp_dir().join(format!("datalog-bench-e15-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir for e15");
-    let file = dir.join("chain.dl");
-    std::fs::write(&file, &src).expect("write e15 workload");
-    let path = file.to_str().expect("utf-8 temp path").to_string();
-
-    let row = |r: &mut ExperimentResult, label: &str, params: &str, us: u128| {
-        r.rows.push(crate::measure::Measurement {
-            label: label.into(),
-            params: params.into(),
-            answers: 0,
-            facts: 0,
-            duplicates: 0,
-            scanned: 0,
-            iterations: 0,
-            retired: 0,
-            wall_us: us,
-            rules: Vec::new(),
-        });
-    };
-
-    // Isolated-edge source shared by every burst writer across runs, so
-    // no run ever re-ingests a duplicate (duplicates skip invalidation
-    // and would quietly relax the burst).
-    let next_edge = Arc::new(AtomicI64::new(10_000_000));
-    // The burst is a fixed-size salvo, not an open faucet: an unbounded
-    // writer grows the database (and the recompute bill) without limit,
-    // turning the baseline run into a measurement of the flood instead
-    // of the serving discipline.
-    let burst: usize = if quick { 250 } else { 1500 };
-
-    // One run: a writer floods a fixed burst of FACTs while clients time
-    // query round trips at the given consistency. Returns
-    // (total, p50, p99, stale refusals).
-    let run = |resident_forms: usize,
-               drain_sync_cost: u64,
-               mode: Consistency,
-               clients: usize|
-     -> (std::time::Duration, u128, u128, usize) {
-        let server = Server::spawn(&ServerConfig {
-            threads: 8,
-            resident_forms,
-            drain_sync_cost,
-            ..ServerConfig::default()
-        })
-        .expect("bind");
-        let addr = server.addr();
-        let mut c = Client::connect(addr).expect("connect");
-        assert!(c.load(&path).expect("load").ok);
-        assert!(c.query("?- a(0, _).").expect("warm").ok);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let stop = Arc::clone(&stop);
-            let next_edge = Arc::clone(&next_edge);
-            std::thread::spawn(move || {
-                let mut w = Client::connect(addr).expect("writer connect");
-                for _ in 0..burst {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let x = next_edge.fetch_add(2, Ordering::Relaxed);
-                    let resp = w.fact(&format!("p({x}, {}).", x + 1)).expect("fact");
-                    assert!(resp.ok, "{}", resp.error);
-                }
-            })
-        };
-
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|tid| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    let mut walls = Vec::with_capacity(per_client);
-                    let mut refused = 0usize;
-                    for i in 0..per_client {
-                        let q = format!("?- a({}, _).", (tid * per_client + i) as i64 % n);
-                        let t = Instant::now();
-                        let resp = c.query_at(mode, &q).expect("query");
-                        walls.push(t.elapsed().as_micros());
-                        if !resp.ok {
-                            // Only a bounded budget may refuse, and only
-                            // with the structured stale code.
-                            assert!(resp.stale_bound_ms().is_some(), "{}: {}", q, resp.error);
-                            refused += 1;
-                        }
-                    }
-                    (walls, refused)
-                })
-            })
-            .collect();
-        let mut walls: Vec<u128> = Vec::new();
-        let mut refused = 0usize;
-        for h in handles {
-            let (w, rf) = h.join().expect("client thread");
-            walls.extend(w);
-            refused += rf;
-        }
-        let total = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        writer.join().expect("writer thread");
-        walls.sort();
-        let p50 = walls[walls.len() / 2];
-        let p99 = walls[(walls.len() * 99) / 100 - 1];
-        c.shutdown().expect("shutdown");
-        server.join();
-        (total, p50, p99, refused)
-    };
-
-    let trials: usize = if quick { 2 } else { 3 };
-    let disciplines: [(&str, usize, u64, Consistency); 3] = [
-        ("recompute-baseline", 0, u64::MAX, Consistency::Fresh),
-        ("fresh-sync", 8, u64::MAX, Consistency::Fresh),
-        ("bounded-stale", 8, 0, Consistency::Bounded(50)),
-    ];
-    for clients in [1usize, 4, 8] {
-        let params = format!("clients={clients} q={per_client} each");
-        for (label, forms, sync_cost, mode) in disciplines {
-            // Best-of-trials, same rationale as E13/E14: peak capability
-            // isolates the serving discipline from scheduler noise.
-            let mut best: Option<(std::time::Duration, u128, u128, usize)> = None;
-            for _ in 0..trials {
-                let t = run(forms, sync_cost, mode, clients);
-                if best.as_ref().map_or(true, |b| t.0 < b.0) {
-                    best = Some(t);
-                }
-            }
-            let (total, p50, p99, refused) = best.expect("at least one trial");
-            let qps = (clients * per_client) as f64 / total.as_secs_f64();
-            r.note(format!(
-                "clients={clients} {label}: {qps:.0} qps p50={p50}us p99={p99}us \
-                 refusals={refused} (best of {trials})"
-            ));
-            row(&mut r, label, &params, total.as_micros());
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    r
-}
-
 /// An experiment: run it, in quick mode or not.
 pub type Experiment = fn(bool) -> ExperimentResult;
 
@@ -1313,7 +1134,6 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("e12", e12),
     ("e13", e13),
     ("e14", e14),
-    ("e15", e15),
 ];
 
 /// All experiments in order.

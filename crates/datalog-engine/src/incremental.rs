@@ -94,20 +94,16 @@ pub struct DeltaLimits {
 /// at construction and re-published after every successful
 /// [`ResidentEval::apply_deltas`]. The version counter is monotone per
 /// resident instance (1 at construction, +1 per converged batch — no-op
-/// batches included, since convergence was re-confirmed), the watermark
-/// counts every distinct input fact folded into the frontier, and the
-/// timestamp is the monotonic instant the frontier converged. Together
-/// they are the handshake bounded-staleness serving needs: a reader can
-/// name exactly which frontier answered it (`version`), how much input it
-/// reflects (`watermark`), and how old that cut is (`published_at`).
+/// batches included, since convergence was re-confirmed), and the
+/// watermark counts every distinct input fact folded into the frontier: a
+/// reader can name exactly which frontier answered it (`version`) and how
+/// much input it reflects (`watermark`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frontier {
     /// Monotone per-instance version counter.
     pub version: u64,
     /// Distinct input facts applied (construction input + all batches).
     pub watermark: u64,
-    /// Monotonic instant this frontier converged.
-    pub published_at: Instant,
 }
 
 /// What one [`ResidentEval::apply_deltas`] call did.
@@ -289,7 +285,6 @@ impl ResidentEval {
             frontier: Frontier {
                 version: 1,
                 watermark: initial_facts,
-                published_at: Instant::now(),
             },
             poisoned: false,
         })
@@ -397,11 +392,10 @@ impl ResidentEval {
         self.applied_facts += new_facts as u64;
         // Converged again: publish the new frontier. The version bumps on
         // every successful call (a no-op batch still re-confirmed
-        // convergence, which is what the timestamp certifies).
+        // convergence).
         self.frontier = Frontier {
             version: self.frontier.version + 1,
             watermark: self.initial_facts + self.applied_facts,
-            published_at: Instant::now(),
         };
         Ok(DeltaReport {
             batch_facts: batch.len(),
@@ -479,14 +473,6 @@ impl ResidentEval {
     /// relations — the `xdl_storage_runs` input.
     pub fn storage_runs(&self) -> usize {
         self.db.storage_runs()
-    }
-
-    /// Seal and consolidate the resident database's storage. Safe at a
-    /// converged frontier (sealing never changes rows or ids); the server's
-    /// maintenance thread calls this after deferred drains, where the
-    /// bound-priced merge work was deemed too expensive to do synchronously.
-    pub fn seal_storage(&mut self) {
-        self.db.seal_storage();
     }
 }
 
@@ -678,10 +664,8 @@ mod tests {
         let f2 = r.frontier();
         assert_eq!(f2.version, 2);
         assert_eq!(f2.watermark, 5);
-        assert!(f2.published_at >= f1.published_at);
         // A duplicate (no-op) batch still re-publishes: convergence was
-        // re-confirmed, so the version and timestamp advance while the
-        // watermark holds.
+        // re-confirmed, so the version advances while the watermark holds.
         r.apply_deltas(&[edge(4, 5)], &DeltaLimits::default())
             .unwrap();
         let f3 = r.frontier();

@@ -172,13 +172,6 @@ impl SharedRelation {
         Ok(fresh)
     }
 
-    /// Seal the tail into a sorted run and consolidate. Called by the
-    /// server's maintenance thread; inserts also seal past
-    /// [`crate::storage::TAIL_LIMIT`].
-    pub fn seal(&self) {
-        lock_or_recover(self.store.write()).seal();
-    }
-
     /// Number of sealed dedup runs (the `xdl_storage_runs` input).
     pub fn run_count(&self) -> usize {
         lock_or_recover(self.store.read()).run_count()
@@ -279,18 +272,6 @@ impl SharedDatabase {
         g.values().map(|r| r.run_count()).sum()
     }
 
-    /// Seal every relation's dedup tail and consolidate runs. Called by
-    /// the server's maintenance thread between deferred drains.
-    pub fn seal_storage(&self) {
-        let rels: Vec<Arc<SharedRelation>> = {
-            let g = lock_or_recover(self.rels.read());
-            g.values().map(Arc::clone).collect()
-        };
-        for rel in rels {
-            rel.seal();
-        }
-    }
-
     /// Total committed facts.
     pub fn total_facts(&self) -> usize {
         let g = lock_or_recover(self.rels.read());
@@ -387,25 +368,6 @@ impl DbSnapshot {
             .map_or_else(Vec::new, |(_, rel, w)| rel.range(start, *w))
     }
 
-    /// Total rows this snapshot holds beyond what a consumer already
-    /// applied, summed over the given support set — the *watermark lag*
-    /// that a resident form draining to `applied` marks would still have
-    /// to propagate. `0` means the consumer is exactly at this snapshot
-    /// (no drain needed); predicates missing from `applied` count from 0.
-    pub fn lag_from<'a>(
-        &self,
-        support: impl IntoIterator<Item = &'a PredRef>,
-        applied: &BTreeMap<PredRef, usize>,
-    ) -> u64 {
-        support
-            .into_iter()
-            .map(|p| {
-                let have = applied.get(p).copied().unwrap_or(0);
-                self.count(p).saturating_sub(have) as u64
-            })
-            .sum()
-    }
-
     /// Materialize the snapshot as a [`FactSet`] — the engine's input
     /// currency — copying only up to each relation's watermark.
     pub fn to_factset(&self) -> FactSet {
@@ -500,28 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn lag_from_counts_unapplied_rows_over_the_support() {
-        let db = SharedDatabase::new();
-        let p = PredRef::new("p");
-        let q = PredRef::new("q");
-        for i in 0..5 {
-            db.insert(&p, &t(&[i])).unwrap();
-        }
-        db.insert(&q, &t(&[0])).unwrap();
-        let snap = db.snapshot();
-        let mut applied = BTreeMap::new();
-        applied.insert(p.clone(), 3);
-        // q missing from `applied` counts from zero; 2 + 1 unapplied rows.
-        assert_eq!(snap.lag_from([&p, &q], &applied), 3);
-        applied.insert(q.clone(), 1);
-        applied.insert(p.clone(), 5);
-        assert_eq!(snap.lag_from([&p, &q], &applied), 0);
-        // A consumer ahead of the snapshot (newer drain) never underflows.
-        applied.insert(p.clone(), 9);
-        assert_eq!(snap.lag_from([&p, &q], &applied), 0);
-    }
-
-    #[test]
     fn poisoned_lock_is_recovered_and_usable() {
         let db = Arc::new(SharedDatabase::new());
         let p = PredRef::new("p");
@@ -608,8 +548,7 @@ mod tests {
         // Arity clashes are reported in-protocol, never panics.
         let e = bulk.load_batch(&p, 2, vec![]).unwrap_err();
         assert!(matches!(e, SharedDbError::Arity { .. }));
-        // Sealing on demand keeps membership intact.
-        bulk.seal_storage();
+        // Per-row inserts after the batch keep its membership.
         assert!(!bulk.insert(&p, &t(&[3])).unwrap());
         assert!(bulk.insert(&p, &t(&[42])).unwrap());
     }

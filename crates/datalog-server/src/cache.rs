@@ -12,9 +12,7 @@
 //! ([`CachedAnswers`]): the rendered payload of the last answer, tagged
 //! with the [`Watermarks`] of the form's EDB support set it was rendered
 //! at. Ingestion never touches it: a later identical query reuses the
-//! payload iff its snapshot still sits at exactly those watermarks, and a
-//! relaxed reader may be served it past that (its age bounds its
-//! staleness: every row it misses arrived after it was published).
+//! payload iff its snapshot still sits at exactly those watermarks.
 //!
 //! Whether the form is maintained incrementally is its [`Residency`]:
 //! `Cold` (evaluate from the snapshot), `Live` (a pinned [`ResidentForm`]
@@ -25,10 +23,8 @@
 //!
 //! The form sits behind its own mutex so a drain propagates without the
 //! cache lock. Lock order is cache → form, and the cache lock is never
-//! held while *blocking* on a form lock; what a decision needs without
-//! the form lock (applied watermarks, staleness anchor) is a field of
-//! `Residency::Live`, written in the one cache-lock scope that ends each
-//! drain.
+//! held while *blocking* on a form lock: the cache only hands the form
+//! handle out, and everything about the form is read under its own lock.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -92,9 +88,6 @@ pub struct CachedAnswers {
     pub watermarks: Watermarks,
     /// The memoized table.
     pub table: Rendered,
-    /// When the payload was rendered. `now - published_at` bounds the
-    /// staleness of serving this memo: every row it misses arrived later.
-    pub published_at: Instant,
 }
 
 impl CachedAnswers {
@@ -120,36 +113,15 @@ pub struct ResidentForm {
     pub applied: Watermarks,
 }
 
-/// Rows a live form has not applied yet.
-#[derive(Debug, Clone, Copy)]
-pub struct Lag {
-    /// Earliest instant at which an unapplied row may have arrived: the
-    /// capture time of the oldest snapshot that showed the form behind.
-    /// Any row past that snapshot arrived after it was captured, so
-    /// `now - since` is a correct upper staleness bound.
-    pub since: Instant,
-    /// The catch-up was priced off the request path: the maintenance
-    /// thread owes this form a drain.
-    pub deferred: bool,
-}
-
 /// How a form is served and maintained.
 #[derive(Debug)]
 pub enum Residency {
     /// No resident state: never pinned, not eligible, or evicted by the
     /// resident LRU. An eligible form pins with its next cold evaluation.
     Cold,
-    /// Maintained incrementally.
-    Live {
-        /// The pinned state. Shared so drains can propagate without the
-        /// cache lock.
-        form: Arc<Mutex<ResidentForm>>,
-        /// Copy of the form's applied watermarks as of its last finished
-        /// drain (per-predicate max), readable without the form lock.
-        applied: Watermarks,
-        /// `None` = fully drained at last check.
-        lag: Option<Lag>,
-    },
+    /// Maintained incrementally: the pinned state, shared so drains can
+    /// propagate without the cache lock.
+    Live(Arc<Mutex<ResidentForm>>),
     /// Poisoned by a failed propagation and dropped. The maintenance
     /// thread rebuilds it once `retry_at` has passed; an eligible query
     /// arriving first rebuilds it lazily.
@@ -194,25 +166,18 @@ impl Entry {
     /// The pinned form, when the entry is live.
     pub fn live_form(&self) -> Option<&Arc<Mutex<ResidentForm>>> {
         match &self.residency {
-            Residency::Live { form, .. } => Some(form),
+            Residency::Live(form) => Some(form),
             _ => None,
         }
     }
 
     /// Fill the answer slot with `table`, rendered for `query_repr` at
-    /// `watermarks` and aging from `published_at`.
-    pub fn memoize(
-        &mut self,
-        query_repr: &str,
-        table: &Rendered,
-        watermarks: Watermarks,
-        published_at: Instant,
-    ) {
+    /// `watermarks`.
+    pub fn memoize(&mut self, query_repr: &str, table: &Rendered, watermarks: Watermarks) {
         self.memo = Some(CachedAnswers {
             query_repr: query_repr.to_string(),
             watermarks,
             table: table.clone(),
-            published_at,
         });
     }
 }
@@ -289,11 +254,7 @@ impl PreparedCache {
         let Some(e) = self.entries.get_mut(key) else {
             return false;
         };
-        e.residency = Residency::Live {
-            applied: form.applied.clone(),
-            lag: None,
-            form: Arc::new(Mutex::new(form)),
-        };
+        e.residency = Residency::Live(Arc::new(Mutex::new(form)));
         true
     }
 

@@ -4,7 +4,7 @@
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{Consistency, Response};
+use crate::protocol::Response;
 
 /// One connection to a running server.
 pub struct Client {
@@ -22,8 +22,17 @@ impl Client {
         Ok(Client { writer, reader })
     }
 
-    /// Send one request line and read the response.
+    /// Send one request line and read the response. A line containing
+    /// `\n` or `\r` is refused with `InvalidInput` before anything is
+    /// written: the server would read it as two requests, and every later
+    /// call would read the previous request's response.
     pub fn request(&mut self, line: &str) -> std::io::Result<Response> {
+        if line.contains(['\n', '\r']) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a request is one line: it may not contain a line break",
+            ));
+        }
         self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         Response::read_from(&mut self.reader)?.ok_or_else(|| {
@@ -44,18 +53,9 @@ impl Client {
         self.request(&format!("LOAD {path}"))
     }
 
-    /// `QUERY ?- ... .` (fresh — the default consistency mode).
+    /// `QUERY ?- ... .`
     pub fn query(&mut self, query: &str) -> std::io::Result<Response> {
         self.request(&format!("QUERY {query}"))
-    }
-
-    /// `QUERY <mode> ?- ... .` with an explicit consistency mode
-    /// (`fresh`, `any`, or `staleness=<ms>` — see [`Consistency`]).
-    pub fn query_at(&mut self, consistency: Consistency, query: &str) -> std::io::Result<Response> {
-        match consistency {
-            Consistency::Fresh => self.query(query),
-            mode => self.request(&format!("QUERY {mode} {query}")),
-        }
     }
 
     /// `STATS`

@@ -28,10 +28,6 @@ pub struct FaultPlan {
     /// One-shot: panic inside query handling when the query predicate's
     /// base name matches. Cleared by firing, so recovery is observable.
     panic_on_query: Mutex<Option<String>>,
-    /// While non-zero, every resident drain sleeps this many milliseconds
-    /// *while holding the form lock* — the widest possible window for
-    /// concurrent stale reads and contention fallbacks to be observed.
-    slow_drain_ms: AtomicU64,
     /// A budget of drains to fail: each consult while the budget is
     /// positive decrements it and poisons that propagation (the drain is
     /// run under an already-cancelled token). Lets tests stage "fails
@@ -83,22 +79,6 @@ impl FaultPlan {
             return true;
         }
         false
-    }
-
-    /// Make every resident drain hold its form lock for `ms` milliseconds
-    /// (0 disarms). Counts one fire per delayed drain.
-    pub fn slow_drains(&self, ms: u64) {
-        self.slow_drain_ms.store(ms, Ordering::Release);
-    }
-
-    /// Consulted by the drain path; returns the artificial delay to apply
-    /// while the form lock is held, counting a fire when armed.
-    pub fn drain_delay_ms(&self) -> u64 {
-        let ms = self.slow_drain_ms.load(Ordering::Acquire);
-        if ms > 0 {
-            self.fired.fetch_add(1, Ordering::AcqRel);
-        }
-        ms
     }
 
     /// Arm the next `n` resident drains to fail (poisoning the form).
@@ -156,17 +136,6 @@ mod tests {
         assert!(plan.drain_should_fail());
         assert!(!plan.drain_should_fail(), "budget exhausted — drains heal");
         assert_eq!(plan.fired(), 2);
-    }
-
-    #[test]
-    fn slow_drain_delay_is_reported_until_disarmed() {
-        let plan = FaultPlan::new();
-        assert_eq!(plan.drain_delay_ms(), 0);
-        plan.slow_drains(25);
-        assert_eq!(plan.drain_delay_ms(), 25);
-        plan.slow_drains(0);
-        assert_eq!(plan.drain_delay_ms(), 0);
-        assert_eq!(plan.fired(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | [`admit`](ServerState::admit) | EDB-only in both directions, arities — a refused request logs and applies nothing | rules (read), briefly |
 //! | [`commit`](ServerState::commit) | WAL append (fsync per policy), then [`apply`](ServerState::apply): extend the rule set, insert the rows | ingest gate (read) |
-//! | [`publish`](ServerState::publish) | drain or defer every live form the rows touch, compact the log when due | cache / form, one at a time |
+//! | [`publish`](ServerState::publish) | drain every live form the rows touch, compact the log when due | cache / form, one at a time |
 //!
 //! The paper's IDB/EDB convention (§1.1: the IDB holds no facts) is what
 //! `admit` enforces: facts only for predicates no rule derives, rules only

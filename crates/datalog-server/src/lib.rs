@@ -30,13 +30,9 @@
 //! Start it with `xdl serve [--port P] [--threads N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see
 //! [`protocol`] for the grammar). `QUERY` responses are byte-identical to
-//! `xdl run` on the same program and facts.
-//!
-//! Protocol v4 adds **bounded-staleness serving**: `QUERY` accepts a
-//! consistency mode (`fresh` | `staleness=<ms>` | `any`), every response
-//! carries the frontier version it was served at plus an upper staleness
-//! bound, and costly resident drains are deferred to a maintenance thread
-//! while readers keep answering off the last published frontier.
+//! `xdl run` on the same program and facts, and always fresh: an answer
+//! reflects every ingest acknowledged before the query, and names the
+//! frontier version it was read at.
 
 pub mod cache;
 pub mod client;
@@ -53,6 +49,6 @@ pub use cache::{CachedAnswers, FormKey, PreparedCache};
 pub use client::Client;
 pub use fault::FaultPlan;
 pub use metrics::ServerMetrics;
-pub use protocol::{Consistency, ErrCode, Request, Response, PROTOCOL_VERSION};
+pub use protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
 pub use server::{render_answers, Server, ServerConfig, ServerState};
 pub use wal::{FsyncPolicy, Recovery, RunBatch, Wal, WalOp};

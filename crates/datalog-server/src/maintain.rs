@@ -3,27 +3,24 @@
 //! decision.
 //!
 //! ```text
-//!            pin_built                    poison
-//!   Cold ───────────────▶ Live ─────────────────────────▶ Lost
-//!    ▲   (cold eval or     │ ▲                              │
-//!    │    rebuild)         │ │ drain: lag → None | Some     │
-//!    │                     ▼ │                              │
-//!    └──── LRU eviction ── Live{lag} ◀──── pin_built ───────┘
-//!                                     (query, or rebuild at retry_at)
+//!            pin_built                 poison
+//!   Cold ───────────────▶ Live ───────────────────▶ Lost
+//!    ▲   (cold eval or     │ ▲                       │
+//!    │    rebuild)         │ └────── pin_built ──────┘
+//!    └── LRU eviction ─────┘  (query, or rebuild at retry_at)
 //! ```
 //!
 //! * [`drain`](ServerState::drain) is the one catch-up: lock the form,
-//!   propagate to a snapshot, optionally read the frontier, then settle
-//!   the entry in one cache-lock scope. Ingest (inline), the maintenance
-//!   thread (deferred) and a `fresh` query all drain here.
-//! * The ingest path only *marks* what it will not do itself
-//!   (`Lag::deferred`), and a failed propagation only *records* when a
-//!   rebuild is due (`Lost::retry_at`). The maintenance thread reads that
-//!   state on a wake-up or its tick — there is no job queue, and backoff
-//!   is a timestamp, never a sleep — so one form's backoff cannot delay
-//!   another form's drain or the shutdown join. Without the thread (plain
-//!   in-process states) the same state is resolved by the next eligible
-//!   query.
+//!   propagate to a snapshot, optionally read the frontier and memoize it.
+//!   Ingest drains every live form its rows touch before it answers, and a
+//!   query drains its form to its own snapshot before it reads, so every
+//!   answer is fresh.
+//! * A failed propagation only *records* when a rebuild is due
+//!   (`Lost::retry_at`). The maintenance thread reads that state on a
+//!   wake-up or its tick — there is no job queue, and backoff is a
+//!   timestamp, never a sleep — so one form's backoff cannot delay another
+//!   form or the shutdown join. Without the thread (plain in-process
+//!   states) a lost form is rebuilt by the next eligible query.
 //!
 //! Lock order is cache → form; nothing here blocks on a form lock while
 //! holding the cache lock.
@@ -37,15 +34,23 @@ use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact};
 use datalog_engine::{CancelToken, DbSnapshot};
 use datalog_opt::PreparedProgram;
 
-use crate::cache::{FormKey, Lag, PreparedCache, Rendered, Residency, ResidentForm, Watermarks};
+use crate::cache::{FormKey, PreparedCache, Rendered, Residency, ResidentForm};
 use crate::query::{build_resident, read_frontier};
 use crate::server::{lock, ServerState};
 
-/// Ceiling of the rebuild backoff.
-const REBUILD_BACKOFF_CAP_MS: u64 = 5_000;
+/// Ceiling of the rebuild backoff, and of its base delay (`rebuild_ms`).
+pub(crate) const REBUILD_BACKOFF_CAP_MS: u64 = 5_000;
 
 /// How often the maintenance thread looks at the cache unprompted.
 const TICK: Duration = Duration::from_millis(50);
+
+/// The wait before the next rebuild of a form whose last `attempts`
+/// rebuilds failed: `rebuild_ms << attempts`, capped. `rebuild_ms` is at
+/// most the cap (see [`ServerState::from_config`]), so the shift cannot
+/// overflow.
+fn rebuild_backoff_ms(rebuild_ms: u64, attempts: u32) -> u64 {
+    (rebuild_ms << attempts.min(16)).min(REBUILD_BACKOFF_CAP_MS)
+}
 
 impl ServerState {
     /// Propagate every shared-store row past the form's applied watermarks
@@ -66,14 +71,8 @@ impl ServerState {
         if batch.is_empty() {
             return Ok(());
         }
-        // Fault hooks fire only on real propagation work: a slow drain
-        // sleeps while holding the form lock (the widest window for
-        // concurrent stale serves), a failing drain runs under an
-        // already-cancelled token and poisons the state.
-        let delay = self.cfg.fault.drain_delay_ms();
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
-        }
+        // The fault hook fires only on real propagation work: a failing
+        // drain runs under an already-cancelled token and poisons the state.
         let abort = CancelToken::new();
         if self.cfg.fault.drain_should_fail() {
             abort.cancel();
@@ -99,33 +98,11 @@ impl ServerState {
         Ok(())
     }
 
-    /// Bound-polynomial drain-cost estimate: the static derivation bound
-    /// evaluated at the snapshot's cardinalities minus the bound at the
-    /// form's applied watermarks — an upper envelope on how much new
-    /// derivation a catch-up can possibly do.
-    pub(crate) fn drain_cost(
-        prepared: &PreparedProgram,
-        snapshot: &DbSnapshot,
-        applied: &Watermarks,
-    ) -> u64 {
-        let now = Self::edb_cards(prepared, |p| snapshot.count(p));
-        let then = Self::edb_cards(prepared, |p| applied.get(p).copied().unwrap_or(0));
-        let bounds = &prepared.bounds;
-        bounds
-            .eval_total(&now)
-            .saturating_sub(bounds.eval_total(&then))
-    }
-
-    /// Catch `form` up to `snapshot` (captured at `anchor`) holding only
-    /// the form lock, then settle the entry under one short cache lock:
-    /// merge the form's applied watermarks into `Residency::Live` (per-
-    /// predicate max — a slower concurrent drain must not regress them)
-    /// and re-anchor the lag. Rows still missing arrived after `anchor`,
-    /// so it is a correct staleness anchor; an older one wins.
+    /// Catch `form` up to `snapshot` holding only the form lock.
     ///
     /// With `read = (query atom, its rendered text)` the caught-up
-    /// frontier is extracted while the form is still locked, memoized in
-    /// that same cache-lock scope and returned. `Err(())` means the
+    /// frontier is extracted while the form is still locked, then memoized
+    /// under one short cache lock and returned. `Err(())` means the
     /// propagation failed: the form is poisoned, counted and `Lost`.
     ///
     /// The caller must not hold the cache lock.
@@ -134,51 +111,28 @@ impl ServerState {
         key: &FormKey,
         form: &Arc<Mutex<ResidentForm>>,
         snapshot: &DbSnapshot,
-        anchor: Instant,
         read: Option<(&Atom, &str)>,
     ) -> Result<Option<Rendered>, ()> {
         let drained = {
             let mut g = lock(form);
             self.propagate(&mut g, snapshot).map(|()| {
-                let table = read.map(|(atom, _)| read_frontier(&g, atom));
-                (g.applied.clone(), table)
+                read.map(|(atom, repr)| (read_frontier(&g, atom), g.applied.clone(), repr))
             })
         };
-        let Ok((applied, table)) = drained else {
+        let Ok(read) = drained else {
             self.poison(key, form);
             return Err(());
         };
-        let now = self.db.snapshot();
-        let mut cache = lock(&self.cache);
-        let Some(e) = cache.peek_mut(key) else {
-            return Ok(table);
+        let Some((table, applied, repr)) = read else {
+            return Ok(None);
         };
-        match &mut e.residency {
-            Residency::Live {
-                form: pinned,
-                applied: seen,
-                lag,
-            } if Arc::ptr_eq(pinned, form) => {
-                for (p, n) in &applied {
-                    let m = seen.entry(p.clone()).or_insert(0);
-                    *m = (*m).max(*n);
-                }
-                let behind = now.lag_from(&e.prepared.support, seen) > 0;
-                *lag = behind.then(|| Lag {
-                    since: lag.map_or(anchor, |l| l.since.min(anchor)),
-                    deferred: lag.is_some_and(|l| l.deferred),
-                });
-            }
-            // Evicted or re-pinned while we drained the old handle.
-            _ => {}
-        }
-        if let (Some((_, repr)), Some(table)) = (read, &table) {
+        if let Some(e) = lock(&self.cache).peek_mut(key) {
             // Tagged with the form's *applied* watermarks: if a drain
             // raced us past `snapshot`, the served frontier is the newer
             // (monotone superset) one, and the slot must say so.
-            e.memoize(repr, table, applied, anchor);
+            e.memoize(repr, &table, applied);
         }
-        Ok(table)
+        Ok(Some(table))
     }
 
     /// `form` failed a propagation: `Live → Lost`, counted once however
@@ -222,58 +176,29 @@ impl ServerState {
         }
     }
 
-    /// Ingestion-side propagation, backpressure-aware: every live form
-    /// whose support one of `touched` belongs to is either drained here
-    /// (cheap by the bound polynomial) or marked deferred for the
-    /// maintenance thread, while readers serve its published frontier.
-    /// Runs off the ingest gate — the snapshot taken here necessarily
-    /// includes the rows just inserted.
+    /// Ingestion-side propagation: drain every live form whose support one
+    /// of `touched` belongs to, before the ingest is acknowledged. Runs off
+    /// the ingest gate — the snapshot taken here necessarily includes the
+    /// rows just inserted.
     pub(crate) fn drain_residents(&self, touched: &[PredRef]) {
         if self.cfg.resident_forms == 0 || touched.is_empty() {
             return;
         }
-        let t_snap = Instant::now();
         let snapshot = self.db.snapshot();
-        let mut inline: Vec<(FormKey, Arc<Mutex<ResidentForm>>)> = Vec::new();
-        let mut deferred = false;
-        {
-            let mut cache = lock(&self.cache);
-            for (key, entry) in cache.iter_mut() {
-                let Residency::Live { form, applied, lag } = &mut entry.residency else {
-                    continue;
-                };
-                if !touched.iter().any(|p| entry.prepared.depends_on(p))
-                    || snapshot.lag_from(&entry.prepared.support, applied) == 0
-                {
-                    continue;
-                }
-                // Rows past `applied` arrived no earlier than the previous
-                // drain's snapshot; an anchor already set is older and wins.
-                let lag = lag.get_or_insert(Lag {
-                    since: t_snap,
-                    deferred: false,
-                });
-                if Self::drain_cost(&entry.prepared, &snapshot, applied) <= self.cfg.drain_sync_cost
-                {
-                    inline.push((key.clone(), Arc::clone(form)));
-                } else {
-                    lag.deferred = true;
-                    deferred = true;
-                }
-            }
-        }
-        for (key, form) in &inline {
-            let _ = self.drain(key, form, &snapshot, t_snap, None);
-        }
-        if deferred {
-            self.wake_maintenance();
+        let forms: Vec<(FormKey, Arc<Mutex<ResidentForm>>)> = lock(&self.cache)
+            .iter_mut()
+            .filter(|(_, e)| touched.iter().any(|p| e.prepared.depends_on(p)))
+            .filter_map(|(key, e)| Some((key.clone(), Arc::clone(e.live_form()?))))
+            .collect();
+        for (key, form) in &forms {
+            let _ = self.drain(key, form, &snapshot, None);
         }
     }
 
-    /// Spawn the background maintenance thread (deferred drains, due
-    /// rebuilds). Called by [`Server::spawn`](crate::Server::spawn);
-    /// in-process harnesses may call it too. No-op (returns `None`) when
-    /// resident serving is disabled or the thread already runs.
+    /// Spawn the background maintenance thread (due rebuilds). Called by
+    /// [`Server::spawn`](crate::Server::spawn); in-process harnesses may
+    /// call it too. No-op (returns `None`) when resident serving is
+    /// disabled or the thread already runs.
     pub fn start_maintenance(self: &Arc<Self>) -> Option<JoinHandle<()>> {
         if self.cfg.resident_forms == 0 || self.maintenance.get().is_some() {
             return None;
@@ -297,48 +222,17 @@ impl ServerState {
         }
     }
 
-    /// One maintenance pass: drain every live form whose lag is marked
-    /// deferred, rebuild every lost form whose backoff has run out.
+    /// One maintenance pass: rebuild every lost form whose backoff has run
+    /// out.
     fn maintain(&self) {
         let now = Instant::now();
-        let mut drains: Vec<(FormKey, Arc<Mutex<ResidentForm>>)> = Vec::new();
-        let mut rebuilds: Vec<(FormKey, Arc<PreparedProgram>)> = Vec::new();
-        for (key, entry) in lock(&self.cache).iter_mut() {
-            match &mut entry.residency {
-                Residency::Live {
-                    form,
-                    lag: Some(lag),
-                    ..
-                } if lag.deferred => {
-                    // Claimed before the drain: an ingest arriving
-                    // mid-drain marks it again, and the next pass follows up.
-                    lag.deferred = false;
-                    drains.push((key.clone(), Arc::clone(form)));
-                }
-                Residency::Lost { retry_at, .. } if *retry_at <= now => {
-                    rebuilds.push((key.clone(), Arc::clone(&entry.prepared)));
-                }
-                _ => {}
-            }
-        }
-        for (key, form) in &drains {
-            // Catch up to the *current* database, not the snapshot that
-            // deferred the drain — later ingests fold in for free.
-            let t_snap = Instant::now();
-            let snapshot = self.db.snapshot();
-            if self.drain(key, form, &snapshot, t_snap, None).is_ok() {
-                self.metrics.background_drains.inc();
-                // The maintenance thread owns the slack after a deferred
-                // drain: seal the resident's freshly-applied tail into
-                // bloom-gated sorted runs (and consolidate) off the query
-                // path. Skipped under contention — the next seal point
-                // (freeze barrier or threshold) picks it up.
-                if let Ok(mut g) = form.try_lock() {
-                    g.eval.seal_storage();
-                }
-                self.db.seal_storage();
-            }
-        }
+        let rebuilds: Vec<(FormKey, Arc<PreparedProgram>)> = lock(&self.cache)
+            .iter_mut()
+            .filter(
+                |(_, e)| matches!(e.residency, Residency::Lost { retry_at, .. } if retry_at <= now),
+            )
+            .map(|(key, e)| (key.clone(), Arc::clone(&e.prepared)))
+            .collect();
         for (key, prepared) in &rebuilds {
             if self.is_shutdown() {
                 return;
@@ -349,8 +243,8 @@ impl ServerState {
 
     /// One background rebuild attempt of a lost form from a fresh
     /// snapshot. Failure is counted as a poisoning and doubles the form's
-    /// backoff (`rebuild_ms << attempts`, capped); the wait is `retry_at`
-    /// in the entry, so nothing else waits with it.
+    /// backoff ([`rebuild_backoff_ms`]); the wait is `retry_at` in the
+    /// entry, so nothing else waits with it.
     fn rebuild(&self, key: &FormKey, prepared: &PreparedProgram) {
         let started = Instant::now();
         let snapshot = self.db.snapshot();
@@ -372,12 +266,48 @@ impl ServerState {
                 if let Some(Residency::Lost { attempts, retry_at }) =
                     cache.peek_mut(key).map(|e| &mut e.residency)
                 {
-                    let wait =
-                        (self.cfg.rebuild_ms << (*attempts).min(16)).min(REBUILD_BACKOFF_CAP_MS);
+                    let wait = rebuild_backoff_ms(self.cfg.rebuild_ms, *attempts);
                     *attempts += 1;
                     *retry_at = Instant::now() + Duration::from_millis(wait);
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServerConfig;
+
+    #[test]
+    fn a_huge_rebuild_base_yields_non_decreasing_capped_waits() {
+        // 2^62 << 2 wraps to 0: unnormalized, the second failed rebuild
+        // would retry on every tick.
+        let state = ServerState::from_config(&ServerConfig {
+            rebuild_ms: 1 << 62,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let base = state.cfg.rebuild_ms;
+        assert_eq!(base, REBUILD_BACKOFF_CAP_MS);
+        let waits: Vec<u64> = (1..=40).map(|a| rebuild_backoff_ms(base, a)).collect();
+        assert!(waits.windows(2).all(|w| w[0] <= w[1]), "{waits:?}");
+        assert!(
+            waits.iter().all(|&w| w == REBUILD_BACKOFF_CAP_MS),
+            "{waits:?}"
+        );
+        // The other end: zero is raised to 1 ms, and doubles from there.
+        let state = ServerState::from_config(&ServerConfig {
+            rebuild_ms: 0,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let waits: Vec<u64> = (1..=40)
+            .map(|a| rebuild_backoff_ms(state.cfg.rebuild_ms, a))
+            .collect();
+        assert_eq!(waits[..3], [2, 4, 8]);
+        assert!(waits.windows(2).all(|w| w[0] <= w[1]), "{waits:?}");
+        assert_eq!(waits.last(), Some(&REBUILD_BACKOFF_CAP_MS));
     }
 }

@@ -102,18 +102,6 @@ pub struct ServerMetrics {
     pub resident_rebuilds: Arc<Counter>,
     /// Resident propagations that failed and poisoned their form.
     pub resident_poisonings: Arc<Counter>,
-    /// Queries answered from a published-but-lagging frontier or a stale
-    /// answer memo (bounded/any consistency; never `fresh`).
-    pub stale_serves: Arc<Counter>,
-    /// Bounded-staleness queries refused with `ERR stale` because the
-    /// bound could not be met within the backpressure policy.
-    pub stale_refusals: Arc<Counter>,
-    /// Resident drains completed by the background maintenance thread
-    /// (deferred off the ingest path by the drain-cost policy).
-    pub background_drains: Arc<Counter>,
-    /// The upper staleness bound reported on served queries (seconds;
-    /// fresh serves record 0).
-    pub staleness_bound_seconds: Arc<Histogram>,
 
     /// Bloom-gated index probes against sealed storage runs (engine-wide,
     /// delta-synced from the process counters at scrape time).
@@ -276,28 +264,6 @@ impl ServerMetrics {
                 "xdl_resident_poisonings_total",
                 "Resident delta propagations that failed and poisoned \
                  their form.",
-                &[],
-            ),
-            stale_serves: registry.counter(
-                "xdl_stale_serves_total",
-                "Queries served from a lagging frontier or stale memo \
-                 under bounded/any consistency.",
-                &[],
-            ),
-            stale_refusals: registry.counter(
-                "xdl_stale_refusals_total",
-                "Bounded-staleness queries refused with ERR stale.",
-                &[],
-            ),
-            background_drains: registry.counter(
-                "xdl_background_drains_total",
-                "Resident drains completed by the maintenance thread.",
-                &[],
-            ),
-            staleness_bound_seconds: registry.histogram(
-                "xdl_staleness_bound_seconds",
-                "Upper staleness bound reported on served queries (0 for \
-                 fresh serves).",
                 &[],
             ),
             bloom_probes: registry.counter(
@@ -481,10 +447,6 @@ mod tests {
             "xdl_eval_merge_seconds",
             "xdl_resident_rebuilds_total",
             "xdl_resident_poisonings_total",
-            "xdl_stale_serves_total",
-            "xdl_stale_refusals_total",
-            "xdl_background_drains_total",
-            "xdl_staleness_bound_seconds",
             "xdl_bloom_probes_total",
             "xdl_bloom_skips_total",
             "xdl_storage_consolidations_total",

@@ -6,26 +6,21 @@
 //! ```text
 //! FACT p(1, 2).          ingest one ground fact
 //! LOAD path/to/file.dl   merge a file's rules and facts
-//! QUERY ?- a(X, _).      evaluate a query (fresh by default)
-//! QUERY staleness=50 ?- a(X, _).   accept answers up to 50 ms stale
-//! QUERY any ?- a(X, _).  accept any published answer, however stale
+//! QUERY ?- a(X, _).      evaluate a query
 //! STATS                  one-line JSON server statistics
 //! TRACE                  one-line JSON trace of the last query
 //! METRICS [JSON]         telemetry scrape (Prometheus text, or JSON)
 //! SHUTDOWN               stop the server
 //! ```
 //!
-//! Since **protocol version 4**, `QUERY` takes an optional leading
-//! *consistency mode* word — `fresh` (the default; answers reflect every
-//! acknowledged ingest), `staleness=<ms>` (answers may lag ingestion by at
-//! most that many milliseconds), or `any` (serve whatever frontier is
-//! published). `staleness=0` is exactly `fresh`. A word that is none of
-//! these is treated as the start of the query text, so v3 clients are
-//! unaffected. Query responses carry `frontier=<version>` and
-//! `staleness_us=<upper bound>` header pairs; a server that cannot meet
-//! the requested bound without more work than the client is willing to
-//! wait for answers `ERR stale <bound_ms> <message>` (see
-//! [`Response::err_stale`]).
+//! Every `QUERY` answer reflects every ingest acknowledged before the
+//! query arrived. **Protocol version 4** clients may lead the query text
+//! with a mode word — `fresh`, `staleness=<ms>` or `any` — which is
+//! validated (`staleness=abc` is an `ERR`) and discarded, since a fresh
+//! answer meets every bound; a word that is none of these is the start of
+//! the query text. Query responses carry `frontier=<version>` and
+//! `staleness_us=0` header pairs. The `stale` error code is no longer
+//! sent.
 //!
 //! Responses are a header line followed by zero or more payload lines:
 //!
@@ -61,12 +56,11 @@ use std::io::{BufRead, Write};
 /// Protocol version implemented by this build. Version 2 added coded
 /// `ERR` responses (`busy`/`deadline`/`budget`/`shutdown`/`internal`);
 /// version 3 added the `METRICS` verb (Prometheus text exposition, or the
-/// JSON registry readout with `METRICS JSON`); version 4 added `QUERY`
-/// consistency modes (`fresh` | `staleness=<ms>` | `any`), the
-/// `frontier=`/`staleness_us=` response headers, and the `stale` error
-/// code. `STATS` reports the version as `"proto"`. All additions are
-/// backward compatible: old clients never send the new words, and the
-/// new `ERR stale` line reads as an ordinary uncoded message on v3.
+/// JSON registry readout with `METRICS JSON`); version 4 added the
+/// `QUERY` mode words (`fresh` | `staleness=<ms>` | `any`, accepted and
+/// discarded) and the `frontier=`/`staleness_us=` response headers.
+/// `STATS` reports the version as `"proto"`. All additions are backward
+/// compatible: old clients never send the new words.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Longest request line the server reads, newline included. A longer one
@@ -89,11 +83,6 @@ pub enum ErrCode {
     Bound,
     /// The server is draining for shutdown.
     Shutdown,
-    /// The requested staleness bound cannot be met without a synchronous
-    /// catch-up the backpressure policy refused; the message leads with
-    /// the best staleness bound currently available, in milliseconds
-    /// (v4; see [`Response::err_stale`]).
-    Stale,
     /// A handler panic was contained; the request failed, the server lives.
     Internal,
 }
@@ -107,7 +96,6 @@ impl ErrCode {
             ErrCode::Budget => "budget",
             ErrCode::Bound => "bound",
             ErrCode::Shutdown => "shutdown",
-            ErrCode::Stale => "stale",
             ErrCode::Internal => "internal",
         }
     }
@@ -120,7 +108,6 @@ impl ErrCode {
             "budget" => Some(ErrCode::Budget),
             "bound" => Some(ErrCode::Bound),
             "shutdown" => Some(ErrCode::Shutdown),
-            "stale" => Some(ErrCode::Stale),
             "internal" => Some(ErrCode::Internal),
             _ => None,
         }
@@ -133,67 +120,25 @@ impl std::fmt::Display for ErrCode {
     }
 }
 
-/// The consistency mode a `QUERY` is issued under (protocol v4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Consistency {
-    /// Answers must reflect every acknowledged ingest — byte-identical to
-    /// pre-v4 behavior. The default, and what `staleness=0` normalizes to.
-    #[default]
-    Fresh,
-    /// Answers may lag acknowledged ingestion by at most this many
-    /// milliseconds of wall time (the server reports its actual upper
-    /// bound as `staleness_us=` and refuses with `ERR stale` rather than
-    /// silently exceeding the budget).
-    Bounded(u64),
-    /// Serve whatever frontier is published, however stale.
-    Any,
-}
-
-impl Consistency {
-    /// Parse one mode word. `None` for anything else (the word then
-    /// belongs to the query text — that is what keeps v3 clients working).
-    /// A malformed `staleness=` value is an error, not query text.
-    fn parse_word(word: &str) -> Option<Result<Consistency, String>> {
-        if word.eq_ignore_ascii_case("fresh") {
-            return Some(Ok(Consistency::Fresh));
-        }
-        if word.eq_ignore_ascii_case("any") {
-            return Some(Ok(Consistency::Any));
-        }
-        if let Some(v) = word.strip_prefix("staleness=") {
-            return Some(match v.parse::<u64>() {
-                Ok(0) => Ok(Consistency::Fresh),
-                Ok(ms) => Ok(Consistency::Bounded(ms)),
-                Err(_) => Err(format!(
-                    "staleness takes a whole number of milliseconds, got '{v}'"
-                )),
-            });
-        }
-        None
+/// Strip an optional leading `QUERY` mode word (protocol v4: `fresh`,
+/// `any` or `staleness=<ms>`). Every answer is fresh, which meets any
+/// bound, so the word is validated and discarded; a word that is no mode
+/// is the start of the query text. A malformed `staleness=` value is an
+/// error, not query text.
+fn strip_mode_word(rest: &str) -> Result<&str, String> {
+    let (word, tail) = match rest.split_once(char::is_whitespace) {
+        Some((w, t)) => (w, t.trim()),
+        None => (rest, ""),
+    };
+    if word.eq_ignore_ascii_case("fresh") || word.eq_ignore_ascii_case("any") {
+        return Ok(tail);
     }
-
-    /// Split an optional leading mode word off a `QUERY` argument.
-    fn split_leading(rest: &str) -> Result<(Consistency, &str), String> {
-        let (word, tail) = match rest.split_once(char::is_whitespace) {
-            Some((w, t)) => (w, t.trim()),
-            None => (rest, ""),
-        };
-        match Consistency::parse_word(word) {
-            Some(Ok(mode)) => Ok((mode, tail)),
-            Some(Err(e)) => Err(e),
-            None => Ok((Consistency::Fresh, rest)),
-        }
-    }
-}
-
-impl std::fmt::Display for Consistency {
-    /// The wire word (`fresh` / `staleness=<ms>` / `any`).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Consistency::Fresh => f.write_str("fresh"),
-            Consistency::Bounded(ms) => write!(f, "staleness={ms}"),
-            Consistency::Any => f.write_str("any"),
-        }
+    match word.strip_prefix("staleness=") {
+        Some(v) => v
+            .parse::<u64>()
+            .map(|_| tail)
+            .map_err(|_| format!("staleness takes a whole number of milliseconds, got '{v}'")),
+        None => Ok(rest),
     }
 }
 
@@ -204,12 +149,11 @@ pub enum Request {
     Fact(String),
     /// `LOAD <path>`
     Load(String),
-    /// `QUERY [fresh|staleness=<ms>|any] ?- <atom>.`
+    /// `QUERY [fresh|staleness=<ms>|any] ?- <atom>.` (the mode word is
+    /// accepted and discarded: every answer is fresh).
     Query {
         /// The query text (`?- <atom>.`).
         text: String,
-        /// The requested consistency mode (v4; defaults to fresh).
-        consistency: Consistency,
     },
     /// `STATS`
     Stats,
@@ -225,12 +169,9 @@ pub enum Request {
 }
 
 impl Request {
-    /// A fresh-consistency `QUERY` — the pre-v4 shape.
+    /// A `QUERY` of `text`.
     pub fn query(text: impl Into<String>) -> Request {
-        Request::Query {
-            text: text.into(),
-            consistency: Consistency::Fresh,
-        }
+        Request::Query { text: text.into() }
     }
 
     /// Parse one request line. Returns an error message suitable for an
@@ -247,14 +188,11 @@ impl Request {
             "LOAD" if !rest.is_empty() => Ok(Request::Load(rest.to_string())),
             "LOAD" => Err("LOAD takes a file path".into()),
             "QUERY" if !rest.is_empty() => {
-                let (consistency, text) = Consistency::split_leading(rest)?;
+                let text = strip_mode_word(rest)?;
                 if text.is_empty() {
                     return Err("QUERY takes a query, e.g. QUERY ?- a(X, _).".into());
                 }
-                Ok(Request::Query {
-                    text: text.to_string(),
-                    consistency,
-                })
+                Ok(Request::query(text))
             }
             "QUERY" => Err("QUERY takes a query, e.g. QUERY ?- a(X, _).".into()),
             "STATS" => Ok(Request::Stats),
@@ -317,24 +255,6 @@ impl Response {
             code: Some(code),
             ..Response::err(message)
         }
-    }
-
-    /// A staleness refusal: `ERR stale <bound_ms> <message>` on the wire.
-    /// `bound_ms` is the best upper staleness bound the server could have
-    /// served at, in milliseconds — the client can retry with a looser
-    /// budget or `fresh`. A v3 reader sees the whole line as an uncoded
-    /// message, which still leads with the bound.
-    pub fn err_stale(bound_ms: u64, message: impl std::fmt::Display) -> Response {
-        Response::err_code(ErrCode::Stale, format!("{bound_ms} {message}"))
-    }
-
-    /// The staleness bound of an `ERR stale` response, in milliseconds.
-    /// `None` unless this is a stale refusal with a well-formed bound.
-    pub fn stale_bound_ms(&self) -> Option<u64> {
-        if self.code != Some(ErrCode::Stale) {
-            return None;
-        }
-        self.error.split_whitespace().next()?.parse().ok()
     }
 
     /// Attach a `key=value` header pair (builder style). Keys and values
@@ -482,43 +402,116 @@ mod tests {
 
     #[test]
     fn query_consistency_modes_parse_and_default_to_fresh() {
-        // v4 mode words.
-        assert_eq!(
-            Request::parse("QUERY staleness=50 ?- a(X)."),
-            Ok(Request::Query {
-                text: "?- a(X).".into(),
-                consistency: Consistency::Bounded(50),
-            })
-        );
-        assert_eq!(
-            Request::parse("QUERY any ?- a(X)."),
-            Ok(Request::Query {
-                text: "?- a(X).".into(),
-                consistency: Consistency::Any,
-            })
-        );
-        assert_eq!(
-            Request::parse("QUERY FRESH ?- a(X)."),
-            Ok(Request::query("?- a(X).")),
-        );
-        // staleness=0 normalizes to fresh: byte-identity is a mode, not a
-        // special case downstream.
-        assert_eq!(
-            Request::parse("QUERY staleness=0 ?- a(X)."),
-            Ok(Request::query("?- a(X).")),
-        );
-        // A word that is no mode stays part of the query (v3 compat).
-        assert_eq!(
-            Request::parse("QUERY ?- a(X, _)."),
-            Ok(Request::query("?- a(X, _).")),
-        );
+        // Every v4 mode word is accepted and discarded: the request is the
+        // same fresh query as without it.
+        for line in [
+            "QUERY ?- a(X).",
+            "QUERY fresh ?- a(X).",
+            "QUERY FRESH ?- a(X).",
+            "QUERY any ?- a(X).",
+            "QUERY staleness=50 ?- a(X).",
+            "QUERY staleness=0 ?- a(X).",
+        ] {
+            assert_eq!(
+                Request::parse(line),
+                Ok(Request::query("?- a(X).")),
+                "{line}"
+            );
+        }
         // Malformed bounds and mode-only lines are errors, not queries.
         assert!(Request::parse("QUERY staleness=abc ?- a(X).").is_err());
+        assert!(Request::parse("QUERY staleness= ?- a(X).").is_err());
         assert!(Request::parse("QUERY any").is_err());
-        // Display renders the wire words back.
-        assert_eq!(Consistency::Bounded(7).to_string(), "staleness=7");
-        assert_eq!(Consistency::Fresh.to_string(), "fresh");
-        assert_eq!(Consistency::Any.to_string(), "any");
+    }
+
+    /// A seeded generator for the property test below (splitmix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `Request::parse` never panics: not on random bytes, and not on
+    /// byte-level mutations of valid lines — mode words, 30-digit
+    /// `staleness=` values and multi-byte whitespace included. A `QUERY`
+    /// it accepts always carries non-empty, trimmed text.
+    #[test]
+    fn request_parse_never_panics_on_random_or_mutated_lines() {
+        const VALID: &[&str] = &[
+            "FACT p(1, 2).",
+            "LOAD examples/data/tc.dl",
+            "QUERY ?- a(X, _).",
+            "QUERY fresh ?- a(X, _).",
+            "QUERY any ?- a(1, Y).",
+            "QUERY staleness=50 ?- a(X, X).",
+            "QUERY staleness=123456789012345678901234567890 ?- a(X, _).",
+            "QUERY staleness=18446744073709551615 ?- a(X, _).",
+            "STATS",
+            "TRACE",
+            "METRICS JSON",
+            "SHUTDOWN",
+        ];
+        // Bytes a mutation splices in: separators, mode-word letters,
+        // digits, and the UTF-8 of U+0085 and U+3000 (both whitespace).
+        const SPLICE: &[&[u8]] = &[
+            b" ",
+            b"\t",
+            b"=",
+            b"?",
+            b"-",
+            b".",
+            b"(",
+            b")",
+            b"s",
+            b"y",
+            b"9",
+            b"0",
+            b"any",
+            b"fresh",
+            b"staleness=",
+            b"\xc2\x85",
+            b"\xe3\x80\x80",
+            b"\xff",
+        ];
+        let check = |bytes: &[u8]| {
+            let line = String::from_utf8_lossy(bytes);
+            if let Ok(Request::Query { text }) = Request::parse(&line) {
+                assert!(!text.is_empty() && text.trim() == text, "{line:?}");
+            }
+        };
+        let mut rng = Rng(0x5eed_2028);
+        for _ in 0..20_000 {
+            let len = rng.below(48);
+            let random: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            check(&random);
+
+            let mut line = VALID[rng.below(VALID.len())].as_bytes().to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(line.len() + 1);
+                match rng.below(4) {
+                    0 if at < line.len() => line[at] = rng.next() as u8,
+                    1 if at < line.len() => {
+                        line.remove(at);
+                    }
+                    2 => line.truncate(at),
+                    _ => {
+                        let splice = SPLICE[rng.below(SPLICE.len())];
+                        line.splice(at..at, splice.iter().copied());
+                    }
+                }
+            }
+            check(&line);
+        }
     }
 
     #[test]
@@ -567,7 +560,6 @@ mod tests {
             (ErrCode::Budget, "budget"),
             (ErrCode::Bound, "bound"),
             (ErrCode::Shutdown, "shutdown"),
-            (ErrCode::Stale, "stale"),
             (ErrCode::Internal, "internal"),
         ] {
             let resp = Response::err_code(code, "details here");
@@ -584,23 +576,20 @@ mod tests {
         }
     }
 
+    /// Servers before every answer was fresh could refuse a bounded read
+    /// with `ERR stale <bound_ms> <message>`. `stale` is no code word any
+    /// more, so such a line reads as an uncoded message that still leads
+    /// with its bound.
     #[test]
     fn stale_refusal_carries_its_bound_and_reads_as_text_on_v3() {
-        let resp = Response::err_stale(120, "drain in progress, retry or loosen budget");
-        let mut buf = Vec::new();
-        resp.write_to(&mut buf).unwrap();
+        let wire = b"ERR stale 120 drain in progress, retry or loosen budget\n";
+        let back = Response::read_from(&mut &wire[..]).unwrap().unwrap();
+        assert!(!back.ok);
+        assert_eq!(back.code, None);
         assert_eq!(
-            String::from_utf8_lossy(&buf),
-            "ERR stale 120 drain in progress, retry or loosen budget\n"
+            back.error,
+            "stale 120 drain in progress, retry or loosen budget"
         );
-        let back = Response::read_from(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(back.code, Some(ErrCode::Stale));
-        assert_eq!(back.stale_bound_ms(), Some(120));
-        // A v3 reader has no "stale" code word: the whole text after ERR
-        // is the message, still leading with the bound.
-        assert!(String::from_utf8_lossy(&buf).starts_with("ERR stale 120 "));
-        // Non-stale responses never report a bound.
-        assert_eq!(Response::err("stale 120 x").stale_bound_ms(), None);
     }
 
     #[test]

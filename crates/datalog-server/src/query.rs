@@ -4,25 +4,27 @@
 //! |---|---|---|---|
 //! | [`resolve`](ServerState::resolve) | [`QueryCtx`] | parse | rules (read), briefly |
 //! | [`choose_source`](ServerState::choose_source) | [`Source`] | cache | cache — across the optimizer on a miss |
-//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form, then cache once to settle and memoize |
+//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form, then cache once to memoize |
 //! | [`serve_cold`](ServerState::serve_cold) | [`Served`] | eval, serialize | none while evaluating; cache once to memoize and pin |
 //! | [`respond`](ServerState::respond) | `Response` | — | `last_trace` |
 //!
+//! Every source answers at the query's snapshot or later: a memo only
+//! while the snapshot sits at its watermarks, a resident form only after
+//! draining to the snapshot, a cold evaluation from the snapshot itself.
+//!
 //! Lock order is cache → form, and a stage never *blocks* on a form lock
-//! while it holds the cache lock: `choose_source` decides from what
-//! `Residency::Live` records beside the form (applied watermarks, lag) and
-//! hands the form handle out; the serve stages lock it after the cache
-//! lock has dropped.
+//! while it holds the cache lock: `choose_source` hands the form handle
+//! out, and `serve_resident` locks it after the cache lock has dropped.
 //!
 //! `respond` is the only place a QUERY `OK` header, a phase span, the
-//! `TRACE` document, a slow-query line and a `staleness_bound_seconds`
-//! sample are produced, so all six `cache=` sources answer with the same
-//! header and move the same histograms. A query that ends in `ERR` records
-//! no phase span; its own counter (trip, refusal, shed) is the record.
+//! `TRACE` document and a slow-query line are produced, so all four
+//! `cache=` sources answer with the same header and move the same
+//! histograms. A query that ends in `ERR` records no phase span; its own
+//! counter (trip, refusal, shed) is the record.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use datalog_adorn::query_adornment;
@@ -34,9 +36,9 @@ use datalog_engine::{
 use datalog_opt::{prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::Json;
 
-use crate::cache::{watermarks_at, Entry, FormKey, Rendered, Residency, ResidentForm};
+use crate::cache::{watermarks_at, Entry, FormKey, Rendered, ResidentForm};
 use crate::metrics::{Phase, PHASES};
-use crate::protocol::{Consistency, ErrCode, Response};
+use crate::protocol::{ErrCode, Response};
 use crate::server::{lock, read_lock, render_answers, Decrement, RuleSet, ServerState};
 
 /// A resolved query: everything the later stages read, fixed before the
@@ -58,11 +60,8 @@ pub(crate) struct QueryCtx {
     /// Taken before the answer slot is consulted: a slot whose watermarks
     /// still match this snapshot misses no row acknowledged before it.
     snapshot: DbSnapshot,
-    /// Staleness anchor for everything served off `snapshot`.
-    t_snap: Instant,
     d_parse: Duration,
     t_cache: Instant,
-    consistency: Consistency,
 }
 
 /// Where a query's answer comes from, decided under the cache lock.
@@ -75,37 +74,13 @@ pub(crate) enum Source {
     Cold(ColdPlan),
 }
 
-/// How to serve live resident state: the form handle plus a decision made
-/// without its lock (lag, staleness anchor, drain cost).
+/// How to serve live resident state: the form handle, read after draining
+/// it to the query's snapshot.
 pub(crate) struct ResidentPlan {
     form: Arc<Mutex<ResidentForm>>,
     prepared: Arc<PreparedProgram>,
     /// The query atom spliced into the canonical program's namespace.
     q_atom: Atom,
-    action: ResidentAction,
-}
-
-enum ResidentAction {
-    /// Block on the form lock, propagate to the query snapshot, serve at
-    /// staleness zero. Used for `fresh` reads and for over-budget bounded
-    /// reads whose estimated drain cost is below the synchronous ceiling.
-    Fresh,
-    /// Serve the last published frontier without catching up. `anchor` is
-    /// the conservative staleness origin — `Lag::since` when the form
-    /// lags, `None` when it was fully drained at decision time (the serve
-    /// is then indistinguishable from fresh). `memo` is the answer slot's
-    /// table and publication instant, the no-wait fallback when a drain
-    /// holds the form lock; `budget` caps how old it may be (`None` = any
-    /// age).
-    Stale {
-        anchor: Option<Instant>,
-        memo: Option<(Rendered, Instant)>,
-        budget: Option<Duration>,
-    },
-    /// Frontier older than the staleness budget and the drain too costly
-    /// to run synchronously: answer `ERR stale <bound_ms>` (the lag is
-    /// marked deferred, so the maintenance thread is on it).
-    Refuse { bound_ms: u64 },
 }
 
 /// A cold evaluation of one prepared form.
@@ -126,8 +101,6 @@ pub(crate) struct Served {
     /// The `cache=` header value.
     tag: &'static str,
     table: Rendered,
-    /// Upper bound on how old the served frontier is.
-    staleness: Duration,
     prepared: Arc<PreparedProgram>,
     /// Present when this request ran a fixpoint.
     cold: Option<ColdSpans>,
@@ -180,7 +153,7 @@ pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
 }
 
 impl ServerState {
-    pub(crate) fn handle_query(&self, text: &str, consistency: Consistency) -> Response {
+    pub(crate) fn handle_query(&self, text: &str) -> Response {
         let started = Instant::now();
         // Admission control runs before any parsing or optimizer work:
         // under overload the cheapest thing to do with a query is refuse it.
@@ -195,21 +168,16 @@ impl ServerState {
                 format!("server at query capacity ({max} in flight), retry"),
             );
         }
-        self.run_query(text, consistency, started)
+        self.run_query(text, started)
             .unwrap_or_else(|refusal| refusal)
     }
 
-    fn run_query(
-        &self,
-        text: &str,
-        consistency: Consistency,
-        started: Instant,
-    ) -> Result<Response, Response> {
-        let ctx = self.resolve(text, consistency, started)?;
+    fn run_query(&self, text: &str, started: Instant) -> Result<Response, Response> {
+        let ctx = self.resolve(text, started)?;
         let served = match self.choose_source(&ctx)? {
             Source::Memo(served) => served,
             Source::Cold(plan) => self.serve_cold(&ctx, plan)?,
-            Source::Resident(plan) => match self.serve_resident(&ctx, &plan)? {
+            Source::Resident(plan) => match self.serve_resident(&ctx, &plan) {
                 Some(served) => served,
                 None => {
                     // The resident died under the plan (poisoned, already
@@ -229,12 +197,7 @@ impl ServerState {
     }
 
     /// Request text → validated, adorned query against a snapshot.
-    fn resolve(
-        &self,
-        text: &str,
-        consistency: Consistency,
-        started: Instant,
-    ) -> Result<QueryCtx, Response> {
+    fn resolve(&self, text: &str, started: Instant) -> Result<QueryCtx, Response> {
         let req_id = self.metrics.next_request_id();
         let parsed = parse_program(text).map_err(|e| Response::err(e.render_at("query")))?;
         if !parsed.program.rules.is_empty() || !parsed.facts.is_empty() {
@@ -266,7 +229,6 @@ impl ServerState {
             adornment: adornment.to_string(),
         };
         let query_repr = query.atom.to_string();
-        let t_snap = Instant::now();
         let snapshot = self.db.snapshot();
         self.metrics.queries.inc();
         Ok(QueryCtx {
@@ -278,10 +240,8 @@ impl ServerState {
             rules,
             adornment,
             snapshot,
-            t_snap,
             d_parse,
             t_cache: Instant::now(),
-            consistency,
         })
     }
 
@@ -299,13 +259,11 @@ impl ServerState {
                     // where it is found out of date.
                     self.metrics.invalidations.inc();
                 } else if memo.query_repr == ctx.query_repr {
-                    // Watermark match means no acknowledged row is missing:
-                    // staleness zero in any consistency mode.
+                    // Watermark match means no acknowledged row is missing.
                     self.metrics.answer_hits.inc();
                     return Ok(Source::Memo(Served {
                         tag: "answers",
                         table: memo.table.clone(),
-                        staleness: Duration::ZERO,
                         prepared: Arc::clone(&entry.prepared),
                         cold: None,
                     }));
@@ -317,7 +275,6 @@ impl ServerState {
                     form: Arc::clone(form),
                     prepared: Arc::clone(&entry.prepared),
                     q_atom: q_atom.clone(),
-                    action: self.resident_action(ctx, entry),
                 }));
             }
             // Eligible but not live: evicted by the resident LRU, or lost
@@ -358,148 +315,22 @@ impl ServerState {
         entry.pin_target()?.instantiate_atom(&ctx.query.atom)
     }
 
-    /// Decide how to read a live form without its lock, from what
-    /// `Residency::Live` records beside it.
-    fn resident_action(&self, ctx: &QueryCtx, entry: &mut Entry) -> ResidentAction {
-        let budget = match ctx.consistency {
-            Consistency::Fresh => return ResidentAction::Fresh,
-            Consistency::Any => None,
-            Consistency::Bounded(ms) => Some(Duration::from_millis(ms)),
-        };
-        let Residency::Live { applied, lag, .. } = &mut entry.residency else {
-            return ResidentAction::Fresh;
-        };
-        let behind = ctx.snapshot.lag_from(&entry.prepared.support, applied) > 0;
-        let anchor = match lag {
-            // Fully drained: the frontier IS fresh; serve it via try-lock
-            // so this read never queues behind a drain that is applying
-            // even newer rows.
-            _ if !behind => None,
-            Some(lag) => Some(lag.since),
-            // Rows the snapshot has and no drain has anchored yet (the
-            // ingest that inserted them is between its insert and its
-            // publish): correctness first.
-            None => return ResidentAction::Fresh,
-        };
-        let staleness_now = anchor.map_or(Duration::ZERO, |a| a.elapsed());
-        if budget.is_some_and(|b| staleness_now.as_millis() > b.as_millis()) {
-            // Over budget: catch up synchronously only when the bound
-            // polynomial says the drain is cheap; otherwise refuse and
-            // leave the drain to the maintenance thread.
-            let cost = Self::drain_cost(&entry.prepared, &ctx.snapshot, applied);
-            if cost <= self.cfg.drain_sync_cost {
-                return ResidentAction::Fresh;
-            }
-            if let Some(lag) = lag {
-                lag.deferred = true;
-            }
-            return ResidentAction::Refuse {
-                bound_ms: u64::try_from(staleness_now.as_millis()).unwrap_or(u64::MAX),
-            };
-        }
-        let memo = entry
-            .memo
-            .as_ref()
-            .filter(|s| s.query_repr == ctx.query_repr)
-            .map(|s| (s.table.clone(), s.published_at));
-        ResidentAction::Stale {
-            anchor,
-            memo,
-            budget,
-        }
-    }
-
-    /// Execute a [`ResidentPlan`] with the cache lock released. `Ok(None)`
-    /// means the resident state died mid-plan (poisoned — already counted
-    /// and `Lost`) and the caller must recompute from cold; `Err` is a
-    /// staleness refusal.
-    fn serve_resident(
-        &self,
-        ctx: &QueryCtx,
-        plan: &ResidentPlan,
-    ) -> Result<Option<Served>, Response> {
-        let key = &ctx.key;
-        let served = |tag, table, staleness| Served {
-            tag,
+    /// Execute a [`ResidentPlan`] with the cache lock released: drain the
+    /// form to the query's snapshot and read it. `None` means the resident
+    /// state died mid-plan (poisoned — already counted and `Lost`) and the
+    /// caller must recompute from cold.
+    fn serve_resident(&self, ctx: &QueryCtx, plan: &ResidentPlan) -> Option<Served> {
+        let read = Some((&plan.q_atom, ctx.query_repr.as_str()));
+        let table = self
+            .drain(&ctx.key, &plan.form, &ctx.snapshot, read)
+            .ok()
+            .flatten()?;
+        Some(Served {
+            tag: "resident",
             table,
-            staleness,
             prepared: Arc::clone(&plan.prepared),
             cold: None,
-        };
-        let (anchor, memo, budget) = match &plan.action {
-            ResidentAction::Refuse { bound_ms } => return Err(self.refuse_stale(key, *bound_ms)),
-            ResidentAction::Fresh => {
-                // Block on the form, catch up to the query's snapshot, read
-                // and memoize: staleness zero by construction.
-                let read = Some((&plan.q_atom, ctx.query_repr.as_str()));
-                let drained = self.drain(key, &plan.form, &ctx.snapshot, ctx.t_snap, read);
-                return Ok(drained
-                    .ok()
-                    .flatten()
-                    .map(|table| served("resident", table, Duration::ZERO)));
-            }
-            ResidentAction::Stale {
-                anchor,
-                memo,
-                budget,
-            } => (anchor, memo, budget),
-        };
-        // Try the form lock first: a bounded/any reader must not queue
-        // behind a drain that is busy applying newer rows.
-        let (table, applied) = {
-            let g = match plan.form.try_lock() {
-                Ok(g) => g,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    // Contended: the answer memo is the no-wait asset when
-                    // its age fits the budget; otherwise block after all
-                    // (still correct, just slower).
-                    if let Some((table, published_at)) = memo {
-                        let age = published_at.elapsed();
-                        if budget.map_or(true, |b| age <= b) {
-                            return Ok(Some(served("stale_answers", table.clone(), age)));
-                        }
-                    }
-                    lock(&plan.form)
-                }
-            };
-            if g.eval.poisoned() {
-                drop(g);
-                self.poison(key, &plan.form);
-                return Ok(None);
-            }
-            (read_frontier(&g, &plan.q_atom), g.applied.clone())
-        };
-        // The memo ages from the staleness origin — `Lag::since` for a
-        // lagging serve, NOT now: the payload already misses rows that
-        // arrived at the anchor.
-        let (published_at, staleness, tag) = match anchor {
-            None => (ctx.t_snap, Duration::ZERO, "resident"),
-            Some(a) => (*a, a.elapsed(), "stale"),
-        };
-        if let Some(entry) = lock(&self.cache).peek_mut(key) {
-            // Tagged with the form's *applied* watermarks: what was served.
-            entry.memoize(&ctx.query_repr, &table, applied, published_at);
-        }
-        Ok(Some(served(tag, table, staleness)))
-    }
-
-    fn refuse_stale(&self, key: &FormKey, bound_ms: u64) -> Response {
-        self.wake_maintenance();
-        self.metrics.stale_refusals.inc();
-        self.note_limit(
-            "stale",
-            &format!(
-                "query over {} refused: resident frontier {bound_ms}ms stale, \
-                 drain too costly to run synchronously",
-                key.pred
-            ),
-        );
-        Response::err_stale(
-            bound_ms,
-            "frontier exceeds staleness budget while a drain is pending; \
-             retry, loosen the budget, or request fresh",
-        )
+        })
     }
 
     /// The evaluation limits and knobs of every fixpoint the server runs,
@@ -595,7 +426,7 @@ impl ServerState {
             let mut cache = lock(&self.cache);
             if let Some(entry) = cache.get_mut(&ctx.key) {
                 let watermarks = watermarks_at(prepared, &ctx.snapshot);
-                entry.memoize(&ctx.query_repr, &table, watermarks, ctx.t_snap);
+                entry.memoize(&ctx.query_repr, &table, watermarks);
             }
             if let Some(form) = pinned {
                 self.pin_built(&mut cache, &ctx.key, form, plan.rebuild);
@@ -604,7 +435,6 @@ impl ServerState {
         Ok(Served {
             tag: plan.status,
             table,
-            staleness: Duration::ZERO,
             prepared: plan.prepared,
             cold: Some(ColdSpans {
                 d_cache,
@@ -634,12 +464,6 @@ impl ServerState {
                 histogram.record_duration(d);
             }
         }
-        self.metrics
-            .staleness_bound_seconds
-            .record_duration(served.staleness);
-        if !served.staleness.is_zero() {
-            self.metrics.stale_serves.inc();
-        }
         self.log_slow_query(&ctx, &served, &spans);
         *lock(&self.last_trace) = Some(LastQuery {
             query: ctx.query,
@@ -651,7 +475,8 @@ impl ServerState {
             .with_info("cache", served.tag)
             .with_info("answers", served.table.answers)
             .with_info("frontier", served.table.frontier)
-            .with_info("staleness_us", served.staleness.as_micros())
+            // Every answer is fresh; the key stays for protocol v4 clients.
+            .with_info("staleness_us", 0)
             .with_info("wall_us", ctx.started.elapsed().as_micros())
             .with_payload_text(&served.table.payload)
     }

@@ -48,11 +48,11 @@
 //! ## Resident forms
 //!
 //! With `--resident-forms=N` (default 8) up to N monotone forms keep their
-//! fixpoint resident and absorb ingested facts as deltas; `QUERY` takes a
-//! consistency mode (`fresh` | `staleness=<ms>` | `any`) and every
-//! response carries `frontier=` and `staleness_us=`. The states a form
-//! moves through are [`cache::Residency`](crate::cache::Residency); who
-//! moves it, under which lock, is `maintain.rs`'s module docs.
+//! fixpoint resident and absorb ingested facts as deltas before the ingest
+//! is acknowledged; every `QUERY` answer is fresh and names the `frontier=`
+//! it was read at. The states a form moves through are
+//! [`cache::Residency`](crate::cache::Residency); who moves it, under which
+//! lock, is `maintain.rs`'s module docs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -71,6 +71,7 @@ use datalog_trace::{Json, PhaseEvent};
 
 use crate::cache::{PreparedCache, ResidentForm, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
+use crate::maintain::REBUILD_BACKOFF_CAP_MS;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE, PROTOCOL_VERSION};
 use crate::query::LastQuery;
@@ -130,17 +131,10 @@ pub struct ServerConfig {
     /// Log a structured JSON line to stderr for every query at or over
     /// this wall-clock threshold (request id, form, phase breakdown).
     pub slow_query_ms: Option<u64>,
-    /// Backpressure threshold for resident drains: a drain whose
-    /// bound-polynomial-estimated cost (static derivation bound at current
-    /// cardinalities minus the bound at the form's applied watermarks) is
-    /// at or below this runs synchronously on the ingest/query path;
-    /// anything costlier is deferred to the maintenance thread while
-    /// readers serve off the published frontier. The default is high
-    /// enough that typical workloads keep today's drain-inline behavior.
-    pub drain_sync_cost: u64,
     /// Base delay of the capped exponential backoff between background
     /// rebuild attempts of a poisoned resident form (doubles per failed
-    /// attempt, capped at [`REBUILD_BACKOFF_CAP_MS`]).
+    /// attempt; the base and every wait are capped at
+    /// [`REBUILD_BACKOFF_CAP_MS`]).
     pub rebuild_ms: u64,
     /// Fault-injection switches (the default plan injects nothing).
     pub fault: Arc<FaultPlan>,
@@ -168,16 +162,11 @@ impl Default for ServerConfig {
             grace_ms: 2000,
             metrics: true,
             slow_query_ms: None,
-            drain_sync_cost: DRAIN_SYNC_COST,
             rebuild_ms: 50,
             fault: Arc::new(FaultPlan::new()),
         }
     }
 }
-
-/// Default `drain_sync_cost`: high enough that ordinary ingest keeps the
-/// synchronous drain path (and its latency envelope) of PR 7.
-const DRAIN_SYNC_COST: u64 = 250_000;
 
 /// The machine's available parallelism (1 when it cannot be determined).
 fn default_parallelism() -> usize {
@@ -237,7 +226,8 @@ impl RuleSet {
 /// Everything the worker threads share.
 pub struct ServerState {
     /// The configuration, normalized once by [`ServerState::from_config`]
-    /// (thread counts and the rebuild backoff are at least 1).
+    /// (thread counts are at least 1, the rebuild backoff base is in
+    /// `1..=REBUILD_BACKOFF_CAP_MS`).
     pub(crate) cfg: ServerConfig,
     /// Replaced whole by a `LOAD` that adds rules; a query clones the
     /// handle and reads it without the lock.
@@ -257,8 +247,8 @@ pub struct ServerState {
     /// carries a clone.
     pub(crate) cancel: CancelToken,
     /// The maintenance thread's wake-up handle. Unset until
-    /// [`ServerState::start_maintenance`] — deferred work is then picked
-    /// up lazily by the next eligible query.
+    /// [`ServerState::start_maintenance`] — a lost form is then rebuilt
+    /// lazily by the next eligible query.
     pub(crate) maintenance: OnceLock<Thread>,
     pub(crate) inflight: AtomicUsize,
     active_conns: AtomicUsize,
@@ -287,7 +277,7 @@ impl ServerState {
         let mut cfg = cfg.clone();
         cfg.threads = cfg.threads.max(1);
         cfg.eval_threads = cfg.eval_threads.max(1);
-        cfg.rebuild_ms = cfg.rebuild_ms.max(1);
+        cfg.rebuild_ms = cfg.rebuild_ms.clamp(1, REBUILD_BACKOFF_CAP_MS);
         let mut cache = PreparedCache::new(PREPARED_CAPACITY);
         cache.set_resident_capacity(cfg.resident_forms);
         let mut state = ServerState {
@@ -453,7 +443,7 @@ impl ServerState {
         match req {
             Request::Fact(text) => self.handle_fact(text),
             Request::Load(path) => self.handle_load(path),
-            Request::Query { text, consistency } => self.handle_query(text, *consistency),
+            Request::Query { text } => self.handle_query(text),
             Request::Stats => self.handle_stats(),
             Request::Trace => self.handle_trace(),
             Request::Metrics { json } => self.handle_metrics(*json),
@@ -660,9 +650,6 @@ impl ServerState {
             .with("fallback_recomputes", m.fallback_recomputes.get())
             .with("resident_rebuilds", m.resident_rebuilds.get())
             .with("resident_poisonings", m.resident_poisonings.get())
-            .with("stale_serves", m.stale_serves.get())
-            .with("stale_refusals", m.stale_refusals.get())
-            .with("background_drains", m.background_drains.get())
             .with("threads", self.cfg.threads)
             .with("inflight", self.inflight.load(Ordering::Acquire) as u64)
             .with("shed_connections", m.shed_conns.get())
@@ -764,8 +751,8 @@ impl Server {
                 std::thread::spawn(move || accept_loop(&listener, &state))
             })
             .collect();
-        // Background maintenance (deferred drains, rebuild backoff) rides
-        // in the same worker pool lifecycle: joined on shutdown.
+        // Background maintenance (rebuild backoff) rides in the same
+        // worker pool lifecycle: joined on shutdown.
         if let Some(h) = state.start_maintenance() {
             workers.push(h);
         }
@@ -953,7 +940,6 @@ fn write_buffered(resp: &Response, writer: &mut TcpStream) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Consistency;
 
     fn state_with(cfg: ServerConfig) -> ServerState {
         ServerState::from_config(&cfg).unwrap()
@@ -1392,101 +1378,6 @@ mod tests {
             Some("hit"),
             "b re-evaluates (and without residents never serves 'resident')"
         );
-    }
-
-    #[test]
-    fn deferred_drains_serve_stale_with_a_bound_and_fresh_catches_up() {
-        // `drain_sync_cost: 0` forces every ingest-side drain to defer; no
-        // maintenance thread runs on a plain state, so the lag sits until
-        // a reader resolves it.
-        let state = ServerState::from_config(&ServerConfig {
-            resident_forms: 8,
-            drain_sync_cost: 0,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let dir = TempDir::new("stale-defer");
-        let file = dir.0.join("s.dl");
-        std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\n").unwrap();
-        assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-        let q = "?- a(X, _).";
-        let first = state.handle(&Request::query(q));
-        assert_eq!(first.get("cache"), Some("miss"));
-        assert_eq!(first.get("staleness_us"), Some("0"));
-        let frontier_v1 = first.get("frontier").unwrap().to_string();
-        assert!(state.handle(&Request::Fact("p(3, 4).".into())).ok);
-        // `any` reads the published frontier: the old payload, a non-zero
-        // staleness bound, and the pre-ingest frontier version.
-        let stale = state.handle(&Request::Query {
-            text: q.into(),
-            consistency: Consistency::Any,
-        });
-        assert!(stale.ok, "{}", stale.error);
-        assert_eq!(stale.get("cache"), Some("stale"));
-        assert_eq!(stale.payload_text(), first.payload_text());
-        assert_eq!(stale.get("frontier"), Some(frontier_v1.as_str()));
-        let bound_us: u64 = stale.get("staleness_us").unwrap().parse().unwrap();
-        assert!(bound_us > 0, "lagging serve must report a bound");
-        // A generous budget also serves stale; the bound never shrinks
-        // below the true lag age.
-        let bounded = state.handle(&Request::Query {
-            text: q.into(),
-            consistency: Consistency::Bounded(60_000),
-        });
-        assert_eq!(bounded.get("cache"), Some("stale"));
-        // `fresh` (the default) catches up synchronously regardless of
-        // drain cost and is byte-identical to a cold recompute.
-        let fresh = state.handle(&Request::query(q));
-        assert!(fresh.ok, "{}", fresh.error);
-        assert_eq!(fresh.get("cache"), Some("resident"));
-        assert_eq!(fresh.get("staleness_us"), Some("0"));
-        assert_eq!(fresh.payload_text(), "X\n1\n3\n");
-        assert_ne!(fresh.get("frontier"), Some(frontier_v1.as_str()));
-        // Fully drained again: a bounded read is indistinguishable from
-        // fresh and reports staleness zero.
-        let drained = state.handle(&Request::Query {
-            text: q.into(),
-            consistency: Consistency::Any,
-        });
-        assert_eq!(drained.get("staleness_us"), Some("0"));
-        let stats = state.handle(&Request::Stats).payload_text();
-        assert!(stats.contains("\"stale_serves\":2"), "{stats}");
-    }
-
-    #[test]
-    fn over_budget_bounded_reads_refuse_with_the_stale_code() {
-        let state = ServerState::from_config(&ServerConfig {
-            resident_forms: 8,
-            drain_sync_cost: 0,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let dir = TempDir::new("stale-refuse");
-        let file = dir.0.join("s.dl");
-        std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\n").unwrap();
-        assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-        let q = "?- a(X, _).";
-        assert!(state.handle(&Request::query(q)).ok);
-        assert!(state.handle(&Request::Fact("p(3, 4).".into())).ok);
-        std::thread::sleep(Duration::from_millis(15));
-        // 15ms of lag against a 1ms budget, with synchronous catch-up
-        // priced out: the only honest answer is a refusal carrying the
-        // current bound.
-        let resp = state.handle(&Request::Query {
-            text: q.into(),
-            consistency: Consistency::Bounded(1),
-        });
-        assert!(!resp.ok);
-        assert_eq!(resp.code, Some(ErrCode::Stale), "{}", resp.error);
-        let bound = resp.stale_bound_ms().expect("refusal carries its bound");
-        assert!(bound >= 10, "bound {bound}ms must reflect the real lag");
-        // The same read with mode fresh still succeeds (sync catch-up is
-        // mandatory there), proving the refusal is budget-driven.
-        let fresh = state.handle(&Request::query(q));
-        assert!(fresh.ok, "{}", fresh.error);
-        assert_eq!(fresh.payload_text(), "X\n1\n3\n");
-        let stats = state.handle(&Request::Stats).payload_text();
-        assert!(stats.contains("\"stale_refusals\":1"), "{stats}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 
 mod util;
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,8 +23,8 @@ use datalog_ast::parse_program;
 use datalog_engine::{query_answers_full, EvalOptions, FactSet};
 use datalog_opt::{optimize, OptimizerConfig};
 use datalog_server::{
-    render_answers, Client, Consistency, ErrCode, FaultPlan, Request, Response, Server,
-    ServerConfig, ServerState,
+    render_answers, Client, ErrCode, FaultPlan, Request, Response, Server, ServerConfig,
+    ServerState,
 };
 use util::TempDir;
 
@@ -606,22 +607,19 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
 }
 
 /// Ingest-burst storm: a `FACT` flood and a `LOAD` flood run against
-/// query clients pinned to each consistency mode. Every answer must be
-/// the reference rendering of some acknowledged prefix of the chain
-/// writer's order (snapshot isolation + published frontiers mean no torn
-/// or time-traveling reads), answers never shrink per connection, and
-/// after the storm the resident state has healed: no leaked poisonings,
-/// and both `fresh` and `any` converge to the full-chain reference.
+/// query clients pinned to each protocol v4 mode word. Every answer is
+/// fresh whatever the word: the reference rendering of a prefix of the
+/// chain writer's order that holds every fact acknowledged before the
+/// query was sent, with `staleness_us=0`. Answers never shrink per
+/// connection, and after the storm the resident state is intact: no
+/// poisonings, and every mode reads the full-chain reference.
 #[test]
 fn ingest_burst_storm_honors_every_consistency_mode() {
     const CHAIN: i64 = 14;
+    const MODES: [&str; 4] = ["", "fresh ", "staleness=50 ", "any "];
     let dir = TempDir::new("burst");
-    // drain_sync_cost = 0 pushes every drain onto the maintenance thread,
-    // so stale windows are real and the background machinery is what the
-    // storm actually exercises.
     let server = Server::spawn(&ServerConfig {
-        threads: 6,
-        drain_sync_cost: 0,
+        threads: 7,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -634,23 +632,32 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
     // Warm the form so a resident frontier exists before the burst.
     assert!(setup.query("?- a(0, X).").unwrap().ok);
 
-    // Valid payloads: prefixes of the chain writer's acknowledgment
-    // order. The LOAD flood writes a disjoint value range (1000+), which
-    // never reaches a(0, _), so it cannot perturb this set.
-    let valid: BTreeSet<String> = (1..=CHAIN)
+    // Each valid payload and the prefix of the chain writer's order it
+    // renders. The LOAD flood writes a disjoint value range (1000+), which
+    // never reaches a(0, _), so it cannot perturb this map.
+    let prefix_of: BTreeMap<String, i64> = (1..=CHAIN)
         .map(|k| {
             let facts: String = (0..k).map(|i| format!("p({i}, {}).\n", i + 1)).collect();
-            xdl_run_reference(&format!("{TC_RULES}{facts}?- a(0, X)."))
+            (
+                xdl_run_reference(&format!("{TC_RULES}{facts}?- a(0, X).")),
+                k,
+            )
         })
         .collect();
 
-    let chain_writer = std::thread::spawn(move || {
-        let mut w = Client::connect(addr).unwrap();
-        for i in 1..CHAIN {
-            let resp = w.fact(&format!("p({i}, {}).", i + 1)).unwrap();
-            assert!(resp.ok, "{}", resp.error);
-        }
-    });
+    // Chain facts acknowledged so far: p(0, 1) .. p(acked - 1, acked).
+    let acked = Arc::new(AtomicI64::new(1));
+    let chain_writer = {
+        let acked = Arc::clone(&acked);
+        std::thread::spawn(move || {
+            let mut w = Client::connect(addr).unwrap();
+            for i in 1..CHAIN {
+                let resp = w.fact(&format!("p({i}, {}).", i + 1)).unwrap();
+                assert!(resp.ok, "{}", resp.error);
+                acked.store(i + 1, Ordering::SeqCst);
+            }
+        })
+    };
     let load_files: Vec<_> = (0..8)
         .map(|j| {
             let base = 1000 + 10 * j;
@@ -668,48 +675,37 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
         }
     });
 
-    let readers: Vec<_> = [
-        Consistency::Fresh,
-        Consistency::Bounded(50),
-        Consistency::Any,
-    ]
-    .into_iter()
-    .map(|mode| {
-        let valid = valid.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
-            let mut last_len = 0usize;
-            for _ in 0..25 {
-                let resp = c.query_at(mode, "?- a(0, X).").unwrap();
-                if !resp.ok {
-                    // Only a bounded budget may be refused, and only
-                    // with the structured stale code and its bound.
-                    assert!(matches!(mode, Consistency::Bounded(_)), "{}", resp.error);
-                    assert_eq!(resp.code, Some(ErrCode::Stale), "{}", resp.error);
-                    assert!(resp.stale_bound_ms().is_some(), "{}", resp.error);
-                    continue;
+    let readers: Vec<_> = MODES
+        .into_iter()
+        .map(|mode| {
+            let prefix_of = prefix_of.clone();
+            let acked = Arc::clone(&acked);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let mut last = 0;
+                for _ in 0..25 {
+                    let before = acked.load(Ordering::SeqCst);
+                    let resp = c.request(&format!("QUERY {mode}?- a(0, X).")).unwrap();
+                    assert!(resp.ok, "{mode}: {}", resp.error);
+                    assert_eq!(resp.get("staleness_us"), Some("0"), "{mode}");
+                    let k = *prefix_of.get(&resp.payload_text()).unwrap_or_else(|| {
+                        panic!(
+                            "{mode}read is not a prefix rendering:\n{}",
+                            resp.payload_text()
+                        )
+                    });
+                    assert!(
+                        k >= before,
+                        "{mode}read misses acknowledged facts: {k} < {before}"
+                    );
+                    // Answers only grow on one connection.
+                    assert!(k >= last, "answers shrank under {mode}");
+                    last = k;
+                    resp.get("frontier").unwrap().parse::<u64>().unwrap();
                 }
-                let payload = resp.payload_text();
-                assert!(
-                    valid.contains(&payload),
-                    "{mode} read is not a prefix rendering:\n{payload}"
-                );
-                // Frontiers and memos only advance: answers never shrink
-                // on one connection, stale or not.
-                assert!(
-                    resp.payload.len() >= last_len,
-                    "answers shrank under {mode}"
-                );
-                last_len = resp.payload.len();
-                let staleness: u64 = resp.get("staleness_us").unwrap().parse().unwrap();
-                if mode == Consistency::Fresh {
-                    assert_eq!(staleness, 0, "fresh read reported staleness");
-                }
-                resp.get("frontier").unwrap().parse::<u64>().unwrap();
-            }
+            })
         })
-    })
-    .collect();
+        .collect();
 
     chain_writer.join().unwrap();
     load_writer.join().unwrap();
@@ -717,25 +713,10 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
         r.join().unwrap();
     }
 
-    // Quiescent: fresh catches up synchronously and matches `xdl run`.
-    let full: String = (0..CHAIN)
-        .map(|i| format!("p({i}, {}).\n", i + 1))
-        .collect();
-    let reference = xdl_run_reference(&format!("{TC_RULES}{full}?- a(0, X)."));
-    let fresh = setup.query("?- a(0, X).").unwrap();
-    assert!(fresh.ok, "{}", fresh.error);
-    assert_eq!(fresh.payload_text(), reference);
-
-    // `any` converges too once the maintenance thread drains the queue.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let resp = setup.query_at(Consistency::Any, "?- a(0, X).").unwrap();
-        assert!(resp.ok, "{}", resp.error);
-        if resp.payload_text() == reference && resp.get("staleness_us") == Some("0") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "any-mode read never converged");
-        std::thread::sleep(Duration::from_millis(20));
+    // Quiescent: every mode reads the full chain.
+    for mode in MODES {
+        let resp = setup.request(&format!("QUERY {mode}?- a(0, X).")).unwrap();
+        assert_eq!(prefix_of.get(&resp.payload_text()), Some(&CHAIN), "{mode}");
     }
 
     // No poison leak: the storm never killed the resident state.
@@ -820,10 +801,9 @@ fn await_stat(stats: &mut dyn FnMut() -> String, key: &str, want: u64) {
 }
 
 /// One form through every residency state and back: after each step the
-/// `cache=` tag, whether the answer is stale, and the `STATS` values that
-/// count residency transitions. In-process, with the maintenance thread
-/// started only once the deferred lag has been observed, so each state is
-/// reached deterministically.
+/// `cache=` tag and the `STATS` values that count residency transitions.
+/// In-process, with the maintenance thread started by the test, so each
+/// state is reached deterministically.
 #[test]
 fn residency_walks_every_state_with_its_tag_and_counters() {
     let dir = TempDir::new("walk");
@@ -831,120 +811,97 @@ fn residency_walks_every_state_with_its_tag_and_counters() {
     let state = Arc::new(
         ServerState::from_config(&ServerConfig {
             resident_forms: 1,
-            drain_sync_cost: 0,
             rebuild_ms: 2000,
             fault: Arc::clone(&fault),
             ..ServerConfig::default()
         })
         .unwrap(),
     );
+    let maintenance = state.start_maintenance().expect("residency is enabled");
     let file = dir.file(
         "two.dl",
         &format!("{TC_RULES}b(X, Y) :- q(X, Y).\np(1, 2).\nq(7, 8).\n"),
     );
     assert!(state.handle(&Request::Load(file.display().to_string())).ok);
     let mut stats = || state.handle(&Request::Stats).payload_text();
-    // (resident_forms, resident_poisonings, resident_rebuilds,
-    //  background_drains, fallback_recomputes)
     let counters = |stats: &str| {
         [
             "resident_forms",
             "resident_poisonings",
             "resident_rebuilds",
-            "background_drains",
             "fallback_recomputes",
         ]
         .map(|key| stat(stats, key))
     };
-    let ask = |consistency: Consistency, text: &str| -> Response {
-        let resp = state.handle(&Request::Query {
-            text: text.into(),
-            consistency,
-        });
+    // Every answer is fresh.
+    let ask = |text: &str| -> Response {
+        let resp = state.handle(&Request::query(text));
         assert!(resp.ok, "{text}: {}", resp.error);
+        assert_eq!(resp.get("staleness_us"), Some("0"), "{text}");
         resp
     };
-    let stale_us = |resp: &Response| -> u64 { resp.get("staleness_us").unwrap().parse().unwrap() };
 
     // Cold: nothing pinned, nothing counted.
-    assert_eq!(counters(&stats()), [0, 0, 0, 0, 0]);
+    assert_eq!(counters(&stats()), [0, 0, 0, 0]);
 
     // Cold → Live: the cold miss pins what it built.
-    let resp = ask(Consistency::Fresh, "?- a(1, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("miss"), 0));
-    assert_eq!(counters(&stats()), [1, 0, 0, 0, 0]);
+    assert_eq!(ask("?- a(1, X).").get("cache"), Some("miss"));
+    assert_eq!(counters(&stats()), [1, 0, 0, 0]);
 
-    // Live → lagging (deferred): the drain is priced off the ingest path
-    // and nobody runs it yet; a relaxed read sees the old frontier.
+    // Live → Live: the ingest drains the form before it is acknowledged.
     assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
-    let resp = ask(Consistency::Any, "?- a(1, X).");
-    assert_eq!(resp.get("cache"), Some("stale"));
-    assert!(stale_us(&resp) > 0);
-    assert_eq!(resp.payload, vec!["X", "2"]);
-    assert_eq!(counters(&stats()), [1, 0, 0, 0, 0]);
-
-    // Lagging → drained: the maintenance thread finds the deferred mark.
-    let maintenance = state.start_maintenance().expect("residency is enabled");
-    await_stat(&mut stats, "background_drains", 1);
-    let resp = ask(Consistency::Any, "?- a(1, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+    let resp = ask("?- a(1, X).");
+    assert_eq!(resp.get("cache"), Some("resident"));
     assert_eq!(resp.payload, vec!["X", "2", "3"]);
-    assert_eq!(counters(&stats()), [1, 0, 0, 1, 0]);
+    assert_eq!(counters(&stats()), [1, 0, 0, 0]);
 
-    // Drained → poisoned → Lost: the next deferred drain fails, and so does
-    // the first rebuild; the second is four seconds of backoff away.
+    // Live → poisoned → Lost: the ingest's drain fails, and so does the
+    // first background rebuild; the second is four seconds of backoff away.
     fault.fail_drains(2);
     assert!(state.handle(&Request::Fact("p(3, 4).".into())).ok);
     await_stat(&mut stats, "resident_poisonings", 2);
-    assert_eq!(counters(&stats()), [0, 2, 0, 1, 0]);
+    assert_eq!(counters(&stats()), [0, 2, 0, 0]);
 
     // Lost → rebuilt: a query does not wait for the backoff. It recomputes
     // from cold and pins the result.
-    let resp = ask(Consistency::Fresh, "?- a(1, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("hit"), 0));
+    let resp = ask("?- a(1, X).");
+    assert_eq!(resp.get("cache"), Some("hit"));
     assert_eq!(resp.payload, vec!["X", "2", "3", "4"]);
-    assert_eq!(counters(&stats()), [1, 2, 1, 1, 1]);
-    let resp = ask(Consistency::Fresh, "?- a(2, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+    assert_eq!(counters(&stats()), [1, 2, 1, 1]);
+    assert_eq!(ask("?- a(2, X).").get("cache"), Some("resident"));
 
     // Live → evicted: the single resident slot goes to another form.
-    let resp = ask(Consistency::Fresh, "?- b(7, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("miss"), 0));
-    assert_eq!(counters(&stats()), [1, 2, 1, 1, 1]);
+    assert_eq!(ask("?- b(7, X).").get("cache"), Some("miss"));
+    assert_eq!(counters(&stats()), [1, 2, 1, 1]);
 
     // Evicted → re-pinned, the same way a lost form comes back.
-    let resp = ask(Consistency::Fresh, "?- a(3, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("hit"), 0));
-    assert_eq!(counters(&stats()), [1, 2, 2, 1, 2]);
-    let resp = ask(Consistency::Fresh, "?- a(2, X).");
-    assert_eq!((resp.get("cache"), stale_us(&resp)), (Some("resident"), 0));
+    assert_eq!(ask("?- a(3, X).").get("cache"), Some("hit"));
+    assert_eq!(counters(&stats()), [1, 2, 2, 2]);
+    let resp = ask("?- a(2, X).");
+    assert_eq!(resp.get("cache"), Some("resident"));
     assert_eq!(resp.payload, vec!["X", "3", "4"]);
 
     assert!(state.handle(&Request::Shutdown).ok);
     maintenance.join().unwrap();
 }
 
-/// A server whose form over `a` sits in a four-second rebuild backoff
-/// (poisoned, first rebuild failed) beside a healthy live form over `b`.
-/// Every drain is deferred to the maintenance thread.
-fn server_with_a_form_in_backoff(dir: &TempDir) -> (Server, Client) {
+#[test]
+fn shutdown_does_not_wait_out_a_rebuild_backoff() {
+    let dir = TempDir::new("backoff-join");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
         threads: 2,
-        drain_sync_cost: 0,
         rebuild_ms: 2000,
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let file = dir.file(
-        "two.dl",
-        &format!("{TC_RULES}b(X, Y) :- q(X, Y).\np(1, 2).\nq(7, 8).\n"),
-    );
+    let file = dir.file("tc.dl", &format!("{TC_RULES}p(1, 2).\n"));
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
     assert!(c.query("?- a(1, X).").unwrap().ok);
-    assert!(c.query("?- b(7, X).").unwrap().ok);
+    // The ingest's drain poisons the form and the first rebuild fails:
+    // the next attempt is four seconds away.
     fault.fail_drains(2);
     assert!(c.fact("p(2, 3).").unwrap().ok);
     await_stat(
@@ -952,37 +909,6 @@ fn server_with_a_form_in_backoff(dir: &TempDir) -> (Server, Client) {
         "resident_poisonings",
         2,
     );
-    (server, c)
-}
-
-#[test]
-fn a_form_in_backoff_does_not_delay_another_forms_deferred_drain() {
-    let dir = TempDir::new("backoff-drain");
-    let (server, mut c) = server_with_a_form_in_backoff(&dir);
-    let started = Instant::now();
-    assert!(c.fact("q(8, 9).").unwrap().ok);
-    await_stat(
-        &mut || c.stats().unwrap().payload_text(),
-        "background_drains",
-        1,
-    );
-    // A few 50 ms ticks at most — not the other form's four seconds.
-    assert!(
-        started.elapsed() < Duration::from_millis(1500),
-        "healthy form waited {:?} for its drain",
-        started.elapsed()
-    );
-    let resp = c.query_at(Consistency::Any, "?- b(8, X).").unwrap();
-    assert_eq!(resp.get("staleness_us"), Some("0"));
-    assert_eq!(resp.payload, vec!["X", "9"]);
-    c.shutdown().unwrap();
-    server.join();
-}
-
-#[test]
-fn shutdown_does_not_wait_out_a_rebuild_backoff() {
-    let dir = TempDir::new("backoff-join");
-    let (server, mut c) = server_with_a_form_in_backoff(&dir);
     let started = Instant::now();
     c.shutdown().unwrap();
     server.join();

@@ -13,9 +13,7 @@ mod util;
 use std::collections::BTreeMap;
 
 use datalog_server::metrics::Phase;
-use datalog_server::{
-    Client, Consistency, FaultPlan, Request, Response, Server, ServerConfig, ServerState,
-};
+use datalog_server::{Client, Request, Server, ServerConfig, ServerState};
 use util::TempDir;
 
 const TC_RULES: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n";
@@ -508,17 +506,15 @@ fn incremental_serving_surface_is_scraped_and_counted() {
     server.join();
 }
 
+/// A relaxed read (`any`, `staleness=<ms>`) is answered fresh off the
+/// resident frontier and counted like any other query. The resident
+/// rebuild/poisoning counters are scraped and mirrored in `STATS`; the
+/// stale-serving families no longer exist.
 #[test]
 fn bounded_staleness_surface_is_scraped_and_counted() {
     let dir = TempDir::new("metrics-staleness");
-    // Zero sync budget defers every drain; the slow-drain fault keeps the
-    // deferred drain in flight long enough that the stale serving and
-    // refusal counters are deterministically reachable.
-    let fault = std::sync::Arc::new(datalog_server::FaultPlan::default());
     let server = Server::spawn(&ServerConfig {
         threads: 2,
-        drain_sync_cost: 0,
-        fault: std::sync::Arc::clone(&fault),
         ..ServerConfig::default()
     })
     .unwrap();
@@ -528,98 +524,83 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
     assert!(c.load(rules.to_str().unwrap()).unwrap().ok);
 
     assert_eq!(c.query("?- a(X, _).").unwrap().get("cache"), Some("miss"));
-    fault.slow_drains(300);
     assert!(c.fact("p(2, 3).").unwrap().ok);
-    // One relaxed read off the old frontier, one refusal, one fresh.
-    let resp = c.query_at(Consistency::Any, "?- a(X, _).").unwrap();
-    assert!(resp.ok, "{}", resp.error);
-    std::thread::sleep(std::time::Duration::from_millis(15));
-    let resp = c.query_at(Consistency::Bounded(1), "?- a(X, _).").unwrap();
-    let refusals = u64::from(!resp.ok);
-    fault.slow_drains(0);
-    assert!(c.query("?- a(X, _).").unwrap().ok);
+    // Every mode sees the acknowledged FACT: no read is stale. The first
+    // read is off the resident frontier, the rest off its memoized answers.
+    for (mode, source) in [
+        ("any ", "resident"),
+        ("staleness=1 ", "answers"),
+        ("staleness=0 ", "answers"),
+        ("fresh ", "answers"),
+    ] {
+        let resp = c.request(&format!("QUERY {mode}?- a(X, _).")).unwrap();
+        assert!(resp.ok, "{mode}: {}", resp.error);
+        assert_eq!(resp.get("cache"), Some(source), "{mode}");
+        assert_eq!(resp.get("staleness_us"), Some("0"), "{mode}");
+        assert_eq!(resp.payload_text(), "X\n1\n2\n", "{mode}");
+    }
 
     let families = parse_prometheus(&c.metrics(false).unwrap().payload_text());
     for required in [
         "xdl_resident_rebuilds_total",
         "xdl_resident_poisonings_total",
-        "xdl_stale_serves_total",
-        "xdl_stale_refusals_total",
-        "xdl_background_drains_total",
-        "xdl_staleness_bound_seconds",
     ] {
         assert!(
             families.contains_key(required),
             "{required} missing from scrape"
         );
     }
-    assert!(
-        families["xdl_stale_serves_total"].samples[0].value >= 1.0,
-        "the any-mode read was a stale serve"
-    );
+    for gone in [
+        "xdl_stale_serves_total",
+        "xdl_stale_refusals_total",
+        "xdl_background_drains_total",
+        "xdl_staleness_bound_seconds",
+    ] {
+        assert!(!families.contains_key(gone), "{gone} still scraped");
+    }
+    // The cold miss plus four relaxed-or-fresh reads.
+    assert_eq!(families["xdl_queries_total"].samples[0].value, 5.0);
     assert_eq!(
-        families["xdl_stale_refusals_total"].samples[0].value,
-        refusals as f64
+        families["xdl_resident_rebuilds_total"].samples[0].value,
+        0.0
     );
     assert_eq!(
         families["xdl_resident_poisonings_total"].samples[0].value,
         0.0
     );
-    // Every served query records into the staleness histogram.
-    let bound_count = families["xdl_staleness_bound_seconds"]
-        .samples
-        .iter()
-        .find(|s| s.name == "xdl_staleness_bound_seconds_count")
-        .unwrap();
-    assert!(
-        bound_count.value >= 3.0,
-        "bound count {}",
-        bound_count.value
-    );
 
     // STATS mirrors the same counters.
     let stats = c.stats().unwrap().payload_text();
-    assert!(stats.contains("\"stale_serves\":"), "{stats}");
-    assert!(stats.contains("\"stale_refusals\":"), "{stats}");
-    assert!(stats.contains("\"resident_rebuilds\":"), "{stats}");
-    assert!(stats.contains("\"resident_poisonings\":"), "{stats}");
-    assert!(stats.contains("\"background_drains\":"), "{stats}");
+    assert!(stats.contains("\"resident_rebuilds\":0"), "{stats}");
+    assert!(stats.contains("\"resident_poisonings\":0"), "{stats}");
+    assert!(!stats.contains("\"stale_serves\":"), "{stats}");
+    assert!(!stats.contains("\"background_drains\":"), "{stats}");
 
     server.shutdown();
     server.join();
 }
 
-/// All six `cache=` sources leave through one response tail: same header
-/// keys in the same order, one staleness sample and one cache-phase sample
-/// per answer. In-process and without the maintenance thread, so a
-/// deferred drain stays pending until a reader resolves it and every
-/// source is reached deterministically.
+/// All four `cache=` sources leave through one response tail: same header
+/// keys in the same order, `staleness_us=0`, and one cache-phase sample
+/// per answer. In-process, so every source is reached deterministically.
 #[test]
 fn every_cache_source_answers_through_the_same_tail() {
     let dir = TempDir::new("metrics-tail");
-    let fault = std::sync::Arc::new(FaultPlan::default());
-    let state = std::sync::Arc::new(
-        ServerState::from_config(&ServerConfig {
-            drain_sync_cost: 0,
-            fault: std::sync::Arc::clone(&fault),
-            ..ServerConfig::default()
-        })
-        .unwrap(),
-    );
+    let state = ServerState::from_config(&ServerConfig::default()).unwrap();
     // `a` is monotone (pins a resident); `c` negates, so it never does.
     let rules = dir.path().join("rules.dl");
     let src = format!("{TC_RULES}c(X) :- n(X), not d(X).\np(1, 2).\nn(1).\nn(2).\nd(2).\n");
     std::fs::write(&rules, src).unwrap();
     assert!(state.handle(&Request::Load(rules.display().to_string())).ok);
 
-    let samples = |state: &ServerState| {
-        let m = state.metrics();
-        (
-            m.staleness_bound_seconds.snapshot().count,
-            m.phase_seconds[Phase::Cache as usize].snapshot().count,
-        )
-    };
-    let check = |source: &str, resp: &Response, before: (u64, u64), answered: u64| {
+    let ask = |source: &str, text: &str| {
+        let cache_samples = || {
+            state.metrics().phase_seconds[Phase::Cache as usize]
+                .snapshot()
+                .count
+        };
+        let before = cache_samples();
+        let resp = state.handle(&Request::query(text));
         assert!(resp.ok, "{source}: {}", resp.error);
         assert_eq!(resp.get("cache"), Some(source));
         let keys: Vec<&str> = resp.info.iter().map(|(k, _)| k.as_str()).collect();
@@ -628,49 +609,22 @@ fn every_cache_source_answers_through_the_same_tail() {
             ["cache", "answers", "frontier", "staleness_us", "wall_us"],
             "{source}"
         );
-        let after = samples(&state);
+        assert_eq!(resp.get("staleness_us"), Some("0"), "{source}");
         assert_eq!(
-            (after.0 - before.0, after.1 - before.1),
-            (answered, answered),
-            "{source}: one staleness sample and one cache-phase sample per answer"
+            cache_samples() - before,
+            1,
+            "{source}: one cache-phase sample"
         );
-    };
-    let ask = |source: &str, consistency: Consistency, text: &str| {
-        let before = samples(&state);
-        let resp = state.handle(&Request::Query {
-            text: text.into(),
-            consistency,
-        });
-        check(source, &resp, before, 1);
+        resp.payload_text()
     };
 
-    let a = "?- a(X, _).";
-    ask("miss", Consistency::Fresh, "?- c(X).");
-    ask("hit", Consistency::Fresh, "?- c(1).");
-    ask("answers", Consistency::Fresh, "?- c(1).");
-    ask("miss", Consistency::Fresh, a);
-    // The ingest-side drain is priced out and nobody runs it: the form lags.
+    ask("miss", "?- c(X).");
+    ask("hit", "?- c(1).");
+    ask("answers", "?- c(1).");
+    ask("miss", "?- a(X, _).");
+    // The ingest drains the resident; the next read is a frontier read.
     assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
-    ask("stale", Consistency::Any, a);
-    // A fresh reader now drains under the form lock, slowly. Once the
-    // fault has fired it is inside that lock, so a relaxed reader finds it
-    // contended and is answered off the answer memo.
-    fault.slow_drains(300);
-    let fired = fault.fired();
-    let before = samples(&state);
-    let drainer = {
-        let state = std::sync::Arc::clone(&state);
-        std::thread::spawn(move || state.handle(&Request::query(a)))
-    };
-    while fault.fired() == fired {
-        std::thread::yield_now();
-    }
-    ask("stale_answers", Consistency::Any, a);
-    let drained = drainer.join().unwrap();
-    fault.slow_drains(0);
-    // Two answers since the drainer started: the relaxed read (counted
-    // on its own above, while the drainer still slept) and the drainer's.
-    check("resident", &drained, before, 2);
+    assert_eq!(ask("resident", "?- a(X, _)."), "X\n1\n2\n");
 }
 
 #[test]

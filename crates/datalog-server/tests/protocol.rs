@@ -7,16 +7,14 @@
 
 mod util;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use datalog_ast::parse_program;
 use datalog_engine::{query_answers_full, EvalOptions, FactSet};
 use datalog_opt::{optimize, OptimizerConfig};
-use datalog_server::{
-    render_answers, Client, Consistency, ErrCode, FaultPlan, Server, ServerConfig,
-};
+use datalog_server::{render_answers, Client, Server, ServerConfig};
 use util::TempDir;
 
 /// What `xdl run <src>` prints on stdout, computed via the same library
@@ -304,87 +302,108 @@ fn concurrent_clients_with_interleaved_ingestion_see_consistent_prefixes() {
     server.join();
 }
 
-/// Protocol v4: the three consistency modes round-trip over TCP with
-/// frontier/staleness headers, and `fresh` stays byte-identical to
-/// `xdl run` even while a deferred drain is still in flight.
+/// Protocol v4's mode words are accepted and discarded: while a second
+/// client streams `FACT`s, a query with any mode word, or none, answers
+/// fresh. Each payload is `xdl run`'s at a prefix of the stream that holds
+/// every fact acknowledged before the query was sent, under the same
+/// header keys, with `staleness_us=0` and never a `stale` tag or
+/// `ERR stale`. A malformed bound is still an `ERR`.
 #[test]
 fn consistency_modes_round_trip_with_frontier_headers() {
+    const CHAIN: i64 = 16;
+    const MODES: [&str; 5] = ["", "fresh ", "any ", "staleness=50 ", "staleness=0 "];
     let dir = TempDir::new("consistency");
-    let fault = Arc::new(FaultPlan::default());
-    // drain_sync_cost = 0 forces every post-ingest drain onto the
-    // maintenance thread, so there is a real stale window to observe.
-    let server = Server::spawn(&ServerConfig {
-        threads: 2,
-        drain_sync_cost: 0,
-        fault: Arc::clone(&fault),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let mut c = Client::connect(server.addr()).unwrap();
-
-    let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
+    let server = spawn(3);
+    let addr = server.addr();
+    let mut c = Client::connect(addr).unwrap();
+    let file = dir.file("rules-only.dl", TC_RULES);
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+    assert!(c.fact("p(0, 1).").unwrap().ok);
+    let q = "?- a(0, X).";
+    // The prefix p(0, 1) .. p(k - 1, k) each payload stands for.
+    let prefix_of: BTreeMap<String, i64> = (1..=CHAIN)
+        .map(|k| {
+            let facts: String = (0..k).map(|i| format!("p({i}, {}).\n", i + 1)).collect();
+            (xdl_run_reference(&format!("{TC_RULES}{facts}{q}")), k)
+        })
+        .collect();
+    // Warm the form, so the stream is drained through a resident.
+    assert_eq!(c.query(q).unwrap().get("cache"), Some("miss"));
 
-    // Warm the form: the cold miss pins a resident frontier and already
-    // reports version + zero staleness.
-    let q = "?- a(1, X).";
-    let cold = c.query(q).unwrap();
-    assert!(cold.ok, "{}", cold.error);
-    assert_eq!(cold.get("cache"), Some("miss"));
-    let v0: u64 = cold.get("frontier").unwrap().parse().unwrap();
-    assert_eq!(cold.get("staleness_us"), Some("0"));
-    let old_payload = cold.payload_text();
+    // Facts acknowledged so far: p(0, 1) .. p(acked - 1, acked).
+    let acked = Arc::new(AtomicI64::new(1));
+    let writer = {
+        let acked = Arc::clone(&acked);
+        std::thread::spawn(move || {
+            let mut w = Client::connect(addr).unwrap();
+            for i in 1..CHAIN {
+                assert!(w.fact(&format!("p({i}, {}).", i + 1)).unwrap().ok);
+                acked.store(i + 1, Ordering::SeqCst);
+            }
+        })
+    };
+    let mut rounds = 0;
+    while rounds < 10 || !writer.is_finished() {
+        for mode in MODES {
+            let before = acked.load(Ordering::SeqCst);
+            let resp = c.request(&format!("QUERY {mode}{q}")).unwrap();
+            assert!(resp.ok, "{mode}: {}", resp.error);
+            let keys: Vec<&str> = resp.info.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                ["cache", "answers", "frontier", "staleness_us", "wall_us"],
+                "{mode}"
+            );
+            assert_eq!(resp.get("staleness_us"), Some("0"), "{mode}");
+            assert!(!resp.get("cache").unwrap().starts_with("stale"), "{mode}");
+            let k = prefix_of
+                .get(&resp.payload_text())
+                .unwrap_or_else(|| panic!("{mode}: not a prefix:\n{}", resp.payload_text()));
+            assert!(
+                *k >= before,
+                "{mode}: prefix {k} misses acknowledged {before}"
+            );
+        }
+        rounds += 1;
+    }
+    writer.join().unwrap();
+    for mode in MODES {
+        let resp = c.request(&format!("QUERY {mode}{q}")).unwrap();
+        assert_eq!(prefix_of.get(&resp.payload_text()), Some(&CHAIN), "{mode}");
+    }
 
-    // Ingest while drains are slow: the background catch-up sleeps
-    // holding the form lock, keeping the published frontier behind.
-    fault.slow_drains(300);
-    assert!(c.fact("p(4, 5).").unwrap().ok);
+    let bad = c.request(&format!("QUERY staleness=abc {q}")).unwrap();
+    assert!(!bad.ok);
+    assert_eq!(bad.code, None, "{}", bad.error);
+    assert!(bad.error.contains("staleness"), "{}", bad.error);
 
-    // `any` serves immediately off the old frontier with an honest bound.
-    let any = c.query_at(Consistency::Any, q).unwrap();
-    assert!(any.ok, "{}", any.error);
-    let tag = any.get("cache").unwrap();
-    assert!(
-        tag == "stale" || tag == "stale_answers",
-        "expected a stale serve, got {tag}"
-    );
-    assert_eq!(any.payload_text(), old_payload);
-    assert_eq!(any.get("frontier").unwrap().parse::<u64>().unwrap(), v0);
-    let bound_us: u64 = any.get("staleness_us").unwrap().parse().unwrap();
-    assert!(bound_us > 0, "a stale serve must report a nonzero bound");
+    c.shutdown().unwrap();
+    server.join();
+}
 
-    // A generous budget is also happy with the old frontier.
-    let loose = c.query_at(Consistency::Bounded(60_000), q).unwrap();
-    assert!(loose.ok, "{}", loose.error);
-    assert_eq!(loose.payload_text(), old_payload);
-
-    // A 1 ms budget cannot be met once the frontier is >10 ms old:
-    // the server refuses with `ERR stale <bound_ms>` instead of blocking.
-    std::thread::sleep(Duration::from_millis(20));
-    let tight = c.query_at(Consistency::Bounded(1), q).unwrap();
-    assert!(!tight.ok, "over-budget read must be refused");
-    assert_eq!(tight.code, Some(ErrCode::Stale));
-    let bound_ms = tight.stale_bound_ms().expect("ERR stale carries a bound");
-    assert!(bound_ms >= 10, "reported bound {bound_ms} ms is too low");
-
-    // `fresh` (the default) waits out the drain and matches `xdl run`
-    // byte for byte — staleness zero, frontier advanced.
-    fault.slow_drains(0);
-    let fresh = c.query(q).unwrap();
-    assert!(fresh.ok, "{}", fresh.error);
-    let reference = xdl_run_reference(&format!("{TC_RULES}{TC_FACTS}p(4, 5).\n{q}"));
-    assert_eq!(fresh.payload_text(), reference);
-    assert_eq!(fresh.get("staleness_us"), Some("0"));
-    assert!(fresh.get("frontier").unwrap().parse::<u64>().unwrap() > v0);
-
-    // Once drained, `any` is current again: zero staleness, new frontier.
-    let settled = c.query_at(Consistency::Any, q).unwrap();
-    assert!(settled.ok, "{}", settled.error);
-    assert_eq!(settled.payload_text(), reference);
-    assert_eq!(settled.get("staleness_us"), Some("0"));
-
+/// A request line with a line break would reach the server as two
+/// requests and leave every later response one behind. The client refuses
+/// it before writing, and the connection stays in step.
+#[test]
+fn a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step() {
+    let server = spawn(1);
+    let mut c = Client::connect(server.addr()).unwrap();
+    for line in [
+        "FACT p(1).\nSHUTDOWN",
+        "FACT p(2).\rSTATS",
+        "QUERY ?- p(X).\n",
+    ] {
+        let err = c.request(line).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{line:?}");
+    }
+    // Nothing was sent: no fact stored, no shutdown, and each next request
+    // gets its own answer.
     let stats = c.stats().unwrap().payload_text();
-    assert!(stats.contains("\"stale_refusals\":1"), "{stats}");
+    assert!(stats.contains("\"facts\":0,"), "{stats}");
+    assert!(c.fact("p(3).").unwrap().ok);
+    let resp = c.query("?- p(X).").unwrap();
+    assert!(resp.ok, "{}", resp.error);
+    assert_eq!(resp.payload, vec!["X", "3"]);
 
     c.shutdown().unwrap();
     server.join();
