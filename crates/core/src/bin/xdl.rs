@@ -15,7 +15,7 @@
 //!           [--fsync always|batch|never] [--compact-every <n>]
 //!           [--max-conns <n>] [--max-inflight <n>] [--deadline-ms <ms>]
 //!           [--budget <n>] [--grace-ms <ms>] [--slow-query-ms <ms>]
-//!           [--no-metrics] [--resident-forms <n>] [--rebuild-ms <ms>]
+//!           [--resident-forms <n>] [--rebuild-ms <ms>]
 //! xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]...
 //!           [--stats] [--trace] [--shutdown] ['?- atom.']
 //! xdl metrics --connect <addr> [--json | --watch]
@@ -24,11 +24,11 @@
 //! `--threads <n>` fans each fixpoint iteration's rule applications out
 //! over `n` worker threads; answers, stats, provenance, and profile
 //! counters are byte-identical to `--threads 1` at any `n`. For `serve`,
-//! `--threads` sets both the connection workers and the per-query
-//! evaluation threads (when omitted, evaluation defaults to the machine's
-//! available parallelism), joins are always greedily reordered, and
-//! `--resident-forms <n>` bounds the incrementally maintained query forms
-//! (0 disables; default 8).
+//! `--threads` sets each query's evaluation threads (when omitted, the
+//! machine's available parallelism), each connection is served on its own
+//! thread up to `--max-conns` (default 64; the next one gets `ERR busy`),
+//! joins are always greedily reordered, and `--resident-forms <n>` bounds
+//! the incrementally maintained query forms (0 disables; default 8).
 //! `--rebuild-ms <ms>` sets the base backoff between rebuild attempts for
 //! a poisoned resident. `query` answers are byte-identical to `xdl run`.
 //!
@@ -79,7 +79,7 @@ fn usage() -> String {
      xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>] \
      [--fsync always|batch|never] [--compact-every <n>] [--max-conns <n>] \
      [--max-inflight <n>] [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
-     [--slow-query-ms <ms>] [--no-metrics] [--resident-forms <n>] [--rebuild-ms <ms>]\n  \
+     [--slow-query-ms <ms>] [--resident-forms <n>] [--rebuild-ms <ms>]\n  \
      xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]... \
      [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
      xdl metrics --connect <addr> [--json | --watch]"
@@ -540,22 +540,13 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         Some(p) => p.parse().map_err(|_| "--port takes a port number")?,
         None => 7654,
     };
-    let threads: Option<usize> = match option_value(rest, "--threads") {
-        Some(n) => Some(n.parse().map_err(|_| "--threads takes a number")?),
-        None => None,
-    };
     let mut cfg = ServerConfig {
         addr: format!("127.0.0.1:{port}"),
-        threads: threads.unwrap_or(4),
         verify: flag(rest, "--verify"),
         ..ServerConfig::default()
     };
-    // An explicit `--threads` governs both halves of the server's
-    // parallelism: the connection workers and each query's evaluation
-    // fan-out. Absent, evaluation defaults to the machine's parallelism
-    // (or `XDL_EVAL_THREADS`) via `ServerConfig::default`.
-    if let Some(n) = threads {
-        cfg.eval_threads = n;
+    if let Some(n) = option_value(rest, "--threads") {
+        cfg.eval_threads = n.parse().map_err(|_| "--threads takes a number")?;
     }
     if let Some(n) = option_value(rest, "--resident-forms") {
         cfg.resident_forms = n.parse().map_err(|_| "--resident-forms takes a number")?;
@@ -593,7 +584,6 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     if let Some(ms) = option_value(rest, "--rebuild-ms") {
         cfg.rebuild_ms = ms.parse().map_err(|_| "--rebuild-ms takes milliseconds")?;
     }
-    cfg.metrics = !flag(rest, "--no-metrics");
     let server = Server::spawn(&cfg).map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     if let Some(rec) = server.state().recovery() {
         // One machine-readable line before "listening": what the WAL replay

@@ -1,6 +1,6 @@
-//! The experiment suite (E1–E14). See DESIGN.md §5 for the index mapping
-//! each experiment to its paper anchor, and EXPERIMENTS.md for recorded
-//! results and shape expectations.
+//! The experiment suite (E1–E10 and E12). See DESIGN.md §5 for the index
+//! mapping each experiment to its paper anchor, and EXPERIMENTS.md for
+//! recorded results and shape expectations.
 //!
 //! Every experiment compares *the same answers computed with less work*:
 //! rows report facts derived, duplicate hits, tuples scanned, iterations
@@ -598,178 +598,6 @@ pub fn e10(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E11 — the query server: prepared-form cache vs the cold optimizer
-/// path, answer memoization, and throughput at 1/4/8 concurrent clients.
-///
-/// Engine counters (facts/dups/scanned/iters) do not apply to the wire
-/// measurements and are reported as 0; `wall_us` is the client-observed
-/// median round trip, except for the `throughput` rows where it is the
-/// total wall time of the whole run (queries/sec goes in the notes).
-pub fn e11(quick: bool) -> ExperimentResult {
-    use datalog_server::{Client, Server, ServerConfig};
-    use std::time::Instant;
-
-    let mut r = ExperimentResult::new(
-        "e11",
-        "server: prepared-query cache vs cold optimizer; qps at 1/4/8 clients",
-    );
-    r.note("expect: warm-prepared ≪ cold-miss (skips §2 adornment + §3 pipeline);");
-    r.note("answers-memo ≪ warm-prepared (skips evaluation too); qps holds under concurrency");
-
-    let n: i64 = if quick { 64 } else { 256 };
-    let per_client: usize = if quick { 50 } else { 200 };
-    let repeats: usize = if quick { 20 } else { 60 };
-
-    // Rules + a chain EDB, served from a file exactly as a client would.
-    let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
-    for i in 0..n {
-        src.push_str(&format!("p({i}, {}).\n", i + 1));
-    }
-    let dir = std::env::temp_dir().join(format!("datalog-bench-e11-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir for e11");
-    let file = dir.join("chain.dl");
-    std::fs::write(&file, &src).expect("write e11 workload");
-    let path = file.to_str().expect("utf-8 temp path").to_string();
-
-    let median_us = |mut walls: Vec<u128>| -> u128 {
-        walls.sort();
-        walls[walls.len() / 2]
-    };
-    let row = |r: &mut ExperimentResult, label: &str, params: &str, answers: usize, us: u128| {
-        r.rows.push(crate::measure::Measurement {
-            label: label.into(),
-            params: params.into(),
-            answers,
-            facts: 0,
-            duplicates: 0,
-            scanned: 0,
-            iterations: 0,
-            retired: 0,
-            wall_us: us,
-            rules: Vec::new(),
-        });
-    };
-    let params = format!("chain n={n}");
-
-    // Cold misses: the first sighting of each adornment form pays the full
-    // optimizer (visible as PhaseEvents in TRACE); fresh server per sample
-    // so every form is genuinely cold.
-    {
-        let mut walls = Vec::new();
-        let mut answers = 0;
-        for _ in 0..3 {
-            let server = Server::spawn(&ServerConfig::default()).expect("bind");
-            let mut c = Client::connect(server.addr()).expect("connect");
-            assert!(c.load(&path).expect("load").ok);
-            for q in ["?- a(X, _).", "?- a(X, Y).", "?- a(_, Y)."] {
-                let t0 = Instant::now();
-                let resp = c.query(q).expect("query");
-                walls.push(t0.elapsed().as_micros());
-                assert_eq!(resp.get("cache"), Some("miss"), "{q} was not cold");
-                answers = resp
-                    .get("answers")
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or(0);
-            }
-            c.shutdown().expect("shutdown");
-            server.join();
-        }
-        let p = format!("{params} first-seen form");
-        row(&mut r, "cold-miss", &p, answers, median_us(walls));
-    }
-
-    // Residency off: E11 measures prepared-form reuse and answer
-    // memoization in isolation; the resident frontier is E14's subject.
-    let server = Server::spawn(&ServerConfig {
-        threads: 8,
-        resident_forms: 0,
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-    let mut c = Client::connect(addr).expect("connect");
-    assert!(c.load(&path).expect("load").ok);
-    assert_eq!(
-        c.query("?- a(X, _).").expect("warm").get("cache"),
-        Some("miss")
-    );
-
-    // Warm prepared: same form, rotating constants — the optimized program
-    // is reused, only evaluation runs (the answer slot misses on purpose).
-    {
-        let mut walls = Vec::new();
-        let mut answers = 0;
-        for i in 0..repeats {
-            let q = format!("?- a({}, _).", i as i64 % n);
-            let t0 = Instant::now();
-            let resp = c.query(&q).expect("query");
-            walls.push(t0.elapsed().as_micros());
-            assert_eq!(resp.get("cache"), Some("hit"), "{q} missed the cache");
-            answers = resp
-                .get("answers")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0);
-        }
-        let p = format!("{params} rotating const");
-        row(&mut r, "warm-prepared", &p, answers, median_us(walls));
-    }
-
-    // Answer memoization: the identical query text is served straight from
-    // the watermark-validated answer slot.
-    {
-        let mut walls = Vec::new();
-        let mut answers = 0;
-        let _ = c.query("?- a(X, _).").expect("prime");
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            let resp = c.query("?- a(X, _).").expect("query");
-            walls.push(t0.elapsed().as_micros());
-            assert_eq!(resp.get("cache"), Some("answers"));
-            answers = resp
-                .get("answers")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0);
-        }
-        let p = format!("{params} repeat text");
-        row(&mut r, "answers-memo", &p, answers, median_us(walls));
-    }
-
-    // Throughput: C clients hammer the warm prepared form concurrently.
-    for clients in [1usize, 4, 8] {
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|tid| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    for i in 0..per_client {
-                        let q = format!("?- a({}, _).", (tid * per_client + i) as i64 % n);
-                        let resp = c.query(&q).expect("query");
-                        assert!(resp.ok, "{}", resp.error);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
-        let total = t0.elapsed();
-        let qps = (clients * per_client) as f64 / total.as_secs_f64();
-        r.note(format!("clients={clients}: {qps:.0} queries/sec"));
-        row(
-            &mut r,
-            "throughput",
-            &format!("clients={clients} q={per_client} each"),
-            0,
-            total.as_micros(),
-        );
-    }
-
-    c.shutdown().expect("shutdown");
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-    r
-}
-
 /// E12 — scaling: the parallel semi-naive fan-out at 1/2/4/8 threads on
 /// recursive workloads (transitive closure over a dense digraph, BOM
 /// subpart reachability). Every thread count computes byte-identical
@@ -839,281 +667,6 @@ pub fn e12(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E13 — telemetry overhead: the identical server workload with the
-/// metrics registry enabled (the default) vs the no-op baseline
-/// (`metrics: false` — histograms reduce to one branch, counters still
-/// count). Reported per client count (1/4/8): qps and the client-observed
-/// p99 round trip. The acceptance budget is <2% qps regression with
-/// instrumentation on.
-///
-/// `wall_us` per row is the total wall time of the run; qps and p99 go in
-/// the notes (engine counters do not apply to wire measurements).
-pub fn e13(quick: bool) -> ExperimentResult {
-    use datalog_server::{Client, Server, ServerConfig};
-    use std::time::Instant;
-
-    let mut r = ExperimentResult::new(
-        "e13",
-        "telemetry overhead: metrics on vs no-op registry; qps + p99 at 1/4/8 clients",
-    );
-    r.note("expect: <2% qps regression with the registry enabled (the always-on budget);");
-    r.note("per request the cost is a few relaxed fetch_adds + two Instant::now() per span");
-
-    let n: i64 = if quick { 64 } else { 256 };
-    let per_client: usize = if quick { 100 } else { 400 };
-
-    let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
-    for i in 0..n {
-        src.push_str(&format!("p({i}, {}).\n", i + 1));
-    }
-    let dir = std::env::temp_dir().join(format!("datalog-bench-e13-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir for e13");
-    let file = dir.join("chain.dl");
-    std::fs::write(&file, &src).expect("write e13 workload");
-    let path = file.to_str().expect("utf-8 temp path").to_string();
-
-    let row = |r: &mut ExperimentResult, label: &str, params: &str, us: u128| {
-        r.rows.push(crate::measure::Measurement {
-            label: label.into(),
-            params: params.into(),
-            answers: 0,
-            facts: 0,
-            duplicates: 0,
-            scanned: 0,
-            iterations: 0,
-            retired: 0,
-            wall_us: us,
-            rules: Vec::new(),
-        });
-    };
-
-    // One run: a server with the given registry mode, C clients hammering
-    // the warm prepared form with rotating constants (the answer slot
-    // misses on purpose, so every request records the full span set).
-    // Returns (total wall, p99 of per-request round trips).
-    let run = |enabled: bool, clients: usize| -> (std::time::Duration, u128) {
-        let server = Server::spawn(&ServerConfig {
-            threads: 8,
-            metrics: enabled,
-            ..ServerConfig::default()
-        })
-        .expect("bind");
-        let addr = server.addr();
-        let mut c = Client::connect(addr).expect("connect");
-        assert!(c.load(&path).expect("load").ok);
-        // Warm the form cache so every timed request takes the same path.
-        assert!(c.query("?- a(0, _).").expect("warm").ok);
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|tid| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    let mut walls = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let q = format!("?- a({}, _).", (tid * per_client + i) as i64 % n);
-                        let t = Instant::now();
-                        let resp = c.query(&q).expect("query");
-                        walls.push(t.elapsed().as_micros());
-                        assert!(resp.ok, "{}", resp.error);
-                    }
-                    walls
-                })
-            })
-            .collect();
-        let mut walls: Vec<u128> = Vec::new();
-        for h in handles {
-            walls.extend(h.join().expect("client thread"));
-        }
-        let total = t0.elapsed();
-        walls.sort();
-        let p99 = walls[(walls.len() * 99) / 100 - 1];
-        c.shutdown().expect("shutdown");
-        server.join();
-        (total, p99)
-    };
-
-    let trials: usize = if quick { 2 } else { 3 };
-    for clients in [1usize, 4, 8] {
-        let queries = (clients * per_client) as f64;
-        // Interleave the two modes and keep each mode's best trial: on a
-        // shared host, comparing peak capability is what isolates the
-        // instrumentation cost from scheduler noise.
-        let (mut off_best, mut on_best) = (
-            None::<(std::time::Duration, u128)>,
-            None::<(std::time::Duration, u128)>,
-        );
-        for _ in 0..trials {
-            let off = run(false, clients);
-            let on = run(true, clients);
-            if off_best.map_or(true, |b| off.0 < b.0) {
-                off_best = Some(off);
-            }
-            if on_best.map_or(true, |b| on.0 < b.0) {
-                on_best = Some(on);
-            }
-        }
-        let (off_total, off_p99) = off_best.expect("at least one trial");
-        let (on_total, on_p99) = on_best.expect("at least one trial");
-        let qps_off = queries / off_total.as_secs_f64();
-        let qps_on = queries / on_total.as_secs_f64();
-        let overhead = (qps_off - qps_on) / qps_off * 100.0;
-        r.note(format!(
-            "clients={clients}: enabled {qps_on:.0} qps p99={on_p99}us; \
-             no-op {qps_off:.0} qps p99={off_p99}us; qps delta {overhead:+.2}% \
-             (best of {trials})"
-        ));
-        let params = format!("clients={clients} q={per_client} each");
-        row(&mut r, "metrics-enabled", &params, on_total.as_micros());
-        row(&mut r, "metrics-noop", &params, off_total.as_micros());
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    r
-}
-
-/// E14 — incremental serving: an ingest-heavy mix (every client alternates
-/// one FACT with one query on the warm form) served from the resident
-/// semi-naive frontier (`resident_forms: 8`, the default) vs the
-/// invalidate-and-recompute baseline (`resident_forms: 0`). Reported per
-/// client count (1/4/8): query qps and the client-observed p99 round trip.
-/// Answers are byte-identical either way — the delta propagation only
-/// changes *when* the fixpoint work happens, never what it produces.
-///
-/// `wall_us` per row is the total wall time of the run; qps and p99 go in
-/// the notes (engine counters do not apply to wire measurements).
-pub fn e14(quick: bool) -> ExperimentResult {
-    use datalog_server::{Client, Server, ServerConfig};
-    use std::time::Instant;
-
-    let mut r = ExperimentResult::new(
-        "e14",
-        "incremental serving: resident delta propagation vs invalidate-recompute \
-         under an ingest-heavy mix; qps + p99 at 1/4/8 clients",
-    );
-    r.note("expect: resident wins grow with the saturated database size — each ingested");
-    r.note("fact costs one small delta propagation instead of a full recomputation per query");
-
-    let n: i64 = if quick { 64 } else { 256 };
-    let per_client: usize = if quick { 25 } else { 100 };
-
-    let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
-    for i in 0..n {
-        src.push_str(&format!("p({i}, {}).\n", i + 1));
-    }
-    let dir = std::env::temp_dir().join(format!("datalog-bench-e14-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir for e14");
-    let file = dir.join("chain.dl");
-    std::fs::write(&file, &src).expect("write e14 workload");
-    let path = file.to_str().expect("utf-8 temp path").to_string();
-
-    let row = |r: &mut ExperimentResult, label: &str, params: &str, us: u128| {
-        r.rows.push(crate::measure::Measurement {
-            label: label.into(),
-            params: params.into(),
-            answers: 0,
-            facts: 0,
-            duplicates: 0,
-            scanned: 0,
-            iterations: 0,
-            retired: 0,
-            wall_us: us,
-            rules: Vec::new(),
-        });
-    };
-
-    // One run: every client interleaves a fresh FACT (isolated edge, far
-    // from the chain — it invalidates the form without growing the closure
-    // much) with a query on the warm form. Queries rotate constants so the
-    // answer slot never hits; the contested path is resident catch-up vs
-    // full recomputation. Returns (total wall, p99 of query round trips).
-    let run = |resident_forms: usize, clients: usize| -> (std::time::Duration, u128) {
-        let server = Server::spawn(&ServerConfig {
-            threads: 8,
-            resident_forms,
-            ..ServerConfig::default()
-        })
-        .expect("bind");
-        let addr = server.addr();
-        let mut c = Client::connect(addr).expect("connect");
-        assert!(c.load(&path).expect("load").ok);
-        // Warm the form cache (and pin the resident, when enabled).
-        assert!(c.query("?- a(0, _).").expect("warm").ok);
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|tid| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    let mut walls = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let x = 1_000_000 + (tid * per_client + i) as i64;
-                        let resp = c.fact(&format!("p({x}, {}).", x + 1)).expect("fact");
-                        assert!(resp.ok, "{}", resp.error);
-                        let q = format!("?- a({}, _).", (tid * per_client + i) as i64 % n);
-                        let t = Instant::now();
-                        let resp = c.query(&q).expect("query");
-                        walls.push(t.elapsed().as_micros());
-                        assert!(resp.ok, "{}", resp.error);
-                    }
-                    walls
-                })
-            })
-            .collect();
-        let mut walls: Vec<u128> = Vec::new();
-        for h in handles {
-            walls.extend(h.join().expect("client thread"));
-        }
-        let total = t0.elapsed();
-        walls.sort();
-        let p99 = walls[(walls.len() * 99) / 100 - 1];
-        c.shutdown().expect("shutdown");
-        server.join();
-        (total, p99)
-    };
-
-    let trials: usize = if quick { 2 } else { 3 };
-    for clients in [1usize, 4, 8] {
-        let queries = (clients * per_client) as f64;
-        // Interleave the two modes and keep each mode's best trial (same
-        // rationale as E13: peak capability isolates the mechanism under
-        // test from scheduler noise on a shared host).
-        let (mut cold_best, mut inc_best) = (
-            None::<(std::time::Duration, u128)>,
-            None::<(std::time::Duration, u128)>,
-        );
-        for _ in 0..trials {
-            let cold = run(0, clients);
-            let inc = run(8, clients);
-            if cold_best.map_or(true, |b| cold.0 < b.0) {
-                cold_best = Some(cold);
-            }
-            if inc_best.map_or(true, |b| inc.0 < b.0) {
-                inc_best = Some(inc);
-            }
-        }
-        let (cold_total, cold_p99) = cold_best.expect("at least one trial");
-        let (inc_total, inc_p99) = inc_best.expect("at least one trial");
-        let qps_cold = queries / cold_total.as_secs_f64();
-        let qps_inc = queries / inc_total.as_secs_f64();
-        let speedup = qps_inc / qps_cold;
-        r.note(format!(
-            "clients={clients}: incremental {qps_inc:.0} qps p99={inc_p99}us; \
-             recompute {qps_cold:.0} qps p99={cold_p99}us; speedup {speedup:.2}x \
-             (best of {trials})"
-        ));
-        let params = format!("clients={clients} q={per_client} each");
-        row(&mut r, "incremental", &params, inc_total.as_micros());
-        row(
-            &mut r,
-            "invalidate-recompute",
-            &params,
-            cold_total.as_micros(),
-        );
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    r
-}
-
 /// An experiment: run it, in quick mode or not.
 pub type Experiment = fn(bool) -> ExperimentResult;
 
@@ -1130,10 +683,7 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("e8", e8),
     ("e9", e9),
     ("e10", e10),
-    ("e11", e11),
     ("e12", e12),
-    ("e13", e13),
-    ("e14", e14),
 ];
 
 /// All experiments in order.

@@ -1,0 +1,242 @@
+//! Connections: one acceptor thread, and one thread per connection.
+//!
+//! The acceptor is the one place that admits a connection. At most
+//! [`ServerConfig::max_conns`] connections are served at once; a connection
+//! over the cap, or one whose thread cannot be spawned, gets one `ERR busy`
+//! line and is closed. An admitted connection is served to completion on
+//! its own thread, so an idle client holds a parked thread and one slot of
+//! the cap, and never delays the next client.
+//!
+//! Connection threads are scoped to the acceptor, which joins every one of
+//! them before it returns: [`Server::join`] returning means every
+//! connection has drained.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE};
+use crate::server::{Decrement, ServerConfig, ServerState};
+
+/// A running server: listener address plus its acceptor and maintenance
+/// threads.
+pub struct Server {
+    addr: SocketAddr,
+    state: Arc<ServerState>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Bind and start the acceptor, recovering from the WAL first when one
+    /// is configured. Returns once the listener is accepting (the bound
+    /// address is available immediately, which is what tests and the smoke
+    /// script poll for).
+    pub fn spawn(cfg: &ServerConfig) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(cfg.addr.as_str())?;
+        let addr = listener.local_addr()?;
+        let state = Arc::new(ServerState::from_config(cfg)?);
+        let acceptor = {
+            let state = Arc::clone(&state);
+            thread::spawn(move || accept(&listener, &state))
+        };
+        let mut threads = vec![acceptor];
+        // Background maintenance (rebuild backoff) is joined on shutdown too.
+        threads.extend(state.start_maintenance());
+        Ok(Server {
+            addr,
+            state,
+            threads,
+        })
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Shared state handle (for in-process drivers like the bench harness).
+    pub fn state(&self) -> &Arc<ServerState> {
+        &self.state
+    }
+
+    /// Request a draining shutdown and wake the acceptor.
+    pub fn shutdown(&self) {
+        self.state.begin_shutdown();
+        wake_acceptor(self.addr);
+    }
+
+    /// Block until the acceptor and the maintenance thread have exited
+    /// (i.e. shutdown was requested and every connection drained).
+    pub fn join(self) {
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Unblock the acceptor's `accept()` with a throwaway connection, so that
+/// it looks at the shutdown flag.
+fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
+/// How long the acceptor waits after a failed `accept()` before it tries
+/// again. A failure such as `EMFILE` leaves the connection queued, so an
+/// immediate retry fails the same way and spins a core.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// The acceptor: admit each connection under `max_conns` onto its own
+/// thread, shed the rest, and join every connection thread on shutdown.
+fn accept(listener: &TcpListener, state: &ServerState) {
+    thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if state.is_shutdown() {
+                return;
+            }
+            let Ok(stream) = conn else {
+                thread::sleep(ACCEPT_RETRY);
+                continue;
+            };
+            let cap = state.cfg.max_conns;
+            if state.active_conns.fetch_add(1, Ordering::AcqRel) >= cap {
+                state.active_conns.fetch_sub(1, Ordering::AcqRel);
+                shed_connection(state, stream, &format!("connection shed at limit {cap}"));
+                continue;
+            }
+            // The stream is handed over once the thread exists, so that a
+            // failed spawn still holds it to shed.
+            let (handoff, receive) = mpsc::channel::<TcpStream>();
+            let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                let _slot = Decrement(&state.active_conns);
+                if let Ok(stream) = receive.recv() {
+                    serve_connection(stream, state);
+                }
+            });
+            match spawned {
+                Ok(_) => {
+                    let _ = handoff.send(stream);
+                }
+                Err(e) => {
+                    state.active_conns.fetch_sub(1, Ordering::AcqRel);
+                    shed_connection(state, stream, &format!("connection thread: {e}"));
+                }
+            }
+        }
+    });
+}
+
+/// Refuse a connection: count and record it, then send one coded line and
+/// close. The client sees `ERR busy ...` instead of an unexplained hang in
+/// the accept queue.
+fn shed_connection(state: &ServerState, mut stream: TcpStream, detail: &str) {
+    state.metrics.shed_conns.inc();
+    state.note_limit("busy", detail);
+    let _ = stream.set_nodelay(true);
+    let resp = Response::err_code(ErrCode::Busy, "connection limit reached, retry later");
+    let mut buf = Vec::with_capacity(64);
+    let _ = resp.write_to(&mut buf);
+    let _ = stream.write_all(&buf);
+}
+
+/// How long a connection thread waits on an idle client before it looks
+/// at the shutdown flag again.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// How long a response write may make no progress before the connection
+/// is closed: a connection holds one of the `max_conns` slots, and a client
+/// that stopped reading must not hold it forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Serve one client until it disconnects, errors, stops reading, or the
+/// server shuts down. A short read timeout lets the thread notice shutdown
+/// while a client idles; a request line that arrives in pieces across
+/// timeouts is kept and completed, and one longer than
+/// [`MAX_REQUEST_LINE`] is answered with one `ERR` and the connection
+/// closed.
+fn serve_connection(stream: TcpStream, state: &ServerState) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    // Responses are written as one buffered chunk; without TCP_NODELAY the
+    // line-per-write pattern would stall ~40ms per exchange on loopback
+    // (Nagle vs. delayed ACK).
+    let _ = stream.set_nodelay(true);
+    let mut writer = match stream.try_clone() {
+        Ok(w) => w,
+        Err(_) => return,
+    };
+    let mut reader = BufReader::new(stream);
+    // Bytes, not a `String`: a timeout may split a multi-byte character.
+    let mut line: Vec<u8> = Vec::new();
+    loop {
+        // `line` holds at most the limit here, so there is room for at
+        // least the one byte that proves a line over-long.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => return, // EOF
+            Ok(_) => {}
+            // `read_until` keeps what it read before the error: the next
+            // round appends the rest of the line.
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if state.is_shutdown() {
+                    return;
+                }
+                continue;
+            }
+            Err(_) => return,
+        }
+        if line.len() > MAX_REQUEST_LINE {
+            let resp = Response::err(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
+            ));
+            let _ = write_buffered(&resp, &mut writer);
+            return;
+        }
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            line.clear();
+            continue;
+        }
+        let resp = match Request::parse(trimmed) {
+            Ok(req) => {
+                let resp = state.handle_safely(&req);
+                if req == Request::Shutdown {
+                    let _ = write_buffered(&resp, &mut writer);
+                    // The accepted stream's local address IS the listening
+                    // address, so one throwaway connection wakes the acceptor
+                    // and `join()` returns.
+                    if let Ok(addr) = writer.local_addr() {
+                        wake_acceptor(addr);
+                    }
+                    return;
+                }
+                resp
+            }
+            Err(msg) => Response::err(msg),
+        };
+        line.clear();
+        if write_buffered(&resp, &mut writer).is_err() {
+            return;
+        }
+        // Draining: this request got its complete response; the connection
+        // closes so its thread can exit.
+        if state.is_shutdown() {
+            return;
+        }
+    }
+}
+
+/// Serialize the whole response into one buffer and send it with a single
+/// `write_all`, so a multi-line payload costs one packet, not one per line.
+fn write_buffered(resp: &Response, writer: &mut TcpStream) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(256);
+    resp.write_to(&mut buf)?;
+    writer.write_all(&buf)?;
+    writer.flush()
+}

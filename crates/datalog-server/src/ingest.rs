@@ -59,6 +59,13 @@ impl ServerState {
     }
 
     pub(crate) fn handle_load(&self, path: &str) -> Response {
+        // Only a regular file has an end: reading a device such as
+        // `/dev/zero` grows without bound, and opening a FIFO blocks.
+        match std::fs::metadata(path) {
+            Ok(meta) if meta.is_file() => {}
+            Ok(_) => return Response::err(format!("cannot load {path}: not a regular file")),
+            Err(e) => return Response::err(format!("cannot read {path}: {e}")),
+        }
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => return Response::err(format!("cannot read {path}: {e}")),

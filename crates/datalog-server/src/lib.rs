@@ -15,7 +15,7 @@
 //! * **prepared-query cache** ([`cache`]): forms map to fully optimized
 //!   programs (`datalog_opt::prepare`); repeats skip the optimizer, which
 //!   is observable as zero new `PhaseEvent`s in the `TRACE` output;
-//! * **snapshot-isolated reads** (`datalog_engine::shared`): worker
+//! * **snapshot-isolated reads** (`datalog_engine::shared`): connection
 //!   threads evaluate against consistent watermark snapshots of the
 //!   append-only EDB while `FACT`/`LOAD` ingest concurrently;
 //! * **dependency-scoped answer memos**: a memoized answer is valid while
@@ -27,15 +27,17 @@
 //!   fixpoint and absorb new facts as deltas (`maintain.rs` drains and
 //!   rebuilds them; `ingest.rs` is the one `FACT`/`LOAD` path).
 //!
-//! Start it with `xdl serve [--port P] [--threads N]` and talk to it with
+//! Start it with `xdl serve [--port P] [--max-conns N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see
-//! [`protocol`] for the grammar). `QUERY` responses are byte-identical to
-//! `xdl run` on the same program and facts, and always fresh: an answer
-//! reflects every ingest acknowledged before the query, and names the
-//! frontier version it was read at.
+//! [`protocol`] for the grammar). Each connection is served on its own
+//! thread, up to `--max-conns` at once. `QUERY` responses are
+//! byte-identical to `xdl run` on the same program and facts, and always
+//! fresh: an answer reflects every ingest acknowledged before the query,
+//! and names the frontier version it was read at.
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod fault;
 mod ingest;
 mod maintain;
@@ -47,8 +49,9 @@ pub mod wal;
 
 pub use cache::{CachedAnswers, FormKey, PreparedCache};
 pub use client::Client;
+pub use conn::Server;
 pub use fault::FaultPlan;
 pub use metrics::ServerMetrics;
 pub use protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
-pub use server::{render_answers, Server, ServerConfig, ServerState};
+pub use server::{render_answers, ServerConfig, ServerState};
 pub use wal::{FsyncPolicy, Recovery, RunBatch, Wal, WalOp};

@@ -1,6 +1,6 @@
 //! The server's metric surface: one [`Registry`] plus named handles for
 //! every instrumented point, created once at startup and shared by all
-//! worker threads.
+//! connection threads.
 //!
 //! Everything the old ad-hoc `STATS` counters tracked now lives here, so
 //! `STATS`, the `METRICS` verb and the slow-query log all read the *same*
@@ -10,12 +10,10 @@
 //! label sets for families that partition one concept (`verb`, `phase`,
 //! `kind`).
 //!
-//! Overhead budget (verified by bench experiment e13): a request records
-//! one counter increment and one histogram sample per lifecycle phase —
-//! each a handful of relaxed `fetch_add`s — plus two `Instant::now()`
-//! calls per span. With `--no-metrics` the registry is built disabled and
-//! every histogram sample reduces to a single branch; counters still
-//! record so `STATS` stays truthful either way.
+//! Overhead budget (the benchmark's `trace.histogram_record_ns` and
+//! `trace.span_overhead_ratio`): a request records one counter increment
+//! and one histogram sample per lifecycle phase — each a handful of relaxed
+//! `fetch_add`s — plus two `Instant::now()` calls per span.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -166,15 +164,9 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Build the full metric surface on a fresh registry. `enabled = false`
-    /// is the no-op baseline (`--no-metrics`): histograms stop sampling,
-    /// counters keep counting.
-    pub fn new(enabled: bool) -> ServerMetrics {
-        let registry = if enabled {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        };
+    /// Build the full metric surface on a fresh registry.
+    pub fn new() -> ServerMetrics {
+        let registry = Registry::new();
         let requests_total = VERBS.map(|v| {
             registry.counter(
                 "xdl_requests_total",
@@ -362,11 +354,6 @@ impl ServerMetrics {
         }
     }
 
-    /// Whether histograms sample (false under `--no-metrics`).
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
-    }
-
     /// Next monotone request id (1-based).
     pub fn next_request_id(&self) -> u64 {
         self.request_ids.fetch_add(1, Ordering::Relaxed) + 1
@@ -408,7 +395,7 @@ impl ServerMetrics {
 
 impl Default for ServerMetrics {
     fn default() -> ServerMetrics {
-        ServerMetrics::new(true)
+        ServerMetrics::new()
     }
 }
 
@@ -429,7 +416,7 @@ mod tests {
 
     #[test]
     fn exposition_covers_the_required_families() {
-        let m = ServerMetrics::new(true);
+        let m = ServerMetrics::new();
         m.requests_total[2].inc();
         m.request_seconds[2].record(1_000);
         m.wal_fsync_seconds.record(2_000);
@@ -468,7 +455,7 @@ mod tests {
         // process may bump them concurrently), so assert the delta
         // discipline, not exact values: repeated syncs never push the
         // registry counter past the global it mirrors.
-        let m = ServerMetrics::new(true);
+        let m = ServerMetrics::new();
         m.sync_storage(3);
         assert_eq!(m.storage_runs.get(), 3);
         m.sync_storage(5);
@@ -482,9 +469,8 @@ mod tests {
 
     #[test]
     fn request_ids_are_monotone() {
-        let m = ServerMetrics::new(false);
+        let m = ServerMetrics::new();
         assert_eq!(m.next_request_id(), 1);
         assert_eq!(m.next_request_id(), 2);
-        assert!(!m.enabled());
     }
 }

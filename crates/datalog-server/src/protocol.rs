@@ -372,7 +372,7 @@ impl Response {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -424,11 +424,12 @@ mod tests {
         assert!(Request::parse("QUERY any").is_err());
     }
 
-    /// A seeded generator for the property test below (splitmix64).
-    struct Rng(u64);
+    /// A seeded generator for the property tests here and in `wal.rs`
+    /// (splitmix64).
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -436,7 +437,7 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
     }

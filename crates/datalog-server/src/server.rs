@@ -1,12 +1,10 @@
-//! The server: shared state, request dispatch, `STATS`/`METRICS`/`TRACE`,
-//! WAL compaction and the accept loop. `QUERY` runs through the staged
-//! pipeline in `query.rs`, `FACT`/`LOAD` through `ingest.rs`, and resident
-//! forms are drained and rebuilt by `maintain.rs`.
+//! The server: shared state, request dispatch, `STATS`/`METRICS`/`TRACE`
+//! and WAL compaction. `QUERY` runs through the staged pipeline in
+//! `query.rs`, `FACT`/`LOAD` through `ingest.rs`, resident forms are
+//! drained and rebuilt by `maintain.rs`, and connections are accepted and
+//! served by `conn.rs`.
 //!
-//! N worker threads block in `accept()` on one shared listener; each
-//! connection is served to completion by the worker that accepted it, so
-//! the server handles up to N concurrent clients. All workers share one
-//! [`ServerState`]:
+//! Every connection thread shares one [`ServerState`]:
 //!
 //! * the rule set (plus its fingerprint), guarded by an `RwLock` — queries
 //!   read it, `LOAD` extends it;
@@ -55,13 +53,11 @@
 //! lock, is `maintain.rs`'s module docs.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use datalog_ast::{PredRef, Program, Rule, Value};
@@ -73,7 +69,7 @@ use crate::cache::{PreparedCache, ResidentForm, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
 use crate::maintain::REBUILD_BACKOFF_CAP_MS;
 use crate::metrics::{verb_index, ServerMetrics};
-use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE, PROTOCOL_VERSION};
+use crate::protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
 use crate::query::LastQuery;
 use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
 
@@ -82,8 +78,6 @@ use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Number of worker threads (= max concurrent clients).
-    pub threads: usize,
     /// Evaluation threads per query (the engine's fixpoint fan-out).
     /// Results are byte-identical at any value; the default honors the
     /// `XDL_EVAL_THREADS` environment variable and falls back to the
@@ -105,8 +99,8 @@ pub struct ServerConfig {
     /// (0 disables compaction).
     pub compact_every: u64,
     /// Connections served concurrently before new accepts are shed with
-    /// `ERR busy` (0 = no limit). Shedding needs an idle worker to issue
-    /// the refusal, so a cap below `threads` is what makes it observable.
+    /// `ERR busy`. Each connection is a thread, so there is no unlimited
+    /// value: [`ServerState::from_config`] raises 0 to 1.
     pub max_conns: usize,
     /// Queries evaluating at once across all connections before `QUERY`
     /// is shed with `ERR busy` (0 = no limit).
@@ -124,10 +118,6 @@ pub struct ServerConfig {
     /// Shutdown drain: how long in-flight queries may keep running before
     /// the global cancel token fires.
     pub grace_ms: u64,
-    /// Telemetry histograms on (`true`, the default) or the no-op baseline
-    /// (`--no-metrics`; counters still record, histograms stop sampling —
-    /// the comparison the e13 overhead experiment makes).
-    pub metrics: bool,
     /// Log a structured JSON line to stderr for every query at or over
     /// this wall-clock threshold (request id, form, phase breakdown).
     pub slow_query_ms: Option<u64>,
@@ -144,7 +134,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 4,
             eval_threads: std::env::var("XDL_EVAL_THREADS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -154,13 +143,12 @@ impl Default for ServerConfig {
             wal_dir: None,
             fsync: FsyncPolicy::Always,
             compact_every: 4096,
-            max_conns: 0,
+            max_conns: 64,
             max_inflight: 0,
             deadline_ms: None,
             fact_budget: None,
             bound_admission: true,
             grace_ms: 2000,
-            metrics: true,
             slow_query_ms: None,
             rebuild_ms: 50,
             fault: Arc::new(FaultPlan::new()),
@@ -223,11 +211,11 @@ impl RuleSet {
     }
 }
 
-/// Everything the worker threads share.
+/// Everything the connection threads share.
 pub struct ServerState {
     /// The configuration, normalized once by [`ServerState::from_config`]
-    /// (thread counts are at least 1, the rebuild backoff base is in
-    /// `1..=REBUILD_BACKOFF_CAP_MS`).
+    /// (`eval_threads` and `max_conns` are at least 1, the rebuild backoff
+    /// base is in `1..=REBUILD_BACKOFF_CAP_MS`).
     pub(crate) cfg: ServerConfig,
     /// Replaced whole by a `LOAD` that adds rules; a query clones the
     /// handle and reads it without the lock.
@@ -251,7 +239,9 @@ pub struct ServerState {
     /// lazily by the next eligible query.
     pub(crate) maintenance: OnceLock<Thread>,
     pub(crate) inflight: AtomicUsize,
-    active_conns: AtomicUsize,
+    /// Connections being served; the acceptor admits a connection only
+    /// while this is below `max_conns`.
+    pub(crate) active_conns: AtomicUsize,
     /// The metric surface every counter and span records into (see
     /// [`crate::metrics`]); `STATS` and `METRICS` read the same atomics.
     pub(crate) metrics: ServerMetrics,
@@ -275,8 +265,8 @@ impl ServerState {
     /// WAL directory is configured — the replay of snapshot + log.
     pub fn from_config(cfg: &ServerConfig) -> std::io::Result<ServerState> {
         let mut cfg = cfg.clone();
-        cfg.threads = cfg.threads.max(1);
         cfg.eval_threads = cfg.eval_threads.max(1);
+        cfg.max_conns = cfg.max_conns.max(1);
         cfg.rebuild_ms = cfg.rebuild_ms.clamp(1, REBUILD_BACKOFF_CAP_MS);
         let mut cache = PreparedCache::new(PREPARED_CAPACITY);
         cache.set_resident_capacity(cfg.resident_forms);
@@ -292,7 +282,7 @@ impl ServerState {
             maintenance: OnceLock::new(),
             inflight: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
-            metrics: ServerMetrics::new(cfg.metrics),
+            metrics: ServerMetrics::new(),
             recovery: None,
             limit_events: Mutex::new(Vec::new()),
             cfg,
@@ -363,7 +353,7 @@ impl ServerState {
 
     /// Begin draining: refuse new work, give in-flight queries `grace_ms`,
     /// then cancel whatever is still running.
-    fn begin_shutdown(&self) {
+    pub(crate) fn begin_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -650,7 +640,7 @@ impl ServerState {
             .with("fallback_recomputes", m.fallback_recomputes.get())
             .with("resident_rebuilds", m.resident_rebuilds.get())
             .with("resident_poisonings", m.resident_poisonings.get())
-            .with("threads", self.cfg.threads)
+            .with("max_conns", self.cfg.max_conns)
             .with("inflight", self.inflight.load(Ordering::Acquire) as u64)
             .with("shed_connections", m.shed_conns.get())
             .with("shed_queries", m.shed_queries.get())
@@ -724,217 +714,6 @@ pub fn render_answers(answers: &AnswerSet) -> String {
         Some(b) => format!("{b}\n"),
         None => answers.to_string(),
     }
-}
-
-/// A running server: listener address plus worker threads.
-pub struct Server {
-    addr: SocketAddr,
-    state: Arc<ServerState>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Bind and start the worker threads, recovering from the WAL first
-    /// when one is configured. Returns once the listener is accepting (the
-    /// bound address is available immediately, which is what tests and the
-    /// smoke script poll for).
-    pub fn spawn(cfg: &ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(cfg.addr.as_str())?;
-        let addr = listener.local_addr()?;
-        let threads = cfg.threads.max(1);
-        let state = Arc::new(ServerState::from_config(cfg)?);
-        let listener = Arc::new(listener);
-        let mut workers: Vec<JoinHandle<()>> = (0..threads)
-            .map(|_| {
-                let listener = Arc::clone(&listener);
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || accept_loop(&listener, &state))
-            })
-            .collect();
-        // Background maintenance (rebuild backoff) rides in the same
-        // worker pool lifecycle: joined on shutdown.
-        if let Some(h) = state.start_maintenance() {
-            workers.push(h);
-        }
-        Ok(Server {
-            addr,
-            state,
-            workers,
-        })
-    }
-
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Shared state handle (for in-process drivers like the bench harness).
-    pub fn state(&self) -> &Arc<ServerState> {
-        &self.state
-    }
-
-    /// Request a draining shutdown and wake any accept-blocked workers.
-    pub fn shutdown(&self) {
-        self.state.begin_shutdown();
-        for _ in 0..self.workers.len() {
-            // One nudge per worker: a throwaway connection unblocks accept().
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-
-    /// Block until every worker has exited (i.e. shutdown was requested and
-    /// in-flight connections drained).
-    pub fn join(self) {
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    loop {
-        if state.is_shutdown() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.is_shutdown() {
-                    return;
-                }
-                let active = state.active_conns.fetch_add(1, Ordering::AcqRel) + 1;
-                if state.cfg.max_conns > 0 && active > state.cfg.max_conns {
-                    state.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    state.metrics.shed_conns.inc();
-                    state.note_limit(
-                        "busy",
-                        &format!("connection shed at limit {}", state.cfg.max_conns),
-                    );
-                    shed_connection(stream);
-                    continue;
-                }
-                serve_connection(stream, state);
-                state.active_conns.fetch_sub(1, Ordering::AcqRel);
-            }
-            Err(_) => {
-                if state.is_shutdown() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Refuse a connection over the limit: one coded line, then close. The
-/// client sees `ERR busy ...` instead of an unexplained hang in the
-/// accept queue.
-fn shed_connection(mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let resp = Response::err_code(ErrCode::Busy, "connection limit reached, retry later");
-    let mut buf = Vec::with_capacity(64);
-    let _ = resp.write_to(&mut buf);
-    let _ = stream.write_all(&buf);
-}
-
-/// How long a worker waits on an idle client before it looks at the
-/// shutdown flag again.
-const READ_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// How long a response write may make no progress before the connection
-/// is closed: a worker is also a connection slot, and a client that
-/// stopped reading must not hold one forever.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Serve one client until it disconnects, errors, stops reading, or the
-/// server shuts down. A short read timeout lets the worker notice shutdown
-/// while a client idles; a request line that arrives in pieces across
-/// timeouts is kept and completed, and one longer than
-/// [`MAX_REQUEST_LINE`] is answered with one `ERR` and the connection
-/// closed.
-fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    // Responses are written as one buffered chunk; without TCP_NODELAY the
-    // line-per-write pattern would stall ~40ms per exchange on loopback
-    // (Nagle vs. delayed ACK).
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // Bytes, not a `String`: a timeout may split a multi-byte character.
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        // `line` holds at most the limit here, so there is room for at
-        // least the one byte that proves a line over-long.
-        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
-        match (&mut reader).take(room).read_until(b'\n', &mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {}
-            // `read_until` keeps what it read before the error: the next
-            // round appends the rest of the line.
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.is_shutdown() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.len() > MAX_REQUEST_LINE {
-            let resp = Response::err(format!(
-                "request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
-            ));
-            let _ = write_buffered(&resp, &mut writer);
-            return;
-        }
-        let text = String::from_utf8_lossy(&line);
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            line.clear();
-            continue;
-        }
-        let resp = match Request::parse(trimmed) {
-            Ok(req) => {
-                let resp = state.handle_safely(&req);
-                if req == Request::Shutdown {
-                    let _ = write_buffered(&resp, &mut writer);
-                    // Wake every accept()-blocked worker so join() returns.
-                    // The accepted stream's local address IS the listening
-                    // address, so a throwaway connection per worker suffices.
-                    if let Ok(addr) = writer.local_addr() {
-                        for _ in 0..state.cfg.threads {
-                            let _ = TcpStream::connect(addr);
-                        }
-                    }
-                    return;
-                }
-                resp
-            }
-            Err(msg) => Response::err(msg),
-        };
-        line.clear();
-        if write_buffered(&resp, &mut writer).is_err() {
-            return;
-        }
-        // Draining: this request got its complete response; the connection
-        // closes so the worker can exit.
-        if state.is_shutdown() {
-            return;
-        }
-    }
-}
-
-/// Serialize the whole response into one buffer and send it with a single
-/// `write_all`, so a multi-line payload costs one packet, not one per line.
-fn write_buffered(resp: &Response, writer: &mut TcpStream) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(256);
-    resp.write_to(&mut buf)?;
-    writer.write_all(&buf)?;
-    writer.flush()
 }
 
 #[cfg(test)]

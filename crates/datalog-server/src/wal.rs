@@ -256,12 +256,30 @@ fn encode_run_file(batch: &RunBatch) -> Vec<u8> {
     buf
 }
 
+/// The fewest bytes [`encode_run_file`] spends on one value: an empty
+/// symbol's tag and length.
+const MIN_VALUE_BYTES: usize = 5;
+
 /// Decode a run file written by [`encode_run_file`]. `None` on any
 /// structural mismatch (wrong magic, short read, trailing bytes, bad
 /// UTF-8) — the caller treats the file as lost and salvages the rest.
+/// `arity` and `rows` come from unchecksummed manifest text, so a shape
+/// the file's bytes cannot hold is refused before anything is allocated
+/// for it.
 fn decode_run_file(bytes: &[u8], arity: usize, rows: usize) -> Option<Vec<RowBuf>> {
     let mut pos = RUN_MAGIC.len();
     if bytes.get(..pos)? != RUN_MAGIC {
+        return None;
+    }
+    let fits = match arity {
+        // A relation of arity 0 holds at most the empty tuple.
+        0 => rows <= 1,
+        _ => rows
+            .checked_mul(arity)
+            .and_then(|values| values.checked_mul(MIN_VALUE_BYTES))
+            .is_some_and(|need| need <= bytes.len() - pos),
+    };
+    if !fits {
         return None;
     }
     let mut out = Vec::with_capacity(rows);
@@ -903,21 +921,129 @@ mod tests {
             wal.compact(&[], &[batch("p", 1, vec![vec![Value::int(1)]])])
                 .unwrap();
         }
-        // Four run lines that load nothing: unparseable, a missing file, a
-        // CRC mismatch, and a file whose CRC matches but which does not
-        // decode.
+        // Six run lines that load nothing: unparseable, a missing file, a
+        // CRC mismatch, a file whose CRC matches but which does not decode,
+        // and p's own intact file under a row count and an arity its bytes
+        // cannot hold (refused before allocating for them).
         std::fs::write(dir.0.join("run-7-0.xrs"), b"not a run file").unwrap();
         let junk_crc = crc32(b"not a run file");
         let mut manifest = std::fs::read_to_string(manifest_path(&dir.0)).unwrap();
+        let p_run: Vec<String> = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("run "))
+            .unwrap()
+            .split(' ')
+            .map(String::from)
+            .collect();
+        let (file, crc, huge) = (&p_run[0], &p_run[3], 1u64 << 40);
         manifest.push_str("run run-7-0.xrs one 1 0 q\n");
         manifest.push_str("run run-7-9.xrs 1 1 0 q\n");
         manifest.push_str(&format!("run run-7-0.xrs 1 1 {} q\n", junk_crc ^ 1));
         manifest.push_str(&format!("run run-7-0.xrs 1 1 {junk_crc} q\n"));
+        manifest.push_str(&format!("run {file} 1 {huge} {crc} q\n"));
+        manifest.push_str(&format!("run {file} {huge} 1 {crc} q\n"));
         std::fs::write(manifest_path(&dir.0), manifest).unwrap();
         let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
         assert_eq!(rec.run_files, 1, "the intact batch loads");
         assert_eq!(rec.batches[0].pred, "p");
-        assert_eq!(rec.lost_run_files, 4);
+        assert_eq!(rec.lost_run_files, 6);
+    }
+
+    /// The decoders of log records and run files never panic: not on random
+    /// bytes, and not on byte-level mutations of valid encodings — torn
+    /// lengths, lengths at `MAX_RECORD` ± 1, symbol lengths past the end and
+    /// bad UTF-8 included. Whatever they accept re-encodes to exactly the
+    /// bytes it was decoded from.
+    #[test]
+    fn wal_decoders_never_panic_on_random_or_mutated_bytes() {
+        use crate::protocol::tests::Rng;
+
+        const TEXTS: &[&str] = &["", "p(1, 2)", "a(X, Y) :- p(X, Y).", "q(üñï, -7)"];
+        const SYMBOLS: &[&str] = &["", "alice", "üñïçödé"];
+        let le = |n: u32| n.to_le_bytes().to_vec();
+        // Bytes a mutation splices in: length prefixes, run-file value tags,
+        // record tags, and invalid or truncated UTF-8.
+        let splice = [
+            le(MAX_RECORD - 1),
+            le(MAX_RECORD),
+            le(MAX_RECORD + 1),
+            le(u32::MAX),
+            le(0),
+            le(3),
+            vec![0],
+            vec![1],
+            vec![2],
+            b"F ".to_vec(),
+            b"R ".to_vec(),
+            vec![0xff],
+            vec![0xc3],
+            vec![0xe2, 0x82],
+        ];
+        let mutate = |rng: &mut Rng, mut bytes: Vec<u8>| {
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(4) {
+                    0 if at < bytes.len() => bytes[at] = rng.next() as u8,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 => bytes.truncate(at),
+                    _ => {
+                        let s = &splice[rng.below(splice.len())];
+                        bytes.splice(at..at, s.iter().copied());
+                    }
+                }
+            }
+            bytes
+        };
+        let check_log = |bytes: &[u8]| {
+            let (ops, used) = scan_records(bytes);
+            let again: Vec<u8> = ops.iter().flat_map(encode_record).collect();
+            assert_eq!(again, bytes[..used], "{bytes:?}");
+        };
+        let check_run = |bytes: &[u8], arity: usize, rows: usize| {
+            if let Some(rows) = decode_run_file(bytes, arity, rows) {
+                let pred = "q".to_string();
+                let again = encode_run_file(&RunBatch { pred, arity, rows });
+                assert_eq!(again, bytes, "arity {arity}");
+            }
+        };
+
+        let mut rng = Rng(0x5eed_2029);
+        for _ in 0..20_000 {
+            let random: Vec<u8> = (0..rng.below(64)).map(|_| rng.next() as u8).collect();
+            check_log(&random);
+            // Behind the magic, with a shape the bytes could hold.
+            let arity = 1 + rng.below(3);
+            let rows = rng.below(random.len() / (arity * MIN_VALUE_BYTES) + 1);
+            check_run(&[&RUN_MAGIC[..], &random].concat(), arity, rows);
+
+            let log: Vec<u8> = (0..1 + rng.below(3))
+                .flat_map(|_| {
+                    let text = TEXTS[rng.below(TEXTS.len())].to_string();
+                    encode_record(&match rng.below(2) {
+                        0 => WalOp::Fact(text),
+                        _ => WalOp::Rule(text),
+                    })
+                })
+                .collect();
+            check_log(&mutate(&mut rng, log));
+
+            let (arity, rows) = (rng.below(4), rng.below(4));
+            let rows = if arity == 0 { rows.min(1) } else { rows };
+            let values: Vec<Vec<Value>> = (0..rows)
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| match rng.below(2) {
+                            0 => Value::int(rng.next() as i64),
+                            _ => Value::sym(SYMBOLS[rng.below(SYMBOLS.len())]),
+                        })
+                        .collect()
+                })
+                .collect();
+            let file = encode_run_file(&batch("q", arity, values));
+            check_run(&mutate(&mut rng, file), arity, rows);
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ const TC_FACTS: &str = "p(1, 2).\np(2, 3).\np(3, 4).\n";
 fn bound_rejection_happens_before_any_evaluation() {
     let dir = TempDir::new("bound-admission");
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         fact_budget: Some(3),
         ..ServerConfig::default()
     })
@@ -74,7 +73,6 @@ fn admitted_workload_serves_byte_identical_answers() {
     let mut payloads: Vec<Vec<String>> = Vec::new();
     for bound_admission in [true, false] {
         let server = Server::spawn(&ServerConfig {
-            threads: 1,
             fact_budget: Some(10_000),
             bound_admission,
             ..ServerConfig::default()
@@ -102,11 +100,8 @@ fn unbounded_form_is_never_pinned_resident() {
     // and classifies the form unbounded. Resident admission must refuse to
     // pin it even though the rule shape is otherwise supported.
     let dir = TempDir::new("bound-resident");
-    let server = Server::spawn(&ServerConfig {
-        threads: 1,
-        ..ServerConfig::default() // resident forms on by default
-    })
-    .unwrap();
+    // Resident forms are on by default.
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let file = dir.file(
         "nl.dl",

@@ -14,7 +14,7 @@ mod util;
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,7 +65,6 @@ fn fsync_failure_refuses_the_write_and_recovers_when_disarmed() {
     let dir = TempDir::new("fsync");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         wal_dir: Some(dir.path().join("wal")),
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
@@ -105,7 +104,6 @@ fn torn_wal_tail_recovers_byte_identical_acknowledged_state() {
     // Phase 1: ingest, remember the answer, stop without compaction.
     let reference = {
         let server = Server::spawn(&ServerConfig {
-            threads: 1,
             wal_dir: Some(wal_dir.clone()),
             ..ServerConfig::default()
         })
@@ -132,7 +130,6 @@ fn torn_wal_tail_recovers_byte_identical_acknowledged_state() {
     // Phase 2: restart truncates the torn tail and serves the exact same
     // answer bytes.
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         wal_dir: Some(wal_dir),
         ..ServerConfig::default()
     })
@@ -156,7 +153,6 @@ fn mid_query_panic_answers_internal_and_service_continues() {
     let dir = TempDir::new("panic");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
-        threads: 2,
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
     })
@@ -192,7 +188,6 @@ fn mid_query_panic_answers_internal_and_service_continues() {
 fn deadline_storm_sheds_each_query_while_cheap_queries_complete() {
     let dir = TempDir::new("storm");
     let server = Server::spawn(&ServerConfig {
-        threads: 4,
         deadline_ms: Some(40),
         ..ServerConfig::default()
     })
@@ -237,11 +232,7 @@ fn deadline_storm_sheds_each_query_while_cheap_queries_complete() {
 #[test]
 fn slow_client_dribbling_bytes_gets_a_full_answer() {
     let dir = TempDir::new("slow");
-    let server = Server::spawn(&ServerConfig {
-        threads: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
@@ -263,7 +254,7 @@ fn slow_client_dribbling_bytes_gets_a_full_answer() {
     reader.read_line(&mut header).unwrap();
     assert!(header.starts_with("OK 4 "), "{header}");
 
-    // The dribbler did not wedge the other worker.
+    // The dribbler did not wedge another connection.
     assert!(c.query("?- a(X, _).").unwrap().ok);
     c.shutdown().unwrap();
     server.join();
@@ -271,11 +262,7 @@ fn slow_client_dribbling_bytes_gets_a_full_answer() {
 
 #[test]
 fn over_long_request_line_gets_one_err_and_the_connection_closes() {
-    let server = Server::spawn(&ServerConfig {
-        threads: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     // One byte past the limit and no newline in sight: the server must
     // stop buffering, say why, and hang up. (Exactly the bytes it will
     // read, so the close is a clean FIN and the `ERR` is not lost to a
@@ -309,11 +296,34 @@ fn over_long_request_line_gets_one_err_and_the_connection_closes() {
     server.join();
 }
 
+/// Connect and send `STATS` until the server admits the connection (an
+/// `OK` header, not `ERR busy`), for at most `within`.
+fn admitted(addr: SocketAddr, within: Duration) -> TcpStream {
+    let deadline = Instant::now() + within;
+    loop {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(within)).unwrap();
+        // A shed connection may already be closed: the answer tells.
+        let _ = (&stream).write_all(b"STATS\n");
+        let mut header = String::new();
+        let _ = BufReader::new(&stream).read_line(&mut header);
+        if header.starts_with("OK ") {
+            return stream;
+        }
+        assert!(
+            header.is_empty() || header.starts_with("ERR busy"),
+            "{header}"
+        );
+        assert!(Instant::now() < deadline, "not admitted within {within:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn client_that_stops_reading_frees_its_worker() {
     let dir = TempDir::new("noread");
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
+        max_conns: 1,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -324,8 +334,8 @@ fn client_that_stops_reading_frees_its_worker() {
     }
     let file = dir.file("pairs.dl", &src);
     {
-        // The one worker serves one connection at a time: set up, then
-        // hang up so the next client is accepted.
+        // The one slot serves one connection at a time: set up, then hang
+        // up so the next client is admitted.
         let mut c = Client::connect(server.addr()).unwrap();
         assert!(c.load(file.to_str().unwrap()).unwrap().ok);
         let warm = c.query("?- pair(X, Y).").unwrap();
@@ -333,26 +343,63 @@ fn client_that_stops_reading_frees_its_worker() {
     }
 
     // A hundred pipelined queries (~300 MB of answers, far past what loopback
-    // socket buffers hold) from a client that never reads a byte: once the
-    // buffers fill, the worker's write makes no progress.
-    let mut hog = TcpStream::connect(server.addr()).unwrap();
+    // socket buffers hold) from a client that never reads another byte: once
+    // the buffers fill, its thread's write makes no progress.
+    let mut hog = admitted(server.addr(), Duration::from_secs(5));
     hog.write_all("QUERY ?- pair(X, Y).\n".repeat(100).as_bytes())
         .unwrap();
 
-    // A second client waits in the backlog for the only worker. It must be
-    // served once the write timeout closes the first connection.
-    let second = TcpStream::connect(server.addr()).unwrap();
-    second
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    let mut writer = second.try_clone().unwrap();
-    writer.write_all(b"STATS\n").unwrap();
+    // A second client is shed while the hog holds the only slot. It must be
+    // admitted once the write timeout closes the hog's connection.
+    let second = admitted(server.addr(), Duration::from_secs(20));
+    drop((hog, second));
+
+    server.shutdown();
+    server.join();
+}
+
+/// Eight idle clients hold eight threads, not the server: the ninth is
+/// answered at once.
+#[test]
+fn idle_connections_do_not_starve_the_next_client() {
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    let next = TcpStream::connect(server.addr()).unwrap();
+    next.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    (&next).write_all(b"STATS\n").unwrap();
     let mut header = String::new();
-    BufReader::new(second)
+    BufReader::new(&next)
         .read_line(&mut header)
-        .expect("the worker is pinned by the client that stopped reading");
+        .expect("idle connections starved the next client");
     assert!(header.starts_with("OK "), "{header}");
-    drop((hog, writer));
+    drop((idle, next));
+
+    server.shutdown();
+    server.join();
+}
+
+/// Idle clients that fill the connection cap do not stop the cap from
+/// being enforced: the next client is shed at once.
+#[test]
+fn a_full_cap_of_idle_connections_sheds_the_next_with_busy() {
+    let server = Server::spawn(&ServerConfig {
+        max_conns: 4,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let idle: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    let shed = TcpStream::connect(server.addr()).unwrap();
+    shed.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut line = String::new();
+    BufReader::new(&shed)
+        .read_line(&mut line)
+        .expect("a full cap of idle connections left no one to shed");
+    assert!(line.starts_with("ERR busy"), "{line}");
+    drop((idle, shed));
 
     server.shutdown();
     server.join();
@@ -363,7 +410,6 @@ fn arity_refused_fact_and_load_leave_wal_and_database_untouched() {
     let dir = TempDir::new("arity");
     let wal_dir = dir.path().join("wal");
     let cfg = ServerConfig {
-        threads: 1,
         wal_dir: Some(wal_dir.clone()),
         ..ServerConfig::default()
     };
@@ -416,11 +462,47 @@ fn arity_refused_fact_and_load_leave_wal_and_database_untouched() {
     server.join();
 }
 
+/// `LOAD` reads only regular files: a device that never ends is refused
+/// before a byte is read, and nothing is logged or applied.
+#[test]
+fn load_of_a_non_regular_file_is_refused_before_reading() {
+    let dir = TempDir::new("devzero");
+    let wal_dir = dir.path().join("wal");
+    let server = Server::spawn(&ServerConfig {
+        wal_dir: Some(wal_dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let rules = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
+    assert!(c.load(rules.to_str().unwrap()).unwrap().ok);
+    let log_len = || std::fs::metadata(wal_dir.join("wal.log")).unwrap().len();
+    let before = (log_len(), stat(&c.stats().unwrap().payload_text(), "facts"));
+
+    let started = Instant::now();
+    let resp = c.load("/dev/zero").unwrap();
+    assert!(!resp.ok);
+    assert!(
+        resp.error.contains("/dev/zero") && resp.error.contains("not a regular file"),
+        "{}",
+        resp.error
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        started.elapsed()
+    );
+    let after = (log_len(), stat(&c.stats().unwrap().payload_text(), "facts"));
+    assert_eq!(after, before);
+
+    c.shutdown().unwrap();
+    server.join();
+}
+
 #[test]
 fn budget_trip_is_coded_counted_and_never_memoized() {
     let dir = TempDir::new("budget");
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         fact_budget: Some(3),
         // Bound-aware admission would predict the blow-up and refuse with
         // `ERR bound` before evaluation ever starts (covered in
@@ -457,7 +539,6 @@ fn budget_trip_is_coded_counted_and_never_memoized() {
 fn connection_limit_sheds_with_busy_and_admitted_clients_are_unaffected() {
     let dir = TempDir::new("shed");
     let server = Server::spawn(&ServerConfig {
-        threads: 3,
         max_conns: 1,
         ..ServerConfig::default()
     })
@@ -478,6 +559,7 @@ fn connection_limit_sheds_with_busy_and_admitted_clients_are_unaffected() {
     assert!(admitted.query("?- a(X, _).").unwrap().ok);
     let stats = admitted.stats().unwrap().payload_text();
     assert!(stats.contains("\"shed_connections\":1"), "{stats}");
+    assert!(stats.contains("\"max_conns\":1"), "{stats}");
 
     admitted.shutdown().unwrap();
     server.join();
@@ -487,7 +569,6 @@ fn connection_limit_sheds_with_busy_and_admitted_clients_are_unaffected() {
 fn shutdown_drains_in_flight_query_to_completion_or_clean_error() {
     let dir = TempDir::new("drain");
     let server = Server::spawn(&ServerConfig {
-        threads: 2,
         grace_ms: 150,
         ..ServerConfig::default()
     })
@@ -533,7 +614,6 @@ fn crash_without_shutdown_loses_nothing_fsync_always() {
 
     let reference = {
         let server = Server::spawn(&ServerConfig {
-            threads: 1,
             wal_dir: Some(wal_dir.clone()),
             ..ServerConfig::default()
         })
@@ -552,7 +632,6 @@ fn crash_without_shutdown_loses_nothing_fsync_always() {
     };
 
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         wal_dir: Some(wal_dir),
         ..ServerConfig::default()
     })
@@ -572,7 +651,6 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
     let rules = dir.file("tc.dl", TC_RULES);
     {
         let server = Server::spawn(&ServerConfig {
-            threads: 2,
             wal_dir: Some(wal_dir.clone()),
             compact_every: 8,
             ..ServerConfig::default()
@@ -592,7 +670,6 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
         server.join();
     }
     let server = Server::spawn(&ServerConfig {
-        threads: 1,
         wal_dir: Some(wal_dir),
         ..ServerConfig::default()
     })
@@ -618,11 +695,7 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
     const CHAIN: i64 = 14;
     const MODES: [&str; 4] = ["", "fresh ", "staleness=50 ", "any "];
     let dir = TempDir::new("burst");
-    let server = Server::spawn(&ServerConfig {
-        threads: 7,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     let mut setup = Client::connect(addr).unwrap();
@@ -736,7 +809,6 @@ fn repeatedly_poisoned_resident_heals_via_backoff_rebuilds() {
     let dir = TempDir::new("heal");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
-        threads: 2,
         rebuild_ms: 5,
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
@@ -890,7 +962,6 @@ fn shutdown_does_not_wait_out_a_rebuild_backoff() {
     let dir = TempDir::new("backoff-join");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
-        threads: 2,
         rebuild_ms: 2000,
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
@@ -926,7 +997,6 @@ fn shed_reader_never_blocks_forever() {
     // (never writes) gets the busy line promptly, because shedding happens
     // at accept time, not at request time.
     let server = Server::spawn(&ServerConfig {
-        threads: 2,
         max_conns: 1,
         ..ServerConfig::default()
     })

@@ -365,7 +365,6 @@ fn server_with_workload(dir: &TempDir, cfg: ServerConfig) -> (Server, Client) {
 fn metrics_scrape_is_valid_prometheus_and_covers_the_surface() {
     let dir = TempDir::new("metrics-scrape");
     let cfg = ServerConfig {
-        threads: 2,
         eval_threads: 2,
         wal_dir: Some(dir.path().join("wal")),
         ..ServerConfig::default()
@@ -444,11 +443,8 @@ fn metrics_scrape_is_valid_prometheus_and_covers_the_surface() {
 #[test]
 fn incremental_serving_surface_is_scraped_and_counted() {
     let dir = TempDir::new("metrics-incremental");
-    let server = Server::spawn(&ServerConfig {
-        threads: 1,
-        ..ServerConfig::default() // resident forms on by default
-    })
-    .unwrap();
+    // Resident forms are on by default.
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let rules = dir.path().join("rules.dl");
     std::fs::write(&rules, format!("{TC_RULES}p(1, 2).\n")).unwrap();
@@ -513,11 +509,7 @@ fn incremental_serving_surface_is_scraped_and_counted() {
 #[test]
 fn bounded_staleness_surface_is_scraped_and_counted() {
     let dir = TempDir::new("metrics-staleness");
-    let server = Server::spawn(&ServerConfig {
-        threads: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = Server::spawn(&ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let rules = dir.path().join("rules.dl");
     std::fs::write(&rules, format!("{TC_RULES}p(1, 2).\n")).unwrap();
@@ -630,10 +622,7 @@ fn every_cache_source_answers_through_the_same_tail() {
 #[test]
 fn storage_surface_is_scraped_and_counted() {
     let dir = TempDir::new("metrics-storage");
-    let cfg = ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let (server, mut c) = server_with_workload(&dir, cfg);
 
     // The engine storage counters are process-wide (other tests in this
@@ -671,10 +660,7 @@ fn storage_surface_is_scraped_and_counted() {
 #[test]
 fn counters_are_monotone_across_scrapes() {
     let dir = TempDir::new("metrics-monotone");
-    let cfg = ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let (server, mut c) = server_with_workload(&dir, cfg);
 
     let first = parse_prometheus(&c.metrics(false).unwrap().payload_text());
@@ -718,7 +704,6 @@ fn counters_are_monotone_across_scrapes() {
 fn json_readouts_are_valid_json() {
     let dir = TempDir::new("metrics-json");
     let cfg = ServerConfig {
-        threads: 1,
         wal_dir: Some(dir.path().join("wal")),
         ..ServerConfig::default()
     };
@@ -741,47 +726,9 @@ fn json_readouts_are_valid_json() {
 }
 
 #[test]
-fn disabled_histograms_keep_counters_truthful() {
-    let dir = TempDir::new("metrics-off");
-    let cfg = ServerConfig {
-        threads: 1,
-        metrics: false,
-        ..ServerConfig::default()
-    };
-    let (server, mut c) = server_with_workload(&dir, cfg);
-
-    let families = parse_prometheus(&c.metrics(false).unwrap().payload_text());
-    // Counters still count under --no-metrics...
-    let queries = families["xdl_requests_total"]
-        .samples
-        .iter()
-        .find(|s| s.labels.get("verb").map(String::as_str) == Some("QUERY"))
-        .unwrap();
-    assert_eq!(queries.value, 4.0);
-    // ...while histograms record nothing (the no-op baseline e13 measures).
-    let lat = families["xdl_request_seconds"]
-        .samples
-        .iter()
-        .find(|s| s.name == "xdl_request_seconds_count")
-        .unwrap();
-    assert_eq!(lat.value, 0.0);
-
-    // STATS agrees with the scrape.
-    let stats = c.stats().unwrap().payload_text();
-    assert!(
-        stats.contains("\"queries\":4") || stats.contains("\"queries\": 4"),
-        "{stats}"
-    );
-
-    server.shutdown();
-    server.join();
-}
-
-#[test]
 fn slow_query_threshold_zero_counts_every_query() {
     let dir = TempDir::new("metrics-slow");
     let cfg = ServerConfig {
-        threads: 1,
         slow_query_ms: Some(0),
         ..ServerConfig::default()
     };

@@ -32,12 +32,8 @@ fn xdl_run_reference(src: &str) -> String {
     render_answers(&answers)
 }
 
-fn spawn(threads: usize) -> Server {
-    Server::spawn(&ServerConfig {
-        threads,
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port")
+fn spawn() -> Server {
+    Server::spawn(&ServerConfig::default()).expect("bind ephemeral port")
 }
 
 const TC_RULES: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n";
@@ -46,7 +42,7 @@ const TC_FACTS: &str = "p(1, 2).\np(2, 3).\np(3, 4).\n";
 #[test]
 fn roundtrip_matches_xdl_run_byte_for_byte() {
     let dir = TempDir::new("roundtrip");
-    let server = spawn(2);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
 
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
@@ -75,7 +71,7 @@ fn predicate_read_only_through_negation_is_served_whole() {
     // The boolean cut used to retire `flagged` (consumed only by a negated
     // literal) after the seed round, and every employee came back clean.
     let dir = TempDir::new("negation");
-    let server = spawn(1);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
     let src = "above(X, Y) :- boss(X, Y).\nabove(X, Y) :- boss(X, Z), above(Z, Y).\n\
                flagged(X) :- above(X, Y), bad(Y).\nclean(X) :- emp(X), not flagged(X).\n\
@@ -97,7 +93,7 @@ fn predicate_read_only_through_negation_is_served_whole() {
 #[test]
 fn repeat_query_form_hits_cache_with_zero_new_events() {
     let dir = TempDir::new("repeat");
-    let server = spawn(2);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
@@ -150,7 +146,7 @@ fn repeat_query_form_hits_cache_with_zero_new_events() {
 #[test]
 fn ingestion_invalidates_only_dependent_forms() {
     let dir = TempDir::new("invalidate");
-    let server = spawn(2);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
     let file = dir.file(
         "two.dl",
@@ -201,7 +197,7 @@ fn ingestion_invalidates_only_dependent_forms() {
 
 #[test]
 fn errors_keep_the_connection_usable() {
-    let server = spawn(1);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
 
     // Parse error carries line:col and the connection survives.
@@ -238,7 +234,7 @@ fn errors_keep_the_connection_usable() {
 fn concurrent_clients_with_interleaved_ingestion_see_consistent_prefixes() {
     const CHAIN: i64 = 12;
     let dir = TempDir::new("concurrent");
-    let server = spawn(6);
+    let server = spawn();
     let addr = server.addr();
 
     let mut setup = Client::connect(addr).unwrap();
@@ -313,7 +309,7 @@ fn consistency_modes_round_trip_with_frontier_headers() {
     const CHAIN: i64 = 16;
     const MODES: [&str; 5] = ["", "fresh ", "any ", "staleness=50 ", "staleness=0 "];
     let dir = TempDir::new("consistency");
-    let server = spawn(3);
+    let server = spawn();
     let addr = server.addr();
     let mut c = Client::connect(addr).unwrap();
     let file = dir.file("rules-only.dl", TC_RULES);
@@ -386,7 +382,7 @@ fn consistency_modes_round_trip_with_frontier_headers() {
 /// it before writing, and the connection stays in step.
 #[test]
 fn a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step() {
-    let server = spawn(1);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
         "FACT p(1).\nSHUTDOWN",
@@ -412,7 +408,7 @@ fn a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step() {
 #[test]
 fn load_rejects_rules_over_stored_facts_and_idb_facts() {
     let dir = TempDir::new("reject");
-    let server = spawn(1);
+    let server = spawn();
     let mut c = Client::connect(server.addr()).unwrap();
 
     assert!(c.fact("a(1, 2).").unwrap().ok);

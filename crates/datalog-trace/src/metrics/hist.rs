@@ -7,11 +7,6 @@
 //! `0..=u64::MAX` fits in a fixed [`BUCKETS`]-slot array. Recording is one
 //! relaxed `fetch_add` per sample plus three bookkeeping adds — no locks,
 //! no allocation, safe to call from every evaluation worker at once.
-//!
-//! A histogram can be constructed *disabled* (see
-//! [`Registry::disabled`](super::Registry::disabled)), in which case
-//! [`Histogram::record`] is a single predictable branch. That is the
-//! "no-op registry" the e13 overhead experiment compares against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -57,7 +52,6 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 /// cross-field consistency during a concurrent snapshot is approximate,
 /// which is fine for telemetry.
 pub struct Histogram {
-    on: bool,
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -67,7 +61,6 @@ pub struct Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("on", &self.on)
             .field("count", &self.count.load(Ordering::Relaxed))
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .field("max", &self.max.load(Ordering::Relaxed))
@@ -76,17 +69,10 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// A recording histogram.
+    /// An empty histogram.
     pub fn new() -> Histogram {
-        Histogram::with_enabled(true)
-    }
-
-    /// A histogram that records iff `on` — the no-op variant keeps its
-    /// (empty) shape so readout code needs no special casing.
-    pub fn with_enabled(on: bool) -> Histogram {
         let buckets: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Histogram {
-            on,
             buckets: buckets.into_boxed_slice(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -94,16 +80,8 @@ impl Histogram {
         }
     }
 
-    /// Whether this histogram records samples.
-    pub fn enabled(&self) -> bool {
-        self.on
-    }
-
     /// Record one sample (nanoseconds by convention).
     pub fn record(&self, v: u64) {
-        if !self.on {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -246,17 +224,6 @@ mod tests {
             // Bucket width ≤ lower/8 for v ≥ 16 → ≤ 12.5% relative error.
             assert!((hi - lo) as f64 <= lo as f64 / 8.0 + 1.0, "v={v}");
         }
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing() {
-        let h = Histogram::with_enabled(false);
-        h.record(42);
-        h.record_duration(Duration::from_millis(5));
-        let s = h.snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.sum, 0);
-        assert_eq!(s.max, 0);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   per-worker queue wait, and per-round merge stall, which is exactly
 //!   the data the ROADMAP's skew-aware chunking item needs.
 //!
-//! The overhead contract (measured by bench experiment e13): a recording
-//! span is two `Instant::now()` calls plus one relaxed `fetch_add` chain;
-//! a disabled registry reduces every histogram to a single branch. The
-//! registry lock is touched only at registration and scrape time, never
+//! The overhead contract (measured by the benchmark's
+//! `trace.histogram_record_ns` and `trace.span_overhead_ratio`): a recording
+//! span is two `Instant::now()` calls plus one relaxed `fetch_add` chain.
+//! The registry lock is touched only at registration and scrape time, never
 //! per sample.
 
 pub mod hist;
@@ -151,10 +151,5 @@ mod tests {
         let hists = EvalHists::register(&on);
         hists.task_enum.record(10);
         assert_eq!(hists.task_enum.snapshot().count, 1);
-
-        let off = Registry::disabled();
-        let noop = EvalHists::register(&off);
-        noop.task_enum.record(10);
-        assert_eq!(noop.task_enum.snapshot().count, 0);
     }
 }

@@ -13,9 +13,7 @@ use std::sync::{Arc, Mutex};
 use super::hist::{bucket_bounds, HistSnapshot, Histogram};
 use crate::json::Json;
 
-/// A monotone counter. One relaxed `fetch_add` per increment; counters are
-/// cheap enough that they record even under a disabled registry (only
-/// histogram sampling is gated — see [`Registry::disabled`]).
+/// A monotone counter. One relaxed `fetch_add` per increment.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -115,48 +113,24 @@ struct Family {
     series: Vec<Series>,
 }
 
-/// Process-wide metric registry.
-///
-/// * `Registry::new()` — the real thing: histograms sample.
-/// * `Registry::disabled()` — the no-op baseline for overhead measurement:
-///   histograms drop samples at a single branch; counters and gauges still
-///   record (they are a handful of relaxed adds per request and keep
-///   `STATS` truthful in either mode).
+/// Process-wide metric registry. Every metric it hands out records.
 pub struct Registry {
-    on: bool,
     families: Mutex<Vec<Family>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.families.lock().map(|fs| fs.len()).unwrap_or(0);
-        f.debug_struct("Registry")
-            .field("on", &self.on)
-            .field("families", &n)
-            .finish()
+        f.debug_struct("Registry").field("families", &n).finish()
     }
 }
 
 impl Registry {
-    /// A recording registry.
+    /// An empty registry.
     pub fn new() -> Registry {
         Registry {
-            on: true,
             families: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The no-op variant: identical shape, histograms don't sample.
-    pub fn disabled() -> Registry {
-        Registry {
-            on: false,
-            families: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether histograms registered here sample.
-    pub fn enabled(&self) -> bool {
-        self.on
     }
 
     fn families(&self) -> std::sync::MutexGuard<'_, Vec<Family>> {
@@ -229,12 +203,10 @@ impl Registry {
         }
     }
 
-    /// Register (or re-fetch) a histogram series. The histogram samples iff
-    /// the registry is enabled.
+    /// Register (or re-fetch) a histogram series.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let on = self.on;
         match self.register(name, help, MetricKind::Histogram, labels, || {
-            Metric::Histogram(Arc::new(Histogram::with_enabled(on)))
+            Metric::Histogram(Arc::new(Histogram::new()))
         }) {
             Metric::Histogram(h) => h,
             _ => unreachable!("kind checked at registration"),
@@ -450,18 +422,6 @@ mod tests {
         assert_eq!(b.get(), 1);
         let text = r.render_prometheus();
         assert_eq!(text.matches("# TYPE xdl_x_total").count(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_gates_histograms_not_counters() {
-        let r = Registry::disabled();
-        let c = r.counter("xdl_c_total", "C.", &[]);
-        let h = r.histogram("xdl_h_seconds", "H.", &[]);
-        c.inc();
-        h.record(100);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.snapshot().count, 0);
-        assert!(!h.enabled());
     }
 
     #[test]

@@ -49,7 +49,9 @@ echo "check.sh: derivation-bound gate ok"
 # to `xdl run`, shut down cleanly.
 smoke_dir=$(mktemp -d)
 serve_pid=""
+hold_pids=""
 cleanup() {
+    [ -n "$hold_pids" ] && kill $hold_pids 2>/dev/null || true
     [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
     rm -rf "$smoke_dir"
 }
@@ -117,6 +119,85 @@ done
 wait "$serve_pid"
 serve_pid=""
 echo "check.sh: server smoke ok (incl. METRICS scrape and point reads)"
+
+# Connection smokes. `hold <addr> <ready-file> <command>` keeps connections
+# open from bash (`/dev/tcp`) until it is killed: it runs <command> (which
+# opens them), touches <ready-file> if that succeeded, then sleeps.
+hold() {
+    bash -c 'host=${1%:*}; port=${1##*:}; eval "$3" && : > "$2"; exec sleep 60' \
+        _ "$1" "$2" "$3" &
+    hold_pids="$hold_pids $!"
+    for _ in $(seq 1 50); do
+        [ -f "$2" ] && return 0
+        sleep 0.1
+    done
+    echo "check.sh: could not open the held connections" >&2
+    exit 1
+}
+
+# Idle-connection smoke: eight clients that connect and never send hold
+# eight connection threads, not the server; a ninth is answered at once.
+./target/release/xdl serve --port 0 > "$smoke_dir/serve-idle.out" &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-idle.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "check.sh: idle-connection smoke server did not announce" >&2
+    exit 1
+fi
+hold "$addr" "$smoke_dir/idle.ready" \
+    'for fd in 3 4 5 6 7 8 9 10; do eval "exec $fd<>/dev/tcp/$host/$port"; done'
+if ! timeout 5 ./target/release/xdl query --connect "$addr" --stats > /dev/null; then
+    echo "check.sh: eight idle connections starved a ninth client" >&2
+    exit 1
+fi
+kill $hold_pids
+hold_pids=""
+./target/release/xdl query --connect "$addr" --shutdown
+wait "$serve_pid"
+serve_pid=""
+echo "check.sh: idle-connection smoke ok"
+
+# fd-exhaustion smoke: once one client is served, the server's descriptor
+# limit drops to its lowest free descriptor, so a second client cannot be
+# accepted and stays queued. Retrying `accept` must back off, not spin a
+# core: the server may use under 0.3 CPU-seconds over 2 s.
+./target/release/xdl serve --port 0 > "$smoke_dir/serve-fd.out" &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-fd.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "check.sh: fd-exhaustion smoke server did not announce" >&2
+    exit 1
+fi
+hold "$addr" "$smoke_dir/served.ready" \
+    'exec 3<>"/dev/tcp/$host/$port" && echo STATS >&3 && read -r line <&3'
+free_fd=0
+while [ -e "/proc/$serve_pid/fd/$free_fd" ]; do free_fd=$((free_fd + 1)); done
+prlimit --pid "$serve_pid" --nofile="$free_fd:$free_fd"
+hold "$addr" "$smoke_dir/queued.ready" 'exec 3<>"/dev/tcp/$host/$port"'
+sleep 0.5
+cpu_ticks() { awk '{ print $14 + $15 }' "/proc/$serve_pid/stat"; }
+ticks_before=$(cpu_ticks)
+sleep 2
+ticks=$(($(cpu_ticks) - ticks_before))
+if ! awk -v t="$ticks" -v hz="$(getconf CLK_TCK)" 'BEGIN { exit !(t / hz < 0.3) }'; then
+    echo "check.sh: out of descriptors, the server used $ticks ticks of CPU in 2 s" >&2
+    exit 1
+fi
+kill $hold_pids "$serve_pid"
+wait "$serve_pid" 2>/dev/null || true
+hold_pids=""
+serve_pid=""
+echo "check.sh: fd-exhaustion smoke ok ($ticks ticks in 2 s)"
 
 # Telemetry suite: the Prometheus text-format parser, histogram
 # invariants, counter monotonicity across scrapes, and the strict JSON
