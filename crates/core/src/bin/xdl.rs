@@ -45,6 +45,8 @@
 //! ?- a(X, _).
 //! ```
 
+use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use existential_datalog::engine::oracle::{bounded_equiv_check, EquivCheckConfig};
@@ -141,7 +143,11 @@ fn positional<'a>(rest: &'a [&String], idx: usize) -> Option<&'a str> {
     positionals(rest).get(idx).copied()
 }
 
-fn load(path: &str) -> Result<(Program, FactSet), String> {
+/// A file's facts as the parser groups them: what `run`, `profile` and
+/// `explain` hand the engine as their input, unconverted.
+type Facts = BTreeMap<PredRef, Vec<Vec<Value>>>;
+
+fn load(path: &str) -> Result<(Program, Facts), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // `file:line:col: message` — the shape editors and CI annotate from.
     let parsed = parse_program(&text).map_err(|e| e.render_at(path))?;
@@ -149,8 +155,7 @@ fn load(path: &str) -> Result<(Program, FactSet), String> {
         .program
         .validate()
         .map_err(|e| format!("{path}: {e}"))?;
-    let facts = FactSet::from_parsed(&parsed.facts);
-    Ok((parsed.program, facts))
+    Ok((parsed.program, parsed.facts))
 }
 
 /// Load, optionally optimize, and evaluate one `.dl` file with the given
@@ -196,7 +201,7 @@ fn prepare_and_eval(
     if let Some(n) = option_value(rest, "--threads") {
         opts.threads = n.parse().map_err(|_| "--threads takes a number")?;
     }
-    let (answers, out) = query_answers_full(&program, &facts, &opts).map_err(|e| {
+    let (answers, out) = query_answers_full(&program, facts, &opts).map_err(|e| {
         // Resource-limit trips report how far the evaluation got; other
         // errors pass through unchanged.
         match e.partial_stats() {
@@ -224,14 +229,17 @@ fn cmd_run(rest: &[&String]) -> Result<(), String> {
     let profile_json = flag(rest, "--profile=json");
     let profile = profile_json || flag(rest, "--profile");
     let (answers, out, report) = prepare_and_eval(rest, profile)?;
-    if flag(rest, "--report") {
-        if let Some(r) = &report {
-            println!("{}", r.to_text());
-        }
-    }
-    match answers.as_bool() {
-        Some(b) => println!("{b}"),
-        None => print!("{answers}"),
+    // One buffer, flushed once: a large answer set is a few writes, not
+    // one per line. Stdout is flushed before anything goes to stderr, so
+    // the two interleave as they always have.
+    let shown_report = report.as_ref().filter(|_| flag(rest, "--report"));
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    match write_run_output(&mut stdout, shown_report, &answers) {
+        Ok(()) => {}
+        // A reader that stopped early (`xdl run … | head -1`) ends the
+        // output, not the run.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => return Err(format!("cannot write answers: {e}")),
     }
     if flag(rest, "--stats") {
         if flag(rest, "--json") {
@@ -252,6 +260,23 @@ fn cmd_run(rest: &[&String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// What `run` prints on stdout: the optimizer report when asked for, then
+/// the answers.
+fn write_run_output(
+    out: &mut impl std::io::Write,
+    report: Option<&Report>,
+    answers: &AnswerSet,
+) -> std::io::Result<()> {
+    if let Some(r) = report {
+        writeln!(out, "{}", r.to_text())?;
+    }
+    match answers.as_bool() {
+        Some(b) => writeln!(out, "{b}")?,
+        None => write!(out, "{answers}")?,
+    }
+    out.flush()
 }
 
 /// The full JSON document `profile --json` / `run --profile=json` emit:
@@ -480,7 +505,7 @@ fn cmd_explain(rest: &[&String]) -> Result<(), String> {
         .ok_or_else(|| format!("'{fact_text}' is not ground"))?;
     let out = existential_datalog::engine::evaluate(
         &program,
-        &facts,
+        facts,
         &EvalOptions {
             record_provenance: true,
             ..EvalOptions::default()
@@ -592,7 +617,6 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     }
     // Scripts poll for this line to learn the resolved (ephemeral) port.
     println!("listening on {}", server.addr());
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.join();
     Ok(())
@@ -698,7 +722,6 @@ fn cmd_metrics(rest: &[&String]) -> Result<(), String> {
             println!("xdl metrics — {addr} (refreshes every 2s, ^C to stop)\n");
         }
         print!("{}", resp.payload_text());
-        use std::io::Write as _;
         let _ = std::io::stdout().flush();
         if !watch {
             return Ok(());

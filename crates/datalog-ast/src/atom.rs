@@ -57,7 +57,13 @@ impl Atom {
 
     /// If ground, the tuple of constant values.
     pub fn ground_values(&self) -> Option<Vec<Value>> {
-        self.terms.iter().map(|t| t.as_const()).collect()
+        // Sized up front: a fact's tuple becomes a boxed row without a
+        // reallocation.
+        let mut values = Vec::with_capacity(self.terms.len());
+        for t in &self.terms {
+            values.push(t.as_const()?);
+        }
+        Some(values)
     }
 
     /// A ground atom (fact) from a predicate and values.

@@ -91,12 +91,14 @@ impl ParsedProgram {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),   // lower-case identifier
-    VarName(String), // upper-case identifier
+/// A token. Names, string contents and integer digits are slices of the
+/// source, so lexing allocates only the token vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),   // lower-case identifier
+    VarName(&'a str), // upper-case identifier
     Int(i64),
-    Str(String),
+    Str(&'a str),
     LParen,
     RParen,
     LBracket,
@@ -110,7 +112,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -119,7 +121,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -135,7 +137,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -148,6 +150,15 @@ impl<'a> Lexer<'a> {
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// Consume bytes while `pred` holds; returns the slice consumed, which
+    /// starts at `start`.
+    fn take_while(&mut self, start: usize, pred: impl Fn(u8) -> bool) -> &'a str {
+        while self.peek().is_some_and(&pred) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
     }
 
     fn skip_trivia(&mut self) {
@@ -169,11 +180,12 @@ impl<'a> Lexer<'a> {
     }
 
     /// Tokenize the whole input, recording each token's position.
-    fn tokenize(mut self) -> Result<Vec<(Tok, usize, usize)>, ParseError> {
+    fn tokenize(mut self) -> Result<Vec<(Tok<'a>, usize, usize)>, ParseError> {
+        let word = |d: u8| d.is_ascii_alphanumeric() || d == b'_';
         let mut out = Vec::new();
         loop {
             self.skip_trivia();
-            let (line, col) = (self.line, self.col);
+            let (line, col, start) = (self.line, self.col, self.pos);
             let Some(c) = self.peek() else { break };
             let tok = match c {
                 b'(' => {
@@ -224,26 +236,17 @@ impl<'a> Lexer<'a> {
                 }
                 b'"' => {
                     self.bump();
-                    let mut s = String::new();
-                    loop {
-                        match self.bump() {
-                            Some(b'"') => break,
-                            Some(ch) => s.push(ch as char),
-                            None => return Err(self.err("unterminated string literal")),
-                        }
+                    // Both quotes are ASCII, so the contents are a char-
+                    // aligned slice of the UTF-8 source.
+                    let text = self.take_while(start + 1, |d| d != b'"');
+                    if self.bump().is_none() {
+                        return Err(self.err("unterminated string literal"));
                     }
-                    Tok::Str(s)
+                    Tok::Str(text)
                 }
                 b'-' | b'0'..=b'9' => {
-                    let mut s = String::new();
-                    s.push(self.bump().unwrap() as char);
-                    while let Some(d) = self.peek() {
-                        if d.is_ascii_digit() {
-                            s.push(self.bump().unwrap() as char);
-                        } else {
-                            break;
-                        }
-                    }
+                    self.bump();
+                    let s = self.take_while(start, |d| d.is_ascii_digit());
                     let n: i64 = s
                         .parse()
                         .map_err(|_| self.err(format!("bad integer literal '{s}'")))?;
@@ -252,39 +255,25 @@ impl<'a> Lexer<'a> {
                 b'_' => {
                     self.bump();
                     // `_` alone is a wildcard; `_x`/`_X` is a named variable.
-                    if self
-                        .peek()
-                        .is_some_and(|d| d.is_ascii_alphanumeric() || d == b'_')
-                    {
-                        let mut s = String::from("_");
-                        while let Some(d) = self.peek() {
-                            if d.is_ascii_alphanumeric() || d == b'_' {
-                                s.push(self.bump().unwrap() as char);
-                            } else {
-                                break;
-                            }
-                        }
+                    let s = self.take_while(start, word);
+                    if s.len() > 1 {
                         Tok::VarName(s)
                     } else {
                         Tok::Underscore
                     }
                 }
                 c if c.is_ascii_alphabetic() => {
-                    let mut s = String::new();
-                    while let Some(d) = self.peek() {
-                        if d.is_ascii_alphanumeric() || d == b'_' {
-                            s.push(self.bump().unwrap() as char);
-                        } else {
-                            break;
-                        }
-                    }
-                    if s.as_bytes()[0].is_ascii_uppercase() {
+                    let s = self.take_while(start, word);
+                    if c.is_ascii_uppercase() {
                         Tok::VarName(s)
                     } else {
                         Tok::Ident(s)
                     }
                 }
-                other => return Err(self.err(format!("unexpected character '{}'", other as char))),
+                _ => {
+                    let other = self.src[start..].chars().next().unwrap_or_default();
+                    return Err(self.err(format!("unexpected character '{other}'")));
+                }
             };
             out.push((tok, line, col));
         }
@@ -292,12 +281,12 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize, usize)>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn err_here(&self, message: impl Into<String>) -> ParseError {
         let (line, col) = self
             .toks
@@ -312,19 +301,19 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _, _)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _, _)| t)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _, _)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(want) {
             self.pos += 1;
             Ok(())
@@ -344,8 +333,7 @@ impl Parser {
                 let ad = match self.peek() {
                     Some(Tok::RBracket) => Adornment(vec![]),
                     Some(Tok::Ident(s)) => {
-                        let s = s.clone();
-                        let ad = Adornment::parse(&s).ok_or_else(|| {
+                        let ad = Adornment::parse(s).ok_or_else(|| {
                             self.err_here(format!("bad adornment '{s}' (use only n/d)"))
                         })?;
                         self.bump();
@@ -353,13 +341,13 @@ impl Parser {
                     }
                     _ => return Err(self.err_here("expected adornment letters or ']'")),
                 };
-                self.expect(&Tok::RBracket, "']'")?;
+                self.expect(Tok::RBracket, "']'")?;
                 Some(ad)
             }
             Some(Tok::Caret) => {
                 self.bump();
                 match self.bump() {
-                    Some(Tok::Ident(s)) => Some(Adornment::parse(&s).ok_or_else(|| {
+                    Some(Tok::Ident(s)) => Some(Adornment::parse(s).ok_or_else(|| {
                         self.err_here(format!("bad adornment '{s}' (use only n/d)"))
                     })?),
                     _ => return Err(self.err_here("expected adornment letters after '^'")),
@@ -368,17 +356,16 @@ impl Parser {
             _ => None,
         };
         Ok(PredRef {
-            name: crate::intern::Symbol::intern(&name),
+            name: crate::intern::Symbol::intern(name),
             adornment,
         })
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
-            Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(&s))),
+            Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(s))),
             Some(Tok::Int(i)) => Ok(Term::Const(Value::Int(i))),
-            Some(Tok::Ident(s)) => Ok(Term::Const(Value::sym(&s))),
-            Some(Tok::Str(s)) => Ok(Term::Const(Value::sym(&s))),
+            Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::sym(s))),
             Some(Tok::Underscore) => Ok(Term::Var(Var::fresh_wildcard())),
             _ => Err(self.err_here("expected term")),
         }
@@ -391,18 +378,15 @@ impl Parser {
         loop {
             // `not` is a keyword only in literal position; elsewhere it is
             // an ordinary identifier.
-            let negated = matches!(self.peek(), Some(Tok::Ident(s)) if s == "not")
-                && !matches!(
-                    self.toks.get(self.pos + 1).map(|(t, _, _)| t),
-                    Some(Tok::LParen)
-                );
+            let negated = self.peek() == Some(Tok::Ident("not"))
+                && !matches!(self.toks.get(self.pos + 1), Some((Tok::LParen, _, _)));
             if negated {
                 self.bump();
                 negative.push(self.parse_atom()?);
             } else {
                 body.push(self.parse_atom()?);
             }
-            if self.peek() == Some(&Tok::Comma) {
+            if self.peek() == Some(Tok::Comma) {
                 self.bump();
             } else {
                 break;
@@ -414,19 +398,19 @@ impl Parser {
     fn parse_atom(&mut self) -> Result<Atom, ParseError> {
         let pred = self.parse_pred()?;
         let mut terms = Vec::new();
-        if self.peek() == Some(&Tok::LParen) {
+        if self.peek() == Some(Tok::LParen) {
             self.bump();
-            if self.peek() != Some(&Tok::RParen) {
+            if self.peek() != Some(Tok::RParen) {
                 loop {
                     terms.push(self.parse_term()?);
-                    if self.peek() == Some(&Tok::Comma) {
+                    if self.peek() == Some(Tok::Comma) {
                         self.bump();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&Tok::RParen, "')'")?;
+            self.expect(Tok::RParen, "')'")?;
         }
         Ok(Atom { pred, terms })
     }
@@ -441,10 +425,10 @@ impl Parser {
 
     fn parse_statement(&mut self, out: &mut ParsedProgram) -> Result<(), ParseError> {
         let span = self.here();
-        if self.peek() == Some(&Tok::QueryLead) {
+        if self.peek() == Some(Tok::QueryLead) {
             self.bump();
             let atom = self.parse_atom()?;
-            self.expect(&Tok::Dot, "'.'")?;
+            self.expect(Tok::Dot, "'.'")?;
             if out.program.query.is_some() {
                 return Err(self.err_here("multiple queries in program"));
             }
@@ -473,7 +457,7 @@ impl Parser {
             Some(Tok::Implies) => {
                 self.bump();
                 let (body, negative) = self.parse_body()?;
-                self.expect(&Tok::Dot, "'.'")?;
+                self.expect(Tok::Dot, "'.'")?;
                 out.program
                     .rules
                     .push(Rule::with_negation(head, body, negative));
@@ -508,9 +492,9 @@ pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
     let toks = Lexer::new(src).tokenize()?;
     let mut p = Parser { toks, pos: 0 };
     let head = p.parse_atom()?;
-    p.expect(&Tok::Implies, "':-'")?;
+    p.expect(Tok::Implies, "':-'")?;
     let (body, negative) = p.parse_body()?;
-    if p.peek() == Some(&Tok::Dot) {
+    if p.peek() == Some(Tok::Dot) {
         p.bump();
     }
     if p.peek().is_some() {
@@ -524,7 +508,7 @@ pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
     let toks = Lexer::new(src).tokenize()?;
     let mut p = Parser { toks, pos: 0 };
     let a = p.parse_atom()?;
-    if p.peek() == Some(&Tok::Dot) {
+    if p.peek() == Some(Tok::Dot) {
         p.bump();
     }
     if p.peek().is_some() {
@@ -707,6 +691,63 @@ mod tests {
         assert_eq!(p.rule_span(99), (1, 1));
         assert_eq!(p.query_span, Some((6, 1)));
         assert_eq!(p.fact_spans, vec![(PredRef::new("p"), 1, 1)]);
+    }
+
+    #[test]
+    fn string_literals_decode_as_utf8() {
+        let p = parse_program("p(\"café\").\nq(\"naïve\", \"日本\").").unwrap();
+        assert_eq!(p.facts[&PredRef::new("p")][0], vec![Value::sym("café")]);
+        assert_eq!(
+            p.facts[&PredRef::new("q")][0],
+            vec![Value::sym("naïve"), Value::sym("日本")]
+        );
+        assert_eq!(p.facts[&PredRef::new("p")][0][0].to_string(), "café");
+        // Outside a literal, a non-ASCII character is named whole.
+        let e = parse_program("p(é).").unwrap_err();
+        assert_eq!(e.message, "unexpected character 'é'");
+        assert_eq!((e.line, e.col), (1, 3));
+    }
+
+    /// A seeded round trip: `parse_program(p.to_string())` is `p`, and a
+    /// fact rendered as an atom reads back as the same tuple, for symbols
+    /// that print bare and symbols that must be quoted to keep their
+    /// meaning (a variable, an integer, a space, a named variable, UTF-8).
+    #[test]
+    fn rendered_programs_and_facts_parse_back_unchanged() {
+        const SYMBOLS: [&str; 6] = ["bob", "Alice", "a b", "42", "_x", "café"];
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for round in 0..200 {
+            let mut term = |vars: bool| match below(if vars { 4 } else { 2 }) {
+                0 => Term::int(below(100) as i64 - 50),
+                1 => Term::sym(SYMBOLS[below(SYMBOLS.len())]),
+                _ => Term::var(["X", "Y"][below(2)]),
+            };
+            let mut atom = |pred: &str, vars: bool| {
+                Atom::new(PredRef::new(pred), vec![term(vars), term(vars)])
+            };
+            let rules: Vec<Rule> = (0..3)
+                .map(|k| Rule::new(atom(&format!("q{k}"), true), vec![atom("e", true)]))
+                .collect();
+            let program = Program {
+                rules,
+                query: Some(Query::new(atom("q0", true))),
+            };
+            let fact = atom("f", false);
+            let text = format!("{program}{fact}.\n");
+            let parsed = parse_program(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(parsed.program, program, "round {round}: {text}");
+            assert_eq!(
+                parsed.facts[&fact.pred],
+                vec![fact.ground_values().unwrap()],
+                "round {round}: {text}"
+            );
+        }
     }
 
     #[test]

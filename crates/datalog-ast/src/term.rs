@@ -152,10 +152,30 @@ impl Term {
     }
 }
 
+/// Whether `text` lexes back as one lower-case identifier — the only
+/// symbol text a term may print unquoted.
+fn is_plain_ident(text: &str) -> bool {
+    let mut bytes = text.bytes();
+    bytes.next().is_some_and(|b| b.is_ascii_lowercase())
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
+/// A term renders as source text that parses back to the same term: a
+/// symbol constant is quoted unless it is a plain lower-case identifier
+/// (`"Alice"` would otherwise read back as a variable, `"42"` as an
+/// integer, `"a b"` not at all). [`Value`]'s own rendering stays raw —
+/// it is what answers print.
 impl std::fmt::Display for Term {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
+            Term::Const(Value::Sym(s)) => s.with_str(|text| {
+                if is_plain_ident(text) {
+                    f.write_str(text)
+                } else {
+                    write!(f, "\"{text}\"")
+                }
+            }),
             Term::Const(c) => write!(f, "{c}"),
         }
     }
@@ -182,6 +202,25 @@ mod tests {
         assert_eq!(Value::int(7).to_string(), "7");
         assert_eq!(Value::sym("abc").to_string(), "abc");
         assert_eq!(Value::Int(-3).to_string(), "-3");
+    }
+
+    #[test]
+    fn symbol_terms_quote_unless_a_plain_identifier() {
+        for (text, shown) in [
+            ("bob", "bob"),
+            ("x_1", "x_1"),
+            ("Alice", "\"Alice\""),
+            ("a b", "\"a b\""),
+            ("42", "\"42\""),
+            ("_x", "\"_x\""),
+            ("café", "\"café\""),
+            ("", "\"\""),
+        ] {
+            assert_eq!(Term::sym(text).to_string(), shown);
+            // An answer cell prints the value itself.
+            assert_eq!(Value::sym(text).to_string(), text);
+        }
+        assert_eq!(Term::int(-3).to_string(), "-3");
     }
 
     #[test]

@@ -35,7 +35,8 @@ impl Database {
     ///
     /// # Panics
     /// Panics if the predicate was already registered with another arity —
-    /// programs are arity-validated before they reach the engine.
+    /// programs are arity-validated before they reach the engine, and the
+    /// loader checks every input batch against the program.
     pub fn register(&mut self, pred: &PredRef, arity: usize) -> PredId {
         if let Some(&id) = self.by_ref.get(pred) {
             assert_eq!(
@@ -89,15 +90,6 @@ impl Database {
     /// Insert a fact; predicate must be registered. Returns `true` if new.
     pub fn insert(&mut self, id: PredId, tuple: &[Value]) -> bool {
         self.relations[id.0 as usize].insert(tuple)
-    }
-
-    /// Load every fact of a [`FactSet`], registering unregistered
-    /// predicates with the arity observed in the data.
-    pub fn load(&mut self, facts: &FactSet) {
-        for (pred, tuple) in facts.iter() {
-            let id = self.register(pred, tuple.len());
-            self.insert(id, tuple);
-        }
     }
 
     /// Export all facts as a [`FactSet`].
@@ -182,7 +174,7 @@ mod tests {
         fs.insert(PredRef::new("p"), vec![Value::int(1), Value::int(2)]);
         fs.insert(PredRef::new("q"), vec![Value::sym("a")]);
         let mut db = Database::new();
-        db.load(&fs);
+        crate::eval::load_input(&mut db, &Default::default(), (&fs).into()).unwrap();
         assert_eq!(db.total_facts(), 2);
         assert_eq!(db.dump(), fs);
         let id = db.pred_id(&PredRef::new("p")).unwrap();

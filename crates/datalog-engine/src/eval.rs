@@ -56,17 +56,17 @@
 //! produces byte-identical databases, stats, provenance, and profile
 //! counters at any thread count.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use datalog_ast::{Program, Term, Value};
+use datalog_ast::{PredRef, Program, Term, Value};
 use datalog_trace::metrics::EvalHists;
 use datalog_trace::{EvalProfile, IterationProfile, PredDelta, RuleProfile};
 
 use crate::cancel::CancelToken;
 use crate::database::{Database, PredId};
-use crate::facts::{AnswerSet, FactSet};
+use crate::facts::{AnswerSet, Edb};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
 use crate::EngineError;
@@ -545,8 +545,13 @@ impl Enumerator<'_> {
     }
 }
 
-pub(crate) struct Machine<'a> {
-    pub(crate) db: &'a mut Database,
+/// The fixpoint's working state: the database it grows and everything a
+/// run of [`Machine::run_stratum`] reads or counts. [`Machine::start`]
+/// builds it for a cold evaluation; a resident form keeps it between
+/// batches.
+#[derive(Debug)]
+pub(crate) struct Machine {
+    pub(crate) db: Database,
     pub(crate) plans: Vec<RulePlan>,
     /// Active rule mask (boolean cut retires rules by clearing bits).
     pub(crate) active: Vec<bool>,
@@ -576,7 +581,63 @@ pub(crate) struct Machine<'a> {
     pub(crate) trip: Option<Trip>,
 }
 
-impl<'a> Machine<'a> {
+impl Machine {
+    /// The one cold start of a fixpoint, shared by [`evaluate`] and
+    /// [`crate::incremental::ResidentEval::new`]: validate the program,
+    /// compile it against a fresh database, load `input` ([`load_input`]),
+    /// and take limits, threads, provenance, profiling and the boolean cut
+    /// from `opts`. Also returns the program's arities.
+    pub(crate) fn start(
+        program: &Program,
+        input: Edb,
+        opts: &EvalOptions,
+    ) -> Result<(Machine, BTreeMap<PredRef, usize>), EngineError> {
+        program.validate()?;
+        let arities = program.arities()?;
+        let mut db = Database::new();
+        let plans = compile(
+            program,
+            &arities,
+            &mut db,
+            opts.reorder_joins,
+            opts.cost_hints.as_deref(),
+        );
+        load_input(&mut db, &arities, input)?;
+        let (n_preds, n_plans) = (db.pred_count(), plans.len());
+        let query_pred = program
+            .query
+            .as_ref()
+            .and_then(|q| db.pred_id(&q.atom.pred));
+        let machine = Machine {
+            db,
+            plans,
+            active: vec![true; n_plans],
+            mark_prev: vec![0; n_preds],
+            mark_cur: vec![0; n_preds],
+            stats: EvalStats::default(),
+            provenance: opts.record_provenance.then(Provenance::new),
+            profile: opts.profile.then(|| EvalProfile {
+                rules: (0..n_plans)
+                    .map(|i| RuleProfile {
+                        rule_idx: i,
+                        ..RuleProfile::default()
+                    })
+                    .collect(),
+                timeline: Vec::new(),
+            }),
+            query_pred,
+            boolean_cut: opts.boolean_cut,
+            threads: opts.threads.max(1),
+            metrics: opts.metrics.clone(),
+            started: Instant::now(),
+            deadline: opts.deadline,
+            fact_budget: opts.fact_budget,
+            cancel: opts.cancel.clone(),
+            trip: None,
+        };
+        Ok((machine, arities))
+    }
+
     /// Poll deadline and cancellation. Returns `true` (and records the
     /// trip) if the evaluation must unwind. The derived-fact budget is
     /// checked exactly in [`Machine::emit_head`] instead.
@@ -626,7 +687,7 @@ impl<'a> Machine<'a> {
     /// The frozen, shareable view of the current iteration.
     fn view(&self) -> IterView<'_> {
         IterView {
-            db: self.db,
+            db: &self.db,
             plans: &self.plans,
             mark_prev: &self.mark_prev,
             mark_cur: &self.mark_cur,
@@ -1094,7 +1155,6 @@ impl<'a> Machine<'a> {
 /// dependencies must be strictly lower. Errors if no such assignment exists
 /// (negation through recursion).
 pub(crate) fn stratify(program: &Program) -> Result<Vec<usize>, EngineError> {
-    use std::collections::BTreeMap;
     let idb = program.idb_preds();
     let mut stratum: BTreeMap<&datalog_ast::PredRef, usize> = idb.iter().map(|p| (p, 0)).collect();
     let bound = idb.len() + 1;
@@ -1246,14 +1306,14 @@ fn plan_order(body: &[LitPlan], first: Option<usize>) -> Vec<Step> {
     steps
 }
 
-pub(crate) fn compile(
+fn compile(
     program: &Program,
+    arities: &BTreeMap<PredRef, usize>,
     db: &mut Database,
     reorder_joins: bool,
-    cost_hints: Option<&std::collections::BTreeMap<String, u64>>,
-) -> Result<Vec<RulePlan>, EngineError> {
-    let arities = program.arities()?;
-    for (pred, &arity) in &arities {
+    cost_hints: Option<&BTreeMap<String, u64>>,
+) -> Vec<RulePlan> {
+    for (pred, &arity) in arities {
         db.register(pred, arity);
     }
     let mut plans = Vec::with_capacity(program.rules.len());
@@ -1310,29 +1370,39 @@ pub(crate) fn compile(
             nvars: var_ids.len(),
         });
     }
-    Ok(plans)
+    plans
 }
 
-/// Load `input` facts into `db`, checking arities against the program's.
-/// Facts for predicates the program never mentions are registered and
-/// loaded verbatim.
+/// The one loader: every input row reaches a [`Database`] through here,
+/// one sorted bulk load per predicate. Each batch is sorted, checked
+/// against one arity — the program's for a predicate the program
+/// mentions, else that of the batch's first row — and handed to
+/// [`Relation::load_batch`], whose order-preserving dedup (the one every
+/// stored tuple goes through) keeps the first of each run of equal rows.
+/// Batches come in `PredRef` order, so unknown predicates register in
+/// that order and every relation's rows lie in tuple order: the database
+/// is row for row what inserting a [`FactSet`](crate::FactSet)'s facts
+/// one at a time builds.
+///
+/// [`Relation::load_batch`]: crate::relation::Relation::load_batch
 pub(crate) fn load_input(
     db: &mut Database,
-    arities: &std::collections::BTreeMap<datalog_ast::PredRef, usize>,
-    input: &FactSet,
+    arities: &BTreeMap<PredRef, usize>,
+    input: Edb,
 ) -> Result<(), EngineError> {
-    for (pred, tuple) in input.iter() {
-        if let Some(&expected) = arities.get(pred) {
-            if expected != tuple.len() {
-                return Err(EngineError::FactArity {
-                    pred: pred.to_string(),
-                    expected,
-                    found: tuple.len(),
-                });
-            }
+    for (pred, mut rows) in input.batches {
+        rows.sort_unstable();
+        let Some(first) = rows.first() else { continue };
+        let expected = arities.get(&pred).copied().unwrap_or(first.len());
+        if let Some(row) = rows.iter().find(|row| row.len() != expected) {
+            return Err(EngineError::FactArity {
+                pred: pred.to_string(),
+                expected,
+                found: row.len(),
+            });
         }
-        let id = db.register(pred, tuple.len());
-        db.insert(id, tuple);
+        let id = db.register(&pred, expected);
+        db.relation_mut(id).load_batch(rows);
     }
     Ok(())
 }
@@ -1344,53 +1414,10 @@ pub(crate) fn load_input(
 /// are loaded verbatim and simply carried through.
 pub fn evaluate(
     program: &Program,
-    input: &FactSet,
+    input: impl Into<Edb>,
     opts: &EvalOptions,
 ) -> Result<EvalOutput, EngineError> {
-    program.validate()?;
-    let mut db = Database::new();
-    let plans = compile(
-        program,
-        &mut db,
-        opts.reorder_joins,
-        opts.cost_hints.as_deref(),
-    )?;
-    let arities = program.arities()?;
-    load_input(&mut db, &arities, input)?;
-    let n_preds = db.pred_count();
-    let query_pred = program
-        .query
-        .as_ref()
-        .and_then(|q| db.pred_id(&q.atom.pred));
-    let n_plans = plans.len();
-    let mut m = Machine {
-        db: &mut db,
-        plans,
-        active: vec![true; n_plans],
-        mark_prev: vec![0; n_preds],
-        mark_cur: vec![0; n_preds],
-        stats: EvalStats::default(),
-        provenance: opts.record_provenance.then(Provenance::new),
-        profile: opts.profile.then(|| EvalProfile {
-            rules: (0..n_plans)
-                .map(|i| RuleProfile {
-                    rule_idx: i,
-                    ..RuleProfile::default()
-                })
-                .collect(),
-            timeline: Vec::new(),
-        }),
-        query_pred,
-        boolean_cut: opts.boolean_cut,
-        threads: opts.threads.max(1),
-        metrics: opts.metrics.clone(),
-        started: Instant::now(),
-        deadline: opts.deadline,
-        fact_budget: opts.fact_budget,
-        cancel: opts.cancel.clone(),
-        trip: None,
-    };
-
+    let (mut m, _) = Machine::start(program, input.into(), opts)?;
     // Stratified evaluation: each stratum runs its own fixpoint; relations
     // of lower strata are complete by the time a negated literal reads
     // them. Pure Datalog programs form a single stratum, and this loop
@@ -1403,10 +1430,7 @@ pub fn evaluate(
             .collect();
         m.run_stratum(&mine, stratum, opts.strategy, opts.max_iterations, true)?;
     }
-    let stats = m.stats;
-    let provenance = m.provenance.take();
-    let mut profile = m.profile.take();
-    if let Some(profile) = &mut profile {
+    if let Some(profile) = &mut m.profile {
         // Fill in the source renderings now that the machine is done.
         for (i, rp) in profile.rules.iter_mut().enumerate() {
             let rule = &program.rules[i];
@@ -1415,10 +1439,10 @@ pub fn evaluate(
         }
     }
     Ok(EvalOutput {
-        database: db,
-        stats,
-        provenance,
-        profile,
+        database: m.db,
+        stats: m.stats,
+        provenance: m.provenance,
+        profile: m.profile,
     })
 }
 
@@ -1427,7 +1451,7 @@ pub fn evaluate(
 /// the query act as selections; a repeated variable forces equality.
 pub fn query_answers(
     program: &Program,
-    input: &FactSet,
+    input: impl Into<Edb>,
     opts: &EvalOptions,
 ) -> Result<(AnswerSet, EvalStats), EngineError> {
     let (answers, out) = query_answers_full(program, input, opts)?;
@@ -1439,12 +1463,12 @@ pub fn query_answers(
 /// [`EvalOptions::profile`] is set) the per-rule/per-iteration profile.
 pub fn query_answers_full(
     program: &Program,
-    input: &FactSet,
+    input: impl Into<Edb>,
     opts: &EvalOptions,
 ) -> Result<(AnswerSet, EvalOutput), EngineError> {
     let q = program
         .query
-        .clone()
+        .as_ref()
         .ok_or(EngineError::Ast(datalog_ast::AstError::NoQuery))?;
     let out = evaluate(program, input, opts)?;
     let answers = extract_answers(&q.atom, &out.database);
@@ -1554,22 +1578,29 @@ pub(crate) fn read_answers(
         }
         return answers;
     }
+    // Gathered in row order, then sorted and deduplicated once: the set is
+    // built in bulk from sorted input instead of by one B-tree insert per
+    // answer.
+    let mut found: Vec<Vec<Value>> = Vec::new();
     let mut take = |row: &[Value]| {
         if plan.admits(row) {
-            let answer = plan.out_cols.iter().map(|&col| row[col]).collect();
-            answers.rows.insert(answer);
+            found.push(plan.out_cols.iter().map(|&col| row[col]).collect());
         }
     };
     if !rel.select(&plan.selections, create_index, &mut take) {
         rel.iter().for_each(take);
     }
+    found.sort_unstable();
+    found.dedup();
+    answers.rows = found.into_iter().collect();
     answers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_program, PredRef};
+    use crate::facts::FactSet;
+    use datalog_ast::parse_program;
 
     fn chain_edb(n: i64) -> FactSet {
         let mut fs = FactSet::new();
@@ -2201,5 +2232,129 @@ mod tests {
         assert!(tree.height() >= 2);
         let rendered = tree.render();
         assert!(rendered.contains("a(0, 3)"));
+    }
+
+    /// The loader before [`Edb`]: one `insert` per fact of a `FactSet`, in
+    /// its iteration order. The reference the one loader is held to.
+    fn load_per_row(
+        db: &mut Database,
+        arities: &BTreeMap<PredRef, usize>,
+        input: &FactSet,
+    ) -> Result<(), EngineError> {
+        for (pred, tuple) in input.iter() {
+            if let Some(&expected) = arities.get(pred) {
+                if expected != tuple.len() {
+                    return Err(EngineError::FactArity {
+                        pred: pred.to_string(),
+                        expected,
+                        found: tuple.len(),
+                    });
+                }
+            }
+            let id = db.register(pred, tuple.len());
+            db.insert(id, tuple);
+        }
+        Ok(())
+    }
+
+    /// Every registered predicate with its arity and its rows, in id order.
+    fn layout(db: &Database) -> Vec<(PredRef, usize, Vec<Vec<Value>>)> {
+        (0..db.pred_count())
+            .map(|p| {
+                let id = PredId(p as u32);
+                (
+                    db.pred_ref(id).clone(),
+                    db.relation(id).arity(),
+                    db.dump_pred(id),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_one_loader_matches_per_row_inserts_row_for_row() {
+        // `p` and `q` are the program's EDB, `a` its IDB (seeded as input),
+        // `r` and `s` appear in no rule.
+        let program = parse_program(
+            "a(X, Y) :- p(X, Z), a(Z, Y).\n\
+             a(X, Y) :- p(X, Y).\n\
+             b(X) :- q(X, Y, Z).\n\
+             ?- a(X, Y).",
+        )
+        .unwrap()
+        .program;
+        let arities = program.arities().unwrap();
+        let shapes = [("p", 2), ("q", 3), ("a", 2), ("r", 1), ("s", 2)];
+        let support = shapes.iter().map(|&(name, _)| PredRef::new(name)).collect();
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for round in 0..60 {
+            // Facts in random order over a small domain, so duplicates are
+            // common and a predicate may get no facts at all.
+            let facts: Vec<(PredRef, Vec<Value>)> = (0..below(150))
+                .map(|_| {
+                    let (name, arity) = shapes[below(shapes.len() as u64) as usize];
+                    let tuple = (0..arity)
+                        .map(|_| match below(3) {
+                            0 => Value::sym(["x", "y"][below(2) as usize]),
+                            _ => Value::int(below(5) as i64 - 1),
+                        })
+                        .collect();
+                    (PredRef::new(name), tuple)
+                })
+                .collect();
+            let fs: FactSet = facts.iter().cloned().collect();
+            let mut reference = Database::new();
+            compile(&program, &arities, &mut reference, false, None);
+            load_per_row(&mut reference, &arities, &fs).unwrap();
+            let want = layout(&reference);
+
+            // The parser's table: source order, duplicates kept.
+            let text: String = facts
+                .iter()
+                .map(|(p, t)| format!("{}.\n", datalog_ast::Atom::fact(p.clone(), t.clone())))
+                .collect();
+            let parsed = parse_program(&text).unwrap().facts;
+            // A server snapshot: ingestion order, duplicates dropped.
+            let shared = crate::shared::SharedDatabase::new();
+            for (p, t) in &facts {
+                shared.insert(p, t).unwrap();
+            }
+            let inputs = [
+                ("factset", Edb::from(&fs)),
+                ("parser", parsed.into()),
+                ("snapshot", shared.snapshot().edb(&support)),
+            ];
+            for (source, edb) in inputs {
+                let (m, _) = Machine::start(&program, edb, &EvalOptions::default()).unwrap();
+                assert_eq!(layout(&m.db), want, "round {round}: {source}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_of_mixed_arities_is_refused_not_registered() {
+        let program = parse_program(TC).unwrap().program;
+        for (text, pred, expected, found) in [
+            // A predicate in no rule: the batch's first row in tuple order
+            // sets the arity.
+            ("r(1, 2).\nr(1).\n", "r", 1, 2),
+            // A predicate of the program: the program sets it.
+            ("p(1, 2).\np(3).\n", "p", 2, 1),
+        ] {
+            let facts = parse_program(text).unwrap().facts;
+            let err = evaluate(&program, facts, &EvalOptions::default()).unwrap_err();
+            let want = EngineError::FactArity {
+                pred: pred.into(),
+                expected,
+                found,
+            };
+            assert_eq!(err, want, "{text}");
+        }
     }
 }

@@ -1,9 +1,16 @@
-//! [`FactSet`]: the engine's input/output currency.
+//! [`FactSet`], [`Edb`] and [`AnswerSet`]: what goes into the engine and
+//! what comes out.
 //!
 //! A `FactSet` is an order-insensitive map from predicates to sets of
 //! tuples. It is deliberately based on `BTreeMap`/`BTreeSet` so that two
 //! fact sets compare equal iff they contain the same facts and iterate
 //! deterministically — essential for the equivalence oracles and tests.
+//!
+//! An [`Edb`] is the input of one evaluation: rows in per-predicate
+//! batches, copied at most once on their way into a
+//! [`Relation`](crate::Relation). Every entry point takes `impl Into<Edb>`,
+//! so a `&FactSet`, the parser's fact table and a server snapshot all
+//! reach the same loader.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -131,6 +138,40 @@ impl FactSet {
     }
 }
 
+/// The input rows of one evaluation: one batch per predicate, batches in
+/// ascending `PredRef` order. A batch may hold duplicates and rows in any
+/// order, and its rows' arities are not checked yet — the engine's one
+/// loader (`eval::load_input`) sorts, dedups and checks each batch before
+/// it bulk-loads it.
+#[derive(Debug)]
+pub struct Edb {
+    pub(crate) batches: Vec<(PredRef, Vec<Box<[Value]>>)>,
+}
+
+impl From<&FactSet> for Edb {
+    /// Clones every fact (a `FactSet` stays usable by its caller).
+    fn from(facts: &FactSet) -> Edb {
+        let batches = facts
+            .map
+            .iter()
+            .map(|(pred, set)| (pred.clone(), set.iter().map(|t| t[..].into()).collect()))
+            .collect();
+        Edb { batches }
+    }
+}
+
+impl From<BTreeMap<PredRef, Vec<Vec<Value>>>> for Edb {
+    /// Moves the parser's fact table in: each tuple becomes a row without
+    /// being copied.
+    fn from(facts: BTreeMap<PredRef, Vec<Vec<Value>>>) -> Edb {
+        let batches = facts
+            .into_iter()
+            .map(|(pred, rows)| (pred, rows.into_iter().map(Vec::into_boxed_slice).collect()))
+            .collect();
+        Edb { batches }
+    }
+}
+
 impl FromIterator<(PredRef, Vec<Value>)> for FactSet {
     fn from_iter<I: IntoIterator<Item = (PredRef, Vec<Value>)>>(iter: I) -> FactSet {
         let mut fs = FactSet::new();
@@ -170,12 +211,29 @@ impl AnswerSet {
     }
 }
 
+/// One line of cells separated by `", "`, each written straight to the
+/// formatter.
+fn write_line<T: std::fmt::Display>(
+    f: &mut std::fmt::Formatter<'_>,
+    cells: impl IntoIterator<Item = T>,
+) -> std::fmt::Result {
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        write!(f, "{cell}")?;
+    }
+    f.write_str("\n")
+}
+
+/// The header line of column names, then one line per answer. `xdl run`
+/// prints this and the server sends it, so it is the byte-identity
+/// surface between them.
 impl std::fmt::Display for AnswerSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{}", self.columns.join(", "))?;
+        write_line(f, &self.columns)?;
         for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-            writeln!(f, "{}", cells.join(", "))?;
+            write_line(f, row)?;
         }
         Ok(())
     }
@@ -245,6 +303,47 @@ mod tests {
         };
         unary.rows.insert(vec![Value::int(1)]);
         assert_eq!(unary.as_bool(), None);
+    }
+
+    /// The rendering before cells were written straight to the formatter:
+    /// one `String` per cell, joined. The reference `Display` is held to.
+    fn joined(a: &AnswerSet) -> String {
+        let mut out = format!("{}\n", a.columns.join(", "));
+        for row in &a.rows {
+            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+            out.push_str(&cells.join(", "));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn display_matches_the_joined_rendering() {
+        let answers = |columns: &[&str], rows: &[&[Value]]| AnswerSet {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: rows.iter().map(|r| r.to_vec()).collect(),
+        };
+        let (int, sym) = (Value::int, Value::sym);
+        let cases = [
+            // Booleans: zero columns, false then true.
+            answers(&[], &[]),
+            answers(&[], &[&[]]),
+            // Zero rows under named columns.
+            answers(&["X", "Y"], &[]),
+            answers(&["X"], &[&[int(-7)], &[int(0)], &[sym("bob")]]),
+            answers(
+                &["X", "Y", "Z"],
+                &[
+                    &[int(-3), sym("café"), int(12)],
+                    &[sym("a b"), int(-42), sym("Alice")],
+                ],
+            ),
+        ];
+        for a in &cases {
+            assert_eq!(a.to_string(), joined(a), "{a:?}");
+        }
+        assert_eq!(cases[1].to_string(), "\n\n");
+        assert_eq!(cases[3].to_string(), "X\n-7\n0\nbob\n");
     }
 
     #[test]

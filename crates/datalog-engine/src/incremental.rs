@@ -55,12 +55,11 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use datalog_ast::{Atom, PredRef, Program, Value};
-use datalog_trace::metrics::EvalHists;
 
 use crate::cancel::CancelToken;
 use crate::database::Database;
-use crate::eval::{compile, load_input, read_answers, EvalOptions, Machine, RulePlan, Strategy};
-use crate::facts::{AnswerSet, FactSet};
+use crate::eval::{read_answers, EvalOptions, Machine, Strategy};
+use crate::facts::{AnswerSet, Edb, FactSet};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
 use crate::EngineError;
@@ -134,20 +133,13 @@ pub struct DeltaReport {
 pub struct ResidentEval {
     /// Program arities, for batch validation (same check cold loading does).
     arities: BTreeMap<PredRef, usize>,
-    db: Database,
-    plans: Vec<RulePlan>,
-    /// Rule activity mask (all true — the boolean cut is disabled for
-    /// resident state; see module docs).
-    active: Vec<bool>,
-    /// Per-predicate row counts at the converged frontier. Invariant
-    /// between calls: `mark_prev[p] == mark_cur[p] == len(p)`, so a batch
-    /// insert makes the new rows exactly iteration 1's deltas.
-    mark_prev: Vec<usize>,
-    mark_cur: Vec<usize>,
-    provenance: Option<Provenance>,
+    /// The cold evaluation's machine, kept: database, plans, provenance,
+    /// threads and metrics. The boolean cut is off (see module docs), so
+    /// every rule stays active. Invariant between calls: every
+    /// predicate's `mark_prev == mark_cur == len`, so a batch insert makes
+    /// the new rows exactly iteration 1's deltas.
+    machine: Machine,
     strategy: Strategy,
-    threads: usize,
-    metrics: Option<EvalHists>,
     /// Per-propagation iteration budget (from [`EvalOptions::max_iterations`]).
     max_iterations: usize,
     /// Counters of the construction-time full fixpoint.
@@ -210,11 +202,13 @@ impl ResidentEval {
     /// applies to construction and to every later propagation.
     pub fn new(
         program: &Program,
-        input: &FactSet,
+        input: impl Into<Edb>,
         opts: &EvalOptions,
     ) -> Result<ResidentEval, EngineError> {
-        program.validate()?;
         if !ResidentEval::supports(program) {
+            // A malformed program is refused as such, as a cold start
+            // would refuse it.
+            program.validate()?;
             let pred = program
                 .rules
                 .iter()
@@ -222,60 +216,23 @@ impl ResidentEval {
                 .unwrap_or_default();
             return Err(EngineError::NonMonotone { pred });
         }
-        let mut db = Database::new();
-        let plans = compile(
-            program,
-            &mut db,
-            opts.reorder_joins,
-            opts.cost_hints.as_deref(),
-        )?;
-        let arities = program.arities()?;
-        load_input(&mut db, &arities, input)?;
-        let n_preds = db.pred_count();
-        let n_plans = plans.len();
-        let mut m = Machine {
-            db: &mut db,
-            plans,
-            active: vec![true; n_plans],
-            mark_prev: vec![0; n_preds],
-            mark_cur: vec![0; n_preds],
-            stats: EvalStats::default(),
-            provenance: opts.record_provenance.then(Provenance::new),
-            profile: None,
-            query_pred: None,
+        let resident = EvalOptions {
             boolean_cut: false,
-            threads: opts.threads.max(1),
-            metrics: opts.metrics.clone(),
-            started: Instant::now(),
-            deadline: opts.deadline,
-            fact_budget: opts.fact_budget,
-            cancel: opts.cancel.clone(),
-            trip: None,
+            profile: false,
+            ..opts.clone()
         };
+        let (mut m, arities) = Machine::start(program, input.into(), &resident)?;
+        let initial_facts = m.db.total_facts() as u64;
         // Monotone programs form a single stratum, so one stratum run with
         // a genuine seed round (`seed_first = true` — required: unit rules
         // only fire in seed rounds) is exactly what `evaluate` would do.
-        let mine: Vec<usize> = (0..n_plans).collect();
+        let mine: Vec<usize> = (0..m.plans.len()).collect();
         m.run_stratum(&mine, 0, opts.strategy, opts.max_iterations, true)?;
         let initial_stats = m.stats;
-        let plans = std::mem::take(&mut m.plans);
-        let active = std::mem::take(&mut m.active);
-        let mark_prev = std::mem::take(&mut m.mark_prev);
-        let mark_cur = std::mem::take(&mut m.mark_cur);
-        let provenance = m.provenance.take();
-        drop(m);
-        let initial_facts = input.iter().count() as u64;
         Ok(ResidentEval {
             arities,
-            db,
-            plans,
-            active,
-            mark_prev,
-            mark_cur,
-            provenance,
+            machine: m,
             strategy: opts.strategy,
-            threads: opts.threads.max(1),
-            metrics: opts.metrics.clone(),
             max_iterations: opts.max_iterations,
             initial_stats,
             cumulative: initial_stats,
@@ -310,6 +267,7 @@ impl ResidentEval {
             "ResidentEval is poisoned; drop it and re-evaluate from cold"
         );
         let started = Instant::now();
+        let m = &mut self.machine;
         // Validate the batch in full first: program arities, arities of
         // predicates registered by earlier batches, and consistency within
         // the batch itself for predicates seen here for the first time.
@@ -319,11 +277,7 @@ impl ResidentEval {
                 .arities
                 .get(&f.pred)
                 .copied()
-                .or_else(|| {
-                    self.db
-                        .pred_id(&f.pred)
-                        .map(|id| self.db.relation(id).arity())
-                })
+                .or_else(|| m.db.pred_id(&f.pred).map(|id| m.db.relation(id).arity()))
                 .or_else(|| pending.get(&f.pred).copied());
             if let Some(expected) = expected {
                 if expected != f.tuple.len() {
@@ -341,52 +295,30 @@ impl ResidentEval {
         // 1's deltas.
         let mut new_facts = 0usize;
         for f in batch {
-            let id = self.db.register(&f.pred, f.tuple.len());
-            if self.db.insert(id, &f.tuple) {
+            let id = m.db.register(&f.pred, f.tuple.len());
+            if m.db.insert(id, &f.tuple) {
                 new_facts += 1;
             }
         }
-        let mine: Vec<usize> = (0..self.plans.len()).collect();
-        let mut m = Machine {
-            db: &mut self.db,
-            plans: std::mem::take(&mut self.plans),
-            active: std::mem::take(&mut self.active),
-            mark_prev: std::mem::take(&mut self.mark_prev),
-            mark_cur: std::mem::take(&mut self.mark_cur),
-            stats: EvalStats::default(),
-            provenance: self.provenance.take(),
-            profile: None,
-            query_pred: None,
-            boolean_cut: false,
-            threads: self.threads,
-            metrics: self.metrics.clone(),
-            started,
-            deadline: limits.deadline,
-            fact_budget: None,
-            cancel: limits.cancel.clone(),
-            trip: None,
-        };
+        // This propagation's counters and limits; there is no fact budget.
+        m.stats = EvalStats::default();
+        m.started = started;
+        m.deadline = limits.deadline;
+        m.fact_budget = None;
+        m.cancel = limits.cancel.clone();
         // No seed round: the frontier is converged, so iteration 1's
         // delta variants see exactly the batch rows. A batch that inserted
         // nothing (racing drains hand over rows the frontier already holds)
         // leaves every delta empty: the frontier is still converged and is
         // re-published without an iteration.
-        let result = if new_facts == 0 {
-            Ok(())
-        } else {
-            m.run_stratum(&mine, 0, self.strategy, self.max_iterations, false)
-        };
-        let stats = m.stats;
-        self.plans = std::mem::take(&mut m.plans);
-        self.active = std::mem::take(&mut m.active);
-        self.mark_prev = std::mem::take(&mut m.mark_prev);
-        self.mark_cur = std::mem::take(&mut m.mark_cur);
-        self.provenance = m.provenance.take();
-        drop(m);
-        if let Err(e) = result {
-            self.poisoned = true;
-            return Err(e);
+        if new_facts > 0 {
+            let mine: Vec<usize> = (0..m.plans.len()).collect();
+            if let Err(e) = m.run_stratum(&mine, 0, self.strategy, self.max_iterations, false) {
+                self.poisoned = true;
+                return Err(e);
+            }
         }
+        let stats = m.stats;
         add_stats(&mut self.cumulative, &stats);
         self.batches += 1;
         self.applied_facts += new_facts as u64;
@@ -415,18 +347,18 @@ impl ResidentEval {
     /// no index covers creates that column's read index and every later one
     /// probes it: a point read costs its answers, not the relation.
     pub fn answers(&self, q_atom: &Atom) -> AnswerSet {
-        read_answers(q_atom, &self.db, true)
+        read_answers(q_atom, &self.machine.db, true)
     }
 
     /// The resident database (EDB + all derived facts at the frontier).
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.machine.db
     }
 
     /// Canonical fact export of the frontier (set-identical to a cold
     /// fixpoint over the union of all inputs).
     pub fn dump(&self) -> FactSet {
-        self.db.dump()
+        self.machine.db.dump()
     }
 
     /// Counters of the construction-time full fixpoint.
@@ -453,7 +385,7 @@ impl ResidentEval {
     /// Derivation provenance across construction and all batches, if
     /// requested at construction.
     pub fn provenance(&self) -> Option<&Provenance> {
-        self.provenance.as_ref()
+        self.machine.provenance.as_ref()
     }
 
     /// Whether a failed propagation left the frontier inconsistent.
@@ -472,7 +404,7 @@ impl ResidentEval {
     /// Total sealed sorted-run count across the resident database's
     /// relations — the `xdl_storage_runs` input.
     pub fn storage_runs(&self) -> usize {
-        self.db.storage_runs()
+        self.machine.db.storage_runs()
     }
 }
 

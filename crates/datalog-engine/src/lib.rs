@@ -6,8 +6,10 @@
 //!
 //! Features:
 //!
-//! * [`FactSet`]: a simple, order-insensitive fact store used as the engine's
-//!   input/output currency and by the equivalence oracles;
+//! * [`FactSet`]: a simple, order-insensitive fact store used by tests and
+//!   the equivalence oracles, and [`Edb`]: the input of one evaluation, in
+//!   per-predicate batches that reach the relations by one sorted bulk load
+//!   each;
 //! * [`Relation`]/[`Database`]: interned-predicate tuple storage backed by
 //!   sorted runs — a bounded mutable tail plus immutable runs per planned
 //!   key-column set, bloom-gated probes, and binary-search dedup — the one
@@ -45,7 +47,7 @@ pub use database::{Database, PredId};
 pub use eval::{
     evaluate, extract_answers, query_answers, query_answers_full, EvalOptions, EvalOutput, Strategy,
 };
-pub use facts::{AnswerSet, FactSet};
+pub use facts::{AnswerSet, Edb, FactSet};
 pub use incremental::{DeltaLimits, DeltaReport, Fact, ResidentEval};
 pub use optimistic::optimistic_fixpoint;
 pub use oracle::{uniform_query_test, uniform_test};
@@ -69,7 +71,9 @@ use datalog_ast::AstError;
 pub enum EngineError {
     /// Structural problem in the program (unsafe rule, arity clash, ...).
     Ast(AstError),
-    /// A fact's arity disagrees with the predicate's arity in the program.
+    /// A fact's arity disagrees with its predicate's arity in the program,
+    /// or — for a predicate the program does not mention — with the
+    /// predicate's other facts.
     FactArity {
         pred: String,
         expected: usize,
@@ -138,10 +142,7 @@ impl std::fmt::Display for EngineError {
                 pred,
                 expected,
                 found,
-            } => write!(
-                f,
-                "fact for {pred} has arity {found}, program uses {expected}"
-            ),
+            } => write!(f, "fact for {pred} has arity {found}, expected {expected}"),
             EngineError::IterationLimit { limit, .. } => {
                 write!(f, "fixpoint did not converge within {limit} iterations")
             }

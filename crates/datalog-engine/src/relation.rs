@@ -111,7 +111,7 @@ impl Relation {
     /// first sightings kept, in batch order — but into an empty relation
     /// duplicates are found by one order-preserving sort instead of per-row
     /// hashing, and the whole batch becomes one sorted run at once (the
-    /// manifest-recovery fast path).
+    /// manifest-recovery fast path, and every cold evaluation's load).
     ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.

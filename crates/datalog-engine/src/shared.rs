@@ -25,13 +25,13 @@
 //! answers; per-relation watermarks give the precise "did anything this
 //! query depends on change" test.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use datalog_ast::{PredRef, Value};
 
-use crate::facts::FactSet;
+use crate::facts::{Edb, FactSet};
 use crate::relation::Relation;
 
 /// Recover the guard from a possibly poisoned lock acquisition.
@@ -187,6 +187,14 @@ impl SharedRelation {
         let end = end.min(rel.len());
         let start = start.min(end);
         rel.rows_in(start, end).map(|(_, r)| r.to_vec()).collect()
+    }
+
+    /// Copy of the first `end` committed rows as boxed rows (an [`Edb`]
+    /// batch), under one read lock.
+    fn rows_to(&self, end: usize) -> Vec<Box<[Value]>> {
+        let rel = lock_or_recover(self.store.read());
+        let end = end.min(rel.len());
+        rel.rows_in(0, end).map(|(_, r)| r.into()).collect()
     }
 }
 
@@ -368,8 +376,23 @@ impl DbSnapshot {
             .map_or_else(Vec::new, |(_, rel, w)| rel.range(start, *w))
     }
 
-    /// Materialize the snapshot as a [`FactSet`] — the engine's input
-    /// currency — copying only up to each relation's watermark.
+    /// The cold input of a query form: the rows of the `support`
+    /// predicates visible in this snapshot, each copied once, under its
+    /// relation's read lock, into an [`Edb`] batch. Predicates with no
+    /// visible row are left out; the rest come in `PredRef` order, the
+    /// order the snapshot lists relations in.
+    pub fn edb(&self, support: &BTreeSet<PredRef>) -> Edb {
+        let batches = self
+            .rels
+            .iter()
+            .filter(|(pred, _, w)| *w > 0 && support.contains(pred))
+            .map(|(pred, rel, w)| (pred.clone(), rel.rows_to(*w)))
+            .collect();
+        Edb { batches }
+    }
+
+    /// Materialize the snapshot as a [`FactSet`], copying only up to each
+    /// relation's watermark.
     pub fn to_factset(&self) -> FactSet {
         let mut fs = FactSet::new();
         for (pred, rel, w) in &self.rels {

@@ -30,9 +30,7 @@ use std::time::{Duration, Instant};
 use datalog_adorn::query_adornment;
 use datalog_ast::{check_arity, parse_program, Adornment, Atom, Query};
 use datalog_engine::incremental::ResidentEval;
-use datalog_engine::{
-    query_answers_full, DbSnapshot, EngineError, EvalOptions, EvalStats, FactSet,
-};
+use datalog_engine::{query_answers_full, DbSnapshot, EngineError, EvalOptions, EvalStats};
 use datalog_opt::{prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::Json;
 
@@ -113,29 +111,18 @@ struct ColdSpans {
     stats: EvalStats,
 }
 
-/// The one cold input: the snapshot restricted to a form's EDB support —
-/// the only predicates that can affect its answers.
-fn support_input(prepared: &PreparedProgram, snapshot: &DbSnapshot) -> FactSet {
-    let mut input = FactSet::new();
-    for pred in &prepared.support {
-        for row in snapshot.rows(pred) {
-            input.insert(pred.clone(), row);
-        }
-    }
-    input
-}
-
-/// Run a form's canonical program over its support at `snapshot`, keeping
-/// the working state for delta propagation. `applied` records the snapshot
-/// it was built from, so the next catch-up starts exactly where
-/// construction stopped. First pin, lazy rebuild and background rebuild
-/// all build here.
+/// Run a form's canonical program over its support at `snapshot` (the
+/// only predicates that can affect its answers, each row copied once
+/// straight into the batch the engine bulk-loads), keeping the working
+/// state for delta propagation. `applied` records the snapshot it was
+/// built from, so the next catch-up starts exactly where construction
+/// stopped. First pin, lazy rebuild and background rebuild all build here.
 pub(crate) fn build_resident(
     prepared: &PreparedProgram,
     snapshot: &DbSnapshot,
     opts: &EvalOptions,
 ) -> Result<ResidentForm, EngineError> {
-    let eval = ResidentEval::new(&prepared.program, &support_input(prepared, snapshot), opts)?;
+    let eval = ResidentEval::new(&prepared.program, snapshot.edb(&prepared.support), opts)?;
     Ok(ResidentForm {
         eval,
         applied: watermarks_at(prepared, snapshot),
@@ -399,7 +386,8 @@ impl ServerState {
                 let program = prepared.instantiate(&ctx.query.atom).ok_or_else(|| {
                     Response::err_code(ErrCode::Internal, "query does not match its cached form")
                 })?;
-                query_answers_full(&program, &support_input(prepared, &ctx.snapshot), &opts)
+                let input = ctx.snapshot.edb(&prepared.support);
+                query_answers_full(&program, input, &opts)
                     .map(|(answers, out)| (answers, out.stats, None))
             }
         };

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use datalog_ast::parse_program;
-use datalog_engine::{query_answers_full, EvalOptions, FactSet};
+use datalog_engine::{query_answers_full, EvalOptions};
 use datalog_opt::{optimize, OptimizerConfig};
 use datalog_server::{
     render_answers, Client, ErrCode, FaultPlan, Request, Response, Server, ServerConfig,
@@ -32,13 +32,12 @@ use util::TempDir;
 fn xdl_run_reference(src: &str) -> String {
     let parsed = parse_program(src).unwrap();
     parsed.program.validate().unwrap();
-    let facts = FactSet::from_parsed(&parsed.facts);
     let out = optimize(&parsed.program, &OptimizerConfig::default()).unwrap();
     let opts = EvalOptions {
         boolean_cut: true,
         ..EvalOptions::default()
     };
-    let (answers, _) = query_answers_full(&out.program, &facts, &opts).unwrap();
+    let (answers, _) = query_answers_full(&out.program, parsed.facts, &opts).unwrap();
     render_answers(&answers)
 }
 
@@ -640,6 +639,63 @@ fn crash_without_shutdown_loses_nothing_fsync_always() {
     let resp = c.query("?- a(1, X).").unwrap();
     assert!(resp.ok, "{}", resp.error);
     assert_eq!(resp.payload_text(), reference);
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// A logged fact or rule is its rendering, so a quoted constant must come
+/// back as the same constant: `"Alice"` not as a variable, `"a b"` not as
+/// a parse error, `"42"` not as an integer.
+#[test]
+fn quoted_constants_survive_a_crash_restart() {
+    let dir = TempDir::new("quoted");
+    let wal_dir = dir.path().join("wal");
+    let rules = "named(X) :- p(X), q(X, \"A\").\n";
+    let facts = [
+        "p(\"Alice\").",
+        "p(\"a b\").",
+        "p(\"café\").",
+        "p(\"42\").",
+        "p(bob).",
+        "q(\"Alice\", \"A\").",
+        "q(\"a b\", \"A\").",
+        "q(bob, a).",
+    ];
+    let queries = ["?- p(X).", "?- named(X).", "?- q(X, Y)."];
+    let cfg = ServerConfig {
+        wal_dir: Some(wal_dir),
+        ..ServerConfig::default()
+    };
+    let before: Vec<String> = {
+        let server = Server::spawn(&cfg).unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert!(
+            c.load(dir.file("named.dl", rules).to_str().unwrap())
+                .unwrap()
+                .ok
+        );
+        for f in facts {
+            let resp = c.fact(f).unwrap();
+            assert!(resp.ok, "{f}: {}", resp.error);
+        }
+        let answers = queries.map(|q| c.query(q).unwrap().payload_text());
+        // No SHUTDOWN: the log alone must carry the state.
+        std::mem::forget(server);
+        answers.into()
+    };
+    let src = |q: &str| format!("{rules}{}\n{q}\n", facts.join("\n"));
+    for (q, served) in queries.iter().zip(&before) {
+        assert_eq!(*served, xdl_run_reference(&src(q)), "{q}");
+    }
+    assert_eq!(before[1].lines().count(), 3, "{}", before[1]);
+
+    let server = Server::spawn(&cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.stats().unwrap().payload_text();
+    assert!(stats.contains("\"skipped\":0"), "{stats}");
+    for (q, served) in queries.iter().zip(&before) {
+        assert_eq!(&c.query(q).unwrap().payload_text(), served, "{q}");
+    }
     c.shutdown().unwrap();
     server.join();
 }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use datalog_ast::parse_program;
-use datalog_engine::{query_answers_full, EvalOptions, FactSet};
+use datalog_engine::{query_answers_full, EvalOptions};
 use datalog_opt::{optimize, OptimizerConfig};
 use datalog_server::{render_answers, Client, Server, ServerConfig};
 use util::TempDir;
@@ -22,13 +22,12 @@ use util::TempDir;
 fn xdl_run_reference(src: &str) -> String {
     let parsed = parse_program(src).unwrap();
     parsed.program.validate().unwrap();
-    let facts = FactSet::from_parsed(&parsed.facts);
     let out = optimize(&parsed.program, &OptimizerConfig::default()).unwrap();
     let opts = EvalOptions {
         boolean_cut: true,
         ..EvalOptions::default()
     };
-    let (answers, _) = query_answers_full(&out.program, &facts, &opts).unwrap();
+    let (answers, _) = query_answers_full(&out.program, parsed.facts, &opts).unwrap();
     render_answers(&answers)
 }
 

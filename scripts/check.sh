@@ -458,6 +458,72 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] \
 fi
 echo "check.sh: manifest-refusal smoke ok"
 
+# Quoted-constant smoke: the WAL logs a fact as its rendering, so string
+# constants that are no bare identifier (an upper-case initial, a space,
+# UTF-8) must be quoted there to come back as themselves after a SIGKILL —
+# no record skipped, and the answer byte-identical to `xdl run`.
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-quoted" \
+    > "$smoke_dir/serve-quoted.out" &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-quoted.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "check.sh: quoted-constant smoke server did not announce" >&2
+    exit 1
+fi
+./target/release/xdl query --connect "$addr" --fact 'p("Alice").' --fact 'p("a b").' \
+    --fact 'p("café").'
+kill -9 "$serve_pid"
+wait "$serve_pid" 2>/dev/null || true
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-quoted" \
+    > "$smoke_dir/serve-quoted2.out" &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-quoted2.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ] || ! grep -q '"skipped":0' "$smoke_dir/serve-quoted2.out"; then
+    echo "check.sh: quoted constants did not all recover:" >&2
+    cat "$smoke_dir/serve-quoted2.out" >&2
+    exit 1
+fi
+./target/release/xdl query --connect "$addr" '?- p(X).' > "$smoke_dir/served-quoted.out"
+printf 'p("Alice").\np("a b").\np("café").\n?- p(X).\n' > "$smoke_dir/quoted.dl"
+./target/release/xdl run "$smoke_dir/quoted.dl" > "$smoke_dir/ran-quoted.out"
+if ! cmp -s "$smoke_dir/served-quoted.out" "$smoke_dir/ran-quoted.out"; then
+    echo "check.sh: recovered quoted constants differ from xdl run:" >&2
+    diff "$smoke_dir/served-quoted.out" "$smoke_dir/ran-quoted.out" >&2 || true
+    exit 1
+fi
+./target/release/xdl query --connect "$addr" --shutdown
+wait "$serve_pid"
+serve_pid=""
+echo "check.sh: quoted-constant smoke ok"
+
+# Broken-pipe smoke: a reader that takes one line of 80 000 answers and
+# leaves is an ordinary end of output for `xdl run` — exit 0, nothing on
+# stderr.
+awk 'BEGIN { for (i = 0; i < 80000; i++) printf "p(%d).\n", i; print "?- p(X)." }' \
+    > "$smoke_dir/wide.dl"
+{
+    status=0
+    ./target/release/xdl run "$smoke_dir/wide.dl" 2> "$smoke_dir/pipe.err" || status=$?
+    echo "$status" > "$smoke_dir/pipe.status"
+} | head -1 > "$smoke_dir/pipe.head"
+if [ "$(cat "$smoke_dir/pipe.status")" != 0 ] || [ -s "$smoke_dir/pipe.err" ] \
+    || [ "$(cat "$smoke_dir/pipe.head")" != X ]; then
+    echo "check.sh: xdl run | head -1 exited $(cat "$smoke_dir/pipe.status"):" >&2
+    cat "$smoke_dir/pipe.err" >&2
+    exit 1
+fi
+echo "check.sh: broken-pipe smoke ok"
+
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
 # thread counts, resident vs cold in bulk and single-fact batches, the
 # storage self-check, optimizer on and off) over programs nobody wrote by hand. The
