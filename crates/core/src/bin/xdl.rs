@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! xdl run <file.dl> [--no-optimize] [--no-cut] [--stats] [--report] [--profile[=json]] [--json]
-//!         [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>] [--threads <n>]
-//! xdl profile <file.dl> [--json] [--no-optimize] [--no-cut] [--top <n>] [--threads <n>]
+//!         [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>]
+//! xdl profile <file.dl> [--json] [--no-optimize] [--no-cut] [--top <n>]
+//!         [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>]
 //! xdl optimize <file.dl> [--rewrite-only] [--aggressive]
 //! xdl lint <file.dl>... [--json] [--bounds] [--deny-warnings]
 //! xdl verify-opt <file.dl>... [--json]
@@ -11,26 +12,27 @@
 //! xdl explain <file.dl> <fact>
 //! xdl grammar <file.dl> [--words <len>] [--monadic first|second]
 //! xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]
-//! xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>]
+//! xdl serve [--port <p>] [--verify] [--wal <dir>]
 //!           [--fsync always|batch|never] [--compact-every <n>]
-//!           [--max-conns <n>] [--max-inflight <n>] [--deadline-ms <ms>]
-//!           [--budget <n>] [--grace-ms <ms>] [--slow-query-ms <ms>]
+//!           [--max-conns <n>] [--deadline-ms <ms>] [--budget <n>]
+//!           [--grace-ms <ms>] [--slow-query-ms <ms>]
 //!           [--resident-forms <n>] [--rebuild-ms <ms>]
 //! xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]...
 //!           [--stats] [--trace] [--shutdown] ['?- atom.']
 //! xdl metrics --connect <addr> [--json | --watch]
 //! ```
 //!
-//! `--threads <n>` fans each fixpoint iteration's rule applications out
-//! over `n` worker threads; answers, stats, provenance, and profile
-//! counters are byte-identical to `--threads 1` at any `n`. For `serve`,
-//! `--threads` sets each query's evaluation threads (when omitted, the
-//! machine's available parallelism), each connection is served on its own
-//! thread up to `--max-conns` (default 64; the next one gets `ERR busy`),
-//! joins are always greedily reordered, and `--resident-forms <n>` bounds
-//! the incrementally maintained query forms (0 disables; default 8).
-//! `--rebuild-ms <ms>` sets the base backoff between rebuild attempts for
-//! a poisoned resident. `query` answers are byte-identical to `xdl run`.
+//! Every fixpoint runs on the calling thread. For `serve`, each connection
+//! is served on its own thread up to `--max-conns` (default 64; the next
+//! one gets `ERR busy`), joins are always greedily reordered, and
+//! `--resident-forms <n>` bounds the incrementally maintained query forms
+//! (0 disables; default 8). `--rebuild-ms <ms>` sets the base backoff
+//! between rebuild attempts for a poisoned resident. `query` answers are
+//! byte-identical to `xdl run`.
+//!
+//! Each subcommand parses its arguments once, against its own flags and
+//! valued options: an option it does not know is a usage error, and an
+//! option's value is never read as a file.
 //!
 //! Exit codes: 0 on success; 1 when `lint` reports an error-severity
 //! diagnostic or `verify-opt` fails a check; 2 on usage or I/O errors.
@@ -69,8 +71,9 @@ fn main() -> ExitCode {
 fn usage() -> String {
     "usage:\n  \
      xdl run <file.dl> [--no-optimize] [--no-cut] [--stats] [--report] [--profile[=json]] \
-     [--json] [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>] [--threads <n>]\n  \
-     xdl profile <file.dl> [--json] [--no-optimize] [--no-cut] [--top <n>] [--threads <n>]\n  \
+     [--json] [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>]\n  \
+     xdl profile <file.dl> [--json] [--no-optimize] [--no-cut] [--top <n>] \
+     [--max-iterations <n>] [--deadline-ms <ms>] [--budget <n>]\n  \
      xdl optimize <file.dl> [--rewrite-only] [--aggressive]\n  \
      xdl lint <file.dl>... [--json] [--bounds] [--deny-warnings]\n  \
      xdl verify-opt <file.dl>... [--json]\n  \
@@ -78,9 +81,9 @@ fn usage() -> String {
      xdl explain <file.dl> <fact>\n  \
      xdl grammar <file.dl> [--words <len>] [--monadic first|second]\n  \
      xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]\n  \
-     xdl serve [--port <p>] [--threads <n>] [--verify] [--wal <dir>] \
+     xdl serve [--port <p>] [--verify] [--wal <dir>] \
      [--fsync always|batch|never] [--compact-every <n>] [--max-conns <n>] \
-     [--max-inflight <n>] [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
+     [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
      [--slow-query-ms <ms>] [--resident-forms <n>] [--rebuild-ms <ms>]\n  \
      xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]... \
      [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
@@ -91,21 +94,57 @@ fn usage() -> String {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or_else(usage)?;
-    let rest: Vec<&String> = it.collect();
+    let rest: Vec<&str> = it.map(String::as_str).collect();
     let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
+    let parse = |flags: &[&str], valued: &[&str]| Args::parse(&rest, flags, valued);
     match cmd.as_str() {
-        "run" => done(cmd_run(&rest)),
-        "profile" => done(cmd_profile(&rest)),
-        "optimize" => done(cmd_optimize(&rest)),
-        "lint" => cmd_lint(&rest),
-        "verify-opt" => cmd_verify_opt(&rest),
-        "analyze" => done(cmd_analyze(&rest)),
-        "explain" => done(cmd_explain(&rest)),
-        "grammar" => done(cmd_grammar(&rest)),
-        "check" => done(cmd_check(&rest)),
-        "serve" => done(cmd_serve(&rest)),
-        "query" => done(cmd_query(&rest)),
-        "metrics" => done(cmd_metrics(&rest)),
+        "run" => done(cmd_run(&parse(
+            &[
+                "--no-optimize",
+                "--no-cut",
+                "--stats",
+                "--report",
+                "--profile",
+                "--profile=json",
+                "--json",
+            ],
+            &["--max-iterations", "--deadline-ms", "--budget"],
+        )?)),
+        "profile" => done(cmd_profile(&parse(
+            &["--json", "--no-optimize", "--no-cut"],
+            &["--top", "--max-iterations", "--deadline-ms", "--budget"],
+        )?)),
+        "optimize" => done(cmd_optimize(&parse(
+            &["--rewrite-only", "--aggressive"],
+            &[],
+        )?)),
+        "lint" => cmd_lint(&parse(&["--json", "--bounds", "--deny-warnings"], &[])?),
+        "verify-opt" => cmd_verify_opt(&parse(&["--json"], &[])?),
+        "analyze" => done(cmd_analyze(&parse(&["--json"], &[])?)),
+        "explain" => done(cmd_explain(&parse(&[], &[])?)),
+        "grammar" => done(cmd_grammar(&parse(&[], &["--words", "--monadic"])?)),
+        "check" => done(cmd_check(&parse(&["--seed-idb"], &["--instances"])?)),
+        "serve" => done(cmd_serve(&parse(
+            &["--verify"],
+            &[
+                "--port",
+                "--wal",
+                "--fsync",
+                "--compact-every",
+                "--max-conns",
+                "--deadline-ms",
+                "--budget",
+                "--grace-ms",
+                "--slow-query-ms",
+                "--resident-forms",
+                "--rebuild-ms",
+            ],
+        )?)),
+        "query" => done(cmd_query(&parse(
+            &["--stats", "--trace", "--shutdown"],
+            &["--connect", "--load", "--fact"],
+        )?)),
+        "metrics" => done(cmd_metrics(&parse(&["--json", "--watch"], &["--connect"])?)),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
@@ -114,33 +153,67 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn flag(rest: &[&String], name: &str) -> bool {
-    rest.iter().any(|a| a.as_str() == name)
+/// One subcommand's arguments, read in a single pass against its table of
+/// flags and valued options.
+struct Args<'a> {
+    flags: Vec<&'a str>,
+    /// Valued options in command-line order; `--load` and `--fact` repeat.
+    values: Vec<(&'a str, &'a str)>,
+    positionals: Vec<&'a str>,
 }
 
-fn option_value<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a.as_str() == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
+impl<'a> Args<'a> {
+    /// An unknown `--option` is a usage error, and the argument after a
+    /// valued option is always its value, never a positional.
+    fn parse(rest: &[&'a str], flags: &[&str], valued: &[&str]) -> Result<Args<'a>, String> {
+        let mut args = Args {
+            flags: Vec::new(),
+            values: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut it = rest.iter().copied();
+        while let Some(a) = it.next() {
+            if flags.contains(&a) {
+                args.flags.push(a);
+            } else if valued.contains(&a) {
+                let value = it.next().ok_or_else(|| format!("{a} takes a value"))?;
+                args.values.push((a, value));
+            } else if a.starts_with("--") {
+                return Err(format!("unknown option '{a}'\n{}", usage()));
+            } else {
+                args.positionals.push(a);
+            }
+        }
+        Ok(args)
+    }
 
-fn positionals<'a>(rest: &'a [&String]) -> Vec<&'a str> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        // Skip values that follow a --option.
-        .scan(false, |skip, a| {
-            let was_skip = *skip;
-            *skip = false;
-            Some((was_skip, a))
-        })
-        .filter(|(skip, _)| !skip)
-        .map(|(_, a)| a.as_str())
-        .collect()
-}
+    fn flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
 
-fn positional<'a>(rest: &'a [&String], idx: usize) -> Option<&'a str> {
-    positionals(rest).get(idx).copied()
+    /// The value of the first occurrence of `name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.all(name).next()
+    }
+
+    /// Every value given to `name`, in order.
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values
+            .iter()
+            .filter(move |(option, _)| *option == name)
+            .map(|&(_, value)| value)
+    }
+
+    /// `name`'s value parsed, or `None` when it was not given.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("{name} takes {what}")))
+            .transpose()
+    }
+
+    fn positional(&self, idx: usize) -> Option<&'a str> {
+        self.positionals.get(idx).copied()
+    }
 }
 
 /// A file's facts as the parser groups them: what `run`, `profile` and
@@ -161,7 +234,7 @@ fn load(path: &str) -> Result<(Program, Facts), String> {
 /// Load, optionally optimize, and evaluate one `.dl` file with the given
 /// profiling switch. Shared by `run` and `profile`.
 fn prepare_and_eval(
-    rest: &[&String],
+    args: &Args,
     profile: bool,
 ) -> Result<
     (
@@ -171,12 +244,12 @@ fn prepare_and_eval(
     ),
     String,
 > {
-    let path = positional(rest, 0).ok_or_else(usage)?;
+    let path = args.positional(0).ok_or_else(usage)?;
     let (program, facts) = load(path)?;
     if program.query.is_none() {
         return Err(format!("{path}: no query (`?- ...`) in file"));
     }
-    let (program, report) = if flag(rest, "--no-optimize") {
+    let (program, report) = if args.flag("--no-optimize") {
         (program, None)
     } else {
         let out = optimize(&program, &OptimizerConfig::default())
@@ -184,22 +257,16 @@ fn prepare_and_eval(
         (out.program, Some(out.report))
     };
     let mut opts = EvalOptions {
-        boolean_cut: !flag(rest, "--no-cut"),
+        boolean_cut: !args.flag("--no-cut"),
         profile,
+        fact_budget: args.parsed("--budget", "a number")?,
         ..EvalOptions::default()
     };
-    if let Some(n) = option_value(rest, "--max-iterations") {
-        opts.max_iterations = n.parse().map_err(|_| "--max-iterations takes a number")?;
+    if let Some(n) = args.parsed("--max-iterations", "a number")? {
+        opts.max_iterations = n;
     }
-    if let Some(ms) = option_value(rest, "--deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "--deadline-ms takes milliseconds")?;
+    if let Some(ms) = args.parsed("--deadline-ms", "milliseconds")? {
         opts.deadline = Some(std::time::Instant::now() + std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = option_value(rest, "--budget") {
-        opts.fact_budget = Some(n.parse().map_err(|_| "--budget takes a number")?);
-    }
-    if let Some(n) = option_value(rest, "--threads") {
-        opts.threads = n.parse().map_err(|_| "--threads takes a number")?;
     }
     let (answers, out) = query_answers_full(&program, facts, &opts).map_err(|e| {
         // Resource-limit trips report how far the evaluation got; other
@@ -215,24 +282,15 @@ fn prepare_and_eval(
     Ok((answers, out, report))
 }
 
-fn cmd_run(rest: &[&String]) -> Result<(), String> {
+fn cmd_run(args: &Args) -> Result<(), String> {
     // `--profile` prints the human table, `--profile=json` the JSON export.
-    if let Some(bad) = rest
-        .iter()
-        .find(|a| a.starts_with("--profile=") && a.as_str() != "--profile=json")
-    {
-        return Err(format!(
-            "unknown profile format '{}' (use --profile or --profile=json)",
-            &bad["--profile=".len()..]
-        ));
-    }
-    let profile_json = flag(rest, "--profile=json");
-    let profile = profile_json || flag(rest, "--profile");
-    let (answers, out, report) = prepare_and_eval(rest, profile)?;
+    let profile_json = args.flag("--profile=json");
+    let profile = profile_json || args.flag("--profile");
+    let (answers, out, report) = prepare_and_eval(args, profile)?;
     // One buffer, flushed once: a large answer set is a few writes, not
     // one per line. Stdout is flushed before anything goes to stderr, so
     // the two interleave as they always have.
-    let shown_report = report.as_ref().filter(|_| flag(rest, "--report"));
+    let shown_report = report.as_ref().filter(|_| args.flag("--report"));
     let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
     match write_run_output(&mut stdout, shown_report, &answers) {
         Ok(()) => {}
@@ -241,8 +299,8 @@ fn cmd_run(rest: &[&String]) -> Result<(), String> {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
         Err(e) => return Err(format!("cannot write answers: {e}")),
     }
-    if flag(rest, "--stats") {
-        if flag(rest, "--json") {
+    if args.flag("--stats") {
+        if args.flag("--json") {
             eprintln!("{}", out.stats.to_json().to_pretty());
         } else {
             eprintln!("{}", out.stats);
@@ -296,14 +354,11 @@ fn profile_json_doc(
     doc
 }
 
-fn cmd_profile(rest: &[&String]) -> Result<(), String> {
-    let top = match option_value(rest, "--top") {
-        Some(n) => Some(n.parse::<usize>().map_err(|_| "--top takes a number")?),
-        None => None,
-    };
-    let (answers, out, report) = prepare_and_eval(rest, true)?;
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let top = args.parsed("--top", "a number")?;
+    let (answers, out, report) = prepare_and_eval(args, true)?;
     let p = out.profile.as_ref().expect("profiling was requested");
-    if flag(rest, "--json") {
+    if args.flag("--json") {
         println!(
             "{}",
             profile_json_doc(p, &out.stats, report.as_ref()).to_pretty()
@@ -326,12 +381,12 @@ fn cmd_profile(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_optimize(rest: &[&String]) -> Result<(), String> {
-    let path = positional(rest, 0).ok_or_else(usage)?;
+fn cmd_optimize(args: &Args) -> Result<(), String> {
+    let path = args.positional(0).ok_or_else(usage)?;
     let (program, _) = load(path)?;
-    let cfg = if flag(rest, "--rewrite-only") {
+    let cfg = if args.flag("--rewrite-only") {
         OptimizerConfig::rewrite_only()
-    } else if flag(rest, "--aggressive") {
+    } else if args.flag("--aggressive") {
         OptimizerConfig::aggressive()
     } else {
         OptimizerConfig::default()
@@ -342,20 +397,20 @@ fn cmd_optimize(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(rest: &[&String]) -> Result<ExitCode, String> {
-    let files = positionals(rest);
+fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
+    let files = &args.positionals;
     if files.is_empty() {
         return Err(format!("lint needs at least one file\n{}", usage()));
     }
-    let json = flag(rest, "--json");
+    let json = args.flag("--json");
     // `--bounds` restricts the run to the size-bound analysis: only the
     // bound-* diagnostics, plus the per-predicate bound table.
-    let bounds_only = flag(rest, "--bounds");
-    let deny_warnings = flag(rest, "--deny-warnings");
+    let bounds_only = args.flag("--bounds");
+    let deny_warnings = args.flag("--deny-warnings");
     let mut errors = 0usize;
     let mut warnings = 0usize;
     let mut docs: Vec<existential_datalog::prelude::Json> = Vec::new();
-    for path in &files {
+    for path in files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let (diags, table) = if bounds_only {
             match existential_datalog::ast::parse_program(&text) {
@@ -416,15 +471,15 @@ fn cmd_lint(rest: &[&String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_verify_opt(rest: &[&String]) -> Result<ExitCode, String> {
-    let files = positionals(rest);
+fn cmd_verify_opt(args: &Args) -> Result<ExitCode, String> {
+    let files = &args.positionals;
     if files.is_empty() {
         return Err(format!("verify-opt needs at least one file\n{}", usage()));
     }
-    let json = flag(rest, "--json");
+    let json = args.flag("--json");
     let mut all_ok = true;
     let mut docs: Vec<existential_datalog::prelude::Json> = Vec::new();
-    for path in &files {
+    for path in files {
         let (program, _) = load(path)?;
         if program.query.is_none() {
             return Err(format!("{path}: no query (`?- ...`) in file"));
@@ -462,12 +517,12 @@ fn cmd_verify_opt(rest: &[&String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_analyze(rest: &[&String]) -> Result<(), String> {
-    let path = positional(rest, 0).ok_or_else(usage)?;
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let path = args.positional(0).ok_or_else(usage)?;
     let (program, _) = load(path)?;
     let findings = existential_datalog::opt::analyze(&program);
     let bounds = existential_datalog::lint::analyze_bounds(&program).ok();
-    if flag(rest, "--json") {
+    if args.flag("--json") {
         let arr = existential_datalog::prelude::Json::Arr(
             findings
                 .iter()
@@ -495,9 +550,11 @@ fn cmd_analyze(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explain(rest: &[&String]) -> Result<(), String> {
-    let path = positional(rest, 0).ok_or_else(usage)?;
-    let fact_text = positional(rest, 1).ok_or("explain needs a fact, e.g. 'a(1, 3)'")?;
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let path = args.positional(0).ok_or_else(usage)?;
+    let fact_text = args
+        .positional(1)
+        .ok_or("explain needs a fact, e.g. 'a(1, 3)'")?;
     let (program, facts) = load(path)?;
     let fact = parse_atom(fact_text).map_err(|e| format!("bad fact '{fact_text}': {e}"))?;
     let values = fact
@@ -526,13 +583,12 @@ fn cmd_explain(rest: &[&String]) -> Result<(), String> {
     }
 }
 
-fn cmd_grammar(rest: &[&String]) -> Result<(), String> {
-    let path = positional(rest, 0).ok_or_else(usage)?;
+fn cmd_grammar(args: &Args) -> Result<(), String> {
+    let path = args.positional(0).ok_or_else(usage)?;
     let (program, _) = load(path)?;
     let cfg = program_to_grammar(&program).map_err(|e| format!("{e}"))?;
     print!("{}", cfg.to_text());
-    if let Some(len) = option_value(rest, "--words") {
-        let len: usize = len.parse().map_err(|_| "--words takes a number")?;
+    if let Some(len) = args.parsed::<usize>("--words", "a number")? {
         let words = bounded_language(&cfg, len).map_err(|e| format!("{e}"))?;
         println!("language up to length {len} ({} words):", words.len());
         for w in &words {
@@ -540,7 +596,7 @@ fn cmd_grammar(rest: &[&String]) -> Result<(), String> {
             println!("  {}", s.join(" "));
         }
     }
-    if let Some(which) = option_value(rest, "--monadic") {
+    if let Some(which) = args.value("--monadic") {
         let kept = match which {
             "first" => KeptArg::First,
             "second" => KeptArg::Second,
@@ -560,54 +616,34 @@ fn cmd_grammar(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(rest: &[&String]) -> Result<(), String> {
-    let port: u16 = match option_value(rest, "--port") {
-        Some(p) => p.parse().map_err(|_| "--port takes a port number")?,
-        None => 7654,
-    };
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let port: u16 = args.parsed("--port", "a port number")?.unwrap_or(7654);
     let mut cfg = ServerConfig {
         addr: format!("127.0.0.1:{port}"),
-        verify: flag(rest, "--verify"),
+        verify: args.flag("--verify"),
+        wal_dir: args.value("--wal").map(std::path::PathBuf::from),
+        deadline_ms: args.parsed("--deadline-ms", "milliseconds")?,
+        fact_budget: args.parsed("--budget", "a number")?,
+        slow_query_ms: args.parsed("--slow-query-ms", "milliseconds")?,
         ..ServerConfig::default()
     };
-    if let Some(n) = option_value(rest, "--threads") {
-        cfg.eval_threads = n.parse().map_err(|_| "--threads takes a number")?;
+    if let Some(n) = args.parsed("--resident-forms", "a number")? {
+        cfg.resident_forms = n;
     }
-    if let Some(n) = option_value(rest, "--resident-forms") {
-        cfg.resident_forms = n.parse().map_err(|_| "--resident-forms takes a number")?;
-    }
-    if let Some(dir) = option_value(rest, "--wal") {
-        cfg.wal_dir = Some(std::path::PathBuf::from(dir));
-    }
-    if let Some(word) = option_value(rest, "--fsync") {
+    if let Some(word) = args.value("--fsync") {
         cfg.fsync = FsyncPolicy::parse(word).ok_or("--fsync takes always, batch or never")?;
     }
-    if let Some(n) = option_value(rest, "--compact-every") {
-        cfg.compact_every = n.parse().map_err(|_| "--compact-every takes a number")?;
+    if let Some(n) = args.parsed("--compact-every", "a number")? {
+        cfg.compact_every = n;
     }
-    if let Some(n) = option_value(rest, "--max-conns") {
-        cfg.max_conns = n.parse().map_err(|_| "--max-conns takes a number")?;
+    if let Some(n) = args.parsed("--max-conns", "a number")? {
+        cfg.max_conns = n;
     }
-    if let Some(n) = option_value(rest, "--max-inflight") {
-        cfg.max_inflight = n.parse().map_err(|_| "--max-inflight takes a number")?;
+    if let Some(ms) = args.parsed("--grace-ms", "milliseconds")? {
+        cfg.grace_ms = ms;
     }
-    if let Some(ms) = option_value(rest, "--deadline-ms") {
-        cfg.deadline_ms = Some(ms.parse().map_err(|_| "--deadline-ms takes milliseconds")?);
-    }
-    if let Some(n) = option_value(rest, "--budget") {
-        cfg.fact_budget = Some(n.parse().map_err(|_| "--budget takes a number")?);
-    }
-    if let Some(ms) = option_value(rest, "--grace-ms") {
-        cfg.grace_ms = ms.parse().map_err(|_| "--grace-ms takes milliseconds")?;
-    }
-    if let Some(ms) = option_value(rest, "--slow-query-ms") {
-        cfg.slow_query_ms = Some(
-            ms.parse()
-                .map_err(|_| "--slow-query-ms takes milliseconds")?,
-        );
-    }
-    if let Some(ms) = option_value(rest, "--rebuild-ms") {
-        cfg.rebuild_ms = ms.parse().map_err(|_| "--rebuild-ms takes milliseconds")?;
+    if let Some(ms) = args.parsed("--rebuild-ms", "milliseconds")? {
+        cfg.rebuild_ms = ms;
     }
     let server = Server::spawn(&cfg).map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     if let Some(rec) = server.state().recovery() {
@@ -622,40 +658,24 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(rest: &[&String]) -> Result<(), String> {
-    let addr = option_value(rest, "--connect").ok_or("query needs --connect <addr>")?;
-    // Collect repeated --load/--fact in order, plus the one query positional.
-    let mut loads: Vec<&str> = Vec::new();
-    let mut facts: Vec<&str> = Vec::new();
-    let mut query_text: Option<&str> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--connect" => i += 1,
-            "--load" => {
-                loads.push(rest.get(i + 1).ok_or("--load takes a file path")?);
-                i += 1;
-            }
-            "--fact" => {
-                facts.push(rest.get(i + 1).ok_or("--fact takes a ground atom")?);
-                i += 1;
-            }
-            "--stats" | "--trace" | "--shutdown" => {}
-            s if s.starts_with("--") => return Err(format!("unknown option '{s}'\n{}", usage())),
-            s => {
-                if query_text.replace(s).is_some() {
-                    return Err("query takes at most one '?- atom.'".into());
-                }
-            }
-        }
-        i += 1;
-    }
-    if loads.is_empty()
-        && facts.is_empty()
+fn cmd_query(args: &Args) -> Result<(), String> {
+    let addr = args
+        .value("--connect")
+        .ok_or("query needs --connect <addr>")?;
+    let query_text = match args.positionals[..] {
+        [] => None,
+        [q] => Some(q),
+        _ => return Err("query takes at most one '?- atom.'".into()),
+    };
+    let (stats, trace, shutdown) = (
+        args.flag("--stats"),
+        args.flag("--trace"),
+        args.flag("--shutdown"),
+    );
+    if args.all("--load").next().is_none()
+        && args.all("--fact").next().is_none()
         && query_text.is_none()
-        && !flag(rest, "--stats")
-        && !flag(rest, "--trace")
-        && !flag(rest, "--shutdown")
+        && !(stats || trace || shutdown)
     {
         return Err(
             "nothing to do: give a query, --load, --fact, --stats, --trace or --shutdown".into(),
@@ -670,10 +690,10 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
             Err(resp.error)
         }
     };
-    for path in loads {
+    for path in args.all("--load") {
         send(format!("LOAD {path}"))?;
     }
-    for atom in facts {
+    for atom in args.all("--fact") {
         send(format!("FACT {atom}"))?;
     }
     if let Some(q) = query_text {
@@ -681,13 +701,13 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
         // Byte-identical to `xdl run` on the same program and facts.
         print!("{}", resp.payload_text());
     }
-    if flag(rest, "--stats") {
+    if stats {
         println!("{}", send("STATS".to_string())?.payload_text().trim_end());
     }
-    if flag(rest, "--trace") {
+    if trace {
         println!("{}", send("TRACE".to_string())?.payload_text().trim_end());
     }
-    if flag(rest, "--shutdown") {
+    if shutdown {
         send("SHUTDOWN".to_string())?;
     }
     Ok(())
@@ -697,18 +717,14 @@ fn cmd_query(rest: &[&String]) -> Result<(), String> {
 /// endpoint. Default prints the Prometheus text exposition once; `--json`
 /// prints the JSON readout instead; `--watch` re-scrapes every 2 seconds
 /// until interrupted (each scrape redraws the screen).
-fn cmd_metrics(rest: &[&String]) -> Result<(), String> {
-    let addr = option_value(rest, "--connect").ok_or("metrics needs --connect <addr>")?;
-    let json = flag(rest, "--json");
-    let watch = flag(rest, "--watch");
+fn cmd_metrics(args: &Args) -> Result<(), String> {
+    let addr = args
+        .value("--connect")
+        .ok_or("metrics needs --connect <addr>")?;
+    let json = args.flag("--json");
+    let watch = args.flag("--watch");
     if json && watch {
         return Err("metrics takes --json or --watch, not both".into());
-    }
-    if let Some(bad) = rest
-        .iter()
-        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--connect" | "--json" | "--watch"))
-    {
-        return Err(format!("unknown option '{bad}'\n{}", usage()));
     }
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     loop {
@@ -730,16 +746,16 @@ fn cmd_metrics(rest: &[&String]) -> Result<(), String> {
     }
 }
 
-fn cmd_check(rest: &[&String]) -> Result<(), String> {
-    let p1 = positional(rest, 0).ok_or_else(usage)?;
-    let p2 = positional(rest, 1).ok_or_else(usage)?;
+fn cmd_check(args: &Args) -> Result<(), String> {
+    let p1 = args.positional(0).ok_or_else(usage)?;
+    let p2 = args.positional(1).ok_or_else(usage)?;
     let (prog1, _) = load(p1)?;
     let (prog2, _) = load(p2)?;
     let mut cfg = EquivCheckConfig::default();
-    if let Some(n) = option_value(rest, "--instances") {
-        cfg.instances = n.parse().map_err(|_| "--instances takes a number")?;
+    if let Some(n) = args.parsed("--instances", "a number")? {
+        cfg.instances = n;
     }
-    cfg.seed_idb = flag(rest, "--seed-idb");
+    cfg.seed_idb = args.flag("--seed-idb");
     match bounded_equiv_check(&prog1, &prog2, &cfg).map_err(|e| format!("{e}"))? {
         None => {
             println!(

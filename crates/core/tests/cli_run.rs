@@ -4,6 +4,19 @@
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+fn xdl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xdl"))
+        .args(args)
+        .output()
+        .expect("spawn xdl")
+}
+
+const TC: &str = "a(X, Y) :- p(X, Y).\n\
+                  a(X, Y) :- p(X, Z), a(Z, Y).\n\
+                  p(1, 2).\np(2, 3).\np(3, 4).\n\
+                  ?- a(X, Y).\n";
 
 /// A program file, removed on drop.
 struct Program(PathBuf);
@@ -14,6 +27,10 @@ impl Program {
             std::env::temp_dir().join(format!("xdl-cli-run-{}-{name}.dl", std::process::id()));
         std::fs::write(&path, text).expect("write program");
         Program(path)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("temp paths are UTF-8")
     }
 
     fn run(&self, extra: &[&str]) -> Output {
@@ -93,4 +110,90 @@ fn a_reader_that_stops_early_ends_the_run_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// A usage error: exit 2, the offending option named on stderr, nothing on
+/// stdout.
+fn assert_unknown_option(out: &Output, option: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("xdl: unknown option '{option}'\nusage:")),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn run_refuses_a_misspelled_option_instead_of_ignoring_it() {
+    let p = Program::new("budjet", TC);
+    assert_unknown_option(&p.run(&["--budjet", "1"]), "--budjet");
+    // An option that no longer exists fails as loudly.
+    assert_unknown_option(&p.run(&["--threads", "2"]), "--threads");
+}
+
+#[test]
+fn serve_refuses_a_misspelled_option_instead_of_serving_without_it() {
+    // Before the fix this served with no WAL at all; bound the wait so a
+    // regression fails instead of hanging.
+    let dir = std::env::temp_dir().join(format!("xdl-cli-wall-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xdl"))
+        .args(["serve", "--port", "0", "--wall"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xdl");
+    let t0 = Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if t0.elapsed() > Duration::from_secs(10) {
+            child.kill().unwrap();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert_unknown_option(&out, "--wall");
+    assert!(!dir.exists(), "no WAL directory is created");
+}
+
+#[test]
+fn an_option_before_the_file_is_read_as_an_option() {
+    let p = Program::new("before", TC);
+    let plain = p.run(&[]);
+    assert_eq!(plain.status.code(), Some(0), "{plain:?}");
+    // The value `100` is the limit's, and the file is still the program.
+    let out = xdl(&["run", "--max-iterations", "100", "--no-cut", p.path()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(out.stdout, plain.stdout);
+    // `--budget 1` before the file applies: the run trips, it does not try
+    // to read a file named `1`.
+    let out = xdl(&["run", "--budget", "1", p.path()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("exceeded its budget of 1"), "{stderr}");
+    assert!(!stderr.contains("cannot read"), "{stderr}");
+    // An option with no value left is an error, not a silent default.
+    let out = xdl(&["run", p.path(), "--budget"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--budget takes a value"));
+}
+
+#[test]
+fn check_reads_an_option_between_its_two_files() {
+    let a = Program::new("check-a", TC);
+    let b = Program::new("check-b", TC);
+    let out = xdl(&["check", a.path(), "--instances", "3", b.path()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        stdout.contains("no difference found on 3 random instances"),
+        "{stdout}"
+    );
+    let out = xdl(&["check", "--instances", "3", a.path(), b.path()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }

@@ -1,4 +1,4 @@
-//! The experiment suite (E1–E10 and E12). See DESIGN.md §5 for the index
+//! The experiment suite (E1–E10). See DESIGN.md §5 for the index
 //! mapping each experiment to its paper anchor, and EXPERIMENTS.md for
 //! recorded results and shape expectations.
 //!
@@ -598,75 +598,6 @@ pub fn e10(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E12 — scaling: the parallel semi-naive fan-out at 1/2/4/8 threads on
-/// recursive workloads (transitive closure over a dense digraph, BOM
-/// subpart reachability). Every thread count computes byte-identical
-/// results; only wall time may move, and only as far as the host's cores
-/// allow — the recorded `host parallelism` note is the ceiling.
-pub fn e12(quick: bool) -> ExperimentResult {
-    let mut r = ExperimentResult::new(
-        "e12",
-        "scaling: parallel semi-naive at 1/2/4/8 threads (frozen-index fan-out)",
-    );
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    r.note(format!(
-        "host parallelism: {host} (speedup is bounded by this; 1 core => ~1x everywhere)"
-    ));
-    r.note("expect: identical answers/facts/scans at every thread count (determinism);");
-    r.note("wall time drops on iteration-heavy workloads as threads approach host cores");
-
-    const TC: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\n\
-                      a(X, Y) :- p(X, Y).\n\
-                      ?- a(X, _).";
-    const BOM: &str = "reach(X, Y) :- sub(X, Z), reach(Z, Y).\n\
-                       reach(X, Y) :- sub(X, Y).\n\
-                       ?- reach(X, _).";
-    let (n, m, parts) = if quick {
-        (96i64, 384usize, 1024i64)
-    } else {
-        (384, 1536, 16384)
-    };
-    let cases = [
-        (
-            parse(TC),
-            workloads::random_digraph("p", n, m, 7),
-            format!("tc digraph n={n} m={m}"),
-        ),
-        (
-            parse(BOM),
-            workloads::bom(parts, 4, 0),
-            format!("bom parts={parts} fanout=4"),
-        ),
-    ];
-    for (program, edb, params) in &cases {
-        let mut base_us: u128 = 0;
-        for threads in [1usize, 2, 4, 8] {
-            measure(
-                &mut r,
-                &format!("threads={threads}"),
-                params,
-                program,
-                edb,
-                &EvalOptions {
-                    threads,
-                    ..EvalOptions::default()
-                },
-                RUNS,
-            );
-            let wall = r.rows.last().expect("measure pushed a row").wall_us;
-            if threads == 1 {
-                base_us = wall;
-            } else if wall > 0 {
-                r.note(format!(
-                    "{params}: threads={threads} speedup {:.2}x",
-                    base_us as f64 / wall as f64
-                ));
-            }
-        }
-    }
-    r
-}
-
 /// An experiment: run it, in quick mode or not.
 pub type Experiment = fn(bool) -> ExperimentResult;
 
@@ -683,7 +614,6 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("e8", e8),
     ("e9", e9),
     ("e10", e10),
-    ("e12", e12),
 ];
 
 /// All experiments in order.

@@ -15,69 +15,6 @@ use datalog_opt::{optimize, OptimizerConfig};
 
 use crate::workloads::{edb_for, random_program};
 
-/// Parallel determinism arm: evaluate one program at 1, 2 and 8 threads —
-/// profiled and unprofiled — and require *byte* identity: every relation's
-/// rows in insertion order (not just the answer set), the full stats
-/// partition, provenance, and (walls aside, which legitimately vary) the
-/// profile counters. Returns the number of disagreements found.
-fn thread_differential(
-    program: &datalog_ast::Program,
-    instance: &datalog_engine::FactSet,
-    mut complain: impl FnMut(&str),
-) -> u64 {
-    let mut failures = 0u64;
-    for profile in [false, true] {
-        let opts = |threads: usize| EvalOptions {
-            threads,
-            profile,
-            record_provenance: true,
-            ..EvalOptions::default()
-        };
-        let serial = evaluate(program, instance, &opts(1)).expect("serial evaluates");
-        for threads in [2usize, 8] {
-            let label = format!("threads={threads} profile={profile}");
-            let par = match evaluate(program, instance, &opts(threads)) {
-                Ok(out) => out,
-                Err(e) => {
-                    complain(&format!("{label}: evaluation failed: {e}"));
-                    failures += 1;
-                    continue;
-                }
-            };
-            if par.stats != serial.stats {
-                complain(&format!(
-                    "{label}: stats diverge\n serial: {:?}\n parallel: {:?}",
-                    serial.stats, par.stats
-                ));
-                failures += 1;
-            }
-            if par.provenance != serial.provenance {
-                complain(&format!("{label}: provenance diverges"));
-                failures += 1;
-            }
-            let rows_match = (0..serial.database.pred_count()).all(|p| {
-                let id = datalog_engine::PredId(p as u32);
-                serial
-                    .database
-                    .relation(id)
-                    .iter()
-                    .eq(par.database.relation(id).iter())
-            });
-            if serial.database.pred_count() != par.database.pred_count() || !rows_match {
-                complain(&format!("{label}: databases diverge (row-id order)"));
-                failures += 1;
-            }
-            let sp = serial.profile.as_ref().map(|p| p.counters_only());
-            let pp = par.profile.as_ref().map(|p| p.counters_only());
-            if sp != pp {
-                complain(&format!("{label}: profile counters diverge"));
-                failures += 1;
-            }
-        }
-    }
-    failures
-}
-
 /// Selective reads of `q`: its first variable bound to a constant the
 /// instance stores, its last variable bound to one nothing stores, and —
 /// with two variable positions — the last one repeating the first. (A query
@@ -137,15 +74,13 @@ fn point_read_differential(
 const SINGLE_FACT_TAIL: usize = 4;
 
 /// Incremental maintenance arm: load part of the instance cold into
-/// resident semi-naive state at 1 and 4 threads, then ingest the rest in
-/// batches. After every batch the two resident frontiers must be *byte*
-/// identical (rows in insertion order, provenance, per-batch reports modulo
-/// wall time, cumulative stats), and the 1-thread frontier must match a
-/// cold full fixpoint over everything applied so far — set-identical
-/// database dump and byte-identical query answers, for the program's query
-/// and for its [`point_reads`] (resident, cold and the matching oracle
-/// all agreeing; the resident reads create read indexes that later batches
-/// leave with uncovered rows).
+/// resident semi-naive state, then ingest the rest in batches. After every
+/// batch the resident's storage must pass [`check_storage`], and its
+/// frontier must match a cold full fixpoint over everything applied so far
+/// — set-identical database dump and byte-identical query answers, for the
+/// program's query and for its [`point_reads`] (resident, cold and the
+/// matching oracle all agreeing; the resident reads create read indexes
+/// that later batches leave with uncovered rows).
 ///
 /// Two passes: half the instance in batches of three (deltas about as long
 /// as the relations, so variants keep the base join order), and all but the
@@ -180,8 +115,7 @@ fn incremental_pass(
     mut complain: impl FnMut(&str),
 ) -> u64 {
     let mut failures = 0u64;
-    let opts = |threads: usize| EvalOptions {
-        threads,
+    let opts = EvalOptions {
         record_provenance: true,
         ..EvalOptions::default()
     };
@@ -189,72 +123,25 @@ fn incremental_pass(
     for f in &facts[..split] {
         loaded.insert(f.pred.clone(), f.tuple.clone());
     }
-    let mut residents = Vec::new();
-    for threads in [1usize, 4] {
-        match ResidentEval::new(program, &loaded, &opts(threads)) {
-            Ok(r) => residents.push(r),
-            Err(e) => {
-                complain(&format!("incremental: construction@{threads} failed: {e}"));
-                return failures + 1;
-            }
+    let mut r1 = match ResidentEval::new(program, &loaded, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            complain(&format!("incremental: construction failed: {e}"));
+            return failures + 1;
         }
-    }
-    let [ref mut r1, ref mut r4] = residents[..] else {
-        unreachable!()
     };
     for batch in facts[split..].chunks(chunk) {
-        let limits = DeltaLimits::default();
-        let (rep1, rep4) = match (
-            r1.apply_deltas(batch, &limits),
-            r4.apply_deltas(batch, &limits),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                complain(&format!("incremental: propagation failed: {a:?} / {b:?}"));
-                return failures + 1;
-            }
-        };
-        // Thread identity: reports agree field-for-field (walls aside).
-        let strip = |r: &datalog_engine::incremental::DeltaReport| {
-            let mut r = *r;
-            r.wall_ns = 0;
-            r
-        };
-        if strip(&rep1) != strip(&rep4) {
-            complain(&format!(
-                "incremental: batch reports diverge across threads\n 1: {rep1:?}\n 4: {rep4:?}"
-            ));
-            failures += 1;
+        if let Err(e) = r1.apply_deltas(batch, &DeltaLimits::default()) {
+            complain(&format!("incremental: propagation failed: {e}"));
+            return failures + 1;
         }
-        if r1.cumulative_stats() != r4.cumulative_stats() {
-            complain("incremental: cumulative stats diverge across threads");
-            failures += 1;
-        }
-        if r1.provenance() != r4.provenance() {
-            complain("incremental: provenance diverges across threads");
-            failures += 1;
-        }
-        let rows_match = (0..r1.database().pred_count()).all(|p| {
-            let id = datalog_engine::PredId(p as u32);
-            r1.database()
-                .relation(id)
-                .iter()
-                .eq(r4.database().relation(id).iter())
-        });
-        if r1.database().pred_count() != r4.database().pred_count() || !rows_match {
-            complain("incremental: resident databases diverge (row-id order)");
-            failures += 1;
-        }
-        for (threads, r) in [(1, &*r1), (4, &*r4)] {
-            let label = format!("incremental: storage@threads={threads}");
-            failures += check_storage(r.database(), &label, &mut complain);
-        }
+        failures += check_storage(r1.database(), "incremental: storage", &mut complain);
         // Cold identity: a from-scratch fixpoint over everything applied so
         // far must reach the same model and the same rendered answers.
         for f in batch {
             loaded.insert(f.pred.clone(), f.tuple.clone());
         }
-        let cold = match evaluate(program, &loaded, &opts(1)) {
+        let cold = match evaluate(program, &loaded, &opts) {
             Ok(out) => out,
             Err(e) => {
                 complain(&format!("incremental: cold reference failed: {e}"));
@@ -317,27 +204,19 @@ fn check_storage(db: &Database, label: &str, mut complain: impl FnMut(&str)) -> 
     failures
 }
 
-/// Storage arm: [`check_storage`] on the cold databases at 1 and 4
-/// threads (the incremental arm checks each resident after every batch).
-/// Returns the number of disagreements found.
+/// Storage arm: [`check_storage`] on the cold database (the incremental
+/// arm checks each resident after every batch). Returns the number of
+/// disagreements found.
 fn storage_self_check(
     program: &datalog_ast::Program,
     instance: &datalog_engine::FactSet,
-    mut complain: impl FnMut(&str),
+    complain: impl FnMut(&str),
 ) -> u64 {
-    let mut failures = 0;
-    for threads in [1usize, 4] {
-        let opts = EvalOptions {
-            threads,
-            ..EvalOptions::default()
-        };
-        // An evaluation failure is the reference arm's to report.
-        if let Ok(out) = evaluate(program, instance, &opts) {
-            let label = format!("storage@threads={threads}");
-            failures += check_storage(&out.database, &label, &mut complain);
-        }
+    // An evaluation failure is the reference arm's to report.
+    match evaluate(program, instance, &EvalOptions::default()) {
+        Ok(out) => check_storage(&out.database, "storage", complain),
+        Err(_) => 0,
     }
-    failures
 }
 
 /// Bound-soundness arm: the static size-bound analysis must never
@@ -484,13 +363,8 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         failures += point_read_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });
-        // Parallel determinism: byte-identical databases, stats partitions,
-        // provenance, and profile counters at 1 vs 2 vs 8 threads.
-        failures += thread_differential(&program, &instance, |msg| {
-            complain!("seed {seed}: {msg}");
-        });
-        // Incremental maintenance: resident frontier vs cold fixpoint, at
-        // 1 and 4 threads, after every ingested batch.
+        // Incremental maintenance: resident frontier vs cold fixpoint after
+        // every ingested batch.
         failures += incremental_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });

@@ -82,7 +82,7 @@ impl Database {
     /// [`Relation::ensure_index`]). The evaluator calls this at each
     /// iteration barrier for every probe column set the join orders it
     /// just planned need — after that the whole database can be probed
-    /// through `&Database` and therefore shared across worker threads.
+    /// through `&Database`, so enumeration never mutates it.
     pub fn ensure_index(&mut self, id: PredId, cols: &[usize]) {
         self.relations[id.0 as usize].ensure_index(cols);
     }

@@ -37,27 +37,24 @@
 //! scan — never by matching the atom against each row (that is
 //! [`crate::oracle::extract_by_matching`], kept as the test reference).
 //!
-//! # Execution model: freeze, fan out, merge
+//! # Execution model: freeze, enumerate, merge
 //!
-//! Each fixpoint iteration runs in two halves. First the database is
-//! *frozen*: the iteration's work is decomposed into [`Task`]s — one per
-//! (rule, delta-variant, chunk) — whose enumeration reads only state fixed
-//! at the iteration barrier (rows below the iteration-start marks, plus the
-//! composite indexes ensured there for the planned orders). Enumeration
-//! writes candidate tuples and their premises into per-task buffers. Then
-//! the buffers are *merged*: applied to the database in the fixed task
-//! order, which is where deduplication, provenance, the fact budget, and
-//! the per-rule profile attribution happen.
+//! Each fixpoint iteration runs on the calling thread, in two halves per
+//! task. First the database is *frozen*: the iteration's work is
+//! decomposed into [`Task`]s — one per (rule, delta-variant, chunk) — whose
+//! enumeration reads only state fixed at the iteration barrier (rows below
+//! the iteration-start marks, plus the composite indexes ensured there for
+//! the planned orders). Enumeration writes candidate tuples and their
+//! premises into the task's buffer. Then the buffer is *merged*: applied to
+//! the database, in the fixed task order, which is where deduplication,
+//! provenance, the fact budget, and the per-rule profile attribution
+//! happen.
 //!
-//! Because the task list is planned from frozen state and the merge replays
-//! buffers in task order, the executor is irrelevant to the result: running
-//! tasks serially or fanning them out over [`EvalOptions::threads`] workers
-//! (a `std::thread::scope` pool — enumeration needs only `&Database`)
-//! produces byte-identical databases, stats, provenance, and profile
-//! counters at any thread count.
+//! Because the task list is planned from frozen state and the merge applies
+//! buffers in task order, the database, stats, provenance and profile
+//! counters are a pure function of the program and its input, row for row.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use datalog_ast::{PredRef, Program, Term, Value};
@@ -79,21 +76,15 @@ use crate::EngineError;
 const LIMIT_CHECK_INTERVAL: u32 = 4096;
 
 /// Minimum outer-literal rows per chunk when splitting a large range across
-/// tasks. Chunk boundaries are a pure function of the frozen range length
-/// (never of the thread count), so the task list — and with it every stat —
-/// is identical no matter how many workers execute it.
+/// tasks. A chunk's candidates are merged before the next chunk enumerates,
+/// so chunking bounds the buffered candidates to one chunk's worth. Chunk
+/// boundaries are a pure function of the frozen range length, so the task
+/// list — and with it every stat — is fixed by the iteration's state.
 const CHUNK_MIN_ROWS: usize = 1024;
 
 /// Upper bound on chunks per join variant, so tiny per-chunk buffers don't
 /// drown the merge in overhead on huge deltas.
 const MAX_CHUNKS_PER_VARIANT: usize = 8;
-
-/// Minimum estimated work (rows the iteration's tasks walk first: the sum
-/// of their outer range lengths) before an iteration engages the worker
-/// pool. Below this, thread spawn overhead exceeds the enumeration itself;
-/// since the executor cannot change the result, falling back to the serial
-/// path is free.
-const PARALLEL_MIN_WORK: usize = 2048;
 
 /// Fixpoint strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,14 +131,11 @@ pub struct EvalOptions {
     /// Cooperative cancellation flag, polled on the same cadence as the
     /// deadline. Triggering it returns [`EngineError::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the enumeration half of each fixpoint iteration
-    /// (`0` and `1` both mean serial). Any value yields byte-identical
-    /// results: tasks are planned from frozen iteration-start state, workers
-    /// only enumerate into buffers, and the merge replays the buffers in
-    /// fixed (rule, variant, chunk) order.
+    /// Ignored; the fixpoint runs on the calling thread. Kept only while
+    /// the benchmark's layer probes still set it.
     pub threads: usize,
-    /// Always-on telemetry histograms (task enumeration wall, per-worker
-    /// queue wait, merge stall), shared with a server's metric registry.
+    /// Always-on telemetry histograms (task enumeration wall, merge
+    /// stall), shared with a server's metric registry.
     /// `None` costs one branch per task; a handle from a disabled registry
     /// costs one more branch inside [`datalog_trace::Histogram::record`].
     pub metrics: Option<EvalHists>,
@@ -264,8 +252,7 @@ pub(crate) enum Trip {
 /// triple. `outer` is the row-id range the *first step* of the task's join
 /// order enumerates (its literal's range, possibly one chunk of it); every
 /// other literal derives its range from the variant and the frozen marks.
-/// Planned from frozen state, so the task list is identical at any thread
-/// count.
+/// Planned from frozen state only.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     plan_idx: usize,
@@ -279,36 +266,12 @@ struct Task {
     lead: bool,
 }
 
-/// The frozen, shareable view of one iteration: everything enumeration
-/// needs, none of it mutable. `&IterView` is `Send + Sync`, which is what
-/// lets `std::thread::scope` workers run [`enumerate_task`] concurrently.
-struct IterView<'a> {
-    db: &'a Database,
-    plans: &'a [RulePlan],
-    mark_prev: &'a [usize],
-    mark_cur: &'a [usize],
-    boolean_cut: bool,
-    deadline: Option<Instant>,
-    cancel: Option<&'a CancelToken>,
-}
-
 impl RulePlan {
     /// The join order `task` walks.
     fn order(&self, task: Task) -> &[Step] {
         match task.delta_idx {
             Some(d) if task.delta_first => &self.delta_first[d],
             _ => &self.base,
-        }
-    }
-}
-
-impl IterView<'_> {
-    fn bounds(&self, pred: PredId, range: Range) -> (usize, usize) {
-        let p = pred.0 as usize;
-        match range {
-            Range::Full => (0, self.mark_cur[p]),
-            Range::Delta => (self.mark_prev[p], self.mark_cur[p]),
-            Range::Old => (0, self.mark_prev[p]),
         }
     }
 }
@@ -331,13 +294,14 @@ struct TaskOut {
     trip: Option<Trip>,
 }
 
-/// Enumerate one task against the frozen view. Pure with respect to the
-/// database: all effects land in the returned [`TaskOut`].
-fn enumerate_task(view: &IterView<'_>, task: Task) -> TaskOut {
+/// Enumerate one task against the machine frozen at the iteration barrier.
+/// It reads the machine through a shared reference, so all effects land in
+/// the returned [`TaskOut`].
+fn enumerate_task(m: &Machine, task: Task) -> TaskOut {
     let t0 = Instant::now();
-    let plan = &view.plans[task.plan_idx];
+    let plan = &m.plans[task.plan_idx];
     let mut en = Enumerator {
-        view,
+        m,
         plan,
         order: plan.order(task),
         delta_idx: task.delta_idx,
@@ -354,10 +318,10 @@ fn enumerate_task(view: &IterView<'_>, task: Task) -> TaskOut {
     en.out
 }
 
-/// The per-task join state. Reads only the frozen [`IterView`]; writes only
+/// The per-task join state. Reads only the frozen [`Machine`]; writes only
 /// its own [`TaskOut`].
 struct Enumerator<'v> {
-    view: &'v IterView<'v>,
+    m: &'v Machine,
     plan: &'v RulePlan,
     order: &'v [Step],
     delta_idx: Option<usize>,
@@ -371,25 +335,12 @@ struct Enumerator<'v> {
 
 impl Enumerator<'_> {
     /// Poll deadline and cancellation. Returns `true` (recording the trip)
-    /// if enumeration must unwind. The fact budget is *not* checked here:
-    /// it counts distinct new facts, which only the merge can know.
+    /// if enumeration must unwind.
     fn check_limits(&mut self) -> bool {
-        if self.out.trip.is_some() {
-            return true;
+        if self.out.trip.is_none() {
+            self.out.trip = self.m.due_trip();
         }
-        if let Some(d) = self.view.deadline {
-            if Instant::now() >= d {
-                self.out.trip = Some(Trip::Deadline);
-                return true;
-            }
-        }
-        if let Some(c) = self.view.cancel {
-            if c.is_cancelled() {
-                self.out.trip = Some(Trip::Cancelled);
-                return true;
-            }
-        }
-        false
+        self.out.trip.is_some()
     }
 
     fn join_from(
@@ -417,7 +368,7 @@ impl Enumerator<'_> {
                 Some(d) if *lit == d => Range::Delta,
                 Some(_) => Range::Old,
             };
-            self.view.bounds(lp.pred, range)
+            self.m.bounds(lp.pred, range)
         };
         if start >= end {
             return;
@@ -442,7 +393,7 @@ impl Enumerator<'_> {
                 })
                 .collect();
             let hits = self
-                .view
+                .m
                 .db
                 .relation(lp.pred)
                 .probe_range(probe, &key, start, end);
@@ -477,7 +428,7 @@ impl Enumerator<'_> {
         }
         let lit = self.order[step].lit;
         let lp = &self.plan.body[lit];
-        let row = self.view.db.relation(lp.pred).row(row_id as usize);
+        let row = self.m.db.relation(lp.pred).row(row_id as usize);
         // Match the row against the slots, recording new bindings so we can
         // undo them on backtrack.
         let mut bound_here: Vec<u16> = Vec::new();
@@ -517,7 +468,7 @@ impl Enumerator<'_> {
                 })
                 .collect();
             self.out.index_probes += 1;
-            if self.view.db.relation(neg.pred).contains(&tuple) {
+            if self.m.db.relation(neg.pred).contains(&tuple) {
                 return false;
             }
         }
@@ -539,7 +490,7 @@ impl Enumerator<'_> {
             .collect();
         self.out.emissions.push((tuple, premises.into()));
         // One witness suffices for a boolean head (section 3.1's cut).
-        if self.view.boolean_cut && self.plan.head_slots.is_empty() {
+        if self.m.boolean_cut && self.plan.head_slots.is_empty() {
             self.stop = true;
         }
     }
@@ -565,8 +516,6 @@ pub(crate) struct Machine {
     pub(crate) profile: Option<EvalProfile>,
     pub(crate) query_pred: Option<PredId>,
     pub(crate) boolean_cut: bool,
-    /// Worker threads for the enumeration half (1 = serial).
-    pub(crate) threads: usize,
     /// Telemetry histograms shared with the serving layer (see
     /// [`EvalOptions::metrics`]).
     pub(crate) metrics: Option<EvalHists>,
@@ -585,7 +534,7 @@ impl Machine {
     /// The one cold start of a fixpoint, shared by [`evaluate`] and
     /// [`crate::incremental::ResidentEval::new`]: validate the program,
     /// compile it against a fresh database, load `input` ([`load_input`]),
-    /// and take limits, threads, provenance, profiling and the boolean cut
+    /// and take limits, provenance, profiling and the boolean cut
     /// from `opts`. Also returns the program's arities.
     pub(crate) fn start(
         program: &Program,
@@ -627,7 +576,6 @@ impl Machine {
             }),
             query_pred,
             boolean_cut: opts.boolean_cut,
-            threads: opts.threads.max(1),
             metrics: opts.metrics.clone(),
             started: Instant::now(),
             deadline: opts.deadline,
@@ -638,26 +586,17 @@ impl Machine {
         Ok((machine, arities))
     }
 
-    /// Poll deadline and cancellation. Returns `true` (and records the
-    /// trip) if the evaluation must unwind. The derived-fact budget is
-    /// checked exactly in [`Machine::emit_head`] instead.
-    fn check_limits(&mut self) -> bool {
-        if self.trip.is_some() {
-            return true;
+    /// The deadline or cancellation trip due now, if any. The derived-fact
+    /// budget is not polled: it counts distinct new facts, which only the
+    /// merge ([`Machine::apply_task`]) knows, and it is checked there.
+    fn due_trip(&self) -> Option<Trip> {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(Trip::Deadline)
+        } else if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            Some(Trip::Cancelled)
+        } else {
+            None
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.trip = Some(Trip::Deadline);
-                return true;
-            }
-        }
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                self.trip = Some(Trip::Cancelled);
-                return true;
-            }
-        }
-        false
     }
 
     /// Convert a recorded trip into its error, with up-to-date stats.
@@ -684,28 +623,10 @@ impl Machine {
         }
     }
 
-    /// The frozen, shareable view of the current iteration.
-    fn view(&self) -> IterView<'_> {
-        IterView {
-            db: &self.db,
-            plans: &self.plans,
-            mark_prev: &self.mark_prev,
-            mark_cur: &self.mark_cur,
-            boolean_cut: self.boolean_cut,
-            deadline: self.deadline,
-            cancel: self.cancel.as_ref(),
-        }
-    }
-
     /// Decompose one iteration into its tasks, in the fixed (rule, variant,
-    /// chunk) merge order, plus an estimate of the total enumeration work
-    /// (the rows the tasks walk first) used to decide whether the worker
-    /// pool is worth engaging. Reads only frozen iteration-start state —
-    /// never the thread count — so every executor applies the identical
-    /// task sequence.
-    fn plan_tasks(&self, mine: &[usize], seed_round: bool) -> (Vec<Task>, usize) {
+    /// chunk) merge order. Reads only frozen iteration-start state.
+    fn plan_tasks(&self, mine: &[usize], seed_round: bool) -> Vec<Task> {
         let mut tasks = Vec::new();
-        let mut work = 0usize;
         for &i in mine {
             if !self.active[i] {
                 continue;
@@ -720,31 +641,24 @@ impl Machine {
                 continue;
             }
             if seed_round {
-                work += self.push_variant(&mut tasks, i, None);
+                self.push_variant(&mut tasks, i, None);
             } else {
                 for lit in 0..plan.body.len() {
                     let (s, e) = self.bounds(plan.body[lit].pred, Range::Delta);
                     if s < e {
-                        work += self.push_variant(&mut tasks, i, Some(lit));
+                        self.push_variant(&mut tasks, i, Some(lit));
                     }
                 }
             }
         }
-        (tasks, work)
+        tasks
     }
 
     /// Push one join variant's tasks, splitting a large outer range into
-    /// chunks, and return the variant's estimated work: the length of the
-    /// outer range, i.e. the rows its tasks walk. The variant starts from
-    /// its delta when that is shorter than the range the base order walks
-    /// first; order, chunk count and boundaries depend only on the frozen
-    /// range lengths.
-    fn push_variant(
-        &self,
-        tasks: &mut Vec<Task>,
-        plan_idx: usize,
-        delta_idx: Option<usize>,
-    ) -> usize {
+    /// chunks. The variant starts from its delta when that is shorter than
+    /// the range the base order walks first; order, chunk count and
+    /// boundaries depend only on the frozen range lengths.
+    fn push_variant(&self, tasks: &mut Vec<Task>, plan_idx: usize, delta_idx: Option<usize>) {
         let plan = &self.plans[plan_idx];
         let base_outer = match plan.body.first() {
             None => (0, 0),
@@ -784,18 +698,16 @@ impl Machine {
                 lead: c == 0,
             });
         }
-        len
     }
 
     /// Ensure every composite index the planned tasks probe. Called at the
     /// iteration barrier, after the marks are taken and storage is sealed
-    /// and before the view is frozen, so from here on the inner loop probes
-    /// through `&Relation` only ([`crate::relation::Relation::probe_range`])
-    /// — which is what lets workers share the database. An index is built
-    /// the first time an order that probes it is planned and kept fresh by
-    /// `insert` from then on; one that no planned order probes never exists
-    /// (a cold run's EDB deltas are empty, so it never builds the indexes
-    /// only an EDB-delta variant wants).
+    /// and before tasks enumerate, so from here on the inner loop probes
+    /// through `&Relation` only ([`crate::relation::Relation::probe_range`]).
+    /// An index is built the first time an order that probes it is planned
+    /// and kept fresh by `insert` from then on; one that no planned order
+    /// probes never exists (a cold run's EDB deltas are empty, so it never
+    /// builds the indexes only an EDB-delta variant wants).
     fn ensure_planned_indexes(&mut self, tasks: &[Task]) {
         for &task in tasks.iter().filter(|t| t.lead) {
             let plan = &self.plans[task.plan_idx];
@@ -807,16 +719,16 @@ impl Machine {
         }
     }
 
-    /// Serial executor: enumerate and merge each task in order. Returns
-    /// (enumeration ns, merge ns) for the profiler's iteration split.
-    fn run_serial(&mut self, tasks: &[Task]) -> (u64, u64) {
+    /// Enumerate and merge each task in order. Returns (enumeration ns,
+    /// merge ns) for the profiler's iteration split.
+    fn run_tasks(&mut self, tasks: &[Task]) -> (u64, u64) {
         let mut enum_ns = 0u64;
         let mut merge_ns = 0u64;
         for &task in tasks {
             if self.trip.is_some() {
                 break;
             }
-            let out = enumerate_task(&self.view(), task);
+            let out = enumerate_task(self, task);
             enum_ns += out.wall_ns;
             if let Some(h) = &self.metrics {
                 h.task_enum.record(out.wall_ns);
@@ -831,76 +743,9 @@ impl Machine {
         (enum_ns, merge_ns)
     }
 
-    /// Parallel executor: fan enumeration out over `workers` scoped threads
-    /// (work-stealing off a shared atomic cursor), then merge the buffers
-    /// in task order — the same order [`Machine::run_serial`] applies them.
-    fn run_parallel(&mut self, tasks: &[Task], workers: usize) -> (u64, u64) {
-        let t0 = Instant::now();
-        let mut slots: Vec<Option<TaskOut>> = Vec::new();
-        slots.resize_with(tasks.len(), || None);
-        {
-            let view = self.view();
-            let next = AtomicUsize::new(0);
-            let hists = self.metrics.clone();
-            let per_worker: Vec<Vec<(usize, TaskOut)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let view = &view;
-                        let next = &next;
-                        let hists = hists.clone();
-                        s.spawn(move || {
-                            let mut done = Vec::new();
-                            let mut waited = false;
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&task) = tasks.get(i) else { break };
-                                if let Some(h) = &hists {
-                                    if !waited {
-                                        // Queue wait: fan-out start to this
-                                        // worker's first claim (spawn +
-                                        // scheduling latency).
-                                        h.task_wait.record_duration(t0.elapsed());
-                                        waited = true;
-                                    }
-                                }
-                                let out = enumerate_task(view, task);
-                                if let Some(h) = &hists {
-                                    h.task_enum.record(out.wall_ns);
-                                }
-                                done.push((i, out));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("enumeration worker panicked"))
-                    .collect()
-            });
-            for (i, out) in per_worker.into_iter().flatten() {
-                slots[i] = Some(out);
-            }
-        }
-        let enum_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
-        for (&task, out) in tasks.iter().zip(slots) {
-            if self.trip.is_some() {
-                break;
-            }
-            self.apply_task(task, out.expect("every task enumerated exactly once"));
-        }
-        let merge_ns = t1.elapsed().as_nanos() as u64;
-        if let Some(h) = &self.metrics {
-            h.merge.record(merge_ns);
-        }
-        (enum_ns, merge_ns)
-    }
-
     /// Merge one task's buffer into the database, in emission order. This
     /// is the single mutation point of the fixpoint: dedup, provenance, the
-    /// exact fact budget, and profile attribution all live here, so they
-    /// behave identically under any executor.
+    /// exact fact budget, and profile attribution all live here.
     fn apply_task(&mut self, task: Task, out: TaskOut) {
         let profiling = self.profile.is_some();
         let before = profiling.then_some(self.stats);
@@ -959,7 +804,7 @@ impl Machine {
         &mut self,
         stratum: usize,
         wall_ns: u64,
-        parallel_ns: u64,
+        enum_ns: u64,
         merge_ns: u64,
         tasks: u64,
         retired: u64,
@@ -983,7 +828,7 @@ impl Machine {
                 iteration,
                 stratum,
                 wall_ns,
-                parallel_ns,
+                enum_ns,
                 merge_ns,
                 tasks,
                 deltas,
@@ -1004,17 +849,12 @@ impl Machine {
     }
 
     /// Run one stratum's fixpoint to convergence: the freeze → plan →
-    /// fan-out → merge loop shared verbatim by [`evaluate`] (cold runs,
+    /// enumerate → merge loop shared verbatim by [`evaluate`] (cold runs,
     /// `seed_first = true`) and the incremental resident state
     /// ([`crate::incremental::ResidentEval::apply_deltas`], `seed_first =
     /// false`: iteration 1 already has its deltas — the rows inserted past
     /// the converged marks — so no all-`Full` seed round is needed, and the
     /// delta-variant discipline enumerates exactly the new instantiations).
-    ///
-    /// Sharing this loop is what makes incremental propagation
-    /// byte-identical across thread counts: the task list is planned from
-    /// frozen marks, the merge replays buffers in fixed order, and nothing
-    /// here reads the executor width.
     pub(crate) fn run_stratum(
         &mut self,
         mine: &[usize],
@@ -1042,7 +882,9 @@ impl Machine {
             }
             // Iteration-boundary limit check: covers programs whose
             // per-iteration work never reaches the in-join check cadence.
-            self.check_limits();
+            if self.trip.is_none() {
+                self.trip = self.due_trip();
+            }
             if let Some(e) = self.take_trip() {
                 return Err(e);
             }
@@ -1061,19 +903,14 @@ impl Machine {
             // rows or ids, only the acceleration structures.
             self.db.seal_storage();
             let before = self.db.total_facts();
-            // Freeze → plan → fan out → merge. The seed round (and the
+            // Freeze → plan → enumerate → merge. The seed round (and the
             // naive strategy, every round) reads all literals Full in the
             // base order; semi-naive rounds get one variant per non-empty
             // delta, each in the order its range lengths select.
             let seed_round = first || matches!(strategy, Strategy::Naive);
-            let (tasks, work) = self.plan_tasks(mine, seed_round);
+            let tasks = self.plan_tasks(mine, seed_round);
             self.ensure_planned_indexes(&tasks);
-            let workers = self.threads.min(tasks.len());
-            let (parallel_ns, merge_ns) = if workers > 1 && work >= PARALLEL_MIN_WORK {
-                self.run_parallel(&tasks, workers)
-            } else {
-                self.run_serial(&tasks)
-            };
+            let (enum_ns, merge_ns) = self.run_tasks(&tasks);
             // A limit tripped inside a task: surface it now, before the
             // convergence test could mistake the partially merged
             // iteration for a fixpoint.
@@ -1088,7 +925,7 @@ impl Machine {
                 self.record_iteration(
                     stratum,
                     t0.elapsed().as_nanos() as u64,
-                    parallel_ns,
+                    enum_ns,
                     merge_ns,
                     tasks.len() as u64,
                     retired,
@@ -2041,8 +1878,7 @@ mod tests {
     }
 
     /// A dense random-ish digraph: big enough that transitive-closure
-    /// iterations cross the [`CHUNK_MIN_ROWS`] and [`PARALLEL_MIN_WORK`]
-    /// thresholds, so the parallel tests exercise chunked fan-out for real.
+    /// iterations reach [`CHUNK_MIN_ROWS`].
     fn dense_edb(n: i64, m: i64) -> FactSet {
         let mut fs = FactSet::new();
         let mut x: i64 = 42;
@@ -2058,26 +1894,27 @@ mod tests {
         fs
     }
 
-    /// Byte-level identity: same row ids per predicate (not just the same
-    /// set of facts), same stats partition, same provenance.
-    fn assert_identical(a: &EvalOutput, b: &EvalOutput) {
-        assert_eq!(a.stats, b.stats, "stats partition differs");
-        assert_eq!(a.database.pred_count(), b.database.pred_count());
-        for p in 0..a.database.pred_count() {
-            let id = PredId(p as u32);
-            assert_eq!(a.database.pred_ref(id), b.database.pred_ref(id));
-            let ra: Vec<&[Value]> = a.database.relation(id).iter().collect();
-            let rb: Vec<&[Value]> = b.database.relation(id).iter().collect();
-            assert_eq!(ra, rb, "row order differs for {}", a.database.pred_ref(id));
-        }
-        assert_eq!(a.provenance, b.provenance, "provenance differs");
-    }
-
+    /// Every counter of three programs — recursion, negation, the boolean
+    /// cut — over one dense digraph, pinned to the values the fixpoint has
+    /// always produced. Chunking, the task order, the delta-first choice
+    /// and the merge each move at least one of them.
     #[test]
-    fn parallel_evaluation_is_byte_identical_to_serial() {
-        // Programs covering recursion, negation, and the boolean cut.
-        let cases: Vec<(&str, bool)> = vec![
-            (TC, false),
+    fn counters_are_pinned_on_a_dense_digraph() {
+        type Case = (
+            &'static str,
+            bool,
+            [u64; 6],
+            Vec<u64>,
+            Vec<(&'static str, usize)>,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                TC,
+                false,
+                [3, 51940, 2304, 49636, 55120, 2120],
+                vec![2, 1, 1],
+                vec![("p", 1060), ("a", 2304)],
+            ),
             (
                 "a(X, Y) :- p(X, Z), a(Z, Y).\n\
                  a(X, Y) :- p(X, Y).\n\
@@ -2085,6 +1922,9 @@ mod tests {
                  island(X) :- base(X), not a(X, X).\n\
                  ?- island(X).",
                 false,
+                [4, 53000, 2352, 50648, 56228, 2168],
+                vec![3, 1, 1, 1],
+                vec![("p", 1060), ("a", 2304), ("base", 48), ("island", 0)],
             ),
             (
                 "a(X, Y) :- p(X, Z), a(Z, Y).\n\
@@ -2093,92 +1933,45 @@ mod tests {
                  q(X) :- p(X, _), b.\n\
                  ?- q(X).",
                 true,
+                [4, 53001, 2353, 50648, 57242, 2120],
+                vec![4, 2, 2, 0],
+                vec![("p", 1060), ("a", 2304), ("b", 1), ("q", 48)],
             ),
         ];
         let edb = dense_edb(48, 1400);
-        for (src, cut) in cases {
+        for (src, cut, stats, tasks, rows) in cases {
             let p = parse_program(src).unwrap().program;
-            let opts = |threads: usize| EvalOptions {
-                threads,
+            let opts = EvalOptions {
                 boolean_cut: cut,
                 record_provenance: true,
+                profile: true,
                 ..EvalOptions::default()
             };
-            let serial = evaluate(&p, &edb, &opts(1)).unwrap();
-            for threads in [2, 3, 8] {
-                let par = evaluate(&p, &edb, &opts(threads)).unwrap();
-                assert_identical(&serial, &par);
-            }
+            let out = evaluate(&p, &edb, &opts).unwrap();
+            let s = out.stats;
+            let got = [
+                s.iterations as u64,
+                s.derivations,
+                s.facts_derived,
+                s.duplicates,
+                s.tuples_scanned,
+                s.index_probes,
+            ];
+            assert_eq!(got, stats, "stats of {src}");
+            let timeline = &out.profile.as_ref().unwrap().timeline;
+            let got: Vec<u64> = timeline.iter().map(|it| it.tasks).collect();
+            assert_eq!(got, tasks, "tasks per iteration of {src}");
+            // By name: predicate ids follow the process-wide interner.
+            let db = &out.database;
+            let got: BTreeMap<String, usize> = (0..db.pred_count())
+                .map(|i| {
+                    let id = PredId(i as u32);
+                    (db.pred_ref(id).to_string(), db.relation(id).len())
+                })
+                .collect();
+            let rows: BTreeMap<String, usize> = rows.iter().map(|&(p, n)| (p.into(), n)).collect();
+            assert_eq!(got, rows, "rows of {src}");
         }
-    }
-
-    #[test]
-    fn parallel_profile_counters_match_serial() {
-        let p = parse_program(TC).unwrap().program;
-        let edb = dense_edb(40, 1000);
-        let opts = |threads: usize| EvalOptions {
-            threads,
-            profile: true,
-            ..EvalOptions::default()
-        };
-        let serial = evaluate(&p, &edb, &opts(1)).unwrap();
-        let par = evaluate(&p, &edb, &opts(4)).unwrap();
-        assert_identical(&serial, &par);
-        // Profiles agree on everything but wall time (which legitimately
-        // varies run to run): per-rule counters, retirement, the timeline's
-        // per-iteration deltas and task counts.
-        assert_eq!(
-            serial.profile.unwrap().counters_only(),
-            par.profile.unwrap().counters_only()
-        );
-    }
-
-    #[test]
-    fn parallel_budget_trips_exactly_like_serial() {
-        let p = parse_program(TC).unwrap().program;
-        let opts = |threads: usize| EvalOptions {
-            threads,
-            fact_budget: Some(100),
-            ..EvalOptions::default()
-        };
-        for threads in [1usize, 4] {
-            let err = evaluate(&p, &chain_edb(50), &opts(threads)).unwrap_err();
-            match err {
-                EngineError::BudgetExceeded { budget, stats } => {
-                    assert_eq!(budget, 100);
-                    // The merge applies buffers in task order and stops at
-                    // the trip, so enforcement stays exact at any width.
-                    assert_eq!(stats.facts_derived, 101, "threads={threads}");
-                }
-                other => panic!("expected BudgetExceeded, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cancellation_unwinds_cleanly() {
-        let (p, edb) = pathological();
-        let token = CancelToken::new();
-        let canceller = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                token.cancel();
-            })
-        };
-        let err = evaluate(
-            &p,
-            &edb,
-            &EvalOptions {
-                threads: 4,
-                cancel: Some(token),
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap_err();
-        canceller.join().unwrap();
-        assert!(matches!(err, EngineError::Cancelled { .. }), "{err:?}");
-        assert!(err.partial_stats().unwrap().tuples_scanned > 0);
     }
 
     #[test]

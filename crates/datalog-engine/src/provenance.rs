@@ -24,9 +24,7 @@ pub struct Justification {
 
 /// First-derivation provenance for one evaluation.
 ///
-/// Equality compares the full fact → justification map; the parallel
-/// evaluator's determinism tests use it to assert that any thread count
-/// records byte-identical provenance.
+/// Equality compares the full fact → justification map.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
     just: HashMap<(PredId, u32), Justification>,

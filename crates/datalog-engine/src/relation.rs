@@ -21,8 +21,8 @@
 //! [`Relation::ensure_index`] at the barrier of the first iteration whose
 //! tasks probe them, and maintained incrementally by
 //! [`Relation::insert`] from then on. Probing is a `&self` operation
-//! ([`Relation::probe_range`]), which is what lets one frozen relation be
-//! shared across worker threads during a parallel fixpoint iteration.
+//! ([`Relation::probe_range`]), so a fixpoint iteration enumerates against
+//! a frozen relation and only its merge mutates it.
 //!
 //! Answer extraction has its own, cheaper structure: one **read index**
 //! slot per column ([`crate::storage::ReadIndex`]), empty until a read

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is a set of switches the integration tests flip to make
 //! the server misbehave *deterministically*: fsync failures in the WAL,
-//! a panic in the middle of a query evaluation. The plan is threaded
+//! a panic in the middle of a query evaluation, a failing resident drain,
+//! a query let past bound-aware admission. The plan is threaded
 //! through [`ServerConfig`](crate::ServerConfig) as a cheap `Arc`; the
 //! default plan injects nothing and costs one atomic load per consult, so
 //! it stays compiled into release builds (a deliberate choice — the fault
@@ -33,6 +34,9 @@ pub struct FaultPlan {
     /// run under an already-cancelled token). Lets tests stage "fails
     /// once", "fails N times then heals", and "poisons every rebuild".
     fail_drains: AtomicU64,
+    /// While set, bound-aware admission refuses nothing, so a query over
+    /// its fact budget reaches the engine's own budget trip.
+    skip_bound_admission: AtomicBool,
     /// How many injected faults have fired (for test assertions).
     fired: AtomicU64,
 }
@@ -99,6 +103,18 @@ impl FaultPlan {
         prev
     }
 
+    /// Let every query past bound-aware admission, or restore it.
+    pub fn skip_bound_admission(&self, on: bool) {
+        self.skip_bound_admission.store(on, Ordering::Release);
+    }
+
+    /// Consulted by cold evaluation before it compares a form's bound with
+    /// the fact budget. Not counted in [`FaultPlan::fired`]: it is read on
+    /// every cold query, whether or not the bound would refuse it.
+    pub fn bound_admission_skipped(&self) -> bool {
+        self.skip_bound_admission.load(Ordering::Acquire)
+    }
+
     /// Total injected faults that have fired.
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Acquire)
@@ -114,6 +130,7 @@ mod tests {
         let plan = FaultPlan::new();
         assert!(!plan.fsync_should_fail());
         assert!(!plan.should_panic_on_query("a"));
+        assert!(!plan.bound_admission_skipped());
         assert_eq!(plan.fired(), 0);
     }
 

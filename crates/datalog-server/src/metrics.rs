@@ -130,8 +130,6 @@ pub struct ServerMetrics {
 
     /// Connections shed at the connection limit.
     pub shed_conns: Arc<Counter>,
-    /// Queries shed at the in-flight budget.
-    pub shed_queries: Arc<Counter>,
     /// Wall-clock deadline trips.
     pub deadline_trips: Arc<Counter>,
     /// Derived-fact budget trips.
@@ -192,13 +190,6 @@ impl ServerMetrics {
             registry.counter(
                 "xdl_cache_events_total",
                 "Prepared-query cache events, by kind.",
-                &[("kind", kind)],
-            )
-        };
-        let shed = |kind| {
-            registry.counter(
-                "xdl_shed_total",
-                "Work refused by overload control, by kind.",
                 &[("kind", kind)],
             )
         };
@@ -311,8 +302,11 @@ impl ServerMetrics {
                 "Snapshot compaction duration.",
                 &[],
             ),
-            shed_conns: shed("connection"),
-            shed_queries: shed("query"),
+            shed_conns: registry.counter(
+                "xdl_shed_total",
+                "Work refused by overload control, by kind.",
+                &[("kind", "connection")],
+            ),
             deadline_trips: trip("deadline"),
             budget_trips: trip("budget"),
             iteration_trips: trip("iterations"),

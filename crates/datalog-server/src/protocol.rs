@@ -71,7 +71,7 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 /// Machine-readable error class carried by a coded `ERR` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {
-    /// Admission control shed the request (connection or query capacity).
+    /// Admission control shed the connection (the `--max-conns` cap).
     Busy,
     /// The query ran past its wall-clock deadline.
     Deadline,

@@ -20,7 +20,7 @@
 //! `TRACE` document and a slow-query line are produced, so all four
 //! `cache=` sources answer with the same header and move the same
 //! histograms. A query that ends in `ERR` records no phase span; its own
-//! counter (trip, refusal, shed) is the record.
+//! counter (trip, refusal) is the record.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -142,19 +142,8 @@ pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
 impl ServerState {
     pub(crate) fn handle_query(&self, text: &str) -> Response {
         let started = Instant::now();
-        // Admission control runs before any parsing or optimizer work:
-        // under overload the cheapest thing to do with a query is refuse it.
         self.inflight.fetch_add(1, Ordering::AcqRel);
         let _inflight = Decrement(&self.inflight);
-        let max = self.cfg.max_inflight;
-        if max > 0 && self.inflight.load(Ordering::Acquire) > max {
-            self.metrics.shed_queries.inc();
-            self.note_limit("busy", &format!("query shed at in-flight budget {max}"));
-            return Response::err_code(
-                ErrCode::Busy,
-                format!("server at query capacity ({max} in flight), retry"),
-            );
-        }
         self.run_query(text, started)
             .unwrap_or_else(|refusal| refusal)
     }
@@ -321,9 +310,7 @@ impl ServerState {
     }
 
     /// The evaluation limits and knobs of every fixpoint the server runs,
-    /// for a request (or rebuild) that began at `started`. Workers poll
-    /// the same deadline/cancel the serial path does, so the limit
-    /// envelope does not depend on `eval_threads`.
+    /// for a request (or rebuild) that began at `started`.
     pub(crate) fn eval_opts(
         &self,
         started: Instant,
@@ -334,7 +321,6 @@ impl ServerState {
             // Serving always wants the cheapest join order, not source
             // order (`xdl run` keeps source order for experiment counters).
             reorder_joins: true,
-            threads: self.cfg.eval_threads,
             deadline: self
                 .cfg
                 .deadline_ms
@@ -361,8 +347,8 @@ impl ServerState {
         // snapshot's cardinalities upper-bounds what the fixpoint can
         // derive. If that ceiling already exceeds the fact budget the trip
         // is inevitable — refuse before a single iteration.
-        if let (true, Some(budget)) = (self.cfg.bound_admission, self.cfg.fact_budget) {
-            if bound > budget {
+        if let Some(budget) = self.cfg.fact_budget {
+            if bound > budget && !self.cfg.fault.bound_admission_skipped() {
                 self.metrics.admission_rejected.inc();
                 let detail = format!(
                     "static derivation bound {bound} facts exceeds fact budget {budget} \

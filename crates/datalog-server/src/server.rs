@@ -30,8 +30,8 @@
 //!   [`EvalStats`](datalog_engine::EvalStats), and the tripped result is
 //!   **not** memoized.
 //! * **Overload control** — a connection limit sheds excess accepts with
-//!   `ERR busy`, and a global in-flight query budget sheds excess `QUERY`s
-//!   before they touch the evaluator.
+//!   `ERR busy`. A connection serves one request at a time, so the same
+//!   limit caps the queries in flight.
 //! * **Panic isolation** — each request runs under `catch_unwind`; a panic
 //!   poisons no state (all lock accessors recover) and answers
 //!   `ERR internal` while the server lives on.
@@ -78,11 +78,6 @@ use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Evaluation threads per query (the engine's fixpoint fan-out).
-    /// Results are byte-identical at any value; the default honors the
-    /// `XDL_EVAL_THREADS` environment variable and falls back to the
-    /// machine's available parallelism.
-    pub eval_threads: usize,
     /// Forms allowed to pin resident incremental state
     /// (`--resident-forms`; 0 disables pinning entirely and restores the
     /// invalidate-and-recompute serving behavior).
@@ -102,19 +97,13 @@ pub struct ServerConfig {
     /// `ERR busy`. Each connection is a thread, so there is no unlimited
     /// value: [`ServerState::from_config`] raises 0 to 1.
     pub max_conns: usize,
-    /// Queries evaluating at once across all connections before `QUERY`
-    /// is shed with `ERR busy` (0 = no limit).
-    pub max_inflight: usize,
     /// Per-query wall-clock deadline.
     pub deadline_ms: Option<u64>,
-    /// Per-query derived-fact budget.
+    /// Per-query derived-fact budget. A query whose static derivation
+    /// bound, evaluated at current EDB cardinalities, already exceeds it is
+    /// refused with `ERR bound` before evaluation; one that gets past that
+    /// check and then derives too much trips with `ERR budget`.
     pub fact_budget: Option<u64>,
-    /// Bound-aware admission (on by default, only meaningful with a
-    /// `fact_budget`): refuse a query with `ERR bound` *before* evaluation
-    /// when its static derivation bound, evaluated at current EDB
-    /// cardinalities, already exceeds the budget. Off restores
-    /// trip-at-runtime (`ERR budget` with partial stats).
-    pub bound_admission: bool,
     /// Shutdown drain: how long in-flight queries may keep running before
     /// the global cancel token fires.
     pub grace_ms: u64,
@@ -134,31 +123,20 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            eval_threads: std::env::var("XDL_EVAL_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(default_parallelism),
             resident_forms: 8,
             verify: false,
             wal_dir: None,
             fsync: FsyncPolicy::Always,
             compact_every: 4096,
             max_conns: 64,
-            max_inflight: 0,
             deadline_ms: None,
             fact_budget: None,
-            bound_admission: true,
             grace_ms: 2000,
             slow_query_ms: None,
             rebuild_ms: 50,
             fault: Arc::new(FaultPlan::new()),
         }
     }
-}
-
-/// The machine's available parallelism (1 when it cannot be determined).
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -214,7 +192,7 @@ impl RuleSet {
 /// Everything the connection threads share.
 pub struct ServerState {
     /// The configuration, normalized once by [`ServerState::from_config`]
-    /// (`eval_threads` and `max_conns` are at least 1, the rebuild backoff
+    /// (`max_conns` is at least 1, the rebuild backoff
     /// base is in `1..=REBUILD_BACKOFF_CAP_MS`).
     pub(crate) cfg: ServerConfig,
     /// Replaced whole by a `LOAD` that adds rules; a query clones the
@@ -265,7 +243,6 @@ impl ServerState {
     /// WAL directory is configured — the replay of snapshot + log.
     pub fn from_config(cfg: &ServerConfig) -> std::io::Result<ServerState> {
         let mut cfg = cfg.clone();
-        cfg.eval_threads = cfg.eval_threads.max(1);
         cfg.max_conns = cfg.max_conns.max(1);
         cfg.rebuild_ms = cfg.rebuild_ms.clamp(1, REBUILD_BACKOFF_CAP_MS);
         let mut cache = PreparedCache::new(PREPARED_CAPACITY);
@@ -643,7 +620,6 @@ impl ServerState {
             .with("max_conns", self.cfg.max_conns)
             .with("inflight", self.inflight.load(Ordering::Acquire) as u64)
             .with("shed_connections", m.shed_conns.get())
-            .with("shed_queries", m.shed_queries.get())
             .with("deadline_trips", m.deadline_trips.get())
             .with("budget_trips", m.budget_trips.get())
             .with("admission_rejected", m.admission_rejected.get())
@@ -938,15 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_query_at_inflight_budget_zero_means_unlimited() {
-        let state = state_with(ServerConfig::default());
-        // max_inflight == 0: a query is admitted (and fails on substance,
-        // not on admission).
-        let resp = state.handle(&Request::query("?- nosuch(X)."));
-        assert!(resp.code.is_none(), "{}", resp.error);
-    }
-
-    #[test]
     fn panic_in_handler_is_contained() {
         let fault = Arc::new(FaultPlan::new());
         let state = state_with(ServerConfig {
@@ -988,61 +955,18 @@ mod tests {
         assert!(!datalog_engine::EvalOptions::default().reorder_joins);
     }
 
-    #[test]
-    fn queries_parallel_and_serial_agree_byte_for_byte() {
-        let answers_at = |threads: usize| {
-            let state = ServerState::from_config(&ServerConfig {
-                eval_threads: threads,
-                ..ServerConfig::default()
-            })
-            .unwrap();
-            let dir = TempDir::new(&format!("par{threads}"));
-            let file = dir.0.join("tc.dl");
-            let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
-            for i in 0..40 {
-                src.push_str(&format!("p({}, {}).\n", i, (i * 7 + 3) % 40));
-            }
-            std::fs::write(&file, src).unwrap();
-            assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-            let resp = state.handle(&Request::query("?- a(X, _)."));
-            assert!(resp.ok, "{}", resp.error);
-            resp.payload_text()
-        };
-        let serial = answers_at(1);
-        assert_eq!(
-            serial,
-            answers_at(4),
-            "server answers must not depend on eval_threads"
-        );
-    }
-
-    #[test]
-    fn eval_threads_default_to_available_parallelism() {
-        // Satellite: an unconfigured server should use the machine, not a
-        // hardcoded 1. Computed from the environment at runtime (tests run
-        // in parallel; mutating the env here would race).
-        let expected = std::env::var("XDL_EVAL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        assert_eq!(ServerConfig::default().eval_threads, expected);
-        let state = ServerState::from_config(&ServerConfig::default()).unwrap();
-        assert_eq!(state.cfg.eval_threads, expected.max(1));
-    }
-
     /// The tentpole identity: with resident forms enabled, every QUERY
     /// after every FACT batch must be byte-identical to the
-    /// invalidate-and-recompute server — at 1 and at 4 eval threads.
+    /// invalidate-and-recompute server.
     #[test]
     fn resident_serving_is_byte_identical_to_cold_recompute() {
-        let run = |eval_threads: usize, resident_forms: usize| -> Vec<String> {
+        let run = |resident_forms: usize| -> Vec<String> {
             let state = ServerState::from_config(&ServerConfig {
-                eval_threads,
                 resident_forms,
                 ..ServerConfig::default()
             })
             .unwrap();
-            let dir = TempDir::new(&format!("res-{eval_threads}-{resident_forms}"));
+            let dir = TempDir::new(&format!("res-{resident_forms}"));
             let file = dir.0.join("tc.dl");
             let mut src = String::from("a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n");
             for i in 0..20 {
@@ -1074,9 +998,7 @@ mod tests {
             }
             payloads
         };
-        let cold = run(1, 0);
-        assert_eq!(cold, run(1, 8), "resident must match recompute");
-        assert_eq!(cold, run(4, 8), "and be thread-count independent");
+        assert_eq!(run(0), run(8), "resident must match recompute");
     }
 
     #[test]

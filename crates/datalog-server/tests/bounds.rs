@@ -9,7 +9,9 @@
 
 mod util;
 
-use datalog_server::{Client, ErrCode, Server, ServerConfig};
+use std::sync::Arc;
+
+use datalog_server::{Client, ErrCode, FaultPlan, Server, ServerConfig};
 use util::TempDir;
 
 const TC_RULES: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n";
@@ -71,10 +73,12 @@ fn admitted_workload_serves_byte_identical_answers() {
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     let queries = ["?- a(X, Y).", "?- a(1, X).", "?- a(X, _).", "?- a(_, 4)."];
     let mut payloads: Vec<Vec<String>> = Vec::new();
-    for bound_admission in [true, false] {
+    for skip_admission in [false, true] {
+        let fault = Arc::new(FaultPlan::new());
+        fault.skip_bound_admission(skip_admission);
         let server = Server::spawn(&ServerConfig {
             fact_budget: Some(10_000),
-            bound_admission,
+            fault,
             ..ServerConfig::default()
         })
         .unwrap();

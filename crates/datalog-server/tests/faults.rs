@@ -501,13 +501,15 @@ fn load_of_a_non_regular_file_is_refused_before_reading() {
 #[test]
 fn budget_trip_is_coded_counted_and_never_memoized() {
     let dir = TempDir::new("budget");
+    // Bound-aware admission would predict the blow-up and refuse with
+    // `ERR bound` before evaluation ever starts (covered in
+    // tests/bounds.rs); this test exercises the engine-side backstop, so
+    // the pre-flight check is skipped.
+    let fault = Arc::new(FaultPlan::new());
+    fault.skip_bound_admission(true);
     let server = Server::spawn(&ServerConfig {
         fact_budget: Some(3),
-        // Bound-aware admission would predict the blow-up and refuse with
-        // `ERR bound` before evaluation ever starts (covered in
-        // tests/bounds.rs); this test exercises the engine-side backstop,
-        // so the pre-flight check is switched off.
-        bound_admission: false,
+        fault,
         ..ServerConfig::default()
     })
     .unwrap();

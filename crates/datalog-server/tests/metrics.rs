@@ -365,7 +365,6 @@ fn server_with_workload(dir: &TempDir, cfg: ServerConfig) -> (Server, Client) {
 fn metrics_scrape_is_valid_prometheus_and_covers_the_surface() {
     let dir = TempDir::new("metrics-scrape");
     let cfg = ServerConfig {
-        eval_threads: 2,
         wal_dir: Some(dir.path().join("wal")),
         ..ServerConfig::default()
     };
@@ -380,7 +379,7 @@ fn metrics_scrape_is_valid_prometheus_and_covers_the_surface() {
     let families = parse_prometheus(&resp.payload_text());
 
     // The acceptance surface: request latency per verb, cache hit/miss,
-    // WAL fsync, shed/trip counters, per-worker eval histograms.
+    // WAL fsync, shed/trip counters, eval histograms.
     for required in [
         "xdl_requests_total",
         "xdl_request_seconds",

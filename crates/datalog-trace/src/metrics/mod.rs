@@ -7,9 +7,8 @@
 //! * [`registry`] — a process-wide [`Registry`] of named counter / gauge /
 //!   histogram families rendering both Prometheus text exposition and the
 //!   workspace's [`Json`](crate::Json) style;
-//! * [`EvalHists`] — the engine-side bundle: per-task enumeration wall,
-//!   per-worker queue wait, and per-round merge stall, which is exactly
-//!   the data the ROADMAP's skew-aware chunking item needs.
+//! * [`EvalHists`] — the engine-side bundle: per-task enumeration wall and
+//!   per-round merge time.
 //!
 //! The overhead contract (measured by the benchmark's
 //! `trace.histogram_record_ns` and `trace.span_overhead_ratio`): a recording
@@ -26,37 +25,29 @@ pub use registry::{Counter, Gauge, MetricKind, Registry};
 use std::sync::Arc;
 
 /// Histogram handles threaded into the evaluation engine via
-/// `EvalOptions`. Cloning shares the underlying atomics, so every worker
-/// thread records into the same fixed arrays without coordination.
+/// `EvalOptions`. Cloning shares the underlying atomics, so every query's
+/// evaluation records into the same fixed arrays without coordination.
 #[derive(Debug, Clone)]
 pub struct EvalHists {
     /// Wall time of one enumeration task (nanoseconds).
     pub task_enum: Arc<Histogram>,
-    /// Per-worker wait: fan-out start until the worker claims its first
-    /// task — thread spawn plus queue latency (nanoseconds).
-    pub task_wait: Arc<Histogram>,
-    /// Per-round merge stall: the single-threaded apply phase that workers
-    /// sit out (nanoseconds).
+    /// Per-round merge time: applying the round's buffered candidates to
+    /// the database (nanoseconds).
     pub merge: Arc<Histogram>,
 }
 
 impl EvalHists {
-    /// Register the three engine histograms on `registry`.
+    /// Register the two engine histograms on `registry`.
     pub fn register(registry: &Registry) -> EvalHists {
         EvalHists {
             task_enum: registry.histogram(
                 "xdl_eval_task_enum_seconds",
-                "Wall time of one parallel enumeration task.",
-                &[],
-            ),
-            task_wait: registry.histogram(
-                "xdl_eval_task_wait_seconds",
-                "Per-worker wait from fan-out start to first claimed task.",
+                "Wall time of one enumeration task.",
                 &[],
             ),
             merge: registry.histogram(
                 "xdl_eval_merge_seconds",
-                "Single-threaded merge stall per evaluation round.",
+                "Merge time per evaluation round.",
                 &[],
             ),
         }

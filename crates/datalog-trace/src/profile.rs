@@ -83,16 +83,14 @@ pub struct IterationProfile {
     pub stratum: usize,
     /// Wall time of the iteration, in nanoseconds.
     pub wall_ns: u64,
-    /// Wall time of the enumeration half: serially, the sum over tasks of
-    /// their enumeration time; in parallel, the wall time of the fan-out
-    /// region (workers overlap, so this can be far below the per-task sum).
-    pub parallel_ns: u64,
+    /// Wall time of the enumeration half: the sum over tasks of their
+    /// enumeration time.
+    pub enum_ns: u64,
     /// Wall time of the merge half: applying the buffered candidate tuples
     /// to the database in fixed task order.
     pub merge_ns: u64,
     /// Schedulable tasks this iteration decomposed into — (rule, variant,
-    /// chunk) units. Planned from frozen iteration-start state, so the
-    /// count is identical at any thread count.
+    /// chunk) units. Planned from frozen iteration-start state.
     pub tasks: u64,
     /// Per-predicate growth (only predicates that gained facts appear).
     pub deltas: Vec<PredDelta>,
@@ -107,7 +105,7 @@ impl IterationProfile {
             .with("iteration", self.iteration)
             .with("stratum", self.stratum)
             .with("wall_ns", self.wall_ns)
-            .with("parallel_ns", self.parallel_ns)
+            .with("enum_ns", self.enum_ns)
             .with("merge_ns", self.merge_ns)
             .with("tasks", self.tasks)
             .with("rules_retired", self.rules_retired)
@@ -158,8 +156,8 @@ impl EvalProfile {
     }
 
     /// A copy with every wall-time field zeroed, leaving only the
-    /// deterministic counters. Wall times legitimately differ between runs
-    /// (and between thread counts); everything else in a profile is a pure
+    /// deterministic counters. Wall times legitimately differ between runs;
+    /// everything else in a profile is a pure
     /// function of the program and input, so differential tests compare
     /// `counters_only()` for equality.
     pub fn counters_only(&self) -> EvalProfile {
@@ -169,7 +167,7 @@ impl EvalProfile {
         }
         for it in &mut p.timeline {
             it.wall_ns = 0;
-            it.parallel_ns = 0;
+            it.enum_ns = 0;
             it.merge_ns = 0;
         }
         p
@@ -257,7 +255,7 @@ impl EvalProfile {
                 it.iteration,
                 it.stratum,
                 it.wall_ns as f64 / 1e3,
-                it.parallel_ns as f64 / 1e3,
+                it.enum_ns as f64 / 1e3,
                 it.merge_ns as f64 / 1e3,
                 it.tasks,
                 if deltas.is_empty() {
@@ -310,7 +308,7 @@ mod tests {
                 iteration: 1,
                 stratum: 0,
                 wall_ns: 14_000,
-                parallel_ns: 11_000,
+                enum_ns: 11_000,
                 merge_ns: 3_000,
                 tasks: 3,
                 deltas: vec![PredDelta {
@@ -362,7 +360,7 @@ mod tests {
         assert!(s.contains("\"retired_at\":null"));
         assert!(s.contains("\"timeline\""));
         assert!(s.contains("\"new_facts\":6"));
-        assert!(s.contains("\"parallel_ns\":11000"));
+        assert!(s.contains("\"enum_ns\":11000"));
         assert!(s.contains("\"merge_ns\":3000"));
         assert!(s.contains("\"tasks\":3"));
     }
@@ -373,7 +371,7 @@ mod tests {
         assert_eq!(stripped.rules[0].wall_ns, 0);
         assert_eq!(stripped.rules[1].wall_ns, 0);
         assert_eq!(stripped.timeline[0].wall_ns, 0);
-        assert_eq!(stripped.timeline[0].parallel_ns, 0);
+        assert_eq!(stripped.timeline[0].enum_ns, 0);
         assert_eq!(stripped.timeline[0].merge_ns, 0);
         // The deterministic fields survive untouched.
         assert_eq!(stripped.timeline[0].tasks, 3);

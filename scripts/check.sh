@@ -60,7 +60,7 @@ printf 'a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\n'
     > "$smoke_dir/tc.dl"
 { cat "$smoke_dir/tc.dl"; printf '?- a(X, _).\n'; } > "$smoke_dir/run.dl"
 
-./target/release/xdl serve --port 0 --threads 2 > "$smoke_dir/serve.out" &
+./target/release/xdl serve --port 0 > "$smoke_dir/serve.out" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 50); do
@@ -207,16 +207,16 @@ echo "check.sh: telemetry suite ok"
 
 # Fault suite: the injection harness (fsync failure, torn WAL tail, panic
 # isolation, deadline storm, slow client, budget, shedding, drain) must
-# pass against the release-profile server crate — with parallel evaluation
-# on (XDL_EVAL_THREADS feeds ServerConfig::default), so limits, panics and
-# recovery are exercised under the threaded fixpoint too.
-XDL_EVAL_THREADS=4 cargo test -q -p datalog-server --test faults > /dev/null
-echo "check.sh: fault suite ok (eval_threads=4)"
+# pass against the release-profile server crate.
+cargo test -q -p datalog-server --test faults > /dev/null
+echo "check.sh: fault suite ok"
 
-# Best-effort ThreadSanitizer arm over the parallel-evaluation tests.
-# -Zsanitizer is nightly-only and needs rust-src for -Zbuild-std; on a
-# stable-only toolchain this is skipped with a notice rather than failed,
-# so the gate stays runnable offline.
+# Best-effort ThreadSanitizer arm over the code that is concurrent: the
+# `SharedDatabase` one writer grows while readers snapshot it (the engine's
+# unit tests and its shared-store stress test; every fixpoint runs on one
+# thread). -Zsanitizer is nightly-only and needs rust-src for -Zbuild-std;
+# on a stable-only toolchain this is skipped with a notice rather than
+# failed, so the gate stays runnable offline.
 if command -v rustup > /dev/null 2>&1 \
     && rustup toolchain list 2>/dev/null | grep -q '^nightly' \
     && rustup component list --toolchain nightly 2>/dev/null \
@@ -224,7 +224,7 @@ if command -v rustup > /dev/null 2>&1 \
     tsan_host=$(rustc -vV | sed -n 's/^host: //p')
     RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -q -Zbuild-std --target "$tsan_host" \
-        -p datalog-engine --lib > /dev/null
+        -p datalog-engine --lib --test shared_stress > /dev/null
     echo "check.sh: ThreadSanitizer arm ok ($tsan_host)"
 else
     echo "check.sh: ThreadSanitizer arm skipped (needs nightly toolchain + rust-src)"
@@ -243,24 +243,27 @@ if ! grep -q 'budget' "$smoke_dir/limit.err" || ! grep -q 'partial:' "$smoke_dir
 fi
 echo "check.sh: resource-limit smoke ok"
 
-# Scaling smoke: parallel evaluation must be byte-identical to serial —
-# the answers and the full stats partition, not just the answer set.
-./target/release/xdl run "$smoke_dir/run.dl" --stats --threads 1 \
-    > "$smoke_dir/threads1.out" 2>&1
-./target/release/xdl run "$smoke_dir/run.dl" --stats --threads 4 \
-    > "$smoke_dir/threads4.out" 2>&1
-if ! cmp -s "$smoke_dir/threads1.out" "$smoke_dir/threads4.out"; then
-    echo "check.sh: --threads 4 output differs from serial:" >&2
-    diff "$smoke_dir/threads1.out" "$smoke_dir/threads4.out" >&2 || true
-    exit 1
-fi
-echo "check.sh: scaling smoke ok"
+# Option smoke: an option a subcommand does not know is a usage error —
+# exit 2 with `unknown option` on stderr — never silently ignored, and a
+# server given one never comes up.
+for args in "serve --port 0 --threads 2" "run $smoke_dir/run.dl --budjet 1"; do
+    status=0
+    timeout 10 ./target/release/xdl $args \
+        > "$smoke_dir/option.out" 2> "$smoke_dir/option.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q 'unknown option' "$smoke_dir/option.err" \
+        || grep -q 'listening on' "$smoke_dir/option.out"; then
+        echo "check.sh: 'xdl $args' exited $status instead of refusing the option:" >&2
+        cat "$smoke_dir/option.out" "$smoke_dir/option.err" >&2
+        exit 1
+    fi
+done
+echo "check.sh: option smoke ok"
 
 # Incremental-serving smoke: ingest after a warm query, then demand the
 # resident-frontier answer is byte-identical to a server with residency
 # disabled (--resident-forms 0 forces invalidate-and-recompute).
 for forms in 8 0; do
-    ./target/release/xdl serve --port 0 --threads 2 --resident-forms "$forms" \
+    ./target/release/xdl serve --port 0 --resident-forms "$forms" \
         > "$smoke_dir/serve-inc$forms.out" &
     serve_pid=$!
     addr=""
@@ -293,7 +296,7 @@ echo "check.sh: incremental serving smoke ok"
 # `xdl query` sends its positional text verbatim after `QUERY `, so the word
 # travels inside it. After a FACT, each read must be byte-identical to
 # `xdl run` on the same rules and facts.
-./target/release/xdl serve --port 0 --threads 2 > "$smoke_dir/serve-modes.out" &
+./target/release/xdl serve --port 0 > "$smoke_dir/serve-modes.out" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 50); do
@@ -328,7 +331,7 @@ echo "check.sh: mode-word smoke ok"
 # Crash-recovery smoke: ingest through a WAL-backed server, SIGKILL it
 # (no shutdown, no flush), restart on the same WAL directory, and demand
 # byte-identical query output.
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal" \
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal" \
     > "$smoke_dir/serve2.out" &
 serve_pid=$!
 addr=""
@@ -347,7 +350,7 @@ kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal" \
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal" \
     > "$smoke_dir/serve3.out" &
 serve_pid=$!
 addr=""
@@ -381,7 +384,7 @@ echo "check.sh: crash-recovery smoke ok"
 # run-file manifest instead of a pure text log. The restart must load the
 # run batches (a `recovered` line with nonzero run_files and no lost ones)
 # and answer byte-identically.
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal-man" \
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-man" \
     --compact-every 4 > "$smoke_dir/serve-man.out" &
 serve_pid=$!
 addr=""
@@ -406,7 +409,7 @@ kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal-man" \
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-man" \
     --compact-every 4 > "$smoke_dir/serve-man2.out" &
 serve_pid=$!
 addr=""
@@ -525,8 +528,8 @@ fi
 echo "check.sh: broken-pipe smoke ok"
 
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
-# thread counts, resident vs cold in bulk and single-fact batches, the
-# storage self-check, optimizer on and off) over programs nobody wrote by hand. The
+# resident vs cold in bulk and single-fact batches, the storage
+# self-check, optimizer on and off) over programs nobody wrote by hand. The
 # seed comes from the clock and is printed first; 1500 rounds is about 20 s
 # on a 2-core sandbox.
 fuzz_rounds=1500
