@@ -12,11 +12,9 @@
 //! xdl explain <file.dl> <fact>
 //! xdl grammar <file.dl> [--words <len>] [--monadic first|second]
 //! xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]
-//! xdl serve [--port <p>] [--verify] [--wal <dir>]
-//!           [--fsync always|batch|never] [--compact-every <n>]
+//! xdl serve [--port <p>] [--verify] [--wal <dir>] [--compact-every <n>]
 //!           [--max-conns <n>] [--deadline-ms <ms>] [--budget <n>]
-//!           [--grace-ms <ms>] [--slow-query-ms <ms>]
-//!           [--resident-forms <n>] [--rebuild-ms <ms>]
+//!           [--grace-ms <ms>] [--slow-query-ms <ms>] [--resident-forms <n>]
 //! xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]...
 //!           [--stats] [--trace] [--shutdown] ['?- atom.']
 //! xdl metrics --connect <addr> [--json | --watch]
@@ -26,8 +24,9 @@
 //! is served on its own thread up to `--max-conns` (default 64; the next
 //! one gets `ERR busy`), joins are always greedily reordered, and
 //! `--resident-forms <n>` bounds the incrementally maintained query forms
-//! (0 disables; default 8). `--rebuild-ms <ms>` sets the base backoff
-//! between rebuild attempts for a poisoned resident. `query` answers are
+//! (0 disables; default 8); a resident dropped by a failed propagation is
+//! rebuilt by the next query of its form. With `--wal <dir>` every ingest
+//! is fsynced before it is acknowledged. `query` answers are
 //! byte-identical to `xdl run`.
 //!
 //! Each subcommand parses its arguments once, against its own flags and
@@ -55,7 +54,7 @@ use existential_datalog::engine::oracle::{bounded_equiv_check, EquivCheckConfig}
 use existential_datalog::grammar::regular::{monadic_equivalent, KeptArg};
 use existential_datalog::grammar::{bounded_language, program_to_grammar};
 use existential_datalog::prelude::*;
-use existential_datalog::server::{Client, FsyncPolicy, Server, ServerConfig};
+use existential_datalog::server::{Client, Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,10 +80,9 @@ fn usage() -> String {
      xdl explain <file.dl> <fact>\n  \
      xdl grammar <file.dl> [--words <len>] [--monadic first|second]\n  \
      xdl check <file1.dl> <file2.dl> [--instances <n>] [--seed-idb]\n  \
-     xdl serve [--port <p>] [--verify] [--wal <dir>] \
-     [--fsync always|batch|never] [--compact-every <n>] [--max-conns <n>] \
-     [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
-     [--slow-query-ms <ms>] [--resident-forms <n>] [--rebuild-ms <ms>]\n  \
+     xdl serve [--port <p>] [--verify] [--wal <dir>] [--compact-every <n>] \
+     [--max-conns <n>] [--deadline-ms <ms>] [--budget <n>] [--grace-ms <ms>] \
+     [--slow-query-ms <ms>] [--resident-forms <n>]\n  \
      xdl query --connect <addr> [--load <file.dl>]... [--fact <atom.>]... \
      [--stats] [--trace] [--shutdown] ['?- atom.']\n  \
      xdl metrics --connect <addr> [--json | --watch]"
@@ -129,7 +127,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             &[
                 "--port",
                 "--wal",
-                "--fsync",
                 "--compact-every",
                 "--max-conns",
                 "--deadline-ms",
@@ -137,7 +134,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 "--grace-ms",
                 "--slow-query-ms",
                 "--resident-forms",
-                "--rebuild-ms",
             ],
         )?)),
         "query" => done(cmd_query(&parse(
@@ -630,9 +626,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(n) = args.parsed("--resident-forms", "a number")? {
         cfg.resident_forms = n;
     }
-    if let Some(word) = args.value("--fsync") {
-        cfg.fsync = FsyncPolicy::parse(word).ok_or("--fsync takes always, batch or never")?;
-    }
     if let Some(n) = args.parsed("--compact-every", "a number")? {
         cfg.compact_every = n;
     }
@@ -641,9 +634,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     if let Some(ms) = args.parsed("--grace-ms", "milliseconds")? {
         cfg.grace_ms = ms;
-    }
-    if let Some(ms) = args.parsed("--rebuild-ms", "milliseconds")? {
-        cfg.rebuild_ms = ms;
     }
     let server = Server::spawn(&cfg).map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     if let Some(rec) = server.state().recovery() {

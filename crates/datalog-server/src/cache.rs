@@ -1,5 +1,5 @@
 //! The prepared-query cache: one entry per query form, and each form's
-//! residency as one state.
+//! resident state, if any.
 //!
 //! Keyed by the paper's query *form* — `(rule-set fingerprint, query
 //! predicate, existential adornment)` — each [`Entry`] stores the fully
@@ -14,12 +14,12 @@
 //! at. Ingestion never touches it: a later identical query reuses the
 //! payload iff its snapshot still sits at exactly those watermarks.
 //!
-//! Whether the form is maintained incrementally is its [`Residency`]:
-//! `Cold` (evaluate from the snapshot), `Live` (a pinned [`ResidentForm`]
-//! that ingestion propagates deltas through) or `Lost` (poisoned; a
-//! rebuild is due). Resident state is memory-heavy (a full saturated
-//! database per form), so `Live` entries have their own, separately
-//! bounded LRU (`--resident-forms=N`; 0 disables pinning).
+//! Whether the form is maintained incrementally is its
+//! [`Entry::resident`]: `None` (cold: evaluate from the snapshot) or a
+//! pinned [`ResidentForm`] that ingestion propagates deltas through (live).
+//! Resident state is memory-heavy (a full saturated database per form), so
+//! live entries have their own, separately bounded LRU
+//! (`--resident-forms=N`; 0 disables pinning).
 //!
 //! The form sits behind its own mutex so a drain propagates without the
 //! cache lock. Lock order is cache → form, and the cache lock is never
@@ -28,7 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use datalog_ast::PredRef;
 use datalog_engine::incremental::ResidentEval;
@@ -113,27 +112,6 @@ pub struct ResidentForm {
     pub applied: Watermarks,
 }
 
-/// How a form is served and maintained.
-#[derive(Debug)]
-pub enum Residency {
-    /// No resident state: never pinned, not eligible, or evicted by the
-    /// resident LRU. An eligible form pins with its next cold evaluation.
-    Cold,
-    /// Maintained incrementally: the pinned state, shared so drains can
-    /// propagate without the cache lock.
-    Live(Arc<Mutex<ResidentForm>>),
-    /// Poisoned by a failed propagation and dropped. The maintenance
-    /// thread rebuilds it once `retry_at` has passed; an eligible query
-    /// arriving first rebuilds it lazily.
-    Lost {
-        /// Consecutive failures since the form was last live (drives the
-        /// capped exponential backoff).
-        attempts: u32,
-        /// Earliest instant of the next background rebuild.
-        retry_at: Instant,
-    },
-}
-
 /// One cache entry: the prepared program plus reuse bookkeeping.
 #[derive(Debug)]
 pub struct Entry {
@@ -142,9 +120,12 @@ pub struct Entry {
     pub prepared: Arc<PreparedProgram>,
     /// One-slot answer memo.
     pub memo: Option<CachedAnswers>,
-    /// Resident state, bounded separately — see
-    /// [`PreparedCache::pin_resident`].
-    pub residency: Residency,
+    /// The pinned resident state, shared so drains can propagate without
+    /// the cache lock. `None` when the form was never pinned, is not
+    /// eligible, was evicted by the resident LRU, or was poisoned; an
+    /// eligible form pins with its next cold evaluation. Bounded
+    /// separately — see [`PreparedCache::pin_resident`].
+    pub resident: Option<Arc<Mutex<ResidentForm>>>,
     /// How often this form was served without re-optimizing.
     pub hits: u64,
     /// LRU clock value of the last use.
@@ -154,21 +135,13 @@ pub struct Entry {
 impl Entry {
     /// What this form would keep resident: its prepared program, when the
     /// form is monotone and its bound class is admitted. The one
-    /// eligibility test — first pin, lazy rebuild and background rebuild
-    /// all ask here (whether pinning is enabled at all is the caller's
-    /// `--resident-forms` check).
+    /// eligibility test — first pin and rebuild both ask here (whether
+    /// pinning is enabled at all is the caller's `--resident-forms`
+    /// check).
     pub fn pin_target(&self) -> Option<&Arc<PreparedProgram>> {
         (ResidentEval::supports(&self.prepared.program)
             && ResidentEval::admits_bound_class(self.prepared.bound_class))
         .then_some(&self.prepared)
-    }
-
-    /// The pinned form, when the entry is live.
-    pub fn live_form(&self) -> Option<&Arc<Mutex<ResidentForm>>> {
-        match &self.residency {
-            Residency::Live(form) => Some(form),
-            _ => None,
-        }
     }
 
     /// Fill the answer slot with `table`, rendered for `query_repr` at
@@ -218,7 +191,7 @@ impl PreparedCache {
     pub fn resident_count(&self) -> usize {
         self.entries
             .values()
-            .filter(|e| e.live_form().is_some())
+            .filter(|e| e.resident.is_some())
             .count()
     }
 
@@ -227,10 +200,10 @@ impl PreparedCache {
         if let Some(victim) = self
             .entries
             .iter_mut()
-            .filter(|(k, e)| e.live_form().is_some() && Some(*k) != keep)
+            .filter(|(k, e)| e.resident.is_some() && Some(*k) != keep)
             .min_by_key(|(_, e)| e.last_used)
         {
-            victim.1.residency = Residency::Cold;
+            victim.1.resident = None;
         }
     }
 
@@ -241,10 +214,7 @@ impl PreparedCache {
     /// the request that built `form` has its answers either way.
     pub fn pin_resident(&mut self, key: &FormKey, form: ResidentForm) -> bool {
         if self.resident_capacity == 0
-            || self
-                .entries
-                .get(key)
-                .map_or(true, |e| e.live_form().is_some())
+            || self.entries.get(key).map_or(true, |e| e.resident.is_some())
         {
             return false;
         }
@@ -254,12 +224,12 @@ impl PreparedCache {
         let Some(e) = self.entries.get_mut(key) else {
             return false;
         };
-        e.residency = Residency::Live(Arc::new(Mutex::new(form)));
+        e.resident = Some(Arc::new(Mutex::new(form)));
         true
     }
 
     /// Iterate every entry (key + mutable entry), without touching LRU
-    /// clocks — ingestion and maintenance walk residents through this.
+    /// clocks — ingestion and `STATS` walk residents through this.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&FormKey, &mut Entry)> {
         self.entries.iter_mut()
     }
@@ -275,8 +245,8 @@ impl PreparedCache {
     }
 
     /// Look up a form *without* bumping its LRU clock — maintenance
-    /// bookkeeping (finishing a drain, recording a rebuild) must not make
-    /// a form look recently used.
+    /// bookkeeping (finishing a drain, dropping a poisoned form) must not
+    /// make a form look recently used.
     pub fn peek_mut(&mut self, key: &FormKey) -> Option<&mut Entry> {
         self.entries.get_mut(key)
     }
@@ -311,7 +281,7 @@ impl PreparedCache {
         self.entries.entry(key).or_insert(Entry {
             prepared: Arc::new(prepared),
             memo: None,
-            residency: Residency::Cold,
+            resident: None,
             hits: 0,
             last_used: clock,
         })
@@ -391,8 +361,8 @@ mod tests {
         assert!(cache.get_mut(&k2).is_some());
         assert!(cache.pin_resident(&k2, resident("b(X, Y) :- q(X, Y).")));
         assert_eq!(cache.resident_count(), 1);
-        assert!(cache.get_mut(&k1).unwrap().live_form().is_none());
-        assert!(cache.get_mut(&k2).unwrap().live_form().is_some());
+        assert!(cache.get_mut(&k1).unwrap().resident.is_none());
+        assert!(cache.get_mut(&k2).unwrap().resident.is_some());
         assert_eq!(cache.len(), 2);
         // A live entry keeps its state: a second builder's form is dropped.
         assert!(!cache.pin_resident(&k2, resident("b(X, Y) :- q(X, Y).")));

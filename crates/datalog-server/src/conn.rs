@@ -21,12 +21,11 @@ use std::time::Duration;
 use crate::protocol::{ErrCode, Request, Response, MAX_REQUEST_LINE};
 use crate::server::{Decrement, ServerConfig, ServerState};
 
-/// A running server: listener address plus its acceptor and maintenance
-/// threads.
+/// A running server: listener address plus its acceptor thread.
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
@@ -42,13 +41,10 @@ impl Server {
             let state = Arc::clone(&state);
             thread::spawn(move || accept(&listener, &state))
         };
-        let mut threads = vec![acceptor];
-        // Background maintenance (rebuild backoff) is joined on shutdown too.
-        threads.extend(state.start_maintenance());
         Ok(Server {
             addr,
             state,
-            threads,
+            acceptor,
         })
     }
 
@@ -68,12 +64,10 @@ impl Server {
         wake_acceptor(self.addr);
     }
 
-    /// Block until the acceptor and the maintenance thread have exited
-    /// (i.e. shutdown was requested and every connection drained).
+    /// Block until the acceptor has exited (i.e. shutdown was requested
+    /// and every connection drained).
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.acceptor.join();
     }
 }
 

@@ -32,7 +32,7 @@ pub struct FaultPlan {
     /// A budget of drains to fail: each consult while the budget is
     /// positive decrements it and poisons that propagation (the drain is
     /// run under an already-cancelled token). Lets tests stage "fails
-    /// once", "fails N times then heals", and "poisons every rebuild".
+    /// once" and "fails N times, each time healed by the next query".
     fail_drains: AtomicU64,
     /// While set, bound-aware admission refuses nothing, so a query over
     /// its fact budget reaches the engine's own budget trip.

@@ -3,7 +3,7 @@
 //! | step | does | holds |
 //! |---|---|---|
 //! | [`admit`](ServerState::admit) | EDB-only in both directions, arities — a refused request logs and applies nothing | rules (read), briefly |
-//! | [`commit`](ServerState::commit) | WAL append (fsync per policy), then [`apply`](ServerState::apply): extend the rule set, insert the rows | ingest gate (read) |
+//! | [`commit`](ServerState::commit) | WAL append (one write, one fsync, all or nothing), then [`apply`](ServerState::apply): extend the rule set, insert the rows | ingest gate (read) |
 //! | [`publish`](ServerState::publish) | drain every live form the rows touch, compact the log when due | cache / form, one at a time |
 //!
 //! The paper's IDB/EDB convention (§1.1: the IDB holds no facts) is what
@@ -175,8 +175,8 @@ impl ServerState {
 
     /// Log, then apply: an acknowledged write is a durable write. The
     /// ingest gate is held across both, so a compaction snapshot can never
-    /// miss a record its truncation discards. A WAL failure applies
-    /// nothing; `refuse` words an insert the store refused.
+    /// miss a record its truncation discards. A WAL failure logs and
+    /// applies nothing; `refuse` words an insert the store refused.
     fn commit(
         &self,
         ops: &[WalOp],

@@ -23,9 +23,10 @@
 //!   the watermarks it was rendered at, so a new fact outdates only the
 //!   forms that read its predicate — and ingestion never touches the cache
 //!   for it;
-//! * **resident forms** ([`cache::Residency`]): monotone forms keep their
-//!   fixpoint and absorb new facts as deltas (`maintain.rs` drains and
-//!   rebuilds them; `ingest.rs` is the one `FACT`/`LOAD` path).
+//! * **resident forms** ([`cache::Entry::resident`]): monotone forms keep
+//!   their fixpoint and absorb new facts as deltas (`maintain.rs` drains
+//!   them, and a form whose drain fails is rebuilt by its next query;
+//!   `ingest.rs` is the one `FACT`/`LOAD` path).
 //!
 //! Start it with `xdl serve [--port P] [--max-conns N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see

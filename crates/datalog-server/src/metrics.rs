@@ -119,7 +119,7 @@ pub struct ServerMetrics {
     /// publish deltas exactly once even when concurrent.
     seen_storage: [AtomicU64; 4],
 
-    /// WAL append latency (write + policy fsync).
+    /// WAL append latency (one request's records written and fsynced).
     pub wal_append_seconds: Arc<Histogram>,
     /// WAL fsync latency alone.
     pub wal_fsync_seconds: Arc<Histogram>,
@@ -284,7 +284,7 @@ impl ServerMetrics {
             seen_storage: Default::default(),
             wal_append_seconds: registry.histogram(
                 "xdl_wal_append_seconds",
-                "WAL append latency (record write plus policy fsync).",
+                "WAL append latency (one request's records written plus fsync).",
                 &[],
             ),
             wal_fsync_seconds: registry.histogram(

@@ -14,13 +14,10 @@
 //! ```
 //!
 //! Every `QUERY` answer reflects every ingest acknowledged before the
-//! query arrived. **Protocol version 4** clients may lead the query text
-//! with a mode word — `fresh`, `staleness=<ms>` or `any` — which is
-//! validated (`staleness=abc` is an `ERR`) and discarded, since a fresh
-//! answer meets every bound; a word that is none of these is the start of
-//! the query text. Query responses carry `frontier=<version>` and
-//! `staleness_us=0` header pairs. The `stale` error code is no longer
-//! sent.
+//! query arrived. The query text may be led by one of the words `fresh`,
+//! `any` or `staleness=<ms>`; the word is validated (`staleness=abc` is an
+//! `ERR`) and discarded, since a fresh answer meets every bound. A word
+//! that is none of these is the start of the query text.
 //!
 //! Responses are a header line followed by zero or more payload lines:
 //!
@@ -31,37 +28,28 @@
 //! <payload line nlines>
 //! ```
 //!
-//! or, on failure, a single line
+//! A `QUERY` header carries `cache=<source> answers=<n> frontier=<version>
+//! wall_us=<us>`, and its payload lines are byte-identical to what
+//! `xdl run` prints for the same program and facts. On failure the
+//! response is a single line
 //!
 //! ```text
 //! ERR [<code>] <message>
 //! ```
 //!
-//! Since **protocol version 2**, resource-governance failures carry a
-//! machine-readable code word right after `ERR`: `busy` (admission control
-//! shed the request), `deadline` (the query ran past its wall-clock
-//! deadline), `budget` (the query derived more facts than allowed),
-//! `shutdown` (the server is draining), and `internal` (a handler panic
-//! was contained). Parsing stays backward compatible in both directions: a
-//! v1 client sees the code as the first word of the message, and a v2
-//! client reading a v1 server simply finds no known code word and treats
-//! the whole line as the message. Plain errors (parse errors arrive as
-//! `ERR <origin>:<line>:<col>: <message>`) remain uncoded. The connection
-//! stays usable after any `ERR`. `QUERY` payload lines are byte-identical
-//! to what `xdl run` prints for the same program and facts.
+//! A resource-governance failure carries a code word right after `ERR`
+//! ([`ErrCode`]: `busy`, `deadline`, `budget`, `bound`, `shutdown`,
+//! `internal`). Any other error is uncoded — a parse error reads
+//! `ERR <origin>:<line>:<col>: <message>` — and a reader that finds no
+//! known code word takes the whole line as the message. The connection
+//! stays usable after any `ERR`.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
-/// Protocol version implemented by this build. Version 2 added coded
-/// `ERR` responses (`busy`/`deadline`/`budget`/`shutdown`/`internal`);
-/// version 3 added the `METRICS` verb (Prometheus text exposition, or the
-/// JSON registry readout with `METRICS JSON`); version 4 added the
-/// `QUERY` mode words (`fresh` | `staleness=<ms>` | `any`, accepted and
-/// discarded) and the `frontier=`/`staleness_us=` response headers.
-/// `STATS` reports the version as `"proto"`. All additions are backward
-/// compatible: old clients never send the new words.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Version of the protocol the module docs describe, reported by `STATS`
+/// as `"proto"`.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Longest request line the server reads, newline included. A longer one
 /// is answered with one `ERR` and the connection is closed: the server
@@ -120,8 +108,8 @@ impl std::fmt::Display for ErrCode {
     }
 }
 
-/// Strip an optional leading `QUERY` mode word (protocol v4: `fresh`,
-/// `any` or `staleness=<ms>`). Every answer is fresh, which meets any
+/// Strip an optional leading `QUERY` mode word (`fresh`, `any` or
+/// `staleness=<ms>`). Every answer is fresh, which meets any
 /// bound, so the word is validated and discarded; a word that is no mode
 /// is the start of the query text. A malformed `staleness=` value is an
 /// error, not query text.
@@ -218,7 +206,7 @@ pub struct Response {
     /// The `ERR` message (empty for `OK` responses).
     pub error: String,
     /// The machine-readable error class, when the `ERR` line carried a
-    /// protocol-v2 code word. `None` for `OK` responses and uncoded errors.
+    /// code word. `None` for `OK` responses and uncoded errors.
     pub code: Option<ErrCode>,
     /// `key=value` pairs from the `OK` header, in order.
     pub info: Vec<(String, String)>,
@@ -323,8 +311,8 @@ impl Response {
         }
         let header = header.trim_end_matches(['\r', '\n']);
         if let Some(msg) = header.strip_prefix("ERR ") {
-            // v2: a known code word right after ERR classifies the error.
-            // Anything else (including v1 servers) is an uncoded message.
+            // A known code word right after ERR classifies the error;
+            // anything else is an uncoded message.
             if let Some((word, rest)) = msg.split_once(' ') {
                 if let Some(code) = ErrCode::parse(word) {
                     return Ok(Some(Response::err_code(code, rest)));
@@ -402,7 +390,7 @@ pub(crate) mod tests {
 
     #[test]
     fn query_consistency_modes_parse_and_default_to_fresh() {
-        // Every v4 mode word is accepted and discarded: the request is the
+        // Every mode word is accepted and discarded: the request is the
         // same fresh query as without it.
         for line in [
             "QUERY ?- a(X).",
@@ -577,32 +565,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Servers before every answer was fresh could refuse a bounded read
-    /// with `ERR stale <bound_ms> <message>`. `stale` is no code word any
-    /// more, so such a line reads as an uncoded message that still leads
-    /// with its bound.
-    #[test]
-    fn stale_refusal_carries_its_bound_and_reads_as_text_on_v3() {
-        let wire = b"ERR stale 120 drain in progress, retry or loosen budget\n";
-        let back = Response::read_from(&mut &wire[..]).unwrap().unwrap();
-        assert!(!back.ok);
-        assert_eq!(back.code, None);
-        assert_eq!(
-            back.error,
-            "stale 120 drain in progress, retry or loosen budget"
-        );
-    }
-
     #[test]
     fn uncoded_err_stays_backward_compatible() {
-        // A v1-style error whose first word is not a code word: the whole
-        // line is the message and no code is attached.
+        // An error whose first word is not a code word: the whole line is
+        // the message and no code is attached.
         let wire = b"ERR query:1:9: expected ')'\n";
         let back = Response::read_from(&mut &wire[..]).unwrap().unwrap();
         assert_eq!(back.code, None);
         assert_eq!(back.error, "query:1:9: expected ')'");
-        // A coded error read by a v1 client is still a readable message —
-        // the code word leads the text (nothing to assert mechanically
-        // beyond the wire shape, covered above).
     }
 }

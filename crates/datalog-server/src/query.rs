@@ -90,7 +90,7 @@ pub(crate) struct ColdPlan {
     /// *builds* resident state instead of a throwaway fixpoint.
     pin: Option<Atom>,
     /// The form lost its resident (eviction, poisoning); pinning again is
-    /// the lazy rebuild.
+    /// the rebuild.
     rebuild: bool,
 }
 
@@ -116,8 +116,8 @@ struct ColdSpans {
 /// straight into the batch the engine bulk-loads), keeping the working
 /// state for delta propagation. `applied` records the snapshot it was
 /// built from, so the next catch-up starts exactly where construction
-/// stopped. First pin, lazy rebuild and background rebuild all build here.
-pub(crate) fn build_resident(
+/// stopped. First pin and rebuild both build here.
+fn build_resident(
     prepared: &PreparedProgram,
     snapshot: &DbSnapshot,
     opts: &EvalOptions,
@@ -246,15 +246,15 @@ impl ServerState {
                 }
             }
             let pin = self.pin_atom(ctx, entry);
-            if let (Some(form), Some(q_atom)) = (entry.live_form(), &pin) {
+            if let (Some(form), Some(q_atom)) = (&entry.resident, &pin) {
                 return Ok(Source::Resident(ResidentPlan {
                     form: Arc::clone(form),
                     prepared: Arc::clone(&entry.prepared),
                     q_atom: q_atom.clone(),
                 }));
             }
-            // Eligible but not live: evicted by the resident LRU, or lost
-            // to a poisoning. Pinning again is the lazy rebuild.
+            // Eligible but not live: evicted by the resident LRU, or
+            // dropped by a poisoning. Pinning again is the rebuild.
             let rebuild = pin.is_some();
             if rebuild {
                 self.metrics.fallback_recomputes.inc();
@@ -293,7 +293,7 @@ impl ServerState {
 
     /// Execute a [`ResidentPlan`] with the cache lock released: drain the
     /// form to the query's snapshot and read it. `None` means the resident
-    /// state died mid-plan (poisoned — already counted and `Lost`) and the
+    /// state died mid-plan (poisoned — already counted and dropped) and the
     /// caller must recompute from cold.
     fn serve_resident(&self, ctx: &QueryCtx, plan: &ResidentPlan) -> Option<Served> {
         let read = Some((&plan.q_atom, ctx.query_repr.as_str()));
@@ -310,7 +310,7 @@ impl ServerState {
     }
 
     /// The evaluation limits and knobs of every fixpoint the server runs,
-    /// for a request (or rebuild) that began at `started`.
+    /// for a request that began at `started`.
     pub(crate) fn eval_opts(
         &self,
         started: Instant,
@@ -449,8 +449,6 @@ impl ServerState {
             .with_info("cache", served.tag)
             .with_info("answers", served.table.answers)
             .with_info("frontier", served.table.frontier)
-            // Every answer is fresh; the key stays for protocol v4 clients.
-            .with_info("staleness_us", 0)
             .with_info("wall_us", ctx.started.elapsed().as_micros())
             .with_payload_text(&served.table.payload)
     }

@@ -1,7 +1,7 @@
 //! The server: shared state, request dispatch, `STATS`/`METRICS`/`TRACE`
 //! and WAL compaction. `QUERY` runs through the staged pipeline in
 //! `query.rs`, `FACT`/`LOAD` through `ingest.rs`, resident forms are
-//! drained and rebuilt by `maintain.rs`, and connections are accepted and
+//! drained and dropped by `maintain.rs`, and connections are accepted and
 //! served by `conn.rs`.
 //!
 //! Every connection thread shares one [`ServerState`]:
@@ -22,8 +22,9 @@
 //! wedge or lie:
 //!
 //! * **Durability** — with a WAL directory configured, every accepted
-//!   `FACT`/`LOAD` is logged (and fsynced per policy) *before* it is
-//!   applied and acknowledged; startup replays snapshot + log ([`crate::wal`]).
+//!   `FACT`/`LOAD` is logged and fsynced, as one record batch, *before* it
+//!   is applied and acknowledged; startup replays snapshot + log
+//!   ([`crate::wal`]).
 //! * **Deadlines & budgets** — each query evaluates under the configured
 //!   wall-clock deadline, derived-fact budget, and the server's global
 //!   [`CancelToken`]; a trip returns a coded `ERR` carrying the partial
@@ -48,16 +49,15 @@
 //! With `--resident-forms=N` (default 8) up to N monotone forms keep their
 //! fixpoint resident and absorb ingested facts as deltas before the ingest
 //! is acknowledged; every `QUERY` answer is fresh and names the `frontier=`
-//! it was read at. The states a form moves through are
-//! [`cache::Residency`](crate::cache::Residency); who moves it, under which
-//! lock, is `maintain.rs`'s module docs.
+//! it was read at. A form is live or cold
+//! ([`Entry::resident`](crate::cache::Entry::resident)); who moves it,
+//! under which lock, is `maintain.rs`'s module docs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use datalog_ast::{PredRef, Program, Rule, Value};
@@ -67,7 +67,6 @@ use datalog_trace::{Json, PhaseEvent};
 
 use crate::cache::{PreparedCache, ResidentForm, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
-use crate::maintain::REBUILD_BACKOFF_CAP_MS;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
 use crate::query::LastQuery;
@@ -87,9 +86,8 @@ pub struct ServerConfig {
     /// re-justified is answered with an error instead of a wrong table.
     pub verify: bool,
     /// WAL directory; `None` runs without durability (the seed behavior).
+    /// Every ingest is fsynced before it is acknowledged.
     pub wal_dir: Option<PathBuf>,
-    /// When to fsync the WAL.
-    pub fsync: FsyncPolicy,
     /// Snapshot + truncate the log after this many appended records
     /// (0 disables compaction).
     pub compact_every: u64,
@@ -110,11 +108,6 @@ pub struct ServerConfig {
     /// Log a structured JSON line to stderr for every query at or over
     /// this wall-clock threshold (request id, form, phase breakdown).
     pub slow_query_ms: Option<u64>,
-    /// Base delay of the capped exponential backoff between background
-    /// rebuild attempts of a poisoned resident form (doubles per failed
-    /// attempt; the base and every wait are capped at
-    /// [`REBUILD_BACKOFF_CAP_MS`]).
-    pub rebuild_ms: u64,
     /// Fault-injection switches (the default plan injects nothing).
     pub fault: Arc<FaultPlan>,
 }
@@ -126,14 +119,12 @@ impl Default for ServerConfig {
             resident_forms: 8,
             verify: false,
             wal_dir: None,
-            fsync: FsyncPolicy::Always,
             compact_every: 4096,
             max_conns: 64,
             deadline_ms: None,
             fact_budget: None,
             grace_ms: 2000,
             slow_query_ms: None,
-            rebuild_ms: 50,
             fault: Arc::new(FaultPlan::new()),
         }
     }
@@ -192,8 +183,7 @@ impl RuleSet {
 /// Everything the connection threads share.
 pub struct ServerState {
     /// The configuration, normalized once by [`ServerState::from_config`]
-    /// (`max_conns` is at least 1, the rebuild backoff
-    /// base is in `1..=REBUILD_BACKOFF_CAP_MS`).
+    /// (`max_conns` is at least 1).
     pub(crate) cfg: ServerConfig,
     /// Replaced whole by a `LOAD` that adds rules; a query clones the
     /// handle and reads it without the lock.
@@ -212,10 +202,6 @@ pub struct ServerState {
     /// Cancelled when the shutdown grace period expires; every evaluation
     /// carries a clone.
     pub(crate) cancel: CancelToken,
-    /// The maintenance thread's wake-up handle. Unset until
-    /// [`ServerState::start_maintenance`] — a lost form is then rebuilt
-    /// lazily by the next eligible query.
-    pub(crate) maintenance: OnceLock<Thread>,
     pub(crate) inflight: AtomicUsize,
     /// Connections being served; the acceptor admits a connection only
     /// while this is below `max_conns`.
@@ -244,7 +230,6 @@ impl ServerState {
     pub fn from_config(cfg: &ServerConfig) -> std::io::Result<ServerState> {
         let mut cfg = cfg.clone();
         cfg.max_conns = cfg.max_conns.max(1);
-        cfg.rebuild_ms = cfg.rebuild_ms.clamp(1, REBUILD_BACKOFF_CAP_MS);
         let mut cache = PreparedCache::new(PREPARED_CAPACITY);
         cache.set_resident_capacity(cfg.resident_forms);
         let mut state = ServerState {
@@ -256,7 +241,6 @@ impl ServerState {
             wal: Mutex::new(None),
             ingest_gate: RwLock::new(()),
             cancel: CancelToken::new(),
-            maintenance: OnceLock::new(),
             inflight: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
             metrics: ServerMetrics::new(),
@@ -267,7 +251,7 @@ impl ServerState {
         if let Some(dir) = state.cfg.wal_dir.clone() {
             let (mut wal, mut recovery) = Wal::open(
                 &dir,
-                state.cfg.fsync,
+                FsyncPolicy::Always,
                 state.cfg.compact_every,
                 Arc::clone(&state.cfg.fault),
             )?;
@@ -421,24 +405,22 @@ impl ServerState {
         }
     }
 
-    /// Append accepted operations to the WAL (no-op without one). On
-    /// failure the caller must not apply or acknowledge them. The caller
-    /// holds the ingest gate (read).
+    /// Append one request's accepted operations to the WAL, all or none
+    /// (no-op without a WAL). On failure the log is as it was and the
+    /// caller must not apply or acknowledge them. The caller holds the
+    /// ingest gate (read).
     pub(crate) fn wal_append(&self, ops: &[WalOp]) -> Result<(), Response> {
         let mut guard = lock(&self.wal);
         let Some(wal) = guard.as_mut() else {
             return Ok(());
         };
-        for op in ops {
-            if let Err(e) = wal.append(op) {
-                self.metrics.wal_errors.inc();
-                return Err(Response::err_code(
-                    ErrCode::Internal,
-                    format!("wal append failed ({e}); write not applied"),
-                ));
-            }
-        }
-        Ok(())
+        wal.append_all(ops).map_err(|e| {
+            self.metrics.wal_errors.inc();
+            Response::err_code(
+                ErrCode::Internal,
+                format!("wal append failed ({e}); write not applied"),
+            )
+        })
     }
 
     /// Snapshot + truncate the log if enough records accumulated. Takes
@@ -565,7 +547,7 @@ impl ServerState {
             let mut cache = lock(&self.cache);
             cache
                 .iter_mut()
-                .filter_map(|(_, e)| e.live_form().map(Arc::clone))
+                .filter_map(|(_, e)| e.resident.clone())
                 .collect()
         };
         for form in residents {

@@ -1,9 +1,11 @@
 //! Write-ahead log: crash durability for ingested rules and facts.
 //!
 //! Every accepted `FACT` and every fresh rule/fact from a `LOAD` is
-//! appended here — and, per the configured [`FsyncPolicy`], fsynced —
-//! *before* it is applied to the shared database and acknowledged to the
-//! client. On startup the server replays the log, so a crash (including
+//! appended here and fsynced *before* it is applied to the shared database
+//! and acknowledged to the client. One request's records are one write and
+//! one fsync ([`Wal::append_all`]), all or nothing: a failed append cuts
+//! the log back to where it was, so a refused request never comes back at
+//! recovery. On startup the server replays the log, so a crash (including
 //! SIGKILL) loses no acknowledged write.
 //!
 //! ## Record format
@@ -95,30 +97,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// is treated as corruption (torn tail), not an allocation request.
 const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
-/// When to fsync the log.
+/// When to fsync the log. The server always opens its log with
+/// [`FsyncPolicy::Always`]; `Never` exists so that the benchmark's layer
+/// probe can price an append with and without its fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every record — no acknowledged write is ever lost.
+    /// fsync every append — no acknowledged write is ever lost.
     Always,
-    /// fsync every N records (and on snapshot). A crash may lose up to
-    /// N-1 acknowledged writes; throughput-friendly middle ground.
-    EveryN(u32),
     /// Never fsync explicitly; durability is whatever the OS page cache
     /// provides. Survives process crashes (the kernel has the bytes) but
     /// not power loss.
     Never,
-}
-
-impl FsyncPolicy {
-    /// Parse a CLI word: `always`, `batch` (= every 64), or `never`.
-    pub fn parse(word: &str) -> Option<FsyncPolicy> {
-        match word {
-            "always" => Some(FsyncPolicy::Always),
-            "batch" => Some(FsyncPolicy::EveryN(64)),
-            "never" => Some(FsyncPolicy::Never),
-            _ => None,
-        }
-    }
 }
 
 /// One logical logged operation.
@@ -198,7 +187,6 @@ pub struct Wal {
     file: File,
     policy: FsyncPolicy,
     fault: Arc<FaultPlan>,
-    unsynced: u32,
     /// Records appended since the last compaction (persisted implicitly as
     /// the log length; rebuilt on open).
     since_snapshot: u64,
@@ -212,7 +200,8 @@ pub struct Wal {
     /// Generation counter for run-file names; new generations never
     /// collide with files the live manifest still references.
     run_gen: u64,
-    /// Telemetry: append latency (write + policy fsync), when attached.
+    /// Telemetry: append latency (one request's write + fsync), when
+    /// attached.
     h_append: Option<Arc<Histogram>>,
     /// Telemetry: fsync latency alone, when attached.
     h_fsync: Option<Arc<Histogram>>,
@@ -480,7 +469,6 @@ impl Wal {
                 file,
                 policy,
                 fault,
-                unsynced: 0,
                 since_snapshot: recovery.from_log,
                 compact_every,
                 appended: 0,
@@ -512,33 +500,40 @@ impl Wal {
         if let Some(h) = &self.h_fsync {
             h.record_duration(t0.elapsed());
         }
-        self.unsynced = 0;
         Ok(())
     }
 
-    /// Append one record and apply the fsync policy. On error the caller
-    /// must not acknowledge the write.
+    /// Append one record: [`Wal::append_all`] of one.
     pub fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
+        self.append_all(std::slice::from_ref(op))
+    }
+
+    /// Append one request's records with one write and one fsync, all or
+    /// nothing. On any error the log is cut back to its length before the
+    /// call and the error returned: the caller must not acknowledge the
+    /// write, and recovery will not replay any part of it.
+    pub fn append_all(&mut self, ops: &[WalOp]) -> std::io::Result<()> {
+        if ops.is_empty() {
+            return Ok(());
+        }
         let t0 = Instant::now();
-        self.file.write_all(&encode_record(op))?;
-        self.appended += 1;
-        self.since_snapshot += 1;
-        self.unsynced += 1;
-        let result = match self.policy {
+        let start = self.file.stream_position()?;
+        let buf: Vec<u8> = ops.iter().flat_map(encode_record).collect();
+        let written = self.file.write_all(&buf).and_then(|()| match self.policy {
             FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
             FsyncPolicy::Never => Ok(()),
-        };
+        });
+        if let Err(e) = written {
+            self.file.set_len(start)?;
+            self.file.seek(SeekFrom::Start(start))?;
+            return Err(e);
+        }
+        self.appended += ops.len() as u64;
+        self.since_snapshot += ops.len() as u64;
         if let Some(h) = &self.h_append {
             h.record_duration(t0.elapsed());
         }
-        result
+        Ok(())
     }
 
     /// Whether enough records accumulated to warrant a snapshot.
@@ -744,6 +739,40 @@ mod tests {
         assert!(wal.append(&WalOp::Fact("p(2)".into())).is_err());
         fault.fail_fsync(false);
         wal.append(&WalOp::Fact("p(3)".into())).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_all_leaves_the_log_byte_identical() {
+        let dir = TempDir::new("append-all");
+        let fault = plan();
+        let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, Arc::clone(&fault)).unwrap();
+        wal.append(&WalOp::Rule("a(X) :- p(X).".into())).unwrap();
+        let before = std::fs::read(log_path(&dir.0)).unwrap();
+        let batch = [
+            WalOp::Rule("b(X) :- q(X).".into()),
+            WalOp::Fact("p(1)".into()),
+            WalOp::Fact("p(2)".into()),
+        ];
+        fault.fail_fsync(true);
+        assert!(wal.append_all(&batch).is_err());
+        assert_eq!(std::fs::read(log_path(&dir.0)).unwrap(), before);
+        assert_eq!((wal.appended, wal.since_snapshot()), (1, 1));
+        // The next request lands on the clean boundary, and recovery sees
+        // exactly the acknowledged records.
+        fault.fail_fsync(false);
+        wal.append_all(&batch[1..]).unwrap();
+        assert_eq!((wal.appended, wal.since_snapshot()), (3, 3));
+        drop(wal);
+        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(
+            rec.ops,
+            [
+                WalOp::Rule("a(X) :- p(X).".into()),
+                batch[1].clone(),
+                batch[2].clone()
+            ]
+        );
     }
 
     fn batch(pred: &str, arity: usize, rows: Vec<Vec<Value>>) -> RunBatch {
@@ -1044,13 +1073,5 @@ mod tests {
             let file = encode_run_file(&batch("q", arity, values));
             check_run(&mutate(&mut rng, file), arity, rows);
         }
-    }
-
-    #[test]
-    fn fsync_policy_parse_words() {
-        assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
-        assert_eq!(FsyncPolicy::parse("batch"), Some(FsyncPolicy::EveryN(64)));
-        assert_eq!(FsyncPolicy::parse("never"), Some(FsyncPolicy::Never));
-        assert_eq!(FsyncPolicy::parse("sometimes"), None);
     }
 }

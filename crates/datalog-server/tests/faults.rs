@@ -4,10 +4,11 @@
 //! an ephemeral port and asserts the two robustness invariants: the
 //! failing request gets a *structured* answer (a coded `ERR`, never a
 //! hang or a torn response), and the server keeps serving afterwards.
-//! Faults covered: injected fsync failure, a torn WAL tail, a handler
-//! panic mid-query, a deadline storm, a byte-at-a-time slow client,
-//! budget exhaustion, connection/admission shedding, and a draining
-//! shutdown racing an in-flight query. All of it runs under plain
+//! Faults covered: injected fsync failure (and that a refused write stays
+//! refused across a restart), a torn WAL tail, a handler panic mid-query,
+//! a deadline storm, a byte-at-a-time slow client, budget exhaustion,
+//! connection/admission shedding, poisoned resident forms healed by
+//! queries, and a draining shutdown racing an in-flight query. All of it runs under plain
 //! `cargo test` — no root, no containers, no signals.
 
 mod util;
@@ -742,12 +743,12 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
 }
 
 /// Ingest-burst storm: a `FACT` flood and a `LOAD` flood run against
-/// query clients pinned to each protocol v4 mode word. Every answer is
-/// fresh whatever the word: the reference rendering of a prefix of the
-/// chain writer's order that holds every fact acknowledged before the
-/// query was sent, with `staleness_us=0`. Answers never shrink per
-/// connection, and after the storm the resident state is intact: no
-/// poisonings, and every mode reads the full-chain reference.
+/// query clients pinned to each `QUERY` mode word. Every answer is fresh
+/// whatever the word: the reference rendering of a prefix of the chain
+/// writer's order that holds every fact acknowledged before the query was
+/// sent. Answers never shrink per connection, and after the storm the
+/// resident state is intact: no poisonings, and every mode reads the
+/// full-chain reference.
 #[test]
 fn ingest_burst_storm_honors_every_consistency_mode() {
     const CHAIN: i64 = 14;
@@ -818,7 +819,6 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
                     let before = acked.load(Ordering::SeqCst);
                     let resp = c.request(&format!("QUERY {mode}?- a(0, X).")).unwrap();
                     assert!(resp.ok, "{mode}: {}", resp.error);
-                    assert_eq!(resp.get("staleness_us"), Some("0"), "{mode}");
                     let k = *prefix_of.get(&resp.payload_text()).unwrap_or_else(|| {
                         panic!(
                             "{mode}read is not a prefix rendering:\n{}",
@@ -859,15 +859,15 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
     server.join();
 }
 
-/// Self-healing: a drain that fails repeatedly poisons the resident
-/// form, and the maintenance thread rebuilds it with capped exponential
-/// backoff — no restart, no query in the loop — until the fault clears.
+/// Self-healing with nothing in the background: five times over, a failed
+/// drain poisons the resident form and the next query of the form rebuilds
+/// it. Every answer is `xdl run`'s over the acknowledged facts, and the
+/// last rebuild serves resident reads.
 #[test]
-fn repeatedly_poisoned_resident_heals_via_backoff_rebuilds() {
+fn repeatedly_poisoned_resident_heals_through_queries_alone() {
     let dir = TempDir::new("heal");
     let fault = Arc::new(FaultPlan::new());
     let server = Server::spawn(&ServerConfig {
-        rebuild_ms: 5,
         fault: Arc::clone(&fault),
         ..ServerConfig::default()
     })
@@ -875,36 +875,73 @@ fn repeatedly_poisoned_resident_heals_via_backoff_rebuilds() {
     let mut c = Client::connect(server.addr()).unwrap();
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
-    assert!(c.query("?- a(1, X).").unwrap().ok);
+    let mut facts = TC_FACTS.to_string();
+    let reference = |facts: &str, q: &str| xdl_run_reference(&format!("{TC_RULES}{facts}{q}\n"));
+    let q = "?- a(1, X).";
+    assert_eq!(c.query(q).unwrap().payload_text(), reference(&facts, q));
 
-    // Three failures in a row: the inline drain poisons the form, then
-    // the first two background rebuild attempts fail too. Attempt three
-    // (after 5ms << 1 and << 2 backoffs) succeeds.
-    fault.fail_drains(3);
-    assert!(c.fact("p(4, 5).").unwrap().ok);
-
-    // Poll STATS only — no query touches the form, so the heal is driven
-    // entirely by the background rebuild loop.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = c.stats().unwrap().payload_text();
-        if stats.contains("\"resident_rebuilds\":1") && !stats.contains("\"resident_forms\":0") {
-            assert!(stats.contains("\"resident_poisonings\":3"), "{stats}");
-            break;
-        }
-        assert!(Instant::now() < deadline, "resident never healed: {stats}");
-        std::thread::sleep(Duration::from_millis(10));
+    for i in 4..9 {
+        fault.fail_drains(1);
+        let fact = format!("p({i}, {}).\n", i + 1);
+        assert!(c.fact(fact.trim_end()).unwrap().ok);
+        facts.push_str(&fact);
+        let resp = c.query(q).unwrap();
+        assert!(resp.ok, "{}", resp.error);
+        assert_eq!(resp.get("cache"), Some("hit"), "after {fact}");
+        assert_eq!(resp.payload_text(), reference(&facts, q), "after {fact}");
     }
+    let stats = c.stats().unwrap().payload_text();
+    assert_eq!(stat(&stats, "resident_poisonings"), 5, "{stats}");
+    assert_eq!(stat(&stats, "resident_rebuilds"), 5, "{stats}");
 
-    // The healed frontier is caught up: a fresh query serves off it and
-    // sees the fact whose drain originally failed.
-    let resp = c.query("?- a(1, X).").unwrap();
-    assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["X", "2", "3", "4", "5"]);
-    let resp = c.query("?- a(4, _).").unwrap();
-    assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["true"]);
+    // A new text of the same form reads the rebuilt resident.
+    let q = "?- a(2, X).";
+    let resp = c.query(q).unwrap();
+    assert_eq!(resp.get("cache"), Some("resident"));
+    assert_eq!(resp.payload_text(), reference(&facts, q));
 
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// A refused ingest stays refused across a restart. One request's records
+/// are one all-or-nothing WAL append, so neither a `LOAD` nor a `FACT`
+/// whose fsync failed leaves a record for recovery to replay.
+#[test]
+fn a_refused_ingest_does_not_come_back_after_a_restart() {
+    let dir = TempDir::new("refused-restart");
+    let fault = Arc::new(FaultPlan::new());
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.path().join("wal")),
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    };
+    let counts = |c: &mut Client| {
+        let stats = c.stats().unwrap().payload_text();
+        (stat(&stats, "rules"), stat(&stats, "facts"))
+    };
+    let file = dir.file(
+        "tc.dl",
+        "a(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\np(3, 4).\n",
+    );
+    {
+        let server = Server::spawn(&cfg).unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        fault.fail_fsync(true);
+        for resp in [c.load(file.to_str().unwrap()), c.fact("q(1).")] {
+            let resp = resp.unwrap();
+            assert!(!resp.ok);
+            assert_eq!(resp.code, Some(ErrCode::Internal), "{}", resp.error);
+            assert!(resp.error.contains("write not applied"), "{}", resp.error);
+        }
+        assert_eq!(counts(&mut c), (0, 0));
+        fault.fail_fsync(false);
+        c.shutdown().unwrap();
+        server.join();
+    }
+    let server = Server::spawn(&cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(counts(&mut c), (0, 0));
     c.shutdown().unwrap();
     server.join();
 }
@@ -920,133 +957,77 @@ fn stat(stats: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// Poll `STATS` until `key` reaches `want` (the maintenance thread moves
-/// it), failing after five seconds.
-fn await_stat(stats: &mut dyn FnMut() -> String, key: &str, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while stat(&stats(), key) != want {
-        assert!(Instant::now() < deadline, "{key} never reached {want}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// One form through every residency state and back: after each step the
 /// `cache=` tag and the `STATS` values that count residency transitions.
-/// In-process, with the maintenance thread started by the test, so each
-/// state is reached deterministically.
+/// In-process, so each state is reached deterministically.
 #[test]
 fn residency_walks_every_state_with_its_tag_and_counters() {
     let dir = TempDir::new("walk");
     let fault = Arc::new(FaultPlan::new());
-    let state = Arc::new(
-        ServerState::from_config(&ServerConfig {
-            resident_forms: 1,
-            rebuild_ms: 2000,
-            fault: Arc::clone(&fault),
-            ..ServerConfig::default()
-        })
-        .unwrap(),
-    );
-    let maintenance = state.start_maintenance().expect("residency is enabled");
+    let state = ServerState::from_config(&ServerConfig {
+        resident_forms: 1,
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    })
+    .unwrap();
     let file = dir.file(
         "two.dl",
         &format!("{TC_RULES}b(X, Y) :- q(X, Y).\np(1, 2).\nq(7, 8).\n"),
     );
     assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-    let mut stats = || state.handle(&Request::Stats).payload_text();
-    let counters = |stats: &str| {
+    let counters = || {
+        let stats = state.handle(&Request::Stats).payload_text();
         [
             "resident_forms",
             "resident_poisonings",
             "resident_rebuilds",
             "fallback_recomputes",
         ]
-        .map(|key| stat(stats, key))
+        .map(|key| stat(&stats, key))
     };
-    // Every answer is fresh.
     let ask = |text: &str| -> Response {
         let resp = state.handle(&Request::query(text));
         assert!(resp.ok, "{text}: {}", resp.error);
-        assert_eq!(resp.get("staleness_us"), Some("0"), "{text}");
         resp
     };
 
     // Cold: nothing pinned, nothing counted.
-    assert_eq!(counters(&stats()), [0, 0, 0, 0]);
+    assert_eq!(counters(), [0, 0, 0, 0]);
 
     // Cold → Live: the cold miss pins what it built.
     assert_eq!(ask("?- a(1, X).").get("cache"), Some("miss"));
-    assert_eq!(counters(&stats()), [1, 0, 0, 0]);
+    assert_eq!(counters(), [1, 0, 0, 0]);
 
     // Live → Live: the ingest drains the form before it is acknowledged.
     assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
     let resp = ask("?- a(1, X).");
     assert_eq!(resp.get("cache"), Some("resident"));
     assert_eq!(resp.payload, vec!["X", "2", "3"]);
-    assert_eq!(counters(&stats()), [1, 0, 0, 0]);
+    assert_eq!(counters(), [1, 0, 0, 0]);
 
-    // Live → poisoned → Lost: the ingest's drain fails, and so does the
-    // first background rebuild; the second is four seconds of backoff away.
-    fault.fail_drains(2);
+    // Live → poisoned → Cold: the ingest's drain fails.
+    fault.fail_drains(1);
     assert!(state.handle(&Request::Fact("p(3, 4).".into())).ok);
-    await_stat(&mut stats, "resident_poisonings", 2);
-    assert_eq!(counters(&stats()), [0, 2, 0, 0]);
+    assert_eq!(counters(), [0, 1, 0, 0]);
 
-    // Lost → rebuilt: a query does not wait for the backoff. It recomputes
-    // from cold and pins the result.
+    // Cold → rebuilt: the next query recomputes from cold and pins the
+    // result.
     let resp = ask("?- a(1, X).");
     assert_eq!(resp.get("cache"), Some("hit"));
     assert_eq!(resp.payload, vec!["X", "2", "3", "4"]);
-    assert_eq!(counters(&stats()), [1, 2, 1, 1]);
+    assert_eq!(counters(), [1, 1, 1, 1]);
     assert_eq!(ask("?- a(2, X).").get("cache"), Some("resident"));
 
     // Live → evicted: the single resident slot goes to another form.
     assert_eq!(ask("?- b(7, X).").get("cache"), Some("miss"));
-    assert_eq!(counters(&stats()), [1, 2, 1, 1]);
+    assert_eq!(counters(), [1, 1, 1, 1]);
 
-    // Evicted → re-pinned, the same way a lost form comes back.
+    // Evicted → re-pinned, the same way a poisoned form comes back.
     assert_eq!(ask("?- a(3, X).").get("cache"), Some("hit"));
-    assert_eq!(counters(&stats()), [1, 2, 2, 2]);
+    assert_eq!(counters(), [1, 1, 2, 2]);
     let resp = ask("?- a(2, X).");
     assert_eq!(resp.get("cache"), Some("resident"));
     assert_eq!(resp.payload, vec!["X", "3", "4"]);
-
-    assert!(state.handle(&Request::Shutdown).ok);
-    maintenance.join().unwrap();
-}
-
-#[test]
-fn shutdown_does_not_wait_out_a_rebuild_backoff() {
-    let dir = TempDir::new("backoff-join");
-    let fault = Arc::new(FaultPlan::new());
-    let server = Server::spawn(&ServerConfig {
-        rebuild_ms: 2000,
-        fault: Arc::clone(&fault),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut c = Client::connect(server.addr()).unwrap();
-    let file = dir.file("tc.dl", &format!("{TC_RULES}p(1, 2).\n"));
-    assert!(c.load(file.to_str().unwrap()).unwrap().ok);
-    assert!(c.query("?- a(1, X).").unwrap().ok);
-    // The ingest's drain poisons the form and the first rebuild fails:
-    // the next attempt is four seconds away.
-    fault.fail_drains(2);
-    assert!(c.fact("p(2, 3).").unwrap().ok);
-    await_stat(
-        &mut || c.stats().unwrap().payload_text(),
-        "resident_poisonings",
-        2,
-    );
-    let started = Instant::now();
-    c.shutdown().unwrap();
-    server.join();
-    // Well inside the 2 s grace period, let alone the 4 s backoff.
-    assert!(
-        started.elapsed() < Duration::from_millis(1500),
-        "join took {:?}",
-        started.elapsed()
-    );
 }
 
 #[test]

@@ -527,7 +527,6 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
         let resp = c.request(&format!("QUERY {mode}?- a(X, _).")).unwrap();
         assert!(resp.ok, "{mode}: {}", resp.error);
         assert_eq!(resp.get("cache"), Some(source), "{mode}");
-        assert_eq!(resp.get("staleness_us"), Some("0"), "{mode}");
         assert_eq!(resp.payload_text(), "X\n1\n2\n", "{mode}");
     }
 
@@ -572,7 +571,7 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
 }
 
 /// All four `cache=` sources leave through one response tail: same header
-/// keys in the same order, `staleness_us=0`, and one cache-phase sample
+/// keys in the same order, and one cache-phase sample
 /// per answer. In-process, so every source is reached deterministically.
 #[test]
 fn every_cache_source_answers_through_the_same_tail() {
@@ -597,10 +596,9 @@ fn every_cache_source_answers_through_the_same_tail() {
         let keys: Vec<&str> = resp.info.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
-            ["cache", "answers", "frontier", "staleness_us", "wall_us"],
+            ["cache", "answers", "frontier", "wall_us"],
             "{source}"
         );
-        assert_eq!(resp.get("staleness_us"), Some("0"), "{source}");
         assert_eq!(
             cache_samples() - before,
             1,

@@ -205,9 +205,10 @@ echo "check.sh: fd-exhaustion smoke ok ($ticks ticks in 2 s)"
 cargo test -q -p datalog-server --test metrics > /dev/null
 echo "check.sh: telemetry suite ok"
 
-# Fault suite: the injection harness (fsync failure, torn WAL tail, panic
-# isolation, deadline storm, slow client, budget, shedding, drain) must
-# pass against the release-profile server crate.
+# Fault suite: the injection harness (fsync failure and a refused write
+# that stays refused across a restart, torn WAL tail, panic isolation,
+# deadline storm, slow client, budget, shedding, poisoned residents healed
+# by queries, drain) must pass against the release-profile server crate.
 cargo test -q -p datalog-server --test faults > /dev/null
 echo "check.sh: fault suite ok"
 
@@ -246,7 +247,8 @@ echo "check.sh: resource-limit smoke ok"
 # Option smoke: an option a subcommand does not know is a usage error —
 # exit 2 with `unknown option` on stderr — never silently ignored, and a
 # server given one never comes up.
-for args in "serve --port 0 --threads 2" "run $smoke_dir/run.dl --budjet 1"; do
+for args in "serve --port 0 --threads 2" "serve --port 0 --rebuild-ms 5" \
+    "serve --port 0 --fsync never" "run $smoke_dir/run.dl --budjet 1"; do
     status=0
     timeout 10 ./target/release/xdl $args \
         > "$smoke_dir/option.out" 2> "$smoke_dir/option.err" || status=$?
