@@ -8,8 +8,10 @@
 //! machine-independent work — facts derived, duplicate-elimination hits,
 //! join scans. The harness prints those counters next to wall time so the
 //! *shape* of each claim (who wins, by how much, where it crosses over) is
-//! visible and reproducible. The criterion benches in `benches/` time the
-//! same program pairs for statistically careful wall-clock comparisons.
+//! visible and reproducible. The benches in `benches/` time the same
+//! program pairs on the vendored criterion shim, which prints the median,
+//! min and max of its samples and does no statistical analysis: a quick
+//! wall-clock look, not a significance test.
 //!
 //! Run everything:
 //!

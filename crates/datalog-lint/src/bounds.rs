@@ -56,10 +56,6 @@ pub const MAX_CERTIFIED_DEGREE: u32 = 8;
 /// How many polynomials a [`Bound`] keeps in its min-set before pruning.
 const MAX_POLYS: usize = 3;
 
-/// Nominal per-relation cardinality used for *static* cost ranking when no
-/// runtime statistics exist yet (the cold-start case `prepare` seeds).
-pub const DEFAULT_CARD: u64 = 1024;
-
 /// A monomial: cardinality-variable name (`|r|` keyed by the rendered
 /// predicate) → exponent.
 type Monomial = BTreeMap<String, u32>;
@@ -569,15 +565,6 @@ impl BoundsReport {
         self.preds
             .iter()
             .map(|(p, pb)| (p.to_string(), pb.count.eval(cards)))
-            .collect()
-    }
-
-    /// Nominal cardinalities ([`DEFAULT_CARD`] per EDB relation) for the
-    /// cold-start case where no runtime statistics exist yet.
-    pub fn default_cards(&self) -> BTreeMap<String, u64> {
-        self.edb
-            .iter()
-            .map(|p| (p.to_string(), DEFAULT_CARD))
             .collect()
     }
 

@@ -33,25 +33,21 @@ use crate::report::{EquivalenceLevel, Phase, Report};
 use crate::OptError;
 use datalog_trace::PhaseEvent;
 
-/// Configuration for summary-based deletion.
+/// Configuration for summary-based deletion. The trivial identity unit
+/// rule `q(t) :- q(t)` (Example 7) is always among the unit summaries, and
+/// the cleanup passes always run between deletions.
 #[derive(Debug, Clone)]
 pub struct SummaryConfig {
-    /// Include the trivial identity unit rule `q(t) :- q(t)` (Example 7).
-    pub use_trivial_identity: bool,
     /// Try adding cover unit rules for the query predicate (§5; enables
     /// Example 6). Each added rule is kept only if it unlocks at least two
     /// deletions.
     pub add_cover_unit_rules: bool,
-    /// Run the cleanup passes between deletions.
-    pub run_cleanups: bool,
 }
 
 impl Default for SummaryConfig {
     fn default() -> SummaryConfig {
         SummaryConfig {
-            use_trivial_identity: true,
             add_cover_unit_rules: true,
-            run_cleanups: true,
         }
     }
 }
@@ -123,7 +119,6 @@ fn find_deletable(
     derived: &BTreeSet<PredRef>,
     query_pred: &PredRef,
     n_query: usize,
-    cfg: &SummaryConfig,
 ) -> Option<(usize, usize)> {
     let occ = occurrence_summaries(program, derived, query_pred, n_query);
     // Unit-rule argument projections per rule index.
@@ -141,9 +136,7 @@ fn find_deletable(
             .filter(|(ui, _)| *ui != ri)
             .map(|(_, ap)| ap.clone())
             .collect();
-        if cfg.use_trivial_identity {
-            s1.insert(ArgProj::identity(query_pred.clone(), n_query));
-        }
+        s1.insert(ArgProj::identity(query_pred.clone(), n_query));
         let s2 = close_summaries(&s1);
         for li in 0..program.rules[ri].body.len() {
             let Some(sums) = occ.get(&(ri, li)) else {
@@ -236,21 +229,14 @@ pub fn summary_deletion(
     let needed = needed_counts(program)?;
     let n_query = needed.get(&query_pred).copied().unwrap_or(0);
 
-    let mut current = run_to_fixpoint(program, derived, &query_pred, n_query, cfg, report);
+    let mut current = run_to_fixpoint(program, derived, &query_pred, n_query, report);
 
     if cfg.add_cover_unit_rules {
         for cover in cover_unit_rules(&current, &query_pred) {
             let mut trial = current.clone();
             trial.rules.push(cover.clone());
             let mut trial_report = Report::default();
-            let reduced = run_to_fixpoint(
-                &trial,
-                derived,
-                &query_pred,
-                n_query,
-                cfg,
-                &mut trial_report,
-            );
+            let reduced = run_to_fixpoint(&trial, derived, &query_pred, n_query, &mut trial_report);
             // Keep the cover only if it paid for itself: a net shrink,
             // i.e. at least two deletions beyond the rule we just added.
             if reduced.rules.len() < current.rules.len() {
@@ -275,7 +261,6 @@ fn run_to_fixpoint(
     derived: &BTreeSet<PredRef>,
     query_pred: &PredRef,
     n_query: usize,
-    cfg: &SummaryConfig,
     report: &mut Report,
 ) -> Program {
     let mut current = program.clone();
@@ -283,7 +268,7 @@ fn run_to_fixpoint(
         // Deletions first (matching the paper's exposition order in
         // Examples 7/8); cleanups only once no deletion applies, looping in
         // case a cleanup unlocks further deletions.
-        match find_deletable(&current, derived, query_pred, n_query, cfg) {
+        match find_deletable(&current, derived, query_pred, n_query) {
             Some((ri, li)) => {
                 report.record_event(
                     Phase::SummaryDeletion,
@@ -303,9 +288,6 @@ fn run_to_fixpoint(
                 current = current.without_rule(ri);
             }
             None => {
-                if !cfg.run_cleanups {
-                    return current;
-                }
                 let before = current.rules.len();
                 current = cleanup(&current, derived, report);
                 if current.rules.len() == before {
@@ -356,7 +338,6 @@ mod tests {
             EX7,
             &SummaryConfig {
                 add_cover_unit_rules: false,
-                ..SummaryConfig::default()
             },
         );
         let text = out.to_text();
@@ -395,7 +376,6 @@ mod tests {
             EX8,
             &SummaryConfig {
                 add_cover_unit_rules: false,
-                ..SummaryConfig::default()
             },
         );
         assert!(out.rules.is_empty(), "{}", out.to_text());
@@ -423,7 +403,6 @@ mod tests {
             EX10,
             &SummaryConfig {
                 add_cover_unit_rules: false,
-                ..SummaryConfig::default()
             },
         );
         // The `big`-guarded swap rule is deleted: its occurrence's
@@ -469,7 +448,6 @@ mod tests {
             EX6,
             &SummaryConfig {
                 add_cover_unit_rules: false,
-                ..SummaryConfig::default()
             },
         );
         assert_eq!(out.rules.len(), 4);

@@ -29,9 +29,6 @@ use datalog_trace::PhaseEvent;
 /// describes, with randomized validation guarding the UQE freeze test.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
-    /// §2 adornment (required by later phases; disable only when feeding an
-    /// already-adorned program).
-    pub adorn: bool,
     /// §3.1 boolean extraction.
     pub components: bool,
     /// §3.2 projection pushing.
@@ -62,7 +59,6 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> OptimizerConfig {
         OptimizerConfig {
-            adorn: true,
             components: true,
             projection: true,
             summary: SummaryConfig::default(),
@@ -115,13 +111,13 @@ pub fn optimize(program: &Program, cfg: &OptimizerConfig) -> Result<OptimizeOutc
     let mut current = program.clone();
     report.snapshot("input", &current);
 
-    // Skip adornment for programs that are already adorned (e.g. the
-    // paper's worked examples are given in adorned form).
+    // §2 adornment always runs, except on programs that are already
+    // adorned (e.g. the paper's worked examples are given in adorned form).
     let already_adorned = current
         .rules
         .iter()
         .any(|r| r.head.pred.is_adorned() || r.body.iter().any(|a| a.pred.is_adorned()));
-    if cfg.adorn && !already_adorned {
+    if !already_adorned {
         let adorned = datalog_adorn::adorn(&current)?;
         let versions = adorned.version_count();
         if versions > 0 {

@@ -25,8 +25,7 @@
 //! repeated variables are selections applied on top of that relation at
 //! extraction time.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use datalog_ast::{Ad, Adornment, Atom, PredRef, Program, Query, Rule, Term, Var};
 use datalog_lint::bounds::BoundsReport;
@@ -93,11 +92,6 @@ pub struct PreparedProgram {
     /// Worst recursion classification across the optimized program's IDB
     /// predicates — the form-level verdict admission control keys on.
     pub bound_class: BoundClass,
-    /// Join-reorder cost hints evaluated at the nominal cold-start
-    /// cardinality ([`datalog_lint::bounds::DEFAULT_CARD`]), keyed by
-    /// rendered predicate. Cheap static defaults for callers without live
-    /// statistics; the server re-evaluates against real cardinalities.
-    pub static_hints: Arc<BTreeMap<String, u64>>,
 }
 
 /// The canonical query atom of a form: fresh named variables `Qc<i>` at
@@ -144,7 +138,6 @@ pub fn prepare(
     let bounds = datalog_lint::bounds::analyze(&out.program)
         .map_err(|e| OptError::ValidationFailed(format!("bounds analysis: {e}")))?;
     let bound_class = bounds.worst_class();
-    let static_hints = Arc::new(bounds.cost_hints(&bounds.default_cards()));
     let query_pred = out
         .program
         .query
@@ -194,7 +187,6 @@ pub fn prepare(
         support,
         bounds,
         bound_class,
-        static_hints,
     })
 }
 
@@ -366,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_attaches_bounds_verdict_and_static_hints() {
+    fn prepare_attaches_bounds_and_verdict() {
         let src = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n?- a(X, Y).";
         let p = parse_program(src).unwrap().program;
         let ad = Adornment::parse("nn").unwrap();
@@ -383,10 +375,6 @@ mod tests {
         assert!(!prep.bounds.idb.is_empty());
         let qp = &prep.program.query.as_ref().unwrap().atom.pred;
         assert!(prep.bounds.preds.contains_key(qp), "no bound for {qp}");
-        // Static hints carry a finite nominal cost for every analyzed
-        // predicate.
-        assert!(prep.static_hints.contains_key(&qp.to_string()));
-        assert!(prep.static_hints.values().all(|&c| c > 0));
         // The verdict was recorded as a typed event the validator replays.
         let ev = prep
             .report

@@ -30,24 +30,21 @@ use crate::report::{EquivalenceLevel, Phase, Report};
 use crate::OptError;
 use datalog_trace::PhaseEvent;
 
-/// Configuration for the freeze-test deletion loop.
+/// Configuration for the freeze-test deletion loop. Sagiv's
+/// uniform-equivalence deletions are always tried, and the cleanup passes
+/// always run between deletions.
 #[derive(Debug, Clone)]
 pub struct UniformConfig {
-    /// Try Sagiv's uniform-equivalence deletions.
-    pub uniform: bool,
     /// Try the paper's uniform-query-equivalence deletions.
     pub uqe: bool,
     /// Randomized validation budget for UQE deletions. `None` applies the
     /// paper's test unguarded (not recommended; see module docs).
     pub validate_uqe: Option<EquivCheckConfig>,
-    /// Run cleanup passes between deletions.
-    pub run_cleanups: bool,
 }
 
 impl Default for UniformConfig {
     fn default() -> UniformConfig {
         UniformConfig {
-            uniform: true,
             uqe: true,
             validate_uqe: Some(EquivCheckConfig {
                 instances: 60,
@@ -55,7 +52,6 @@ impl Default for UniformConfig {
                 facts_per_pred: 10,
                 ..EquivCheckConfig::default()
             }),
-            run_cleanups: true,
         }
     }
 }
@@ -80,9 +76,7 @@ pub fn freeze_deletion(
     };
     let mut current = program.clone();
     'outer: loop {
-        if cfg.run_cleanups {
-            current = cleanup(&current, derived, report);
-        }
+        current = cleanup(&current, derived, report);
         // Per candidate (auxiliary-head rules first), try the uniform test
         // and then the UQE test before moving on. The candidate order
         // matters more than the level order: deleting an auxiliary exit
@@ -90,7 +84,7 @@ pub fn freeze_deletion(
         // exit rule under uniform equivalence, or the optimizer strands an
         // equivalent-but-slower unit chain.
         for ri in order(&current) {
-            if cfg.uniform && uniform_test(&current, ri).map_err(OptError::Engine)? {
+            if uniform_test(&current, ri).map_err(OptError::Engine)? {
                 report.record_event(
                     Phase::UniformDeletion,
                     EquivalenceLevel::Uniform,
@@ -152,10 +146,7 @@ pub fn freeze_deletion(
                 continue 'outer;
             }
         }
-        if cfg.run_cleanups {
-            current = cleanup(&current, derived, report);
-        }
-        return Ok(current);
+        return Ok(cleanup(&current, derived, report));
     }
 }
 

@@ -2,9 +2,14 @@
 //!
 //! | step | does | holds |
 //! |---|---|---|
-//! | [`admit`](ServerState::admit) | EDB-only in both directions, arities — a refused request logs and applies nothing | rules (read), briefly |
-//! | [`commit`](ServerState::commit) | WAL append (one write, one fsync, all or nothing), then [`apply`](ServerState::apply): extend the rule set, insert the rows | ingest gate (read) |
-//! | [`publish`](ServerState::publish) | drain every live form the rows touch, compact the log when due | cache / form, one at a time |
+//! | commit | [`admit`](ServerState::admit) (EDB-only in both directions, arities — a refused request logs and applies nothing), the WAL append (one write, one fsync, all or nothing), [`apply`](ServerState::apply) (extend the rule set, insert the rows), then compaction when the log is due | the log's mutex |
+//! | drain | [`drain_residents`](ServerState::drain_residents): every live form the rows touch absorbs them | cache / form, one at a time |
+//!
+//! The commit is one critical section, so ingests are ordered: what one
+//! admits is checked against everything every earlier ingest applied. A
+//! `LOAD` of a rule for `p` and a `FACT` for `p` racing each other get one
+//! `OK` and one `ERR`, never two `OK`s; and a compaction's snapshot holds
+//! every record its truncation discards. Queries never take the lock.
 //!
 //! The paper's IDB/EDB convention (§1.1: the IDB holds no facts) is what
 //! `admit` enforces: facts only for predicates no rule derives, rules only
@@ -17,13 +22,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use datalog_ast::{parse_atom, parse_program, parse_rule, Atom, PredRef, Rule, Value};
 use datalog_engine::SharedDbError;
 
-use crate::protocol::Response;
-use crate::server::{read_lock, write_lock, RuleSet, ServerState};
-use crate::wal::WalOp;
+use crate::protocol::{ErrCode, Response};
+use crate::server::{lock, read_lock, write_lock, RuleSet, ServerState};
+use crate::wal::{RunBatch, Wal, WalOp};
 
 /// Ground tuples by predicate, as the parser groups a file's facts.
 type Facts = BTreeMap<PredRef, Vec<Vec<Value>>>;
@@ -98,20 +104,38 @@ impl ServerState {
     /// names its file).
     fn ingest(&self, rules: &[Rule], facts: &Facts, origin: &str) -> Result<Applied, Response> {
         let refuse = |e: String| Response::err(format!("{origin}{e}"));
-        let fresh = self.admit(rules, facts).map_err(refuse)?;
-        // Rendered in front of the gate: the gate is held for the log write
-        // and the inserts only.
-        let ops: Vec<WalOp> = fresh
+        // The facts are rendered in front of the lock; the rules only once
+        // admission has picked the ones not held yet.
+        let mut ops: Vec<WalOp> = facts
             .iter()
-            .map(|r| WalOp::Rule(r.to_string()))
-            .chain(facts.iter().flat_map(|(pred, tuples)| {
+            .flat_map(|(pred, tuples)| {
                 tuples
                     .iter()
                     .map(move |t| WalOp::Fact(Atom::fact(pred.clone(), t.clone()).to_string()))
-            }))
+            })
             .collect();
-        let applied = self.commit(&ops, fresh, facts, refuse)?;
-        self.publish(&applied.touched);
+        let applied = {
+            let mut log = lock(&self.wal);
+            let fresh = self.admit(rules, facts).map_err(refuse)?;
+            ops.splice(0..0, fresh.iter().map(|r| WalOp::Rule(r.to_string())));
+            if let Some(wal) = log.as_mut() {
+                wal.append_all(&ops).map_err(|e| {
+                    self.metrics.wal_errors.inc();
+                    Response::err_code(
+                        ErrCode::Internal,
+                        format!("wal append failed ({e}); write not applied"),
+                    )
+                })?;
+            }
+            let applied = self.apply(fresh, facts).map_err(refuse)?;
+            if let Some(wal) = log.as_mut().filter(|w| w.wants_compaction()) {
+                self.compact(wal);
+            }
+            applied
+        };
+        // Propagation, not invalidation: live forms absorb the rows as a
+        // delta batch before the ingest answers.
+        self.drain_residents(&applied.touched);
         Ok(applied)
     }
 
@@ -154,9 +178,7 @@ impl ServerState {
     }
 
     /// `Err` when a tuple clashes with the arity `pred` is stored at (the
-    /// first tuple's, for a predicate not stored yet). Two first-ever
-    /// facts of one predicate racing with different arities can still both
-    /// pass; the loser is then refused by the insert.
+    /// first tuple's, for a predicate not stored yet).
     fn check_arity(&self, pred: &PredRef, tuples: &[Vec<Value>]) -> Result<(), String> {
         let stored = self.db.arity(pred);
         let Some(expected) = stored.or_else(|| tuples.first().map(Vec::len)) else {
@@ -173,29 +195,14 @@ impl ServerState {
         }
     }
 
-    /// Log, then apply: an acknowledged write is a durable write. The
-    /// ingest gate is held across both, so a compaction snapshot can never
-    /// miss a record its truncation discards. A WAL failure logs and
-    /// applies nothing; `refuse` words an insert the store refused.
-    fn commit(
-        &self,
-        ops: &[WalOp],
-        fresh: Vec<Rule>,
-        facts: &Facts,
-        refuse: impl Fn(String) -> Response,
-    ) -> Result<Applied, Response> {
-        let _gate = read_lock(&self.ingest_gate);
-        self.wal_append(ops)?;
-        self.apply(fresh, facts).map_err(refuse)
-    }
-
-    /// The apply half of a commit: extend the rule set, insert the rows.
+    /// Extend the rule set, insert the rows. An ingest applies only after
+    /// its WAL append, so an acknowledged write is a durable write.
     fn apply(&self, fresh: Vec<Rule>, facts: &Facts) -> Result<Applied, String> {
         let mut new_rules = 0;
         if !fresh.is_empty() {
             let mut held = write_lock(&self.rules);
-            // Another LOAD may have raced in since admission; re-filter so
-            // duplicates stay out (the WAL tolerates them).
+            // Admission already dropped the held rules; replay does not
+            // admit, and a log an older binary wrote can hold a rule twice.
             let mut rules = held.rules.clone();
             for r in fresh {
                 if !rules.contains(&r) {
@@ -227,12 +234,49 @@ impl ServerState {
         })
     }
 
-    /// Make committed rows visible to resident readers (propagation, not
-    /// invalidation: live forms absorb them as a delta batch), then give
-    /// compaction its chance — off the gate.
-    fn publish(&self, touched: &[PredRef]) {
-        self.drain_residents(touched);
-        self.maybe_compact();
+    /// Snapshot the full state and truncate the log. Runs under the log's
+    /// lock, between ingests, so the snapshot holds every record the
+    /// truncation discards. A failure keeps the log: durability is
+    /// unaffected, only restart cost, so it is counted and nothing else.
+    fn compact(&self, wal: &mut Wal) {
+        let (rules, batches) = self.state_batches();
+        let t0 = Instant::now();
+        if wal.compact(&rules, &batches).is_err() {
+            self.metrics.wal_errors.inc();
+        } else {
+            self.metrics
+                .compaction_seconds
+                .record_duration(t0.elapsed());
+        }
+    }
+
+    /// The full current state as manifest material: rule texts plus one
+    /// [`RunBatch`] per stored predicate (rows in ingestion order, so a
+    /// restart rebuilds identical row ids).
+    fn state_batches(&self) -> (Vec<String>, Vec<RunBatch>) {
+        let rules: Vec<String> = read_lock(&self.rules)
+            .rules
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        let snapshot = self.db.snapshot();
+        let mut batches = Vec::new();
+        for pred in snapshot.preds() {
+            let rows: Vec<Box<[Value]>> = snapshot
+                .rows(&pred)
+                .into_iter()
+                .map(Vec::into_boxed_slice)
+                .collect();
+            if rows.is_empty() {
+                continue;
+            }
+            batches.push(RunBatch {
+                pred: pred.to_string(),
+                arity: rows[0].len(),
+                rows,
+            });
+        }
+        (rules, batches)
     }
 
     /// Replay one recovered WAL record (see the module docs for what this

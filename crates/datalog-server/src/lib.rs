@@ -26,7 +26,8 @@
 //! * **resident forms** ([`cache::Entry::resident`]): monotone forms keep
 //!   their fixpoint and absorb new facts as deltas (`maintain.rs` drains
 //!   them, and a form whose drain fails is rebuilt by its next query;
-//!   `ingest.rs` is the one `FACT`/`LOAD` path).
+//!   `ingest.rs` is the one `FACT`/`LOAD` path, one critical section per
+//!   ingest under the log's lock).
 //!
 //! Start it with `xdl serve [--port P] [--max-conns N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see

@@ -95,8 +95,8 @@ pub struct ServerMetrics {
     /// configured fact budget (`ERR bound`).
     pub admission_rejected: Arc<Counter>,
 
-    /// Resident forms rebuilt after poisoning or eviction — lazily on an
-    /// eligible query or by the background maintenance loop.
+    /// Resident forms rebuilt after poisoning or eviction, by the next
+    /// eligible query of the form (nothing rebuilds in the background).
     pub resident_rebuilds: Arc<Counter>,
     /// Resident propagations that failed and poisoned their form.
     pub resident_poisonings: Arc<Counter>,
@@ -239,8 +239,8 @@ impl ServerMetrics {
             ),
             resident_rebuilds: registry.counter(
                 "xdl_resident_rebuilds_total",
-                "Resident forms rebuilt after poisoning or eviction (lazy \
-                 or background).",
+                "Resident forms rebuilt after poisoning or eviction, by the \
+                 next query of the form.",
                 &[],
             ),
             resident_poisonings: registry.counter(

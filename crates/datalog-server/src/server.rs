@@ -1,8 +1,8 @@
 //! The server: shared state, request dispatch, `STATS`/`METRICS`/`TRACE`
-//! and WAL compaction. `QUERY` runs through the staged pipeline in
-//! `query.rs`, `FACT`/`LOAD` through `ingest.rs`, resident forms are
-//! drained and dropped by `maintain.rs`, and connections are accepted and
-//! served by `conn.rs`.
+//! and WAL recovery. `QUERY` runs through the staged pipeline in
+//! `query.rs`, `FACT`/`LOAD` and compaction through `ingest.rs`, resident
+//! forms are drained and dropped by `maintain.rs`, and connections are
+//! accepted and served by `conn.rs`.
 //!
 //! Every connection thread shares one [`ServerState`]:
 //!
@@ -11,6 +11,9 @@
 //! * the EDB in a [`SharedDatabase`]: writers ingest while readers evaluate
 //!   against [`DbSnapshot`](datalog_engine::DbSnapshot)s, never blocking
 //!   each other beyond per-access row locks;
+//! * the WAL behind a `Mutex`, which every ingest holds from admission to
+//!   apply (and across a due compaction) — the one lock that orders
+//!   ingests; queries never take it;
 //! * the [`PreparedCache`] behind a `Mutex` — held across a cold `prepare`
 //!   (optimization is the expensive, memoized step; serializing it
 //!   deduplicates concurrent cold misses of the same form);
@@ -60,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use datalog_ast::{PredRef, Program, Rule, Value};
+use datalog_ast::{PredRef, Program, Rule};
 use datalog_engine::{AnswerSet, CancelToken, DbSnapshot, EngineError, SharedDatabase};
 use datalog_opt::{fingerprint_rules, PreparedProgram};
 use datalog_trace::{Json, PhaseEvent};
@@ -70,7 +73,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
 use crate::query::LastQuery;
-use crate::wal::{FsyncPolicy, RunBatch, Wal, WalOp};
+use crate::wal::{FsyncPolicy, Wal, WalOp};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -192,13 +195,10 @@ pub struct ServerState {
     pub(crate) cache: Mutex<PreparedCache>,
     pub(crate) last_trace: Mutex<Option<LastQuery>>,
     shutdown: AtomicBool,
-    /// The write-ahead log, when durability is configured.
-    wal: Mutex<Option<Wal>>,
-    /// Ingest/compaction coordination: ingests hold a read guard across
-    /// (WAL append + DB apply), compaction holds the write guard across
-    /// (state snapshot + log truncate), so the snapshot can never miss a
-    /// record the truncation discards.
-    pub(crate) ingest_gate: RwLock<()>,
+    /// The write-ahead log, when durability is configured. Its mutex is
+    /// the one lock that orders ingests, with or without a log: each
+    /// admits, appends, applies and compacts under it (`ingest.rs`).
+    pub(crate) wal: Mutex<Option<Wal>>,
     /// Cancelled when the shutdown grace period expires; every evaluation
     /// carries a clone.
     pub(crate) cancel: CancelToken,
@@ -239,7 +239,6 @@ impl ServerState {
             last_trace: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             wal: Mutex::new(None),
-            ingest_gate: RwLock::new(()),
             cancel: CancelToken::new(),
             inflight: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
@@ -405,83 +404,6 @@ impl ServerState {
         }
     }
 
-    /// Append one request's accepted operations to the WAL, all or none
-    /// (no-op without a WAL). On failure the log is as it was and the
-    /// caller must not apply or acknowledge them. The caller holds the
-    /// ingest gate (read).
-    pub(crate) fn wal_append(&self, ops: &[WalOp]) -> Result<(), Response> {
-        let mut guard = lock(&self.wal);
-        let Some(wal) = guard.as_mut() else {
-            return Ok(());
-        };
-        wal.append_all(ops).map_err(|e| {
-            self.metrics.wal_errors.inc();
-            Response::err_code(
-                ErrCode::Internal,
-                format!("wal append failed ({e}); write not applied"),
-            )
-        })
-    }
-
-    /// Snapshot + truncate the log if enough records accumulated. Takes
-    /// the ingest gate exclusively, so no in-flight ingest can sit between
-    /// its WAL record and its DB apply while the state is snapshotted.
-    pub(crate) fn maybe_compact(&self) {
-        {
-            let guard = lock(&self.wal);
-            match guard.as_ref() {
-                Some(wal) if wal.wants_compaction() => {}
-                _ => return,
-            }
-        }
-        let _gate = write_lock(&self.ingest_gate);
-        let (rules, batches) = self.state_batches();
-        let mut guard = lock(&self.wal);
-        if let Some(wal) = guard.as_mut() {
-            if wal.wants_compaction() {
-                let t0 = Instant::now();
-                if wal.compact(&rules, &batches).is_err() {
-                    // The log stays; durability is unaffected, only restart
-                    // cost. Count it and move on.
-                    self.metrics.wal_errors.inc();
-                } else {
-                    self.metrics
-                        .compaction_seconds
-                        .record_duration(t0.elapsed());
-                }
-            }
-        }
-    }
-
-    /// The full current state as manifest material: rule texts plus one
-    /// [`RunBatch`] per stored predicate (rows in ingestion order, so a
-    /// restart rebuilds identical row ids).
-    fn state_batches(&self) -> (Vec<String>, Vec<RunBatch>) {
-        let rules: Vec<String> = read_lock(&self.rules)
-            .rules
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        let snapshot = self.db.snapshot();
-        let mut batches = Vec::new();
-        for pred in snapshot.preds() {
-            let rows: Vec<Box<[Value]>> = snapshot
-                .rows(&pred)
-                .into_iter()
-                .map(Vec::into_boxed_slice)
-                .collect();
-            if rows.is_empty() {
-                continue;
-            }
-            batches.push(RunBatch {
-                pred: pred.to_string(),
-                arity: rows[0].len(),
-                rows,
-            });
-        }
-        (rules, batches)
-    }
-
     /// Convert a resource-limit trip into its coded `ERR` response, with
     /// the partial stats embedded, and record counters + trace event.
     pub(crate) fn limit_response(&self, e: &EngineError) -> Response {
@@ -564,17 +486,16 @@ impl ServerState {
             let g = read_lock(&self.rules);
             (g.rules.len(), g.fingerprint)
         };
-        let cache = lock(&self.cache);
-        let wal_doc = {
-            let guard = lock(&self.wal);
-            match guard.as_ref() {
-                Some(wal) => Json::obj()
-                    .with("appended", wal.appended)
-                    .with("since_snapshot", wal.since_snapshot())
-                    .with("snapshots", wal.snapshots),
-                None => Json::Null,
-            }
+        // Read before the cache lock: an ingest holds the log's lock across
+        // its fsync and compaction, and queries must not wait behind that.
+        let wal_doc = match lock(&self.wal).as_ref() {
+            Some(wal) => Json::obj()
+                .with("appended", wal.appended)
+                .with("since_snapshot", wal.since_snapshot())
+                .with("snapshots", wal.snapshots),
+            None => Json::Null,
         };
+        let cache = lock(&self.cache);
         // STATS reads the same atomics the METRICS registry renders — one
         // bookkeeping path, two readouts.
         let m = &self.metrics;

@@ -5,11 +5,12 @@
 //! failing request gets a *structured* answer (a coded `ERR`, never a
 //! hang or a torn response), and the server keeps serving afterwards.
 //! Faults covered: injected fsync failure (and that a refused write stays
-//! refused across a restart), a torn WAL tail, a handler panic mid-query,
-//! a deadline storm, a byte-at-a-time slow client, budget exhaustion,
-//! connection/admission shedding, poisoned resident forms healed by
-//! queries, and a draining shutdown racing an in-flight query. All of it runs under plain
-//! `cargo test` — no root, no containers, no signals.
+//! refused across a restart), ingests racing for one predicate, a torn WAL
+//! tail, a handler panic mid-query, a deadline storm, a byte-at-a-time slow
+//! client, budget exhaustion, connection/admission shedding, poisoned
+//! resident forms healed by queries, and a draining shutdown racing an
+//! in-flight query. All of it runs under plain `cargo test` — no root, no
+//! containers, no signals.
 
 mod util;
 
@@ -17,7 +18,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use datalog_ast::parse_program;
@@ -944,6 +945,144 @@ fn a_refused_ingest_does_not_come_back_after_a_restart() {
     assert_eq!(counts(&mut c), (0, 0));
     c.shutdown().unwrap();
     server.join();
+}
+
+/// Run `left` and `right` on two threads released together by a barrier;
+/// whether each was acknowledged.
+fn race(state: &ServerState, left: &Request, right: &Request) -> (bool, bool) {
+    let barrier = Barrier::new(2);
+    let go = |req: &Request| {
+        barrier.wait();
+        state.handle(req).ok
+    };
+    std::thread::scope(|s| {
+        let left = s.spawn(|| go(left));
+        let right = go(right);
+        (left.join().unwrap(), right)
+    })
+}
+
+/// The races of `outcomes` that acknowledged both sides, and those that
+/// acknowledged neither.
+fn both_and_neither(outcomes: &[(bool, bool)]) -> (usize, usize) {
+    let both = outcomes.iter().filter(|&&(l, r)| l && r).count();
+    let neither = outcomes.iter().filter(|&&(l, r)| !l && !r).count();
+    (both, neither)
+}
+
+/// A `LOAD` of `p_i(X) :- q(X).` and a `FACT p_i(1).` released together:
+/// §1.1 (the IDB holds no facts) admits only one of them, so exactly one
+/// is acknowledged. The database holds the acknowledged side and nothing
+/// of the refused one, live and after a restart from the log.
+#[test]
+fn a_rule_load_and_a_fact_for_its_head_are_never_both_acknowledged() {
+    const RACES: usize = 50;
+    let dir = TempDir::new("race-rule-fact");
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.path().join("wal")),
+        ..ServerConfig::default()
+    };
+    let state = ServerState::from_config(&cfg).unwrap();
+    assert!(state.handle(&Request::Fact("q(2).".into())).ok);
+    let outcomes: Vec<(bool, bool)> = (0..RACES)
+        .map(|i| {
+            let file = dir.file(&format!("p{i}.dl"), &format!("p{i}(X) :- q(X).\n"));
+            race(
+                &state,
+                &Request::Load(file.display().to_string()),
+                &Request::Fact(format!("p{i}(1).")),
+            )
+        })
+        .collect();
+    let (both, neither) = both_and_neither(&outcomes);
+    assert_eq!(
+        both, 0,
+        "{both} of {RACES} races acknowledged the rule and the fact"
+    );
+    assert_eq!(
+        neither, 0,
+        "{neither} of {RACES} races acknowledged neither"
+    );
+
+    let check = |state: &ServerState, when: &str| {
+        let loads = outcomes.iter().filter(|&&(load, _)| load).count() as u64;
+        let stats = state.handle(&Request::Stats).payload_text();
+        assert_eq!(stat(&stats, "rules"), loads, "{when}: {stats}");
+        assert_eq!(
+            stat(&stats, "facts"),
+            1 + RACES as u64 - loads,
+            "{when}: {stats}"
+        );
+        for (i, &(load, _)) in outcomes.iter().enumerate() {
+            let held = if load {
+                format!("p{i}(X) :- q(X).")
+            } else {
+                format!("p{i}(1).")
+            };
+            let query = format!("?- p{i}(X).");
+            let resp = state.handle(&Request::query(&query));
+            assert!(resp.ok, "{when}: {query} {}", resp.error);
+            let reference = xdl_run_reference(&format!("{held}\nq(2).\n{query}\n"));
+            assert_eq!(resp.payload_text(), reference, "{when}: {held}");
+        }
+    };
+    check(&state, "live");
+    drop(state);
+    let state = ServerState::from_config(&cfg).unwrap();
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(stat(&stats, "skipped"), 0, "{stats}");
+    check(&state, "after a restart");
+}
+
+/// The first facts of `a_i` at two arities, released together: exactly one
+/// is acknowledged, and the refused one leaves no record in the log, so a
+/// restart skips nothing and serves the acknowledged fact.
+#[test]
+fn racing_first_facts_of_two_arities_leave_no_refused_record() {
+    const RACES: usize = 50;
+    let dir = TempDir::new("race-arity");
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.path().join("wal")),
+        ..ServerConfig::default()
+    };
+    let state = ServerState::from_config(&cfg).unwrap();
+    let outcomes: Vec<(bool, bool)> = (0..RACES)
+        .map(|i| {
+            race(
+                &state,
+                &Request::Fact(format!("a{i}(1).")),
+                &Request::Fact(format!("a{i}(1, 2).")),
+            )
+        })
+        .collect();
+    let (both, neither) = both_and_neither(&outcomes);
+    assert_eq!((both, neither), (0, 0), "of {RACES} races: both, neither");
+
+    let check = |state: &ServerState, when: &str| {
+        let stats = state.handle(&Request::Stats).payload_text();
+        assert_eq!(stat(&stats, "facts"), RACES as u64, "{when}: {stats}");
+        for (i, &(unary, _)) in outcomes.iter().enumerate() {
+            let (fact, query) = if unary {
+                (format!("a{i}(1)."), format!("?- a{i}(X)."))
+            } else {
+                (format!("a{i}(1, 2)."), format!("?- a{i}(X, Y)."))
+            };
+            let resp = state.handle(&Request::query(&query));
+            assert!(resp.ok, "{when}: {query} {}", resp.error);
+            let reference = xdl_run_reference(&format!("{fact}\n{query}\n"));
+            assert_eq!(resp.payload_text(), reference, "{when}: {fact}");
+        }
+    };
+    check(&state, "live");
+    drop(state);
+    let state = ServerState::from_config(&cfg).unwrap();
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(
+        stat(&stats, "skipped"),
+        0,
+        "refused records were logged: {stats}"
+    );
+    check(&state, "after a restart");
 }
 
 /// One unsigned field of a `STATS` document.

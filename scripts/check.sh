@@ -529,6 +529,16 @@ if [ "$(cat "$smoke_dir/pipe.status")" != 0 ] || [ -s "$smoke_dir/pipe.err" ] \
 fi
 echo "check.sh: broken-pipe smoke ok"
 
+# Paper reproduction: E1–E10 regenerate the claim-backed tables of
+# EXPERIMENTS.md at their quick sizes (under a second on a 2-core
+# sandbox). An experiment whose program fails to parse, optimize or
+# evaluate panics, and the non-zero exit fails the gate.
+if ! ./target/release/harness all --quick > /dev/null; then
+    echo "check.sh: harness all --quick failed" >&2
+    exit 1
+fi
+echo "check.sh: harness all --quick ok"
+
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
 # resident vs cold in bulk and single-fact batches, the storage
 # self-check, optimizer on and off) over programs nobody wrote by hand. The
