@@ -256,7 +256,7 @@ impl SharedDatabase {
         Ok(new)
     }
 
-    /// Bulk-load one predicate's rows (the manifest-recovery fast path):
+    /// Bulk-load one predicate's rows (the snapshot-recovery fast path):
     /// register once, dedup by sort instead of per-row hashing, seal the
     /// batch into sorted runs, and bump the version by the new-row count.
     pub fn load_batch(

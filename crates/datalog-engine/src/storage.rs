@@ -113,7 +113,7 @@ fn note_index_rebuild() {
 // ---------------------------------------------------------------------------
 
 /// A fast multiply-rotate hasher in the FxHash family. These hashes feed
-/// bloom filters and dedup runs that live only in memory (run files on
+/// bloom filters and dedup runs that live only in memory (snapshots on
 /// disk store raw values), so we trade SipHash's collision hardening for
 /// a few nanoseconds per key — the dedup path verifies real tuples on
 /// every hash match anyway, so collisions cost time, never correctness.

@@ -22,10 +22,11 @@ use std::sync::Mutex;
 /// Deterministic fault switches shared by the server and the tests.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// While set, every WAL fsync reports an I/O error (the write is not
+    /// `0` while disarmed; `n > 0` lets the next `n - 1` WAL fsyncs pass
+    /// and fails every one after that with an I/O error (the write is not
     /// acknowledged; the record may or may not survive a crash — exactly
     /// the contract of a failed fsync).
-    fsync_fail: AtomicBool,
+    fsync_fail_in: AtomicU64,
     /// One-shot: panic inside query handling when the query predicate's
     /// base name matches. Cleared by firing, so recovery is observable.
     panic_on_query: Mutex<Option<String>>,
@@ -49,12 +50,23 @@ impl FaultPlan {
 
     /// Arm or disarm fsync failure.
     pub fn fail_fsync(&self, on: bool) {
-        self.fsync_fail.store(on, Ordering::Release);
+        self.fsync_fail_in.store(u64::from(on), Ordering::Release);
     }
 
-    /// Consulted by the WAL before each fsync.
+    /// Let the next `n` fsyncs pass, then fail every one until disarmed:
+    /// how a test reaches one particular fsync of a compaction.
+    pub fn fail_fsync_after(&self, n: u64) {
+        self.fsync_fail_in.store(n + 1, Ordering::Release);
+    }
+
+    /// Consulted by the WAL before each fsync (of a file or a directory).
     pub fn fsync_should_fail(&self) -> bool {
-        let fail = self.fsync_fail.load(Ordering::Acquire);
+        let passed = self
+            .fsync_fail_in
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n > 1).then(|| n - 1)
+            });
+        let fail = passed == Err(1);
         if fail {
             self.fired.fetch_add(1, Ordering::AcqRel);
         }
@@ -164,5 +176,13 @@ mod tests {
         plan.fail_fsync(false);
         assert!(!plan.fsync_should_fail());
         assert_eq!(plan.fired(), 2);
+        plan.fail_fsync_after(2);
+        assert!(!plan.fsync_should_fail());
+        assert!(!plan.fsync_should_fail());
+        assert!(plan.fsync_should_fail(), "the third fsync fails");
+        assert!(plan.fsync_should_fail(), "and every one after it");
+        plan.fail_fsync(false);
+        assert!(!plan.fsync_should_fail());
+        assert_eq!(plan.fired(), 4);
     }
 }

@@ -16,9 +16,11 @@
 //! for predicates that store no facts. Query equivalence of every cached
 //! optimized program is only guaranteed on IDB-empty inputs.
 //!
-//! Recovery replays the log through `apply` alone: a record was admitted
-//! and made durable when it was written, so replay skips admission and
-//! logging and keeps only the insert's own arity check.
+//! Recovery replays the snapshot and then the log through
+//! [`replay`](ServerState::replay): a fact or rule through `apply` alone, a
+//! snapshot's rows through one bulk load. A record was admitted and made
+//! durable when it was written, so replay skips admission and logging and
+//! keeps only the insert's own arity check.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -250,7 +252,7 @@ impl ServerState {
         }
     }
 
-    /// The full current state as manifest material: rule texts plus one
+    /// The full current state as snapshot material: rule texts plus one
     /// [`RunBatch`] per stored predicate (rows in ingestion order, so a
     /// restart rebuilds identical row ids).
     fn state_batches(&self) -> (Vec<String>, Vec<RunBatch>) {
@@ -279,24 +281,31 @@ impl ServerState {
         (rules, batches)
     }
 
-    /// Replay one recovered WAL record (see the module docs for what this
+    /// Replay one recovered record (see the module docs for what this
     /// skips). Failures are skipped by the caller, not fatal: a record
     /// that was valid when logged can only become invalid through manual
     /// log surgery.
-    pub(crate) fn replay(&self, op: &WalOp) -> Result<(), String> {
-        let applied = match op {
+    pub(crate) fn replay(&self, op: WalOp) -> Result<(), String> {
+        match op {
             WalOp::Fact(text) => {
-                let atom = parse_atom(text).map_err(|e| e.render_at("wal"))?;
+                let atom = parse_atom(&text).map_err(|e| e.render_at("wal"))?;
                 let values = atom
                     .ground_values()
                     .ok_or_else(|| format!("wal fact '{atom}' is not ground"))?;
                 self.apply(Vec::new(), &Facts::from([(atom.pred, vec![values])]))
+                    .map(drop)
             }
             WalOp::Rule(text) => {
-                let rule = parse_rule(text).map_err(|e| e.render_at("wal"))?;
-                self.apply(vec![rule], &Facts::new())
+                let rule = parse_rule(&text).map_err(|e| e.render_at("wal"))?;
+                self.apply(vec![rule], &Facts::new()).map(drop)
             }
-        };
-        applied.map(drop)
+            // A snapshot's rows: one order-preserving sort-dedup per record
+            // instead of per-row parsing and hashing.
+            WalOp::Batch(batch) => self
+                .db
+                .load_batch(&PredRef::new(&batch.pred), batch.arity, batch.rows)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+        }
     }
 }

@@ -73,7 +73,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
 use crate::query::LastQuery;
-use crate::wal::{FsyncPolicy, Wal, WalOp};
+use crate::wal::{FsyncPolicy, Wal};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -248,7 +248,7 @@ impl ServerState {
             cfg,
         };
         if let Some(dir) = state.cfg.wal_dir.clone() {
-            let (mut wal, mut recovery) = Wal::open(
+            let (mut wal, recovery) = Wal::open(
                 &dir,
                 FsyncPolicy::Always,
                 state.cfg.compact_every,
@@ -258,28 +258,11 @@ impl ServerState {
                 Arc::clone(&state.metrics.wal_append_seconds),
                 Arc::clone(&state.metrics.wal_fsync_seconds),
             );
-            let mut applied = 0u64;
-            let mut skipped = 0u64;
-            // Manifest recovery: rules, then each run file bulk-loaded —
-            // one order-preserving sort-dedup per batch instead of per-row
-            // parsing and hashing — then the log tail replayed on top, in
-            // the order it was written. Everything here was admitted before
-            // it was logged; `replay` does not admit it again.
-            for rule in &recovery.rules {
-                match state.replay(&WalOp::Rule(rule.clone())) {
-                    Ok(()) => applied += 1,
-                    Err(_) => skipped += 1,
-                }
-            }
-            let mut batch_rows = 0u64;
-            for batch in std::mem::take(&mut recovery.batches) {
-                let pred = PredRef::new(&batch.pred);
-                match state.db.load_batch(&pred, batch.arity, batch.rows) {
-                    Ok(fresh) => batch_rows += fresh as u64,
-                    Err(_) => skipped += 1,
-                }
-            }
-            for op in &recovery.ops {
+            // The snapshot's records, then the log's, in the order they
+            // were written. Everything here was admitted before it was
+            // logged; `replay` does not admit it again.
+            let (mut applied, mut skipped) = (0u64, 0u64);
+            for op in recovery.ops {
                 match state.replay(op) {
                     Ok(()) => applied += 1,
                     Err(_) => skipped += 1,
@@ -287,10 +270,7 @@ impl ServerState {
             }
             state.recovery = Some(
                 Json::obj()
-                    .with("run_files", recovery.run_files)
-                    .with("lost_run_files", recovery.lost_run_files)
-                    .with("run_rows", recovery.run_rows)
-                    .with("batch_rows", batch_rows)
+                    .with("from_snapshot", recovery.from_snapshot)
                     .with("from_log", recovery.from_log)
                     .with("applied", applied)
                     .with("skipped", skipped)

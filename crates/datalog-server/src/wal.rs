@@ -10,50 +10,52 @@
 //!
 //! ## Record format
 //!
-//! The log is a flat sequence of length-prefixed, checksummed records:
+//! The directory holds two files in one format, `snapshot.log` and
+//! `wal.log`, each a flat sequence of length-prefixed, checksummed
+//! records:
 //!
 //! ```text
 //! [u32 payload length, LE] [u32 CRC-32 (IEEE) of payload, LE] [payload]
 //! ```
 //!
-//! The payload is one tag byte followed by UTF-8 text:
+//! The payload is one tag byte and its body:
 //!
-//! * `F` + the fact atom, e.g. `F p(1, 2)`;
-//! * `R` + the rule source, e.g. `R a(X, Y) :- p(X, Y).`
+//! * `F` + space + the fact atom, e.g. `F p(1, 2)`;
+//! * `R` + space + the rule source, e.g. `R a(X, Y) :- p(X, Y).`;
+//! * `B` + one predicate's rows: u32 LE arity, u32 LE row count (at least
+//!   one), u32 LE name length, the UTF-8 name, then per value a tag byte —
+//!   `0` + 8-byte LE integer, or `1` + u32 LE length + UTF-8 symbol text.
+//!   Symbols are stored by name: their ids are process-interned.
 //!
-//! Text is the storage format on purpose: records are parsed on replay by
-//! the same parser that validated them at ingestion, the log is
-//! greppable with standard tools, and the checksum makes the redundancy
-//! safe. A *torn tail* — a record whose header, body, or checksum is
-//! incomplete or corrupt, the signature of a crash mid-append — is
-//! **truncated, not fatal**: replay keeps every record up to the last
+//! Facts and rules are text on purpose: they are parsed on replay by the
+//! same parser that validated them at ingestion, and the log is greppable
+//! with standard tools. Rows are typed, so recovery bulk-loads each `B`
+//! record ([`datalog_engine::SharedDatabase::load_batch`]: one sort-based
+//! dedup and seal) instead of re-parsing and re-hashing every fact.
+//!
+//! ## The log and its snapshot
+//!
+//! In `wal.log` a *torn tail* — a record whose header, body, or checksum
+//! is incomplete or corrupt, the signature of a crash mid-append — is
+//! **truncated, not fatal**: recovery keeps every record up to the last
 //! intact one and cuts the file there, exactly the prefix that could have
 //! been acknowledged.
 //!
-//! ## Snapshot + compaction: the batch-manifest swap
-//!
 //! An unbounded log makes restart cost proportional to history. After
-//! [`Wal::compact_every`] appended records, the server snapshots the full
-//! current state and truncates `wal.log`. The snapshot is **not** a replay
-//! log: it is a text manifest (`snapshot.manifest`) naming one binary run
-//! file per predicate (`run-<gen>-<i>.xrs`, typed values, CRC-checked via
-//! the manifest) plus the rule sources. Each run file is written to a temp
-//! name, fsynced, and renamed; the manifest rename is the single atomic
-//! commit point. Recovery bulk-loads each run file as a typed row batch —
-//! one sort-based dedup + seal per relation
-//! ([`datalog_engine::SharedDatabase::load_batch`]) instead of re-parsing
-//! and re-hashing every fact's text — then replays the log tail on top.
-//! Run files from superseded generations are garbage-collected after the
-//! swap. [`Wal::open`] reads exactly this format. A directory in any
-//! other — a manifest another version wrote, a pre-manifest snapshot — is
-//! refused with an error naming the file, touching nothing: starting empty
-//! would serve a table missing every snapshotted fact, and the next
-//! compaction would make the loss permanent. A run file that is missing
-//! or corrupt is salvaged around and counted in
-//! [`Recovery::lost_run_files`].
+//! [`Wal::compact_every`] appended records, the server writes the full
+//! current state as `snapshot.log` — an `R` record per rule, then each
+//! predicate's rows as `B` records — and truncates `wal.log`
+//! ([`Wal::compact`]). The snapshot is renamed into place only after its
+//! fsync, so it is read strictly: any framing, CRC or decode failure is
+//! damage, not a torn tail. A damaged snapshot, or a snapshot an older
+//! version wrote (`snapshot.manifest`, `snapshot.dat`), makes
+//! [`Wal::open`] refuse the directory with an error naming the file,
+//! touching nothing: starting without it would serve a table missing
+//! acknowledged facts, and the next compaction would make the loss
+//! permanent. Recovery replays the snapshot's records, then the log's.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,8 +96,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Upper bound on a single record's payload; a length prefix beyond this
-/// is treated as corruption (torn tail), not an allocation request.
-const MAX_RECORD: u32 = 16 * 1024 * 1024;
+/// is treated as corruption (torn tail), not an allocation request. A
+/// predicate whose rows encode to more spans several `B` records.
+const MAX_RECORD: usize = 16 * 1024 * 1024;
 
 /// When to fsync the log. The server always opens its log with
 /// [`FsyncPolicy::Always`]; `Never` exists so that the benchmark's layer
@@ -117,35 +120,11 @@ pub enum WalOp {
     Fact(String),
     /// A rule, stored as its source text.
     Rule(String),
+    /// Rows of one predicate, stored typed (a snapshot's `B` record).
+    Batch(RunBatch),
 }
 
-impl WalOp {
-    fn encode(&self) -> Vec<u8> {
-        let (tag, text) = match self {
-            WalOp::Fact(t) => (b'F', t),
-            WalOp::Rule(t) => (b'R', t),
-        };
-        let mut payload = Vec::with_capacity(text.len() + 2);
-        payload.push(tag);
-        payload.push(b' ');
-        payload.extend_from_slice(text.as_bytes());
-        payload
-    }
-
-    fn decode(payload: &[u8]) -> Option<WalOp> {
-        let (&tag, rest) = payload.split_first()?;
-        let rest = rest.strip_prefix(b" ")?;
-        let text = std::str::from_utf8(rest).ok()?.to_string();
-        match tag {
-            b'F' => Some(WalOp::Fact(text)),
-            b'R' => Some(WalOp::Rule(text)),
-            _ => None,
-        }
-    }
-}
-
-/// One predicate's snapshot rows, recovered from (or destined for) a
-/// binary run file.
+/// One predicate's rows, as a snapshot stores them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunBatch {
     /// Rendered predicate name.
@@ -156,24 +135,259 @@ pub struct RunBatch {
     pub rows: Vec<Box<[Value]>>,
 }
 
+impl WalOp {
+    /// Append this op's framed records to `out`: one for a fact or rule,
+    /// as many `B` records as a batch needs.
+    fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        match self {
+            WalOp::Fact(text) => write_record(out, &text_payload(b'F', text)),
+            WalOp::Rule(text) => write_record(out, &text_payload(b'R', text)),
+            WalOp::Batch(batch) => write_batch(out, batch),
+        }
+    }
+
+    fn decode(payload: &[u8]) -> Option<WalOp> {
+        let (&tag, rest) = payload.split_first()?;
+        if tag == b'B' {
+            return decode_batch(rest).map(WalOp::Batch);
+        }
+        let rest = rest.strip_prefix(b" ")?;
+        let text = std::str::from_utf8(rest).ok()?.to_string();
+        match tag {
+            b'F' => Some(WalOp::Fact(text)),
+            b'R' => Some(WalOp::Rule(text)),
+            _ => None,
+        }
+    }
+}
+
+fn text_payload(tag: u8, text: &str) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(text.len() + 2);
+    payload.push(tag);
+    payload.push(b' ');
+    payload.extend_from_slice(text.as_bytes());
+    payload
+}
+
+/// Frame one payload: `[len][crc][payload]`.
+fn write_record(out: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    if payload.len() > MAX_RECORD {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {}-byte record exceeds the log's limit", payload.len()),
+        ));
+    }
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(&crc32(payload).to_le_bytes())?;
+    out.write_all(payload)
+}
+
+/// Offset of the row count in a `B` payload (after the tag and arity).
+const ROWS_AT: usize = 5;
+
+/// Write `batch` as consecutive `B` records, each holding as many rows as
+/// fit in [`MAX_RECORD`], straight from the borrowed rows.
+fn write_batch(out: &mut impl Write, batch: &RunBatch) -> std::io::Result<()> {
+    let start = |payload: &mut Vec<u8>| {
+        payload.clear();
+        payload.push(b'B');
+        payload.extend_from_slice(&(batch.arity as u32).to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&(batch.pred.len() as u32).to_le_bytes());
+        payload.extend_from_slice(batch.pred.as_bytes());
+    };
+    let finish = |out: &mut _, payload: &mut Vec<u8>, rows: u32| {
+        payload[ROWS_AT..ROWS_AT + 4].copy_from_slice(&rows.to_le_bytes());
+        write_record(out, payload)
+    };
+    let mut payload = Vec::new();
+    let mut rows = 0u32;
+    for row in &batch.rows {
+        if rows == 0 {
+            start(&mut payload);
+        }
+        let mark = payload.len();
+        for v in row.iter() {
+            match v {
+                Value::Int(i) => {
+                    payload.push(0);
+                    payload.extend_from_slice(&i.to_le_bytes());
+                }
+                Value::Sym(s) => {
+                    let text = s.as_str();
+                    payload.push(1);
+                    payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                    payload.extend_from_slice(text.as_bytes());
+                }
+            }
+        }
+        if payload.len() > MAX_RECORD && rows > 0 {
+            // This row opens the next record.
+            let row_bytes = payload.split_off(mark);
+            finish(out, &mut payload, rows)?;
+            start(&mut payload);
+            payload.extend_from_slice(&row_bytes);
+            rows = 0;
+        }
+        rows += 1;
+    }
+    if rows > 0 {
+        finish(out, &mut payload, rows)?;
+    }
+    Ok(())
+}
+
+/// The fewest bytes a `B` record spends on one value: an empty symbol's
+/// tag and length.
+const MIN_VALUE_BYTES: usize = 5;
+
+/// Decode a `B` payload (after its tag). `None` on any structural mismatch
+/// — short read, no rows, trailing bytes, bad UTF-8, an unknown value tag.
+/// A shape the payload's bytes cannot hold is refused before anything is
+/// allocated for it.
+fn decode_batch(bytes: &[u8]) -> Option<RunBatch> {
+    let mut pos = 0;
+    let u32_at = |pos: &mut usize| -> Option<usize> {
+        let raw: [u8; 4] = bytes.get(*pos..*pos + 4)?.try_into().ok()?;
+        *pos += 4;
+        Some(u32::from_le_bytes(raw) as usize)
+    };
+    let arity = u32_at(&mut pos)?;
+    let rows = u32_at(&mut pos)?;
+    let name_len = u32_at(&mut pos)?;
+    let pred = std::str::from_utf8(bytes.get(pos..pos.checked_add(name_len)?)?).ok()?;
+    pos += name_len;
+    let fits = match arity {
+        // A relation of arity 0 holds at most the empty tuple.
+        0 => rows == 1,
+        _ => {
+            rows > 0
+                && rows
+                    .checked_mul(arity)
+                    .and_then(|values| values.checked_mul(MIN_VALUE_BYTES))
+                    .is_some_and(|need| need <= bytes.len() - pos)
+        }
+    };
+    if !fits {
+        return None;
+    }
+    let mut out = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut row = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            let tag = *bytes.get(pos)?;
+            pos += 1;
+            match tag {
+                0 => {
+                    let raw: [u8; 8] = bytes.get(pos..pos + 8)?.try_into().ok()?;
+                    pos += 8;
+                    row.push(Value::int(i64::from_le_bytes(raw)));
+                }
+                1 => {
+                    let len = u32_at(&mut pos)?;
+                    let text = std::str::from_utf8(bytes.get(pos..pos.checked_add(len)?)?).ok()?;
+                    pos += len;
+                    row.push(Value::sym(text));
+                }
+                _ => return None,
+            }
+        }
+        out.push(row.into_boxed_slice());
+    }
+    (pos == bytes.len()).then(|| RunBatch {
+        pred: pred.to_string(),
+        arity,
+        rows: out,
+    })
+}
+
+/// Scan one record stream. Returns the decoded ops and the byte offset
+/// one past the last intact record (everything after is damage: a torn
+/// tail in the log, a refusal in the snapshot).
+fn scan_records(bytes: &[u8]) -> (Vec<WalOp>, usize) {
+    let mut ops = Vec::new();
+    let mut pos = 0usize;
+    while let Some(header) = bytes.get(pos..pos + 8) {
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if len > MAX_RECORD {
+            break; // Garbage length: treat as torn.
+        }
+        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
+            break; // Body shorter than announced: torn mid-append.
+        };
+        if crc32(payload) != crc {
+            break; // Checksum mismatch: corrupt, cut here.
+        }
+        let Some(op) = WalOp::decode(payload) else {
+            break; // Unknown tag: written by a future version? Cut.
+        };
+        ops.push(op);
+        pos += 8 + len;
+    }
+    (ops, pos)
+}
+
+/// Refuse a WAL directory: an `InvalidData` error naming `file`.
+fn refuse(file: &Path, why: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("refusing to recover from {}: {why}", file.display()),
+    )
+}
+
+/// The bytes of `path`; none when there is no such file.
+fn read_or_empty(path: &Path) -> std::io::Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// fsync a file or a directory, honoring the fault plan (a failed fsync
+/// means the write must not be acknowledged; whether it survives a crash
+/// is undefined — precisely the semantics of real fsync failure).
+/// `fdatasync` suffices: it flushes the data and the metadata needed to
+/// read it back, which is a file's length and a directory's entries.
+fn fsync(fault: &FaultPlan, file: &File) -> std::io::Result<()> {
+    if fault.fsync_should_fail() {
+        return Err(std::io::Error::other("injected fsync failure"));
+    }
+    file.sync_data()
+}
+
+/// The records of `dir`'s snapshot, read strictly, or a refusal of the
+/// directory (see the module docs).
+fn read_snapshot(dir: &Path) -> std::io::Result<Vec<WalOp>> {
+    for old in ["snapshot.manifest", "snapshot.dat"] {
+        let path = dir.join(old);
+        if path.exists() {
+            return Err(refuse(
+                &path,
+                "an older version's snapshot, which this version does not read",
+            ));
+        }
+    }
+    let path = snapshot_path(dir);
+    let bytes = read_or_empty(&path).map_err(|e| refuse(&path, &e.to_string()))?;
+    let (ops, good) = scan_records(&bytes);
+    if good != bytes.len() {
+        return Err(refuse(
+            &path,
+            &format!("damaged at byte {good} of {}", bytes.len()),
+        ));
+    }
+    Ok(ops)
+}
+
 /// What [`Wal::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Text operations to apply *after* the batches: the log tail, in
-    /// order.
+    /// Every recovered record in replay order: the snapshot's, then the
+    /// log's.
     pub ops: Vec<WalOp>,
-    /// Rule sources from the manifest (applied before any facts).
-    pub rules: Vec<String>,
-    /// Typed row batches from the manifest's run files, bulk-loadable
-    /// without re-parsing any fact text.
-    pub batches: Vec<RunBatch>,
-    /// Run files loaded from the manifest.
-    pub run_files: u64,
-    /// Run lines of the manifest that loaded nothing: unparseable, or
-    /// naming a file that is missing or fails its CRC or decode.
-    pub lost_run_files: u64,
-    /// Rows loaded across all run files.
-    pub run_rows: u64,
+    /// Records recovered from `snapshot.log`.
+    pub from_snapshot: u64,
     /// Records recovered from `wal.log`.
     pub from_log: u64,
     /// Bytes cut off the log's torn tail (0 on a clean log).
@@ -197,9 +411,6 @@ pub struct Wal {
     pub appended: u64,
     /// Snapshots written over this process's lifetime.
     pub snapshots: u64,
-    /// Generation counter for run-file names; new generations never
-    /// collide with files the live manifest still references.
-    run_gen: u64,
     /// Telemetry: append latency (one request's write + fsync), when
     /// attached.
     h_append: Option<Arc<Histogram>>,
@@ -211,208 +422,16 @@ fn log_path(dir: &Path) -> PathBuf {
     dir.join("wal.log")
 }
 
-fn manifest_path(dir: &Path) -> PathBuf {
-    dir.join("snapshot.manifest")
-}
-
-/// Manifest header line; bump the version on any format change.
-const MANIFEST_HEADER: &str = "xdl-snapshot-manifest v1";
-/// Run-file magic; the row payload follows immediately.
-const RUN_MAGIC: &[u8; 6] = b"XRUN1\n";
-
-/// Encode one batch as a run file: magic, then per value a tag byte —
-/// `0` + 8-byte LE integer, or `1` + u32 LE length + UTF-8 symbol text.
-/// Symbols must be serialized by name: their ids are process-interned.
-fn encode_run_file(batch: &RunBatch) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + batch.rows.len() * batch.arity * 9);
-    buf.extend_from_slice(RUN_MAGIC);
-    for row in &batch.rows {
-        for v in row.iter() {
-            match v {
-                Value::Int(i) => {
-                    buf.push(0);
-                    buf.extend_from_slice(&i.to_le_bytes());
-                }
-                Value::Sym(s) => {
-                    let text = s.as_str();
-                    buf.push(1);
-                    buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(text.as_bytes());
-                }
-            }
-        }
-    }
-    buf
-}
-
-/// The fewest bytes [`encode_run_file`] spends on one value: an empty
-/// symbol's tag and length.
-const MIN_VALUE_BYTES: usize = 5;
-
-/// Decode a run file written by [`encode_run_file`]. `None` on any
-/// structural mismatch (wrong magic, short read, trailing bytes, bad
-/// UTF-8) — the caller treats the file as lost and salvages the rest.
-/// `arity` and `rows` come from unchecksummed manifest text, so a shape
-/// the file's bytes cannot hold is refused before anything is allocated
-/// for it.
-fn decode_run_file(bytes: &[u8], arity: usize, rows: usize) -> Option<Vec<RowBuf>> {
-    let mut pos = RUN_MAGIC.len();
-    if bytes.get(..pos)? != RUN_MAGIC {
-        return None;
-    }
-    let fits = match arity {
-        // A relation of arity 0 holds at most the empty tuple.
-        0 => rows <= 1,
-        _ => rows
-            .checked_mul(arity)
-            .and_then(|values| values.checked_mul(MIN_VALUE_BYTES))
-            .is_some_and(|need| need <= bytes.len() - pos),
-    };
-    if !fits {
-        return None;
-    }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let tag = *bytes.get(pos)?;
-            pos += 1;
-            match tag {
-                0 => {
-                    let raw: [u8; 8] = bytes.get(pos..pos + 8)?.try_into().ok()?;
-                    pos += 8;
-                    row.push(Value::int(i64::from_le_bytes(raw)));
-                }
-                1 => {
-                    let raw: [u8; 4] = bytes.get(pos..pos + 4)?.try_into().ok()?;
-                    pos += 4;
-                    let len = u32::from_le_bytes(raw) as usize;
-                    let text = std::str::from_utf8(bytes.get(pos..pos + len)?).ok()?;
-                    pos += len;
-                    row.push(Value::sym(text));
-                }
-                _ => return None,
-            }
-        }
-        out.push(row.into_boxed_slice());
-    }
-    (pos == bytes.len()).then_some(out)
-}
-
-type RowBuf = Box<[Value]>;
-
-/// Scan one record stream. Returns the decoded ops and the byte offset
-/// one past the last intact record (everything after is a torn tail).
-fn scan_records(bytes: &[u8]) -> (Vec<WalOp>, usize) {
-    let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
-            break; // Garbage length: treat as torn.
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            break; // Body shorter than announced: torn mid-append.
-        };
-        if crc32(payload) != crc {
-            break; // Checksum mismatch: corrupt, cut here.
-        }
-        let Some(op) = WalOp::decode(payload) else {
-            break; // Unknown tag: written by a future version? Cut.
-        };
-        ops.push(op);
-        pos += 8 + len as usize;
-    }
-    (ops, pos)
-}
-
-fn encode_record(op: &WalOp) -> Vec<u8> {
-    let payload = op.encode();
-    let mut rec = Vec::with_capacity(payload.len() + 8);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec
-}
-
-/// Refuse a WAL directory: an `InvalidData` error naming `file`.
-fn refuse(file: &Path, why: &str) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("refusing to recover from {}: {why}", file.display()),
-    )
-}
-
-/// Read `dir`'s manifest, if any, into `recovery`, or refuse the directory
-/// (see the module docs).
-fn read_manifest(dir: &Path, recovery: &mut Recovery) -> std::io::Result<()> {
-    let path = manifest_path(dir);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let orphan = dir.join("snapshot.dat");
-            if orphan.exists() {
-                return Err(refuse(
-                    &orphan,
-                    "a pre-manifest snapshot, which this version does not read",
-                ));
-            }
-            return Ok(());
-        }
-        Err(e) => return Err(refuse(&path, &e.to_string())),
-    };
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
-    if header != MANIFEST_HEADER {
-        return Err(refuse(
-            &path,
-            &format!("header {header:?}, this version reads {MANIFEST_HEADER:?}"),
-        ));
-    }
-    for line in lines {
-        if let Some(rule) = line.strip_prefix("rule ") {
-            recovery.rules.push(rule.to_string());
-        } else if let Some(rest) = line.strip_prefix("run ") {
-            match read_run_line(dir, rest) {
-                Some(batch) => {
-                    recovery.run_files += 1;
-                    recovery.run_rows += batch.rows.len() as u64;
-                    recovery.batches.push(batch);
-                }
-                None => recovery.lost_run_files += 1,
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Load the batch one manifest `run` line names: `<file> <arity> <rows>
-/// <crc> <pred>`. `None` when the line does not parse or the file is
-/// missing, fails its CRC, or does not decode.
-fn read_run_line(dir: &Path, line: &str) -> Option<RunBatch> {
-    let mut it = line.splitn(5, ' ');
-    let file = it.next()?;
-    let arity = it.next()?.parse::<usize>().ok()?;
-    let rows = it.next()?.parse::<usize>().ok()?;
-    let crc = it.next()?.parse::<u32>().ok()?;
-    let pred = it.next()?;
-    let bytes = std::fs::read(dir.join(file)).ok()?;
-    if crc32(&bytes) != crc {
-        return None;
-    }
-    Some(RunBatch {
-        pred: pred.to_string(),
-        arity,
-        rows: decode_run_file(&bytes, arity, rows)?,
-    })
+fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.log")
 }
 
 impl Wal {
-    /// Open (creating if needed) the WAL in `dir`, reading the manifest and
+    /// Open (creating if needed) the WAL in `dir`, reading the snapshot and
     /// the log. A torn log tail is truncated on the spot so the next append
-    /// lands on a clean boundary. A directory in a format this version does
-    /// not read is refused untouched (see the module docs).
+    /// lands on a clean boundary. A damaged snapshot, or one in an older
+    /// format, is refused with the directory untouched (see the module
+    /// docs).
     pub fn open(
         dir: &Path,
         policy: FsyncPolicy,
@@ -420,22 +439,17 @@ impl Wal {
         fault: Arc<FaultPlan>,
     ) -> std::io::Result<(Wal, Recovery)> {
         std::fs::create_dir_all(dir)?;
-        let mut recovery = Recovery::default();
-
-        read_manifest(dir, &mut recovery)?;
+        let mut ops = read_snapshot(dir)?;
+        let from_snapshot = ops.len() as u64;
 
         let path = log_path(dir);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let (ops, good) = scan_records(&bytes);
-        recovery.from_log = ops.len() as u64;
-        recovery.truncated_bytes = (bytes.len() - good) as u64;
-        recovery.ops.extend(ops);
+        let bytes = read_or_empty(&path)?;
+        let (log_ops, good) = scan_records(&bytes);
+        let from_log = log_ops.len() as u64;
+        let truncated_bytes = (bytes.len() - good) as u64;
+        ops.extend(log_ops);
 
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .truncate(false) // the intact prefix survives; set_len cuts the tail
             .read(true)
@@ -443,25 +457,10 @@ impl Wal {
             .open(&path)?;
         // Cut the torn tail (no-op on a clean log), then append from there.
         file.set_len(good as u64)?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))?;
-
-        // Never reuse a generation some existing run file already claims
-        // (the live manifest may reference it).
-        let mut run_gen = 0u64;
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                if let Some(gen) = name
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("run-"))
-                    .and_then(|n| n.split('-').next())
-                    .and_then(|g| g.parse::<u64>().ok())
-                {
-                    run_gen = run_gen.max(gen);
-                }
-            }
-        }
+        // The log's directory entry must outlive a power loss too, also
+        // when an earlier process created the file and died before this.
+        fsync(&fault, &File::open(dir)?)?;
 
         Ok((
             Wal {
@@ -469,15 +468,19 @@ impl Wal {
                 file,
                 policy,
                 fault,
-                since_snapshot: recovery.from_log,
+                since_snapshot: from_log,
                 compact_every,
                 appended: 0,
                 snapshots: 0,
-                run_gen,
                 h_append: None,
                 h_fsync: None,
             },
-            recovery,
+            Recovery {
+                ops,
+                from_snapshot,
+                from_log,
+                truncated_bytes,
+            },
         ))
     }
 
@@ -488,15 +491,10 @@ impl Wal {
         self.h_fsync = Some(fsync);
     }
 
-    /// fsync honoring the fault plan (a failed fsync means the record must
-    /// not be acknowledged; whether it survives a crash is undefined —
-    /// precisely the semantics of real fsync failure).
+    /// fsync the log, timed.
     fn sync(&mut self) -> std::io::Result<()> {
-        if self.fault.fsync_should_fail() {
-            return Err(std::io::Error::other("injected fsync failure"));
-        }
         let t0 = Instant::now();
-        self.file.sync_data()?;
+        fsync(&self.fault, &self.file)?;
         if let Some(h) = &self.h_fsync {
             h.record_duration(t0.elapsed());
         }
@@ -517,8 +515,11 @@ impl Wal {
             return Ok(());
         }
         let t0 = Instant::now();
+        let mut buf = Vec::new();
+        for op in ops {
+            op.write_to(&mut buf)?;
+        }
         let start = self.file.stream_position()?;
-        let buf: Vec<u8> = ops.iter().flat_map(encode_record).collect();
         let written = self.file.write_all(&buf).and_then(|()| match self.policy {
             FsyncPolicy::Always => self.sync(),
             FsyncPolicy::Never => Ok(()),
@@ -546,73 +547,33 @@ impl Wal {
         self.since_snapshot
     }
 
-    /// Write the full state as a fresh batch-manifest snapshot, then
-    /// truncate the log. `rules` are the complete current rule sources;
-    /// `batches` the complete current facts, one batch per predicate in
-    /// ingestion order. Each run file is written under a fresh generation,
-    /// fsynced, and renamed into place; the manifest rename is the commit
-    /// point; superseded run files are garbage-collected afterwards,
-    /// best-effort.
+    /// Write the full state as `snapshot.log`, then truncate the log.
+    /// `rules` are the complete current rule sources; `batches` the
+    /// complete current facts, one batch per predicate in ingestion order.
+    /// Whatever the state, the file operations are the same five: write
+    /// `snapshot.tmp`, fsync it, rename it to `snapshot.log`, fsync the
+    /// directory, truncate and fsync `wal.log`. On an error before the
+    /// truncation the log is whole, and recovery reads the log on top of
+    /// whichever snapshot is in place.
     pub fn compact(&mut self, rules: &[String], batches: &[RunBatch]) -> std::io::Result<()> {
-        self.run_gen += 1;
-        let gen = self.run_gen;
-        let mut manifest = String::from(MANIFEST_HEADER);
-        manifest.push('\n');
-        for rule in rules {
-            manifest.push_str("rule ");
-            manifest.push_str(rule);
-            manifest.push('\n');
-        }
-        let mut live: Vec<String> = Vec::with_capacity(batches.len());
-        for (i, batch) in batches.iter().enumerate() {
-            let name = format!("run-{gen}-{i}.xrs");
-            let bytes = encode_run_file(batch);
-            let crc = crc32(&bytes);
-            let tmp = self.dir.join(format!("{name}.tmp"));
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(&bytes)?;
-                if self.fault.fsync_should_fail() {
-                    return Err(std::io::Error::other("injected fsync failure"));
-                }
-                f.sync_data()?;
-            }
-            std::fs::rename(&tmp, self.dir.join(&name))?;
-            manifest.push_str(&format!(
-                "run {name} {} {} {crc} {}\n",
-                batch.arity,
-                batch.rows.len(),
-                batch.pred
-            ));
-            live.push(name);
-        }
         let tmp = self.dir.join("snapshot.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(manifest.as_bytes())?;
-            if self.fault.fsync_should_fail() {
-                return Err(std::io::Error::other("injected fsync failure"));
-            }
-            f.sync_data()?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for rule in rules {
+            write_record(&mut out, &text_payload(b'R', rule))?;
         }
-        // The swap: after this rename, recovery reads the new manifest.
-        std::fs::rename(&tmp, manifest_path(&self.dir))?;
-        // Only after the snapshot is durably in place may the log shrink.
+        for batch in batches {
+            write_batch(&mut out, batch)?;
+        }
+        let file = out.into_inner().map_err(|e| e.into_error())?;
+        fsync(&self.fault, &file)?;
+        std::fs::rename(&tmp, snapshot_path(&self.dir))?;
+        // Only after the rename is durable may the log shrink.
+        fsync(&self.fault, &File::open(&self.dir)?)?;
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.sync()?;
         self.since_snapshot = 0;
         self.snapshots += 1;
-        // GC: run files no manifest references.
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.starts_with("run-") && !live.iter().any(|l| l == name) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
         Ok(())
     }
 
@@ -647,6 +608,12 @@ mod tests {
 
     fn plan() -> Arc<FaultPlan> {
         Arc::new(FaultPlan::new())
+    }
+
+    fn encode_record(op: &WalOp) -> Vec<u8> {
+        let mut buf = Vec::new();
+        op.write_to(&mut buf).unwrap();
+        buf
     }
 
     #[test]
@@ -783,103 +750,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compaction_swaps_in_a_manifest_and_truncates_log() {
-        let dir = TempDir::new("compact");
-        {
-            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 3, plan()).unwrap();
-            wal.append(&WalOp::Rule("a(X) :- p(X).".into())).unwrap();
-            wal.append(&WalOp::Fact("p(1)".into())).unwrap();
-            wal.append(&WalOp::Fact("p(2)".into())).unwrap();
-            assert!(wal.wants_compaction());
-            wal.compact(
-                &["a(X) :- p(X).".to_string()],
-                &[batch(
-                    "p",
-                    1,
-                    vec![vec![Value::int(1)], vec![Value::int(2)]],
-                )],
-            )
-            .unwrap();
-            assert!(!wal.wants_compaction());
-            assert_eq!(std::fs::metadata(log_path(&dir.0)).unwrap().len(), 0);
-            // Post-compaction appends land in the (empty) log.
-            wal.append(&WalOp::Fact("p(3)".into())).unwrap();
-        }
-        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 3, plan()).unwrap();
-        assert_eq!(rec.rules, vec!["a(X) :- p(X).".to_string()]);
-        assert_eq!(rec.run_files, 1);
-        assert_eq!(rec.run_rows, 2);
-        assert_eq!(rec.batches[0].rows[1], vec![Value::int(2)].into());
-        assert_eq!(rec.from_log, 1);
-        assert_eq!(
-            rec.ops.last(),
-            Some(&WalOp::Fact("p(3)".into())),
-            "log tail replays after (on top of) the batches"
-        );
-    }
-
-    #[test]
-    fn run_files_roundtrip_typed_values_and_gc_old_generations() {
-        let dir = TempDir::new("runfiles");
-        let rows = vec![
-            vec![Value::sym("alice"), Value::int(-7)],
-            vec![
-                Value::sym("bob with spaces? no: üñïçödé"),
-                Value::int(i64::MAX),
-            ],
-        ];
-        {
-            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-            wal.compact(&[], &[batch("edge", 2, rows.clone())]).unwrap();
-            // A second compaction supersedes the first generation.
-            wal.compact(&[], &[batch("edge", 2, rows.clone())]).unwrap();
-        }
-        let runs: Vec<String> = std::fs::read_dir(&dir.0)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(String::from))
-            .filter(|n| n.starts_with("run-"))
-            .collect();
-        assert_eq!(runs.len(), 1, "old generations GCed: {runs:?}");
-        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-        assert_eq!(rec.batches.len(), 1);
-        assert_eq!(rec.batches[0].pred, "edge");
-        let got: Vec<Vec<Value>> = rec.batches[0].rows.iter().map(|r| r.to_vec()).collect();
-        assert_eq!(got, rows, "symbols and ints roundtrip by value");
-    }
-
-    #[test]
-    fn corrupt_run_file_is_salvaged_around() {
-        let dir = TempDir::new("runcorrupt");
-        {
-            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-            wal.compact(
-                &[],
-                &[
-                    batch("p", 1, vec![vec![Value::int(1)]]),
-                    batch("q", 1, vec![vec![Value::int(2)]]),
-                ],
-            )
-            .unwrap();
-        }
-        // Flip a byte in q's run file (the second one named in the manifest).
-        let manifest = std::fs::read_to_string(manifest_path(&dir.0)).unwrap();
-        let qfile = manifest
-            .lines()
-            .filter_map(|l| l.strip_prefix("run "))
-            .map(|l| l.split(' ').next().unwrap())
-            .nth(1)
-            .unwrap();
-        let mut bytes = std::fs::read(dir.0.join(qfile)).unwrap();
-        *bytes.last_mut().unwrap() ^= 0xFF;
-        std::fs::write(dir.0.join(qfile), &bytes).unwrap();
-        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-        assert_eq!(rec.run_files, 1, "intact batch survives");
-        assert_eq!(rec.lost_run_files, 1);
-        assert_eq!(rec.batches[0].pred, "p");
-    }
-
     /// Every file in `dir` with its bytes.
     fn contents(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
         std::fs::read_dir(dir)
@@ -890,6 +760,49 @@ mod tests {
                 (name, std::fs::read(e.path()).unwrap())
             })
             .collect()
+    }
+
+    #[test]
+    fn compaction_swaps_in_a_manifest_and_truncates_log() {
+        let dir = TempDir::new("compact");
+        let edges = vec![
+            vec![Value::sym("alice"), Value::int(-7)],
+            vec![
+                Value::sym("bob with spaces? no: üñïçödé"),
+                Value::int(i64::MAX),
+            ],
+            vec![Value::sym(""), Value::int(0)],
+        ];
+        let snapshot = [
+            batch("p", 1, vec![vec![Value::int(1)], vec![Value::int(2)]]),
+            batch("edge", 2, edges),
+            batch("flag", 0, vec![vec![]]),
+        ];
+        {
+            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 3, plan()).unwrap();
+            wal.append(&WalOp::Rule("a(X) :- p(X).".into())).unwrap();
+            wal.append(&WalOp::Fact("p(1)".into())).unwrap();
+            wal.append(&WalOp::Fact("p(2)".into())).unwrap();
+            assert!(wal.wants_compaction());
+            // A second compaction replaces the first's snapshot in place.
+            for _ in 0..2 {
+                wal.compact(&["a(X) :- p(X).".to_string()], &snapshot)
+                    .unwrap();
+                let names: Vec<String> = contents(&dir.0).into_keys().collect();
+                assert_eq!(names, ["snapshot.log", "wal.log"]);
+            }
+            assert!(!wal.wants_compaction());
+            assert_eq!(std::fs::metadata(log_path(&dir.0)).unwrap().len(), 0);
+            // Post-compaction appends land in the (empty) log.
+            wal.append(&WalOp::Fact("p(3)".into())).unwrap();
+        }
+        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 3, plan()).unwrap();
+        let mut expected = vec![WalOp::Rule("a(X) :- p(X).".into())];
+        expected.extend(snapshot.iter().cloned().map(WalOp::Batch));
+        // The log replays after (on top of) the snapshot.
+        expected.push(WalOp::Fact("p(3)".into()));
+        assert_eq!(rec.ops, expected, "symbols and ints roundtrip by value");
+        assert_eq!((rec.from_snapshot, rec.from_log), (4, 1));
     }
 
     /// Open `dir`, expect a refusal naming `file`, and expect every byte on
@@ -906,81 +819,184 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unknown_manifest_header_is_refused_untouched() {
-        let dir = TempDir::new("header");
-        {
-            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-            wal.compact(&[], &[batch("p", 1, vec![vec![Value::int(1)]])])
-                .unwrap();
-            wal.append(&WalOp::Fact("p(2)".into())).unwrap();
-        }
-        // Another version's manifest: same body, bumped header.
-        let path = manifest_path(&dir.0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let body = text.strip_prefix(MANIFEST_HEADER).unwrap();
-        std::fs::write(&path, format!("xdl-snapshot-manifest v2{body}")).unwrap();
-        assert_refused_untouched(&dir.0, "snapshot.manifest");
-        assert!(Wal::open(&dir.0, FsyncPolicy::Always, 0, plan())
-            .unwrap_err()
-            .to_string()
-            .contains("xdl-snapshot-manifest v2"));
+    /// A directory holding a snapshot of one rule and two predicates, and
+    /// one record in its log.
+    fn compacted(name: &str) -> TempDir {
+        let dir = TempDir::new(name);
+        let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+        wal.compact(
+            &["a(X) :- p(X).".to_string()],
+            &[
+                batch("p", 1, vec![vec![Value::int(1)], vec![Value::int(2)]]),
+                batch("q", 1, vec![vec![Value::int(1)], vec![Value::int(2)]]),
+            ],
+        )
+        .unwrap();
+        wal.append(&WalOp::Fact("p(3)".into())).unwrap();
+        dir
     }
 
     #[test]
-    fn orphan_snapshot_dat_is_refused_untouched() {
+    fn a_snapshot_cut_short_or_extended_is_refused_untouched() {
+        let path = |dir: &TempDir| snapshot_path(&dir.0);
+        let short = compacted("short");
+        let bytes = std::fs::read(path(&short)).unwrap();
+        std::fs::write(path(&short), &bytes[..bytes.len() - 1]).unwrap();
+        assert_refused_untouched(&short.0, "snapshot.log");
+
+        let long = compacted("long");
+        std::fs::write(path(&long), [&bytes[..], &[0x5a]].concat()).unwrap();
+        assert_refused_untouched(&long.0, "snapshot.log");
+
+        let flipped = compacted("flipped");
+        let mut bytes = bytes.clone();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(path(&flipped), &bytes).unwrap();
+        assert_refused_untouched(&flipped.0, "snapshot.log");
+    }
+
+    #[test]
+    fn an_older_snapshot_format_is_refused_untouched() {
+        // A manifest and its run file, as an older version left them.
+        let dir = compacted("manifest");
+        std::fs::write(
+            dir.0.join("snapshot.manifest"),
+            "xdl-snapshot-manifest v1\nrule a(X) :- p(X).\nrun run-1-0.xrs 1 1 0 p\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.0.join("run-1-0.xrs"),
+            b"XRUN1\n\x00\x01\x00\x00\x00\x00\x00\x00\x00",
+        )
+        .unwrap();
+        assert_refused_untouched(&dir.0, "snapshot.manifest");
+
+        // An older snapshot in the record format, with a log beside it.
         let dir = TempDir::new("orphan");
-        // A pre-manifest snapshot in the record format, and a log beside it.
         let mut buf = encode_record(&WalOp::Rule("a(X) :- p(X).".into()));
         buf.extend_from_slice(&encode_record(&WalOp::Fact("p(1)".into())));
         std::fs::write(dir.0.join("snapshot.dat"), &buf).unwrap();
         std::fs::write(log_path(&dir.0), encode_record(&WalOp::Fact("p(2)".into()))).unwrap();
         assert_refused_untouched(&dir.0, "snapshot.dat");
-        // A manifest beside it is the snapshot; the old file is ignored.
-        std::fs::write(manifest_path(&dir.0), format!("{MANIFEST_HEADER}\n")).unwrap();
-        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-        assert_eq!(rec.ops, vec![WalOp::Fact("p(2)".into())]);
     }
 
+    /// A predicate whose rows encode to more than one record's limit spans
+    /// consecutive `B` records, and loading them in order gives every row
+    /// its id back.
     #[test]
-    fn run_lines_that_load_nothing_are_counted_as_lost() {
-        let dir = TempDir::new("lost");
+    fn a_predicate_larger_than_a_record_keeps_its_row_ids() {
+        use datalog_ast::PredRef;
+        use datalog_engine::SharedDatabase;
+
+        // Rows (i, s) with one 4 KiB symbol s and i descending: ingestion
+        // order is not sorted order, so a reordering shows.
+        let long = "x".repeat(4096);
+        let n = MAX_RECORD / (9 + 5 + long.len()) + 100;
+        let rows: Vec<Box<[Value]>> = (0..n as i64)
+            .rev()
+            .map(|i| vec![Value::int(i), Value::sym(&long)].into_boxed_slice())
+            .collect();
+        let big = RunBatch {
+            pred: "big".into(),
+            arity: 2,
+            rows,
+        };
+        let dir = TempDir::new("big");
+        {
+            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Never, 0, plan()).unwrap();
+            wal.compact(&[], std::slice::from_ref(&big)).unwrap();
+        }
+        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Never, 0, plan()).unwrap();
+        assert_eq!(rec.from_snapshot, 2, "the rows span two records");
+        let db = SharedDatabase::new();
+        let pred = PredRef::new("big");
+        for op in rec.ops {
+            let WalOp::Batch(b) = op else {
+                panic!("{op:?}")
+            };
+            assert_eq!((b.pred.as_str(), b.arity), ("big", 2));
+            db.load_batch(&pred, b.arity, b.rows).unwrap();
+        }
+        let loaded = db.snapshot().rows(&pred);
+        assert_eq!(loaded.len(), n);
+        assert!(loaded.iter().zip(&big.rows).all(|(l, r)| l[..] == r[..]));
+    }
+
+    /// A crash between compaction's rename and its truncation leaves a
+    /// `snapshot.log` beside the whole `wal.log` it covers. Recovery
+    /// replays both, and the log's records are duplicates, not errors.
+    #[test]
+    fn a_snapshot_beside_the_log_it_covers_recovers_the_same_state() {
+        use crate::{ServerConfig, ServerState};
+
+        let dir = TempDir::new("covered");
+        let ops = [
+            WalOp::Rule("a(X) :- p(X).".into()),
+            WalOp::Fact("p(2)".into()),
+            WalOp::Fact("p(1)".into()),
+            WalOp::Fact("q(bob, 3)".into()),
+            WalOp::Fact("p(2)".into()),
+        ];
+        let state = [
+            batch("p", 1, vec![vec![Value::int(2)], vec![Value::int(1)]]),
+            batch("q", 2, vec![vec![Value::sym("bob"), Value::int(3)]]),
+        ];
+        let recover = || {
+            let cfg = ServerConfig {
+                wal_dir: Some(dir.0.clone()),
+                ..ServerConfig::default()
+            };
+            let server = ServerState::from_config(&cfg).unwrap();
+            let rules: Vec<String> = server
+                .rules
+                .read()
+                .unwrap()
+                .rules
+                .iter()
+                .map(|r| r.to_string())
+                .collect();
+            let snapshot = server.db.snapshot();
+            let rows: Vec<_> = snapshot
+                .preds()
+                .into_iter()
+                .map(|p| (p.to_string(), snapshot.rows(&p)))
+                .collect();
+            (rules, rows, server.recovery().unwrap().to_string())
+        };
+        let log = {
+            let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
+            wal.append_all(&ops).unwrap();
+            std::fs::read(wal.log_file()).unwrap()
+        };
+        let (rules, rows, from_log) = recover();
+        assert!(from_log.contains("\"skipped\":0"), "{from_log}");
         {
             let (mut wal, _) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-            wal.compact(&[], &[batch("p", 1, vec![vec![Value::int(1)]])])
-                .unwrap();
+            wal.compact(&rules, &state).unwrap();
         }
-        // Six run lines that load nothing: unparseable, a missing file, a
-        // CRC mismatch, a file whose CRC matches but which does not decode,
-        // and p's own intact file under a row count and an arity its bytes
-        // cannot hold (refused before allocating for them).
-        std::fs::write(dir.0.join("run-7-0.xrs"), b"not a run file").unwrap();
-        let junk_crc = crc32(b"not a run file");
-        let mut manifest = std::fs::read_to_string(manifest_path(&dir.0)).unwrap();
-        let p_run: Vec<String> = manifest
-            .lines()
-            .find_map(|l| l.strip_prefix("run "))
-            .unwrap()
-            .split(' ')
-            .map(String::from)
-            .collect();
-        let (file, crc, huge) = (&p_run[0], &p_run[3], 1u64 << 40);
-        manifest.push_str("run run-7-0.xrs one 1 0 q\n");
-        manifest.push_str("run run-7-9.xrs 1 1 0 q\n");
-        manifest.push_str(&format!("run run-7-0.xrs 1 1 {} q\n", junk_crc ^ 1));
-        manifest.push_str(&format!("run run-7-0.xrs 1 1 {junk_crc} q\n"));
-        manifest.push_str(&format!("run {file} 1 {huge} {crc} q\n"));
-        manifest.push_str(&format!("run {file} {huge} 1 {crc} q\n"));
-        std::fs::write(manifest_path(&dir.0), manifest).unwrap();
-        let (_, rec) = Wal::open(&dir.0, FsyncPolicy::Always, 0, plan()).unwrap();
-        assert_eq!(rec.run_files, 1, "the intact batch loads");
-        assert_eq!(rec.batches[0].pred, "p");
-        assert_eq!(rec.lost_run_files, 6);
+        std::fs::write(log_path(&dir.0), &log).unwrap();
+        let (rules_both, rows_both, from_both) = recover();
+        assert_eq!((rules_both, rows_both), (rules, rows));
+        assert!(from_both.contains("\"from_snapshot\":3"), "{from_both}");
+        assert!(from_both.contains("\"from_log\":5"), "{from_both}");
+        assert!(from_both.contains("\"skipped\":0"), "{from_both}");
     }
 
-    /// The decoders of log records and run files never panic: not on random
-    /// bytes, and not on byte-level mutations of valid encodings — torn
-    /// lengths, lengths at `MAX_RECORD` ± 1, symbol lengths past the end and
+    /// Opening the log fsyncs its directory, through the fault hook.
+    /// (Compaction's directory fsync is `tests/faults.rs`'s
+    /// `a_compaction_whose_directory_fsync_fails_keeps_the_log`.)
+    #[test]
+    fn opening_the_log_fsyncs_the_directory() {
+        let dir = TempDir::new("dirsync");
+        let fault = plan();
+        fault.fail_fsync(true);
+        assert!(Wal::open(&dir.0, FsyncPolicy::Always, 0, Arc::clone(&fault)).is_err());
+        assert_eq!(fault.fired(), 1);
+    }
+
+    /// The record decoders never panic: not on random bytes, and not on
+    /// byte-level mutations of valid encodings — torn lengths, lengths at
+    /// `MAX_RECORD` ± 1, row counts and symbol lengths past the end and
     /// bad UTF-8 included. Whatever they accept re-encodes to exactly the
     /// bytes it was decoded from.
     #[test]
@@ -989,14 +1005,14 @@ mod tests {
 
         const TEXTS: &[&str] = &["", "p(1, 2)", "a(X, Y) :- p(X, Y).", "q(üñï, -7)"];
         const SYMBOLS: &[&str] = &["", "alice", "üñïçödé"];
-        let le = |n: u32| n.to_le_bytes().to_vec();
-        // Bytes a mutation splices in: length prefixes, run-file value tags,
-        // record tags, and invalid or truncated UTF-8.
+        let le = |n: usize| (n as u32).to_le_bytes().to_vec();
+        // Bytes a mutation splices in: length prefixes and counts, value
+        // tags, record tags, and invalid or truncated UTF-8.
         let splice = [
             le(MAX_RECORD - 1),
             le(MAX_RECORD),
             le(MAX_RECORD + 1),
-            le(u32::MAX),
+            le(u32::MAX as usize),
             le(0),
             le(3),
             vec![0],
@@ -1004,6 +1020,7 @@ mod tests {
             vec![2],
             b"F ".to_vec(),
             b"R ".to_vec(),
+            b"B".to_vec(),
             vec![0xff],
             vec![0xc3],
             vec![0xe2, 0x82],
@@ -1030,36 +1047,32 @@ mod tests {
             let again: Vec<u8> = ops.iter().flat_map(encode_record).collect();
             assert_eq!(again, bytes[..used], "{bytes:?}");
         };
-        let check_run = |bytes: &[u8], arity: usize, rows: usize| {
-            if let Some(rows) = decode_run_file(bytes, arity, rows) {
-                let pred = "q".to_string();
-                let again = encode_run_file(&RunBatch { pred, arity, rows });
-                assert_eq!(again, bytes, "arity {arity}");
-            }
+        // A payload behind a valid frame, so the checksum lets it through
+        // to the decoder.
+        let framed = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            write_record(&mut buf, payload).unwrap();
+            buf
         };
+
+        // A row count or an arity the payload's bytes cannot hold is refused
+        // before anything is allocated for it.
+        let p = batch("p", 1, vec![vec![Value::int(1)]]);
+        let payload = encode_record(&WalOp::Batch(p)).split_off(8);
+        for at in [1, ROWS_AT] {
+            let mut huge = payload.clone();
+            huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(WalOp::decode(&huge), None, "u32::MAX at byte {at}");
+        }
 
         let mut rng = Rng(0x5eed_2029);
         for _ in 0..20_000 {
             let random: Vec<u8> = (0..rng.below(64)).map(|_| rng.next() as u8).collect();
             check_log(&random);
-            // Behind the magic, with a shape the bytes could hold.
-            let arity = 1 + rng.below(3);
-            let rows = rng.below(random.len() / (arity * MIN_VALUE_BYTES) + 1);
-            check_run(&[&RUN_MAGIC[..], &random].concat(), arity, rows);
+            check_log(&framed(&[b"B", &random[..]].concat()));
 
-            let log: Vec<u8> = (0..1 + rng.below(3))
-                .flat_map(|_| {
-                    let text = TEXTS[rng.below(TEXTS.len())].to_string();
-                    encode_record(&match rng.below(2) {
-                        0 => WalOp::Fact(text),
-                        _ => WalOp::Rule(text),
-                    })
-                })
-                .collect();
-            check_log(&mutate(&mut rng, log));
-
-            let (arity, rows) = (rng.below(4), rng.below(4));
-            let rows = if arity == 0 { rows.min(1) } else { rows };
+            let (arity, rows) = (rng.below(4), 1 + rng.below(3));
+            let rows = if arity == 0 { 1 } else { rows };
             let values: Vec<Vec<Value>> = (0..rows)
                 .map(|_| {
                     (0..arity)
@@ -1070,8 +1083,22 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let file = encode_run_file(&batch("q", arity, values));
-            check_run(&mutate(&mut rng, file), arity, rows);
+            let b = WalOp::Batch(batch(SYMBOLS[rng.below(SYMBOLS.len())], arity, values));
+            let log: Vec<u8> = (0..1 + rng.below(3))
+                .flat_map(|_| {
+                    let text = TEXTS[rng.below(TEXTS.len())].to_string();
+                    encode_record(&match rng.below(3) {
+                        0 => WalOp::Fact(text),
+                        1 => WalOp::Rule(text),
+                        _ => b.clone(),
+                    })
+                })
+                .collect();
+            check_log(&mutate(&mut rng, log));
+
+            // The batch's payload mutated behind a valid frame.
+            let payload = encode_record(&b).split_off(8);
+            check_log(&framed(&mutate(&mut rng, payload)));
         }
     }
 }

@@ -743,6 +743,100 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
     server.join();
 }
 
+/// Every file in `dir` with its bytes.
+fn contents(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// One flipped byte in a snapshot is damage the server refuses to start
+/// on, naming the file and touching nothing. Serving without the damaged
+/// rows would answer `?- q(X).` with no rows, and the next compaction
+/// would make that loss permanent.
+#[test]
+fn a_damaged_snapshot_never_serves_a_partial_table() {
+    let dir = TempDir::new("damaged-snapshot");
+    let wal_dir = dir.path().join("wal");
+    let cfg = ServerConfig {
+        wal_dir: Some(wal_dir.clone()),
+        compact_every: 4,
+        ..ServerConfig::default()
+    };
+    {
+        let state = ServerState::from_config(&cfg).unwrap();
+        for f in ["p(1).", "p(2).", "q(1).", "q(2)."] {
+            assert!(state.handle(&Request::Fact(f.into())).ok, "{f}");
+        }
+        let resp = state.handle(&Request::query("?- q(X)."));
+        assert_eq!(resp.payload, ["X", "1", "2"]);
+    }
+    let names: Vec<String> = contents(&wal_dir).into_keys().collect();
+    assert_eq!(names, ["snapshot.log", "wal.log"]);
+    // The last byte is q's last value.
+    let snapshot = wal_dir.join("snapshot.log");
+    let mut bytes = std::fs::read(&snapshot).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xFF;
+    std::fs::write(&snapshot, &bytes).unwrap();
+    let before = contents(&wal_dir);
+    let err = ServerState::from_config(&cfg)
+        .err()
+        .expect("a damaged snapshot was served");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("snapshot.log"), "{err}");
+    assert_eq!(
+        contents(&wal_dir),
+        before,
+        "a refused start changed the directory"
+    );
+}
+
+/// A compaction whose directory fsync fails leaves `wal.log` whole: the
+/// fact that triggered it is acknowledged, the failure is counted, and a
+/// restart reads the log on top of the snapshot renamed in before the
+/// failure, losing and skipping nothing.
+#[test]
+fn a_compaction_whose_directory_fsync_fails_keeps_the_log() {
+    let dir = TempDir::new("dir-fsync");
+    let fault = Arc::new(FaultPlan::new());
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.path().join("wal")),
+        compact_every: 4,
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    };
+    let log = dir.path().join("wal").join("wal.log");
+    {
+        let state = ServerState::from_config(&cfg).unwrap();
+        for f in ["p(1).", "p(2).", "q(1)."] {
+            assert!(state.handle(&Request::Fact(f.into())).ok, "{f}");
+        }
+        let logged = std::fs::metadata(&log).unwrap().len();
+        // The append's fsync and the snapshot's pass; the directory's fails.
+        fault.fail_fsync_after(2);
+        let resp = state.handle(&Request::Fact("q(2).".into()));
+        fault.fail_fsync(false);
+        assert!(resp.ok, "{}", resp.error);
+        let stats = state.handle(&Request::Stats).payload_text();
+        assert_eq!(stat(&stats, "wal_errors"), 1, "{stats}");
+        assert_eq!(stat(&stats, "snapshots"), 0, "{stats}");
+        assert!(std::fs::metadata(&log).unwrap().len() > logged, "log cut");
+    }
+    let state = ServerState::from_config(&cfg).unwrap();
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(stat(&stats, "from_snapshot"), 2, "{stats}");
+    assert_eq!(stat(&stats, "from_log"), 4, "{stats}");
+    assert_eq!(stat(&stats, "skipped"), 0, "{stats}");
+    for (q, rows) in [("?- p(X).", ["X", "1", "2"]), ("?- q(X).", ["X", "1", "2"])] {
+        assert_eq!(state.handle(&Request::query(q)).payload, rows, "{q}");
+    }
+}
+
 /// Ingest-burst storm: a `FACT` flood and a `LOAD` flood run against
 /// query clients pinned to each `QUERY` mode word. Every answer is fresh
 /// whatever the word: the reference rendering of a prefix of the chain

@@ -381,87 +381,101 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: crash-recovery smoke ok"
 
-# Manifest-recovery smoke: same SIGKILL discipline, but with compaction
+# Snapshot-recovery smoke: same SIGKILL discipline, but with compaction
 # enabled (--compact-every 4) so the surviving WAL directory holds a
-# run-file manifest instead of a pure text log. The restart must load the
-# run batches (a `recovered` line with nonzero run_files and no lost ones)
-# and answer byte-identically.
-./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-man" \
-    --compact-every 4 > "$smoke_dir/serve-man.out" &
+# snapshot.log beside the log. The restart must replay the snapshot (a
+# `recovered` line with nonzero from_snapshot and nothing skipped) and
+# answer byte-identically.
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-snap" \
+    --compact-every 4 > "$smoke_dir/serve-snap.out" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-man.out")
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-snap.out")
     [ -n "$addr" ] && break
     sleep 0.1
 done
 if [ -z "$addr" ]; then
-    echo "check.sh: manifest WAL server did not announce its address" >&2
+    echo "check.sh: snapshot WAL server did not announce its address" >&2
     exit 1
 fi
 ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
     --fact 'p(3, 4).' --fact 'p(4, 5).' --fact 'p(5, 6).' '?- a(X, _).' \
-    > "$smoke_dir/before-man.out"
-if [ ! -f "$smoke_dir/wal-man/snapshot.manifest" ]; then
-    echo "check.sh: compaction left no snapshot.manifest" >&2
-    ls "$smoke_dir/wal-man" >&2 || true
+    > "$smoke_dir/before-snap.out"
+if [ "$(ls "$smoke_dir/wal-snap" | tr '\n' ' ')" != "snapshot.log wal.log " ]; then
+    echo "check.sh: compaction did not leave exactly snapshot.log and wal.log:" >&2
+    ls "$smoke_dir/wal-snap" >&2 || true
     exit 1
 fi
 kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-man" \
-    --compact-every 4 > "$smoke_dir/serve-man2.out" &
+./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-snap" \
+    --compact-every 4 > "$smoke_dir/serve-snap2.out" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-man2.out")
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-snap2.out")
     [ -n "$addr" ] && break
     sleep 0.1
 done
 if [ -z "$addr" ]; then
-    echo "check.sh: restarted manifest server did not announce its address" >&2
+    echo "check.sh: restarted snapshot server did not announce its address" >&2
     exit 1
 fi
-if ! grep -q '^recovered ' "$smoke_dir/serve-man2.out" \
-    || ! grep -Eq '"run_files":[1-9]' "$smoke_dir/serve-man2.out" \
-    || ! grep -q '"lost_run_files":0' "$smoke_dir/serve-man2.out"; then
-    echo "check.sh: restart did not recover from run files:" >&2
-    cat "$smoke_dir/serve-man2.out" >&2
+if ! grep -q '^recovered ' "$smoke_dir/serve-snap2.out" \
+    || ! grep -Eq '"from_snapshot":[1-9]' "$smoke_dir/serve-snap2.out" \
+    || ! grep -q '"skipped":0' "$smoke_dir/serve-snap2.out"; then
+    echo "check.sh: restart did not recover from the snapshot:" >&2
+    cat "$smoke_dir/serve-snap2.out" >&2
     exit 1
 fi
 ./target/release/xdl query --connect "$addr" '?- a(X, _).' \
-    > "$smoke_dir/after-man.out"
-if ! cmp -s "$smoke_dir/before-man.out" "$smoke_dir/after-man.out"; then
-    echo "check.sh: answers differ across SIGKILL + manifest recovery:" >&2
-    diff "$smoke_dir/before-man.out" "$smoke_dir/after-man.out" >&2 || true
+    > "$smoke_dir/after-snap.out"
+if ! cmp -s "$smoke_dir/before-snap.out" "$smoke_dir/after-snap.out"; then
+    echo "check.sh: answers differ across SIGKILL + snapshot recovery:" >&2
+    diff "$smoke_dir/before-snap.out" "$smoke_dir/after-snap.out" >&2 || true
     exit 1
 fi
 ./target/release/xdl query --connect "$addr" --shutdown
 wait "$serve_pid"
 serve_pid=""
-echo "check.sh: manifest-recovery smoke ok"
+echo "check.sh: snapshot-recovery smoke ok"
 
-# Manifest refusal: a copy of that directory whose manifest carries another
-# version's header must be refused — non-zero exit, the file named on
-# stderr — and left byte for byte as it was. (A server that starts instead
-# is stopped by `timeout`, whose status 124 counts as a failure.)
-cp -r "$smoke_dir/wal-man" "$smoke_dir/wal-v2"
-{ echo 'xdl-snapshot-manifest v2'; tail -n +2 "$smoke_dir/wal-man/snapshot.manifest"; } \
-    > "$smoke_dir/wal-v2/snapshot.manifest"
-cp -r "$smoke_dir/wal-v2" "$smoke_dir/wal-v2.orig"
-status=0
-timeout 10 ./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-v2" \
-    > "$smoke_dir/serve-v2.out" 2> "$smoke_dir/serve-v2.err" || status=$?
-if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] \
-    || ! grep -q 'snapshot.manifest' "$smoke_dir/serve-v2.err" \
-    || ! diff -r "$smoke_dir/wal-v2.orig" "$smoke_dir/wal-v2" >&2; then
-    echo "check.sh: a v2 manifest was not refused untouched (exit $status):" >&2
-    cat "$smoke_dir/serve-v2.out" "$smoke_dir/serve-v2.err" >&2
+# Snapshot refusal: a copy of that directory with one flipped byte in
+# snapshot.log, and a copy holding an older version's snapshot.manifest,
+# must each be refused — non-zero exit, the file named on stderr — and
+# left byte for byte as it was. (A server that starts instead is stopped
+# by `timeout`, whose status 124 counts as a failure.)
+cp -r "$smoke_dir/wal-snap" "$smoke_dir/wal-flipped"
+snap="$smoke_dir/wal-flipped/snapshot.log"
+off=$(( $(wc -c < "$snap") / 2 ))
+byte=$(od -An -tu1 -j "$off" -N1 "$snap" | tr -d ' ')
+printf "$(printf '\\%03o' $(( byte ^ 255 )))" \
+    | dd of="$snap" bs=1 seek="$off" conv=notrunc 2>/dev/null
+if cmp -s "$smoke_dir/wal-snap/snapshot.log" "$snap"; then
+    echo "check.sh: could not flip a byte of the snapshot copy" >&2
     exit 1
 fi
-echo "check.sh: manifest-refusal smoke ok"
+cp -r "$smoke_dir/wal-snap" "$smoke_dir/wal-old"
+printf 'xdl-snapshot-manifest v1\n' > "$smoke_dir/wal-old/snapshot.manifest"
+for copy in flipped:snapshot.log old:snapshot.manifest; do
+    name=${copy%%:*}
+    file=${copy#*:}
+    cp -r "$smoke_dir/wal-$name" "$smoke_dir/wal-$name.orig"
+    status=0
+    timeout 10 ./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-$name" \
+        > "$smoke_dir/serve-$name.out" 2> "$smoke_dir/serve-$name.err" || status=$?
+    if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] \
+        || ! grep -q "$file" "$smoke_dir/serve-$name.err" \
+        || ! diff -r "$smoke_dir/wal-$name.orig" "$smoke_dir/wal-$name" >&2; then
+        echo "check.sh: a directory with $file ($name) was not refused untouched (exit $status):" >&2
+        cat "$smoke_dir/serve-$name.out" "$smoke_dir/serve-$name.err" >&2
+        exit 1
+    fi
+done
+echo "check.sh: snapshot-refusal smoke ok"
 
 # Quoted-constant smoke: the WAL logs a fact as its rendering, so string
 # constants that are no bare identifier (an upper-case initial, a space,
