@@ -5,13 +5,14 @@
 //! a small fixed-seed smoke round on every `cargo test`, keeping the
 //! differential oracle exercised without a separate manual step.
 
-use datalog_ast::{Atom, Term, Value};
+use datalog_ast::{Ad, Adornment, Atom, Term, Value, Var};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
 use datalog_engine::oracle::{check_indexes, extract_by_matching};
 use datalog_engine::{
-    evaluate, extract_answers, query_answers, Database, EvalOptions, PredId, Strategy,
+    evaluate, extract_answers, query_answers, query_answers_full, Database, EvalOptions, PredId,
+    Strategy,
 };
-use datalog_opt::{optimize, OptimizerConfig};
+use datalog_opt::{optimize, prepare, OptimizerConfig};
 
 use crate::workloads::{edb_for, random_program};
 
@@ -164,6 +165,104 @@ fn incremental_pass(
                 {
                     complain(&format!(
                         "incremental: point read ?- {atom}. diverges (resident / cold / matching)"
+                    ));
+                    failures += 1;
+                }
+            }
+        }
+    }
+    failures
+}
+
+/// Covered-read arm: a query server answers a form off a live form that
+/// covers it (Lemma 3.2). Prepare the query predicate's all-`n` form, make
+/// it resident over the instance, and read every other adornment through
+/// it — the plain atom and its [`point_reads`], with each `d` position a
+/// wildcard. Each read must be byte-identical to the covered form's own
+/// cold evaluation (its prepared program, instantiated with the atom).
+/// Returns disagreements found.
+fn covered_read_differential(
+    program: &datalog_ast::Program,
+    instance: &datalog_engine::FactSet,
+    mut complain: impl FnMut(&str),
+) -> u64 {
+    let Some(q) = &program.query else {
+        return 0;
+    };
+    let (pred, arity) = (&q.atom.pred, q.atom.arity());
+    let config = OptimizerConfig::default();
+    // What the server runs every fixpoint with.
+    let opts = EvalOptions {
+        boolean_cut: true,
+        reorder_joins: true,
+        ..EvalOptions::default()
+    };
+    let cover = match prepare(&program.rules, pred, &Adornment::all_needed(arity), &config) {
+        Ok(p) if ResidentEval::supports(&p.program) => p,
+        Ok(_) => return 0, // non-monotone forms are never resident
+        Err(e) => {
+            complain(&format!(
+                "covered read: preparing {pred}'s all-n form failed: {e}"
+            ));
+            return 1;
+        }
+    };
+    let resident = match ResidentEval::new(&cover.program, instance, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            complain(&format!("covered read: resident construction failed: {e}"));
+            return 1;
+        }
+    };
+    let full = Atom::new(
+        pred.clone(),
+        (0..arity).map(|i| Term::var(&format!("V{i}"))).collect(),
+    );
+    let mut reads = point_reads(&full, instance);
+    reads.push(full);
+    let mut failures = 0;
+    // Every adornment but the all-`n` one, `n` where `bits` has a one.
+    for bits in 0..(1usize << arity) - 1 {
+        let adornment: Adornment = (0..arity)
+            .map(|i| if bits >> i & 1 == 1 { Ad::N } else { Ad::D })
+            .collect();
+        let own = match prepare(&program.rules, pred, &adornment, &config) {
+            Ok(p) => p,
+            Err(e) => {
+                complain(&format!(
+                    "covered read: preparing {pred}[{adornment}] failed: {e}"
+                ));
+                failures += 1;
+                continue;
+            }
+        };
+        for read in &reads {
+            let mut atom = read.clone();
+            for i in adornment.existential_positions() {
+                atom.terms[i] = Term::Var(Var::fresh_wildcard());
+            }
+            let (Some(spliced), Some(own_program)) =
+                (cover.instantiate_atom(&atom), own.instantiate(&atom))
+            else {
+                complain(&format!("covered read: ?- {atom}. does not instantiate"));
+                failures += 1;
+                continue;
+            };
+            let covered = resident.answers(&spliced);
+            match query_answers_full(&own_program, instance, &opts) {
+                Ok((want, _)) if want.to_string() == covered.to_string() => {}
+                Ok((want, _)) => {
+                    complain(&format!(
+                        "covered read: ?- {atom}. off {pred}[{}] gives\n{covered}\n\
+                         its own form [{adornment}] gives\n{want}\nprogram:\n{}",
+                        cover.adornment,
+                        program.to_text()
+                    ));
+                    failures += 1;
+                }
+                Err(e) => {
+                    complain(&format!(
+                        "covered read: ?- {atom}. own evaluation failed: {e}"
                     ));
                     failures += 1;
                 }
@@ -366,6 +465,11 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         // Incremental maintenance: resident frontier vs cold fixpoint after
         // every ingested batch.
         failures += incremental_differential(&program, &instance, |msg| {
+            complain!("seed {seed}: {msg}");
+        });
+        // Covered reads: every other form of the query predicate read off
+        // its resident all-`n` form vs that form's own cold evaluation.
+        failures += covered_read_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });
         // Storage: every index of the cold databases against a scan.

@@ -15,9 +15,14 @@
 //! several sources at once (e.g. the server's shutdown drain *and* a
 //! per-operation abort), without threads or channels — `is_cancelled`
 //! simply checks every linked flag.
+//!
+//! The deadline is polled on the same cadence, against the evaluation's
+//! [`Clock`]: the monotonic clock, or a [`ManualClock`] that advances a
+//! fixed step per read, so a test can say on which poll a deadline trips.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Default)]
 struct Flags {
@@ -65,6 +70,60 @@ impl CancelToken {
                 parents: vec![Arc::clone(&self.flags), Arc::clone(&other.flags)],
             }),
         }
+    }
+}
+
+/// Where an evaluation reads the time its deadline is checked against.
+#[derive(Debug, Clone, Default)]
+pub enum Clock {
+    /// [`Instant::now`].
+    #[default]
+    Monotonic,
+    /// A clock that only moves when it is read.
+    Manual(Arc<ManualClock>),
+}
+
+impl Clock {
+    /// The current time on this clock.
+    pub fn now(&self) -> Instant {
+        match self {
+            Clock::Monotonic => Instant::now(),
+            Clock::Manual(clock) => clock.read(),
+        }
+    }
+}
+
+/// A deterministic clock: read `n` (counting from 1) returns
+/// `start + n * step`, whatever the wall time.
+#[derive(Debug)]
+pub struct ManualClock {
+    start: Instant,
+    step: Duration,
+    reads: AtomicU32,
+}
+
+impl ManualClock {
+    /// A clock starting now that advances `step` per read.
+    pub fn new(step: Duration) -> ManualClock {
+        ManualClock {
+            start: Instant::now(),
+            step,
+            reads: AtomicU32::new(0),
+        }
+    }
+
+    /// What read `n` returns.
+    pub fn at(&self, n: u32) -> Instant {
+        self.start + self.step * n
+    }
+
+    /// How often the clock has been read.
+    pub fn reads(&self) -> u32 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
+    fn read(&self) -> Instant {
+        self.at(self.reads.fetch_add(1, Ordering::Relaxed) + 1)
     }
 }
 

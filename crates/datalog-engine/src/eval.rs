@@ -61,7 +61,7 @@ use datalog_ast::{PredRef, Program, Term, Value};
 use datalog_trace::metrics::EvalHists;
 use datalog_trace::{EvalProfile, IterationProfile, PredDelta, RuleProfile};
 
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelToken, Clock};
 use crate::database::{Database, PredId};
 use crate::facts::{AnswerSet, Edb};
 use crate::provenance::Provenance;
@@ -125,6 +125,10 @@ pub struct EvalOptions {
     /// rule application; exceeding it returns
     /// [`EngineError::DeadlineExceeded`] with the partial [`EvalStats`].
     pub deadline: Option<Instant>,
+    /// The clock the deadline is read against (and the evaluation's start,
+    /// for the `elapsed_ms` a trip reports). Monotonic by default; a
+    /// [`ManualClock`](crate::ManualClock) makes the tripping poll exact.
+    pub clock: Clock,
     /// Bound on *new* derived facts. Checked exactly, at every successful
     /// derivation; exceeding it returns [`EngineError::BudgetExceeded`].
     pub fact_budget: Option<u64>,
@@ -160,6 +164,7 @@ impl Default for EvalOptions {
             profile: false,
             max_iterations: 1_000_000,
             deadline: None,
+            clock: Clock::Monotonic,
             fact_budget: None,
             cancel: None,
             threads: 1,
@@ -243,7 +248,8 @@ enum Range {
 /// join recursion has unwound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Trip {
-    Deadline,
+    /// The deadline passed, `elapsed_ms` after the evaluation started.
+    Deadline(u64),
     Budget(u64),
     Cancelled,
 }
@@ -519,10 +525,11 @@ pub(crate) struct Machine {
     /// Telemetry histograms shared with the serving layer (see
     /// [`EvalOptions::metrics`]).
     pub(crate) metrics: Option<EvalHists>,
-    /// Wall-clock start of the evaluation (for deadline checks and the
-    /// `elapsed_ms` a deadline trip reports).
+    /// Start of the evaluation on `clock` (for the `elapsed_ms` a
+    /// deadline trip reports).
     pub(crate) started: Instant,
     pub(crate) deadline: Option<Instant>,
+    pub(crate) clock: Clock,
     pub(crate) fact_budget: Option<u64>,
     pub(crate) cancel: Option<CancelToken>,
     /// A tripped limit; once set, the merge stops applying buffers and the
@@ -577,8 +584,9 @@ impl Machine {
             query_pred,
             boolean_cut: opts.boolean_cut,
             metrics: opts.metrics.clone(),
-            started: Instant::now(),
+            started: opts.clock.now(),
             deadline: opts.deadline,
+            clock: opts.clock.clone(),
             fact_budget: opts.fact_budget,
             cancel: opts.cancel.clone(),
             trip: None,
@@ -590,9 +598,14 @@ impl Machine {
     /// budget is not polled: it counts distinct new facts, which only the
     /// merge ([`Machine::apply_task`]) knows, and it is checked there.
     fn due_trip(&self) -> Option<Trip> {
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(Trip::Deadline)
-        } else if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        if let Some(deadline) = self.deadline {
+            let now = self.clock.now();
+            if now >= deadline {
+                let elapsed = now.saturating_duration_since(self.started);
+                return Some(Trip::Deadline(elapsed.as_millis() as u64));
+            }
+        }
+        if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             Some(Trip::Cancelled)
         } else {
             None
@@ -602,8 +615,8 @@ impl Machine {
     /// Convert a recorded trip into its error, with up-to-date stats.
     fn take_trip(&mut self) -> Option<EngineError> {
         self.trip.take().map(|t| match t {
-            Trip::Deadline => EngineError::DeadlineExceeded {
-                elapsed_ms: self.started.elapsed().as_millis() as u64,
+            Trip::Deadline(elapsed_ms) => EngineError::DeadlineExceeded {
+                elapsed_ms,
                 stats: self.stats,
             },
             Trip::Budget(budget) => EngineError::BudgetExceeded {
@@ -1438,6 +1451,8 @@ mod tests {
     use super::*;
     use crate::facts::FactSet;
     use datalog_ast::parse_program;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn chain_edb(n: i64) -> FactSet {
         let mut fs = FactSet::new();
@@ -1773,32 +1788,44 @@ mod tests {
     }
 
     #[test]
-    fn deadline_trips_within_twice_the_deadline() {
+    fn deadline_trips_on_the_poll_that_crosses_it() {
         let (p, edb) = pathological();
-        let deadline = std::time::Duration::from_millis(30);
-        let t0 = Instant::now();
-        let err = evaluate(
-            &p,
-            &edb,
-            &EvalOptions {
-                deadline: Some(t0 + deadline),
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap_err();
-        let elapsed = t0.elapsed();
-        assert!(
-            matches!(err, EngineError::DeadlineExceeded { .. }),
-            "{err:?}"
-        );
-        let stats = err.partial_stats().unwrap();
-        assert!(stats.tuples_scanned > 0, "partial stats are reported");
-        // The single pathological cross-product rule must not stall past
-        // the cooperative check cadence: well within 2x the deadline.
-        assert!(
-            elapsed < deadline * 2,
-            "trip observed after {elapsed:?}, deadline {deadline:?}"
-        );
+        // Read 1 is the evaluation's start, read 1 + k its k-th poll: the
+        // deadline sits between the reads of polls k - 1 and k. Poll 1 is
+        // the boundary before iteration 1, with nothing joined yet; the
+        // later ones fall inside the cross product's enumeration.
+        for k in [2, 3, 5, 40] {
+            let clock = Arc::new(crate::ManualClock::new(Duration::from_millis(1)));
+            let deadline = clock.at(k) + Duration::from_micros(500);
+            let err = evaluate(
+                &p,
+                &edb,
+                &EvalOptions {
+                    deadline: Some(deadline),
+                    clock: Clock::Manual(Arc::clone(&clock)),
+                    ..EvalOptions::default()
+                },
+            )
+            .unwrap_err();
+            let EngineError::DeadlineExceeded { elapsed_ms, stats } = err else {
+                panic!("poll {k}: {err:?}");
+            };
+            assert_eq!(
+                clock.reads(),
+                k + 1,
+                "tripped on poll {}",
+                clock.reads() - 1
+            );
+            assert_eq!(
+                elapsed_ms,
+                u64::from(k),
+                "read k + 1 is k steps after the start"
+            );
+            assert!(
+                stats.tuples_scanned > 0,
+                "poll {k}: partial stats are reported"
+            );
+        }
     }
 
     #[test]
@@ -1838,10 +1865,16 @@ mod tests {
     fn cancellation_from_another_thread_unwinds_cleanly() {
         let (p, edb) = pathological();
         let token = CancelToken::new();
+        // A deadline that never passes makes every poll read the manual
+        // clock, so the canceller can wait for poll 2 — inside the cross
+        // product — instead of guessing how long loading takes.
+        let clock = Arc::new(crate::ManualClock::new(Duration::from_micros(1)));
         let canceller = {
-            let token = token.clone();
+            let (token, clock) = (token.clone(), Arc::clone(&clock));
             std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                while clock.reads() < 3 {
+                    std::thread::yield_now();
+                }
                 token.cancel();
             })
         };
@@ -1850,6 +1883,8 @@ mod tests {
             &edb,
             &EvalOptions {
                 cancel: Some(token),
+                deadline: Some(clock.at(u32::MAX)),
+                clock: Clock::Manual(Arc::clone(&clock)),
                 ..EvalOptions::default()
             },
         )

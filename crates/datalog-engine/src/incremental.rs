@@ -300,7 +300,7 @@ impl ResidentEval {
         }
         // This propagation's counters and limits; there is no fact budget.
         m.stats = EvalStats::default();
-        m.started = started;
+        m.started = m.clock.now();
         m.deadline = limits.deadline;
         m.fact_budget = None;
         m.cancel = limits.cancel.clone();

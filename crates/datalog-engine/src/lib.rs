@@ -42,7 +42,7 @@ pub mod shared;
 pub mod stats;
 pub mod storage;
 
-pub use cancel::CancelToken;
+pub use cancel::{CancelToken, Clock, ManualClock};
 pub use database::{Database, PredId};
 pub use eval::{
     evaluate, extract_answers, query_answers, query_answers_full, EvalOptions, EvalOutput, Strategy,

@@ -21,6 +21,14 @@
 //! live entries have their own, separately bounded LRU
 //! (`--resident-forms=N`; 0 disables pinning).
 //!
+//! A live form also answers every form it [covers](FormKey::covers): the
+//! same rule set, predicate and arity, with `n` wherever the covered form
+//! has `n`. By Lemma 3.2 those answers are a projection of the live form's, so
+//! [`PreparedCache::live_cover`] finds the live form a covered query
+//! reads, and [`PreparedCache::pin_resident`] retires the live forms a
+//! newly pinned one covers — one resident per predicate serves all of its
+//! forms.
+//!
 //! The form sits behind its own mutex so a drain propagates without the
 //! cache lock. Lock order is cache → form, and the cache lock is never
 //! held while *blocking* on a form lock: the cache only hands the form
@@ -49,6 +57,23 @@ pub struct FormKey {
     pub pred: String,
     /// The existential adornment, rendered (`"nd"`).
     pub adornment: String,
+}
+
+impl FormKey {
+    /// Whether this form's answers determine `q`'s: the same rule set,
+    /// predicate and arity, and `n` wherever `q` has `n` (the *covers*
+    /// relation, [`Adornment::is_covered_by`](datalog_ast::Adornment)). By
+    /// Lemma 3.2 `q`'s answers are then a projection of this form's, so a
+    /// read of `q`'s atom off this form's frontier answers `q`. A form
+    /// covers itself.
+    pub fn covers(&self, q: &FormKey) -> bool {
+        self.fingerprint == q.fingerprint
+            && self.pred == q.pred
+            && self.adornment.len() == q.adornment.len()
+            && (self.adornment.bytes())
+                .zip(q.adornment.bytes())
+                .all(|(mine, theirs)| mine == b'n' || theirs == b'd')
+    }
 }
 
 /// Committed row count per predicate of a form's EDB support set: where a
@@ -207,25 +232,47 @@ impl PreparedCache {
         }
     }
 
-    /// Make an entry live with freshly built state, evicting the least
-    /// recently used other resident if the bound is reached. Returns
-    /// `false` (dropping `form`) when pinning is disabled, the entry is
+    /// Make an entry live with freshly built state. Every other live form
+    /// it covers is retired first (a covered query reads this one now),
+    /// then the least recently used other resident is evicted if the bound
+    /// is still reached. Returns how many residents were retired, or
+    /// `None` (dropping `form`) when pinning is disabled, the entry is
     /// gone, or it is live already (a concurrent builder won) — all fine:
     /// the request that built `form` has its answers either way.
-    pub fn pin_resident(&mut self, key: &FormKey, form: ResidentForm) -> bool {
+    pub fn pin_resident(&mut self, key: &FormKey, form: ResidentForm) -> Option<usize> {
         if self.resident_capacity == 0
             || self.entries.get(key).map_or(true, |e| e.resident.is_some())
         {
-            return false;
+            return None;
+        }
+        let mut retired = 0;
+        for (k, e) in &mut self.entries {
+            if e.resident.is_some() && k != key && key.covers(k) {
+                e.resident = None;
+                retired += 1;
+            }
         }
         while self.resident_count() >= self.resident_capacity {
             self.evict_one_resident(Some(key));
         }
-        let Some(e) = self.entries.get_mut(key) else {
-            return false;
-        };
-        e.resident = Some(Arc::new(Mutex::new(form)));
-        true
+        self.entries.get_mut(key)?.resident = Some(Arc::new(Mutex::new(form)));
+        Some(retired)
+    }
+
+    /// The live form that answers `q` while `q` itself is not live: of the
+    /// live forms covering `q`, the one with the fewest `n` positions
+    /// (the least to read past), ties broken by key order. Bumps its LRU
+    /// clock — a covered read is a use of the covering form.
+    pub fn live_cover(&mut self, q: &FormKey) -> Option<(&FormKey, &mut Entry)> {
+        self.clock += 1;
+        let clock = self.clock;
+        let (key, e) = self
+            .entries
+            .iter_mut()
+            .filter(|(k, e)| e.resident.is_some() && *k != q && k.covers(q))
+            .min_by_key(|(k, _)| k.adornment.bytes().filter(|&b| b == b'n').count())?;
+        e.last_used = clock;
+        Some((key, e))
     }
 
     /// Iterate every entry (key + mutable entry), without touching LRU
@@ -351,24 +398,131 @@ mod tests {
         cache.insert(k1.clone(), p1);
         cache.insert(k2.clone(), p2);
         // Disabled: pinning refuses.
-        assert!(!cache.pin_resident(&k1, resident("a(X, Y) :- p(X, Y).")));
+        assert!(cache
+            .pin_resident(&k1, resident("a(X, Y) :- p(X, Y)."))
+            .is_none());
         assert_eq!(cache.resident_count(), 0);
         cache.set_resident_capacity(1);
-        assert!(cache.pin_resident(&k1, resident("a(X, Y) :- p(X, Y).")));
+        assert!(cache
+            .pin_resident(&k1, resident("a(X, Y) :- p(X, Y)."))
+            .is_some());
         assert_eq!(cache.resident_count(), 1);
         // Touch k2 then pin it: k1's resident is the LRU victim, but both
         // prepared entries survive.
         assert!(cache.get_mut(&k2).is_some());
-        assert!(cache.pin_resident(&k2, resident("b(X, Y) :- q(X, Y).")));
+        assert!(cache
+            .pin_resident(&k2, resident("b(X, Y) :- q(X, Y)."))
+            .is_some());
         assert_eq!(cache.resident_count(), 1);
         assert!(cache.get_mut(&k1).unwrap().resident.is_none());
         assert!(cache.get_mut(&k2).unwrap().resident.is_some());
         assert_eq!(cache.len(), 2);
         // A live entry keeps its state: a second builder's form is dropped.
-        assert!(!cache.pin_resident(&k2, resident("b(X, Y) :- q(X, Y).")));
+        assert!(cache
+            .pin_resident(&k2, resident("b(X, Y) :- q(X, Y)."))
+            .is_none());
         // Shrinking to zero drops the survivor too.
         cache.set_resident_capacity(0);
         assert_eq!(cache.resident_count(), 0);
+    }
+
+    fn key(fingerprint: u64, pred: &str, adornment: &str) -> FormKey {
+        FormKey {
+            fingerprint,
+            pred: pred.to_string(),
+            adornment: adornment.to_string(),
+        }
+    }
+
+    #[test]
+    fn covers_is_the_adornment_order_within_one_rule_set_and_predicate() {
+        let (nn, nd, dn, dd) = (
+            key(1, "a", "nn"),
+            key(1, "a", "nd"),
+            key(1, "a", "dn"),
+            key(1, "a", "dd"),
+        );
+        for (f, q) in [(&nn, &nd), (&nn, &dn), (&nn, &dd), (&nd, &dd), (&dn, &dd)] {
+            assert!(f.covers(q), "{f:?} covers {q:?}");
+            assert!(!q.covers(f), "{q:?} does not cover {f:?}");
+        }
+        for f in [&nn, &nd, &dn, &dd] {
+            assert!(f.covers(f));
+        }
+        assert!(!nd.covers(&dn) && !dn.covers(&nd), "incomparable");
+        assert!(!key(2, "a", "nn").covers(&nd), "another rule set");
+        assert!(!key(1, "b", "nn").covers(&nd), "another predicate");
+        assert!(
+            !key(1, "a", "nnn").covers(&key(1, "a", "nd")),
+            "another arity"
+        );
+        assert!(!nn.covers(&key(1, "a", "d")), "another arity");
+    }
+
+    /// A cache with one prepared entry per key, all pinnable.
+    fn cache_of(keys: &[&FormKey]) -> PreparedCache {
+        let (_, p) = prep("a(X, Y) :- p(X, Y).\n?- a(X, Y).", "a", "nn");
+        let mut cache = PreparedCache::new(16);
+        cache.set_resident_capacity(8);
+        for k in keys {
+            cache.insert((*k).clone(), p.clone());
+        }
+        cache
+    }
+
+    fn live(cache: &mut PreparedCache, k: &FormKey) -> bool {
+        cache.peek_mut(k).unwrap().resident.is_some()
+    }
+
+    #[test]
+    fn pinning_a_covering_form_retires_the_live_forms_it_covers() {
+        let (nn, nd, dd, b) = (
+            key(1, "a", "nn"),
+            key(1, "a", "nd"),
+            key(1, "a", "dd"),
+            key(1, "b", "nd"),
+        );
+        let mut cache = cache_of(&[&nn, &nd, &dd, &b]);
+        for k in [&nd, &dd, &b] {
+            assert_eq!(
+                cache.pin_resident(k, resident("a(X, Y) :- p(X, Y).")),
+                Some(0)
+            );
+        }
+        assert_eq!(
+            cache.pin_resident(&nn, resident("a(X, Y) :- p(X, Y).")),
+            Some(2)
+        );
+        assert!(live(&mut cache, &nn) && live(&mut cache, &b));
+        assert!(!live(&mut cache, &nd) && !live(&mut cache, &dd));
+        assert_eq!(cache.resident_count(), 2);
+    }
+
+    #[test]
+    fn the_live_cover_is_the_one_with_the_fewest_needed_positions() {
+        let (nnn, nnd, ndn, ndd) = (
+            key(1, "t", "nnn"),
+            key(1, "t", "nnd"),
+            key(1, "t", "ndn"),
+            key(1, "t", "ndd"),
+        );
+        let mut cache = cache_of(&[&nnn, &nnd, &ndn, &ndd]);
+        let cover =
+            |cache: &mut PreparedCache, q: &FormKey| cache.live_cover(q).map(|(k, _)| k.clone());
+        assert_eq!(cover(&mut cache, &ndd), None, "nothing live");
+        let pin = |cache: &mut PreparedCache, k: &FormKey| {
+            cache.pin_resident(k, resident("a(X, Y) :- p(X, Y)."))
+        };
+        assert_eq!(pin(&mut cache, &nnn), Some(0));
+        assert_eq!(cover(&mut cache, &ndd), Some(nnn.clone()));
+        // `nnd` covers less than `nnn`, so it pins beside it and wins.
+        assert_eq!(pin(&mut cache, &nnd), Some(0));
+        assert_eq!(cover(&mut cache, &ndd), Some(nnd.clone()));
+        // Two `n` each: key order breaks the tie (`ndn` < `nnd`).
+        assert_eq!(pin(&mut cache, &ndn), Some(0));
+        assert_eq!(cover(&mut cache, &ndd), Some(ndn));
+        // Only a form itself covers the all-`n` form, and it is no cover.
+        assert_eq!(cover(&mut cache, &nnn), None);
     }
 
     #[test]
@@ -378,7 +532,9 @@ mod tests {
         let (k1, p1) = prep("a(X, Y) :- p(X, Y).\n?- a(X, _).", "a", "nd");
         let (k2, p2) = prep("b(X, Y) :- q(X, Y).\n?- b(X, _).", "b", "nd");
         cache.insert(k1.clone(), p1);
-        assert!(cache.pin_resident(&k1, resident("a(X, Y) :- p(X, Y).")));
+        assert!(cache
+            .pin_resident(&k1, resident("a(X, Y) :- p(X, Y)."))
+            .is_some());
         cache.insert(k2, p2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.resident_count(), 0, "evicted entry drops its state");

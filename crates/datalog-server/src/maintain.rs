@@ -5,14 +5,17 @@
 //!            pin_built (cold eval, first or again)
 //!   Cold ───────────────────────────────────────▶ Live
 //!    ▲                                              │
-//!    └──────────── poison, or LRU eviction ─────────┘
+//!    └─── poison, LRU eviction, or a covering ──────┘
+//!         form pinned (retired)
 //! ```
 //!
 //! * [`drain`](ServerState::drain) is the one catch-up: lock the form,
 //!   propagate to a snapshot, optionally read the frontier and memoize it.
 //!   Ingest drains every live form its rows touch before it answers, and a
 //!   query drains its form to its own snapshot before it reads, so every
-//!   answer is fresh.
+//!   answer is fresh. A query whose own form is cold but covered by a live
+//!   form drains the covering form: the covering form is what a failure
+//!   poisons, the query's own form is whose answer slot the read fills.
 //! * A failed propagation drops the form back to `Cold`, exactly as an
 //!   eviction does. The next eligible query of the form evaluates it from
 //!   cold and pins what it built: that is the rebuild, and it is counted as
@@ -78,12 +81,15 @@ impl ServerState {
         Ok(())
     }
 
-    /// Catch `form` up to `snapshot` holding only the form lock.
+    /// Catch `form` (live under `key`) up to `snapshot` holding only the
+    /// form lock.
     ///
-    /// With `read = (query atom, its rendered text)` the caught-up
-    /// frontier is extracted while the form is still locked, then memoized
-    /// under one short cache lock and returned. `Err(())` means the
-    /// propagation failed: the form is poisoned, counted and `Cold`.
+    /// With `read = (memo key, query atom, its rendered text)` the
+    /// caught-up frontier is extracted while the form is still locked, then
+    /// memoized in the memo key's slot under one short cache lock and
+    /// returned. The memo key is the query's own form, which is `key`
+    /// unless `form` covers it. `Err(())` means the propagation failed:
+    /// `key`'s form is poisoned, counted and `Cold`.
     ///
     /// The caller must not hold the cache lock.
     pub(crate) fn drain(
@@ -91,25 +97,29 @@ impl ServerState {
         key: &FormKey,
         form: &Arc<Mutex<ResidentForm>>,
         snapshot: &DbSnapshot,
-        read: Option<(&Atom, &str)>,
+        read: Option<(&FormKey, &Atom, &str)>,
     ) -> Result<Option<Rendered>, ()> {
         let drained = {
             let mut g = lock(form);
             self.propagate(&mut g, snapshot).map(|()| {
-                read.map(|(atom, repr)| (read_frontier(&g, atom), g.applied.clone(), repr))
+                read.map(|(memo, atom, repr)| {
+                    (memo, read_frontier(&g, atom), g.applied.clone(), repr)
+                })
             })
         };
         let Ok(read) = drained else {
             self.poison(key, form);
             return Err(());
         };
-        let Some((table, applied, repr)) = read else {
+        let Some((memo, table, applied, repr)) = read else {
             return Ok(None);
         };
-        if let Some(e) = lock(&self.cache).peek_mut(key) {
+        if let Some(e) = lock(&self.cache).peek_mut(memo) {
             // Tagged with the form's *applied* watermarks: if a drain
             // raced us past `snapshot`, the served frontier is the newer
-            // (monotone superset) one, and the slot must say so.
+            // (monotone superset) one, and the slot must say so. A covered
+            // slot carries the covering form's watermarks: its support
+            // determines the covered answers too.
             e.memoize(repr, &table, applied);
         }
         Ok(Some(table))
@@ -138,8 +148,8 @@ impl ServerState {
     }
 
     /// Make `key` live with `form` unless someone beat us to it (the
-    /// caller holds the cache lock). A pin that replaces poisoned or
-    /// evicted state is a rebuild.
+    /// caller holds the cache lock), retiring the live forms it covers. A
+    /// pin that replaces poisoned or evicted state is a rebuild.
     pub(crate) fn pin_built(
         &self,
         cache: &mut PreparedCache,
@@ -147,7 +157,11 @@ impl ServerState {
         form: ResidentForm,
         rebuild: bool,
     ) {
-        if cache.pin_resident(key, form) && rebuild {
+        let Some(retired) = cache.pin_resident(key, form) else {
+            return;
+        };
+        self.metrics.covered_retired.add(retired as u64);
+        if rebuild {
             self.metrics.resident_rebuilds.inc();
         }
     }

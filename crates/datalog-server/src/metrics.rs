@@ -100,6 +100,10 @@ pub struct ServerMetrics {
     pub resident_rebuilds: Arc<Counter>,
     /// Resident propagations that failed and poisoned their form.
     pub resident_poisonings: Arc<Counter>,
+    /// Queries answered off a live form that covers theirs.
+    pub covered_reads: Arc<Counter>,
+    /// Residents dropped because a form covering them pinned.
+    pub covered_retired: Arc<Counter>,
 
     /// Bloom-gated index probes against sealed storage runs (engine-wide,
     /// delta-synced from the process counters at scrape time).
@@ -247,6 +251,16 @@ impl ServerMetrics {
                 "xdl_resident_poisonings_total",
                 "Resident delta propagations that failed and poisoned \
                  their form.",
+                &[],
+            ),
+            covered_reads: registry.counter(
+                "xdl_covered_reads_total",
+                "Queries answered off a live form that covers theirs.",
+                &[],
+            ),
+            covered_retired: registry.counter(
+                "xdl_covered_retired_total",
+                "Residents dropped because a form covering them pinned.",
                 &[],
             ),
             bloom_probes: registry.counter(
@@ -428,6 +442,8 @@ mod tests {
             "xdl_eval_merge_seconds",
             "xdl_resident_rebuilds_total",
             "xdl_resident_poisonings_total",
+            "xdl_covered_reads_total",
+            "xdl_covered_retired_total",
             "xdl_bloom_probes_total",
             "xdl_bloom_skips_total",
             "xdl_storage_consolidations_total",

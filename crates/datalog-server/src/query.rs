@@ -12,6 +12,16 @@
 //! while the snapshot sits at its watermarks, a resident form only after
 //! draining to the snapshot, a cold evaluation from the snapshot itself.
 //!
+//! The resident form that answers is the query's own when it is live, and
+//! otherwise a live form that [covers](crate::cache::FormKey::covers) it
+//! (Lemma 3.2: the query's answers are a projection of the covering
+//! form's), found after the own-form lookup — on a first sighting after the
+//! optimizer ran, so the entry, its answer slot and `TRACE` exist either
+//! way. A covered form is never built while its cover is live; its read
+//! goes through the covering form's program and read plan, and is
+//! memoized in the covered form's own slot. If the covering form dies
+//! mid-plan, the covered form's own program is evaluated and pinned.
+//!
 //! Lock order is cache → form, and a stage never *blocks* on a form lock
 //! while it holds the cache lock: `choose_source` hands the form handle
 //! out, and `serve_resident` locks it after the cache lock has dropped.
@@ -66,7 +76,7 @@ pub(crate) struct QueryCtx {
 pub(crate) enum Source {
     /// The answer slot matches this query at this snapshot's watermarks.
     Memo(Served),
-    /// The form has live resident state.
+    /// The form, or a form covering it, has live resident state.
     Resident(ResidentPlan),
     /// Evaluate from the snapshot.
     Cold(ColdPlan),
@@ -75,10 +85,17 @@ pub(crate) enum Source {
 /// How to serve live resident state: the form handle, read after draining
 /// it to the query's snapshot.
 pub(crate) struct ResidentPlan {
+    /// The live form that answers: the query's own, or one covering it.
     form: Arc<Mutex<ResidentForm>>,
+    /// That form's program.
     prepared: Arc<PreparedProgram>,
-    /// The query atom spliced into the canonical program's namespace.
+    /// The query atom spliced into that program's namespace.
     q_atom: Atom,
+    /// The covering form's key, when the form is not the query's own.
+    cover: Option<FormKey>,
+    /// What runs when the form dies mid-plan: the query's *own* form,
+    /// evaluated cold and pinned under the query's key.
+    fallback: ColdPlan,
 }
 
 /// A cold evaluation of one prepared form.
@@ -87,11 +104,10 @@ pub(crate) struct ColdPlan {
     status: &'static str,
     prepared: Arc<PreparedProgram>,
     /// The spliced query atom when the form may pin: the evaluation then
-    /// *builds* resident state instead of a throwaway fixpoint.
+    /// *builds* resident state instead of a throwaway fixpoint. On a `hit`
+    /// the form had lost its resident (eviction, poisoning, a covering
+    /// form that pinned), so pinning again is the rebuild.
     pin: Option<Atom>,
-    /// The form lost its resident (eviction, poisoning); pinning again is
-    /// the rebuild.
-    rebuild: bool,
 }
 
 /// What the response tail needs from whichever source answered.
@@ -99,7 +115,12 @@ pub(crate) struct Served {
     /// The `cache=` header value.
     tag: &'static str,
     table: Rendered,
+    /// The answering form's program.
     prepared: Arc<PreparedProgram>,
+    /// The covering form that answered, when it is not the query's own.
+    served_by: Option<FormKey>,
+    /// The program the optimizer built for this request, if it ran.
+    optimized: Option<Arc<PreparedProgram>>,
     /// Present when this request ran a fixpoint.
     cold: Option<ColdSpans>,
 }
@@ -153,21 +174,7 @@ impl ServerState {
         let served = match self.choose_source(&ctx)? {
             Source::Memo(served) => served,
             Source::Cold(plan) => self.serve_cold(&ctx, plan)?,
-            Source::Resident(plan) => match self.serve_resident(&ctx, &plan) {
-                Some(served) => served,
-                None => {
-                    // The resident died under the plan (poisoned, already
-                    // cleaned up): recompute this request from cold.
-                    self.metrics.fallback_recomputes.inc();
-                    let cold = ColdPlan {
-                        status: "hit",
-                        prepared: plan.prepared,
-                        pin: Some(plan.q_atom),
-                        rebuild: true,
-                    };
-                    self.serve_cold(&ctx, cold)?
-                }
-            },
+            Source::Resident(plan) => self.serve_resident(&ctx, plan)?,
         };
         Ok(self.respond(ctx, served))
     }
@@ -226,60 +233,82 @@ impl ServerState {
     /// of the same form.
     fn choose_source(&self, ctx: &QueryCtx) -> Result<Source, Response> {
         let mut cache = lock(&self.cache);
-        if let Some(entry) = cache.get_mut(&ctx.key) {
-            entry.hits += 1;
-            self.metrics.prepared_hits.inc();
-            if let Some(memo) = &entry.memo {
-                if !memo.current_at(&ctx.snapshot) {
-                    // Ingestion never touches the slot; this lookup is
-                    // where it is found out of date.
-                    self.metrics.invalidations.inc();
-                } else if memo.query_repr == ctx.query_repr {
-                    // Watermark match means no acknowledged row is missing.
-                    self.metrics.answer_hits.inc();
-                    return Ok(Source::Memo(Served {
-                        tag: "answers",
-                        table: memo.table.clone(),
+        let own = match cache.get_mut(&ctx.key) {
+            Some(entry) => {
+                entry.hits += 1;
+                self.metrics.prepared_hits.inc();
+                if let Some(memo) = &entry.memo {
+                    if !memo.current_at(&ctx.snapshot) {
+                        // Ingestion never touches the slot; this lookup is
+                        // where it is found out of date.
+                        self.metrics.invalidations.inc();
+                    } else if memo.query_repr == ctx.query_repr {
+                        // Watermark match means no acknowledged row is
+                        // missing.
+                        self.metrics.answer_hits.inc();
+                        return Ok(Source::Memo(Served {
+                            tag: "answers",
+                            table: memo.table.clone(),
+                            prepared: Arc::clone(&entry.prepared),
+                            served_by: None,
+                            optimized: None,
+                            cold: None,
+                        }));
+                    }
+                }
+                let plan = ColdPlan {
+                    status: "hit",
+                    prepared: Arc::clone(&entry.prepared),
+                    pin: self.pin_atom(ctx, entry),
+                };
+                if let (Some(form), Some(q_atom)) = (&entry.resident, &plan.pin) {
+                    return Ok(Source::Resident(ResidentPlan {
+                        form: Arc::clone(form),
                         prepared: Arc::clone(&entry.prepared),
-                        cold: None,
+                        q_atom: q_atom.clone(),
+                        cover: None,
+                        fallback: plan,
+                    }));
+                }
+                plan
+            }
+            None => {
+                self.metrics.cache_misses.inc();
+                let cfg = OptimizerConfig {
+                    verify: self.cfg.verify,
+                    ..OptimizerConfig::default()
+                };
+                let prepared =
+                    prepare(&ctx.rules.rules, &ctx.query.atom.pred, &ctx.adornment, &cfg)
+                        .map_err(|e| Response::err(format!("optimizer: {e}")))?;
+                let entry = cache.insert(ctx.key.clone(), prepared);
+                ColdPlan {
+                    status: "miss",
+                    prepared: Arc::clone(&entry.prepared),
+                    pin: self.pin_atom(ctx, entry),
+                }
+            }
+        };
+        // Not live itself: a live form that covers it answers it, by
+        // Lemma 3.2, without building anything. An explicitly adorned
+        // query may name a `d` position, which the covering read would
+        // return as a column, so only a query whose `d` positions are its
+        // wildcards is covered.
+        if ctx.query.atom.pred.adornment.is_none() {
+            if let Some((key, entry)) = cache.live_cover(&ctx.key) {
+                let q_atom = entry.prepared.instantiate_atom(&ctx.query.atom);
+                if let (Some(form), Some(q_atom)) = (&entry.resident, q_atom) {
+                    return Ok(Source::Resident(ResidentPlan {
+                        form: Arc::clone(form),
+                        prepared: Arc::clone(&entry.prepared),
+                        q_atom,
+                        cover: Some(key.clone()),
+                        fallback: own,
                     }));
                 }
             }
-            let pin = self.pin_atom(ctx, entry);
-            if let (Some(form), Some(q_atom)) = (&entry.resident, &pin) {
-                return Ok(Source::Resident(ResidentPlan {
-                    form: Arc::clone(form),
-                    prepared: Arc::clone(&entry.prepared),
-                    q_atom: q_atom.clone(),
-                }));
-            }
-            // Eligible but not live: evicted by the resident LRU, or
-            // dropped by a poisoning. Pinning again is the rebuild.
-            let rebuild = pin.is_some();
-            if rebuild {
-                self.metrics.fallback_recomputes.inc();
-            }
-            return Ok(Source::Cold(ColdPlan {
-                status: "hit",
-                prepared: Arc::clone(&entry.prepared),
-                pin,
-                rebuild,
-            }));
         }
-        self.metrics.cache_misses.inc();
-        let cfg = OptimizerConfig {
-            verify: self.cfg.verify,
-            ..OptimizerConfig::default()
-        };
-        let prepared = prepare(&ctx.rules.rules, &ctx.query.atom.pred, &ctx.adornment, &cfg)
-            .map_err(|e| Response::err(format!("optimizer: {e}")))?;
-        let entry = cache.insert(ctx.key.clone(), prepared);
-        Ok(Source::Cold(ColdPlan {
-            status: "miss",
-            prepared: Arc::clone(&entry.prepared),
-            pin: self.pin_atom(ctx, entry),
-            rebuild: false,
-        }))
+        Ok(Source::Cold(own))
     }
 
     /// The query atom in the canonical program's namespace, when the form
@@ -292,19 +321,24 @@ impl ServerState {
     }
 
     /// Execute a [`ResidentPlan`] with the cache lock released: drain the
-    /// form to the query's snapshot and read it. `None` means the resident
-    /// state died mid-plan (poisoned — already counted and dropped) and the
-    /// caller must recompute from cold.
-    fn serve_resident(&self, ctx: &QueryCtx, plan: &ResidentPlan) -> Option<Served> {
-        let read = Some((&plan.q_atom, ctx.query_repr.as_str()));
-        let table = self
-            .drain(&ctx.key, &plan.form, &ctx.snapshot, read)
-            .ok()
-            .flatten()?;
-        Some(Served {
+    /// form to the query's snapshot, read it and memoize the read in the
+    /// query's own slot. If the form died mid-plan (poisoned — already
+    /// counted and dropped) the plan's fallback recomputes from cold.
+    fn serve_resident(&self, ctx: &QueryCtx, plan: ResidentPlan) -> Result<Served, Response> {
+        let key = plan.cover.as_ref().unwrap_or(&ctx.key);
+        let read = Some((&ctx.key, &plan.q_atom, ctx.query_repr.as_str()));
+        let Ok(Some(table)) = self.drain(key, &plan.form, &ctx.snapshot, read) else {
+            return self.serve_cold(ctx, plan.fallback);
+        };
+        if plan.cover.is_some() {
+            self.metrics.covered_reads.inc();
+        }
+        Ok(Served {
             tag: "resident",
             table,
-            prepared: Arc::clone(&plan.prepared),
+            prepared: plan.prepared,
+            served_by: plan.cover,
+            optimized: (plan.fallback.status == "miss").then_some(plan.fallback.prepared),
             cold: None,
         })
     }
@@ -341,6 +375,10 @@ impl ServerState {
     /// pinned: the cache must never serve a truncated table.
     fn serve_cold(&self, ctx: &QueryCtx, plan: ColdPlan) -> Result<Served, Response> {
         let d_cache = ctx.t_cache.elapsed();
+        let rebuild = plan.status == "hit" && plan.pin.is_some();
+        if rebuild {
+            self.metrics.fallback_recomputes.inc();
+        }
         let prepared = &plan.prepared;
         let (bound, cost_hints) = Self::live_bound(prepared, &ctx.snapshot);
         // Bound-aware admission: the static derivation bound at this
@@ -403,13 +441,15 @@ impl ServerState {
                 entry.memoize(&ctx.query_repr, &table, watermarks);
             }
             if let Some(form) = pinned {
-                self.pin_built(&mut cache, &ctx.key, form, plan.rebuild);
+                self.pin_built(&mut cache, &ctx.key, form, rebuild);
             }
         }
         Ok(Served {
             tag: plan.status,
             table,
+            optimized: (plan.status == "miss").then(|| Arc::clone(&plan.prepared)),
             prepared: plan.prepared,
+            served_by: None,
             cold: Some(ColdSpans {
                 d_cache,
                 d_eval,
@@ -444,6 +484,8 @@ impl ServerState {
             key: ctx.key,
             tag: served.tag,
             prepared: served.prepared,
+            served_by: served.served_by,
+            optimized: served.optimized,
         });
         Response::ok()
             .with_info("cache", served.tag)
@@ -477,6 +519,10 @@ impl ServerState {
             .with("req_id", ctx.req_id)
             .with("pred", ctx.key.pred.as_str())
             .with("adornment", ctx.key.adornment.as_str())
+            .with(
+                "served_by",
+                served.served_by.as_ref().map_or(Json::Null, form_json),
+            )
             .with("cache", served.tag)
             .with("threshold_ms", threshold_ms)
             .with("wall_us", wall.as_micros())
@@ -497,37 +543,132 @@ impl ServerState {
     }
 }
 
+/// A form's identity as `TRACE` and the slow-query line print it.
+fn form_json(key: &FormKey) -> Json {
+    Json::obj()
+        .with("fingerprint", format!("{:016x}", key.fingerprint))
+        .with("pred", key.pred.as_str())
+        .with("adornment", key.adornment.as_str())
+}
+
 /// What `TRACE` renders: the last answered query and how it was served.
 pub(crate) struct LastQuery {
     query: Query,
     key: FormKey,
     tag: &'static str,
+    /// The answering form's program.
     prepared: Arc<PreparedProgram>,
+    served_by: Option<FormKey>,
+    optimized: Option<Arc<PreparedProgram>>,
 }
 
 impl LastQuery {
-    /// The `TRACE` document. `new_events` holds the phase events the
-    /// optimizer emitted *for this request* — the full trace on a cold
-    /// miss, empty on any cache hit (the observable promised by the
-    /// prepared-query cache).
+    /// The `TRACE` document. `form` is the query's own form, `served_by`
+    /// the covering form that answered it (or `null`), and
+    /// `prepared_report` the answering form's report. `new_events` holds
+    /// the phase events the optimizer emitted *for this request* — the
+    /// query's own form's full trace on a first sighting, empty on any
+    /// cache hit (the observable promised by the prepared-query cache).
     pub(crate) fn to_json(&self) -> Json {
-        let report = &self.prepared.report;
-        let new_events: Vec<Json> = if self.tag == "miss" {
-            report.events().map(|e| e.to_json()).collect()
-        } else {
-            Vec::new()
-        };
+        let new_events: Vec<Json> = self
+            .optimized
+            .iter()
+            .flat_map(|p| p.report.events().map(|e| e.to_json()))
+            .collect();
         Json::obj()
             .with("query", self.query.to_string())
+            .with("form", form_json(&self.key))
             .with(
-                "form",
-                Json::obj()
-                    .with("fingerprint", format!("{:016x}", self.key.fingerprint))
-                    .with("pred", self.key.pred.as_str())
-                    .with("adornment", self.key.adornment.as_str()),
+                "served_by",
+                self.served_by.as_ref().map_or(Json::Null, form_json),
             )
             .with("cache", self.tag)
             .with("new_events", Json::Arr(new_events))
-            .with("prepared_report", report.to_json())
+            .with("prepared_report", self.prepared.report.to_json())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Request;
+    use crate::server::ServerConfig;
+    use datalog_ast::{PredRef, Value};
+    use datalog_engine::incremental::{DeltaLimits, Fact};
+    use datalog_engine::CancelToken;
+
+    /// Ingest always drains the covering form before a query plans, so
+    /// only a plan in hand reaches the case where the covering form dies
+    /// between `choose_source` and the read. The fallback must evaluate
+    /// the *covered* form's own program and pin it under the covered key:
+    /// pinning the covering form's state there would make every later read
+    /// of the covered form ask an atom of the wrong arity.
+    #[test]
+    fn a_cover_poisoned_mid_plan_recomputes_and_pins_the_covered_form() {
+        let state = ServerState::from_config(&ServerConfig::default()).unwrap();
+        let file = std::env::temp_dir().join(format!(
+            "xdl-query-{}-{:?}-cover.dl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(
+            &file,
+            "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\n",
+        )
+        .unwrap();
+        let loaded = state.handle(&Request::Load(file.display().to_string()));
+        std::fs::remove_file(&file).unwrap();
+        assert!(loaded.ok, "{}", loaded.error);
+        let ask = |text: &str| {
+            let resp = state.handle(&Request::query(text));
+            assert!(resp.ok, "{text}: {}", resp.error);
+            resp
+        };
+        // `a[nd]` pins, then `a[nn]` pins and retires it.
+        assert_eq!(ask("?- a(X, _).").get("cache"), Some("miss"));
+        assert_eq!(ask("?- a(X, Y).").get("cache"), Some("miss"));
+
+        let ctx = state.resolve("?- a(W, _).", Instant::now()).unwrap();
+        let Ok(Source::Resident(plan)) = state.choose_source(&ctx) else {
+            panic!("a[nd] is covered by the live a[nn]");
+        };
+        assert_eq!(
+            plan.cover.as_ref().map(|k| k.adornment.as_str()),
+            Some("nn")
+        );
+        {
+            // A propagation under a cancelled token poisons the state.
+            let cancelled = CancelToken::new();
+            cancelled.cancel();
+            let limits = DeltaLimits {
+                deadline: None,
+                cancel: Some(cancelled),
+            };
+            let row = vec![Value::int(7), Value::int(8)];
+            let mut form = lock(&plan.form);
+            let fact = Fact::new(PredRef::new("p"), row);
+            assert!(form.eval.apply_deltas(&[fact], &limits).is_err());
+        }
+        let served = state.serve_resident(&ctx, plan).unwrap();
+        let resp = state.respond(ctx, served);
+        assert_eq!(resp.get("cache"), Some("hit"), "recomputed from cold");
+        assert_eq!(resp.payload_text(), "W\n1\n2\n");
+        // The covered form is live with its own program.
+        for (text, want) in [("?- a(V, _).", "V\n1\n2\n"), ("?- a(U, _).", "U\n1\n2\n")] {
+            let resp = ask(text);
+            assert_eq!(resp.get("cache"), Some("resident"), "{text}");
+            assert_eq!(resp.payload_text(), want, "{text}");
+        }
+        let stats = state.handle(&Request::Stats).payload_text();
+        for counter in [
+            "\"resident_forms\":1",
+            "\"resident_poisonings\":1",
+            "\"fallback_recomputes\":1",
+            "\"resident_rebuilds\":1",
+            "\"covered_retired\":1",
+            "\"covered_reads\":0",
+        ] {
+            assert!(stats.contains(counter), "{counter}: {stats}");
+        }
     }
 }

@@ -500,6 +500,8 @@ impl ServerState {
             .with("fallback_recomputes", m.fallback_recomputes.get())
             .with("resident_rebuilds", m.resident_rebuilds.get())
             .with("resident_poisonings", m.resident_poisonings.get())
+            .with("covered_reads", m.covered_reads.get())
+            .with("covered_retired", m.covered_retired.get())
             .with("max_conns", self.cfg.max_conns)
             .with("inflight", self.inflight.load(Ordering::Acquire) as u64)
             .with("shed_connections", m.shed_conns.get())

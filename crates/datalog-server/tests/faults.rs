@@ -1287,3 +1287,97 @@ fn shed_reader_never_blocks_forever() {
     hold.shutdown().unwrap();
     server.join();
 }
+
+/// A form a live form covers is answered off the covering form's frontier
+/// from its first sighting: the optimizer still runs for it (its `TRACE`
+/// carries the phase events), but nothing is built, and the read is tagged
+/// `resident` with the covering form named in `served_by`.
+#[test]
+fn a_covered_first_sighting_reads_the_covering_resident() {
+    let dir = TempDir::new("cover-first");
+    let state = ServerState::from_config(&ServerConfig::default()).unwrap();
+    let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
+    assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+    let reference = |q: &str| xdl_run_reference(&format!("{TC_RULES}{TC_FACTS}{q}\n"));
+    let q = "?- a(X, Y).";
+    let resp = state.handle(&Request::query(q));
+    assert_eq!(resp.get("cache"), Some("miss"));
+    assert_eq!(resp.payload_text(), reference(q));
+
+    let q = "?- a(1, _).";
+    let resp = state.handle(&Request::query(q));
+    assert!(resp.ok, "{}", resp.error);
+    assert_eq!(resp.get("cache"), Some("resident"));
+    assert_eq!(resp.payload_text(), reference(q));
+    let doc = state.handle(&Request::Trace).payload_text();
+    assert!(doc.contains("\"cache\":\"resident\""), "{doc}");
+    assert!(doc.contains("\"new_events\":[{"), "optimizer ran: {doc}");
+    assert!(
+        doc.contains("\"adornment\":\"nd\"},\"served_by\":{"),
+        "{doc}"
+    );
+    assert!(doc.contains("\"adornment\":\"nn\"},\"cache\""), "{doc}");
+
+    // Every other form of `a` reads the same resident, and a repeat is a
+    // memo hit off the covered slot.
+    for q in ["?- a(_, 3).", "?- a(_, _).", "?- a(X, _).", "?- a(7, _)."] {
+        let resp = state.handle(&Request::query(q));
+        assert_eq!(resp.get("cache"), Some("resident"), "{q}");
+        assert_eq!(resp.payload_text(), reference(q), "{q}");
+    }
+    let resp = state.handle(&Request::query("?- a(7, _)."));
+    assert_eq!(resp.get("cache"), Some("answers"));
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(stat(&stats, "covered_reads"), 5, "{stats}");
+    assert_eq!(stat(&stats, "resident_forms"), 1, "{stats}");
+    assert_eq!(stat(&stats, "cache_misses"), 4, "{stats}");
+    for counter in [
+        "covered_retired",
+        "fallback_recomputes",
+        "resident_rebuilds",
+    ] {
+        assert_eq!(stat(&stats, counter), 0, "{counter}: {stats}");
+    }
+}
+
+/// Ingest poisons the covering form; the covered form's next query is a
+/// cold `hit` of its *own* program, which it pins, and the read after that
+/// is its own resident's.
+#[test]
+fn a_poisoned_cover_hands_the_covered_form_back_to_its_own_program() {
+    let dir = TempDir::new("cover-poison");
+    let fault = Arc::new(FaultPlan::new());
+    let state = ServerState::from_config(&ServerConfig {
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
+    assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+    let mut facts = TC_FACTS.to_string();
+    let ask = |q: &str, facts: &str| {
+        let resp = state.handle(&Request::query(q));
+        assert!(resp.ok, "{q}: {}", resp.error);
+        let want = xdl_run_reference(&format!("{TC_RULES}{facts}{q}\n"));
+        assert_eq!(resp.payload_text(), want, "{q}");
+        resp.get("cache").unwrap().to_string()
+    };
+    assert_eq!(ask("?- a(X, Y).", &facts), "miss");
+    assert_eq!(ask("?- a(2, _).", &facts), "resident");
+
+    fault.fail_drains(1);
+    assert!(state.handle(&Request::Fact("p(4, 5).".into())).ok);
+    facts.push_str("p(4, 5).\n");
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(stat(&stats, "resident_poisonings"), 1, "{stats}");
+    assert_eq!(stat(&stats, "resident_forms"), 0, "{stats}");
+
+    assert_eq!(ask("?- a(1, _).", &facts), "hit");
+    let doc = state.handle(&Request::Trace).payload_text();
+    assert!(doc.contains("\"served_by\":null"), "{doc}");
+    assert_eq!(ask("?- a(4, _).", &facts), "resident");
+    assert_eq!(ask("?- a(9, _).", &facts), "resident");
+    let stats = state.handle(&Request::Stats).payload_text();
+    assert_eq!(stat(&stats, "resident_forms"), 1, "{stats}");
+    assert_eq!(stat(&stats, "covered_reads"), 1, "{stats}");
+}

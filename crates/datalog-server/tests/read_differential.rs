@@ -7,12 +7,19 @@
 //! unify the query atom with every stored fact. For every atom shape, in
 //! every storage situation a served relation can be in, the two must return
 //! the same `AnswerSet` and `render_answers` the same bytes.
+//!
+//! A server also reads a query off a live form that *covers* the query's
+//! own (Lemma 3.2): the last test holds every such read to the covered
+//! form's own cold evaluation.
 
-use datalog_ast::{parse_program, Atom, PredRef, Program, Term, Value, Var};
+use datalog_ast::{parse_program, Adornment, Atom, PredRef, Program, Term, Value, Var};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
 use datalog_engine::oracle::extract_by_matching;
 use datalog_engine::storage::TAIL_LIMIT;
-use datalog_engine::{evaluate, extract_answers, AnswerSet, Database, EvalOptions, FactSet};
+use datalog_engine::{
+    evaluate, extract_answers, query_answers_full, AnswerSet, Database, EvalOptions, FactSet,
+};
+use datalog_opt::{prepare, OptimizerConfig};
 use datalog_server::render_answers;
 
 /// Arities 1, 2 (base and derived) and 3.
@@ -279,4 +286,76 @@ fn reads_match_the_oracle_across_the_tail_limit_and_after_consolidation() {
     assert!(slots.iter().all(|(_, _, covered, len)| covered == len));
     read_sample("consolidated", &copy, &|q| extract_answers(q, &copy));
     assert_eq!(filled_slots(&copy), slots);
+}
+
+/// Every atom of `pred`'s form `adornment`: each `d` position a wildcard,
+/// each `n` position a constant of `row`, a constant nothing stores, or a
+/// variable.
+fn form_atoms(pred: &str, adornment: &str, row: &[Value]) -> Vec<Atom> {
+    let needed: Vec<usize> = (adornment.bytes().enumerate())
+        .filter_map(|(i, b)| (b == b'n').then_some(i))
+        .collect();
+    (0..3usize.pow(needed.len() as u32))
+        .map(|shape| {
+            let mut terms: Vec<Term> = (0..adornment.len())
+                .map(|_| Term::Var(Var::fresh_wildcard()))
+                .collect();
+            for (k, &col) in needed.iter().enumerate() {
+                terms[col] = match shape / 3usize.pow(k as u32) % 3 {
+                    0 => Term::Const(row[col]),
+                    1 => Term::Const(Value::int(-7)),
+                    _ => Term::var(&format!("V{col}")),
+                };
+            }
+            Atom::new(PredRef::new(pred), terms)
+        })
+        .collect()
+}
+
+#[test]
+fn covered_reads_match_the_covered_forms_own_cold_evaluation() {
+    let rules = program(RULES).rules;
+    let opts = EvalOptions {
+        boolean_cut: true,
+        reorder_joins: true,
+        ..EvalOptions::default()
+    };
+    let facts = edges(10, 24, &mut Rng(0xc0de));
+    let (loaded, batch) = facts.split_at(16);
+    for (pred, arity) in [("a", 2usize), ("t", 3)] {
+        let prep = |ad: &Adornment| {
+            prepare(&rules, &PredRef::new(pred), ad, &OptimizerConfig::default()).unwrap()
+        };
+        let cover = prep(&Adornment::all_needed(arity));
+        let mut resident = ResidentEval::new(&cover.program, &factset(loaded), &opts).unwrap();
+        for (label, input) in [("loaded", loaded), ("after a batch", &facts[..])] {
+            if label != "loaded" {
+                resident
+                    .apply_deltas(batch, &DeltaLimits::default())
+                    .unwrap();
+            }
+            let input = factset(input);
+            // Constants of one stored row, so that bound columns can all hit.
+            let cold = evaluate(&program(RULES), &input, &EvalOptions::default()).unwrap();
+            let id = cold.database.pred_id(&PredRef::new(pred)).unwrap();
+            let row = cold.database.relation(id).row(0).to_vec();
+            for bits in 0..1usize << arity {
+                let adornment: String = (0..arity)
+                    .map(|i| if bits >> i & 1 == 1 { 'n' } else { 'd' })
+                    .collect();
+                let own = prep(&Adornment::parse(&adornment).unwrap());
+                for atom in form_atoms(pred, &adornment, &row) {
+                    let covered = resident.answers(&cover.instantiate_atom(&atom).unwrap());
+                    let program = own.instantiate(&atom).unwrap();
+                    let (want, _) = query_answers_full(&program, &input, &opts).unwrap();
+                    assert_eq!(
+                        render_answers(&covered),
+                        render_answers(&want),
+                        "{label}: ?- {atom}. read off {pred}[{}] as {pred}[{adornment}]",
+                        cover.adornment
+                    );
+                }
+            }
+        }
+    }
 }

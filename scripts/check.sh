@@ -96,13 +96,16 @@ if ! grep -q '"xdl_requests_total"' "$smoke_dir/metrics.json"; then
     echo "check.sh: METRICS JSON readout missing families" >&2
     exit 1
 fi
-# Point reads: the four texts share the `a[nn]` form, which stays resident
-# between invocations, and alternating them keeps the one-text answer memo
-# out of the way — so in the first pass a read builds the read index it
-# needs (or finds the planned one) and in the second it probes it. Each
-# must be byte-identical to an unoptimized `xdl run` on the same text.
+# Point reads: the first four texts share the `a[nn]` form, which stays
+# resident between invocations, and alternating them keeps the one-text
+# answer memo out of the way — so in the first pass a read builds the read
+# index it needs (or finds the planned one) and in the second it probes it.
+# The last three are the `nd`, `dn` and `dd` forms `a[nn]` covers: pinning
+# `a[nn]` retired the `a[nd]` resident the first query built, and they read
+# `a[nn]`'s frontier. Each must be byte-identical to an unoptimized `xdl
+# run` on the same text.
 for pass in 1 2; do
-    for q in 'a(1, Y)' 'a(X, 3)' 'a(1, 3)' 'a(X, X)'; do
+    for q in 'a(1, Y)' 'a(X, 3)' 'a(1, 3)' 'a(X, X)' 'a(1, _)' 'a(_, 3)' 'a(_, _)'; do
         { cat "$smoke_dir/tc.dl"; printf '?- %s.\n' "$q"; } > "$smoke_dir/point.dl"
         ./target/release/xdl run --no-optimize "$smoke_dir/point.dl" \
             > "$smoke_dir/ran-point.out"
@@ -115,6 +118,14 @@ for pass in 1 2; do
         fi
     done
 done
+# One resident serves every form of `a`, and the covered forms read it.
+./target/release/xdl query --connect "$addr" --stats > "$smoke_dir/stats.out"
+if ! grep -q '"resident_forms":1[,}]' "$smoke_dir/stats.out" \
+    || ! grep -q '"covered_reads":[1-9]' "$smoke_dir/stats.out"; then
+    echo "check.sh: the covered point reads did not share one resident:" >&2
+    cat "$smoke_dir/stats.out" >&2
+    exit 1
+fi
 ./target/release/xdl query --connect "$addr" --shutdown
 wait "$serve_pid"
 serve_pid=""
@@ -554,10 +565,10 @@ fi
 echo "check.sh: harness all --quick ok"
 
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
-# resident vs cold in bulk and single-fact batches, the storage
-# self-check, optimizer on and off) over programs nobody wrote by hand. The
-# seed comes from the clock and is printed first; 1500 rounds is about 20 s
-# on a 2-core sandbox.
+# resident vs cold in bulk and single-fact batches, covered reads vs each
+# form's own evaluation, the storage self-check, optimizer on and off) over
+# programs nobody wrote by hand. The seed comes from the clock and is
+# printed first; 1500 rounds is about 60 s on a 2-core sandbox.
 fuzz_rounds=1500
 fuzz_seed=$(date +%s)
 echo "check.sh: random fuzz arm, $fuzz_rounds rounds from seed $fuzz_seed"
