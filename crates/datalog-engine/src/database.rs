@@ -79,17 +79,12 @@ impl Database {
     }
 
     /// Build the index over `cols` on a predicate's relation (see
-    /// [`Relation::ensure_index`]). The evaluator calls this at each
-    /// iteration barrier for every probe column set the join orders it
-    /// just planned need — after that the whole database can be probed
-    /// through `&Database`, so enumeration never mutates it.
+    /// [`Relation::ensure_index`]). The evaluator calls this for every
+    /// probe column set of a join order right before a variant walks it —
+    /// after that the variant probes through `&Database`, so enumeration
+    /// never mutates it.
     pub fn ensure_index(&mut self, id: PredId, cols: &[usize]) {
         self.relations[id.0 as usize].ensure_index(cols);
-    }
-
-    /// Insert a fact; predicate must be registered. Returns `true` if new.
-    pub fn insert(&mut self, id: PredId, tuple: &[Value]) -> bool {
-        self.relations[id.0 as usize].insert(tuple)
     }
 
     /// Export all facts as a [`FactSet`].
@@ -187,8 +182,9 @@ mod tests {
         let p_nn = db.register(&PredRef::adorned("p", "nn"), 2);
         let p_nd = db.register(&PredRef::adorned("p", "nd"), 1);
         assert_ne!(p_nn, p_nd);
-        db.insert(p_nn, &[Value::int(1), Value::int(2)]);
-        db.insert(p_nd, &[Value::int(1)]);
+        db.relation_mut(p_nn)
+            .insert(&[Value::int(1), Value::int(2)]);
+        db.relation_mut(p_nd).insert(&[Value::int(1)]);
         assert_eq!(db.relation(p_nn).len(), 1);
         assert_eq!(db.relation(p_nd).len(), 1);
     }

@@ -37,22 +37,23 @@
 //! scan — never by matching the atom against each row (that is
 //! [`crate::oracle::extract_by_matching`], kept as the test reference).
 //!
-//! # Execution model: freeze, enumerate, merge
+//! # Execution model: one loop over the join variants
 //!
-//! Each fixpoint iteration runs on the calling thread, in two halves per
-//! task. First the database is *frozen*: the iteration's work is
-//! decomposed into [`Task`]s — one per (rule, delta-variant, chunk) — whose
-//! enumeration reads only state fixed at the iteration barrier (rows below
-//! the iteration-start marks, plus the composite indexes ensured there for
-//! the planned orders). Enumeration writes candidate tuples and their
-//! premises into the task's buffer. Then the buffer is *merged*: applied to
-//! the database, in the fixed task order, which is where deduplication,
-//! provenance, the fact budget, and the per-rule profile attribution
-//! happen.
+//! Each fixpoint iteration runs on the calling thread. At the iteration
+//! barrier the marks are taken and the iteration's *join variants* are
+//! fixed from that state: one per (rule, delta literal) pair whose delta
+//! is non-empty, or one per rule in a seed or naive round. Then each
+//! variant in turn ensures the indexes its join order probes, enumerates
+//! its whole outer range into one flat candidate buffer (head values,
+//! arity-strided; premise rows only when provenance is recorded), and is
+//! merged right away. The merge is where deduplication, provenance, the
+//! fact budget and the per-rule profile attribution happen.
 //!
-//! Because the task list is planned from frozen state and the merge applies
-//! buffers in task order, the database, stats, provenance and profile
-//! counters are a pure function of the program and its input, row for row.
+//! Enumeration reads only rows below the iteration-start marks, so what a
+//! variant enumerates does not depend on the merges before it. With the
+//! variant list fixed at the barrier and merged in order, the database,
+//! stats, provenance and profile counters are a pure function of the
+//! program and its input, row for row.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -68,23 +69,12 @@ use crate::provenance::Provenance;
 use crate::stats::EvalStats;
 use crate::EngineError;
 
-/// How many joined rows a rule application may enumerate between
-/// cooperative limit checks (deadline / cancellation). Small enough that a
-/// single pathological cross product observes its deadline well within the
-/// 2× envelope the server promises; large enough that the check (one
+/// How many joined rows a join variant may enumerate between cooperative
+/// limit checks (deadline / cancellation). Small enough that a single
+/// pathological cross product observes its deadline well within the 2×
+/// envelope the server promises; large enough that the check (one
 /// `Instant::now()` + two atomic loads) is amortized to noise.
 const LIMIT_CHECK_INTERVAL: u32 = 4096;
-
-/// Minimum outer-literal rows per chunk when splitting a large range across
-/// tasks. A chunk's candidates are merged before the next chunk enumerates,
-/// so chunking bounds the buffered candidates to one chunk's worth. Chunk
-/// boundaries are a pure function of the frozen range length, so the task
-/// list — and with it every stat — is fixed by the iteration's state.
-const CHUNK_MIN_ROWS: usize = 1024;
-
-/// Upper bound on chunks per join variant, so tiny per-chunk buffers don't
-/// drown the merge in overhead on huge deltas.
-const MAX_CHUNKS_PER_VARIANT: usize = 8;
 
 /// Fixpoint strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,10 +128,11 @@ pub struct EvalOptions {
     /// Ignored; the fixpoint runs on the calling thread. Kept only while
     /// the benchmark's layer probes still set it.
     pub threads: usize,
-    /// Always-on telemetry histograms (task enumeration wall, merge
-    /// stall), shared with a server's metric registry.
-    /// `None` costs one branch per task; a handle from a disabled registry
-    /// costs one more branch inside [`datalog_trace::Histogram::record`].
+    /// Always-on telemetry histograms (enumeration wall per join variant,
+    /// merge time per iteration), shared with a server's metric registry.
+    /// `None` costs one branch per variant; a handle from a disabled
+    /// registry costs one more branch inside
+    /// [`datalog_trace::Histogram::record`].
     pub metrics: Option<EvalHists>,
     /// Per-predicate row-count estimates (rendered predicate name →
     /// estimated rows) that [`EvalOptions::reorder_joins`] uses as cost
@@ -210,9 +201,9 @@ struct Step {
     lit: usize,
     /// Columns bound when the join reaches this step (constants plus
     /// variables bound by earlier steps), sorted ascending. Non-empty sets
-    /// name the composite index the step probes; it is ensured at the
-    /// barrier of the first iteration that plans this order, so probing
-    /// never mutates the database. Empty means the step scans its range.
+    /// name the composite index the step probes; it is ensured before a
+    /// variant walking this order enumerates, so probing never mutates the
+    /// database. Empty means the step scans its range.
     probe: Box<[usize]>,
 }
 
@@ -254,101 +245,51 @@ pub(crate) enum Trip {
     Cancelled,
 }
 
-/// One schedulable unit of an iteration: a (rule, delta-variant, chunk)
-/// triple. `outer` is the row-id range the *first step* of the task's join
-/// order enumerates (its literal's range, possibly one chunk of it); every
-/// other literal derives its range from the variant and the frozen marks.
-/// Planned from frozen state only.
+/// One join variant of an iteration: a rule and the body literal that
+/// reads the delta. The set of variants is fixed from iteration-start
+/// state; which order a variant walks follows from the frozen marks.
 #[derive(Debug, Clone, Copy)]
-struct Task {
+struct Variant {
     plan_idx: usize,
     /// `None` = all literals read `Full` (naive strategy / seed round).
     delta_idx: Option<usize>,
-    /// Walk `delta_first[delta_idx]` instead of the base order.
-    delta_first: bool,
-    outer: (usize, usize),
-    /// First chunk of its variant: carries the variant's `evals` count in
-    /// the profile so chunking doesn't inflate it.
-    lead: bool,
 }
 
-impl RulePlan {
-    /// The join order `task` walks.
-    fn order(&self, task: Task) -> &[Step] {
-        match task.delta_idx {
-            Some(d) if task.delta_first => &self.delta_first[d],
-            _ => &self.base,
-        }
-    }
-}
-
-/// One buffered candidate: the head tuple and its premise rows.
-type Emission = (Box<[Value]>, Box<[(PredId, u32)]>);
-
-/// Everything one task's enumeration produced: the candidate tuples (with
-/// premises, for provenance) in discovery order, plus the counters the
-/// merge folds into the global [`EvalStats`].
+/// The candidates one variant's enumeration produced, in discovery order.
+/// One buffer serves every variant of a stratum run, so a derivation
+/// writes into reused capacity and allocates nothing.
 #[derive(Debug, Default)]
-struct TaskOut {
-    emissions: Vec<Emission>,
-    derivations: u64,
-    tuples_scanned: u64,
-    index_probes: u64,
-    wall_ns: u64,
-    /// Deadline or cancellation observed mid-enumeration. The merge adopts
-    /// it (in task order) after applying this task's buffer.
-    trip: Option<Trip>,
+struct Candidates {
+    /// Head values, the head's arity per candidate.
+    heads: Vec<Value>,
+    /// Premise rows in body order, the body's length per candidate. Filled
+    /// only when provenance is recorded.
+    premises: Vec<(PredId, u32)>,
 }
 
-/// Enumerate one task against the machine frozen at the iteration barrier.
-/// It reads the machine through a shared reference, so all effects land in
-/// the returned [`TaskOut`].
-fn enumerate_task(m: &Machine, task: Task) -> TaskOut {
-    let t0 = Instant::now();
-    let plan = &m.plans[task.plan_idx];
-    let mut en = Enumerator {
-        m,
-        plan,
-        order: plan.order(task),
-        delta_idx: task.delta_idx,
-        until_check: LIMIT_CHECK_INTERVAL,
-        stop: false,
-        out: TaskOut::default(),
-    };
-    let mut bindings: Vec<Option<Value>> = vec![None; en.plan.nvars];
-    // One slot per body literal, filled as the walk reaches it, so a
-    // premise list reads in body order whichever order enumerated it.
-    let mut premises: Vec<(PredId, u32)> = vec![(PredId(0), 0); plan.body.len()];
-    en.join_from(task.outer, 0, &mut bindings, &mut premises);
-    en.out.wall_ns = t0.elapsed().as_nanos() as u64;
-    en.out
-}
-
-/// The per-task join state. Reads only the frozen [`Machine`]; writes only
-/// its own [`TaskOut`].
+/// One variant's join walk. Reads the machine frozen at the iteration
+/// barrier; writes only the candidate buffer and its own counters, which
+/// the merge folds into the global [`EvalStats`].
 struct Enumerator<'v> {
     m: &'v Machine,
     plan: &'v RulePlan,
     order: &'v [Step],
     delta_idx: Option<usize>,
+    out: &'v mut Candidates,
+    derivations: u64,
+    tuples_scanned: u64,
+    index_probes: u64,
     /// Countdown to the next cooperative limit check.
     until_check: u32,
     /// Set once a boolean head found its witness (§3.1): unwind, one
-    /// emission is all the merge will keep anyway.
+    /// candidate is all the merge will keep anyway.
     stop: bool,
-    out: TaskOut,
+    /// Deadline or cancellation observed mid-enumeration. The merge adopts
+    /// it after applying the buffer.
+    trip: Option<Trip>,
 }
 
 impl Enumerator<'_> {
-    /// Poll deadline and cancellation. Returns `true` (recording the trip)
-    /// if enumeration must unwind.
-    fn check_limits(&mut self) -> bool {
-        if self.out.trip.is_none() {
-            self.out.trip = self.m.due_trip();
-        }
-        self.out.trip.is_some()
-    }
-
     fn join_from(
         &mut self,
         outer: (usize, usize),
@@ -389,7 +330,7 @@ impl Enumerator<'_> {
         } else {
             // Probe the composite index over every bound column; the
             // binary-searched subslice holds exactly this range's hits.
-            self.out.index_probes += 1;
+            self.index_probes += 1;
             let key: Vec<Value> = probe
                 .iter()
                 .map(|&col| match &lp.slots[col] {
@@ -421,14 +362,15 @@ impl Enumerator<'_> {
         bindings: &mut Vec<Option<Value>>,
         premises: &mut [(PredId, u32)],
     ) -> bool {
-        self.out.tuples_scanned += 1;
-        // Cooperative limit check: a task enumerating a pathological cross
-        // product must still observe its deadline (or cancellation)
+        self.tuples_scanned += 1;
+        // Cooperative limit check: a variant enumerating a pathological
+        // cross product must still observe its deadline (or cancellation)
         // promptly, not only at the iteration barrier.
         self.until_check -= 1;
         if self.until_check == 0 {
             self.until_check = LIMIT_CHECK_INTERVAL;
-            if self.check_limits() {
+            self.trip = self.m.due_trip();
+            if self.trip.is_some() {
                 return false;
             }
         }
@@ -456,7 +398,7 @@ impl Enumerator<'_> {
         for v in bound_here {
             bindings[v as usize] = None;
         }
-        !(self.stop || self.out.trip.is_some())
+        !(self.stop || self.trip.is_some())
     }
 
     /// Check the negated literals under fully-bound `bindings`.
@@ -473,7 +415,7 @@ impl Enumerator<'_> {
                         .expect("safety guarantees negated variables are bound"),
                 })
                 .collect();
-            self.out.index_probes += 1;
+            self.index_probes += 1;
             if self.m.db.relation(neg.pred).contains(&tuple) {
                 return false;
             }
@@ -482,19 +424,18 @@ impl Enumerator<'_> {
     }
 
     fn emit(&mut self, bindings: &[Option<Value>], premises: &[(PredId, u32)]) {
-        self.out.derivations += 1;
-        let tuple: Box<[Value]> = self
-            .plan
-            .head_slots
-            .iter()
-            .map(|s| match s {
+        self.derivations += 1;
+        self.out
+            .heads
+            .extend(self.plan.head_slots.iter().map(|s| match s {
                 Slot::Const(c) => *c,
                 Slot::Var(v) => {
                     bindings[*v as usize].expect("safety guarantees head variables are bound")
                 }
-            })
-            .collect();
-        self.out.emissions.push((tuple, premises.into()));
+            }));
+        if self.m.provenance.is_some() {
+            self.out.premises.extend_from_slice(premises);
+        }
         // One witness suffices for a boolean head (section 3.1's cut).
         if self.m.boolean_cut && self.plan.head_slots.is_empty() {
             self.stop = true;
@@ -596,7 +537,7 @@ impl Machine {
 
     /// The deadline or cancellation trip due now, if any. The derived-fact
     /// budget is not polled: it counts distinct new facts, which only the
-    /// merge ([`Machine::apply_task`]) knows, and it is checked there.
+    /// merge ([`Machine::run_variant`]) knows, and it is checked there.
     fn due_trip(&self) -> Option<Trip> {
         if let Some(deadline) = self.deadline {
             let now = self.clock.now();
@@ -636,10 +577,10 @@ impl Machine {
         }
     }
 
-    /// Decompose one iteration into its tasks, in the fixed (rule, variant,
-    /// chunk) merge order. Reads only frozen iteration-start state.
-    fn plan_tasks(&self, mine: &[usize], seed_round: bool) -> Vec<Task> {
-        let mut tasks = Vec::new();
+    /// Fix one iteration's join variants, in merge order, from frozen
+    /// iteration-start state.
+    fn plan_variants(&self, mine: &[usize], seed_round: bool) -> Vec<Variant> {
+        let mut variants = Vec::new();
         for &i in mine {
             if !self.active[i] {
                 continue;
@@ -654,130 +595,122 @@ impl Machine {
                 continue;
             }
             if seed_round {
-                self.push_variant(&mut tasks, i, None);
+                variants.push(Variant {
+                    plan_idx: i,
+                    delta_idx: None,
+                });
             } else {
                 for lit in 0..plan.body.len() {
                     let (s, e) = self.bounds(plan.body[lit].pred, Range::Delta);
                     if s < e {
-                        self.push_variant(&mut tasks, i, Some(lit));
+                        variants.push(Variant {
+                            plan_idx: i,
+                            delta_idx: Some(lit),
+                        });
                     }
                 }
             }
         }
-        tasks
+        variants
     }
 
-    /// Push one join variant's tasks, splitting a large outer range into
-    /// chunks. The variant starts from its delta when that is shorter than
-    /// the range the base order walks first; order, chunk count and
-    /// boundaries depend only on the frozen range lengths.
-    fn push_variant(&self, tasks: &mut Vec<Task>, plan_idx: usize, delta_idx: Option<usize>) {
-        let plan = &self.plans[plan_idx];
+    /// Whether `v` walks its delta-first order, and the row range the
+    /// first step of that order enumerates. The variant starts from its
+    /// delta when that is shorter than the range the base order walks
+    /// first; both depend only on the frozen marks.
+    fn walk(&self, v: Variant) -> (bool, (usize, usize)) {
+        let plan = &self.plans[v.plan_idx];
         let base_outer = match plan.body.first() {
             None => (0, 0),
             Some(l0) => {
-                let range = match delta_idx {
+                let range = match v.delta_idx {
                     Some(0) => Range::Delta,
                     _ => Range::Full,
                 };
                 self.bounds(l0.pred, range)
             }
         };
-        let (outer, delta_first) = match delta_idx {
+        match v.delta_idx {
             Some(d) => {
                 let delta = self.bounds(plan.body[d].pred, Range::Delta);
                 if delta.1 - delta.0 < base_outer.1 - base_outer.0 {
-                    (delta, true)
+                    (true, delta)
                 } else {
-                    (base_outer, false)
+                    (false, base_outer)
                 }
             }
-            None => (base_outer, false),
-        };
-        let len = outer.1 - outer.0;
-        // A boolean head stops at its first witness; chunking it would only
-        // enumerate witnesses the merge discards.
-        let chunks = if plan.body.is_empty() || (self.boolean_cut && plan.head_slots.is_empty()) {
-            1
-        } else {
-            (len / CHUNK_MIN_ROWS).clamp(1, MAX_CHUNKS_PER_VARIANT)
-        };
-        for c in 0..chunks {
-            tasks.push(Task {
-                plan_idx,
-                delta_idx,
-                delta_first,
-                outer: (outer.0 + len * c / chunks, outer.0 + len * (c + 1) / chunks),
-                lead: c == 0,
-            });
+            None => (false, base_outer),
         }
     }
 
-    /// Ensure every composite index the planned tasks probe. Called at the
-    /// iteration barrier, after the marks are taken and storage is sealed
-    /// and before tasks enumerate, so from here on the inner loop probes
-    /// through `&Relation` only ([`crate::relation::Relation::probe_range`]).
-    /// An index is built the first time an order that probes it is planned
-    /// and kept fresh by `insert` from then on; one that no planned order
-    /// probes never exists (a cold run's EDB deltas are empty, so it never
-    /// builds the indexes only an EDB-delta variant wants).
-    fn ensure_planned_indexes(&mut self, tasks: &[Task]) {
-        for &task in tasks.iter().filter(|t| t.lead) {
-            let plan = &self.plans[task.plan_idx];
-            for step in plan.order(task) {
-                if !step.probe.is_empty() {
-                    self.db.ensure_index(plan.body[step.lit].pred, &step.probe);
-                }
-            }
+    /// Run one join variant: ensure the indexes its order probes,
+    /// enumerate its whole outer range into `buf`, and merge the buffer
+    /// into the database in discovery order. The merge is the single
+    /// mutation point of the fixpoint: dedup, provenance, the exact fact
+    /// budget and profile attribution all live here. Returns the
+    /// variant's (enumeration ns, merge ns).
+    fn run_variant(&mut self, v: Variant, buf: &mut Candidates) -> (u64, u64) {
+        let (delta_first, outer) = self.walk(v);
+        let plan = &self.plans[v.plan_idx];
+        let order = match v.delta_idx {
+            Some(d) if delta_first => &plan.delta_first[d],
+            _ => &plan.base,
+        };
+        // Built the first time an order that probes it runs, and kept
+        // fresh by `insert` from then on; from here on the join probes
+        // through `&Relation` only. An index no walked order probes never
+        // exists (a cold run's EDB deltas are empty, so it never builds the
+        // indexes only an EDB-delta variant wants).
+        for step in order.iter().filter(|step| !step.probe.is_empty()) {
+            self.db.ensure_index(plan.body[step.lit].pred, &step.probe);
         }
-    }
-
-    /// Enumerate and merge each task in order. Returns (enumeration ns,
-    /// merge ns) for the profiler's iteration split.
-    fn run_tasks(&mut self, tasks: &[Task]) -> (u64, u64) {
-        let mut enum_ns = 0u64;
-        let mut merge_ns = 0u64;
-        for &task in tasks {
-            if self.trip.is_some() {
-                break;
-            }
-            let out = enumerate_task(self, task);
-            enum_ns += out.wall_ns;
-            if let Some(h) = &self.metrics {
-                h.task_enum.record(out.wall_ns);
-            }
-            let t0 = Instant::now();
-            self.apply_task(task, out);
-            merge_ns += t0.elapsed().as_nanos() as u64;
-        }
+        buf.heads.clear();
+        buf.premises.clear();
+        let t0 = Instant::now();
+        let mut en = Enumerator {
+            m: self,
+            plan,
+            order,
+            delta_idx: v.delta_idx,
+            out: buf,
+            derivations: 0,
+            tuples_scanned: 0,
+            index_probes: 0,
+            until_check: LIMIT_CHECK_INTERVAL,
+            stop: false,
+            trip: None,
+        };
+        let mut bindings: Vec<Option<Value>> = vec![None; plan.nvars];
+        // One slot per body literal, filled as the walk reaches it, so a
+        // premise list reads in body order whichever order enumerated it.
+        let mut premises: Vec<(PredId, u32)> = vec![(PredId(0), 0); plan.body.len()];
+        en.join_from(outer, 0, &mut bindings, &mut premises);
+        let (derivations, tuples_scanned, index_probes, trip) =
+            (en.derivations, en.tuples_scanned, en.index_probes, en.trip);
+        let enum_ns = t0.elapsed().as_nanos() as u64;
         if let Some(h) = &self.metrics {
-            h.merge.record(merge_ns);
+            h.task_enum.record(enum_ns);
         }
-        (enum_ns, merge_ns)
-    }
 
-    /// Merge one task's buffer into the database, in emission order. This
-    /// is the single mutation point of the fixpoint: dedup, provenance, the
-    /// exact fact budget, and profile attribution all live here.
-    fn apply_task(&mut self, task: Task, out: TaskOut) {
-        let profiling = self.profile.is_some();
-        let before = profiling.then_some(self.stats);
-        let t0 = profiling.then(Instant::now);
-        self.stats.derivations += out.derivations;
-        self.stats.tuples_scanned += out.tuples_scanned;
-        self.stats.index_probes += out.index_probes;
-        let head = self.plans[task.plan_idx].head;
-        let rule_idx = self.plans[task.plan_idx].rule_idx;
-        for (tuple, premises) in &out.emissions {
+        let t1 = Instant::now();
+        let before = self.stats;
+        self.stats.derivations += derivations;
+        self.stats.tuples_scanned += tuples_scanned;
+        self.stats.index_probes += index_probes;
+        let plan = &self.plans[v.plan_idx];
+        let (head, rule_idx) = (plan.head, plan.rule_idx);
+        let (arity, width) = (plan.head_slots.len(), plan.body.len());
+        for i in 0..derivations as usize {
             if self.trip.is_some() {
                 break;
             }
             let rel = self.db.relation_mut(head);
             let row_id = rel.len() as u32;
-            if rel.insert(tuple) {
+            if rel.insert(&buf.heads[i * arity..(i + 1) * arity]) {
                 self.stats.facts_derived += 1;
                 if let Some(p) = &mut self.provenance {
-                    p.record(head, row_id, rule_idx, premises.to_vec());
+                    let premises = buf.premises[i * width..(i + 1) * width].to_vec();
+                    p.record(head, row_id, rule_idx, premises);
                 }
                 // Exact budget enforcement: the (budget+1)-th new fact
                 // trips. Checked here, not during enumeration, because only
@@ -792,21 +725,21 @@ impl Machine {
             }
         }
         if self.trip.is_none() {
-            self.trip = out.trip;
+            self.trip = trip;
         }
-        if let (Some(before), Some(t0)) = (before, t0) {
+        let merge_ns = t1.elapsed().as_nanos() as u64;
+        if let Some(profile) = &mut self.profile {
             let after = self.stats;
-            let rule = &mut self.profile.as_mut().expect("profiling is on").rules[task.plan_idx];
-            if task.lead {
-                rule.evals += 1;
-            }
+            let rule = &mut profile.rules[v.plan_idx];
+            rule.evals += 1;
             rule.derivations += after.derivations - before.derivations;
             rule.facts_derived += after.facts_derived - before.facts_derived;
             rule.duplicates += after.duplicates - before.duplicates;
             rule.tuples_scanned += after.tuples_scanned - before.tuples_scanned;
             rule.index_probes += after.index_probes - before.index_probes;
-            rule.wall_ns += out.wall_ns + t0.elapsed().as_nanos() as u64;
+            rule.wall_ns += enum_ns + merge_ns;
         }
+        (enum_ns, merge_ns)
     }
 
     /// Append one iteration to the profile timeline: every predicate's
@@ -861,11 +794,13 @@ impl Machine {
         }
     }
 
-    /// Run one stratum's fixpoint to convergence: the freeze → plan →
-    /// enumerate → merge loop shared verbatim by [`evaluate`] (cold runs,
+    /// Run one stratum's fixpoint to convergence: each iteration takes the
+    /// marks, fixes its join variants and runs them one after another
+    /// ([`Machine::run_variant`]: ensure, enumerate, merge) through one
+    /// candidate buffer. Shared verbatim by [`evaluate`] (cold runs,
     /// `seed_first = true`) and the incremental resident state
     /// ([`crate::incremental::ResidentEval::apply_deltas`], `seed_first =
-    /// false`: iteration 1 already has its deltas — the rows inserted past
+    /// false`: iteration 1 already has its deltas — the rows loaded past
     /// the converged marks — so no all-`Full` seed round is needed, and the
     /// delta-variant discipline enumerates exactly the new instantiations).
     pub(crate) fn run_stratum(
@@ -885,6 +820,7 @@ impl Machine {
         let n_preds = self.db.pred_count();
         self.mark_prev.resize(n_preds, 0);
         self.mark_cur.resize(n_preds, 0);
+        let mut buf = Candidates::default();
         let mut local_iter = 0usize;
         loop {
             if self.stats.iterations >= max_iterations {
@@ -916,15 +852,25 @@ impl Machine {
             // rows or ids, only the acceleration structures.
             self.db.seal_storage();
             let before = self.db.total_facts();
-            // Freeze → plan → enumerate → merge. The seed round (and the
-            // naive strategy, every round) reads all literals Full in the
-            // base order; semi-naive rounds get one variant per non-empty
-            // delta, each in the order its range lengths select.
+            // The seed round (and the naive strategy, every round) reads
+            // all literals Full in the base order; semi-naive rounds get one
+            // variant per non-empty delta, each in the order its range
+            // lengths select.
             let seed_round = first || matches!(strategy, Strategy::Naive);
-            let tasks = self.plan_tasks(mine, seed_round);
-            self.ensure_planned_indexes(&tasks);
-            let (enum_ns, merge_ns) = self.run_tasks(&tasks);
-            // A limit tripped inside a task: surface it now, before the
+            let variants = self.plan_variants(mine, seed_round);
+            let (mut enum_ns, mut merge_ns) = (0u64, 0u64);
+            for &v in &variants {
+                if self.trip.is_some() {
+                    break;
+                }
+                let (e, m) = self.run_variant(v, &mut buf);
+                enum_ns += e;
+                merge_ns += m;
+            }
+            if let Some(h) = &self.metrics {
+                h.merge.record(merge_ns);
+            }
+            // A limit tripped inside a variant: surface it now, before the
             // convergence test could mistake the partially merged
             // iteration for a fixpoint.
             if let Some(e) = self.take_trip() {
@@ -940,7 +886,7 @@ impl Machine {
                     t0.elapsed().as_nanos() as u64,
                     enum_ns,
                     merge_ns,
-                    tasks.len() as u64,
+                    variants.len() as u64,
                     retired,
                 );
             }
@@ -1224,26 +1170,34 @@ fn compile(
 }
 
 /// The one loader: every input row reaches a [`Database`] through here,
-/// one sorted bulk load per predicate. Each batch is sorted, checked
-/// against one arity — the program's for a predicate the program
-/// mentions, else that of the batch's first row — and handed to
+/// one sorted bulk load per predicate — a cold start's input and every
+/// resident batch alike. Each batch is sorted and checked against one
+/// arity: the program's for a predicate the program mentions, else that
+/// of the relation already registered for it, else that of the batch's
+/// first row. Every batch is checked before any is loaded, so a refused
+/// input leaves the database as it was. A checked batch goes to
 /// [`Relation::load_batch`], whose order-preserving dedup (the one every
 /// stored tuple goes through) keeps the first of each run of equal rows.
 /// Batches come in `PredRef` order, so unknown predicates register in
-/// that order and every relation's rows lie in tuple order: the database
-/// is row for row what inserting a [`FactSet`](crate::FactSet)'s facts
-/// one at a time builds.
+/// that order and every relation's loaded rows lie in tuple order: the
+/// database is row for row what inserting a [`FactSet`](crate::FactSet)'s
+/// facts one at a time builds. Returns the number of rows that were new.
 ///
 /// [`Relation::load_batch`]: crate::relation::Relation::load_batch
 pub(crate) fn load_input(
     db: &mut Database,
     arities: &BTreeMap<PredRef, usize>,
     input: Edb,
-) -> Result<(), EngineError> {
+) -> Result<usize, EngineError> {
+    let mut checked = Vec::with_capacity(input.batches.len());
     for (pred, mut rows) in input.batches {
         rows.sort_unstable();
         let Some(first) = rows.first() else { continue };
-        let expected = arities.get(&pred).copied().unwrap_or(first.len());
+        let expected = arities
+            .get(&pred)
+            .copied()
+            .or_else(|| db.pred_id(&pred).map(|id| db.relation(id).arity()))
+            .unwrap_or(first.len());
         if let Some(row) = rows.iter().find(|row| row.len() != expected) {
             return Err(EngineError::FactArity {
                 pred: pred.to_string(),
@@ -1251,10 +1205,14 @@ pub(crate) fn load_input(
                 found: row.len(),
             });
         }
-        let id = db.register(&pred, expected);
-        db.relation_mut(id).load_batch(rows);
+        checked.push((pred, expected, rows));
     }
-    Ok(())
+    let mut new_rows = 0;
+    for (pred, arity, rows) in checked {
+        let id = db.register(&pred, arity);
+        new_rows += db.relation_mut(id).load_batch(rows);
+    }
+    Ok(new_rows)
 }
 
 /// Run a fixpoint evaluation of `program` over `input`.
@@ -1912,8 +1870,8 @@ mod tests {
         assert_eq!(stats.iterations, 0, "tripped at the first boundary check");
     }
 
-    /// A dense random-ish digraph: big enough that transitive-closure
-    /// iterations reach [`CHUNK_MIN_ROWS`].
+    /// A dense random-ish digraph: its transitive closure takes a few
+    /// iterations of a thousand or more rows each.
     fn dense_edb(n: i64, m: i64) -> FactSet {
         let mut fs = FactSet::new();
         let mut x: i64 = 42;
@@ -1929,10 +1887,45 @@ mod tests {
         fs
     }
 
-    /// Every counter of three programs — recursion, negation, the boolean
-    /// cut — over one dense digraph, pinned to the values the fixpoint has
-    /// always produced. Chunking, the task order, the delta-first choice
-    /// and the merge each move at least one of them.
+    /// 8 192 distinct `e` edges over 256 nodes, a 32-edge `s` and every
+    /// third node in `m`.
+    fn wide_edb() -> FactSet {
+        let mut fs = FactSet::new();
+        let mut x: i64 = 7;
+        while fs.count(&PredRef::new("e")) < 8192 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let a = x.rem_euclid(256);
+            let b = (x >> 20).rem_euclid(256);
+            fs.insert(PredRef::new("e"), vec![Value::int(a), Value::int(b)]);
+        }
+        for i in 0..32i64 {
+            let (from, to) = (i * 8, (i * 8 + 5) % 256);
+            fs.insert(PredRef::new("s"), vec![Value::int(from), Value::int(to)]);
+        }
+        for i in (0..256i64).step_by(3) {
+            fs.insert(PredRef::new("m"), vec![Value::int(i)]);
+        }
+        fs
+    }
+
+    /// Every counter of four programs — recursion, negation, the boolean
+    /// cut, and 8 192-row delta literals — pinned to the values the
+    /// fixpoint has always produced, plus three first derivations of the
+    /// last. The variant order, the delta-first choice and the merge each
+    /// move at least one of them. The last case was recorded when its
+    /// 8 192-row ranges were still enumerated in eight chunks merged one by
+    /// one (11, 24 and 3 tasks per iteration): one variant's whole range in
+    /// one buffer derives exactly the same.
+    /// Two `h` rules, so which of their variants merges first decides
+    /// every `h` fact's first derivation.
+    const WIDE: &str = "r(X, Y) :- e(X, Y).\n\
+                        r(X, Y) :- r(X, Z), s(Z, Y).\n\
+                        h(Y) :- r(X, Y), m(X).\n\
+                        h(X) :- r(X, Y), m(Y).\n\
+                        ?- h(Y).";
+
     #[test]
     fn counters_are_pinned_on_a_dense_digraph() {
         type Case = (
@@ -1972,9 +1965,17 @@ mod tests {
                 vec![4, 2, 2, 0],
                 vec![("p", 1060), ("a", 2304), ("b", 1), ("q", 48)],
             ),
+            (
+                WIDE,
+                false,
+                [3, 15319, 9349, 5970, 42598, 27279],
+                vec![4, 3, 3],
+                vec![("e", 8192), ("s", 32), ("m", 86), ("r", 9093), ("h", 256)],
+            ),
         ];
-        let edb = dense_edb(48, 1400);
+        let (dense, wide) = (dense_edb(48, 1400), wide_edb());
         for (src, cut, stats, tasks, rows) in cases {
+            let edb = if src == WIDE { &wide } else { &dense };
             let p = parse_program(src).unwrap().program;
             let opts = EvalOptions {
                 boolean_cut: cut,
@@ -1982,7 +1983,7 @@ mod tests {
                 profile: true,
                 ..EvalOptions::default()
             };
-            let out = evaluate(&p, &edb, &opts).unwrap();
+            let out = evaluate(&p, edb, &opts).unwrap();
             let s = out.stats;
             let got = [
                 s.iterations as u64,
@@ -2006,6 +2007,32 @@ mod tests {
                 .collect();
             let rows: BTreeMap<String, usize> = rows.iter().map(|&(p, n)| (p.into(), n)).collect();
             assert_eq!(got, rows, "rows of {src}");
+            if src != WIDE {
+                continue;
+            }
+            // First derivations: which rule and which premise rows.
+            let prov = out.provenance.as_ref().unwrap();
+            let fact = |pred: PredId, row: u32| {
+                let tuple = db.relation(pred).row(row as usize).to_vec();
+                datalog_ast::Atom::fact(db.pred_ref(pred).clone(), tuple).to_string()
+            };
+            for (pred, tuple, rule, premises) in [
+                ("r", [0, 5].as_slice(), 1, ["r(0, 0)", "s(0, 5)"]),
+                ("r", &[255, 253], 1, ["r(255, 248)", "s(248, 253)"]),
+                ("h", &[6], 2, ["r(0, 6)", "m(0)"]),
+            ] {
+                let id = db.pred_id(&PredRef::new(pred)).unwrap();
+                let tuple: Vec<Value> = tuple.iter().map(|&v| Value::int(v)).collect();
+                let row = (0..db.relation(id).len())
+                    .find(|&row| db.relation(id).row(row) == tuple.as_slice())
+                    .expect("derived") as u32;
+                let j = prov.justification(id, row).expect("justified");
+                let got: Vec<String> = j.premises.iter().map(|&(p, r)| fact(p, r)).collect();
+                assert_eq!(
+                    (j.rule_idx, got),
+                    (rule, premises.map(String::from).to_vec())
+                );
+            }
         }
     }
 
@@ -2080,7 +2107,7 @@ mod tests {
                 }
             }
             let id = db.register(pred, tuple.len());
-            db.insert(id, tuple);
+            db.relation_mut(id).insert(tuple);
         }
         Ok(())
     }

@@ -5,12 +5,11 @@
 //! builds and then throws away — the saturated [`Database`] (derived
 //! relations *and* their composite probe indexes), the compiled rule
 //! plans, and the per-predicate semi-naive marks at convergence. From that
-//! frontier, [`ResidentEval::apply_deltas`] pushes a batch of newly
-//! ingested EDB facts through the **same** freeze → plan → enumerate →
-//! merge iteration barrier the cold evaluator uses
-//! ([`Machine::run_stratum`]): tasks are planned from frozen marks,
-//! enumerated into buffers, and merged in fixed (rule, variant, chunk)
-//! order.
+//! frontier, [`ResidentEval::apply_deltas`] loads a batch of newly
+//! ingested EDB facts through the cold evaluation's own loader
+//! ([`load_input`]) and pushes it through the **same** fixpoint loop
+//! ([`Machine::run_stratum`]): join variants fixed from frozen marks, each
+//! enumerated into the one candidate buffer and merged in order.
 //!
 //! ## Why semi-naive state restarts cleanly
 //!
@@ -56,7 +55,7 @@ use datalog_ast::{Atom, PredRef, Program, Value};
 
 use crate::cancel::CancelToken;
 use crate::database::Database;
-use crate::eval::{read_answers, EvalOptions, Machine, Strategy};
+use crate::eval::{load_input, read_answers, EvalOptions, Machine, Strategy};
 use crate::facts::{AnswerSet, Edb, FactSet};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
@@ -87,41 +86,13 @@ pub struct DeltaLimits {
     pub cancel: Option<CancelToken>,
 }
 
-/// An immutable description of one converged resident frontier, published
-/// at construction and re-published after every successful
-/// [`ResidentEval::apply_deltas`]. The version counter is monotone per
-/// resident instance (1 at construction, +1 per converged batch — no-op
-/// batches included, since convergence was re-confirmed), and the
-/// watermark counts every distinct input fact folded into the frontier: a
-/// reader can name exactly which frontier answered it (`version`) and how
-/// much input it reflects (`watermark`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Frontier {
-    /// Monotone per-instance version counter.
-    pub version: u64,
-    /// Distinct input facts applied (construction input + all batches).
-    pub watermark: u64,
-}
-
 /// What one [`ResidentEval::apply_deltas`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaReport {
-    /// Facts in the submitted batch.
-    pub batch_facts: usize,
     /// Batch facts that were actually new (not already present).
     pub new_facts: usize,
     /// Facts derived by propagating the batch through the rules.
     pub derived_facts: u64,
-    /// Fixpoint iterations the propagation ran.
-    pub iterations: usize,
-    /// The full counter set for this batch alone. Field-wise (including
-    /// `iterations`), `initial_stats + Σ batch stats == cumulative_stats`
-    /// — an exact partition of the work done since construction.
-    pub stats: EvalStats,
-    /// Wall time of the propagation (insert + fixpoint).
-    pub wall_ns: u64,
-    /// Whether anything changed (new EDB rows or new derived facts).
-    pub changed: bool,
 }
 
 /// Retained semi-naive evaluation state for one program: the saturated
@@ -129,12 +100,12 @@ pub struct DeltaReport {
 /// See the module docs for the maintenance argument.
 #[derive(Debug)]
 pub struct ResidentEval {
-    /// Program arities, for batch validation (same check cold loading does).
+    /// Program arities, for batch validation (the check cold loading does).
     arities: BTreeMap<PredRef, usize>,
     /// The cold evaluation's machine, kept: database, plans, provenance
     /// and metrics. The boolean cut is off (see module docs), so
     /// every rule stays active. Invariant between calls: every
-    /// predicate's `mark_prev == mark_cur == len`, so a batch insert makes
+    /// predicate's `mark_prev == mark_cur == len`, so a loaded batch makes
     /// the new rows exactly iteration 1's deltas.
     machine: Machine,
     strategy: Strategy,
@@ -142,33 +113,11 @@ pub struct ResidentEval {
     max_iterations: usize,
     /// Counters of the construction-time full fixpoint.
     initial_stats: EvalStats,
-    /// Field-wise running total: construction + every batch.
-    cumulative: EvalStats,
-    batches: usize,
-    applied_facts: u64,
-    /// Input facts the construction-time fixpoint loaded (the base of the
-    /// frontier watermark; batches add [`ResidentEval::applied_facts`]).
-    initial_facts: u64,
-    /// The last published converged frontier (see [`Frontier`]).
-    frontier: Frontier,
     /// Set when a propagation erred mid-flight (deadline, cancellation):
     /// the frontier may be between iterations and MUST NOT be served or
     /// propagated further. Callers drop poisoned state and fall back to a
     /// cold evaluation.
     poisoned: bool,
-}
-
-/// Field-wise accumulation (every counter adds, *including* `iterations`)
-/// — deliberately not [`EvalStats::merge`], whose max-of-iterations
-/// semantics models side-by-side runs, not sequential batches.
-fn add_stats(acc: &mut EvalStats, s: &EvalStats) {
-    acc.iterations += s.iterations;
-    acc.facts_derived += s.facts_derived;
-    acc.derivations += s.derivations;
-    acc.duplicates += s.duplicates;
-    acc.tuples_scanned += s.tuples_scanned;
-    acc.index_probes += s.index_probes;
-    acc.rules_retired += s.rules_retired;
 }
 
 impl ResidentEval {
@@ -220,38 +169,29 @@ impl ResidentEval {
             ..opts.clone()
         };
         let (mut m, arities) = Machine::start(program, input.into(), &resident)?;
-        let initial_facts = m.db.total_facts() as u64;
         // Monotone programs form a single stratum, so one stratum run with
         // a genuine seed round (`seed_first = true` — required: unit rules
         // only fire in seed rounds) is exactly what `evaluate` would do.
         let mine: Vec<usize> = (0..m.plans.len()).collect();
         m.run_stratum(&mine, 0, opts.strategy, opts.max_iterations, true)?;
-        let initial_stats = m.stats;
         Ok(ResidentEval {
             arities,
+            initial_stats: m.stats,
             machine: m,
             strategy: opts.strategy,
             max_iterations: opts.max_iterations,
-            initial_stats,
-            cumulative: initial_stats,
-            batches: 0,
-            applied_facts: 0,
-            initial_facts,
-            frontier: Frontier {
-                version: 1,
-                watermark: initial_facts,
-            },
             poisoned: false,
         })
     }
 
     /// Propagate one batch of ingested facts to a new consistent frontier.
     ///
-    /// The whole batch is arity-validated *before* anything is inserted,
-    /// so a bad fact leaves the frontier untouched. If the propagation
-    /// itself errs (deadline or cancellation mid-fixpoint) the frontier is
-    /// left between iterations: the state is **poisoned** and every later
-    /// call panics — drop it and rebuild from cold.
+    /// The batch enters through the cold evaluation's loader, grouped by
+    /// predicate: every predicate's rows are arity-checked before any is
+    /// loaded, so a bad fact leaves the frontier untouched. If the
+    /// propagation itself errs (deadline or cancellation mid-fixpoint) the
+    /// frontier is left between iterations: the state is **poisoned** and
+    /// every later call panics — drop it and rebuild from cold.
     ///
     /// # Panics
     /// Panics if called on poisoned state (see [`ResidentEval::poisoned`]).
@@ -264,40 +204,18 @@ impl ResidentEval {
             !self.poisoned,
             "ResidentEval is poisoned; drop it and re-evaluate from cold"
         );
-        let started = Instant::now();
         let m = &mut self.machine;
-        // Validate the batch in full first: program arities, arities of
-        // predicates registered by earlier batches, and consistency within
-        // the batch itself for predicates seen here for the first time.
-        let mut pending: BTreeMap<&PredRef, usize> = BTreeMap::new();
+        let mut grouped: BTreeMap<PredRef, Vec<Box<[Value]>>> = BTreeMap::new();
         for f in batch {
-            let expected = self
-                .arities
-                .get(&f.pred)
-                .copied()
-                .or_else(|| m.db.pred_id(&f.pred).map(|id| m.db.relation(id).arity()))
-                .or_else(|| pending.get(&f.pred).copied());
-            if let Some(expected) = expected {
-                if expected != f.tuple.len() {
-                    return Err(EngineError::FactArity {
-                        pred: f.pred.to_string(),
-                        expected,
-                        found: f.tuple.len(),
-                    });
-                }
-            } else {
-                pending.insert(&f.pred, f.tuple.len());
-            }
+            grouped
+                .entry(f.pred.clone())
+                .or_default()
+                .push(f.tuple[..].into());
         }
-        // Insert past the converged marks: the new rows become iteration
+        // Loaded past the converged marks: the new rows become iteration
         // 1's deltas.
-        let mut new_facts = 0usize;
-        for f in batch {
-            let id = m.db.register(&f.pred, f.tuple.len());
-            if m.db.insert(id, &f.tuple) {
-                new_facts += 1;
-            }
-        }
+        let batches = grouped.into_iter().collect();
+        let new_facts = load_input(&mut m.db, &self.arities, Edb { batches })?;
         // This propagation's counters and limits; there is no fact budget.
         m.stats = EvalStats::default();
         m.started = m.clock.now();
@@ -305,10 +223,10 @@ impl ResidentEval {
         m.fact_budget = None;
         m.cancel = limits.cancel.clone();
         // No seed round: the frontier is converged, so iteration 1's
-        // delta variants see exactly the batch rows. A batch that inserted
+        // delta variants see exactly the batch rows. A batch that loaded
         // nothing (racing drains hand over rows the frontier already holds)
-        // leaves every delta empty: the frontier is still converged and is
-        // re-published without an iteration.
+        // leaves every delta empty: the frontier is still converged and no
+        // iteration runs.
         if new_facts > 0 {
             let mine: Vec<usize> = (0..m.plans.len()).collect();
             if let Err(e) = m.run_stratum(&mine, 0, self.strategy, self.max_iterations, false) {
@@ -316,25 +234,9 @@ impl ResidentEval {
                 return Err(e);
             }
         }
-        let stats = m.stats;
-        add_stats(&mut self.cumulative, &stats);
-        self.batches += 1;
-        self.applied_facts += new_facts as u64;
-        // Converged again: publish the new frontier. The version bumps on
-        // every successful call (a no-op batch still re-confirmed
-        // convergence).
-        self.frontier = Frontier {
-            version: self.frontier.version + 1,
-            watermark: self.initial_facts + self.applied_facts,
-        };
         Ok(DeltaReport {
-            batch_facts: batch.len(),
             new_facts,
-            derived_facts: stats.facts_derived,
-            iterations: stats.iterations,
-            stats,
-            wall_ns: started.elapsed().as_nanos() as u64,
-            changed: new_facts > 0 || stats.facts_derived > 0,
+            derived_facts: m.stats.facts_derived,
         })
     }
 
@@ -364,22 +266,6 @@ impl ResidentEval {
         self.initial_stats
     }
 
-    /// Field-wise total of construction plus every batch (see
-    /// [`DeltaReport::stats`] for the partition law).
-    pub fn cumulative_stats(&self) -> EvalStats {
-        self.cumulative
-    }
-
-    /// Batches successfully propagated.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Batch facts that were new when applied (duplicates excluded).
-    pub fn applied_facts(&self) -> u64 {
-        self.applied_facts
-    }
-
     /// Derivation provenance across construction and all batches, if
     /// requested at construction.
     pub fn provenance(&self) -> Option<&Provenance> {
@@ -389,14 +275,6 @@ impl ResidentEval {
     /// Whether a failed propagation left the frontier inconsistent.
     pub fn poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// The last published converged frontier. Unaffected by a failed
-    /// propagation (the poisoned flag, not the frontier, records that) —
-    /// but a poisoned resident must not be *served*, so callers check
-    /// [`ResidentEval::poisoned`] first.
-    pub fn frontier(&self) -> Frontier {
-        self.frontier
     }
 
     /// Total sealed sorted-run count across the resident database's
@@ -432,6 +310,23 @@ mod tests {
         parse_program(src).unwrap().program.query.unwrap().atom
     }
 
+    /// The counters of the last propagation alone.
+    fn batch_stats(r: &ResidentEval) -> EvalStats {
+        r.machine.stats
+    }
+
+    /// Field-wise accumulation, `iterations` included: sequential batches
+    /// add up, unlike [`EvalStats::merge`]'s side-by-side runs.
+    fn add_stats(acc: &mut EvalStats, s: &EvalStats) {
+        acc.iterations += s.iterations;
+        acc.facts_derived += s.facts_derived;
+        acc.derivations += s.derivations;
+        acc.duplicates += s.duplicates;
+        acc.tuples_scanned += s.tuples_scanned;
+        acc.index_probes += s.index_probes;
+        acc.rules_retired += s.rules_retired;
+    }
+
     #[test]
     fn batches_converge_to_the_cold_fixpoint() {
         let p = parse_program(TC).unwrap().program;
@@ -444,8 +339,8 @@ mod tests {
             let rep = r
                 .apply_deltas(&[edge(i, i + 1)], &DeltaLimits::default())
                 .unwrap();
-            assert!(rep.changed);
             assert_eq!(rep.new_facts, 1);
+            assert!(rep.derived_facts > 0);
             all.insert(PredRef::new("p"), vec![Value::int(i), Value::int(i + 1)]);
             let cold = evaluate(&p, &all, &opts).unwrap();
             assert_eq!(r.dump(), cold.database.dump());
@@ -454,8 +349,6 @@ mod tests {
                 ans
             });
         }
-        assert_eq!(r.batches(), 4);
-        assert_eq!(r.applied_facts(), 4);
     }
 
     #[test]
@@ -466,25 +359,14 @@ mod tests {
         let rep = r
             .apply_deltas(&[edge(0, 1)], &DeltaLimits::default())
             .unwrap();
-        assert!(!rep.changed);
-        assert_eq!(rep.new_facts, 0);
+        let nothing = DeltaReport {
+            new_facts: 0,
+            derived_facts: 0,
+        };
+        assert_eq!(rep, nothing);
         let rep = r.apply_deltas(&[], &DeltaLimits::default()).unwrap();
-        assert!(!rep.changed);
+        assert_eq!(rep, nothing);
         assert_eq!(r.dump(), before);
-    }
-
-    #[test]
-    fn stats_partition_exactly() {
-        let p = parse_program(TC).unwrap().program;
-        let mut r = ResidentEval::new(&p, &chain(3), &EvalOptions::default()).unwrap();
-        let mut expected = r.initial_stats();
-        for i in 3..6 {
-            let rep = r
-                .apply_deltas(&[edge(i, i + 1)], &DeltaLimits::default())
-                .unwrap();
-            add_stats(&mut expected, &rep.stats);
-        }
-        assert_eq!(expected, r.cumulative_stats());
     }
 
     #[test]
@@ -516,7 +398,7 @@ mod tests {
         let mut r = ResidentEval::new(&p, &chain(2), &EvalOptions::default()).unwrap();
         let f = Fact::new(PredRef::new("unrelated"), vec![Value::sym("x")]);
         let rep = r.apply_deltas(&[f], &DeltaLimits::default()).unwrap();
-        assert!(rep.changed);
+        assert_eq!(rep.new_facts, 1);
         assert_eq!(rep.derived_facts, 0);
         assert!(r
             .dump()
@@ -532,15 +414,59 @@ mod tests {
     fn bad_arity_rejects_without_applying_anything() {
         let p = parse_program(TC).unwrap().program;
         let mut r = ResidentEval::new(&p, &chain(2), &EvalOptions::default()).unwrap();
+        // A predicate no rule mentions, carried at arity 1 from here on.
+        let carried = |tuple: Vec<Value>| Fact::new(PredRef::new("u"), tuple);
+        r.apply_deltas(&[carried(vec![Value::sym("x")])], &DeltaLimits::default())
+            .unwrap();
         let before = r.dump();
-        let bad = vec![
-            edge(2, 3),
-            Fact::new(PredRef::new("p"), vec![Value::int(9)]),
+        let cases: [(&str, Vec<Fact>, EngineError); 3] = [
+            (
+                "a program predicate at another arity",
+                vec![
+                    edge(2, 3),
+                    Fact::new(PredRef::new("p"), vec![Value::int(9)]),
+                ],
+                EngineError::FactArity {
+                    pred: "p".into(),
+                    expected: 2,
+                    found: 1,
+                },
+            ),
+            (
+                "the second predicate's rows disagree",
+                vec![
+                    edge(2, 3),
+                    Fact::new(PredRef::new("v"), vec![Value::int(1), Value::int(2)]),
+                    Fact::new(PredRef::new("v"), vec![Value::int(1)]),
+                ],
+                EngineError::FactArity {
+                    pred: "v".into(),
+                    expected: 1,
+                    found: 2,
+                },
+            ),
+            (
+                "a carried predicate comes back at another arity",
+                vec![edge(2, 3), carried(vec![Value::sym("x"), Value::sym("y")])],
+                EngineError::FactArity {
+                    pred: "u".into(),
+                    expected: 1,
+                    found: 2,
+                },
+            ),
         ];
-        let err = r.apply_deltas(&bad, &DeltaLimits::default()).unwrap_err();
-        assert!(matches!(err, EngineError::FactArity { .. }));
-        assert!(!r.poisoned());
-        assert_eq!(r.dump(), before, "batch must be all-or-nothing");
+        for (what, batch, want) in cases {
+            let err = r.apply_deltas(&batch, &DeltaLimits::default()).unwrap_err();
+            assert_eq!(err, want, "{what}");
+            assert!(!r.poisoned(), "{what}");
+            assert_eq!(r.dump(), before, "{what}: batch must be all-or-nothing");
+            assert!(r.database().pred_id(&PredRef::new("v")).is_none(), "{what}");
+        }
+        // Nothing was applied, so the good row still propagates in full.
+        let rep = r
+            .apply_deltas(&[edge(2, 3)], &DeltaLimits::default())
+            .unwrap();
+        assert_eq!((rep.new_facts, rep.derived_facts), (1, 3));
     }
 
     #[test]
@@ -553,52 +479,26 @@ mod tests {
     }
 
     #[test]
-    fn frontier_versions_are_monotone_and_published_per_batch() {
-        let p = parse_program(TC).unwrap().program;
-        let mut r = ResidentEval::new(&p, &chain(4), &EvalOptions::default()).unwrap();
-        let f1 = r.frontier();
-        assert_eq!(f1.version, 1);
-        assert_eq!(f1.watermark, 4, "construction input is the base watermark");
-        r.apply_deltas(&[edge(4, 5)], &DeltaLimits::default())
-            .unwrap();
-        let f2 = r.frontier();
-        assert_eq!(f2.version, 2);
-        assert_eq!(f2.watermark, 5);
-        // A duplicate (no-op) batch still re-publishes: convergence was
-        // re-confirmed, so the version advances while the watermark holds.
-        r.apply_deltas(&[edge(4, 5)], &DeltaLimits::default())
-            .unwrap();
-        let f3 = r.frontier();
-        assert_eq!(f3.version, 3);
-        assert_eq!(f3.watermark, 5);
-        // A rejected batch publishes nothing.
-        let bad = [Fact::new(PredRef::new("p"), vec![Value::int(9)])];
-        assert!(r.apply_deltas(&bad, &DeltaLimits::default()).is_err());
-        assert_eq!(r.frontier().version, 3);
-    }
-
-    #[test]
     fn a_batch_with_no_new_row_publishes_without_iterating() {
         let p = parse_program(TC).unwrap().program;
         let mut r = ResidentEval::new(&p, &chain(4), &EvalOptions::default()).unwrap();
-        let mut expected = r.initial_stats();
-        let new = r
-            .apply_deltas(&[edge(4, 5)], &DeltaLimits::default())
+        r.apply_deltas(&[edge(4, 5)], &DeltaLimits::default())
             .unwrap();
-        add_stats(&mut expected, &new.stats);
-        let version = r.frontier().version;
+        assert!(batch_stats(&r).iterations > 0);
+        let before = r.dump();
         // What a racing drain hands over: rows the frontier already holds.
         let dup = r
             .apply_deltas(&[edge(4, 5), edge(0, 1)], &DeltaLimits::default())
             .unwrap();
-        assert_eq!((dup.batch_facts, dup.new_facts), (2, 0));
-        assert_eq!(dup.stats, EvalStats::default(), "no iteration ran");
-        assert_eq!(dup.iterations, 0);
-        assert!(!dup.changed);
-        assert_eq!(r.frontier().version, version + 1);
-        assert_eq!(r.batches(), 2);
-        add_stats(&mut expected, &dup.stats);
-        assert_eq!(expected, r.cumulative_stats());
+        assert_eq!((dup.new_facts, dup.derived_facts), (0, 0));
+        assert_eq!(batch_stats(&r), EvalStats::default(), "no iteration ran");
+        assert!(!r.poisoned());
+        assert_eq!(r.dump(), before);
+        // Still converged: the next batch propagates as usual.
+        let rep = r
+            .apply_deltas(&[edge(5, 6)], &DeltaLimits::default())
+            .unwrap();
+        assert_eq!((rep.new_facts, rep.derived_facts), (1, 6));
     }
 
     #[test]
@@ -620,15 +520,16 @@ mod tests {
             .apply_deltas(&[edge(2000, 2001)], &DeltaLimits::default())
             .unwrap();
         assert_eq!(rep.derived_facts, 2001);
-        let bound = 4 * (rep.derived_facts + rep.iterations as u64);
+        let stats = batch_stats(&r);
+        let bound = 4 * (rep.derived_facts + stats.iterations as u64);
         assert!(
-            rep.stats.tuples_scanned <= bound,
+            stats.tuples_scanned <= bound,
             "scanned {} rows for {} facts in {} iterations",
-            rep.stats.tuples_scanned,
+            stats.tuples_scanned,
             rep.derived_facts,
-            rep.iterations
+            stats.iterations
         );
-        assert!(rep.stats.index_probes <= bound);
+        assert!(stats.index_probes <= bound);
     }
 
     #[test]
@@ -832,13 +733,17 @@ mod tests {
             r.database().relation(id).len()
         };
         let (f_old, g_old) = (len(&bulk, "f"), len(&bulk, "g"));
+        let mut b = bulk.initial_stats();
         bulk.apply_deltas(&rest, &DeltaLimits::default()).unwrap();
+        add_stats(&mut b, &batch_stats(&bulk));
         assert!(len(&bulk, "f") - f_old >= len(&bulk, "e"));
         assert!(len(&bulk, "g") - g_old >= len(&bulk, "e"));
+        let mut t = trickle.initial_stats();
         for f in &rest {
             trickle
                 .apply_deltas(std::slice::from_ref(f), &DeltaLimits::default())
                 .unwrap();
+            add_stats(&mut t, &batch_stats(&trickle));
             all.insert(f.pred.clone(), f.tuple.clone());
         }
         let cold = evaluate(&p, &all, &opts).unwrap();
@@ -847,7 +752,6 @@ mod tests {
         // Semi-naive enumerates each instantiation once however the rows
         // are batched and whichever order walks it; only the rows scanned
         // (and the probes made) on the way may differ.
-        let (b, t) = (bulk.cumulative_stats(), trickle.cumulative_stats());
         assert_eq!(b.derivations, t.derivations);
         assert_eq!(b.facts_derived, t.facts_derived);
         assert_eq!(b.duplicates, t.duplicates);

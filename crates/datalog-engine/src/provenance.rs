@@ -196,10 +196,10 @@ mod tests {
         let mut db = Database::new();
         let e = db.register(&PredRef::new("e"), 2);
         let a = db.register(&PredRef::new("a"), 2);
-        db.insert(e, &[Value::int(1), Value::int(2)]);
-        db.insert(e, &[Value::int(2), Value::int(3)]);
-        db.insert(a, &[Value::int(2), Value::int(3)]); // row 0
-        db.insert(a, &[Value::int(1), Value::int(3)]); // row 1
+        db.relation_mut(e).insert(&[Value::int(1), Value::int(2)]);
+        db.relation_mut(e).insert(&[Value::int(2), Value::int(3)]);
+        db.relation_mut(a).insert(&[Value::int(2), Value::int(3)]); // row 0
+        db.relation_mut(a).insert(&[Value::int(1), Value::int(3)]); // row 1
         let mut p = Provenance::new();
         p.record(a, 0, 1, vec![(e, 1)]);
         p.record(a, 1, 0, vec![(e, 0), (a, 0)]);

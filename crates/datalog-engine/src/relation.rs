@@ -18,8 +18,8 @@
 //! filtered scan of [`Relation::rows_in`] ([`crate::oracle::check_indexes`]).
 //!
 //! Indices are *planned* (from the compiled join orders) and built via
-//! [`Relation::ensure_index`] at the barrier of the first iteration whose
-//! tasks probe them, and maintained incrementally by
+//! [`Relation::ensure_index`] right before the first join variant whose
+//! order probes them enumerates, and maintained incrementally by
 //! [`Relation::insert`] from then on. Probing is a `&self` operation
 //! ([`Relation::probe_range`]), so a fixpoint iteration enumerates against
 //! a frozen relation and only its merge mutates it.

@@ -96,10 +96,6 @@ pub struct Rendered {
     pub payload: Arc<str>,
     /// Number of answers (for the response header).
     pub answers: usize,
-    /// Frontier version the payload was rendered at (the resident's
-    /// [`Frontier::version`](datalog_engine::incremental::Frontier) for
-    /// resident serves, the DB snapshot version for cold evaluations).
-    pub frontier: u64,
 }
 
 /// A memoized answer payload, valid while the support watermarks hold.
@@ -151,8 +147,6 @@ pub struct Entry {
     /// eligible form pins with its next cold evaluation. Bounded
     /// separately — see [`PreparedCache::pin_resident`].
     pub resident: Option<Arc<Mutex<ResidentForm>>>,
-    /// How often this form was served without re-optimizing.
-    pub hits: u64,
     /// LRU clock value of the last use.
     last_used: u64,
 }
@@ -299,8 +293,9 @@ impl PreparedCache {
     }
 
     /// Look up a form, bumping its LRU clock. Callers decide whether the
-    /// access counts as a reuse (bump [`Entry::hits`] themselves) — the
-    /// bookkeeping lookup after an evaluation should not inflate the count.
+    /// access counts as a reuse (the `prepared_hit` cache-event counter
+    /// that `STATS` and `METRICS` both read) — the bookkeeping lookup
+    /// after an evaluation should not inflate it.
     pub fn get_mut(&mut self, key: &FormKey) -> Option<&mut Entry> {
         self.clock += 1;
         let clock = self.clock;
@@ -329,14 +324,8 @@ impl PreparedCache {
             prepared: Arc::new(prepared),
             memo: None,
             resident: None,
-            hits: 0,
             last_used: clock,
         })
-    }
-
-    /// Total prepared-form hits across all entries.
-    pub fn total_hits(&self) -> u64 {
-        self.entries.values().map(|e| e.hits).sum()
     }
 }
 

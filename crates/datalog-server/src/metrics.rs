@@ -160,8 +160,8 @@ pub struct ServerMetrics {
     /// Forms holding resident incremental state (sampled at scrape time).
     pub resident_forms: Arc<Gauge>,
 
-    /// The engine-side histograms (task enumeration / queue wait / merge),
-    /// threaded into every evaluation via `EvalOptions::metrics`.
+    /// The engine-side histograms (enumeration per join variant, merge per
+    /// iteration), threaded into every evaluation via `EvalOptions::metrics`.
     pub eval: EvalHists,
 }
 

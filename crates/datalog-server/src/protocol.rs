@@ -30,7 +30,11 @@
 //!
 //! A `QUERY` header carries `cache=<source> answers=<n> frontier=<version>
 //! wall_us=<us>`, and its payload lines are byte-identical to what
-//! `xdl run` prints for the same program and facts. On failure the
+//! `xdl run` prints for the same program and facts. `frontier` is the store
+//! version of the snapshot the query was answered at, whichever source
+//! answered. Every `FACT` or `LOAD` acknowledged before the query was sent
+//! is in that snapshot, so `frontier` is at least the latest such `version=`
+//! and one client's frontiers never go down. On failure the
 //! response is a single line
 //!
 //! ```text

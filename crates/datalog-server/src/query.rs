@@ -156,7 +156,6 @@ pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
     Rendered {
         payload: render_answers(&answers).into(),
         answers: answers.len(),
-        frontier: form.eval.frontier().version,
     }
 }
 
@@ -235,7 +234,6 @@ impl ServerState {
         let mut cache = lock(&self.cache);
         let own = match cache.get_mut(&ctx.key) {
             Some(entry) => {
-                entry.hits += 1;
                 self.metrics.prepared_hits.inc();
                 if let Some(memo) = &entry.memo {
                     if !memo.current_at(&ctx.snapshot) {
@@ -428,11 +426,6 @@ impl ServerState {
         let table = Rendered {
             payload: render_answers(&answers).into(),
             answers: answers.len(),
-            // The freshly built resident's version when one is pinned, the
-            // DB snapshot version otherwise.
-            frontier: pinned
-                .as_ref()
-                .map_or_else(|| ctx.snapshot.version(), |f| f.eval.frontier().version),
         };
         {
             let mut cache = lock(&self.cache);
@@ -490,7 +483,7 @@ impl ServerState {
         Response::ok()
             .with_info("cache", served.tag)
             .with_info("answers", served.table.answers)
-            .with_info("frontier", served.table.frontier)
+            .with_info("frontier", ctx.snapshot.version())
             .with_info("wall_us", ctx.started.elapsed().as_micros())
             .with_payload_text(&served.table.payload)
     }

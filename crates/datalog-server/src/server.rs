@@ -488,7 +488,7 @@ impl ServerState {
             .with("version", self.db.version())
             .with("queries", m.queries.get())
             .with("prepared_forms", cache.len())
-            .with("prepared_hits", cache.total_hits())
+            .with("prepared_hits", m.prepared_hits.get())
             .with("cache_misses", m.cache_misses.get())
             .with("answer_hits", m.answer_hits.get())
             .with("invalidations", m.invalidations.get())
@@ -963,6 +963,55 @@ mod tests {
             state.handle(&Request::query("?- b(X, _).")).get("cache"),
             Some("hit"),
             "b re-evaluates (and without residents never serves 'resident')"
+        );
+    }
+
+    /// `STATS` and `METRICS` read one counter for prepared-form hits, so
+    /// the hits of forms the prepared LRU has evicted stay in both.
+    #[test]
+    fn stats_and_metrics_agree_on_prepared_hits_past_eviction() {
+        let state = state_with(ServerConfig {
+            resident_forms: 0,
+            ..ServerConfig::default()
+        });
+        let dir = TempDir::new("prepared-hits");
+        let file = dir.0.join("w.dl");
+        let vars = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
+        let head = format!("w({})", vars.join(", "));
+        let rule = format!(
+            "{head} :- e({}).\ne(1, 2, 3, 4, 5, 6, 7, 8, 9).\n",
+            vars.join(", ")
+        );
+        std::fs::write(&file, rule).unwrap();
+        assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+        // Each wildcard pattern of the nine columns is its own form.
+        let forms = PREPARED_CAPACITY as u32 + 44;
+        for pattern in 0..forms {
+            let terms: Vec<&str> = (0..vars.len())
+                .map(|i| if pattern >> i & 1 == 1 { "_" } else { vars[i] })
+                .collect();
+            let q = format!("?- w({}).", terms.join(", "));
+            for _ in 0..2 {
+                let resp = state.handle(&Request::query(&q));
+                assert!(resp.ok, "{q}: {}", resp.error);
+            }
+        }
+        let stats = state.handle(&Request::Stats).payload_text();
+        assert!(
+            stats.contains(&format!("\"prepared_forms\":{PREPARED_CAPACITY},")),
+            "{stats}"
+        );
+        assert!(
+            stats.contains(&format!("\"prepared_hits\":{forms},")),
+            "{stats}"
+        );
+        let prom = state
+            .handle(&Request::Metrics { json: false })
+            .payload_text();
+        assert!(
+            prom.lines()
+                .any(|l| l == format!("xdl_cache_events_total{{kind=\"prepared_hit\"}} {forms}")),
+            "{prom}"
         );
     }
 

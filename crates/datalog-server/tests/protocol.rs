@@ -14,7 +14,7 @@ use std::sync::Arc;
 use datalog_ast::parse_program;
 use datalog_engine::{query_answers_full, EvalOptions};
 use datalog_opt::{optimize, OptimizerConfig};
-use datalog_server::{render_answers, Client, Server, ServerConfig};
+use datalog_server::{render_answers, Client, FaultPlan, Server, ServerConfig};
 use util::TempDir;
 
 /// What `xdl run <src>` prints on stdout, computed via the same library
@@ -367,6 +367,76 @@ fn consistency_modes_round_trip_with_frontier_headers() {
     assert_eq!(bad.code, None, "{}", bad.error);
     assert!(bad.error.contains("staleness"), "{}", bad.error);
 
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// `frontier=` is the store version of the query's snapshot, whichever
+/// source answers: a cold evaluation, a resident form, a form covered by
+/// another one, a memo, or a form rebuilt after a failed drain poisoned
+/// it. So it always equals the `version=` of the latest acknowledged
+/// ingest, and never goes down.
+#[test]
+fn frontier_is_the_latest_acknowledged_version_from_every_source() {
+    const RULES: &str = "a(X, Y) :- p(X, Y).\na(X, Y) :- p(X, Z), a(Z, Y).\n\
+                         n(X) :- p(X, Y), not a(Y, X).\n";
+    let dir = TempDir::new("frontier");
+    let fault = Arc::new(FaultPlan::new());
+    let server = Server::spawn(&ServerConfig {
+        fault: Arc::clone(&fault),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut facts = String::from("p(1, 2).\np(2, 3).\n");
+    let file = dir.file("frontier.dl", &format!("{RULES}{facts}"));
+    let load = c.load(file.to_str().unwrap()).unwrap();
+    assert!(load.ok, "{}", load.error);
+    let mut version: u64 = load.get("version").unwrap().parse().unwrap();
+    let mut last_frontier = 0;
+    let mut ask = |c: &mut Client, q: &str, facts: &str, version: u64| -> String {
+        let resp = c.query(q).unwrap();
+        assert!(resp.ok, "{q}: {}", resp.error);
+        let frontier: u64 = resp.get("frontier").unwrap().parse().unwrap();
+        let cache = resp.get("cache").unwrap().to_string();
+        assert_eq!(frontier, version, "{q} ({cache})");
+        assert!(frontier >= last_frontier, "{q} ({cache}) went back");
+        last_frontier = frontier;
+        let reference = xdl_run_reference(&format!("{RULES}{facts}{q}"));
+        assert_eq!(resp.payload_text(), reference, "{q} ({cache})");
+        cache
+    };
+    let fact = |c: &mut Client, f: &str, facts: &mut String| -> u64 {
+        let resp = c.fact(f).unwrap();
+        assert!(resp.ok, "{f}: {}", resp.error);
+        facts.push_str(f);
+        facts.push('\n');
+        resp.get("version").unwrap().parse().unwrap()
+    };
+    // Non-monotone (cold), then the resident form and a form it covers.
+    assert_eq!(ask(&mut c, "?- n(X).", &facts, version), "miss");
+    assert_eq!(ask(&mut c, "?- a(X, Y).", &facts, version), "miss");
+    assert_eq!(ask(&mut c, "?- a(X, _).", &facts, version), "resident");
+    version = fact(&mut c, "p(3, 4).", &mut facts);
+    for q in ["?- a(X, _).", "?- n(X).", "?- a(X, Y).", "?- a(1, Y)."] {
+        ask(&mut c, q, &facts, version);
+    }
+    // The next drain fails: the resident is poisoned, and the next query
+    // of its form rebuilds it from cold.
+    fault.fail_drains(1);
+    version = fact(&mut c, "p(4, 5).", &mut facts);
+    let stats = c.stats().unwrap().payload_text();
+    assert!(stats.contains("\"resident_poisonings\":1"), "{stats}");
+    assert_eq!(ask(&mut c, "?- a(X, Y).", &facts, version), "hit");
+    let stats = c.stats().unwrap().payload_text();
+    assert!(stats.contains("\"resident_rebuilds\":1"), "{stats}");
+    for q in ["?- a(X, _).", "?- a(2, Y).", "?- a(X, Y).", "?- n(X)."] {
+        ask(&mut c, q, &facts, version);
+    }
+    version = fact(&mut c, "p(5, 1).", &mut facts);
+    for q in ["?- a(X, _).", "?- a(X, Y).", "?- n(X)."] {
+        ask(&mut c, q, &facts, version);
+    }
     c.shutdown().unwrap();
     server.join();
 }

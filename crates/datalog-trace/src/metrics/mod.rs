@@ -7,8 +7,8 @@
 //! * [`registry`] — a process-wide [`Registry`] of named counter / gauge /
 //!   histogram families rendering both Prometheus text exposition and the
 //!   workspace's [`Json`](crate::Json) style;
-//! * [`EvalHists`] — the engine-side bundle: per-task enumeration wall and
-//!   per-round merge time.
+//! * [`EvalHists`] — the engine-side bundle: enumeration wall per join
+//!   variant and merge time per fixpoint iteration.
 //!
 //! The overhead contract (measured by the benchmark's
 //! `trace.histogram_record_ns` and `trace.span_overhead_ratio`): a recording
@@ -29,10 +29,11 @@ use std::sync::Arc;
 /// evaluation records into the same fixed arrays without coordination.
 #[derive(Debug, Clone)]
 pub struct EvalHists {
-    /// Wall time of one enumeration task (nanoseconds).
+    /// Wall time of one join variant's enumeration into the candidate
+    /// buffer (nanoseconds).
     pub task_enum: Arc<Histogram>,
-    /// Per-round merge time: applying the round's buffered candidates to
-    /// the database (nanoseconds).
+    /// Merge time per fixpoint iteration: applying each variant's
+    /// buffered candidates to the database, summed (nanoseconds).
     pub merge: Arc<Histogram>,
 }
 
@@ -42,12 +43,12 @@ impl EvalHists {
         EvalHists {
             task_enum: registry.histogram(
                 "xdl_eval_task_enum_seconds",
-                "Wall time of one enumeration task.",
+                "Wall time of one join variant's enumeration.",
                 &[],
             ),
             merge: registry.histogram(
                 "xdl_eval_merge_seconds",
-                "Merge time per evaluation round.",
+                "Merge time per fixpoint iteration.",
                 &[],
             ),
         }

@@ -83,14 +83,15 @@ pub struct IterationProfile {
     pub stratum: usize,
     /// Wall time of the iteration, in nanoseconds.
     pub wall_ns: u64,
-    /// Wall time of the enumeration half: the sum over tasks of their
-    /// enumeration time.
+    /// Wall time of the enumeration half: the sum over join variants of
+    /// their enumeration time.
     pub enum_ns: u64,
-    /// Wall time of the merge half: applying the buffered candidate tuples
-    /// to the database in fixed task order.
+    /// Wall time of the merge half: applying each variant's buffered
+    /// candidate tuples to the database, in variant order.
     pub merge_ns: u64,
-    /// Schedulable tasks this iteration decomposed into — (rule, variant,
-    /// chunk) units. Planned from frozen iteration-start state.
+    /// Join variants this iteration ran — (rule, delta literal) pairs, or
+    /// one per rule in a seed or naive round. Fixed from iteration-start
+    /// state.
     pub tasks: u64,
     /// Per-predicate growth (only predicates that gained facts appear).
     pub deltas: Vec<PredDelta>,

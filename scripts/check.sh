@@ -557,12 +557,20 @@ echo "check.sh: broken-pipe smoke ok"
 # Paper reproduction: E1–E10 regenerate the claim-backed tables of
 # EXPERIMENTS.md at their quick sizes (under a second on a 2-core
 # sandbox). An experiment whose program fails to parse, optimize or
-# evaluate panics, and the non-zero exit fails the gate.
-if ! ./target/release/harness all --quick > /dev/null; then
+# evaluate panics, and the non-zero exit fails the gate. Every counter
+# column (all but wall_us) must also match the committed
+# bench_results_harness_quick.txt byte for byte: a change that moves one
+# of the paper's counts regenerates that file on purpose (see
+# scripts/harness_counters.sh) instead of drifting unnoticed.
+if ! scripts/harness_counters.sh > "$smoke_dir/harness_quick.txt"; then
     echo "check.sh: harness all --quick failed" >&2
     exit 1
 fi
-echo "check.sh: harness all --quick ok"
+if ! diff -u bench_results_harness_quick.txt "$smoke_dir/harness_quick.txt" >&2; then
+    echo "check.sh: harness all --quick counters differ from bench_results_harness_quick.txt" >&2
+    exit 1
+fi
+echo "check.sh: harness all --quick ok, counters unchanged"
 
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
 # resident vs cold in bulk and single-fact batches, covered reads vs each
