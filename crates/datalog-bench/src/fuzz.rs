@@ -14,7 +14,7 @@ use datalog_engine::{
 };
 use datalog_opt::{optimize, prepare, OptimizerConfig};
 
-use crate::workloads::{edb_for, random_program};
+use crate::workloads::{edb_for, random_program, random_stratified_program};
 
 /// Selective reads of `q`: its first variable bound to a constant the
 /// instance stores, its last variable bound to one nothing stores, and —
@@ -94,7 +94,7 @@ fn incremental_differential(
     mut complain: impl FnMut(&str),
 ) -> u64 {
     if !ResidentEval::supports(program) {
-        return 0; // non-monotone programs fall outside the resident path
+        return 0; // unstratifiable programs fall outside the resident path
     }
     // FactSet iteration is BTreeMap-ordered, so the splits are deterministic.
     let facts: Vec<Fact> = instance
@@ -199,7 +199,7 @@ fn covered_read_differential(
     };
     let cover = match prepare(&program.rules, pred, &Adornment::all_needed(arity), &config) {
         Ok(p) if ResidentEval::supports(&p.program) => p,
-        Ok(_) => return 0, // non-monotone forms are never resident
+        Ok(_) => return 0, // unstratifiable forms are never resident
         Err(e) => {
             complain(&format!(
                 "covered read: preparing {pred}'s all-n form failed: {e}"
@@ -466,6 +466,17 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         // every ingested batch.
         failures += incremental_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
+        });
+        // Stratified incremental maintenance: the same arm over a program
+        // with negation, unoptimized, so batches that grow a negated
+        // predicate recompute the strata above it.
+        let stratified = random_stratified_program(seed);
+        let strat_instance = edb_for(&stratified, 4, 12, seed ^ 0x5712_a71f);
+        failures += incremental_differential(&stratified, &strat_instance, |msg| {
+            complain!(
+                "seed {seed}: stratified {msg}\nprogram:\n{}",
+                stratified.to_text()
+            );
         });
         // Covered reads: every other form of the query predicate read off
         // its resident all-`n` form vs that form's own cold evaluation.

@@ -204,6 +204,74 @@ pub fn random_program(seed: u64) -> datalog_ast::Program {
     p
 }
 
+/// [`random_program`]'s rules plus one or two strata above them with safe
+/// negated literals, for the stratified incremental fuzz arm. A new
+/// `s/1` reads the base predicates and negates some of them (derived or
+/// EDB), and a recursive rule grows it positively; with probability one
+/// half a `t/2` above it negates `s` as well. The query reads the top
+/// stratum. `random_program(seed)` itself is left as it is, so a failing
+/// seed of that generator keeps its program.
+pub fn random_stratified_program(seed: u64) -> datalog_ast::Program {
+    use datalog_ast::{Atom, PredRef, Query, Rule, Term, Var};
+    let mut p = random_program(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5712_a71f);
+    let vars = ["X", "Y", "Z"];
+    // A literal over `pred` of `arity`, its variables drawn from `pool`.
+    let lit = |rng: &mut StdRng, pred: &str, arity: usize, pool: &[&str]| {
+        let terms: Vec<Term> = (0..arity)
+            .map(|_| Term::Var(Var::new(pool[rng.gen_range(0..pool.len())])))
+            .collect();
+        Atom::new(PredRef::new(pred), terms)
+    };
+    // One rule for `head`: a positive body over `pos`, negated literals
+    // over `neg` whose variables the body binds, a head from the body's.
+    let rule =
+        |rng: &mut StdRng, head: (&str, usize), pos: &[(&str, usize)], neg: &[(&str, usize)]| {
+            let body: Vec<Atom> = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    let (name, arity) = pos[rng.gen_range(0..pos.len())];
+                    lit(rng, name, arity, &vars)
+                })
+                .collect();
+            let bound: Vec<&str> = vars
+                .iter()
+                .copied()
+                .filter(|v| {
+                    body.iter()
+                        .any(|a| a.var_occurrences().any(|o| o == Var::new(v)))
+                })
+                .collect();
+            let negative: Vec<Atom> = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    let (name, arity) = neg[rng.gen_range(0..neg.len())];
+                    lit(rng, name, arity, &bound)
+                })
+                .collect();
+            let head = lit(rng, head.0, head.1, &bound);
+            Rule::with_negation(head, body, negative)
+        };
+    let base: [(&str, usize); 5] = [("q", 2), ("r", 1), ("e", 2), ("f", 1), ("g", 3)];
+    p.rules.push(rule(&mut rng, ("s", 1), &base, &base));
+    p.rules.push(Rule::new(
+        Atom::app("s", &["Y"]),
+        vec![Atom::app("s", &["X"]), Atom::app("e", &["X", "Y"])],
+    ));
+    let top = if rng.gen_bool(0.5) {
+        let with_s: Vec<(&str, usize)> = base.iter().copied().chain([("s", 1)]).collect();
+        p.rules.push(rule(
+            &mut rng,
+            ("t", 2),
+            &with_s,
+            &[("s", 1), ("q", 2), ("f", 1)],
+        ));
+        Atom::app("t", &["X", "Y"])
+    } else {
+        Atom::app("s", &["X"])
+    };
+    p.query = Some(Query::new(top));
+    p
+}
+
 /// Pad a binary edge EDB into arity `2 + extra` by appending dead columns
 /// (used by the arity-scaling experiment E7).
 pub fn padded_edges(pred: &str, n: i64, extra: usize, seed: u64) -> FactSet {

@@ -117,14 +117,6 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
-    /// Seal every relation's mutable tail into sorted runs. The evaluator
-    /// calls this at each freeze barrier.
-    pub fn seal_storage(&mut self) {
-        for rel in &mut self.relations {
-            rel.seal();
-        }
-    }
-
     /// Total sealed sorted runs across all relations.
     pub fn storage_runs(&self) -> usize {
         self.relations.iter().map(|r| r.run_count()).sum()

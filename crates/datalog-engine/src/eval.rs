@@ -451,6 +451,8 @@ impl Enumerator<'_> {
 pub(crate) struct Machine {
     pub(crate) db: Database,
     pub(crate) plans: Vec<RulePlan>,
+    /// The program's strata, lowest first (see [`Machine::run_strata`]).
+    strata: Vec<Stratum>,
     /// Active rule mask (boolean cut retires rules by clearing bits).
     pub(crate) active: Vec<bool>,
     /// Per-predicate row-count at the start of the previous iteration.
@@ -482,8 +484,8 @@ impl Machine {
     /// The one cold start of a fixpoint, shared by [`evaluate`] and
     /// [`crate::incremental::ResidentEval::new`]: validate the program,
     /// compile it against a fresh database, load `input` ([`load_input`]),
-    /// and take limits, provenance, profiling and the boolean cut
-    /// from `opts`. Also returns the program's arities.
+    /// stratify it, and take limits, provenance, profiling and the boolean
+    /// cut from `opts`. Also returns the program's arities.
     pub(crate) fn start(
         program: &Program,
         input: Edb,
@@ -500,6 +502,7 @@ impl Machine {
             opts.cost_hints.as_deref(),
         );
         load_input(&mut db, &arities, input)?;
+        let strata = Stratum::group(&plans, &stratify(program)?);
         let (n_preds, n_plans) = (db.pred_count(), plans.len());
         let query_pred = program
             .query
@@ -508,6 +511,7 @@ impl Machine {
         let machine = Machine {
             db,
             plans,
+            strata,
             active: vec![true; n_plans],
             mark_prev: vec![0; n_preds],
             mark_cur: vec![0; n_preds],
@@ -577,11 +581,11 @@ impl Machine {
         }
     }
 
-    /// Fix one iteration's join variants, in merge order, from frozen
-    /// iteration-start state.
-    fn plan_variants(&self, mine: &[usize], seed_round: bool) -> Vec<Variant> {
+    /// Fix one iteration's join variants of `stratum`'s rules, in merge
+    /// order, from frozen iteration-start state.
+    fn plan_variants(&self, stratum: usize, seed_round: bool) -> Vec<Variant> {
         let mut variants = Vec::new();
-        for &i in mine {
+        for &i in &self.strata[stratum].plans {
             if !self.active[i] {
                 continue;
             }
@@ -794,24 +798,94 @@ impl Machine {
         }
     }
 
+    /// Run every stratum in order, each to its fixpoint once the strata
+    /// below it are complete, so a negated literal reads a finished
+    /// relation. The one strata loop of [`evaluate`] and of
+    /// [`crate::incremental::ResidentEval`]; a program without negation is
+    /// one stratum.
+    ///
+    /// `since == None` is a cold run: every stratum starts with a seed
+    /// round, and every run is [`StratumRun::Recomputed`]. `since ==
+    /// Some(lens)` continues a database that was converged when predicate
+    /// `p` held `lens[p]` rows (`0` past the end) and has had input rows
+    /// loaded since. Each stratum then does one of three things, returned
+    /// in order:
+    /// - [`StratumRun::Idle`]: no relation it reads, negates or defines
+    ///   changed — no iteration;
+    /// - [`StratumRun::Propagated`]: only relations it reads or defines
+    ///   grew. No derived fact can have been falsified, so the stratum is
+    ///   monotone for this batch: the rows past `lens` become iteration
+    ///   1's deltas and no seed round runs;
+    /// - [`StratumRun::Recomputed`]: a predicate it negates grew (a new row
+    ///   can falsify a derived fact), or it reads or negates one that was
+    ///   recomputed below it. Its head relations are cleared — rows, index
+    ///   contents and provenance — and it reruns from a seed round over the
+    ///   complete strata below.
+    pub(crate) fn run_strata(
+        &mut self,
+        strategy: Strategy,
+        max_iterations: usize,
+        since: Option<&[usize]>,
+    ) -> Result<Vec<StratumRun>, EngineError> {
+        let mut runs = Vec::with_capacity(self.strata.len());
+        let mut recomputed = vec![false; self.db.pred_count()];
+        for s in 0..self.strata.len() {
+            let run = match since {
+                None => StratumRun::Recomputed,
+                Some(lens) => self.strata[s].next_run(&self.db, lens, &recomputed),
+            };
+            runs.push(run);
+            let seed_first = match (run, since) {
+                (StratumRun::Idle, _) => continue,
+                (StratumRun::Propagated, Some(lens)) => {
+                    self.mark_prev.resize(self.db.pred_count(), 0);
+                    for (p, mark) in self.mark_prev.iter_mut().enumerate() {
+                        *mark = lens.get(p).copied().unwrap_or(0);
+                    }
+                    false
+                }
+                (_, Some(_)) => {
+                    for &head in &self.strata[s].heads {
+                        recomputed[head.0 as usize] = true;
+                        self.db.relation_mut(head).clear();
+                        if let Some(p) = &mut self.provenance {
+                            p.forget(head);
+                        }
+                    }
+                    true
+                }
+                (_, None) => true,
+            };
+            self.run_stratum(s, strategy, max_iterations, seed_first)?;
+        }
+        if since.is_some() {
+            // Converged: every mark at its relation's length.
+            let n_preds = self.db.pred_count();
+            self.mark_cur.resize(n_preds, 0);
+            for p in 0..n_preds {
+                self.mark_cur[p] = self.db.relation(PredId(p as u32)).len();
+            }
+            self.mark_prev.clone_from(&self.mark_cur);
+        }
+        Ok(runs)
+    }
+
     /// Run one stratum's fixpoint to convergence: each iteration takes the
     /// marks, fixes its join variants and runs them one after another
     /// ([`Machine::run_variant`]: ensure, enumerate, merge) through one
-    /// candidate buffer. Shared verbatim by [`evaluate`] (cold runs,
-    /// `seed_first = true`) and the incremental resident state
-    /// ([`crate::incremental::ResidentEval::apply_deltas`], `seed_first =
-    /// false`: iteration 1 already has its deltas — the rows loaded past
-    /// the converged marks — so no all-`Full` seed round is needed, and the
-    /// delta-variant discipline enumerates exactly the new instantiations).
-    pub(crate) fn run_stratum(
+    /// candidate buffer. With `seed_first` (cold runs and recomputes) the
+    /// first iteration is an all-`Full` seed round; without it (a
+    /// propagation), iteration 1 already has its deltas — the rows past
+    /// `mark_prev` — and the delta-variant discipline enumerates exactly
+    /// the instantiations that touch at least one of them.
+    fn run_stratum(
         &mut self,
-        mine: &[usize],
         stratum: usize,
         strategy: Strategy,
         max_iterations: usize,
         seed_first: bool,
     ) -> Result<(), EngineError> {
-        if mine.is_empty() {
+        if self.strata[stratum].plans.is_empty() {
             return Ok(());
         }
         // Relations registered since the last call (incremental batches may
@@ -842,22 +916,19 @@ impl Machine {
             let first = local_iter == 1 && seed_first;
             let iter_start = self.profile.is_some().then(Instant::now);
             let retired_before = self.stats.rules_retired;
-            // Snapshot marks for this iteration.
+            // Freeze barrier: snapshot the marks for this iteration. Nothing
+            // is sealed here: a tail seals when it reaches `TAIL_LIMIT`, and
+            // a probe reads the tail as it reads a run.
             for p in 0..n_preds {
                 self.mark_cur[p] = self.db.relation(PredId(p as u32)).len();
             }
-            // Freeze barrier: seal every relation's mutable tail into
-            // sorted runs (and consolidate) so this iteration's probes run
-            // against bloom-gated immutable runs. Sealing never changes
-            // rows or ids, only the acceleration structures.
-            self.db.seal_storage();
             let before = self.db.total_facts();
             // The seed round (and the naive strategy, every round) reads
             // all literals Full in the base order; semi-naive rounds get one
             // variant per non-empty delta, each in the order its range
             // lengths select.
             let seed_round = first || matches!(strategy, Strategy::Naive);
-            let variants = self.plan_variants(mine, seed_round);
+            let variants = self.plan_variants(stratum, seed_round);
             let (mut enum_ns, mut merge_ns) = (0u64, 0u64);
             for &v in &variants {
                 if self.trip.is_some() {
@@ -942,6 +1013,69 @@ impl Machine {
             if !changed {
                 return;
             }
+        }
+    }
+}
+
+/// What one stratum did in one pass of [`Machine::run_strata`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StratumRun {
+    /// No input changed: no iteration ran.
+    Idle,
+    /// The rows grown since the pass began were propagated as deltas.
+    Propagated,
+    /// Head relations cleared (on a resident pass) and rerun from a seed
+    /// round; every stratum of a cold run.
+    Recomputed,
+}
+
+/// One stratum of a compiled program: the rules it runs and the predicates
+/// they define, read and negate.
+#[derive(Debug, Default)]
+struct Stratum {
+    /// Plan indices, in program order.
+    plans: Vec<usize>,
+    heads: Vec<PredId>,
+    /// Predicates of the rules' positive bodies.
+    reads: Vec<PredId>,
+    negated: Vec<PredId>,
+}
+
+impl Stratum {
+    /// Group `plans` by `rule_strata` (a stratum number per rule): one
+    /// entry per number from 0 to the highest, empty ones included.
+    fn group(plans: &[RulePlan], rule_strata: &[usize]) -> Vec<Stratum> {
+        let n = rule_strata.iter().copied().max().map_or(1, |m| m + 1);
+        let mut strata: Vec<Stratum> = (0..n).map(|_| Stratum::default()).collect();
+        for (i, plan) in plans.iter().enumerate() {
+            let st = &mut strata[rule_strata[plan.rule_idx]];
+            st.plans.push(i);
+            st.heads.push(plan.head);
+            st.reads.extend(plan.body.iter().map(|l| l.pred));
+            st.negated.extend(plan.negatives.iter().map(|l| l.pred));
+        }
+        for st in &mut strata {
+            for preds in [&mut st.heads, &mut st.reads, &mut st.negated] {
+                preds.sort_unstable();
+                preds.dedup();
+            }
+        }
+        strata
+    }
+
+    /// What this stratum does on a resident pass (see
+    /// [`Machine::run_strata`]): `lens` are the row counts the pass began
+    /// at, `recomputed` marks the relations strata below cleared.
+    fn next_run(&self, db: &Database, lens: &[usize], recomputed: &[bool]) -> StratumRun {
+        let grown =
+            |p: &PredId| db.relation(*p).len() > lens.get(p.0 as usize).copied().unwrap_or(0);
+        let redone = |p: &PredId| recomputed.get(p.0 as usize).copied().unwrap_or(false);
+        if self.negated.iter().any(|p| grown(p) || redone(p)) || self.reads.iter().any(redone) {
+            StratumRun::Recomputed
+        } else if self.reads.iter().chain(&self.heads).any(grown) {
+            StratumRun::Propagated
+        } else {
+            StratumRun::Idle
         }
     }
 }
@@ -1226,18 +1360,7 @@ pub fn evaluate(
     opts: &EvalOptions,
 ) -> Result<EvalOutput, EngineError> {
     let (mut m, _) = Machine::start(program, input.into(), opts)?;
-    // Stratified evaluation: each stratum runs its own fixpoint; relations
-    // of lower strata are complete by the time a negated literal reads
-    // them. Pure Datalog programs form a single stratum, and this loop
-    // degenerates to the classic one.
-    let rule_strata = stratify(program)?;
-    let max_stratum = rule_strata.iter().copied().max().unwrap_or(0);
-    for stratum in 0..=max_stratum {
-        let mine: Vec<usize> = (0..m.plans.len())
-            .filter(|&i| rule_strata[m.plans[i].rule_idx] == stratum)
-            .collect();
-        m.run_stratum(&mine, stratum, opts.strategy, opts.max_iterations, true)?;
-    }
+    m.run_strata(opts.strategy, opts.max_iterations, None)?;
     if let Some(profile) = &mut m.profile {
         // Fill in the source renderings now that the machine is done.
         for (i, rp) in profile.rules.iter_mut().enumerate() {

@@ -26,36 +26,47 @@
 //!
 //! ## What "identical to a cold run" means here
 //!
-//! For a monotone program, the resident database after any sequence of
-//! batches is **set-identical** to a cold fixpoint over the union of the
-//! inputs ([`Database::dump`] compares equal), and query answers extracted
-//! from it are **byte-identical** (an [`AnswerSet`] is canonically
-//! sorted). Physical row *order* inside derived relations legitimately
-//! differs from the cold run's — rows arrive in delta order, not seed
-//! order — which is why the identity the server and the differential
-//! fuzzer enforce is: answers byte-identical vs cold and database
-//! set-identical vs cold.
+//! The resident database after any sequence of batches is
+//! **set-identical** to a cold fixpoint over the union of the inputs
+//! ([`Database::dump`] compares equal), and query answers extracted from
+//! it are **byte-identical** (an [`AnswerSet`] is canonically sorted).
+//! Physical row *order* inside derived relations legitimately differs from
+//! the cold run's — rows arrive in delta order, not seed order — which is
+//! why the identity the server and the differential fuzzer enforce is:
+//! answers byte-identical vs cold and database set-identical vs cold.
 //!
 //! ## Scope
 //!
-//! Only **monotone** programs (no negated literals anywhere) are
-//! maintainable this way: a new EDB fact can never invalidate a fact
-//! derived through negation-free rules, so the retained frontier stays a
-//! subset of the new fixpoint. [`ResidentEval::supports`] is the gate;
-//! [`ResidentEval::new`] refuses non-monotone programs with
-//! [`EngineError::NonMonotone`]. The §3.1 boolean cut is likewise disabled
-//! for resident state: retirement *timing* is data-dependent, so a cut
-//! taken against a partial database could suppress derivations a cold run
-//! over the full database would have made, breaking set-identity.
+//! Every **stratifiable** program is maintainable, negation included,
+//! because the input only grows: nothing is ever retracted. Each batch
+//! runs the cold evaluation's strata loop ([`Machine::run_strata`]) stratum
+//! by stratum, lowest first. A stratum none of whose inputs changed runs
+//! no iteration. A stratum whose negated predicates did not grow is
+//! monotone for this batch — a new row can only add to what its rules
+//! derive — so it propagates the rows loaded or derived since the batch
+//! began, exactly as above. A stratum one of whose negated predicates grew
+//! may have to lose facts: it clears its head relations and reruns from a
+//! seed round over the strata below it, which are complete; so does every
+//! stratum that reads a relation recomputed below it. A program with
+//! negation therefore takes no input rows for a predicate it derives
+//! (a recompute would clear them): [`ResidentEval::new`] and
+//! [`ResidentEval::apply_deltas`] refuse them with
+//! [`EngineError::DerivedInput`]. [`ResidentEval::supports`] is the gate;
+//! an unstratifiable program is refused with
+//! [`EngineError::NotStratified`], as a cold run refuses it. The §3.1
+//! boolean cut is disabled for resident state: retirement *timing* is
+//! data-dependent, so a cut taken against a partial database could
+//! suppress derivations a cold run over the full database would have made,
+//! breaking set-identity.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use datalog_ast::{Atom, PredRef, Program, Value};
 
 use crate::cancel::CancelToken;
-use crate::database::Database;
-use crate::eval::{load_input, read_answers, EvalOptions, Machine, Strategy};
+use crate::database::{Database, PredId};
+use crate::eval::{load_input, read_answers, stratify, EvalOptions, Machine, Strategy, StratumRun};
 use crate::facts::{AnswerSet, Edb, FactSet};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
@@ -102,12 +113,16 @@ pub struct DeltaReport {
 pub struct ResidentEval {
     /// Program arities, for batch validation (the check cold loading does).
     arities: BTreeMap<PredRef, usize>,
-    /// The cold evaluation's machine, kept: database, plans, provenance
-    /// and metrics. The boolean cut is off (see module docs), so
-    /// every rule stays active. Invariant between calls: every
-    /// predicate's `mark_prev == mark_cur == len`, so a loaded batch makes
-    /// the new rows exactly iteration 1's deltas.
+    /// The predicates a program with negation derives, which take no input
+    /// rows; empty for a program without negation.
+    derived: BTreeSet<PredRef>,
+    /// The cold evaluation's machine, kept: database, plans, strata,
+    /// provenance and metrics. The boolean cut is off (see module docs), so
+    /// every rule stays active. Between calls every predicate's `mark_prev
+    /// == mark_cur == len`.
     machine: Machine,
+    /// What each stratum did in the last pass (construction or batch).
+    last_runs: Vec<StratumRun>,
     strategy: Strategy,
     /// Per-propagation iteration budget (from [`EvalOptions::max_iterations`]).
     max_iterations: usize,
@@ -121,11 +136,10 @@ pub struct ResidentEval {
 }
 
 impl ResidentEval {
-    /// Whether `program` is maintainable incrementally: monotone, i.e. no
-    /// rule has a negated literal. (Even negation over pure-EDB predicates
-    /// is non-monotone under ingestion — a new EDB fact can falsify it.)
+    /// Whether `program` is maintainable incrementally: stratifiable, as
+    /// a cold run requires too. Negation is fine (see module docs).
     pub fn supports(program: &Program) -> bool {
-        program.rules.iter().all(|r| r.negative.is_empty())
+        stratify(program).is_ok()
     }
 
     /// Bound-class admission policy for pinning resident state: resident
@@ -146,38 +160,39 @@ impl ResidentEval {
     /// this *is* the cold evaluation, it just keeps its working state.
     /// `opts.boolean_cut` and `opts.profile` are ignored (see module docs);
     /// everything else (strategy, limits, provenance, metrics)
-    /// applies to construction and to every later propagation.
+    /// applies to construction and to every later propagation. A program
+    /// with negation takes no `input` rows for a predicate it derives.
     pub fn new(
         program: &Program,
         input: impl Into<Edb>,
         opts: &EvalOptions,
     ) -> Result<ResidentEval, EngineError> {
-        if !ResidentEval::supports(program) {
-            // A malformed program is refused as such, as a cold start
-            // would refuse it.
-            program.validate()?;
-            let pred = program
-                .rules
-                .iter()
-                .find_map(|r| r.negative.first().map(|a| a.pred.to_string()))
-                .unwrap_or_default();
-            return Err(EngineError::NonMonotone { pred });
-        }
+        let derived = if program.rules.iter().any(|r| r.has_negation()) {
+            program.idb_preds()
+        } else {
+            BTreeSet::new()
+        };
         let resident = EvalOptions {
             boolean_cut: false,
             profile: false,
             ..opts.clone()
         };
         let (mut m, arities) = Machine::start(program, input.into(), &resident)?;
-        // Monotone programs form a single stratum, so one stratum run with
-        // a genuine seed round (`seed_first = true` — required: unit rules
-        // only fire in seed rounds) is exactly what `evaluate` would do.
-        let mine: Vec<usize> = (0..m.plans.len()).collect();
-        m.run_stratum(&mine, 0, opts.strategy, opts.max_iterations, true)?;
+        if let Some(pred) = derived.iter().find(|p| {
+            m.db.pred_id(p)
+                .is_some_and(|id| !m.db.relation(id).is_empty())
+        }) {
+            return Err(EngineError::DerivedInput {
+                pred: pred.to_string(),
+            });
+        }
+        let last_runs = m.run_strata(opts.strategy, opts.max_iterations, None)?;
         Ok(ResidentEval {
             arities,
+            derived,
             initial_stats: m.stats,
             machine: m,
+            last_runs,
             strategy: opts.strategy,
             max_iterations: opts.max_iterations,
             poisoned: false,
@@ -188,7 +203,9 @@ impl ResidentEval {
     ///
     /// The batch enters through the cold evaluation's loader, grouped by
     /// predicate: every predicate's rows are arity-checked before any is
-    /// loaded, so a bad fact leaves the frontier untouched. If the
+    /// loaded, so a bad fact leaves the frontier untouched, and so does a
+    /// fact for a predicate a program with negation derives. Then each
+    /// stratum propagates, recomputes or idles (see module docs). If the
     /// propagation itself errs (deadline or cancellation mid-fixpoint) the
     /// frontier is left between iterations: the state is **poisoned** and
     /// every later call panics — drop it and rebuild from cold.
@@ -204,6 +221,11 @@ impl ResidentEval {
             !self.poisoned,
             "ResidentEval is poisoned; drop it and re-evaluate from cold"
         );
+        if let Some(f) = batch.iter().find(|f| self.derived.contains(&f.pred)) {
+            return Err(EngineError::DerivedInput {
+                pred: f.pred.to_string(),
+            });
+        }
         let m = &mut self.machine;
         let mut grouped: BTreeMap<PredRef, Vec<Box<[Value]>>> = BTreeMap::new();
         for f in batch {
@@ -212,8 +234,10 @@ impl ResidentEval {
                 .or_default()
                 .push(f.tuple[..].into());
         }
-        // Loaded past the converged marks: the new rows become iteration
-        // 1's deltas.
+        // The converged lengths: every row past them is new in this batch.
+        let lens: Vec<usize> = (0..m.db.pred_count())
+            .map(|p| m.db.relation(PredId(p as u32)).len())
+            .collect();
         let batches = grouped.into_iter().collect();
         let new_facts = load_input(&mut m.db, &self.arities, Edb { batches })?;
         // This propagation's counters and limits; there is no fact budget.
@@ -222,14 +246,11 @@ impl ResidentEval {
         m.deadline = limits.deadline;
         m.fact_budget = None;
         m.cancel = limits.cancel.clone();
-        // No seed round: the frontier is converged, so iteration 1's
-        // delta variants see exactly the batch rows. A batch that loaded
-        // nothing (racing drains hand over rows the frontier already holds)
-        // leaves every delta empty: the frontier is still converged and no
-        // iteration runs.
-        if new_facts > 0 {
-            let mine: Vec<usize> = (0..m.plans.len()).collect();
-            if let Err(e) = m.run_stratum(&mine, 0, self.strategy, self.max_iterations, false) {
+        // A batch that loaded nothing (racing drains hand over rows the
+        // frontier already holds) leaves every stratum idle.
+        match m.run_strata(self.strategy, self.max_iterations, Some(&lens)) {
+            Ok(runs) => self.last_runs = runs,
+            Err(e) => {
                 self.poisoned = true;
                 return Err(e);
             }
@@ -470,12 +491,181 @@ mod tests {
     }
 
     #[test]
-    fn negation_is_refused() {
-        let src = "a(X) :- p(X, _), not q(X).\n?- a(X).";
+    fn an_unstratifiable_program_is_refused() {
+        // Negation through recursion: no stratification exists.
+        let src = "a(X) :- p(X, Y), not b(Y).\nb(X) :- p(X, Y), a(Y).\n?- a(X).";
         let p = parse_program(src).unwrap().program;
         assert!(!ResidentEval::supports(&p));
         let err = ResidentEval::new(&p, &FactSet::new(), &EvalOptions::default()).unwrap_err();
-        assert!(matches!(err, EngineError::NonMonotone { .. }));
+        assert_eq!(err, EngineError::NotStratified { pred: "a".into() });
+        // Stratified negation is supported.
+        let src = "a(X) :- p(X, _), not q(X).\n?- a(X).";
+        assert!(ResidentEval::supports(&parse_program(src).unwrap().program));
+    }
+
+    /// The org schema: `clean` (stratum 1) negates `flagged` (stratum 0).
+    const ORG: &str = "above(X, Y) :- mgr(X, Y).\n\
+                       above(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+                       peer(X, Y) :- mgr(Z, X), mgr(Z, Y).\n\
+                       skip(X, Y) :- mgr(X, Z), mgr(Z, Y).\n\
+                       flagged(X) :- above(X, Y), audit(Y).\n\
+                       clean(X) :- emp(X), not flagged(X).\n\
+                       clean(X) :- flagged(X), cleared(X).\n\
+                       ?- clean(X).";
+
+    /// Three strata: `ok` negates the derived `blocked` and the EDB
+    /// `banned`; `lone` negates the derived `ok`.
+    const THREE_STRATA: &str = "reach(X, Y) :- e(X, Y).\n\
+                                reach(X, Y) :- e(X, Z), reach(Z, Y).\n\
+                                blocked(X) :- reach(X, Y), bad(Y).\n\
+                                ok(X) :- node(X), not blocked(X), not banned(X).\n\
+                                lone(X, Y) :- ok(X), reach(X, Y), not ok(Y).\n\
+                                ?- lone(X, Y).";
+
+    fn fact(pred: &str, vals: &[i64]) -> Fact {
+        Fact::new(
+            PredRef::new(pred),
+            vals.iter().map(|&v| Value::int(v)).collect(),
+        )
+    }
+
+    /// Feed `batches` to a resident of `src` built over `initial`, and
+    /// after every batch check it against a cold run over the union —
+    /// database set-identical, answers byte-identical, provenance only of
+    /// rows that exist — and that each stratum did what `expect` says.
+    fn differential(src: &str, initial: &[Fact], batches: &[(Vec<Fact>, Vec<StratumRun>)]) {
+        let p = parse_program(src).unwrap().program;
+        let opts = EvalOptions {
+            record_provenance: true,
+            ..EvalOptions::default()
+        };
+        let mut all = FactSet::new();
+        for f in initial {
+            all.insert(f.pred.clone(), f.tuple.clone());
+        }
+        let mut r = ResidentEval::new(&p, &all, &opts).unwrap();
+        for (i, (batch, expect)) in batches.iter().enumerate() {
+            r.apply_deltas(batch, &DeltaLimits::default()).unwrap();
+            for f in batch {
+                all.insert(f.pred.clone(), f.tuple.clone());
+            }
+            let cold = evaluate(&p, &all, &opts).unwrap();
+            assert_eq!(r.dump(), cold.database.dump(), "batch {i}");
+            assert_eq!(
+                r.answers(&q_atom(src)).to_string(),
+                extract_answers(&q_atom(src), &cold.database).to_string(),
+                "batch {i}"
+            );
+            assert_eq!(&r.last_runs, expect, "batch {i}");
+            assert_premises_in_body_order(&p, &r);
+        }
+    }
+
+    #[test]
+    fn stratified_batches_match_cold_runs_and_recompute_only_when_negation_grows() {
+        use StratumRun::{Idle, Propagated as Prop, Recomputed as Redo};
+        // A four-level chain 1 <- 2 <- 3 <- 4 (`mgr(X, Y)`: Y manages X).
+        let mut initial: Vec<Fact> = (1..4).map(|i| fact("mgr", &[i + 1, i])).collect();
+        initial.extend((1..=4).map(|i| fact("emp", &[i])));
+        initial.push(fact("audit", &[2]));
+        differential(
+            ORG,
+            &initial,
+            &[
+                // `emp` only grows a positive input of `clean`.
+                (vec![fact("emp", &[5])], vec![Idle, Prop]),
+                // 5 goes under 1, whom no audit is above: `flagged`
+                // keeps its rows, `clean` reads nothing new.
+                (vec![fact("mgr", &[5, 1])], vec![Prop, Idle]),
+                // An audit of 1, above everyone: `flagged` grows, `clean`
+                // is recomputed and loses them.
+                (vec![fact("audit", &[1])], vec![Prop, Redo]),
+                // Cleared: a positive input again.
+                (vec![fact("cleared", &[5])], vec![Idle, Prop]),
+                // A mixed batch that grows `flagged`.
+                (
+                    vec![
+                        fact("mgr", &[6, 5]),
+                        fact("emp", &[6]),
+                        fact("cleared", &[4]),
+                    ],
+                    vec![Prop, Redo],
+                ),
+                // Rows the frontier already holds, and nothing at all.
+                (
+                    vec![fact("emp", &[1]), fact("audit", &[1])],
+                    vec![Idle, Idle],
+                ),
+                (vec![], vec![Idle, Idle]),
+            ],
+        );
+    }
+
+    #[test]
+    fn three_strata_follow_a_recompute_upward() {
+        use StratumRun::{Idle, Propagated as Prop, Recomputed as Redo};
+        let mut initial: Vec<Fact> = (0..5).map(|i| fact("e", &[i, i + 1])).collect();
+        initial.extend((0..6).map(|i| fact("node", &[i])));
+        initial.push(fact("bad", &[5]));
+        initial.push(fact("e", &[7, 8]));
+        differential(
+            THREE_STRATA,
+            &initial,
+            &[
+                // Reaches nothing bad: only `reach` and `lone` see it.
+                (vec![fact("e", &[8, 9])], vec![Prop, Idle, Prop]),
+                // New nodes: `ok` grows, so `lone`, which negates it, is
+                // recomputed.
+                (
+                    vec![fact("node", &[7]), fact("node", &[9])],
+                    vec![Idle, Prop, Redo],
+                ),
+                // The EDB `banned` grows: `ok` is recomputed, and so is
+                // `lone` above it.
+                (vec![fact("banned", &[8])], vec![Idle, Redo, Redo]),
+                // A new bad node grows the derived `blocked`.
+                (vec![fact("bad", &[9])], vec![Prop, Redo, Redo]),
+                // An edge into the bad part grows `reach` and `blocked`.
+                (vec![fact("e", &[5, 7])], vec![Prop, Redo, Redo]),
+                (vec![fact("node", &[100])], vec![Idle, Prop, Redo]),
+            ],
+        );
+    }
+
+    #[test]
+    fn rows_for_a_derived_predicate_of_a_program_with_negation_are_refused() {
+        let p = parse_program(ORG).unwrap().program;
+        let opts = EvalOptions::default();
+        let mut input = FactSet::new();
+        input.insert(PredRef::new("flagged"), vec![Value::int(1)]);
+        let err = ResidentEval::new(&p, &input, &opts).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::DerivedInput {
+                pred: "flagged".into()
+            }
+        );
+        let mut r = ResidentEval::new(&p, &FactSet::new(), &opts).unwrap();
+        let err = r
+            .apply_deltas(
+                &[fact("emp", &[1]), fact("above", &[1, 2])],
+                &DeltaLimits::default(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::DerivedInput {
+                pred: "above".into()
+            }
+        );
+        assert!(!r.poisoned());
+        assert!(r.dump().is_empty(), "nothing of the batch was loaded");
+        // A monotone program still takes them, as a cold run does.
+        let mut r =
+            ResidentEval::new(&parse_program(TC).unwrap().program, &chain(2), &opts).unwrap();
+        let seeded = Fact::new(PredRef::new("a"), vec![Value::int(7), Value::int(8)]);
+        r.apply_deltas(&[seeded], &DeltaLimits::default()).unwrap();
+        assert_eq!(r.answers(&q_atom(TC)).len(), 4);
     }
 
     #[test]

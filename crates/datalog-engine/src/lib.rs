@@ -110,9 +110,10 @@ pub enum EngineError {
     },
     /// The program negates through recursion: no stratification exists.
     NotStratified { pred: String },
-    /// The program is not monotone (it negates `pred`), so it cannot be
-    /// maintained incrementally by [`incremental::ResidentEval`].
-    NonMonotone { pred: String },
+    /// Input rows for `pred`, which a program with negation derives:
+    /// [`incremental::ResidentEval`] may recompute its relation, which
+    /// would drop them.
+    DerivedInput { pred: String },
 }
 
 impl EngineError {
@@ -162,10 +163,10 @@ impl std::fmt::Display for EngineError {
                     "program is not stratified: {pred} is negated through recursion"
                 )
             }
-            EngineError::NonMonotone { pred } => {
+            EngineError::DerivedInput { pred } => {
                 write!(
                     f,
-                    "program is not monotone ({pred} is negated): incremental maintenance unavailable"
+                    "input rows for {pred}, which a program with negation derives"
                 )
             }
         }

@@ -118,6 +118,12 @@ impl Provenance {
             .or_insert(Justification { rule_idx, premises });
     }
 
+    /// Drop every justification of `pred`'s rows (its relation was
+    /// cleared for a recompute).
+    pub(crate) fn forget(&mut self, pred: PredId) {
+        self.just.retain(|&(p, _), _| p != pred);
+    }
+
     /// Look up a recorded justification.
     pub fn justification(&self, pred: PredId, row: u32) -> Option<&Justification> {
         self.just.get(&(pred, row))

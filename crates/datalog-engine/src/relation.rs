@@ -3,19 +3,21 @@
 //!
 //! Rows are append-only and keep insertion order, which is what lets
 //! semi-naive evaluation address "the delta" as a contiguous row-id range.
-//! The rows are the only full copy of any tuple; everything else is an
-//! acceleration structure derived beside them (see [`crate::storage`]): a
-//! bounded mutable tail plus immutable sorted runs. Dedup is a bloom-gated
-//! binary search over flat `(hash, id)` pairs that consults the rows only
-//! to verify a hash match; a probe binary-searches each run's materialized
-//! key array. Every run covers a contiguous id range, so a probe emits
-//! ascending ids within `[start, end)` — a delta range's hits, in row-id
-//! order, with no copying. Runs are sealed at the freeze barrier (see
-//! [`Relation::seal`]) and consolidated geometrically. The same structure
-//! holds the server's shared EDB ([`crate::shared`]), so a tuple is
-//! deduplicated by one piece of code whether it arrives by `FACT`, by
-//! recovery or from a fixpoint. The reference the tests hold it to is a
-//! filtered scan of [`Relation::rows_in`] ([`crate::oracle::check_indexes`]).
+//! They live arity-strided in one flat [`Rows`] store, the only full copy
+//! of any tuple; everything else is an acceleration structure derived
+//! beside them (see [`crate::storage`]): a bounded mutable tail plus
+//! immutable sorted runs. Dedup is a bloom-gated binary search over flat
+//! `(hash, id)` pairs that consults the rows only to verify a hash match;
+//! a probe binary-searches each run's materialized key array. Every run
+//! covers a contiguous id range, so a probe emits ascending ids within
+//! `[start, end)` — a delta range's hits, in row-id order, with no
+//! copying. A tail is sealed into a run when it reaches [`TAIL_LIMIT`]
+//! rows (see [`Relation::seal`]), and runs are consolidated geometrically.
+//! The same structure holds the server's shared EDB ([`crate::shared`]),
+//! so a tuple is deduplicated by one piece of code whether it arrives by
+//! `FACT`, by recovery or from a fixpoint. The reference the tests hold it
+//! to is a filtered scan of [`Relation::rows_in`]
+//! ([`crate::oracle::check_indexes`]).
 //!
 //! Indices are *planned* (from the compiled join orders) and built via
 //! [`Relation::ensure_index`] right before the first join variant whose
@@ -29,8 +31,8 @@
 //! that is allowed to create it ([`Relation::select`] with `create`) binds
 //! that column to a constant. It is a bare id permutation — 4 bytes a row,
 //! keys read through the row store — covering a prefix of the rows;
-//! `insert` does nothing for it, a reader filters the uncovered rows, and
-//! [`Relation::seal`] folds them in once [`TAIL_LIMIT`] have gathered. A
+//! a reader filters the uncovered rows, and an insert folds them in once
+//! [`TAIL_LIMIT`] have gathered, so fewer than that are ever uncovered. A
 //! column has at most one index: a planned `[col]` index serves reads too,
 //! and building one empties the slot. The join path never looks at a slot.
 
@@ -39,13 +41,14 @@ use std::sync::OnceLock;
 
 use datalog_ast::Value;
 
-use crate::storage::{self, IndexRuns, ProbeHits, ReadIndex, TupleRuns, TAIL_LIMIT};
+use crate::storage::{
+    self, hash_key, IndexRuns, ProbeHits, ReadIndex, Rows, TupleRuns, TAIL_LIMIT,
+};
 
 /// A stored relation. See the module docs for the storage contract.
 #[derive(Debug, Clone)]
 pub struct Relation {
-    arity: usize,
-    rows: Vec<Box<[Value]>>,
+    rows: Rows,
     dedup: TupleRuns,
     indices: HashMap<Box<[usize]>, IndexRuns>,
     /// One lazily filled read-index slot per column.
@@ -56,8 +59,7 @@ impl Relation {
     /// New empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
         Relation {
-            arity,
-            rows: Vec::new(),
+            rows: Rows::new(arity),
             dedup: TupleRuns::default(),
             indices: HashMap::new(),
             read: (0..arity).map(|_| OnceLock::new()).collect(),
@@ -66,7 +68,7 @@ impl Relation {
 
     /// The relation's arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.rows.arity()
     }
 
     /// Number of (distinct) rows.
@@ -84,39 +86,44 @@ impl Relation {
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn insert(&mut self, tuple: &[Value]) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity, "relation arity mismatch");
-        if self.dedup.contains(&self.rows, tuple) {
+        debug_assert_eq!(tuple.len(), self.arity(), "relation arity mismatch");
+        let h = hash_key(tuple.iter().copied());
+        if self.dedup.contains(&self.rows, tuple, h) {
             return false;
         }
-        self.push(tuple.into());
+        self.push(tuple, h);
         true
     }
 
-    /// Append a row known to be new: index tails, dedup tail, rows, and an
-    /// automatic seal once the tail reaches [`TAIL_LIMIT`].
-    fn push(&mut self, row: Box<[Value]>) {
+    /// Append a row known to be new, whose hash is `h`: rows, dedup tail,
+    /// index tails; then a seal once the tail reaches [`TAIL_LIMIT`], and
+    /// a fold of every read slot left that many rows behind.
+    fn push(&mut self, tuple: &[Value], h: u64) {
         let row_id = self.rows.len() as u32;
+        self.rows.push(tuple);
+        self.dedup.note_insert(h, row_id);
         for (cols, index) in self.indices.iter_mut() {
-            index.tail_insert(cols, &row, row_id);
+            index.tail_insert(&self.rows, cols, row_id);
         }
-        self.dedup.note_insert(row.clone());
-        self.rows.push(row);
         if self.dedup.tail_len() >= TAIL_LIMIT {
             self.seal();
+        } else {
+            self.fold_read_tails(TAIL_LIMIT);
         }
     }
 
-    /// Bulk-load a batch of rows and seal it; returns the number of new
-    /// rows. The result is exactly that of inserting the rows one by one —
-    /// first sightings kept, in batch order — but into an empty relation
-    /// duplicates are found by one order-preserving sort instead of per-row
-    /// hashing, and the whole batch becomes one sorted run at once (the
-    /// snapshot-recovery fast path, and every cold evaluation's load).
+    /// Bulk-load a batch of rows; returns the number of new rows. The
+    /// result is exactly that of inserting the rows one by one — first
+    /// sightings kept, in batch order. Into an empty relation, duplicates
+    /// are found by one order-preserving sort instead of per-row hashing
+    /// and the whole batch is sealed into one sorted run at once (the
+    /// snapshot-recovery fast path, and every cold evaluation's load); into
+    /// a non-empty one, the rows are inserted one by one.
     ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn load_batch(&mut self, batch: Vec<Box<[Value]>>) -> usize {
-        debug_assert!(batch.iter().all(|row| row.len() == self.arity));
+        debug_assert!(batch.iter().all(|row| row.len() == self.arity()));
         let before = self.rows.len();
         if self.rows.is_empty() {
             // Order-preserving distinct: sort indices by (tuple, position),
@@ -135,38 +142,48 @@ impl Relation {
                     dup[w[1] as usize] = true;
                 }
             }
-            for (i, row) in batch.into_iter().enumerate() {
+            for (i, row) in batch.iter().enumerate() {
                 if !dup[i] {
                     self.rows.push(row);
                 }
             }
+            self.seal();
         } else {
             for row in batch {
-                if !self.dedup.contains(&self.rows, &row) {
-                    self.push(row);
-                }
+                self.insert(&row);
             }
         }
-        self.seal();
         self.rows.len() - before
+    }
+
+    /// Drop every row, keeping the planned index column sets (empty) and
+    /// emptying the read slots: the relation is as new, except that the
+    /// join orders' indexes need no building again.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.dedup = TupleRuns::default();
+        for index in self.indices.values_mut() {
+            *index = IndexRuns::default();
+        }
+        for slot in self.read.iter_mut() {
+            slot.take();
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.dedup.contains(&self.rows, tuple)
+        self.dedup
+            .contains(&self.rows, tuple, hash_key(tuple.iter().copied()))
     }
 
     /// Row by id.
     pub fn row(&self, id: usize) -> &[Value] {
-        &self.rows[id]
+        self.rows.row(id)
     }
 
     /// Iterate rows in the id range `[start, end)`.
     pub fn rows_in(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, &[Value])> {
-        self.rows[start..end]
-            .iter()
-            .enumerate()
-            .map(move |(i, r)| (start + i, &**r))
+        (start..end).zip(self.rows.range(start, end))
     }
 
     /// Fold the uncovered rows into every filled read slot whose uncovered
@@ -183,13 +200,11 @@ impl Relation {
 
     /// Seal the mutable tail into a sorted run and consolidate runs
     /// geometrically. Safe at any point: sealing changes only the
-    /// acceleration structures, never the rows or their ids. The evaluator
-    /// calls this at every freeze barrier so each iteration's probes run
-    /// against consolidated runs; inserts also seal automatically past
-    /// [`TAIL_LIMIT`] to bound tail memory. A filled read slot follows the
+    /// acceleration structures, never the rows or their ids. Inserts seal
+    /// automatically once the tail reaches [`TAIL_LIMIT`], which bounds
+    /// tail memory; nothing else has to. A filled read slot follows the
     /// same limit: its uncovered rows are folded in once there are
-    /// [`TAIL_LIMIT`] of them, so after any seal a read filters fewer than
-    /// that.
+    /// [`TAIL_LIMIT`] of them, so a read filters fewer than that.
     pub fn seal(&mut self) {
         self.fold_read_tails(TAIL_LIMIT);
         let end = self.rows.len();
@@ -242,12 +257,8 @@ impl Relation {
     /// Estimated heap bytes spent on acceleration structures (dedup +
     /// indices + filled read slots) beyond the row store itself.
     pub fn overhead_bytes_estimate(&self) -> usize {
-        let dedup = self.dedup.bytes_estimate(self.arity);
-        let indices: usize = self
-            .indices
-            .iter()
-            .map(|(cols, index)| index.bytes_estimate(cols.len()))
-            .sum();
+        let dedup = self.dedup.bytes_estimate();
+        let indices: usize = self.indices.values().map(IndexRuns::bytes_estimate).sum();
         let read: usize = self
             .read
             .iter()
@@ -269,7 +280,10 @@ impl Relation {
     pub fn ensure_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty(), "index over the empty column set");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not sorted");
-        debug_assert!(cols.iter().all(|&c| c < self.arity), "column out of range");
+        debug_assert!(
+            cols.iter().all(|&c| c < self.arity()),
+            "column out of range"
+        );
         if self.indices.contains_key(cols) {
             return;
         }
@@ -304,7 +318,7 @@ impl Relation {
             .indices
             .get(cols)
             .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"));
-        index.probe(key, start, end, &mut out);
+        index.probe(&self.rows, cols, key, start, end, &mut out);
         out
     }
 
@@ -360,14 +374,14 @@ impl Relation {
         };
         if self.has_index(&[col]) {
             let hits = self.probe_range(&[col], &[key], 0, self.rows.len());
-            hits.iter().for_each(|id| visit(&self.rows[id as usize]));
+            hits.iter().for_each(|id| visit(self.rows.row(id as usize)));
             return true;
         }
         let index = self.read[col].get_or_init(|| ReadIndex::build(&self.rows, col));
         for &id in index.group(&self.rows, col, key) {
-            visit(&self.rows[id as usize]);
+            visit(self.rows.row(id as usize));
         }
-        for row in &self.rows[index.covered()..] {
+        for row in self.rows.range(index.covered(), self.rows.len()) {
             if row[col] == key {
                 visit(row);
             }
@@ -377,7 +391,7 @@ impl Relation {
 
     /// Iterate all rows.
     pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|r| &**r)
+        self.rows.range(0, self.rows.len())
     }
 }
 

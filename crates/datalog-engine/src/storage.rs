@@ -1,11 +1,14 @@
 //! Sorted-run (LSM-style) storage primitives behind
 //! [`crate::relation::Relation`], the one tuple store.
 //!
-//! A relation's rows stay append-only in insertion order (that contract is
-//! what semi-naive delta ranges and byte-identical parallel merges are built
-//! on); beside them sit *acceleration structures* that hold no second copy
-//! of a tuple. Rows are covered by a small mutable tail and a stack of
-//! immutable sorted **runs**:
+//! A relation's rows live in one [`Rows`] store: append-only, in insertion
+//! order (that contract is what semi-naive delta ranges are built on), and
+//! arity-strided in one flat `Vec<Value>`, so a row is a slice of it and
+//! not an allocation of its own. Beside the rows sit *acceleration
+//! structures* that hold no second copy of a tuple, only hashes, ids and
+//! projected keys. Rows are covered by a small mutable tail (ids keyed by
+//! hash, verified against the rows) and a stack of immutable sorted
+//! **runs**:
 //!
 //! - a **dedup run** ([`TupleRuns`]) holds `(tuple hash, id)` pairs for a
 //!   contiguous insertion range, sorted by hash — membership is a
@@ -16,7 +19,7 @@
 //!   keys materialized in flat arrays — a probe binary-searches the
 //!   contiguous `u64` hash array, compares real keys only inside the
 //!   equal-hash span, and clamps the key's group to the requested delta
-//!   range; per-row box pointers are never chased.
+//!   range; the row store is never touched.
 //!
 //! **Run contiguity.** Every run covers a contiguous id range, runs are
 //! stacked in range order, and ids within a key's group in one run are
@@ -26,18 +29,18 @@
 //! produces, and the invariant that keeps evaluation independent of where
 //! the run boundaries fall.
 //!
-//! Runs are sealed at the freeze barrier (and when the tail exceeds
-//! [`TAIL_LIMIT`]) and consolidated geometrically so at most O(log n) runs
-//! exist. Consolidation is a deterministic two-way merge over the runs'
-//! own materialized keys — rows are hashed/projected once at first seal
-//! and never revisited, so merges are linear passes over flat arrays.
+//! A tail is sealed into a run when it reaches [`TAIL_LIMIT`] rows, and
+//! runs are consolidated geometrically so at most O(log n) runs exist.
+//! Consolidation is a deterministic two-way merge over the runs' own
+//! materialized keys — rows are hashed/projected once at first seal and
+//! never revisited, so merges are linear passes over flat arrays.
 //!
 //! Telemetry (bloom probe/skip counts, consolidations, index rebuilds,
 //! consolidation durations) is recorded in process-wide atomics so the
 //! server can surface it without threading handles through the evaluator.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -51,9 +54,78 @@ pub const TAIL_LIMIT: usize = 1024;
 /// any observable ordering.
 pub type FastBuild = std::hash::BuildHasherDefault<FastHasher>;
 
-/// A sorted-run index's mutable tail: projection key → ascending ids,
-/// fast-hashed (the tail is bounded by [`TAIL_LIMIT`] and hot).
-pub type TailPostings = HashMap<Box<[Value]>, Vec<u32>, FastBuild>;
+/// A sorted-run index's mutable tail: projection hash → the ascending ids
+/// of the rows whose projection is that of the first one, fast-hashed (the
+/// tail is bounded by [`TAIL_LIMIT`] and hot). A row whose projection
+/// hashes alike but differs goes to the collision postings, keyed by the
+/// projection itself.
+type TailPostings = HashMap<u64, Vec<u32>, FastBuild>;
+
+// ---------------------------------------------------------------------------
+// Row store
+// ---------------------------------------------------------------------------
+
+/// The rows of one relation, arity-strided in one flat vector: row `i` is
+/// `vals[i * arity..(i + 1) * arity]`. The only full copy of every stored
+/// tuple; ids are positions, so a row never moves.
+#[derive(Debug, Clone)]
+pub struct Rows {
+    arity: usize,
+    /// Row count (a zero-arity relation stores no values).
+    len: usize,
+    vals: Vec<Value>,
+}
+
+impl Rows {
+    /// An empty store of the given arity.
+    pub fn new(arity: usize) -> Rows {
+        Rows {
+            arity,
+            len: 0,
+            vals: Vec::new(),
+        }
+    }
+
+    /// Values per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row by id.
+    #[inline]
+    pub fn row(&self, id: usize) -> &[Value] {
+        debug_assert!(id < self.len, "row {id} of {}", self.len);
+        &self.vals[id * self.arity..(id + 1) * self.arity]
+    }
+
+    /// Append a row; its id is the previous [`Rows::len`].
+    pub fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.arity, "row arity mismatch");
+        self.vals.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Rows `[start, end)` in id order.
+    pub fn range(&self, start: usize, end: usize) -> impl Iterator<Item = &[Value]> + '_ {
+        (start..end).map(move |id| self.row(id))
+    }
+
+    /// Drop every row, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.vals.clear();
+        self.len = 0;
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -320,25 +392,36 @@ struct DedupRun {
 
 /// Duplicate elimination over an external row store: sealed sorted runs
 /// plus a bounded mutable tail. The row store keeps the only full copy of
-/// every sealed tuple — runs hold a hash and a 4-byte id per row.
+/// every tuple — runs hold a hash and a 4-byte id per row, the tail an id
+/// keyed by hash.
 #[derive(Debug, Clone, Default)]
 pub struct TupleRuns {
     runs: Vec<DedupRun>,
-    /// Rows `[0, sealed)` are covered by `runs`; `[sealed, len)` by `tail`.
+    /// Rows `[0, sealed)` are covered by `runs`; `[sealed, len)` by `tail`
+    /// and `collided`.
     sealed: usize,
-    tail: HashSet<Box<[Value]>, FastBuild>,
+    /// Tuple hash → id of the tail row with that hash.
+    tail: HashMap<u64, u32, FastBuild>,
+    /// Tail rows whose hash an earlier tail row already holds.
+    collided: Vec<u32>,
 }
 
 impl TupleRuns {
-    /// Membership test against `rows` (the external row store).
-    pub fn contains(&self, rows: &[Box<[Value]>], tuple: &[Value]) -> bool {
-        if self.tail.contains(tuple) {
+    /// Membership test of `tuple`, whose [`hash_key`] is `h`, against
+    /// `rows` (the external row store).
+    pub fn contains(&self, rows: &Rows, tuple: &[Value], h: u64) -> bool {
+        if self
+            .tail
+            .get(&h)
+            .into_iter()
+            .chain(&self.collided)
+            .any(|&id| rows.row(id as usize) == tuple)
+        {
             return true;
         }
         if self.runs.is_empty() {
             return false;
         }
-        let h = hash_key(tuple.iter().copied());
         let (mut probes, mut skips) = (0u64, 0u64);
         let mut found = false;
         for run in &self.runs {
@@ -352,7 +435,7 @@ impl TupleRuns {
                 if run.hashes[i] != h {
                     break;
                 }
-                if rows[run.ids[i] as usize][..] == *tuple {
+                if rows.row(run.ids[i] as usize) == tuple {
                     found = true;
                     break;
                 }
@@ -368,14 +451,21 @@ impl TupleRuns {
         found
     }
 
-    /// Record a freshly inserted (known-new) tuple in the tail.
-    pub fn note_insert(&mut self, tuple: Box<[Value]>) {
-        self.tail.insert(tuple);
+    /// Record a freshly inserted (known-new) row `id`, whose tuple hashes
+    /// to `h`, in the tail.
+    pub fn note_insert(&mut self, h: u64, id: u32) {
+        match self.tail.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            // A distinct tuple of the same hash: the first keeps the slot.
+            Entry::Occupied(_) => self.collided.push(id),
+        }
     }
 
     /// Number of rows in the mutable tail.
     pub fn tail_len(&self) -> usize {
-        self.tail.len()
+        self.tail.len() + self.collided.len()
     }
 
     /// First row id not covered by a sealed run.
@@ -399,14 +489,14 @@ impl TupleRuns {
     /// Seal rows `[self.sealed, end)` into a new run and clear the tail.
     /// Each row is hashed exactly once here; later merges reuse the
     /// stored hashes.
-    pub fn seal_to(&mut self, rows: &[Box<[Value]>], end: usize) {
+    pub fn seal_to(&mut self, rows: &Rows, end: usize) {
         let start = self.sealed;
         debug_assert!(end >= start && end <= rows.len());
         if end == start {
             return;
         }
         let mut pairs: Vec<(u64, u32)> = (start..end)
-            .map(|id| (hash_key(rows[id].iter().copied()), id as u32))
+            .map(|id| (hash_key(rows.row(id).iter().copied()), id as u32))
             .collect();
         pairs.sort_unstable();
         let bloom = Bloom::build(pairs.iter().map(|&(h, _)| h), pairs.len());
@@ -419,6 +509,7 @@ impl TupleRuns {
         });
         self.sealed = end;
         self.tail.clear();
+        self.collided.clear();
     }
 
     /// Whether the geometric invariant calls for merging the last two runs.
@@ -471,21 +562,16 @@ impl TupleRuns {
         }
     }
 
-    /// Estimated heap footprint: run hash/id arrays + blooms + tail tuples.
-    pub fn bytes_estimate(&self, arity: usize) -> usize {
+    /// Estimated heap footprint: run hash/id arrays + blooms + the tail's
+    /// `(hash, id)` entries with amortized table overhead.
+    pub fn bytes_estimate(&self) -> usize {
         let runs: usize = self
             .runs
             .iter()
             .map(|r| r.ids.len() * 12 + r.bloom.bytes())
             .sum();
-        runs + self.tail.len() * tail_entry_bytes(arity)
+        runs + self.tail.len() * 16 + self.collided.len() * 4
     }
-}
-
-/// Estimated heap cost of one `HashSet<Box<[Value]>>` entry: the fat box
-/// pointer, the boxed values, and amortized table overhead.
-fn tail_entry_bytes(arity: usize) -> usize {
-    16 + arity * std::mem::size_of::<Value>() + 16
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +641,9 @@ pub struct IndexRuns {
     runs: Vec<IndexRun>,
     /// Tail postings for rows past the last sealed run.
     tail: TailPostings,
+    /// Tail postings of projections whose hash `tail` holds for another
+    /// projection.
+    collided: HashMap<Box<[Value]>, Vec<u32>, FastBuild>,
 }
 
 impl IndexRuns {
@@ -562,7 +651,7 @@ impl IndexRuns {
     /// (cheap contiguous range scans, no full-table hash build). Counts a
     /// rebuild in the process-wide telemetry when rows exist.
     pub fn build(
-        rows: &[Box<[Value]>],
+        rows: &Rows,
         cols: &[usize],
         bounds: &[(usize, usize)],
         sealed: usize,
@@ -571,8 +660,8 @@ impl IndexRuns {
         for &(start, end) in bounds {
             idx.seal_range(rows, cols, start, end);
         }
-        for (id, row) in rows.iter().enumerate().skip(sealed) {
-            idx.tail_insert(cols, row, id as u32);
+        for id in sealed..rows.len() {
+            idx.tail_insert(rows, cols, id as u32);
         }
         if !rows.is_empty() {
             note_index_rebuild();
@@ -580,24 +669,37 @@ impl IndexRuns {
         idx
     }
 
-    /// Add a tail posting for a freshly inserted row.
-    pub fn tail_insert(&mut self, cols: &[usize], row: &[Value], id: u32) {
-        let key: Box<[Value]> = cols.iter().map(|&c| row[c]).collect();
-        self.tail.entry(key).or_default().push(id);
+    /// Add a tail posting for row `id`, already in `rows`.
+    pub fn tail_insert(&mut self, rows: &Rows, cols: &[usize], id: u32) {
+        let row = rows.row(id as usize);
+        self.tail_insert_hashed(rows, cols, id, hash_key(cols.iter().map(|&c| row[c])));
+    }
+
+    /// [`IndexRuns::tail_insert`] with the projection's hash `h` given.
+    fn tail_insert_hashed(&mut self, rows: &Rows, cols: &[usize], id: u32, h: u64) {
+        let row = rows.row(id as usize);
+        let ids = self.tail.entry(h).or_default();
+        match ids.first() {
+            Some(&first) if cols.iter().any(|&c| rows.row(first as usize)[c] != row[c]) => {
+                let key: Box<[Value]> = cols.iter().map(|&c| row[c]).collect();
+                self.collided.entry(key).or_default().push(id);
+            }
+            _ => ids.push(id),
+        }
     }
 
     /// Seal rows `[start, end)` into a new run and drop their tail
     /// postings. Projections are materialized and hashed once into flat
     /// arrays and sorted there; neither the row store nor the hash
     /// function is consulted again afterwards.
-    pub fn seal_range(&mut self, rows: &[Box<[Value]>], cols: &[usize], start: usize, end: usize) {
+    pub fn seal_range(&mut self, rows: &Rows, cols: &[usize], start: usize, end: usize) {
         if end == start {
             return;
         }
         let stride = cols.len();
         let n = end - start;
         let mut flat: Vec<Value> = Vec::with_capacity(n * stride);
-        for row in &rows[start..end] {
+        for row in rows.range(start, end) {
             flat.extend(cols.iter().map(|&c| row[c]));
         }
         let row_hashes: Vec<u64> = flat
@@ -633,6 +735,7 @@ impl IndexRuns {
             bloom,
         });
         self.tail.clear();
+        self.collided.clear();
     }
 
     /// Merge the last two runs (kept in lockstep with the dedup runs):
@@ -696,12 +799,47 @@ impl IndexRuns {
         }
     }
 
-    /// Ids in `[start, end)` whose projection equals `key`, pushed into
-    /// `out` as per-run group slices (run order, then tail) — ascending
-    /// overall because runs cover disjoint ascending id ranges.
-    pub fn probe<'a>(&'a self, key: &[Value], start: usize, end: usize, out: &mut ProbeHits<'a>) {
+    /// Ids in `[start, end)` whose projection onto `cols` equals `key`,
+    /// pushed into `out` as per-run group slices (run order, then tail) —
+    /// ascending overall because runs cover disjoint ascending id ranges.
+    /// `rows` is read only to check the tail's first posting for `key`'s
+    /// hash.
+    pub fn probe<'a>(
+        &'a self,
+        rows: &Rows,
+        cols: &[usize],
+        key: &[Value],
+        start: usize,
+        end: usize,
+        out: &mut ProbeHits<'a>,
+    ) {
+        if self.runs.is_empty() && self.tail.is_empty() {
+            return;
+        }
+        self.probe_hashed(
+            rows,
+            cols,
+            key,
+            hash_key(key.iter().copied()),
+            start,
+            end,
+            out,
+        );
+    }
+
+    /// [`IndexRuns::probe`] with the key's hash `h` given.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_hashed<'a>(
+        &'a self,
+        rows: &Rows,
+        cols: &[usize],
+        key: &[Value],
+        h: u64,
+        start: usize,
+        end: usize,
+        out: &mut ProbeHits<'a>,
+    ) {
         if !self.runs.is_empty() {
-            let h = hash_key(key.iter().copied());
             let (mut probes, mut skips) = (0u64, 0u64);
             for run in &self.runs {
                 if run.end as usize <= start {
@@ -727,7 +865,17 @@ impl IndexRuns {
                 BLOOM_SKIPS.fetch_add(skips, Ordering::Relaxed);
             }
         }
-        if let Some(postings) = self.tail.get(key) {
+        // A key's tail ids are all in `tail` or all in `collided`.
+        let matches = |ids: &&Vec<u32>| {
+            let first = rows.row(ids[0] as usize);
+            cols.iter().zip(key).all(|(&c, k)| first[c] == *k)
+        };
+        let postings = match self.tail.get(&h).filter(matches) {
+            Some(ids) => Some(ids),
+            None if !self.collided.is_empty() => self.collided.get(key),
+            None => None,
+        };
+        if let Some(postings) = postings {
             let a = postings.partition_point(|&id| (id as usize) < start);
             let b = postings.partition_point(|&id| (id as usize) < end);
             out.push(&postings[a..b]);
@@ -736,7 +884,7 @@ impl IndexRuns {
 
     /// Estimated heap footprint: run hash/key/id arrays + blooms + tail
     /// postings.
-    pub fn bytes_estimate(&self, cols: usize) -> usize {
+    pub fn bytes_estimate(&self) -> usize {
         let runs: usize = self
             .runs
             .iter()
@@ -744,13 +892,13 @@ impl IndexRuns {
                 r.ids.len() * 12 + r.keys.len() * std::mem::size_of::<Value>() + r.bloom.bytes()
             })
             .sum();
-        let tail: usize = self
-            .tail
+        let tail: usize = self.tail.values().map(|v| 8 + 24 + v.len() * 4).sum();
+        let collided: usize = self
+            .collided
             .iter()
-            .map(|(k, v)| 16 + k.len() * std::mem::size_of::<Value>() + v.len() * 4 + 16)
+            .map(|(k, v)| 16 + k.len() * std::mem::size_of::<Value>() + 24 + v.len() * 4)
             .sum();
-        let _ = cols;
-        runs + tail
+        runs + tail + collided
     }
 }
 
@@ -776,7 +924,7 @@ impl ReadIndex {
     /// `(Value, u32)` pairs — comparing through `rows[id][col]` instead
     /// costs two dependent loads per comparison and was measured at several
     /// times the build time.
-    pub fn build(rows: &[Box<[Value]>], col: usize) -> ReadIndex {
+    pub fn build(rows: &Rows, col: usize) -> ReadIndex {
         ReadIndex {
             ids: sorted_pairs(rows, col, 0)
                 .into_iter()
@@ -794,7 +942,7 @@ impl ReadIndex {
     /// to its place (new ids are larger than every covered id, so it goes
     /// after its key's group) and the old ids are copied across in
     /// segments — the covered keys are never re-read wholesale.
-    pub fn extend_to(&mut self, rows: &[Box<[Value]>], col: usize) {
+    pub fn extend_to(&mut self, rows: &Rows, col: usize) {
         let fresh = sorted_pairs(rows, col, self.ids.len());
         if fresh.is_empty() {
             return;
@@ -803,7 +951,7 @@ impl ReadIndex {
         let mut ids = Vec::with_capacity(rows.len());
         let mut copied = 0;
         for (key, id) in fresh {
-            let at = copied + old[copied..].partition_point(|&o| rows[o as usize][col] <= key);
+            let at = copied + old[copied..].partition_point(|&o| rows.row(o as usize)[col] <= key);
             ids.extend_from_slice(&old[copied..at]);
             ids.push(id);
             copied = at;
@@ -813,9 +961,11 @@ impl ReadIndex {
     }
 
     /// Ids of the covered rows whose column `col` equals `key`, ascending.
-    pub fn group(&self, rows: &[Box<[Value]>], col: usize, key: Value) -> &[u32] {
-        let lo = self.ids.partition_point(|&id| rows[id as usize][col] < key);
-        let len = self.ids[lo..].partition_point(|&id| rows[id as usize][col] == key);
+    pub fn group(&self, rows: &Rows, col: usize, key: Value) -> &[u32] {
+        let lo = self
+            .ids
+            .partition_point(|&id| rows.row(id as usize)[col] < key);
+        let len = self.ids[lo..].partition_point(|&id| rows.row(id as usize)[col] == key);
         &self.ids[lo..lo + len]
     }
 
@@ -826,11 +976,9 @@ impl ReadIndex {
 }
 
 /// `(row[col], id)` for rows `[from, rows.len())`, sorted.
-fn sorted_pairs(rows: &[Box<[Value]>], col: usize, from: usize) -> Vec<(Value, u32)> {
-    let mut pairs: Vec<(Value, u32)> = rows[from..]
-        .iter()
-        .enumerate()
-        .map(|(i, row)| (row[col], (from + i) as u32))
+fn sorted_pairs(rows: &Rows, col: usize, from: usize) -> Vec<(Value, u32)> {
+    let mut pairs: Vec<(Value, u32)> = (from..rows.len())
+        .map(|id| (rows.row(id)[col], id as u32))
         .collect();
     pairs.sort_unstable();
     pairs
@@ -839,12 +987,18 @@ fn sorted_pairs(rows: &[Box<[Value]>], col: usize, from: usize) -> Vec<(Value, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
-    fn rowset(tuples: &[&[i64]]) -> Vec<Box<[Value]>> {
-        tuples
-            .iter()
-            .map(|t| t.iter().map(|&v| Value::int(v)).collect())
-            .collect()
+    fn rowset(tuples: &[&[i64]]) -> Rows {
+        let mut rows = Rows::new(tuples.first().map_or(0, |t| t.len()));
+        for t in tuples {
+            rows.push(&t.iter().map(|&v| Value::int(v)).collect::<Vec<_>>());
+        }
+        rows
+    }
+
+    fn h(tuple: &[Value]) -> u64 {
+        hash_key(tuple.iter().copied())
     }
 
     #[test]
@@ -891,36 +1045,69 @@ mod tests {
     fn tuple_runs_dedup_across_seal_and_merge() {
         let rows = rowset(&[&[1, 2], &[3, 4], &[5, 6], &[7, 8], &[9, 10]]);
         let mut runs = TupleRuns::default();
-        for row in &rows[..2] {
-            runs.note_insert(row.clone());
+        for id in 0..2 {
+            runs.note_insert(h(rows.row(id)), id as u32);
         }
-        runs.seal_to(&rows[..2], 2);
-        for row in &rows[2..] {
-            runs.note_insert(row.clone());
+        runs.seal_to(&rows, 2);
+        for id in 2..5 {
+            runs.note_insert(h(rows.row(id)), id as u32);
         }
+        assert!(
+            runs.contains(&rows, rows.row(3), h(rows.row(3))),
+            "in the tail"
+        );
         runs.seal_to(&rows, 5);
         assert!(runs.wants_merge());
         runs.merge_last_two();
         assert_eq!(runs.run_count(), 1);
-        for row in &rows {
-            assert!(runs.contains(&rows, row));
+        for row in rows.range(0, 5) {
+            assert!(runs.contains(&rows, row, h(row)));
         }
-        assert!(!runs.contains(&rows, &rowset(&[&[2, 1]])[0]));
+        let absent = rowset(&[&[2, 1]]);
+        assert!(!runs.contains(&rows, absent.row(0), h(absent.row(0))));
+    }
+
+    #[test]
+    fn tail_rows_sharing_a_hash_are_told_apart_by_their_values() {
+        // Every row is noted under one hash: the tail keeps the first in
+        // its map and the rest beside it, and a lookup checks them all.
+        let rows = rowset(&[&[1, 2], &[3, 4], &[5, 6]]);
+        let mut runs = TupleRuns::default();
+        for id in 0..3 {
+            runs.note_insert(7, id);
+        }
+        assert_eq!(runs.tail_len(), 3);
+        for row in rows.range(0, 3) {
+            assert!(runs.contains(&rows, row, 7));
+        }
+        assert!(!runs.contains(&rows, rowset(&[&[1, 4]]).row(0), 7));
+        // The same for an index tail: three keys, one hash.
+        let rows = rowset(&[&[1, 0], &[2, 1], &[1, 2], &[3, 3], &[2, 4]]);
+        let mut idx = IndexRuns::default();
+        for id in 0..5 {
+            idx.tail_insert_hashed(&rows, &[0], id, 7);
+        }
+        for (key, want) in [(1, vec![0, 2]), (2, vec![1, 4]), (3, vec![3]), (4, vec![])] {
+            let mut hits = ProbeHits::new();
+            idx.probe_hashed(&rows, &[0], &[Value::int(key)], 7, 0, 5, &mut hits);
+            assert_eq!(hits.to_vec(), want, "key {key}");
+        }
     }
 
     #[test]
     fn dedup_verifies_tuples_behind_hash_matches() {
         // Membership must verify the actual tuple behind a hash match:
         // absent tuples answer false even when the bloom says "maybe".
-        let rows: Vec<Box<[Value]>> = (0..2000i64)
-            .map(|i| [Value::int(i), Value::int(i * 3)].into_iter().collect())
-            .collect();
+        let mut rows = Rows::new(2);
+        for i in 0..2000i64 {
+            rows.push(&[Value::int(i), Value::int(i * 3)]);
+        }
         let mut runs = TupleRuns::default();
         runs.seal_to(&rows, rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            assert!(runs.contains(&rows, row), "row {i} lost");
+        for (i, row) in rows.range(0, rows.len()).enumerate() {
+            assert!(runs.contains(&rows, row, h(row)), "row {i} lost");
             let absent = [row[0], Value::int(-1)];
-            assert!(!runs.contains(&rows, &absent));
+            assert!(!runs.contains(&rows, &absent, h(&absent)));
         }
     }
 
@@ -928,22 +1115,22 @@ mod tests {
     fn index_runs_probe_matches_linear_scan() {
         // Rows with key = i % 3 in column 0.
         let tuples: Vec<Vec<i64>> = (0..50i64).map(|i| vec![i % 3, i]).collect();
-        let rows: Vec<Box<[Value]>> = tuples
-            .iter()
-            .map(|t| t.iter().map(|&v| Value::int(v)).collect())
-            .collect();
+        let mut rows = Rows::new(2);
+        for t in &tuples {
+            rows.push(&t.iter().map(|&v| Value::int(v)).collect::<Vec<_>>());
+        }
         let cols = [0usize];
         let mut idx = IndexRuns::default();
         idx.seal_range(&rows, &cols, 0, 20);
         idx.seal_range(&rows, &cols, 20, 35);
         idx.merge_last_two(&cols);
-        for (id, row) in rows.iter().enumerate().skip(35) {
-            idx.tail_insert(&cols, row, id as u32);
+        for id in 35..50 {
+            idx.tail_insert(&rows, &cols, id);
         }
         for key in 0..3i64 {
             for (start, end) in [(0, 50), (5, 40), (17, 23), (35, 50), (40, 40)] {
                 let mut hits = ProbeHits::new();
-                idx.probe(&[Value::int(key)], start, end, &mut hits);
+                idx.probe(&rows, &cols, &[Value::int(key)], start, end, &mut hits);
                 let expect: Vec<u32> = (start..end)
                     .filter(|&i| tuples[i][0] == key)
                     .map(|i| i as u32)

@@ -153,7 +153,8 @@ pub struct Entry {
 
 impl Entry {
     /// What this form would keep resident: its prepared program, when the
-    /// form is monotone and its bound class is admitted. The one
+    /// form is stratifiable ([`ResidentEval::supports`]: negation is kept
+    /// resident too) and its bound class is admitted. The one
     /// eligibility test — first pin and rebuild both ask here (whether
     /// pinning is enabled at all is the caller's `--resident-forms`
     /// check).

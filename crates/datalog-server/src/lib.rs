@@ -23,8 +23,9 @@
 //!   the watermarks it was rendered at, so a new fact outdates only the
 //!   forms that read its predicate — and ingestion never touches the cache
 //!   for it;
-//! * **resident forms** ([`cache::Entry::resident`]): monotone forms keep
-//!   their fixpoint and absorb new facts as deltas (`maintain.rs` drains
+//! * **resident forms** ([`cache::Entry::resident`]): stratifiable forms,
+//!   negation included, keep their fixpoint and absorb new facts stratum by
+//!   stratum (`maintain.rs` drains
 //!   them, and a form whose drain fails is rebuilt by its next query;
 //!   `ingest.rs` is the one `FACT`/`LOAD` path, one critical section per
 //!   ingest under the log's lock).

@@ -117,7 +117,7 @@ impl ServerState {
         if let Some(e) = lock(&self.cache).peek_mut(memo) {
             // Tagged with the form's *applied* watermarks: if a drain
             // raced us past `snapshot`, the served frontier is the newer
-            // (monotone superset) one, and the slot must say so. A covered
+            // one (later watermarks), and the slot must say so. A covered
             // slot carries the covering form's watermarks: its support
             // determines the covered answers too.
             e.memoize(repr, &table, applied);

@@ -49,8 +49,8 @@
 //!
 //! ## Resident forms
 //!
-//! With `--resident-forms=N` (default 8) up to N monotone forms keep their
-//! fixpoint resident and absorb ingested facts as deltas before the ingest
+//! With `--resident-forms=N` (default 8) up to N stratifiable forms (with
+//! or without negation) keep their fixpoint resident and absorb ingested facts as deltas before the ingest
 //! is acknowledged; every `QUERY` answer is fresh and names the `frontier=`
 //! it was read at. A form is live or cold
 //! ([`Entry::resident`](crate::cache::Entry::resident)); who moves it,

@@ -576,8 +576,13 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
 #[test]
 fn every_cache_source_answers_through_the_same_tail() {
     let dir = TempDir::new("metrics-tail");
-    let state = ServerState::from_config(&ServerConfig::default()).unwrap();
-    // `a` is monotone (pins a resident); `c` negates, so it never does.
+    let fault = std::sync::Arc::new(datalog_server::FaultPlan::new());
+    let cfg = ServerConfig {
+        fault: std::sync::Arc::clone(&fault),
+        ..ServerConfig::default()
+    };
+    let state = ServerState::from_config(&cfg).unwrap();
+    // Both forms pin a resident on their first (cold) evaluation.
     let rules = dir.path().join("rules.dl");
     let src = format!("{TC_RULES}c(X) :- n(X), not d(X).\np(1, 2).\nn(1).\nn(2).\nd(2).\n");
     std::fs::write(&rules, src).unwrap();
@@ -608,6 +613,10 @@ fn every_cache_source_answers_through_the_same_tail() {
     };
 
     ask("miss", "?- c(X).");
+    // A failed drain poisons `c`'s resident: the next query of the form
+    // evaluates it from cold.
+    fault.fail_drains(1);
+    assert!(state.handle(&Request::Fact("n(3).".into())).ok);
     ask("hit", "?- c(1).");
     ask("answers", "?- c(1).");
     ask("miss", "?- a(X, _).");

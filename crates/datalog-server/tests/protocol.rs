@@ -31,6 +31,18 @@ fn xdl_run_reference(src: &str) -> String {
     render_answers(&answers)
 }
 
+/// What `xdl run --no-optimize <src>` prints on stdout: the program as
+/// written, evaluated with the boolean cut.
+fn no_optimize_reference(src: &str) -> String {
+    let parsed = parse_program(src).unwrap();
+    let opts = EvalOptions {
+        boolean_cut: true,
+        ..EvalOptions::default()
+    };
+    let (answers, _) = query_answers_full(&parsed.program, parsed.facts, &opts).unwrap();
+    render_answers(&answers)
+}
+
 fn spawn() -> Server {
     Server::spawn(&ServerConfig::default()).expect("bind ephemeral port")
 }
@@ -85,6 +97,83 @@ fn predicate_read_only_through_negation_is_served_whole() {
         resp.payload_text(),
         xdl_run_reference(&format!("{src}?- clean(X)."))
     );
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// `clean` negates `flagged`. Its form is kept resident anyway: a FACT
+/// that grows `flagged` recomputes the `clean` stratum, one that does not
+/// propagates through it, and every answer — before and after a restart —
+/// is what the unoptimized program answers from cold.
+#[test]
+fn org_clean_is_resident_through_facts_that_grow_its_negation_and_a_restart() {
+    const ORG: &str = "above(X, Y) :- mgr(X, Y).\nabove(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+                       peer(X, Y) :- mgr(Z, X), mgr(Z, Y).\nskip(X, Y) :- mgr(X, Z), mgr(Z, Y).\n\
+                       flagged(X) :- above(X, Y), audit(Y).\n\
+                       clean(X) :- emp(X), not flagged(X).\n\
+                       clean(X) :- flagged(X), cleared(X).\n";
+    const Q: &str = "?- clean(X).";
+    let dir = TempDir::new("org-clean");
+    let cfg = ServerConfig {
+        wal_dir: Some(dir.path().join("wal")),
+        ..ServerConfig::default()
+    };
+    // 1 manages 2 and 5, 2 manages 3, 3 manages 4; 3 is audited.
+    let mut facts = String::from(
+        "mgr(2, 1).\nmgr(3, 2).\nmgr(4, 3).\nmgr(5, 1).\n\
+         emp(1).\nemp(2).\nemp(3).\nemp(4).\nemp(5).\naudit(3).\ncleared(4).\n",
+    );
+    let file = dir.file("org.dl", &format!("{ORG}{facts}"));
+    let ask = |c: &mut Client, facts: &str, cache: &str| -> String {
+        let resp = c.query(Q).unwrap();
+        assert!(resp.ok, "{}", resp.error);
+        let reference = no_optimize_reference(&format!("{ORG}{facts}{Q}"));
+        assert_eq!(resp.payload_text(), reference, "after {facts}");
+        assert_eq!(resp.get("cache"), Some(cache), "after {facts}");
+        reference
+    };
+    let server = Server::spawn(&cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+    let mut answers = vec![ask(&mut c, &facts, "miss")];
+    // Whether each FACT grows `flagged`.
+    for (f, grows) in [
+        ("emp(6).", false),
+        ("mgr(6, 5).", false),
+        ("audit(1).", true),
+        ("cleared(2).", false),
+        ("mgr(7, 4).", true),
+        ("emp(7).", false),
+        ("audit(5).", false),
+    ] {
+        let resp = c.fact(f).unwrap();
+        assert!(resp.ok, "{f}: {}", resp.error);
+        facts.push_str(f);
+        facts.push('\n');
+        let flagged = |facts: &str| no_optimize_reference(&format!("{ORG}{facts}?- flagged(X)."));
+        let before = facts.strip_suffix(&format!("{f}\n")).unwrap();
+        assert_eq!(flagged(&facts) != flagged(before), grows, "{f}");
+        answers.push(ask(&mut c, &facts, "resident"));
+    }
+    assert!(
+        answers.windows(2).any(|w| w[0] != w[1]),
+        "answers never moved"
+    );
+    let stats = c.stats().unwrap().payload_text();
+    assert!(stats.contains("\"resident_poisonings\":0"), "{stats}");
+    c.shutdown().unwrap();
+    server.join();
+
+    // Recovered from the log: the same bytes, and resident again.
+    let server = Server::spawn(&cfg).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(&ask(&mut c, &facts, "miss"), answers.last().unwrap());
+    for f in ["audit(2).", "emp(8)."] {
+        assert!(c.fact(f).unwrap().ok);
+        facts.push_str(f);
+        facts.push('\n');
+        ask(&mut c, &facts, "resident");
+    }
     c.shutdown().unwrap();
     server.join();
 }
@@ -413,7 +502,8 @@ fn frontier_is_the_latest_acknowledged_version_from_every_source() {
         facts.push('\n');
         resp.get("version").unwrap().parse().unwrap()
     };
-    // Non-monotone (cold), then the resident form and a form it covers.
+    // `n` negates `a`: it pins a resident of its own. Then `a`'s resident
+    // form and a form it covers.
     assert_eq!(ask(&mut c, "?- n(X).", &facts, version), "miss");
     assert_eq!(ask(&mut c, "?- a(X, Y).", &facts, version), "miss");
     assert_eq!(ask(&mut c, "?- a(X, _).", &facts, version), "resident");

@@ -274,7 +274,10 @@ echo "check.sh: option smoke ok"
 
 # Incremental-serving smoke: ingest after a warm query, then demand the
 # resident-frontier answer is byte-identical to a server with residency
-# disabled (--resident-forms 0 forces invalidate-and-recompute).
+# disabled (--resident-forms 0 forces invalidate-and-recompute). `n`
+# negates `a`, so every FACT grows its negated predicate and its resident
+# recomputes the `n` stratum; the last FACT closes a cycle and empties `n`.
+{ cat "$smoke_dir/tc.dl"; printf 'n(X) :- p(X, Y), not a(Y, X).\n'; } > "$smoke_dir/tcn.dl"
 for forms in 8 0; do
     ./target/release/xdl serve --port 0 --resident-forms "$forms" \
         > "$smoke_dir/serve-inc$forms.out" &
@@ -289,10 +292,14 @@ for forms in 8 0; do
         echo "check.sh: incremental smoke server ($forms) did not announce" >&2
         exit 1
     fi
-    ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
+    ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tcn.dl" \
         '?- a(X, _).' > /dev/null
+    ./target/release/xdl query --connect "$addr" '?- n(X).' > "$smoke_dir/inc$forms.out"
     ./target/release/xdl query --connect "$addr" --fact 'p(3, 4).' \
-        --fact 'p(4, 5).' '?- a(X, _).' > "$smoke_dir/inc$forms.out"
+        --fact 'p(4, 5).' '?- a(X, _).' >> "$smoke_dir/inc$forms.out"
+    ./target/release/xdl query --connect "$addr" '?- n(X).' >> "$smoke_dir/inc$forms.out"
+    ./target/release/xdl query --connect "$addr" --fact 'p(5, 1).' \
+        '?- n(X).' >> "$smoke_dir/inc$forms.out"
     ./target/release/xdl query --connect "$addr" --shutdown
     wait "$serve_pid"
     serve_pid=""
@@ -573,9 +580,10 @@ fi
 echo "check.sh: harness all --quick ok, counters unchanged"
 
 # Random-seed fuzz arm: every differential of `fuzz --smoke` (strategies,
-# resident vs cold in bulk and single-fact batches, covered reads vs each
-# form's own evaluation, the storage self-check, optimizer on and off) over
-# programs nobody wrote by hand. The seed comes from the clock and is
+# resident vs cold in bulk and single-fact batches — also for a stratified
+# program with negation — covered reads vs each form's own evaluation, the
+# storage self-check, optimizer on and off) over programs nobody wrote by
+# hand. The seed comes from the clock and is
 # printed first; 1500 rounds is about 60 s on a 2-core sandbox.
 fuzz_rounds=1500
 fuzz_seed=$(date +%s)
