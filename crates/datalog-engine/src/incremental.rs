@@ -558,6 +558,12 @@ mod tests {
             );
             assert_eq!(&r.last_runs, expect, "batch {i}");
             assert_premises_in_body_order(&p, &r);
+            // One justification per derived row: a cleared row's is gone.
+            assert_eq!(
+                r.provenance().map(Provenance::len),
+                cold.provenance.as_ref().map(Provenance::len),
+                "batch {i}"
+            );
         }
     }
 
