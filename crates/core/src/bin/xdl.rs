@@ -689,13 +689,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     if let Some(q) = query_text {
         let resp = send(format!("QUERY {q}"))?;
         // Byte-identical to `xdl run` on the same program and facts.
-        print!("{}", resp.payload_text());
+        print!("{}", resp.body());
     }
     if stats {
-        println!("{}", send("STATS".to_string())?.payload_text().trim_end());
+        println!("{}", send("STATS".to_string())?.body().trim_end());
     }
     if trace {
-        println!("{}", send("TRACE".to_string())?.payload_text().trim_end());
+        println!("{}", send("TRACE".to_string())?.body().trim_end());
     }
     if shutdown {
         send("SHUTDOWN".to_string())?;
@@ -727,7 +727,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
             print!("\x1b[2J\x1b[H");
             println!("xdl metrics — {addr} (refreshes every 2s, ^C to stop)\n");
         }
-        print!("{}", resp.payload_text());
+        print!("{}", resp.body());
         let _ = std::io::stdout().flush();
         if !watch {
             return Ok(());

@@ -39,8 +39,11 @@ use std::sync::{Arc, Mutex};
 
 use datalog_ast::PredRef;
 use datalog_engine::incremental::ResidentEval;
-use datalog_engine::DbSnapshot;
+use datalog_engine::{AnswerSet, DbSnapshot};
 use datalog_opt::PreparedProgram;
+
+use crate::protocol::count_lines;
+use crate::server::render_answers;
 
 /// Prepared forms the server keeps before LRU eviction. Prepared programs
 /// are small and depend only on the rules, so one generous bound serves
@@ -89,13 +92,28 @@ pub fn watermarks_at(prepared: &PreparedProgram, snapshot: &DbSnapshot) -> Water
 }
 
 /// One rendered answer table: what every answer source hands to the
-/// response tail. Cloning shares the payload.
+/// response tail, and the response body itself. Cloning shares the
+/// payload.
 #[derive(Debug, Clone)]
 pub struct Rendered {
     /// The exact payload `QUERY` returns (what `xdl run` would print).
     pub payload: Arc<str>,
+    /// Number of `\n`-terminated lines in `payload` (the header's count).
+    pub lines: usize,
     /// Number of answers (for the response header).
     pub answers: usize,
+}
+
+impl Rendered {
+    /// Render `answers` as `xdl run` prints them.
+    pub fn of(answers: &AnswerSet) -> Rendered {
+        let payload = render_answers(answers);
+        Rendered {
+            lines: count_lines(&payload),
+            payload: payload.into(),
+            answers: answers.len(),
+        }
+    }
 }
 
 /// A memoized answer payload, valid while the support watermarks hold.
@@ -147,6 +165,9 @@ pub struct Entry {
     /// eligible form pins with its next cold evaluation. Bounded
     /// separately — see [`PreparedCache::pin_resident`].
     pub resident: Option<Arc<Mutex<ResidentForm>>>,
+    /// Whether the form may hold resident state at all, fixed when the
+    /// entry is created: the prepared program never changes.
+    pinnable: bool,
     /// LRU clock value of the last use.
     last_used: u64,
 }
@@ -157,11 +178,10 @@ impl Entry {
     /// resident too) and its bound class is admitted. The one
     /// eligibility test — first pin and rebuild both ask here (whether
     /// pinning is enabled at all is the caller's `--resident-forms`
-    /// check).
+    /// check). Decided once, when [`PreparedCache::insert`] creates the
+    /// entry.
     pub fn pin_target(&self) -> Option<&Arc<PreparedProgram>> {
-        (ResidentEval::supports(&self.prepared.program)
-            && ResidentEval::admits_bound_class(self.prepared.bound_class))
-        .then_some(&self.prepared)
+        self.pinnable.then_some(&self.prepared)
     }
 
     /// Fill the answer slot with `table`, rendered for `query_repr` at
@@ -321,7 +341,9 @@ impl PreparedCache {
         }
         self.clock += 1;
         let clock = self.clock;
-        self.entries.entry(key).or_insert(Entry {
+        self.entries.entry(key).or_insert_with(|| Entry {
+            pinnable: ResidentEval::supports(&prepared.program)
+                && ResidentEval::admits_bound_class(prepared.bound_class),
             prepared: Arc::new(prepared),
             memo: None,
             resident: None,

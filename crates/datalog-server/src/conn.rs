@@ -11,7 +11,7 @@
 //! them before it returns: [`Server::join`] returning means every
 //! connection has drained.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -130,9 +130,7 @@ fn shed_connection(state: &ServerState, mut stream: TcpStream, detail: &str) {
     state.note_limit("busy", detail);
     let _ = stream.set_nodelay(true);
     let resp = Response::err_code(ErrCode::Busy, "connection limit reached, retry later");
-    let mut buf = Vec::with_capacity(64);
-    let _ = resp.write_to(&mut buf);
-    let _ = stream.write_all(&buf);
+    let _ = write_buffered(&resp, &mut stream);
 }
 
 /// How long a connection thread waits on an idle client before it looks
@@ -226,11 +224,68 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
     }
 }
 
-/// Serialize the whole response into one buffer and send it with a single
-/// `write_all`, so a multi-line payload costs one packet, not one per line.
-fn write_buffered(resp: &Response, writer: &mut TcpStream) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(256);
-    resp.write_to(&mut buf)?;
-    writer.write_all(&buf)?;
+/// Send a response with one vectored write: the header, rendered into a
+/// small buffer, and the body straight from the shared payload. A
+/// multi-line payload costs one system call, not one per line, and its
+/// bytes are never copied in user space.
+fn write_buffered(resp: &Response, writer: &mut impl Write) -> std::io::Result<()> {
+    let mut header = Vec::with_capacity(128);
+    resp.write_header(&mut header)?;
+    let body = resp.body().as_bytes();
+    let mut sent = 0;
+    while sent < header.len() + body.len() {
+        let written = match header.get(sent..) {
+            Some(rest) if !rest.is_empty() => {
+                writer.write_vectored(&[IoSlice::new(rest), IoSlice::new(body)])
+            }
+            _ => writer.write(&body[sent - header.len()..]),
+        };
+        match written {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket that takes at most `step` bytes per call, vectored or not.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_still_send_the_whole_response() {
+        let resp = Response::ok()
+            .with_info("cache", "resident")
+            .with_payload_text("X, Y\n1, a b\n2, \u{e9}\r\n");
+        let mut want = Vec::new();
+        resp.write_to(&mut want).unwrap();
+        for step in [1, 3, 7, 25, 1 << 16] {
+            let mut sock = Trickle {
+                out: Vec::new(),
+                step,
+            };
+            write_buffered(&resp, &mut sock).unwrap();
+            assert_eq!(sock.out, want, "step {step}");
+        }
+    }
 }

@@ -28,9 +28,17 @@
 //! <payload line nlines>
 //! ```
 //!
+//! The payload is the body's bytes, sent verbatim: only `\n` ends a
+//! line, so a `\r` or any other byte inside a line is part of it, and
+//! `<nlines>` is the body's number of `\n`. A reader takes exactly that
+//! many `\n`-terminated lines and strips nothing else. On the server the
+//! body is one shared [`Arc<str>`]: a `QUERY` answer goes from the cache
+//! to the socket without a copy, after a header written into a small
+//! buffer.
+//!
 //! A `QUERY` header carries `cache=<source> answers=<n> frontier=<version>
-//! wall_us=<us>`, and its payload lines are byte-identical to what
-//! `xdl run` prints for the same program and facts. `frontier` is the store
+//! wall_us=<us>`, and its payload is byte-identical to what `xdl run`
+//! prints for the same program and facts. `frontier` is the store
 //! version of the snapshot the query was answered at, whichever source
 //! answered. Every `FACT` or `LOAD` acknowledged before the query was sent
 //! is in that snapshot, so `frontier` is at least the latest such `version=`
@@ -50,6 +58,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// Version of the protocol the module docs describe, reported by `STATS`
 /// as `"proto"`.
@@ -201,8 +210,12 @@ impl Request {
     }
 }
 
-/// A response: either `Ok` with key=value metadata and payload lines, or
-/// `Err` with a message.
+/// A response: either `Ok` with key=value metadata and a payload, or `Err`
+/// with a message.
+///
+/// The payload is one shared text — zero or more lines, each ending in
+/// `\n` — so a memoized or freshly rendered answer table is handed from
+/// the cache to the socket without a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Whether the header was `OK`.
@@ -214,8 +227,10 @@ pub struct Response {
     pub code: Option<ErrCode>,
     /// `key=value` pairs from the `OK` header, in order.
     pub info: Vec<(String, String)>,
-    /// Payload lines (without trailing newlines).
-    pub payload: Vec<String>,
+    /// The payload bytes, sent verbatim after the header.
+    body: Arc<str>,
+    /// The number of `\n` in `body`: the header's line count.
+    lines: usize,
 }
 
 impl Response {
@@ -226,7 +241,8 @@ impl Response {
             error: String::new(),
             code: None,
             info: Vec::new(),
-            payload: Vec::new(),
+            body: Arc::from(""),
+            lines: 0,
         }
     }
 
@@ -235,9 +251,7 @@ impl Response {
         Response {
             ok: false,
             error: message.into(),
-            code: None,
-            info: Vec::new(),
-            payload: Vec::new(),
+            ..Response::ok()
         }
     }
 
@@ -256,10 +270,30 @@ impl Response {
         self
     }
 
-    /// Attach payload lines from a (possibly multi-line) string. A trailing
-    /// newline does not produce an empty final line.
+    /// Append payload lines from a (possibly multi-line) string, copied
+    /// once into the body. Only `\n` ends a line; a text that does not
+    /// end in `\n` gets one, so its last line is a whole line.
     pub fn with_payload_text(mut self, text: &str) -> Response {
-        self.payload.extend(text.lines().map(|l| l.to_string()));
+        if text.is_empty() {
+            return self;
+        }
+        let newline = if text.ends_with('\n') { "" } else { "\n" };
+        self.body = if self.body.is_empty() && newline.is_empty() {
+            Arc::from(text)
+        } else {
+            Arc::from([&*self.body, text, newline].concat())
+        };
+        self.lines = count_lines(&self.body);
+        self
+    }
+
+    /// Make `body` the payload, shared rather than copied. `body` is empty
+    /// or ends in `\n`, and `lines` is its number of `\n`.
+    pub(crate) fn with_payload(mut self, body: Arc<str>, lines: usize) -> Response {
+        debug_assert!(body.is_empty() || body.ends_with('\n'));
+        debug_assert_eq!(lines, count_lines(&body));
+        self.body = body;
+        self.lines = lines;
         self
     }
 
@@ -271,43 +305,56 @@ impl Response {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The payload re-joined with newlines, with a trailing newline when
-    /// non-empty — the inverse of [`Response::with_payload_text`] for texts
-    /// that ended in `\n`.
-    pub fn payload_text(&self) -> String {
-        if self.payload.is_empty() {
-            String::new()
-        } else {
-            let mut s = self.payload.join("\n");
-            s.push('\n');
-            s
-        }
+    /// The payload exactly as sent: each line with its `\n`.
+    pub fn body(&self) -> &str {
+        &self.body
     }
 
-    /// Serialize onto a writer (header + payload lines).
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+    /// The payload's lines, without their `\n` (a `\r` stays).
+    pub fn payload_lines(&self) -> impl Iterator<Item = &str> {
+        self.body.split_terminator('\n')
+    }
+
+    /// The number of payload lines (the count in the `OK` header).
+    pub fn line_count(&self) -> usize {
+        self.lines
+    }
+
+    /// The payload as an owned string — the inverse of
+    /// [`Response::with_payload_text`] for texts that ended in `\n`.
+    pub fn payload_text(&self) -> String {
+        self.body.to_string()
+    }
+
+    /// Serialize the header line: `OK <nlines>[ key=value]...`, or the one
+    /// `ERR` line.
+    pub(crate) fn write_header(&self, w: &mut impl Write) -> std::io::Result<()> {
         if self.ok {
-            write!(w, "OK {}", self.payload.len())?;
+            write!(w, "OK {}", self.lines)?;
             for (k, v) in &self.info {
                 write!(w, " {k}={v}")?;
             }
-            writeln!(w)?;
-            for line in &self.payload {
-                writeln!(w, "{line}")?;
-            }
+            writeln!(w)
         } else {
             // ERR is always a single line; flatten any embedded newlines.
             let msg = self.error.replace('\n', " / ");
             match self.code {
-                Some(code) => writeln!(w, "ERR {code} {msg}")?,
-                None => writeln!(w, "ERR {msg}")?,
+                Some(code) => writeln!(w, "ERR {code} {msg}"),
+                None => writeln!(w, "ERR {msg}"),
             }
         }
+    }
+
+    /// Serialize onto a writer: the header, then the body verbatim.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        self.write_header(w)?;
+        w.write_all(self.body.as_bytes())?;
         w.flush()
     }
 
     /// Read one response from a buffered reader (header line + announced
-    /// payload lines). Returns `None` at EOF before a header.
+    /// payload lines). Returns `None` at EOF before a header. A payload
+    /// line ends at its `\n` and keeps every other byte, `\r` included.
     pub fn read_from(r: &mut impl BufRead) -> std::io::Result<Option<Response>> {
         let mut header = String::new();
         if r.read_line(&mut header)? == 0 {
@@ -343,24 +390,33 @@ impl Response {
                 resp.info.push((k.to_string(), v.to_string()));
             }
         }
+        let mut body = Vec::new();
         for _ in 0..n {
-            let mut line = String::new();
-            if r.read_line(&mut line)? == 0 {
+            if r.read_until(b'\n', &mut body)? == 0 || body.last() != Some(&b'\n') {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-payload",
                 ));
             }
-            resp.payload
-                .push(line.trim_end_matches(['\r', '\n']).to_string());
         }
-        Ok(Some(resp))
+        let body = String::from_utf8(body).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "response payload is not valid UTF-8",
+            )
+        })?;
+        Ok(Some(resp.with_payload(body.into(), n)))
     }
 
     /// Header pairs as a map (for tests and stats display).
     pub fn info_map(&self) -> BTreeMap<String, String> {
         self.info.iter().cloned().collect()
     }
+}
+
+/// The number of lines in a payload text: its `\n` bytes.
+pub(crate) fn count_lines(text: &str) -> usize {
+    text.bytes().filter(|&b| b == b'\n').count()
 }
 
 #[cfg(test)]
@@ -523,6 +579,97 @@ pub(crate) mod tests {
         assert_eq!(back, resp);
         assert_eq!(back.get("cache"), Some("hit"));
         assert_eq!(back.payload_text(), "X\n1\n2\n3\n");
+    }
+
+    /// The line-by-line writer the body replaced: `str::lines()` split,
+    /// then one `writeln!` per line. Kept here as the wire reference for
+    /// texts without `\r`.
+    fn line_by_line(info: &[(&str, &str)], text: &str) -> Vec<u8> {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut out = format!("OK {}", lines.len());
+        for (k, v) in info {
+            out.push_str(&format!(" {k}={v}"));
+        }
+        out.push('\n');
+        for line in lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn response_bodies_round_trip_verbatim() {
+        let long: String = (0..10_000).map(|i| format!("{i}, s{i}\n")).collect();
+        let bodies = [
+            "",
+            "true\n",
+            long.as_str(),
+            "X, Y\na b, c  d\n",
+            "X\nab\r\n\r\nc\rd\n",
+            "X\nÅngström\n日本\n\u{1F600}, é\n",
+            "X\n\n\n",
+        ];
+        for body in bodies {
+            let resp = Response::ok()
+                .with_info("cache", "resident")
+                .with_payload_text(body);
+            assert_eq!(resp.body(), body);
+            let mut wire = Vec::new();
+            resp.write_to(&mut wire).unwrap();
+            let (header, sent) = wire.split_at(wire.iter().position(|&b| b == b'\n').unwrap() + 1);
+            assert_eq!(sent, body.as_bytes(), "{body:?}");
+            let newlines = body.matches('\n').count();
+            let count = format!("OK {newlines} cache=resident\n");
+            assert_eq!(header, count.as_bytes(), "{body:?}");
+            assert_eq!(resp.line_count(), newlines);
+            let back = Response::read_from(&mut wire.as_slice()).unwrap().unwrap();
+            assert_eq!(back.body(), body, "{body:?}");
+            assert_eq!(back, resp);
+            if !body.contains('\r') {
+                assert_eq!(
+                    wire,
+                    line_by_line(&[("cache", "resident")], body),
+                    "{body:?}"
+                );
+            }
+        }
+        // Two wire images pinned byte for byte.
+        let mut wire = Vec::new();
+        Response::ok()
+            .with_info("answers", 2)
+            .with_payload_text("X, Y\n1, a b\n2, é\n")
+            .write_to(&mut wire)
+            .unwrap();
+        assert_eq!(wire, b"OK 3 answers=2\nX, Y\n1, a b\n2, \xc3\xa9\n");
+        wire.clear();
+        Response::ok()
+            .with_payload_text("true\n")
+            .write_to(&mut wire)
+            .unwrap();
+        assert_eq!(wire, b"OK 1\ntrue\n");
+    }
+
+    #[test]
+    fn payload_text_without_a_final_newline_gets_one() {
+        let resp = Response::ok().with_payload_text("{\"a\":1}");
+        assert_eq!(resp.body(), "{\"a\":1}\n");
+        assert_eq!(resp.line_count(), 1);
+        let resp = resp.with_payload_text("b\nc");
+        assert_eq!(resp.body(), "{\"a\":1}\nb\nc\n");
+        assert_eq!(resp.line_count(), 3);
+        assert_eq!(
+            resp.payload_lines().collect::<Vec<_>>(),
+            ["{\"a\":1}", "b", "c"]
+        );
+    }
+
+    #[test]
+    fn a_payload_cut_short_is_an_error() {
+        for wire in [&b"OK 2\nX\n"[..], b"OK 2\nX\n1", b"OK 1\n"] {
+            let err = Response::read_from(&mut &wire[..]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{wire:?}");
+        }
     }
 
     #[test]

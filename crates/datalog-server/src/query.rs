@@ -47,7 +47,7 @@ use datalog_trace::Json;
 use crate::cache::{watermarks_at, Entry, FormKey, Rendered, ResidentForm};
 use crate::metrics::{Phase, PHASES};
 use crate::protocol::{ErrCode, Response};
-use crate::server::{lock, read_lock, render_answers, Decrement, RuleSet, ServerState};
+use crate::server::{lock, read_lock, Decrement, RuleSet, ServerState};
 
 /// A resolved query: everything the later stages read, fixed before the
 /// cache is consulted.
@@ -152,11 +152,7 @@ fn build_resident(
 
 /// One extraction off a locked form's frontier.
 pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
-    let answers = form.eval.answers(q_atom);
-    Rendered {
-        payload: render_answers(&answers).into(),
-        answers: answers.len(),
-    }
+    Rendered::of(&form.eval.answers(q_atom))
 }
 
 impl ServerState {
@@ -423,10 +419,7 @@ impl ServerState {
         let d_eval = t_eval.elapsed();
 
         let t_serialize = Instant::now();
-        let table = Rendered {
-            payload: render_answers(&answers).into(),
-            answers: answers.len(),
-        };
+        let table = Rendered::of(&answers);
         {
             let mut cache = lock(&self.cache);
             if let Some(entry) = cache.get_mut(&ctx.key) {
@@ -485,7 +478,7 @@ impl ServerState {
             .with_info("answers", served.table.answers)
             .with_info("frontier", ctx.snapshot.version())
             .with_info("wall_us", ctx.started.elapsed().as_micros())
-            .with_payload_text(&served.table.payload)
+            .with_payload(served.table.payload, served.table.lines)
     }
 
     /// Emit one structured JSON line on stderr when a query's wall time

@@ -646,7 +646,7 @@ mod tests {
         let resp = state.handle(&Request::query("?- a(X, _)."));
         assert!(resp.ok, "{}", resp.error);
         assert_eq!(resp.get("cache"), Some("miss"));
-        assert_eq!(resp.payload, vec!["X", "1"]);
+        assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1"]);
     }
 
     #[test]
@@ -699,7 +699,7 @@ mod tests {
         assert!(rec.contains("\"applied\":4"), "{rec}");
         let resp = state.handle(&Request::query("?- a(1, X)."));
         assert!(resp.ok, "{}", resp.error);
-        assert_eq!(resp.payload, vec!["X", "2", "3"]);
+        assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "2", "3"]);
     }
 
     #[test]
@@ -820,7 +820,7 @@ mod tests {
         // state survived the unwinding.
         let resp = state.handle_safely(&Request::query("?- a(X, _)."));
         assert!(resp.ok, "{}", resp.error);
-        assert_eq!(resp.payload, vec!["X", "1"]);
+        assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1"]);
         let stats = state.handle(&Request::Stats);
         assert!(
             stats.payload_text().contains("\"panics_recovered\":1"),

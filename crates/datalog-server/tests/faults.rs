@@ -83,13 +83,13 @@ fn fsync_failure_refuses_the_write_and_recovers_when_disarmed() {
     // The refused fact was not applied: only the durable one answers.
     let resp = c.query("?- p(X, _).").unwrap();
     assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["X", "1"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1"]);
 
     // Disarmed, the same write goes through on the same connection.
     fault.fail_fsync(false);
     assert!(c.fact("p(2, 3).").unwrap().ok);
     let resp = c.query("?- p(X, _).").unwrap();
-    assert_eq!(resp.payload, vec!["X", "1", "2"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1", "2"]);
     assert!(fault.fired() >= 1);
 
     c.shutdown().unwrap();
@@ -171,7 +171,10 @@ fn mid_query_panic_answers_internal_and_service_continues() {
     // intact, the answer is correct.
     let resp = c.query("?- a(X, _).").unwrap();
     assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["X", "1", "2", "3"]);
+    assert_eq!(
+        resp.payload_lines().collect::<Vec<_>>(),
+        ["X", "1", "2", "3"]
+    );
 
     // A different connection is equally unaffected.
     let mut c2 = Client::connect(server.addr()).unwrap();
@@ -340,7 +343,7 @@ fn client_that_stops_reading_frees_its_worker() {
         let mut c = Client::connect(server.addr()).unwrap();
         assert!(c.load(file.to_str().unwrap()).unwrap().ok);
         let warm = c.query("?- pair(X, Y).").unwrap();
-        assert_eq!(warm.payload.len(), 1 + 150 * 150);
+        assert_eq!(warm.line_count(), 1 + 150 * 150);
     }
 
     // A hundred pipelined queries (~300 MB of answers, far past what loopback
@@ -597,7 +600,7 @@ fn shutdown_drains_in_flight_query_to_completion_or_clean_error() {
 
     let (resp, elapsed) = worker.join().unwrap();
     if resp.ok {
-        assert!(!resp.payload.is_empty(), "complete response has rows");
+        assert!(resp.line_count() > 0, "complete response has rows");
     } else {
         assert_eq!(resp.code, Some(ErrCode::Shutdown), "{}", resp.error);
         assert!(resp.error.contains("partial:"), "{}", resp.error);
@@ -738,7 +741,7 @@ fn compaction_under_load_preserves_every_acknowledged_fact() {
     let resp = c.query("?- p(X, _).").unwrap();
     assert!(resp.ok, "{}", resp.error);
     // Header + the 30 distinct sources.
-    assert_eq!(resp.payload.len(), 31, "{:?}", resp.payload);
+    assert_eq!(resp.line_count(), 31, "{}", resp.body());
     c.shutdown().unwrap();
     server.join();
 }
@@ -774,7 +777,7 @@ fn a_damaged_snapshot_never_serves_a_partial_table() {
             assert!(state.handle(&Request::Fact(f.into())).ok, "{f}");
         }
         let resp = state.handle(&Request::query("?- q(X)."));
-        assert_eq!(resp.payload, ["X", "1", "2"]);
+        assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1", "2"]);
     }
     let names: Vec<String> = contents(&wal_dir).into_keys().collect();
     assert_eq!(names, ["snapshot.log", "wal.log"]);
@@ -833,7 +836,8 @@ fn a_compaction_whose_directory_fsync_fails_keeps_the_log() {
     assert_eq!(stat(&stats, "from_log"), 4, "{stats}");
     assert_eq!(stat(&stats, "skipped"), 0, "{stats}");
     for (q, rows) in [("?- p(X).", ["X", "1", "2"]), ("?- q(X).", ["X", "1", "2"])] {
-        assert_eq!(state.handle(&Request::query(q)).payload, rows, "{q}");
+        let resp = state.handle(&Request::query(q));
+        assert_eq!(resp.payload_lines().collect::<Vec<_>>(), rows, "{q}");
     }
 }
 
@@ -1235,7 +1239,7 @@ fn residency_walks_every_state_with_its_tag_and_counters() {
     assert!(state.handle(&Request::Fact("p(2, 3).".into())).ok);
     let resp = ask("?- a(1, X).");
     assert_eq!(resp.get("cache"), Some("resident"));
-    assert_eq!(resp.payload, vec!["X", "2", "3"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "2", "3"]);
     assert_eq!(counters(), [1, 0, 0, 0]);
 
     // Live → poisoned → Cold: the ingest's drain fails.
@@ -1247,7 +1251,10 @@ fn residency_walks_every_state_with_its_tag_and_counters() {
     // result.
     let resp = ask("?- a(1, X).");
     assert_eq!(resp.get("cache"), Some("hit"));
-    assert_eq!(resp.payload, vec!["X", "2", "3", "4"]);
+    assert_eq!(
+        resp.payload_lines().collect::<Vec<_>>(),
+        ["X", "2", "3", "4"]
+    );
     assert_eq!(counters(), [1, 1, 1, 1]);
     assert_eq!(ask("?- a(2, X).").get("cache"), Some("resident"));
 
@@ -1260,7 +1267,7 @@ fn residency_walks_every_state_with_its_tag_and_counters() {
     assert_eq!(counters(), [1, 1, 2, 2]);
     let resp = ask("?- a(2, X).");
     assert_eq!(resp.get("cache"), Some("resident"));
-    assert_eq!(resp.payload, vec!["X", "3", "4"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "3", "4"]);
 }
 
 #[test]

@@ -101,6 +101,78 @@ fn predicate_read_only_through_negation_is_served_whole() {
     server.join();
 }
 
+/// A payload line is the rendered table's bytes up to its `\n`: a symbol
+/// that ends in `\r`, holds a space, is not ASCII, or even holds a `\n`
+/// comes back from every source exactly as `xdl run` prints it.
+#[test]
+fn symbols_with_carriage_returns_spaces_and_utf8_cross_the_wire_verbatim() {
+    const SRC: &str = "p(\"ab\r\").\np(\"c d\").\np(\"\u{c5}ngstr\u{f6}m\").\n\
+                       p(\"\u{65e5}\u{672c} \u{8a9e}\r\").\np(\"x\ny\").\np(\"\r\").\n\
+                       q(X) :- p(X).\n";
+    let dir = TempDir::new("verbatim");
+    let server = spawn();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let file = dir.file("symbols.dl", SRC);
+    let resp = c.load(file.to_str().unwrap()).unwrap();
+    assert!(resp.ok, "{}", resp.error);
+    for (query, cache) in [
+        ("?- p(X).", "miss"),
+        ("?- p(X).", "answers"),
+        ("?- q(X).", "miss"),
+        ("?- q(Y).", "resident"),
+        ("?- q(Y).", "answers"),
+    ] {
+        let resp = c.query(query).unwrap();
+        assert!(resp.ok, "{query}: {}", resp.error);
+        assert_eq!(resp.get("cache"), Some(cache), "{query}");
+        let reference = xdl_run_reference(&format!("{SRC}{query}"));
+        assert!(reference.contains("ab\r\n"), "{reference:?}");
+        assert_eq!(resp.body(), reference, "{query} ({cache})");
+        assert_eq!(resp.line_count(), reference.matches('\n').count());
+    }
+    c.shutdown().unwrap();
+    server.join();
+}
+
+/// A table of thousands of lines crosses the socket byte for byte from
+/// every source: the cold evaluation that builds the resident, a resident
+/// read, and the memo.
+#[test]
+fn a_large_table_is_byte_identical_from_every_source() {
+    const NODES: usize = 101;
+    let facts: String = (1..NODES)
+        .map(|i| format!("p({i}, {}).\n", i + 1))
+        .collect();
+    let src = format!("{TC_RULES}{facts}");
+    let dir = TempDir::new("large");
+    let server = spawn();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let file = dir.file("chain.dl", &src);
+    assert!(c.load(file.to_str().unwrap()).unwrap().ok);
+    let mut references = BTreeMap::new();
+    for (query, cache) in [
+        ("?- a(X, Y).", "miss"),
+        ("?- a(U, V).", "resident"),
+        ("?- a(X, Y).", "resident"),
+        ("?- a(X, Y).", "answers"),
+    ] {
+        let resp = c.query(query).unwrap();
+        assert!(resp.ok, "{query}: {}", resp.error);
+        assert_eq!(resp.get("cache"), Some(cache), "{query}");
+        let reference = references
+            .entry(query)
+            .or_insert_with(|| no_optimize_reference(&format!("{src}{query}")));
+        // The header line plus one row per pair of the chain.
+        assert_eq!(resp.line_count(), 1 + NODES * (NODES - 1) / 2);
+        assert!(
+            resp.body() == reference.as_str(),
+            "{query} ({cache}) differs"
+        );
+    }
+    c.shutdown().unwrap();
+    server.join();
+}
+
 /// `clean` negates `flagged`. Its form is kept resident anyway: a FACT
 /// that grows `flagged` recomputes the `clean` stratum, one that does not
 /// propagates through it, and every answer — before and after a restart —
@@ -201,7 +273,7 @@ fn repeat_query_form_hits_cache_with_zero_new_events() {
     // Identical query: memoized answers, nothing re-run at all.
     let second = c.query("?- a(X, _).").unwrap();
     assert_eq!(second.get("cache"), Some("answers"));
-    assert_eq!(second.payload, first.payload);
+    assert_eq!(second.body(), first.body());
     let doc = c.trace().unwrap().payload_text();
     assert!(doc.contains("\"new_events\":[]"), "{doc}");
 
@@ -264,7 +336,7 @@ fn ingestion_invalidates_only_dependent_forms() {
         Some("resident"),
         "a re-serves from its caught-up resident frontier"
     );
-    assert!(a.payload.contains(&"5".to_string()), "{:?}", a.payload);
+    assert!(a.payload_lines().any(|l| l == "5"), "{}", a.body());
     assert_eq!(
         c.query("?- b(X, _).").unwrap().get("cache"),
         Some("answers"),
@@ -309,7 +381,7 @@ fn errors_keep_the_connection_usable() {
     assert!(c.fact("p(1, 2).").unwrap().ok);
     let resp = c.query("?- p(X, _).").unwrap();
     assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["X", "1"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "1"]);
 
     c.shutdown().unwrap();
     server.join();
@@ -361,8 +433,8 @@ fn concurrent_clients_with_interleaved_ingestion_see_consistent_prefixes() {
                         "response is not a prefix rendering:\n{payload}"
                     );
                     // Answers only grow: the EDB is append-only.
-                    assert!(resp.payload.len() >= last_len, "answers shrank");
-                    last_len = resp.payload.len();
+                    assert!(resp.line_count() >= last_len, "answers shrank");
+                    last_len = resp.line_count();
                 }
             })
         })
@@ -553,7 +625,7 @@ fn a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step() {
     assert!(c.fact("p(3).").unwrap().ok);
     let resp = c.query("?- p(X).").unwrap();
     assert!(resp.ok, "{}", resp.error);
-    assert_eq!(resp.payload, vec!["X", "3"]);
+    assert_eq!(resp.payload_lines().collect::<Vec<_>>(), ["X", "3"]);
 
     c.shutdown().unwrap();
     server.join();

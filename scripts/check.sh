@@ -126,10 +126,31 @@ if ! grep -q '"resident_forms":1[,}]' "$smoke_dir/stats.out" \
     cat "$smoke_dir/stats.out" >&2
     exit 1
 fi
+# Payload bytes: a symbol that ends in `\r` (only `\n` ends a payload
+# line) and a relation of 1 200 rows cross the socket verbatim, from the
+# cold evaluation and from the memo.
+{
+    printf 's("ab\r").\ns("c d").\ns("\303\251").\n'
+    printf 'w(X, Y) :- r(X, Y).\n'
+    seq 1 1200 | awk '{ printf "r(%d, %d).\n", $1, $1 + 1 }'
+} > "$smoke_dir/wide.dl"
+./target/release/xdl query --connect "$addr" --load "$smoke_dir/wide.dl" > /dev/null
+for q in 's(X)' 'w(X, _)'; do
+    { cat "$smoke_dir/wide.dl"; printf '?- %s.\n' "$q"; } > "$smoke_dir/wide-q.dl"
+    ./target/release/xdl run "$smoke_dir/wide-q.dl" > "$smoke_dir/ran-wide.out"
+    for pass in 1 2; do
+        ./target/release/xdl query --connect "$addr" "?- $q." > "$smoke_dir/served-wide.out"
+        if ! cmp -s "$smoke_dir/served-wide.out" "$smoke_dir/ran-wide.out"; then
+            echo "check.sh: served ?- $q. (pass $pass) differs from xdl run:" >&2
+            cmp "$smoke_dir/served-wide.out" "$smoke_dir/ran-wide.out" >&2 || true
+            exit 1
+        fi
+    done
+done
 ./target/release/xdl query --connect "$addr" --shutdown
 wait "$serve_pid"
 serve_pid=""
-echo "check.sh: server smoke ok (incl. METRICS scrape and point reads)"
+echo "check.sh: server smoke ok (incl. METRICS scrape, point reads and verbatim payloads)"
 
 # Connection smokes. `hold <addr> <ready-file> <command>` keeps connections
 # open from bash (`/dev/tcp`) until it is killed: it runs <command> (which
