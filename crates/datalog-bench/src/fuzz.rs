@@ -81,7 +81,7 @@ const SINGLE_FACT_TAIL: usize = 4;
 /// — set-identical database dump and byte-identical query answers, for the
 /// program's query and for its [`point_reads`] (resident, cold and the
 /// matching oracle all agreeing; the resident reads create read indexes
-/// that later batches leave with uncovered rows).
+/// that later batches grow).
 ///
 /// Two passes: half the instance in batches of three (deltas about as long
 /// as the relations, so variants keep the base join order), and all but the
@@ -276,8 +276,8 @@ fn covered_read_differential(
 /// rows ([`check_indexes`]) — each planned index probed with every stored
 /// key and one absent key over the full id range, an empty one, an
 /// interior one and a short suffix — then the same on a copy grown by one
-/// fresh row, so each index also answers from its mutable tail. Returns
-/// the number of disagreements found.
+/// fresh row, so each index also answers for a row inserted after it was
+/// built. Returns the number of disagreements found.
 fn check_storage(db: &Database, label: &str, mut complain: impl FnMut(&str)) -> u64 {
     let mut failures = 0;
     for p in 0..db.pred_count() {

@@ -117,11 +117,6 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
-    /// Total sealed sorted runs across all relations.
-    pub fn storage_runs(&self) -> usize {
-        self.relations.iter().map(|r| r.run_count()).sum()
-    }
-
     /// Estimated heap bytes of acceleration structures across relations.
     pub fn storage_overhead_bytes(&self) -> usize {
         self.relations

@@ -344,7 +344,7 @@ impl Enumerator<'_> {
                 .db
                 .relation(lp.pred)
                 .probe_range(probe, &key, start, end);
-            for row_id in hits.iter() {
+            for &row_id in hits {
                 if !self.try_row(outer, step, row_id, bindings, premises) {
                     return;
                 }
@@ -916,9 +916,9 @@ impl Machine {
             let first = local_iter == 1 && seed_first;
             let iter_start = self.profile.is_some().then(Instant::now);
             let retired_before = self.stats.rules_retired;
-            // Freeze barrier: snapshot the marks for this iteration. Nothing
-            // is sealed here: a tail seals when it reaches `TAIL_LIMIT`, and
-            // a probe reads the tail as it reads a run.
+            // Freeze barrier: snapshot the marks for this iteration. Storage
+            // needs nothing here: `insert` has put every row into every
+            // index already.
             for p in 0..n_preds {
                 self.mark_cur[p] = self.db.relation(PredId(p as u32)).len();
             }
@@ -1304,14 +1304,14 @@ fn compile(
 }
 
 /// The one loader: every input row reaches a [`Database`] through here,
-/// one sorted bulk load per predicate — a cold start's input and every
+/// one sorted batch per predicate — a cold start's input and every
 /// resident batch alike. Each batch is sorted and checked against one
 /// arity: the program's for a predicate the program mentions, else that
 /// of the relation already registered for it, else that of the batch's
 /// first row. Every batch is checked before any is loaded, so a refused
 /// input leaves the database as it was. A checked batch goes to
-/// [`Relation::load_batch`], whose order-preserving dedup (the one every
-/// stored tuple goes through) keeps the first of each run of equal rows.
+/// [`Relation::load_batch`], which inserts it in order through the dedup
+/// every stored tuple goes through, keeping the first of equal rows.
 /// Batches come in `PredRef` order, so unknown predicates register in
 /// that order and every relation's loaded rows lie in tuple order: the
 /// database is row for row what inserting a [`FactSet`](crate::FactSet)'s
@@ -1477,9 +1477,9 @@ impl ReadPlan {
 /// Each answer is projected straight off the row slice.
 ///
 /// `create_index` is who-may-create: a resident form, which will be read
-/// again, lets the probe fill the read slot of the first bound column the
-/// first time a constant arrives there; a cold database is read once and
-/// is never sorted for it.
+/// again, lets the probe create the read index of the first bound column
+/// the first time a constant arrives there; a cold database is read once
+/// and is never indexed for it.
 ///
 /// [`Relation::select`]: crate::relation::Relation::select
 pub(crate) fn read_answers(

@@ -141,8 +141,8 @@ impl FactSet {
 /// The input rows of one evaluation: one batch per predicate, batches in
 /// ascending `PredRef` order. A batch may hold duplicates and rows in any
 /// order, and its rows' arities are not checked yet — the engine's one
-/// loader (`eval::load_input`) sorts, dedups and checks each batch before
-/// it bulk-loads it.
+/// loader (`eval::load_input`) sorts and checks each batch before it
+/// loads it, dropping duplicates.
 #[derive(Debug)]
 pub struct Edb {
     pub(crate) batches: Vec<(PredRef, Vec<Box<[Value]>>)>,

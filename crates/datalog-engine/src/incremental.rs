@@ -297,12 +297,6 @@ impl ResidentEval {
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
-
-    /// Total sealed sorted-run count across the resident database's
-    /// relations — the `xdl_storage_runs` input.
-    pub fn storage_runs(&self) -> usize {
-        self.machine.db.storage_runs()
-    }
 }
 
 #[cfg(test)]
@@ -790,8 +784,15 @@ mod tests {
         let below_five = r.answers(&atom("above(X, 5)"));
         assert_eq!(below_five.len(), 15);
         assert_eq!(slots(&r, "above"), [false, true]);
-        // 4 bytes a row of `above` (20 + 19 + … + 1 pairs), accounted.
-        assert_eq!(r.database().storage_overhead_bytes(), overhead + 4 * 210);
+        // The read index over `above`'s 210 rows, accounted: 20 keys in 64
+        // slots, 32 group headers, and groups of 2 to 20 ids in vectors of
+        // capacity 2, 4 (twice), 8 (four times), 16 (eight) and 32 (four),
+        // 298 ids, plus the column set.
+        let groups = 2 + 2 * 4 + 4 * 8 + 8 * 16 + 4 * 32;
+        assert_eq!(
+            r.database().storage_overhead_bytes(),
+            overhead + 64 * 4 + 32 * 24 + groups * 4 + 8
+        );
         assert_eq!(r.answers(&atom("above(X, 5)")), below_five);
         // Two bound columns of three: the first one's slot, then that slot
         // serves reads bound elsewhere as well.

@@ -8,12 +8,12 @@
 //!
 //! * [`FactSet`]: a simple, order-insensitive fact store used by tests and
 //!   the equivalence oracles, and [`Edb`]: the input of one evaluation, in
-//!   per-predicate batches that reach the relations by one sorted bulk load
-//!   each;
-//! * [`Relation`]/[`Database`]: interned-predicate tuple storage backed by
-//!   sorted runs — a bounded mutable tail plus immutable runs per planned
-//!   key-column set, bloom-gated probes, and binary-search dedup — the one
-//!   tuple store, also behind the server's [`SharedDatabase`];
+//!   per-predicate batches that reach the relations by one sorted batch
+//!   load each;
+//! * [`Relation`]/[`Database`]: interned-predicate tuple storage in which
+//!   one keyed structure, an id table grouped by key, serves dedup, every
+//!   planned join index and every point-read index — the one tuple store,
+//!   also behind the server's [`SharedDatabase`];
 //! * naive and **semi-naive** fixpoint evaluation ([`evaluate`]) with
 //!   instrumented [`EvalStats`] (facts derived, derivations, duplicate hits,
 //!   tuples scanned, index probes, iterations) — the machine-independent
@@ -55,7 +55,7 @@ pub use provenance::{DerivationTree, Provenance};
 pub use relation::Relation;
 pub use shared::{lock_or_recover, DbSnapshot, SharedDatabase, SharedDbError, SharedRelation};
 pub use stats::EvalStats;
-pub use storage::{storage_counters, take_consolidation_ns, StorageCounters};
+pub use storage::{storage_counters, StorageCounters};
 
 use datalog_ast::AstError;
 

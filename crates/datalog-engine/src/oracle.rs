@@ -316,7 +316,7 @@ pub fn extract_by_matching(q_atom: &Atom, database: &Database) -> AnswerSet {
 /// finds it, and every planned index, probed over each of `ranges` with
 /// every stored key and an absent one, returns exactly the ids a
 /// filtered scan of [`Relation::rows_in`] finds, in ascending order.
-/// Independent of the runs, tails and bloom filters it checks. Returns the
+/// Independent of the hash tables it checks. Returns the
 /// first disagreement.
 pub fn check_indexes(rel: &Relation, ranges: &[(usize, usize)]) -> Result<(), String> {
     let mut distinct = BTreeSet::new();

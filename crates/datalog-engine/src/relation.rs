@@ -4,55 +4,47 @@
 //! Rows are append-only and keep insertion order, which is what lets
 //! semi-naive evaluation address "the delta" as a contiguous row-id range.
 //! They live arity-strided in one flat [`Rows`] store, the only full copy
-//! of any tuple; everything else is an acceleration structure derived
-//! beside them (see [`crate::storage`]): a bounded mutable tail plus
-//! immutable sorted runs. Dedup is a bloom-gated binary search over flat
-//! `(hash, id)` pairs that consults the rows only to verify a hash match;
-//! a probe binary-searches each run's materialized key array. Every run
-//! covers a contiguous id range, so a probe emits ascending ids within
-//! `[start, end)` — a delta range's hits, in row-id order, with no
-//! copying. A tail is sealed into a run when it reaches [`TAIL_LIMIT`]
-//! rows (see [`Relation::seal`]), and runs are consolidated geometrically.
-//! The same structure holds the server's shared EDB ([`crate::shared`]),
-//! so a tuple is deduplicated by one piece of code whether it arrives by
-//! `FACT`, by recovery or from a fixpoint. The reference the tests hold it
-//! to is a filtered scan of [`Relation::rows_in`]
-//! ([`crate::oracle::check_indexes`]).
+//! of any tuple. Beside them sit [`KeyIndex`]es (see [`crate::storage`]),
+//! the row ids grouped by key, used three ways:
 //!
-//! Indices are *planned* (from the compiled join orders) and built via
-//! [`Relation::ensure_index`] right before the first join variant whose
-//! order probes them enumerates, and maintained incrementally by
-//! [`Relation::insert`] from then on. Probing is a `&self` operation
-//! ([`Relation::probe_range`]), so a fixpoint iteration enumerates against
-//! a frozen relation and only its merge mutates it.
+//! - **dedup** is one over all columns in which a key never gets a second
+//!   id;
+//! - each **planned join index** is one over its probe columns, built by
+//!   [`Relation::ensure_index`] right before the first join variant whose
+//!   order probes it enumerates. A probe ([`Relation::probe_range`]) is a
+//!   `&self` operation, so a fixpoint iteration enumerates against a
+//!   frozen relation and only its merge mutates it;
+//! - each **read index** is a one-column one, created lazily behind a
+//!   `OnceLock` by the first read that binds that column to a constant and
+//!   is allowed to create it ([`Relation::select`] with `create`), so a
+//!   read keeps `&self`. A column has at most one index: a planned `[col]`
+//!   index serves reads too, and planning one takes over the read index.
 //!
-//! Answer extraction has its own, cheaper structure: one **read index**
-//! slot per column ([`crate::storage::ReadIndex`]), empty until a read
-//! that is allowed to create it ([`Relation::select`] with `create`) binds
-//! that column to a constant. It is a bare id permutation — 4 bytes a row,
-//! keys read through the row store — covering a prefix of the rows;
-//! a reader filters the uncovered rows, and an insert folds them in once
-//! [`TAIL_LIMIT`] have gathered, so fewer than that are ever uncovered. A
-//! column has at most one index: a planned `[col]` index serves reads too,
-//! and building one empties the slot. The join path never looks at a slot.
+//! [`Relation::insert`] maintains every index that exists, so each covers
+//! every row: nothing is sealed, merged or folded, and a probe's ids in
+//! `[start, end)` are ascending — what a filtered scan of
+//! [`Relation::rows_in`] finds, the reference the tests hold every index
+//! to ([`crate::oracle::check_indexes`]). The same structure holds the
+//! server's shared EDB ([`crate::shared`]), so a tuple is deduplicated by
+//! one piece of code whether it arrives by `FACT`, by recovery or from a
+//! fixpoint.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use datalog_ast::Value;
 
-use crate::storage::{
-    self, hash_key, IndexRuns, ProbeHits, ReadIndex, Rows, TupleRuns, TAIL_LIMIT,
-};
+use crate::storage::{self, KeyIndex, Rows};
 
 /// A stored relation. See the module docs for the storage contract.
 #[derive(Debug, Clone)]
 pub struct Relation {
     rows: Rows,
-    dedup: TupleRuns,
-    indices: HashMap<Box<[usize]>, IndexRuns>,
-    /// One lazily filled read-index slot per column.
-    read: Box<[OnceLock<ReadIndex>]>,
+    /// All columns, one id per key.
+    dedup: KeyIndex,
+    /// The planned join indexes, one per column set.
+    indices: Vec<KeyIndex>,
+    /// One lazily filled read index per column.
+    read: Box<[OnceLock<KeyIndex>]>,
 }
 
 impl Relation {
@@ -60,8 +52,8 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             rows: Rows::new(arity),
-            dedup: TupleRuns::default(),
-            indices: HashMap::new(),
+            dedup: KeyIndex::unique(arity),
+            indices: Vec::new(),
             read: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -81,89 +73,52 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Insert a tuple; returns `true` if it was new.
+    /// Insert a tuple; returns `true` if it was new. A new row goes into
+    /// every index that exists.
     ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn insert(&mut self, tuple: &[Value]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity(), "relation arity mismatch");
-        let h = hash_key(tuple.iter().copied());
-        if self.dedup.contains(&self.rows, tuple, h) {
+        let id = self.rows.len() as u32;
+        self.rows.push(tuple);
+        if !self.dedup.insert(&self.rows, id) {
+            self.rows.pop();
             return false;
         }
-        self.push(tuple, h);
+        for index in &mut self.indices {
+            index.insert(&self.rows, id);
+        }
+        for slot in self.read.iter_mut() {
+            if let Some(index) = slot.get_mut() {
+                index.insert(&self.rows, id);
+            }
+        }
         true
     }
 
-    /// Append a row known to be new, whose hash is `h`: rows, dedup tail,
-    /// index tails; then a seal once the tail reaches [`TAIL_LIMIT`], and
-    /// a fold of every read slot left that many rows behind.
-    fn push(&mut self, tuple: &[Value], h: u64) {
-        let row_id = self.rows.len() as u32;
-        self.rows.push(tuple);
-        self.dedup.note_insert(h, row_id);
-        for (cols, index) in self.indices.iter_mut() {
-            index.tail_insert(&self.rows, cols, row_id);
-        }
-        if self.dedup.tail_len() >= TAIL_LIMIT {
-            self.seal();
-        } else {
-            self.fold_read_tails(TAIL_LIMIT);
-        }
-    }
-
-    /// Bulk-load a batch of rows; returns the number of new rows. The
-    /// result is exactly that of inserting the rows one by one — first
-    /// sightings kept, in batch order. Into an empty relation, duplicates
-    /// are found by one order-preserving sort instead of per-row hashing
-    /// and the whole batch is sealed into one sorted run at once (the
-    /// snapshot-recovery fast path, and every cold evaluation's load); into
-    /// a non-empty one, the rows are inserted one by one.
+    /// Insert a batch of rows in batch order; returns the number of new
+    /// rows. First sightings are kept, so the ids are those that inserting
+    /// the rows one by one gives.
     ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn load_batch(&mut self, batch: Vec<Box<[Value]>>) -> usize {
-        debug_assert!(batch.iter().all(|row| row.len() == self.arity()));
         let before = self.rows.len();
-        if self.rows.is_empty() {
-            // Order-preserving distinct: sort indices by (tuple, position),
-            // mark later equal positions as duplicates, keep first sightings
-            // in their original ingestion order. The seal below indexes
-            // them, so no tail entry is written.
-            let mut idx: Vec<u32> = (0..batch.len() as u32).collect();
-            idx.sort_unstable_by(|&a, &b| {
-                batch[a as usize][..]
-                    .cmp(&batch[b as usize][..])
-                    .then(a.cmp(&b))
-            });
-            let mut dup = vec![false; batch.len()];
-            for w in idx.windows(2) {
-                if batch[w[0] as usize] == batch[w[1] as usize] {
-                    dup[w[1] as usize] = true;
-                }
-            }
-            for (i, row) in batch.iter().enumerate() {
-                if !dup[i] {
-                    self.rows.push(row);
-                }
-            }
-            self.seal();
-        } else {
-            for row in batch {
-                self.insert(&row);
-            }
+        for row in &batch {
+            self.insert(row);
         }
         self.rows.len() - before
     }
 
     /// Drop every row, keeping the planned index column sets (empty) and
-    /// emptying the read slots: the relation is as new, except that the
-    /// join orders' indexes need no building again.
+    /// emptying the read indexes: the relation is as new, except that the
+    /// join orders' indexes need no planning again.
     pub fn clear(&mut self) {
         self.rows.clear();
-        self.dedup = TupleRuns::default();
-        for index in self.indices.values_mut() {
-            *index = IndexRuns::default();
+        self.dedup.clear();
+        for index in &mut self.indices {
+            index.clear();
         }
         for slot in self.read.iter_mut() {
             slot.take();
@@ -172,8 +127,7 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.dedup
-            .contains(&self.rows, tuple, hash_key(tuple.iter().copied()))
+        !self.dedup.get(&self.rows, tuple).is_empty()
     }
 
     /// Row by id.
@@ -186,97 +140,39 @@ impl Relation {
         (start..end).zip(self.rows.range(start, end))
     }
 
-    /// Fold the uncovered rows into every filled read slot whose uncovered
-    /// tail has reached `min_tail` rows.
-    fn fold_read_tails(&mut self, min_tail: usize) {
-        for (col, slot) in self.read.iter_mut().enumerate() {
-            if let Some(index) = slot.get_mut() {
-                if self.rows.len() - index.covered() >= min_tail {
-                    index.extend_to(&self.rows, col);
-                }
-            }
-        }
-    }
+    /// Does nothing: every index covers every row as it is inserted. Kept
+    /// for callers written against sorted-run storage.
+    pub fn seal(&mut self) {}
 
-    /// Seal the mutable tail into a sorted run and consolidate runs
-    /// geometrically. Safe at any point: sealing changes only the
-    /// acceleration structures, never the rows or their ids. Inserts seal
-    /// automatically once the tail reaches [`TAIL_LIMIT`], which bounds
-    /// tail memory; nothing else has to. A filled read slot follows the
-    /// same limit: its uncovered rows are folded in once there are
-    /// [`TAIL_LIMIT`] of them, so a read filters fewer than that.
-    pub fn seal(&mut self) {
-        self.fold_read_tails(TAIL_LIMIT);
-        let end = self.rows.len();
-        if end > self.dedup.sealed() {
-            let start = self.dedup.sealed();
-            self.dedup.seal_to(&self.rows, end);
-            for (cols, index) in self.indices.iter_mut() {
-                index.seal_range(&self.rows, cols, start, end);
-            }
-        }
-        if !self.dedup.wants_merge() {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        while self.dedup.wants_merge() {
-            self.dedup.merge_last_two();
-            for (cols, index) in self.indices.iter_mut() {
-                index.merge_last_two(cols);
-            }
-        }
-        storage::note_consolidation(t0.elapsed().as_nanos() as u64);
-    }
+    /// Does nothing, like [`Relation::seal`].
+    pub fn consolidate(&mut self) {}
 
-    /// Seal and merge every run into one. The geometric policy in
-    /// [`Relation::seal`] bounds amortized ingest cost; this is the
-    /// read-optimized endpoint for idle or maintenance compaction:
-    /// afterwards every probe pays one bloom check and one binary search
-    /// instead of one per run. Like sealing, it changes only the
-    /// acceleration structures — rows, ids, and probe results are
-    /// untouched. Filled read slots are brought to full coverage.
-    pub fn consolidate(&mut self) {
-        self.seal();
-        self.fold_read_tails(1);
-        if self.dedup.run_count() <= 1 {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        self.dedup.consolidate();
-        for (cols, index) in self.indices.iter_mut() {
-            index.consolidate(cols);
-        }
-        storage::note_consolidation(t0.elapsed().as_nanos() as u64);
-    }
-
-    /// Number of sealed sorted runs.
-    pub fn run_count(&self) -> usize {
-        self.dedup.run_count()
-    }
-
-    /// Estimated heap bytes spent on acceleration structures (dedup +
-    /// indices + filled read slots) beyond the row store itself.
+    /// Heap bytes held beside the row store, by capacity: dedup, the
+    /// planned indexes and the read indexes.
     pub fn overhead_bytes_estimate(&self) -> usize {
-        let dedup = self.dedup.bytes_estimate();
-        let indices: usize = self.indices.values().map(IndexRuns::bytes_estimate).sum();
+        use std::mem::size_of;
+        let indices: usize = self.indices.iter().map(KeyIndex::bytes).sum();
         let read: usize = self
             .read
             .iter()
-            .filter_map(|slot| slot.get())
-            .map(ReadIndex::bytes)
+            .filter_map(OnceLock::get)
+            .map(KeyIndex::bytes)
             .sum();
-        dedup + indices + read
+        self.dedup.bytes()
+            + self.indices.capacity() * size_of::<KeyIndex>()
+            + indices
+            + self.read.len() * size_of::<OnceLock<KeyIndex>>()
+            + read
     }
 
     /// Build the index over the column set `cols` if it does not exist yet.
     /// `cols` must be non-empty, strictly ascending, and within the arity.
-    /// Once built, the index is maintained incrementally by `insert`.
+    /// Once built, the index is maintained by `insert`.
     ///
-    /// A late-planned index is built from the sealed dedup-run bounds —
-    /// contiguous range scans, one sort per run — rather than a full-table
-    /// hash build, and the rebuild is counted in the process-wide storage
-    /// telemetry. A planned single-column index takes over from that
-    /// column's read slot, which is emptied: one index per column.
+    /// A single-column index takes over that column's read index when
+    /// there is one. Otherwise an index planned over stored rows is built
+    /// over them, and the build is counted in the process-wide storage
+    /// telemetry.
     pub fn ensure_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty(), "index over the empty column set");
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not sorted");
@@ -284,21 +180,29 @@ impl Relation {
             cols.iter().all(|&c| c < self.arity()),
             "column out of range"
         );
-        if self.indices.contains_key(cols) {
+        if self.has_index(cols) {
             return;
         }
-        let index = IndexRuns::build(&self.rows, cols, &self.dedup.bounds(), self.dedup.sealed());
-        self.indices.insert(cols.into(), index);
-        if let [col] = cols {
-            self.read[*col].take();
-        }
+        let taken = match cols {
+            [col] => self.read[*col].take(),
+            _ => None,
+        };
+        let index = taken.unwrap_or_else(|| {
+            if !self.rows.is_empty() {
+                storage::note_index_rebuild();
+            }
+            KeyIndex::build(&self.rows, cols)
+        });
+        self.indices.push(index);
+    }
+
+    fn index(&self, cols: &[usize]) -> Option<&KeyIndex> {
+        self.indices.iter().find(|index| index.cols() == cols)
     }
 
     /// Ids of rows in `[start, end)` whose projection onto `cols` equals
-    /// `key`, in ascending id order. Row ids within each run group are
-    /// ascending, so the `[start, end)` bounds are found by binary search
-    /// instead of a linear filter — the caller gets exactly the delta
-    /// range's hits with no copying.
+    /// `key`, in ascending id order: the slice of the key's group that the
+    /// range bounds, found by binary search.
     ///
     /// The index over `cols` must have been built with
     /// [`Relation::ensure_index`]; probing is read-only so a frozen
@@ -306,85 +210,72 @@ impl Relation {
     ///
     /// # Panics
     /// Panics if no index over `cols` exists.
-    pub fn probe_range(
-        &self,
-        cols: &[usize],
-        key: &[Value],
-        start: usize,
-        end: usize,
-    ) -> ProbeHits<'_> {
-        let mut out = ProbeHits::new();
-        let index = self
-            .indices
-            .get(cols)
-            .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"));
-        index.probe(&self.rows, cols, key, start, end, &mut out);
-        out
+    pub fn probe_range(&self, cols: &[usize], key: &[Value], start: usize, end: usize) -> &[u32] {
+        let group = self
+            .index(cols)
+            .unwrap_or_else(|| panic!("probe_range over unplanned index {cols:?}"))
+            .get(&self.rows, key);
+        let a = group.partition_point(|&id| (id as usize) < start);
+        let b = a + group[a..].partition_point(|&id| (id as usize) < end);
+        &group[a..b]
     }
 
-    /// Whether an index over the column set `cols` has been materialized.
+    /// Whether an index over the column set `cols` has been planned.
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.indices.contains_key(cols)
+        self.index(cols).is_some()
     }
 
     /// The column sets of the planned indexes, in ascending order.
     pub fn index_columns(&self) -> Vec<&[usize]> {
-        let mut cols: Vec<&[usize]> = self.indices.keys().map(|c| &**c).collect();
+        let mut cols: Vec<&[usize]> = self.indices.iter().map(KeyIndex::cols).collect();
         cols.sort_unstable();
         cols
     }
 
-    /// Whether column `col`'s read slot is filled. Separate from
+    /// Whether column `col`'s read index is filled. Separate from
     /// [`Relation::has_index`], which answers for planned indexes only.
     pub fn has_read_index(&self, col: usize) -> bool {
-        self.read_index_covered(col).is_some()
+        self.read[col].get().is_some()
     }
 
-    /// How many rows column `col`'s read slot covers — the id prefix
-    /// `[0, covered)` — or `None` while the slot is empty.
+    /// How many rows column `col`'s read index holds — every row, once it
+    /// is filled — or `None` while it is empty.
     pub fn read_index_covered(&self, col: usize) -> Option<usize> {
-        Some(self.read[col].get()?.covered())
+        Some(self.read[col].get()?.len())
     }
 
     /// Narrow a read through an index: given the `(column, constant)`
     /// pairs a read binds, visit every row that agrees with **one** of
     /// them — the first whose column has a planned `[col]` index or a
-    /// filled read slot — and return `true`. The caller still applies all
+    /// filled read index — and return `true`. The caller still applies all
     /// its filters to what it is shown. When no bound column is indexed,
     /// `create` decides: a reader that keeps the relation (a resident
-    /// form) fills the read slot of the first bound column and probes it;
+    /// form) fills the read index of the first bound column and probes it;
     /// one that reads once (a cold evaluation's extraction) gets `false`,
-    /// having visited nothing, and scans — sorting a relation costs more
+    /// having visited nothing, and scans — indexing a relation costs more
     /// than one pass over it.
     ///
-    /// Rows are visited in no particular order.
+    /// Rows are visited in ascending id order.
     pub fn select<'a>(
         &'a self,
         bound: &[(usize, Value)],
         create: bool,
         mut visit: impl FnMut(&'a [Value]),
     ) -> bool {
-        let indexed = |col: usize| self.has_index(&[col]) || self.has_read_index(col);
+        let indexed = |col: usize| self.index(&[col]).or_else(|| self.read[col].get());
         let picked = bound
             .iter()
-            .find(|&&(col, _)| indexed(col))
-            .or_else(|| bound.first().filter(|_| create));
-        let Some(&(col, key)) = picked else {
+            .find_map(|&(col, key)| Some((indexed(col)?, key)))
+            .or_else(|| {
+                let &(col, key) = bound.first().filter(|_| create)?;
+                let index = self.read[col].get_or_init(|| KeyIndex::build(&self.rows, &[col]));
+                Some((index, key))
+            });
+        let Some((index, key)) = picked else {
             return false;
         };
-        if self.has_index(&[col]) {
-            let hits = self.probe_range(&[col], &[key], 0, self.rows.len());
-            hits.iter().for_each(|id| visit(self.rows.row(id as usize)));
-            return true;
-        }
-        let index = self.read[col].get_or_init(|| ReadIndex::build(&self.rows, col));
-        for &id in index.group(&self.rows, col, key) {
+        for &id in index.get(&self.rows, &[key]) {
             visit(self.rows.row(id as usize));
-        }
-        for row in self.rows.range(index.covered(), self.rows.len()) {
-            if row[col] == key {
-                visit(row);
-            }
         }
         true
     }
@@ -506,7 +397,7 @@ mod tests {
         let mut r = Relation::new(2);
         r.ensure_index(&[0]);
         let mut expect: Vec<u32> = Vec::new();
-        // Interleave inserts with seals so hits span several runs + tail.
+        // Seals between inserts are no-ops: probes see every row either way.
         for i in 0..300i64 {
             if r.insert(&t(&[i % 5, i])) && i % 5 == 2 {
                 expect.push(i as u32);
@@ -515,57 +406,22 @@ mod tests {
                 r.seal();
             }
         }
-        assert!(r.run_count() >= 1, "seals produced no runs");
         let key = t(&[2]);
         assert_eq!(r.probe_range(&[0], &key, 0, 300).to_vec(), expect);
-        // Delta subranges stay exact across run boundaries.
+        // Delta subranges stay exact.
         let sub: Vec<u32> = expect
             .iter()
             .copied()
             .filter(|&i| (40..200).contains(&(i as usize)))
             .collect();
         assert_eq!(r.probe_range(&[0], &key, 40, 200).to_vec(), sub);
-        // Full seal + consolidation: identical again.
         r.seal();
+        r.consolidate();
         assert_eq!(r.probe_range(&[0], &key, 0, 300).to_vec(), expect);
         for i in 0..300i64 {
             assert!(r.contains(&t(&[i % 5, i])));
         }
         assert!(!r.contains(&t(&[7, 7])));
-    }
-
-    #[test]
-    fn consolidate_collapses_runs_and_preserves_results() {
-        let mut r = Relation::new(2);
-        r.ensure_index(&[0]);
-        for i in 0..400i64 {
-            r.insert(&t(&[i % 7, i]));
-            if i % 31 == 0 {
-                r.seal();
-            }
-        }
-        r.seal();
-        assert!(
-            r.run_count() >= 2,
-            "workload produced {} runs",
-            r.run_count()
-        );
-        let before: Vec<u32> = r.probe_range(&[0], &t(&[3]), 0, 400).to_vec();
-        r.consolidate();
-        assert_eq!(r.run_count(), 1);
-        assert_eq!(r.probe_range(&[0], &t(&[3]), 0, 400).to_vec(), before);
-        assert_eq!(
-            r.probe_range(&[0], &t(&[3]), 50, 200).to_vec(),
-            before
-                .iter()
-                .copied()
-                .filter(|&i| (50..200).contains(&(i as usize)))
-                .collect::<Vec<u32>>()
-        );
-        for i in 0..400i64 {
-            assert!(r.contains(&t(&[i % 7, i])));
-        }
-        assert!(!r.contains(&t(&[8, 8])));
     }
 
     /// A seeded xorshift generator for the property tests.
@@ -642,21 +498,11 @@ mod tests {
         };
         r.ensure_index(&[0]);
         check_against_scan(&r, &mut rng, "empty");
-        // No explicit seal: inserts cross TAIL_LIMIT and seal on their own.
-        while r.run_count() == 0 {
+        // Batches of random size, and the two late plans.
+        for round in 0..24 {
             let k = 1 + rng.below(300);
             insert(&mut r, &mut rng, &mut model, k);
-            check_against_scan(&r, &mut rng, "automatic seals");
-        }
-        // Explicit seals at random points, and the two late plans.
-        for round in 0..24 {
-            let k = 1 + rng.below(150);
-            insert(&mut r, &mut rng, &mut model, k);
             check_against_scan(&r, &mut rng, &format!("round {round}"));
-            if rng.below(3) == 0 {
-                r.seal();
-                check_against_scan(&r, &mut rng, &format!("seal after round {round}"));
-            }
             if round == 8 {
                 r.ensure_index(&[2]);
                 check_against_scan(&r, &mut rng, "late single-column index");
@@ -666,16 +512,6 @@ mod tests {
                 check_against_scan(&r, &mut rng, "late composite index");
             }
         }
-        // A small run on top of a large one stays separate until
-        // consolidation.
-        insert(&mut r, &mut rng, &mut model, 40);
-        r.seal();
-        assert!(r.run_count() >= 2);
-        r.consolidate();
-        assert_eq!(r.run_count(), 1);
-        check_against_scan(&r, &mut rng, "consolidated");
-        insert(&mut r, &mut rng, &mut model, 200);
-        check_against_scan(&r, &mut rng, "tail after consolidation");
         // A clone is a store of its own: both grow apart and both agree
         // with their scans.
         let mut copy = r.clone();
@@ -688,7 +524,7 @@ mod tests {
         assert_eq!(r.len(), model.len());
         assert_eq!(copy.len(), copy_model.len());
         assert!(
-            model.len() > 2 * TAIL_LIMIT && model.len() < 4000,
+            model.len() > 2000 && model.len() < 4000,
             "no duplicates drawn"
         );
     }
@@ -702,7 +538,7 @@ mod tests {
         let (first, second) = (batch(&mut rng, 2500), batch(&mut rng, 1500));
         let mut bulk = Relation::new(3);
         let mut slow = Relation::new(3);
-        // An index planned on the empty relation is filled by the seal.
+        // An index planned on the empty relation is filled as rows arrive.
         bulk.ensure_index(&[1]);
         for rows in [first, second] {
             let fresh = rows.iter().filter(|row| slow.insert(row)).count();
@@ -710,7 +546,6 @@ mod tests {
             assert!(bulk.iter().eq(slow.iter()), "rows or their order differ");
             check_against_scan(&bulk, &mut rng, "after a batch");
         }
-        assert!(bulk.run_count() >= 1);
         // A batch of nothing but duplicates adds nothing.
         let again: Vec<Box<[Value]>> = slow.iter().take(10).map(Box::from).collect();
         assert_eq!(bulk.load_batch(again), 0);
@@ -763,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn read_index_covers_a_prefix_and_the_reader_filters_the_rest() {
+    fn read_index_covers_every_row_inserted_after_it() {
         let mut r = Relation::new(2);
         for i in 0..200i64 {
             r.insert(&t(&[i, i % 7]));
@@ -771,58 +606,24 @@ mod tests {
         let before = r.overhead_bytes_estimate();
         assert_eq!(selected(&r, &[(1, 3)], true), Some(scan(&r, 1, 3)));
         assert!(r.has_read_index(1) && !r.has_read_index(0));
-        assert!(!r.has_index(&[1]), "a read slot is not a planned index");
-        // 4 bytes a covered row, accounted.
+        assert!(!r.has_index(&[1]), "a read index is not a planned index");
         assert_eq!(r.read_index_covered(1), Some(200));
-        assert_eq!(r.overhead_bytes_estimate(), before + 4 * 200);
-        // Rows inserted afterwards are not in the slot (insert does no
-        // per-slot work) but every read still sees them, across seals that
-        // are too small to fold.
+        // Seven keys: 16 slots, 8 group headers, 7 groups of 32 ids, and
+        // the column set, all accounted.
+        assert_eq!(
+            r.overhead_bytes_estimate(),
+            before + 16 * 4 + 8 * 24 + 7 * 32 * 4 + 8
+        );
+        // Rows inserted afterwards go into the read index as they arrive.
         for i in 200..300i64 {
             r.insert(&t(&[i, i % 7]));
-            if i % 25 == 0 {
-                r.seal();
-            }
+            assert_eq!(r.read_index_covered(1), Some(r.len()));
             assert_eq!(selected(&r, &[(1, 3)], false), Some(scan(&r, 1, 3)));
         }
         assert_eq!(selected(&r, &[(1, 99)], false), Some(vec![]));
-        assert_eq!(r.read_index_covered(1), Some(200));
-        // Consolidation brings the slot to full coverage.
-        r.consolidate();
-        assert_eq!(r.read_index_covered(1), Some(300));
         for k in 0..8 {
             assert_eq!(selected(&r, &[(1, k)], false), Some(scan(&r, 1, k)));
         }
-    }
-
-    #[test]
-    fn seal_folds_the_uncovered_rows_at_the_tail_limit() {
-        let mut r = Relation::new(2);
-        for i in 0..10i64 {
-            r.insert(&t(&[i % 3, i]));
-        }
-        assert_eq!(selected(&r, &[(0, 1)], true), Some(scan(&r, 0, 1)));
-        // One row short of the limit: sealing leaves the slot alone.
-        for i in 10..(10 + TAIL_LIMIT as i64 - 1) {
-            r.insert(&t(&[i % 3, i]));
-        }
-        r.seal();
-        assert_eq!(r.read_index_covered(0), Some(10));
-        assert_eq!(selected(&r, &[(0, 1)], false), Some(scan(&r, 0, 1)));
-        // The next row reaches it: the seal folds everything in, keys
-        // interleaved with the covered ones, and reads agree with a scan.
-        r.insert(&t(&[0, -1]));
-        r.seal();
-        assert_eq!(r.read_index_covered(0), Some(r.len()));
-        for k in 0..4 {
-            assert_eq!(selected(&r, &[(0, k)], false), Some(scan(&r, 0, k)));
-        }
-        // Inserts that cross the limit on their own seal automatically.
-        for i in 0..(2 * TAIL_LIMIT as i64) {
-            r.insert(&t(&[i % 3, 100_000 + i]));
-        }
-        assert!(r.len() - r.read_index_covered(0).unwrap() < TAIL_LIMIT);
-        assert_eq!(selected(&r, &[(0, 2)], false), Some(scan(&r, 0, 2)));
     }
 
     #[test]
@@ -834,13 +635,18 @@ mod tests {
         let before = r.overhead_bytes_estimate();
         assert_eq!(selected(&r, &[(1, 5)], true), Some(scan(&r, 1, 5)));
         assert!(r.has_read_index(1));
-        assert_eq!(r.overhead_bytes_estimate(), before + 4 * 120);
+        // Six keys: 16 slots, 8 group headers, 6 groups of 32 ids, and the
+        // column set.
+        let read = 16 * 4 + 8 * 24 + 6 * 32 * 4 + 8;
+        assert_eq!(r.overhead_bytes_estimate(), before + read);
         // A composite index that merely contains the column leaves the
-        // slot; the single-column one replaces it.
+        // read index; the single-column one takes it over, unbuilt.
         r.ensure_index(&[1, 2]);
         assert!(r.has_read_index(1));
+        let with_composite = r.overhead_bytes_estimate();
         r.ensure_index(&[1]);
         assert!(!r.has_read_index(1) && r.has_index(&[1]));
+        assert_eq!(r.overhead_bytes_estimate(), with_composite);
         assert_eq!(selected(&r, &[(1, 5)], true), Some(scan(&r, 1, 5)));
         assert!(!r.has_read_index(1), "the planned index serves the read");
         // A clone carries its slots along.
@@ -848,5 +654,90 @@ mod tests {
         let copy = r.clone();
         assert!(copy.has_read_index(0));
         assert_eq!(selected(&copy, &[(0, 1)], false), Some(scan(&r, 0, 1)));
+    }
+
+    /// The fast hash with the zero starting state — what `hash_key` was
+    /// before it was seeded — over the words `Value`'s `Hash` writes.
+    #[derive(Default)]
+    struct Unseeded(u64);
+
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    impl std::hash::Hasher for Unseeded {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("values hash as words")
+        }
+        fn write_u64(&mut self, v: u64) {
+            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(K);
+        }
+        fn write_i64(&mut self, v: i64) {
+            self.write_u64(v as u64);
+        }
+        fn write_usize(&mut self, v: usize) {
+            self.write_u64(v as u64);
+        }
+        fn write_isize(&mut self, v: isize) {
+            self.write_u64(v as u64);
+        }
+        fn write_u32(&mut self, v: u32) {
+            self.write_u64(v as u64);
+        }
+    }
+
+    fn unseeded(tuple: &[Value]) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = Unseeded::default();
+        tuple.iter().for_each(|v| v.hash(&mut h));
+        h.finish()
+    }
+
+    /// `count` tuples `(a, b)` whose unseeded hashes are all equal: for
+    /// each `a`, `b` is solved from the state the hash is in before `b`'s
+    /// word, which is `(a, 0)`'s final state undone by one multiply.
+    fn crafted(count: i64) -> Vec<Vec<Value>> {
+        // The inverse of K modulo 2^64, by Newton's iteration.
+        let inv = (0..6).fold(K, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
+        });
+        let target = 0x0123_4567_89ab_cdef_u64;
+        let tuples: Vec<Vec<Value>> = (0..count)
+            .map(|a| {
+                let before = unseeded(&t(&[a, 0])).wrapping_mul(inv);
+                t(&[a, (target.wrapping_mul(inv) ^ before) as i64])
+            })
+            .collect();
+        assert!(tuples.iter().all(|tuple| unseeded(tuple) == target));
+        tuples
+    }
+
+    /// Best of three: the time to insert `tuples` into a new relation.
+    fn insert_time(tuples: &[Vec<Value>]) -> std::time::Duration {
+        (0..3)
+            .map(|_| {
+                let mut r = Relation::new(2);
+                let t0 = std::time::Instant::now();
+                for tuple in tuples {
+                    assert!(r.insert(tuple));
+                }
+                t0.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    fn tuples_crafted_to_share_a_hash_insert_in_linear_time() {
+        // Before the hash was seeded, these tuples all collided and every
+        // insert compared against every earlier one.
+        let hostile = insert_time(&crafted(10_000));
+        let ordinary: Vec<Vec<Value>> = (0..10_000).map(|a| t(&[a, 7 * a + 1])).collect();
+        let ordinary = insert_time(&ordinary);
+        assert!(
+            hostile < 20 * ordinary,
+            "crafted {hostile:?} against ordinary {ordinary:?}"
+        );
     }
 }

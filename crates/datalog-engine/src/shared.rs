@@ -160,7 +160,7 @@ impl SharedRelation {
         Ok(true)
     }
 
-    /// Bulk-load a batch of rows (recovery fast path, see
+    /// Insert a batch of rows under one lock (recovery, see
     /// [`Relation::load_batch`]). Returns the number of new rows committed.
     pub fn load_batch(&self, batch: Vec<Box<[Value]>>) -> Result<usize, SharedDbError> {
         for tuple in &batch {
@@ -170,11 +170,6 @@ impl SharedRelation {
         let fresh = rel.load_batch(batch);
         self.committed.store(rel.len(), Ordering::Release);
         Ok(fresh)
-    }
-
-    /// Number of sealed dedup runs (the `xdl_storage_runs` input).
-    pub fn run_count(&self) -> usize {
-        lock_or_recover(self.store.read()).run_count()
     }
 
     /// Copy of the immutable row range `[start, end)` (both clamped to the
@@ -256,9 +251,9 @@ impl SharedDatabase {
         Ok(new)
     }
 
-    /// Bulk-load one predicate's rows (the snapshot-recovery fast path):
-    /// register once, dedup by sort instead of per-row hashing, seal the
-    /// batch into sorted runs, and bump the version by the new-row count.
+    /// Load one predicate's rows (snapshot recovery): register once,
+    /// insert the rows in batch order, and bump the version by the new-row
+    /// count.
     pub fn load_batch(
         &self,
         pred: &PredRef,
@@ -271,13 +266,6 @@ impl SharedDatabase {
             self.version.fetch_add(fresh as u64, Ordering::AcqRel);
         }
         Ok(fresh)
-    }
-
-    /// Total sealed dedup runs across relations (the `xdl_storage_runs`
-    /// gauge input for the shared EDB).
-    pub fn storage_runs(&self) -> usize {
-        let g = lock_or_recover(self.rels.read());
-        g.values().map(|r| r.run_count()).sum()
     }
 
     /// Total committed facts.
@@ -563,9 +551,8 @@ mod tests {
         assert_eq!(fresh, 7);
         assert_eq!(bulk.version(), slow.version());
         assert_eq!(bulk.snapshot().rows(&p), slow.snapshot().rows(&p));
-        assert!(bulk.storage_runs() >= 1, "bulk load sealed no runs");
-        // A second batch over a non-empty store: per-row fallback, same
-        // dedup semantics against already-stored rows.
+        // A second batch over a non-empty store: the same dedup against
+        // already-stored rows.
         let fresh = bulk.load_batch(&p, 1, batch).unwrap();
         assert_eq!(fresh, 0);
         // Arity clashes are reported in-protocol, never panics.

@@ -18,7 +18,7 @@
 //!
 //! Recovery replays the snapshot and then the log through
 //! [`replay`](ServerState::replay): a fact or rule through `apply` alone, a
-//! snapshot's rows through one bulk load. A record was admitted and made
+//! snapshot's rows through one batch load. A record was admitted and made
 //! durable when it was written, so replay skips admission and logging and
 //! keeps only the insert's own arity check.
 

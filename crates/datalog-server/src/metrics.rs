@@ -105,23 +105,13 @@ pub struct ServerMetrics {
     /// Residents dropped because a form covering them pinned.
     pub covered_retired: Arc<Counter>,
 
-    /// Bloom-gated index probes against sealed storage runs (engine-wide,
-    /// delta-synced from the process counters at scrape time).
-    pub bloom_probes: Arc<Counter>,
-    /// Probes short-circuited by a run's bloom filter (no binary search).
-    pub bloom_skips: Arc<Counter>,
-    /// Sorted-run consolidations (geometric merges at seal points).
-    pub storage_consolidations: Arc<Counter>,
-    /// Index structures rebuilt from sealed runs by late `ensure_index`.
+    /// Indexes built over rows already stored, by a late `ensure_index`
+    /// (engine-wide, delta-synced from the process counter at scrape
+    /// time).
     pub index_rebuilds: Arc<Counter>,
-    /// Consolidation (run-merge) duration.
-    pub consolidation_seconds: Arc<Histogram>,
-    /// Sealed storage runs across the shared EDB and resident forms
-    /// (sampled at scrape time).
-    pub storage_runs: Arc<Gauge>,
-    /// Last-seen values of the process-wide storage counters, so scrapes
+    /// Last-seen value of the process-wide rebuild counter, so scrapes
     /// publish deltas exactly once even when concurrent.
-    seen_storage: [AtomicU64; 4],
+    seen_rebuilds: AtomicU64,
 
     /// WAL append latency (one request's records written and fsynced).
     pub wal_append_seconds: Arc<Histogram>,
@@ -263,39 +253,12 @@ impl ServerMetrics {
                 "Residents dropped because a form covering them pinned.",
                 &[],
             ),
-            bloom_probes: registry.counter(
-                "xdl_bloom_probes_total",
-                "Bloom-gated index probes against sealed storage runs.",
-                &[],
-            ),
-            bloom_skips: registry.counter(
-                "xdl_bloom_skips_total",
-                "Run probes short-circuited by the bloom filter.",
-                &[],
-            ),
-            storage_consolidations: registry.counter(
-                "xdl_storage_consolidations_total",
-                "Sorted-run consolidations (geometric merges).",
-                &[],
-            ),
             index_rebuilds: registry.counter(
                 "xdl_index_rebuilds_total",
-                "Index structures rebuilt from sealed runs by late \
-                 ensure_index.",
+                "Indexes built over stored rows by a late ensure_index.",
                 &[],
             ),
-            consolidation_seconds: registry.histogram(
-                "xdl_storage_consolidation_seconds",
-                "Sorted-run consolidation (merge) duration.",
-                &[],
-            ),
-            storage_runs: registry.gauge(
-                "xdl_storage_runs",
-                "Sealed storage runs across the shared EDB and resident \
-                 forms.",
-                &[],
-            ),
-            seen_storage: Default::default(),
+            seen_rebuilds: AtomicU64::new(0),
             wal_append_seconds: registry.histogram(
                 "xdl_wal_append_seconds",
                 "WAL append latency (one request's records written plus fsync).",
@@ -367,27 +330,14 @@ impl ServerMetrics {
         self.request_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Pull the engine's process-wide storage counters into the registry
-    /// (publishing only the delta since the last sync, so concurrent
-    /// scrapes never double-count), drain pending consolidation timings
-    /// into the histogram, and sample the run-count gauge. Called by
-    /// `STATS` and `METRICS` before rendering.
-    pub fn sync_storage(&self, runs: u64) {
-        let c = datalog_engine::storage_counters();
-        let observed = [
-            (c.bloom_probes, &self.bloom_probes),
-            (c.bloom_skips, &self.bloom_skips),
-            (c.consolidations, &self.storage_consolidations),
-            (c.index_rebuilds, &self.index_rebuilds),
-        ];
-        for (i, (cur, counter)) in observed.into_iter().enumerate() {
-            let prev = self.seen_storage[i].swap(cur, Ordering::Relaxed);
-            counter.add(cur.saturating_sub(prev));
-        }
-        for ns in datalog_engine::take_consolidation_ns() {
-            self.consolidation_seconds.record(ns);
-        }
-        self.storage_runs.set(runs as i64);
+    /// Pull the engine's process-wide index-rebuild counter into the
+    /// registry, publishing only the delta since the last sync, so
+    /// concurrent scrapes never double-count. Called by `STATS` and
+    /// `METRICS` before rendering.
+    pub fn sync_storage(&self) {
+        let cur = datalog_engine::storage_counters().index_rebuilds;
+        let prev = self.seen_rebuilds.swap(cur, Ordering::Relaxed);
+        self.index_rebuilds.add(cur.saturating_sub(prev));
     }
 
     /// Prometheus text exposition of the whole registry.
@@ -444,12 +394,7 @@ mod tests {
             "xdl_resident_poisonings_total",
             "xdl_covered_reads_total",
             "xdl_covered_retired_total",
-            "xdl_bloom_probes_total",
-            "xdl_bloom_skips_total",
-            "xdl_storage_consolidations_total",
             "xdl_index_rebuilds_total",
-            "xdl_storage_consolidation_seconds",
-            "xdl_storage_runs",
         ] {
             assert!(
                 text.contains(&format!("# TYPE {family}")),
@@ -460,20 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn storage_sync_is_delta_once_and_samples_the_gauge() {
+    fn storage_sync_is_delta_once() {
         // The engine counters are process-wide (other tests in this
         // process may bump them concurrently), so assert the delta
         // discipline, not exact values: repeated syncs never push the
         // registry counter past the global it mirrors.
         let m = ServerMetrics::new();
-        m.sync_storage(3);
-        assert_eq!(m.storage_runs.get(), 3);
-        m.sync_storage(5);
-        m.sync_storage(5);
-        assert_eq!(m.storage_runs.get(), 5);
+        m.sync_storage();
+        m.sync_storage();
         let global = datalog_engine::storage_counters();
-        assert!(m.bloom_probes.get() <= global.bloom_probes);
-        assert!(m.bloom_skips.get() <= global.bloom_skips);
         assert!(m.index_rebuilds.get() <= global.index_rebuilds);
     }
 

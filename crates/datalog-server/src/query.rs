@@ -134,7 +134,7 @@ struct ColdSpans {
 
 /// Run a form's canonical program over its support at `snapshot` (the
 /// only predicates that can affect its answers, each row copied once
-/// straight into the batch the engine bulk-loads), keeping the working
+/// straight into the batch the engine loads), keeping the working
 /// state for delta propagation. `applied` records the snapshot it was
 /// built from, so the next catch-up starts exactly where construction
 /// stopped. First pin and rebuild both build here.

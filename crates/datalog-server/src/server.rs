@@ -68,7 +68,7 @@ use datalog_engine::{AnswerSet, CancelToken, DbSnapshot, EngineError, SharedData
 use datalog_opt::{fingerprint_rules, PreparedProgram};
 use datalog_trace::{Json, PhaseEvent};
 
-use crate::cache::{PreparedCache, ResidentForm, PREPARED_CAPACITY};
+use crate::cache::{PreparedCache, PREPARED_CAPACITY};
 use crate::fault::FaultPlan;
 use crate::metrics::{verb_index, ServerMetrics};
 use crate::protocol::{ErrCode, Request, Response, PROTOCOL_VERSION};
@@ -439,29 +439,8 @@ impl ServerState {
         )
     }
 
-    /// Total sealed storage runs across the shared EDB and every resident
-    /// form's saturated database. Residents are sampled with `try_lock` —
-    /// a form mid-drain is skipped rather than blocking the scrape (the
-    /// gauge is a point-in-time sample either way).
-    fn storage_run_total(&self) -> u64 {
-        let mut runs = self.db.storage_runs() as u64;
-        let residents: Vec<Arc<Mutex<ResidentForm>>> = {
-            let mut cache = lock(&self.cache);
-            cache
-                .iter_mut()
-                .filter_map(|(_, e)| e.resident.clone())
-                .collect()
-        };
-        for form in residents {
-            if let Ok(g) = form.try_lock() {
-                runs += g.eval.storage_runs() as u64;
-            }
-        }
-        runs
-    }
-
     fn handle_stats(&self) -> Response {
-        self.metrics.sync_storage(self.storage_run_total());
+        self.metrics.sync_storage();
         let (rule_count, fingerprint) = {
             let g = read_lock(&self.rules);
             (g.rules.len(), g.fingerprint)
@@ -515,12 +494,7 @@ impl ServerState {
             .with("faults_injected", self.cfg.fault.fired())
             .with(
                 "storage",
-                Json::obj()
-                    .with("runs", m.storage_runs.get() as u64)
-                    .with("bloom_probes", m.bloom_probes.get())
-                    .with("bloom_skips", m.bloom_skips.get())
-                    .with("consolidations", m.storage_consolidations.get())
-                    .with("index_rebuilds", m.index_rebuilds.get()),
+                Json::obj().with("index_rebuilds", m.index_rebuilds.get()),
             )
             .with("wal", wal_doc)
             .with("recovery", self.recovery.clone().unwrap_or(Json::Null))
@@ -534,7 +508,7 @@ impl ServerState {
     /// the only reader, so paying at scrape time keeps request handling
     /// free of gauge traffic.
     fn handle_metrics(&self, json: bool) -> Response {
-        self.metrics.sync_storage(self.storage_run_total());
+        self.metrics.sync_storage();
         self.metrics
             .inflight
             .set(self.inflight.load(Ordering::Acquire) as i64);

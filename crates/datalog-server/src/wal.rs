@@ -29,9 +29,9 @@
 //!
 //! Facts and rules are text on purpose: they are parsed on replay by the
 //! same parser that validated them at ingestion, and the log is greppable
-//! with standard tools. Rows are typed, so recovery bulk-loads each `B`
-//! record ([`datalog_engine::SharedDatabase::load_batch`]: one sort-based
-//! dedup and seal) instead of re-parsing and re-hashing every fact.
+//! with standard tools. Rows are typed, so recovery loads each `B` record
+//! ([`datalog_engine::SharedDatabase::load_batch`]: its rows inserted in
+//! order under one lock) instead of re-parsing every fact.
 //!
 //! ## The log and its snapshot
 //!

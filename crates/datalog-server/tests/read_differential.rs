@@ -2,8 +2,7 @@
 //!
 //! `extract_answers` and `ResidentEval::answers` execute a read plan
 //! (membership test, index probe, or projection-only scan — through a
-//! planned index, a lazily created read index with an uncovered tail, or no
-//! index at all). `oracle::extract_by_matching` is the old extraction:
+//! planned index, a lazily created read index, or no index at all). `oracle::extract_by_matching` is the old extraction:
 //! unify the query atom with every stored fact. For every atom shape, in
 //! every storage situation a served relation can be in, the two must return
 //! the same `AnswerSet` and `render_answers` the same bytes.
@@ -15,7 +14,6 @@
 use datalog_ast::{parse_program, Adornment, Atom, PredRef, Program, Term, Value, Var};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
 use datalog_engine::oracle::extract_by_matching;
-use datalog_engine::storage::TAIL_LIMIT;
 use datalog_engine::{
     evaluate, extract_answers, query_answers_full, AnswerSet, Database, EvalOptions, FactSet,
 };
@@ -139,6 +137,8 @@ fn check(label: &str, q: &Atom, db: &Database, got: AnswerSet) {
     );
 }
 
+/// Every filled read index of `db`: predicate, column, rows it holds, and
+/// rows stored.
 fn filled_slots(db: &Database) -> Vec<(String, usize, usize, usize)> {
     let mut out = Vec::new();
     for p in 0..db.pred_count() {
@@ -151,6 +151,13 @@ fn filled_slots(db: &Database) -> Vec<(String, usize, usize, usize)> {
         }
     }
     out
+}
+
+/// Every filled read index holds every row of its relation.
+fn assert_covering(db: &Database, label: &str) {
+    for (pred, col, covered, len) in filled_slots(db) {
+        assert_eq!(covered, len, "{label}: {pred}[{col}]");
+    }
 }
 
 #[test]
@@ -189,36 +196,25 @@ fn resident_reads_match_the_oracle_with_an_uncovered_tail_and_after_its_fold() {
             check(label, &q, r.database(), r.answers(&q));
         }
     };
-    // First reads: every slot a constant asks for is created, fully
-    // covering.
+    // First reads: every read index a constant asks for is created.
     read_all("resident first reads", &r, &mut rng);
-    let created = filled_slots(r.database());
-    assert!(!created.is_empty());
-    assert!(created.iter().all(|(_, _, covered, len)| covered == len));
-    let covered_of = |r: &ResidentEval, pred: &str, col: usize| {
+    assert!(!filled_slots(r.database()).is_empty());
+    assert_covering(r.database(), "first reads");
+    // `a` on column 1 is the read index this test follows: no rule probes
+    // it, and the closure grows by thousands of rows, one edge per batch.
+    let len_of_a = |r: &ResidentEval| {
         let slots = filled_slots(r.database());
-        let slot = slots.iter().find(|s| s.0 == pred && s.1 == col);
-        slot.map(|s| (s.2, s.3)).expect("slot stays filled")
+        let slot = slots.iter().find(|s| s.0 == "a" && s.1 == 1);
+        slot.map(|s| s.3).expect("read index stays filled")
     };
-    // `a` on column 1 is the slot this test follows: no rule probes it, and
-    // the closure grows by thousands of rows, one edge per batch.
-    let (start, _) = covered_of(&r, "a", 1);
-    let (mut read_with_tail, mut read_after_fold) = (false, false);
+    let start = len_of_a(&r);
     for (i, f) in rest.iter().enumerate() {
         r.apply_deltas(std::slice::from_ref(f), &DeltaLimits::default())
             .unwrap();
-        let (covered, len) = covered_of(&r, "a", 1);
-        assert!(
-            len - covered < TAIL_LIMIT,
-            "a seal left {} rows",
-            len - covered
-        );
-        if covered == start && len > covered && !read_with_tail {
-            read_all("resident uncovered tail", &r, &mut rng);
-            read_with_tail = true;
-        } else if covered > start && !read_after_fold {
-            read_all("resident after the fold", &r, &mut rng);
-            read_after_fold = true;
+        // Inserts maintain every read index: none has rows to catch up on.
+        assert_covering(r.database(), &format!("batch {i}"));
+        if i == 0 || i == rest.len() / 2 {
+            read_all(&format!("resident after batch {i}"), &r, &mut rng);
         } else {
             // Between the checkpoints: a rotating sample after every batch.
             let sample = all_atoms(r.database(), &mut rng);
@@ -227,7 +223,7 @@ fn resident_reads_match_the_oracle_with_an_uncovered_tail_and_after_its_fold() {
             }
         }
     }
-    assert!(read_with_tail && read_after_fold, "the run never folded");
+    assert!(len_of_a(&r) > start + 1000, "the closure barely grew");
     read_all("resident final", &r, &mut rng);
     // Reads never touched the planned indexes' columns.
     for (pred, col, _, _) in filled_slots(r.database()) {
@@ -241,36 +237,30 @@ fn reads_match_the_oracle_across_the_tail_limit_and_after_consolidation() {
     let mut rng = Rng(0xbeef);
     let facts = edges(400, 2600, &mut rng);
     let (loaded, rest) = facts.split_at(1400);
-    // `load_input` crosses TAIL_LIMIT on `e` (inserts seal on their own),
-    // the fixpoint crosses it on `t`.
+    // More than a thousand rows of `e` at load, more of `t` from the
+    // fixpoint.
     let mut r = ResidentEval::new(
         &program(FLAT_RULES),
         &factset(loaded),
         &EvalOptions::default(),
     )
     .unwrap();
-    assert!(r.storage_runs() >= 2);
     let read_sample = |label: &str, db: &Database, read: &dyn Fn(&Atom) -> AnswerSet| {
         let mut rng = Rng(label.len() as u64);
         for q in all_atoms(db, &mut rng).iter().step_by(2) {
             check(label, q, db, read(q));
         }
     };
-    read_sample("past the limit", r.database(), &|q| r.answers(q));
+    read_sample("after the load", r.database(), &|q| r.answers(q));
     assert!(filled_slots(r.database()).len() >= 4);
-    // One bulk batch: more than TAIL_LIMIT rows arrive between two reads,
-    // so the slots are folded by the seals inside the propagation.
+    assert_covering(r.database(), "after the load");
+    // One bulk batch: more than a thousand rows arrive between two reads.
     r.apply_deltas(rest, &DeltaLimits::default()).unwrap();
-    for (pred, col, covered, len) in filled_slots(r.database()) {
-        assert!(
-            len - covered < TAIL_LIMIT,
-            "{pred}[{col}]: {covered} of {len}"
-        );
-    }
+    assert_covering(r.database(), "after a bulk batch");
     read_sample("after a bulk batch", r.database(), &|q| r.answers(q));
-    // A few more single facts, then full consolidation of a copy: every
-    // slot covers its whole relation and `extract_answers` — which never
-    // creates a slot — reads through the ones the copy carried over.
+    // A few more single facts, then a copy, consolidated (which changes
+    // nothing): `extract_answers` — which never creates a read index —
+    // reads through the ones the copy carried over.
     for f in edges(400, 2700, &mut Rng(0xbeef)).iter().skip(2600).take(5) {
         r.apply_deltas(std::slice::from_ref(f), &DeltaLimits::default())
             .unwrap();
@@ -280,10 +270,9 @@ fn reads_match_the_oracle_across_the_tail_limit_and_after_consolidation() {
         copy.relation_mut(datalog_engine::PredId(p as u32))
             .consolidate();
     }
-    assert_eq!(copy.storage_runs(), 3, "one run per non-empty relation");
     let slots = filled_slots(&copy);
-    assert_eq!(slots.len(), filled_slots(r.database()).len());
-    assert!(slots.iter().all(|(_, _, covered, len)| covered == len));
+    assert_eq!(slots, filled_slots(r.database()));
+    assert_covering(&copy, "consolidated");
     read_sample("consolidated", &copy, &|q| extract_answers(q, &copy));
     assert_eq!(filled_slots(&copy), slots);
 }
