@@ -80,7 +80,7 @@ impl Relation {
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn insert(&mut self, tuple: &[Value]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity(), "relation arity mismatch");
-        let id = self.rows.len() as u32;
+        let id = u32::try_from(self.rows.len()).expect("row ids fit in 31 bits");
         self.rows.push(tuple);
         if !self.dedup.insert(&self.rows, id) {
             self.rows.pop();
@@ -662,10 +662,13 @@ mod tests {
     struct Unseeded(u64);
 
     const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    const MIX: u64 = 0xff51_afd7_ed55_8ccd;
 
     impl std::hash::Hasher for Unseeded {
         fn finish(&self) -> u64 {
-            self.0
+            let h = self.0 ^ (self.0 >> 33);
+            let h = h.wrapping_mul(MIX);
+            h ^ (h >> 33)
         }
         fn write(&mut self, _: &[u8]) {
             unreachable!("values hash as words")
@@ -687,29 +690,41 @@ mod tests {
         }
     }
 
-    fn unseeded(tuple: &[Value]) -> u64 {
-        use std::hash::{Hash, Hasher};
+    /// The unseeded hasher after `tuple`.
+    fn unseeded(tuple: &[Value]) -> Unseeded {
+        use std::hash::Hash;
         let mut h = Unseeded::default();
         tuple.iter().for_each(|v| v.hash(&mut h));
-        h.finish()
+        h
     }
 
-    /// `count` tuples `(a, b)` whose unseeded hashes are all equal: for
-    /// each `a`, `b` is solved from the state the hash is in before `b`'s
-    /// word, which is `(a, 0)`'s final state undone by one multiply.
-    fn crafted(count: i64) -> Vec<Vec<Value>> {
-        // The inverse of K modulo 2^64, by Newton's iteration.
-        let inv = (0..6).fold(K, |x, _| {
-            x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
-        });
-        let target = 0x0123_4567_89ab_cdef_u64;
+    /// The inverse of an odd `k` modulo 2^64, by Newton's iteration.
+    fn inverse(k: u64) -> u64 {
+        (0..6).fold(k, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(x)))
+        })
+    }
+
+    /// `count` tuples `(a, b)` whose unseeded hashes are `hash(a)`: the
+    /// final mix is undone to the state that must follow `b`'s word, and
+    /// `b` is solved from the state before it, which is `(a, 0)`'s final
+    /// state undone by one multiply.
+    fn crafted(count: i64, hash: impl Fn(i64) -> u64) -> Vec<Vec<Value>> {
+        use std::hash::Hasher;
+        let unmix = |h: u64| {
+            let h = (h ^ (h >> 33)).wrapping_mul(inverse(MIX));
+            h ^ (h >> 33)
+        };
         let tuples: Vec<Vec<Value>> = (0..count)
             .map(|a| {
-                let before = unseeded(&t(&[a, 0])).wrapping_mul(inv);
-                t(&[a, (target.wrapping_mul(inv) ^ before) as i64])
+                let before = unseeded(&t(&[a, 0])).0.wrapping_mul(inverse(K));
+                let after = unmix(hash(a)).wrapping_mul(inverse(K));
+                t(&[a, (after ^ before) as i64])
             })
             .collect();
-        assert!(tuples.iter().all(|tuple| unseeded(tuple) == target));
+        for (a, tuple) in tuples.iter().enumerate() {
+            assert_eq!(unseeded(tuple).finish(), hash(a as i64));
+        }
         tuples
     }
 
@@ -730,14 +745,23 @@ mod tests {
 
     #[test]
     fn tuples_crafted_to_share_a_hash_insert_in_linear_time() {
-        // Before the hash was seeded, these tuples all collided and every
-        // insert compared against every earlier one.
-        let hostile = insert_time(&crafted(10_000));
+        // Under the unseeded hash the first set ties on all 64 bits, which
+        // made sorted-run dedup compare each insert with every earlier
+        // tuple; the second ties on the low 32, which would pile every key
+        // onto one slot of a table placed by that hash.
         let ordinary: Vec<Vec<Value>> = (0..10_000).map(|a| t(&[a, 7 * a + 1])).collect();
         let ordinary = insert_time(&ordinary);
-        assert!(
-            hostile < 20 * ordinary,
-            "crafted {hostile:?} against ordinary {ordinary:?}"
+        let check = |set: &str, tuples: Vec<Vec<Value>>| {
+            let hostile = insert_time(&tuples);
+            assert!(
+                hostile < 20 * ordinary,
+                "{set}: crafted {hostile:?} against ordinary {ordinary:?}"
+            );
+        };
+        check("one hash", crafted(10_000, |_| 0x0123_4567_89ab_cdef));
+        check(
+            "one low half",
+            crafted(10_000, |a| 0x89ab_cdef | (a as u64) << 32),
         );
     }
 }

@@ -373,7 +373,7 @@ impl KeyIndex {
     /// Add row `id` of `rows` to its key's group. Returns `false`, adding
     /// nothing, when the index is unique and the key has an id already.
     pub fn insert(&mut self, rows: &Rows, id: u32) -> bool {
-        debug_assert!(id < GROUP, "row id {id} collides with the group tag");
+        assert!(id < GROUP, "row id {id} collides with the group tag");
         if (self.keys + 1) * 2 > self.slots.len() {
             self.grow(rows);
         }
@@ -412,7 +412,7 @@ impl KeyIndex {
         }
         let slot = self.slots[i];
         if slot & GROUP == 0 {
-            debug_assert!((self.groups.len() as u32) < !GROUP, "too many groups");
+            assert!(self.groups.len() < !GROUP as usize, "too many groups");
             self.slots[i] = GROUP | self.groups.len() as u32;
             self.groups.push(vec![slot, id]);
         } else {
@@ -501,6 +501,7 @@ mod tests {
                 rows.pop();
             }
             assert_eq!(dedup.len(), 2000);
+            assert_eq!(dedup.keys == 1, forced_hash.is_some());
             for (i, row) in rows.range(0, rows.len()).enumerate() {
                 assert_eq!(dedup.get(&rows, row), [i as u32], "row {i}");
                 let absent = [row[0], Value::int(-1)];
@@ -526,6 +527,8 @@ mod tests {
                 assert!(index.insert(&rows, id as u32));
             }
             assert_eq!(index.len(), rows.len());
+            // One key holds the table; every other key is found by value.
+            assert_eq!(index.keys, 1);
             for key in tuples
                 .iter()
                 .map(|t| &t[..cols.len()])
