@@ -151,18 +151,12 @@ impl Relation {
     /// planned indexes and the read indexes.
     pub fn overhead_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
-        let indices: usize = self.indices.iter().map(KeyIndex::bytes).sum();
-        let read: usize = self
-            .read
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(KeyIndex::bytes)
-            .sum();
+        let read = self.read.iter().filter_map(OnceLock::get);
+        let indexes: usize = self.indices.iter().chain(read).map(KeyIndex::bytes).sum();
         self.dedup.bytes()
+            + indexes
             + self.indices.capacity() * size_of::<KeyIndex>()
-            + indices
             + self.read.len() * size_of::<OnceLock<KeyIndex>>()
-            + read
     }
 
     /// Build the index over the column set `cols` if it does not exist yet.
@@ -679,13 +673,7 @@ mod tests {
         fn write_i64(&mut self, v: i64) {
             self.write_u64(v as u64);
         }
-        fn write_usize(&mut self, v: usize) {
-            self.write_u64(v as u64);
-        }
         fn write_isize(&mut self, v: isize) {
-            self.write_u64(v as u64);
-        }
-        fn write_u32(&mut self, v: u32) {
             self.write_u64(v as u64);
         }
     }
