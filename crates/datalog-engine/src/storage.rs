@@ -23,8 +23,9 @@
 //! map keyed by value, so even a forced tie costs a logarithmic lookup, not
 //! a scan. Hashes are never stored, persisted or iterated into output.
 //!
-//! Late index builds are counted in a process-wide atomic so the server
-//! can surface them without threading handles through the evaluator.
+//! Late index builds and key lookups are counted in process-wide atomics
+//! ([`storage_counters`]), so the server and the benchmark can read them
+//! without threading handles through the evaluator.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
