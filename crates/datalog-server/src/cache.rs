@@ -8,15 +8,14 @@
 //! never invalidated by facts — the optimization depends only on the
 //! rules, which the fingerprint tracks.
 //!
-//! On top of that an entry carries a one-slot answer memo
-//! ([`CachedAnswers`]): the rendered payload of the last answer, tagged
-//! with the [`Watermarks`] of the form's EDB support set it was rendered
-//! at. Ingestion never touches it: a later identical query reuses the
-//! payload iff its snapshot still sits at exactly those watermarks.
-//!
 //! Whether the form is maintained incrementally is its
-//! [`Entry::resident`]: `None` (cold: evaluate from the snapshot) or a
-//! pinned [`ResidentForm`] that ingestion propagates deltas through (live).
+//! [`Entry::resident`]: `None` (cold: evaluate from the snapshot on every
+//! query) or a pinned [`ResidentForm`] that ingestion propagates deltas
+//! through (live). A live form keeps its last rendered read of each form
+//! it answers ([`ResidentForm::reads`]); a propagation that loads rows
+//! clears them all, so a kept read is always what a fresh read of the
+//! current frontier would render, and a repeat of its query text is
+//! answered from it (`cache=answers`).
 //! Resident state is memory-heavy (a full saturated database per form), so
 //! live entries have their own, separately bounded LRU
 //! (`--resident-forms=N`; 0 disables pinning).
@@ -39,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use datalog_ast::PredRef;
 use datalog_engine::incremental::ResidentEval;
-use datalog_engine::{AnswerSet, DbSnapshot};
+use datalog_engine::AnswerSet;
 use datalog_opt::PreparedProgram;
 
 use crate::protocol::count_lines;
@@ -79,17 +78,9 @@ impl FormKey {
     }
 }
 
-/// Committed row count per predicate of a form's EDB support set: where a
-/// memo was rendered, or how far a resident form has been advanced.
+/// Committed row count per predicate of a form's EDB support set: how far
+/// a resident form has been advanced.
 pub type Watermarks = BTreeMap<PredRef, usize>;
-
-/// `snapshot`'s watermarks over a form's support set.
-pub fn watermarks_at(prepared: &PreparedProgram, snapshot: &DbSnapshot) -> Watermarks {
-    snapshot
-        .watermarks_for(&prepared.support)
-        .into_iter()
-        .collect()
-}
 
 /// One rendered answer table: what every answer source hands to the
 /// response tail, and the response body itself. Cloning shares the
@@ -116,28 +107,6 @@ impl Rendered {
     }
 }
 
-/// A memoized answer payload, valid while the support watermarks hold.
-#[derive(Debug, Clone)]
-pub struct CachedAnswers {
-    /// Rendered query atom the payload answers (column names and constants
-    /// matter for byte-identity, not just the form).
-    pub query_repr: String,
-    /// The support watermarks the payload was rendered at.
-    pub watermarks: Watermarks,
-    /// The memoized table.
-    pub table: Rendered,
-}
-
-impl CachedAnswers {
-    /// Whether `snapshot` sits at exactly the watermarks the payload was
-    /// rendered at (no acknowledged row is missing from it).
-    pub fn current_at(&self, snapshot: &DbSnapshot) -> bool {
-        self.watermarks
-            .iter()
-            .all(|(pred, n)| snapshot.count(pred) == *n)
-    }
-}
-
 /// Retained incremental evaluation for one form: the resident frontier
 /// plus how far into each shared relation it has been advanced.
 #[derive(Debug)]
@@ -149,6 +118,12 @@ pub struct ResidentForm {
     /// watermark — idempotent (the resident dedups) and gap-free (the
     /// shared store is append-only).
     pub applied: Watermarks,
+    /// The last read of each form this one answers (its own and every form
+    /// it covers), keyed by that form: the query text and the table
+    /// rendered for it off this form's frontier. Cleared by every
+    /// propagation that loads rows, so a kept table is always the current
+    /// frontier's.
+    pub reads: BTreeMap<FormKey, (String, Rendered)>,
 }
 
 /// One cache entry: the prepared program plus reuse bookkeeping.
@@ -157,8 +132,6 @@ pub struct Entry {
     /// The optimizer's output for this form. Shared, so a query stage can
     /// keep reading it after the cache lock drops.
     pub prepared: Arc<PreparedProgram>,
-    /// One-slot answer memo.
-    pub memo: Option<CachedAnswers>,
     /// The pinned resident state, shared so drains can propagate without
     /// the cache lock. `None` when the form was never pinned, is not
     /// eligible, was evicted by the resident LRU, or was poisoned; an
@@ -182,16 +155,6 @@ impl Entry {
     /// entry.
     pub fn pin_target(&self) -> Option<&Arc<PreparedProgram>> {
         self.pinnable.then_some(&self.prepared)
-    }
-
-    /// Fill the answer slot with `table`, rendered for `query_repr` at
-    /// `watermarks`.
-    pub fn memoize(&mut self, query_repr: &str, table: &Rendered, watermarks: Watermarks) {
-        self.memo = Some(CachedAnswers {
-            query_repr: query_repr.to_string(),
-            watermarks,
-            table: table.clone(),
-        });
     }
 }
 
@@ -250,21 +213,24 @@ impl PreparedCache {
     /// Make an entry live with freshly built state. Every other live form
     /// it covers is retired first (a covered query reads this one now),
     /// then the least recently used other resident is evicted if the bound
-    /// is still reached. Returns how many residents were retired, or
-    /// `None` (dropping `form`) when pinning is disabled, the entry is
-    /// gone, or it is live already (a concurrent builder won) — all fine:
-    /// the request that built `form` has its answers either way.
-    pub fn pin_resident(&mut self, key: &FormKey, form: ResidentForm) -> Option<usize> {
+    /// is still reached. Returns the retired residents, or `None`
+    /// (dropping `form`) when pinning is disabled, the entry is gone, or
+    /// it is live already (a concurrent builder won) — all fine: the
+    /// request that built `form` has its answers either way.
+    pub fn pin_resident(
+        &mut self,
+        key: &FormKey,
+        form: ResidentForm,
+    ) -> Option<Vec<Arc<Mutex<ResidentForm>>>> {
         if self.resident_capacity == 0
             || self.entries.get(key).map_or(true, |e| e.resident.is_some())
         {
             return None;
         }
-        let mut retired = 0;
+        let mut retired = Vec::new();
         for (k, e) in &mut self.entries {
-            if e.resident.is_some() && k != key && key.covers(k) {
-                e.resident = None;
-                retired += 1;
+            if k != key && key.covers(k) {
+                retired.extend(e.resident.take());
             }
         }
         while self.resident_count() >= self.resident_capacity {
@@ -345,7 +311,6 @@ impl PreparedCache {
             pinnable: ResidentEval::supports(&prepared.program)
                 && ResidentEval::admits_bound_class(prepared.bound_class),
             prepared: Arc::new(prepared),
-            memo: None,
             resident: None,
             last_used: clock,
         })
@@ -399,6 +364,7 @@ mod tests {
         ResidentForm {
             eval: ResidentEval::new(&p, &FactSet::new(), &EvalOptions::default()).unwrap(),
             applied: BTreeMap::new(),
+            reads: BTreeMap::new(),
         }
     }
 
@@ -497,12 +463,16 @@ mod tests {
         let mut cache = cache_of(&[&nn, &nd, &dd, &b]);
         for k in [&nd, &dd, &b] {
             assert_eq!(
-                cache.pin_resident(k, resident("a(X, Y) :- p(X, Y).")),
+                cache
+                    .pin_resident(k, resident("a(X, Y) :- p(X, Y)."))
+                    .map(|r| r.len()),
                 Some(0)
             );
         }
         assert_eq!(
-            cache.pin_resident(&nn, resident("a(X, Y) :- p(X, Y).")),
+            cache
+                .pin_resident(&nn, resident("a(X, Y) :- p(X, Y)."))
+                .map(|r| r.len()),
             Some(2)
         );
         assert!(live(&mut cache, &nn) && live(&mut cache, &b));
@@ -523,7 +493,7 @@ mod tests {
             |cache: &mut PreparedCache, q: &FormKey| cache.live_cover(q).map(|(k, _)| k.clone());
         assert_eq!(cover(&mut cache, &ndd), None, "nothing live");
         let pin = |cache: &mut PreparedCache, k: &FormKey| {
-            cache.pin_resident(k, resident("a(X, Y) :- p(X, Y)."))
+            (cache.pin_resident(k, resident("a(X, Y) :- p(X, Y)."))).map(|r| r.len())
         };
         assert_eq!(pin(&mut cache, &nnn), Some(0));
         assert_eq!(cover(&mut cache, &ndd), Some(nnn.clone()));

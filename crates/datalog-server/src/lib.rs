@@ -18,17 +18,15 @@
 //! * **snapshot-isolated reads** (`datalog_engine::shared`): connection
 //!   threads evaluate against consistent watermark snapshots of the
 //!   append-only EDB while `FACT`/`LOAD` ingest concurrently;
-//! * **dependency-scoped answer memos**: a memoized answer is valid while
-//!   the relations its form's optimized program transitively reads sit at
-//!   the watermarks it was rendered at, so a new fact outdates only the
-//!   forms that read its predicate — and ingestion never touches the cache
-//!   for it;
 //! * **resident forms** ([`cache::Entry::resident`]): stratifiable forms,
 //!   negation included, keep their fixpoint and absorb new facts stratum by
 //!   stratum (`maintain.rs` drains
 //!   them, and a form whose drain fails is rebuilt by its next query;
 //!   `ingest.rs` is the one `FACT`/`LOAD` path, one critical section per
-//!   ingest under the log's lock).
+//!   ingest under the log's lock). A resident keeps its last rendered read
+//!   of each form it answers until a propagation loads rows, so a repeated
+//!   query text is answered without re-rendering; a cold form evaluates
+//!   on every query.
 //!
 //! Start it with `xdl serve [--port P] [--max-conns N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see
@@ -50,7 +48,7 @@ mod query;
 pub mod server;
 pub mod wal;
 
-pub use cache::{CachedAnswers, FormKey, PreparedCache};
+pub use cache::{FormKey, PreparedCache};
 pub use client::Client;
 pub use conn::Server;
 pub use fault::FaultPlan;

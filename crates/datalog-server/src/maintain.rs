@@ -10,12 +10,18 @@
 //! ```
 //!
 //! * [`drain`](ServerState::drain) is the one catch-up: lock the form,
-//!   propagate to a snapshot, optionally read the frontier and memoize it.
-//!   Ingest drains every live form its rows touch before it answers, and a
-//!   query drains its form to its own snapshot before it reads, so every
-//!   answer is fresh. A query whose own form is cold but covered by a live
-//!   form drains the covering form: the covering form is what a failure
-//!   poisons, the query's own form is whose answer slot the read fills.
+//!   propagate to a snapshot, optionally answer a query off it. Ingest
+//!   drains every live form its rows touch before it answers, and a query
+//!   drains its form to its own snapshot before it reads, so every answer
+//!   is fresh. A query whose own form is cold but covered by a live form
+//!   drains the covering form: the covering form is what a failure
+//!   poisons, the query's own form is which of its read slots the read
+//!   fills.
+//! * A propagation that loads rows clears every read slot of the form
+//!   (counted as `invalidations`), so a slot only ever holds what a read
+//!   of the current frontier renders. Dropping the form drops its slots;
+//!   a form that retires others on [`pin_built`](ServerState::pin_built)
+//!   reads their slots' query texts again off its own frontier.
 //! * A failed propagation drops the form back to `Cold`, exactly as an
 //!   eviction does. The next eligible query of the form evaluates it from
 //!   cold and pins what it built: that is the rebuild, and it is counted as
@@ -27,12 +33,12 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use datalog_ast::{Atom, PredRef};
+use datalog_ast::{parse_atom, Atom, PredRef};
 use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact};
 use datalog_engine::{CancelToken, DbSnapshot};
+use datalog_opt::PreparedProgram;
 
-use crate::cache::{FormKey, PreparedCache, Rendered, ResidentForm};
-use crate::query::read_frontier;
+use crate::cache::{FormKey, Rendered, ResidentForm};
 use crate::server::{lock, ServerState};
 
 impl ServerState {
@@ -46,7 +52,9 @@ impl ServerState {
             return Err(());
         }
         let mut batch: Vec<DeltaFact> = Vec::new();
-        for (pred, start) in &form.applied {
+        // Only a relation with rows past `applied` is read (and locked): a
+        // caught-up form's read takes no relation lock at all.
+        for (pred, start) in form.applied.iter().filter(|(p, n)| snapshot.count(p) > **n) {
             for row in snapshot.rows_from(pred, *start) {
                 batch.push(DeltaFact::new(pred.clone(), row));
             }
@@ -54,6 +62,8 @@ impl ServerState {
         if batch.is_empty() {
             return Ok(());
         }
+        self.metrics.invalidations.add(form.reads.len() as u64);
+        form.reads.clear();
         // The fault hook fires only on real propagation work: a failing
         // drain runs under an already-cancelled token and poisons the state.
         let abort = CancelToken::new();
@@ -84,12 +94,13 @@ impl ServerState {
     /// Catch `form` (live under `key`) up to `snapshot` holding only the
     /// form lock.
     ///
-    /// With `read = (memo key, query atom, its rendered text)` the
-    /// caught-up frontier is extracted while the form is still locked, then
-    /// memoized in the memo key's slot under one short cache lock and
-    /// returned. The memo key is the query's own form, which is `key`
-    /// unless `form` covers it. `Err(())` means the propagation failed:
-    /// `key`'s form is poisoned, counted and `Cold`.
+    /// With `read = (query form, query atom, its rendered text)` the
+    /// caught-up form answers the query before the lock drops: from the
+    /// query form's read slot when it holds the same text (`"answers"`),
+    /// else by a fresh read of the frontier (`"resident"`), which then
+    /// fills the slot. The query form is `key` unless `form` covers it.
+    /// `Err(())` means the propagation failed: `key`'s form is poisoned,
+    /// counted and `Cold`.
     ///
     /// The caller must not hold the cache lock.
     pub(crate) fn drain(
@@ -98,31 +109,23 @@ impl ServerState {
         form: &Arc<Mutex<ResidentForm>>,
         snapshot: &DbSnapshot,
         read: Option<(&FormKey, &Atom, &str)>,
-    ) -> Result<Option<Rendered>, ()> {
-        let drained = {
-            let mut g = lock(form);
-            self.propagate(&mut g, snapshot).map(|()| {
-                read.map(|(memo, atom, repr)| {
-                    (memo, read_frontier(&g, atom), g.applied.clone(), repr)
-                })
-            })
-        };
-        let Ok(read) = drained else {
+    ) -> Result<Option<(&'static str, Rendered)>, ()> {
+        let mut g = lock(form);
+        if self.propagate(&mut g, snapshot).is_err() {
+            drop(g);
             self.poison(key, form);
             return Err(());
-        };
-        let Some((memo, table, applied, repr)) = read else {
+        }
+        let Some((query_form, atom, text)) = read else {
             return Ok(None);
         };
-        if let Some(e) = lock(&self.cache).peek_mut(memo) {
-            // Tagged with the form's *applied* watermarks: if a drain
-            // raced us past `snapshot`, the served frontier is the newer
-            // one (later watermarks), and the slot must say so. A covered
-            // slot carries the covering form's watermarks: its support
-            // determines the covered answers too.
-            e.memoize(repr, &table, applied);
+        if let Some((_, table)) = g.reads.get(query_form).filter(|(kept, _)| kept == text) {
+            return Ok(Some(("answers", table.clone())));
         }
-        Ok(Some(table))
+        let table = Rendered::of(&g.eval.answers(atom));
+        let slot = (text.to_string(), table.clone());
+        g.reads.insert(query_form.clone(), slot);
+        Ok(Some(("resident", table)))
     }
 
     /// `form` failed a propagation: `Live → Cold`, counted once however
@@ -147,22 +150,47 @@ impl ServerState {
         );
     }
 
-    /// Make `key` live with `form` unless someone beat us to it (the
-    /// caller holds the cache lock), retiring the live forms it covers. A
-    /// pin that replaces poisoned or evicted state is a rebuild.
+    /// Make `key` live with `form` unless someone beat us to it,
+    /// retiring the live forms it covers. Once the retired forms are gone,
+    /// each query text one of them kept is read again off the live form's
+    /// frontier, so its repeat stays `answers` (a text that does not print
+    /// back as itself waits for its next query). A pin that replaces
+    /// poisoned or evicted state is a rebuild. The caller holds no lock.
     pub(crate) fn pin_built(
         &self,
-        cache: &mut PreparedCache,
         key: &FormKey,
+        prepared: &PreparedProgram,
         form: ResidentForm,
         rebuild: bool,
     ) {
-        let Some(retired) = cache.pin_resident(key, form) else {
-            return;
+        let (live, retired) = {
+            let mut cache = lock(&self.cache);
+            let Some(retired) = cache.pin_resident(key, form) else {
+                return;
+            };
+            (
+                cache.peek_mut(key).and_then(|e| e.resident.clone()),
+                retired,
+            )
         };
-        self.metrics.covered_retired.add(retired as u64);
+        self.metrics.covered_retired.add(retired.len() as u64);
         if rebuild {
             self.metrics.resident_rebuilds.inc();
+        }
+        let texts: Vec<(FormKey, String)> = (retired.into_iter())
+            .flat_map(|f| std::mem::take(&mut lock(&f).reads))
+            .map(|(query_form, (text, _))| (query_form, text))
+            .collect();
+        let Some(live) = live else {
+            return;
+        };
+        let mut g = lock(&live);
+        for (query_form, text) in texts {
+            let atom = parse_atom(&text).ok().filter(|a| a.to_string() == text);
+            if let Some(atom) = atom.and_then(|a| prepared.instantiate_atom(&a)) {
+                let table = Rendered::of(&g.eval.answers(&atom));
+                g.reads.entry(query_form).or_insert((text, table));
+            }
         }
     }
 

@@ -40,7 +40,7 @@ pub enum Phase {
     Cache = 1,
     /// Fixpoint evaluation.
     Eval = 2,
-    /// Answer rendering + memoization.
+    /// Rendering a cold evaluation's answers, and pinning what it built.
     Serialize = 3,
 }
 
@@ -76,11 +76,12 @@ pub struct ServerMetrics {
     pub queries: Arc<Counter>,
     /// Prepared-form reuse (optimizer skipped).
     pub prepared_hits: Arc<Counter>,
-    /// Memoized-answer reuse (evaluation skipped too).
+    /// Queries answered from a resident's kept read of the same text
+    /// (`cache=answers`: no frontier read, no rendering).
     pub answer_hits: Arc<Counter>,
     /// Cold misses (full optimizer run).
     pub cache_misses: Arc<Counter>,
-    /// Lookups that found their form's answer slot out of date.
+    /// Kept resident reads cleared by a propagation that loaded rows.
     pub invalidations: Arc<Counter>,
     /// New facts applied to resident forms by delta propagation.
     pub incremental_applied_facts: Arc<Counter>,
@@ -100,7 +101,7 @@ pub struct ServerMetrics {
     pub resident_rebuilds: Arc<Counter>,
     /// Resident propagations that failed and poisoned their form.
     pub resident_poisonings: Arc<Counter>,
-    /// Queries answered off a live form that covers theirs.
+    /// Queries read off the frontier of a live form that covers theirs.
     pub covered_reads: Arc<Counter>,
     /// Residents dropped because a form covering them pinned.
     pub covered_retired: Arc<Counter>,

@@ -214,8 +214,8 @@ impl Request {
 /// with a message.
 ///
 /// The payload is one shared text — zero or more lines, each ending in
-/// `\n` — so a memoized or freshly rendered answer table is handed from
-/// the cache to the socket without a copy.
+/// `\n` — so a kept or freshly rendered answer table is handed from the
+/// resident to the socket without a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Whether the header was `OK`.

@@ -4,31 +4,35 @@
 //! |---|---|---|---|
 //! | [`resolve`](ServerState::resolve) | [`QueryCtx`] | parse | rules (read), briefly |
 //! | [`choose_source`](ServerState::choose_source) | [`Source`] | cache | cache — across the optimizer on a miss |
-//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form, then cache once to memoize |
-//! | [`serve_cold`](ServerState::serve_cold) | [`Served`] | eval, serialize | none while evaluating; cache once to memoize and pin |
+//! | [`serve_resident`](ServerState::serve_resident) | [`Served`] | cache | form |
+//! | [`serve_cold`](ServerState::serve_cold) | [`Served`] | eval, serialize | none while evaluating; cache once to pin |
 //! | [`respond`](ServerState::respond) | `Response` | — | `last_trace` |
 //!
-//! Every source answers at the query's snapshot or later: a memo only
-//! while the snapshot sits at its watermarks, a resident form only after
-//! draining to the snapshot, a cold evaluation from the snapshot itself.
+//! There are two sources, and both answer at the query's snapshot or
+//! later: a resident form after draining to the snapshot, a cold
+//! evaluation from the snapshot itself. After the drain, a resident form
+//! answers a repeat of the query text it last read for the query's form
+//! from that read's slot (`cache=answers`), and any other text with a
+//! fresh read of the frontier (`cache=resident`) that refills the slot.
+//! A cold form keeps nothing: it evaluates on every query.
 //!
 //! The resident form that answers is the query's own when it is live, and
 //! otherwise a live form that [covers](crate::cache::FormKey::covers) it
 //! (Lemma 3.2: the query's answers are a projection of the covering
 //! form's), found after the own-form lookup — on a first sighting after the
-//! optimizer ran, so the entry, its answer slot and `TRACE` exist either
-//! way. A covered form is never built while its cover is live; its read
-//! goes through the covering form's program and read plan, and is
-//! memoized in the covered form's own slot. If the covering form dies
-//! mid-plan, the covered form's own program is evaluated and pinned.
+//! optimizer ran, so the entry and `TRACE` exist either way. A covered
+//! form is never built while its cover is live; its read goes through the
+//! covering form's program and read plan, and fills the covering form's
+//! slot for the covered form. If the covering form dies mid-plan, the
+//! covered form's own program is evaluated and pinned.
 //!
 //! Lock order is cache → form, and a stage never *blocks* on a form lock
 //! while it holds the cache lock: `choose_source` hands the form handle
 //! out, and `serve_resident` locks it after the cache lock has dropped.
 //!
 //! `respond` is the only place a QUERY `OK` header, a phase span, the
-//! `TRACE` document and a slow-query line are produced, so all four
-//! `cache=` sources answer with the same header and move the same
+//! `TRACE` document and a slow-query line are produced, so every
+//! `cache=` value comes with the same header and moves the same
 //! histograms. A query that ends in `ERR` records no phase span; its own
 //! counter (trip, refusal) is the record.
 
@@ -44,7 +48,7 @@ use datalog_engine::{query_answers_full, DbSnapshot, EngineError, EvalOptions, E
 use datalog_opt::{prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::Json;
 
-use crate::cache::{watermarks_at, Entry, FormKey, Rendered, ResidentForm};
+use crate::cache::{Entry, FormKey, Rendered, ResidentForm};
 use crate::metrics::{Phase, PHASES};
 use crate::protocol::{ErrCode, Response};
 use crate::server::{lock, read_lock, Decrement, RuleSet, ServerState};
@@ -59,14 +63,14 @@ pub(crate) struct QueryCtx {
     key: FormKey,
     query: Query,
     /// Rendered query atom: column names and constants matter for
-    /// byte-identity of a memoized payload, not just the form.
+    /// byte-identity of a kept read, not just the form.
     query_repr: String,
     /// The rule set the query was checked against (what a cold miss
     /// optimizes).
     rules: Arc<RuleSet>,
     adornment: Adornment,
-    /// Taken before the answer slot is consulted: a slot whose watermarks
-    /// still match this snapshot misses no row acknowledged before it.
+    /// Taken before the cache is consulted: every source answers at this
+    /// snapshot or later, so no row acknowledged before it is missed.
     snapshot: DbSnapshot,
     d_parse: Duration,
     t_cache: Instant,
@@ -74,8 +78,6 @@ pub(crate) struct QueryCtx {
 
 /// Where a query's answer comes from, decided under the cache lock.
 pub(crate) enum Source {
-    /// The answer slot matches this query at this snapshot's watermarks.
-    Memo(Served),
     /// The form, or a form covering it, has live resident state.
     Resident(ResidentPlan),
     /// Evaluate from the snapshot.
@@ -146,13 +148,12 @@ fn build_resident(
     let eval = ResidentEval::new(&prepared.program, snapshot.edb(&prepared.support), opts)?;
     Ok(ResidentForm {
         eval,
-        applied: watermarks_at(prepared, snapshot),
+        applied: snapshot
+            .watermarks_for(&prepared.support)
+            .into_iter()
+            .collect(),
+        reads: BTreeMap::new(),
     })
-}
-
-/// One extraction off a locked form's frontier.
-pub(crate) fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> Rendered {
-    Rendered::of(&form.eval.answers(q_atom))
 }
 
 impl ServerState {
@@ -167,7 +168,6 @@ impl ServerState {
     fn run_query(&self, text: &str, started: Instant) -> Result<Response, Response> {
         let ctx = self.resolve(text, started)?;
         let served = match self.choose_source(&ctx)? {
-            Source::Memo(served) => served,
             Source::Cold(plan) => self.serve_cold(&ctx, plan)?,
             Source::Resident(plan) => self.serve_resident(&ctx, plan)?,
         };
@@ -231,25 +231,6 @@ impl ServerState {
         let own = match cache.get_mut(&ctx.key) {
             Some(entry) => {
                 self.metrics.prepared_hits.inc();
-                if let Some(memo) = &entry.memo {
-                    if !memo.current_at(&ctx.snapshot) {
-                        // Ingestion never touches the slot; this lookup is
-                        // where it is found out of date.
-                        self.metrics.invalidations.inc();
-                    } else if memo.query_repr == ctx.query_repr {
-                        // Watermark match means no acknowledged row is
-                        // missing.
-                        self.metrics.answer_hits.inc();
-                        return Ok(Source::Memo(Served {
-                            tag: "answers",
-                            table: memo.table.clone(),
-                            prepared: Arc::clone(&entry.prepared),
-                            served_by: None,
-                            optimized: None,
-                            cold: None,
-                        }));
-                    }
-                }
                 let plan = ColdPlan {
                     status: "hit",
                     prepared: Arc::clone(&entry.prepared),
@@ -315,20 +296,22 @@ impl ServerState {
     }
 
     /// Execute a [`ResidentPlan`] with the cache lock released: drain the
-    /// form to the query's snapshot, read it and memoize the read in the
-    /// query's own slot. If the form died mid-plan (poisoned — already
+    /// form to the query's snapshot and answer from the query form's read
+    /// slot or a fresh read. If the form died mid-plan (poisoned — already
     /// counted and dropped) the plan's fallback recomputes from cold.
     fn serve_resident(&self, ctx: &QueryCtx, plan: ResidentPlan) -> Result<Served, Response> {
         let key = plan.cover.as_ref().unwrap_or(&ctx.key);
         let read = Some((&ctx.key, &plan.q_atom, ctx.query_repr.as_str()));
-        let Ok(Some(table)) = self.drain(key, &plan.form, &ctx.snapshot, read) else {
+        let Ok(Some((tag, table))) = self.drain(key, &plan.form, &ctx.snapshot, read) else {
             return self.serve_cold(ctx, plan.fallback);
         };
-        if plan.cover.is_some() {
+        if tag == "answers" {
+            self.metrics.answer_hits.inc();
+        } else if plan.cover.is_some() {
             self.metrics.covered_reads.inc();
         }
         Ok(Served {
-            tag: "resident",
+            tag,
             table,
             prepared: plan.prepared,
             served_by: plan.cover,
@@ -363,10 +346,10 @@ impl ServerState {
         }
     }
 
-    /// Evaluate a prepared form from the snapshot, memoize the answer, and
-    /// pin the state when the plan says so. A tripped evaluation is
-    /// answered with its partial stats, NOT memoized, and nothing is
-    /// pinned: the cache must never serve a truncated table.
+    /// Evaluate a prepared form from the snapshot, and pin the state, with
+    /// the query's read in its slot, when the plan says so. A tripped
+    /// evaluation is answered with its partial stats and nothing is
+    /// pinned: a resident must never hold a truncated fixpoint.
     fn serve_cold(&self, ctx: &QueryCtx, plan: ColdPlan) -> Result<Served, Response> {
         let d_cache = ctx.t_cache.elapsed();
         let rebuild = plan.status == "hit" && plan.pin.is_some();
@@ -420,15 +403,11 @@ impl ServerState {
 
         let t_serialize = Instant::now();
         let table = Rendered::of(&answers);
-        {
-            let mut cache = lock(&self.cache);
-            if let Some(entry) = cache.get_mut(&ctx.key) {
-                let watermarks = watermarks_at(prepared, &ctx.snapshot);
-                entry.memoize(&ctx.query_repr, &table, watermarks);
-            }
-            if let Some(form) = pinned {
-                self.pin_built(&mut cache, &ctx.key, form, rebuild);
-            }
+        if let Some(mut form) = pinned {
+            // Built at this snapshot: the table is its frontier's read.
+            let slot = (ctx.query_repr.clone(), table.clone());
+            form.reads.insert(ctx.key.clone(), slot);
+            self.pin_built(&ctx.key, prepared, form, rebuild);
         }
         Ok(Served {
             tag: plan.status,
@@ -451,7 +430,7 @@ impl ServerState {
         spans[Phase::Parse as usize] = Some(ctx.d_parse);
         match &served.cold {
             // Without a fixpoint the cache span runs to here: lookup,
-            // frontier read and memoization.
+            // drain and read.
             None => spans[Phase::Cache as usize] = Some(ctx.t_cache.elapsed()),
             Some(cold) => {
                 spans[Phase::Cache as usize] = Some(cold.d_cache);
@@ -577,11 +556,29 @@ impl LastQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::protocol::Request;
     use crate::server::ServerConfig;
     use datalog_ast::{PredRef, Value};
     use datalog_engine::incremental::{DeltaLimits, Fact};
     use datalog_engine::CancelToken;
+
+    const TC: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\n";
+
+    /// A server under `cfg` with `src` loaded.
+    fn loaded(cfg: &ServerConfig, src: &str) -> ServerState {
+        let state = ServerState::from_config(cfg).unwrap();
+        let file = std::env::temp_dir().join(format!(
+            "xdl-query-{}-{:?}.dl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&file, src).unwrap();
+        let loaded = state.handle(&Request::Load(file.display().to_string()));
+        std::fs::remove_file(&file).unwrap();
+        assert!(loaded.ok, "{}", loaded.error);
+        state
+    }
 
     /// Ingest always drains the covering form before a query plans, so
     /// only a plan in hand reaches the case where the covering form dies
@@ -591,20 +588,7 @@ mod tests {
     /// of the covered form ask an atom of the wrong arity.
     #[test]
     fn a_cover_poisoned_mid_plan_recomputes_and_pins_the_covered_form() {
-        let state = ServerState::from_config(&ServerConfig::default()).unwrap();
-        let file = std::env::temp_dir().join(format!(
-            "xdl-query-{}-{:?}-cover.dl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::write(
-            &file,
-            "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\n",
-        )
-        .unwrap();
-        let loaded = state.handle(&Request::Load(file.display().to_string()));
-        std::fs::remove_file(&file).unwrap();
-        assert!(loaded.ok, "{}", loaded.error);
+        let state = loaded(&ServerConfig::default(), TC);
         let ask = |text: &str| {
             let resp = state.handle(&Request::query(text));
             assert!(resp.ok, "{text}: {}", resp.error);
@@ -656,5 +640,113 @@ mod tests {
         ] {
             assert!(stats.contains(counter), "{counter}: {stats}");
         }
+    }
+
+    /// A live `a[nn]` keeps one read per form it answers: a repeated text
+    /// is `answers`, byte for byte the read that filled the slot. New rows
+    /// clear every slot, so the next read is the frontier's again and
+    /// equals the form's own cold evaluation; a duplicate row clears
+    /// nothing. Retiring, poisoning or evicting the form drops its slots
+    /// (a retiring form reads their texts again off its own frontier), and
+    /// a cold form recomputes on every repeat.
+    #[test]
+    fn kept_reads_repeat_until_rows_arrive_and_go_with_their_form() {
+        let fault = Arc::new(FaultPlan::new());
+        let src = format!("{TC}b(X, Y) :- p(Y, X).\n");
+        let state = loaded(
+            &ServerConfig {
+                resident_forms: 1,
+                fault: Arc::clone(&fault),
+                ..ServerConfig::default()
+            },
+            &src,
+        );
+        let cold = loaded(
+            &ServerConfig {
+                resident_forms: 0,
+                ..ServerConfig::default()
+            },
+            &src,
+        );
+        let ask = |state: &ServerState, text: &str, want: &str| {
+            let resp = state.handle(&Request::query(text));
+            assert!(resp.ok, "{text}: {}", resp.error);
+            assert_eq!(resp.get("cache"), Some(want), "{text}");
+            resp.payload_text()
+        };
+        let fact = |text: &str, new: &str| {
+            for s in [&state, &cold] {
+                let resp = s.handle(&Request::Fact(text.into()));
+                assert_eq!(resp.get("new"), Some(new), "{text}");
+            }
+        };
+        let stat = |name: &str| {
+            let doc = state.handle(&Request::Stats).payload_text();
+            let at = doc.find(&format!("\"{name}\":")).unwrap() + name.len() + 3;
+            doc[at..]
+                .split([',', '}'])
+                .next()
+                .unwrap()
+                .parse::<u64>()
+                .unwrap()
+        };
+        const FORMS: [&str; 2] = ["?- a(X, _).", "?- a(_, _)."];
+
+        ask(&state, "?- a(X, Y).", "miss");
+        for text in FORMS {
+            let read = ask(&state, text, "resident");
+            assert_eq!(ask(&state, text, "answers"), read, "{text}");
+        }
+        // Cold forms keep nothing: every repeat evaluates.
+        for text in FORMS {
+            let first = ask(&cold, text, "miss");
+            assert_eq!(ask(&cold, text, "hit"), first, "{text}");
+        }
+        assert_eq!(stat("answer_hits"), 2);
+
+        fact("p(3, 4).", "true");
+        assert_eq!(stat("invalidations"), 3, "a(X, Y), a(X, _), a(_, _)");
+        for text in FORMS {
+            let read = ask(&state, text, "resident");
+            assert_eq!(read, ask(&cold, text, "hit"), "{text}");
+            assert_eq!(ask(&state, text, "answers"), read, "{text}");
+        }
+        fact("p(3, 4).", "false");
+        for text in FORMS {
+            ask(&state, text, "answers");
+        }
+        assert_eq!((stat("answer_hits"), stat("invalidations")), (6, 3));
+
+        // Poisoned: `a[nn]` and its slots are gone, so `a[nd]` evaluates
+        // its own program and pins it (with the query's read in its slot).
+        fault.fail_drains(1);
+        fact("p(4, 5).", "true");
+        let read = ask(&state, FORMS[0], "hit");
+        assert_eq!(read, ask(&cold, FORMS[0], "hit"));
+        assert_eq!(ask(&state, FORMS[0], "answers"), read);
+        // Retired: pinning `a[nn]` again drops `a[nd]` and its slot, and
+        // `a[nn]` reads the slot's text off its own frontier instead.
+        const ADORNED: &str = "?- a[nd](X, Y).";
+        let adorned = ask(&state, ADORNED, "resident");
+        assert_eq!(adorned, ask(&cold, ADORNED, "hit"));
+        // One slot per form: the adorned text took `a[nd]`'s.
+        assert_eq!(ask(&state, FORMS[0], "resident"), read);
+        let nd = state.resolve(FORMS[0], Instant::now()).unwrap().key;
+        let retired = lock(&state.cache).peek_mut(&nd).unwrap().resident.clone();
+        let retired = retired.expect("a[nd] is live");
+        ask(&state, "?- a(X, Y).", "hit");
+        assert_eq!(Arc::strong_count(&retired), 1, "the cache let go of it");
+        assert!(lock(&retired).reads.is_empty());
+        assert_eq!(ask(&state, FORMS[0], "answers"), read);
+        // An explicitly adorned text is never a covered read: it evaluates
+        // its own form, which pins again (evicting `a[nn]`).
+        assert_eq!(ask(&state, ADORNED, "hit"), adorned);
+        // Evicted: one resident slot, and `b[nn]` takes it.
+        ask(&state, "?- b(X, Y).", "miss");
+        assert_eq!(ask(&state, FORMS[0], "hit"), read);
+        assert_eq!(
+            (stat("resident_poisonings"), stat("covered_retired")),
+            (1, 1)
+        );
     }
 }

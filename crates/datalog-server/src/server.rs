@@ -31,8 +31,8 @@
 //! * **Deadlines & budgets** — each query evaluates under the configured
 //!   wall-clock deadline, derived-fact budget, and the server's global
 //!   [`CancelToken`]; a trip returns a coded `ERR` carrying the partial
-//!   [`EvalStats`](datalog_engine::EvalStats), and the tripped result is
-//!   **not** memoized.
+//!   [`EvalStats`](datalog_engine::EvalStats), and a tripped evaluation
+//!   pins nothing.
 //! * **Overload control** — a connection limit sheds excess accepts with
 //!   `ERR busy`. A connection serves one request at a time, so the same
 //!   limit caps the queries in flight.
@@ -886,8 +886,8 @@ mod tests {
             state.handle(&Request::query("?- b(X, _).")).get("cache"),
             Some("miss")
         );
-        // Same forms, fresh constants (a memo hit would hide the resident
-        // path): each finds its resident evicted by the other's pin.
+        // Same forms, fresh constants: each finds its resident evicted by
+        // the other's pin.
         let resp = state.handle(&Request::query("?- a(1, _)."));
         assert!(resp.ok, "{}", resp.error);
         assert_eq!(resp.get("cache"), Some("hit"), "fallback recomputes");
@@ -903,41 +903,6 @@ mod tests {
         let resp = state.handle(&Request::query("?- b(4, _)."));
         assert_eq!(resp.get("cache"), Some("resident"));
         assert_eq!(resp.payload_text(), "false\n");
-    }
-
-    #[test]
-    fn memo_watermarks_survive_unrelated_ingestion_without_residents() {
-        // Satellite: with pinning disabled the seed behavior is intact —
-        // memoized answers are validated against the per-relation
-        // watermarks of the form's own EDB support set, so a fact for q
-        // leaves the form over p serving from its memo slot.
-        let state = ServerState::from_config(&ServerConfig {
-            resident_forms: 0,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let dir = TempDir::new("memo-marks");
-        let file = dir.0.join("two.dl");
-        std::fs::write(
-            &file,
-            "a(X, Y) :- p(X, Y).\nb(X, Y) :- q(X, Y).\np(1, 2).\nq(3, 4).\n",
-        )
-        .unwrap();
-        assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-        for q in ["?- a(X, _).", "?- b(X, _)."] {
-            assert!(state.handle(&Request::query(q)).ok);
-        }
-        assert!(state.handle(&Request::Fact("q(5, 6).".into())).ok);
-        assert_eq!(
-            state.handle(&Request::query("?- a(X, _).")).get("cache"),
-            Some("answers"),
-            "a's support watermarks did not move"
-        );
-        assert_eq!(
-            state.handle(&Request::query("?- b(X, _).")).get("cache"),
-            Some("hit"),
-            "b re-evaluates (and without residents never serves 'resident')"
-        );
     }
 
     /// `STATS` and `METRICS` read one counter for prepared-form hits, so
@@ -1022,7 +987,7 @@ mod tests {
         let stats = state.handle(&Request::Stats).payload_text();
         assert!(stats.contains("\"resident_rebuilds\":1"), "{stats}");
         assert!(stats.contains("\"resident_forms\":1"), "{stats}");
-        // And the healed resident serves (fresh constants dodge the memo).
+        // And the healed resident serves.
         let resp = state.handle(&Request::query("?- a(3, _)."));
         assert_eq!(resp.get("cache"), Some("resident"));
         assert_eq!(resp.payload_text(), "true\n");

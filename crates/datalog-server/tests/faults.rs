@@ -21,27 +21,10 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use datalog_ast::parse_program;
-use datalog_engine::{query_answers_full, EvalOptions};
-use datalog_opt::{optimize, OptimizerConfig};
 use datalog_server::{
-    render_answers, Client, ErrCode, FaultPlan, Request, Response, Server, ServerConfig,
-    ServerState,
+    Client, ErrCode, FaultPlan, Request, Response, Server, ServerConfig, ServerState,
 };
-use util::TempDir;
-
-/// What `xdl run <src>` prints on stdout (same pipeline as the binary).
-fn xdl_run_reference(src: &str) -> String {
-    let parsed = parse_program(src).unwrap();
-    parsed.program.validate().unwrap();
-    let out = optimize(&parsed.program, &OptimizerConfig::default()).unwrap();
-    let opts = EvalOptions {
-        boolean_cut: true,
-        ..EvalOptions::default()
-    };
-    let (answers, _) = query_answers_full(&out.program, parsed.facts, &opts).unwrap();
-    render_answers(&answers)
-}
+use util::{no_optimize_reference, TempDir};
 
 const TC_RULES: &str = "a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n";
 const TC_FACTS: &str = "p(1, 2).\np(2, 3).\np(3, 4).\n";
@@ -435,7 +418,7 @@ fn arity_refused_fact_and_load_leave_wal_and_database_untouched() {
         assert!(!resp.ok);
         assert!(resp.error.contains("arity"), "{}", resp.error);
         // ...and a LOAD whose clash sorts *after* facts it could apply
-        // (`n` < `p`) — and after one that extends a memoized form.
+        // (`n` < `p`) — and after one that extends a resident form.
         let bad = dir.file("bad.dl", "n(1).\np(8, 9).\np(1, 2, 3).\n");
         let resp = c.load(bad.to_str().unwrap()).unwrap();
         assert!(!resp.ok);
@@ -444,7 +427,7 @@ fn arity_refused_fact_and_load_leave_wal_and_database_untouched() {
         let bad = dir.file("self.dl", "m(1).\nm(1, 2).\n");
         assert!(!c.load(bad.to_str().unwrap()).unwrap().ok);
 
-        // Nothing was logged, nothing applied, no memo staled.
+        // Nothing was logged, nothing applied, no kept read cleared.
         assert_eq!(
             std::fs::metadata(wal_dir.join("wal.log")).unwrap().len(),
             log_len
@@ -525,8 +508,8 @@ fn budget_trip_is_coded_counted_and_never_memoized() {
     // The full closure derives 6 facts; budget 3 trips. (The existential
     // form `a(X, _)` would not: arity reduction shrinks it to 3 facts —
     // the paper's optimization visibly changes what the budget measures.)
-    // Twice: if the first trip were memoized, the second would come back
-    // OK with a truncated table — the one unacceptable outcome.
+    // Twice: if the first trip were kept, the second would come back OK
+    // with a truncated table — the one unacceptable outcome.
     for _ in 0..2 {
         let resp = c.query("?- a(X, Y).").unwrap();
         assert!(!resp.ok);
@@ -692,7 +675,7 @@ fn quoted_constants_survive_a_crash_restart() {
     };
     let src = |q: &str| format!("{rules}{}\n{q}\n", facts.join("\n"));
     for (q, served) in queries.iter().zip(&before) {
-        assert_eq!(*served, xdl_run_reference(&src(q)), "{q}");
+        assert_eq!(*served, no_optimize_reference(&src(q)), "{q}");
     }
     assert_eq!(before[1].lines().count(), 3, "{}", before[1]);
 
@@ -870,7 +853,7 @@ fn ingest_burst_storm_honors_every_consistency_mode() {
         .map(|k| {
             let facts: String = (0..k).map(|i| format!("p({i}, {}).\n", i + 1)).collect();
             (
-                xdl_run_reference(&format!("{TC_RULES}{facts}?- a(0, X).")),
+                no_optimize_reference(&format!("{TC_RULES}{facts}?- a(0, X).")),
                 k,
             )
         })
@@ -975,7 +958,8 @@ fn repeatedly_poisoned_resident_heals_through_queries_alone() {
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
     let mut facts = TC_FACTS.to_string();
-    let reference = |facts: &str, q: &str| xdl_run_reference(&format!("{TC_RULES}{facts}{q}\n"));
+    let reference =
+        |facts: &str, q: &str| no_optimize_reference(&format!("{TC_RULES}{facts}{q}\n"));
     let q = "?- a(1, X).";
     assert_eq!(c.query(q).unwrap().payload_text(), reference(&facts, q));
 
@@ -1120,7 +1104,7 @@ fn a_rule_load_and_a_fact_for_its_head_are_never_both_acknowledged() {
             let query = format!("?- p{i}(X).");
             let resp = state.handle(&Request::query(&query));
             assert!(resp.ok, "{when}: {query} {}", resp.error);
-            let reference = xdl_run_reference(&format!("{held}\nq(2).\n{query}\n"));
+            let reference = no_optimize_reference(&format!("{held}\nq(2).\n{query}\n"));
             assert_eq!(resp.payload_text(), reference, "{when}: {held}");
         }
     };
@@ -1167,7 +1151,7 @@ fn racing_first_facts_of_two_arities_leave_no_refused_record() {
             };
             let resp = state.handle(&Request::query(&query));
             assert!(resp.ok, "{when}: {query} {}", resp.error);
-            let reference = xdl_run_reference(&format!("{fact}\n{query}\n"));
+            let reference = no_optimize_reference(&format!("{fact}\n{query}\n"));
             assert_eq!(resp.payload_text(), reference, "{when}: {fact}");
         }
     };
@@ -1305,7 +1289,7 @@ fn a_covered_first_sighting_reads_the_covering_resident() {
     let state = ServerState::from_config(&ServerConfig::default()).unwrap();
     let file = dir.file("tc.dl", &format!("{TC_RULES}{TC_FACTS}"));
     assert!(state.handle(&Request::Load(file.display().to_string())).ok);
-    let reference = |q: &str| xdl_run_reference(&format!("{TC_RULES}{TC_FACTS}{q}\n"));
+    let reference = |q: &str| no_optimize_reference(&format!("{TC_RULES}{TC_FACTS}{q}\n"));
     let q = "?- a(X, Y).";
     let resp = state.handle(&Request::query(q));
     assert_eq!(resp.get("cache"), Some("miss"));
@@ -1326,7 +1310,7 @@ fn a_covered_first_sighting_reads_the_covering_resident() {
     assert!(doc.contains("\"adornment\":\"nn\"},\"cache\""), "{doc}");
 
     // Every other form of `a` reads the same resident, and a repeat is a
-    // memo hit off the covered slot.
+    // kept read off the covering form's slot for the covered form.
     for q in ["?- a(_, 3).", "?- a(_, _).", "?- a(X, _).", "?- a(7, _)."] {
         let resp = state.handle(&Request::query(q));
         assert_eq!(resp.get("cache"), Some("resident"), "{q}");
@@ -1365,7 +1349,7 @@ fn a_poisoned_cover_hands_the_covered_form_back_to_its_own_program() {
     let ask = |q: &str, facts: &str| {
         let resp = state.handle(&Request::query(q));
         assert!(resp.ok, "{q}: {}", resp.error);
-        let want = xdl_run_reference(&format!("{TC_RULES}{facts}{q}\n"));
+        let want = no_optimize_reference(&format!("{TC_RULES}{facts}{q}\n"));
         assert_eq!(resp.payload_text(), want, "{q}");
         resp.get("cache").unwrap().to_string()
     };

@@ -349,11 +349,11 @@ fn server_with_workload(dir: &TempDir, cfg: ServerConfig) -> (Server, Client) {
     for i in 1..5 {
         assert!(c.fact(&format!("p({i}, {}).", i + 1)).unwrap().ok);
     }
-    // Cold miss, prepared hit, memoized answer hit.
+    // Cold miss, prepared hit (a resident read), kept-read answer hit.
     assert!(c.query("?- a(1, X).").unwrap().ok);
     assert!(c.query("?- a(2, X).").unwrap().ok);
     assert!(c.query("?- a(2, X).").unwrap().ok);
-    // Invalidate the memoized answers, then query again.
+    // Clear the kept reads, then query again.
     assert!(c.fact("p(5, 6).").unwrap().ok);
     assert!(c.query("?- a(1, X).").unwrap().ok);
     assert!(c.stats().unwrap().ok);
@@ -512,7 +512,7 @@ fn bounded_staleness_surface_is_scraped_and_counted() {
     assert_eq!(c.query("?- a(X, _).").unwrap().get("cache"), Some("miss"));
     assert!(c.fact("p(2, 3).").unwrap().ok);
     // Every mode sees the acknowledged FACT: no read is stale. The first
-    // read is off the resident frontier, the rest off its memoized answers.
+    // read is off the resident frontier, the rest off its kept read.
     for (mode, source) in [
         ("any ", "resident"),
         ("staleness=1 ", "answers"),

@@ -1,9 +1,9 @@
 //! End-to-end protocol tests against a real server on an ephemeral port.
 //!
-//! The reference for byte-identity is the `xdl run` pipeline, recomputed
-//! in-process: parse → `optimize` with the default config → evaluate with
-//! the boolean cut → render (`true`/`false` for boolean queries, else the
-//! column header plus sorted rows).
+//! The reference for byte-identity is `xdl run --no-optimize`, recomputed
+//! in-process ([`util::no_optimize_reference`]): the program as written,
+//! evaluated with the boolean cut and rendered (`true`/`false` for boolean
+//! queries, else the column header plus sorted rows).
 
 mod util;
 
@@ -11,37 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use datalog_ast::parse_program;
-use datalog_engine::{query_answers_full, EvalOptions};
-use datalog_opt::{optimize, OptimizerConfig};
-use datalog_server::{render_answers, Client, FaultPlan, Server, ServerConfig};
-use util::TempDir;
-
-/// What `xdl run <src>` prints on stdout, computed via the same library
-/// calls the binary makes.
-fn xdl_run_reference(src: &str) -> String {
-    let parsed = parse_program(src).unwrap();
-    parsed.program.validate().unwrap();
-    let out = optimize(&parsed.program, &OptimizerConfig::default()).unwrap();
-    let opts = EvalOptions {
-        boolean_cut: true,
-        ..EvalOptions::default()
-    };
-    let (answers, _) = query_answers_full(&out.program, parsed.facts, &opts).unwrap();
-    render_answers(&answers)
-}
-
-/// What `xdl run --no-optimize <src>` prints on stdout: the program as
-/// written, evaluated with the boolean cut.
-fn no_optimize_reference(src: &str) -> String {
-    let parsed = parse_program(src).unwrap();
-    let opts = EvalOptions {
-        boolean_cut: true,
-        ..EvalOptions::default()
-    };
-    let (answers, _) = query_answers_full(&parsed.program, parsed.facts, &opts).unwrap();
-    render_answers(&answers)
-}
+use datalog_server::{Client, FaultPlan, Server, ServerConfig};
+use util::{no_optimize_reference, TempDir};
 
 fn spawn() -> Server {
     Server::spawn(&ServerConfig::default()).expect("bind ephemeral port")
@@ -65,7 +36,7 @@ fn roundtrip_matches_xdl_run_byte_for_byte() {
     for query in ["?- a(X, _).", "?- a(X, Y).", "?- a(1, _).", "?- a(_, _)."] {
         let resp = c.query(query).unwrap();
         assert!(resp.ok, "{query}: {}", resp.error);
-        let reference = xdl_run_reference(&format!("{TC_RULES}{TC_FACTS}{query}"));
+        let reference = no_optimize_reference(&format!("{TC_RULES}{TC_FACTS}{query}"));
         assert_eq!(
             resp.payload_text(),
             reference,
@@ -95,7 +66,7 @@ fn predicate_read_only_through_negation_is_served_whole() {
     assert_eq!(resp.payload_text(), "X\n5\n");
     assert_eq!(
         resp.payload_text(),
-        xdl_run_reference(&format!("{src}?- clean(X)."))
+        no_optimize_reference(&format!("{src}?- clean(X)."))
     );
     c.shutdown().unwrap();
     server.join();
@@ -125,7 +96,7 @@ fn symbols_with_carriage_returns_spaces_and_utf8_cross_the_wire_verbatim() {
         let resp = c.query(query).unwrap();
         assert!(resp.ok, "{query}: {}", resp.error);
         assert_eq!(resp.get("cache"), Some(cache), "{query}");
-        let reference = xdl_run_reference(&format!("{SRC}{query}"));
+        let reference = no_optimize_reference(&format!("{SRC}{query}"));
         assert!(reference.contains("ab\r\n"), "{reference:?}");
         assert_eq!(resp.body(), reference, "{query} ({cache})");
         assert_eq!(resp.line_count(), reference.matches('\n').count());
@@ -136,7 +107,7 @@ fn symbols_with_carriage_returns_spaces_and_utf8_cross_the_wire_verbatim() {
 
 /// A table of thousands of lines crosses the socket byte for byte from
 /// every source: the cold evaluation that builds the resident, a resident
-/// read, and the memo.
+/// read, and the resident's kept read.
 #[test]
 fn a_large_table_is_byte_identical_from_every_source() {
     const NODES: usize = 101;
@@ -270,7 +241,7 @@ fn repeat_query_form_hits_cache_with_zero_new_events() {
         "cold run must report phase events: {doc}"
     );
 
-    // Identical query: memoized answers, nothing re-run at all.
+    // Identical query: the resident's kept read, nothing re-run at all.
     let second = c.query("?- a(X, _).").unwrap();
     assert_eq!(second.get("cache"), Some("answers"));
     assert_eq!(second.body(), first.body());
@@ -314,7 +285,7 @@ fn ingestion_invalidates_only_dependent_forms() {
     );
     assert!(c.load(file.to_str().unwrap()).unwrap().ok);
 
-    // Warm both forms, then serve both from the answer cache.
+    // Warm both forms, then serve both from their residents' kept reads.
     assert_eq!(c.query("?- a(X, _).").unwrap().get("cache"), Some("miss"));
     assert_eq!(c.query("?- b(X, _).").unwrap().get("cache"), Some("miss"));
     assert_eq!(
@@ -406,7 +377,7 @@ fn concurrent_clients_with_interleaved_ingestion_see_consistent_prefixes() {
     let valid: BTreeSet<String> = (1..=CHAIN)
         .map(|k| {
             let facts: String = (0..k).map(|i| format!("p({i}, {}).\n", i + 1)).collect();
-            xdl_run_reference(&format!("{TC_RULES}{facts}?- a(X, _)."))
+            no_optimize_reference(&format!("{TC_RULES}{facts}?- a(X, _)."))
         })
         .collect();
 
@@ -450,7 +421,7 @@ fn concurrent_clients_with_interleaved_ingestion_see_consistent_prefixes() {
     let full: String = (0..CHAIN)
         .map(|i| format!("p({i}, {}).\n", i + 1))
         .collect();
-    let reference = xdl_run_reference(&format!("{TC_RULES}{full}?- a(X, _)."));
+    let reference = no_optimize_reference(&format!("{TC_RULES}{full}?- a(X, _)."));
     let resp = c.query("?- a(X, _).").unwrap();
     assert_eq!(resp.payload_text(), reference);
 
@@ -480,7 +451,7 @@ fn consistency_modes_round_trip_with_frontier_headers() {
     let prefix_of: BTreeMap<String, i64> = (1..=CHAIN)
         .map(|k| {
             let facts: String = (0..k).map(|i| format!("p({i}, {}).\n", i + 1)).collect();
-            (xdl_run_reference(&format!("{TC_RULES}{facts}{q}")), k)
+            (no_optimize_reference(&format!("{TC_RULES}{facts}{q}")), k)
         })
         .collect();
     // Warm the form, so the stream is drained through a resident.
@@ -534,8 +505,8 @@ fn consistency_modes_round_trip_with_frontier_headers() {
 
 /// `frontier=` is the store version of the query's snapshot, whichever
 /// source answers: a cold evaluation, a resident form, a form covered by
-/// another one, a memo, or a form rebuilt after a failed drain poisoned
-/// it. So it always equals the `version=` of the latest acknowledged
+/// another one, a resident's kept read, or a form rebuilt after a failed
+/// drain poisoned it. So it always equals the `version=` of the latest acknowledged
 /// ingest, and never goes down.
 #[test]
 fn frontier_is_the_latest_acknowledged_version_from_every_source() {
@@ -563,7 +534,7 @@ fn frontier_is_the_latest_acknowledged_version_from_every_source() {
         assert_eq!(frontier, version, "{q} ({cache})");
         assert!(frontier >= last_frontier, "{q} ({cache}) went back");
         last_frontier = frontier;
-        let reference = xdl_run_reference(&format!("{RULES}{facts}{q}"));
+        let reference = no_optimize_reference(&format!("{RULES}{facts}{q}"));
         assert_eq!(resp.payload_text(), reference, "{q} ({cache})");
         cache
     };

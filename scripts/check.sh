@@ -97,9 +97,9 @@ if ! grep -q '"xdl_requests_total"' "$smoke_dir/metrics.json"; then
     exit 1
 fi
 # Point reads: the first four texts share the `a[nn]` form, which stays
-# resident between invocations, and alternating them keeps the one-text
-# answer memo out of the way — so in the first pass a read builds the read
-# index it needs (or finds the planned one) and in the second it probes it.
+# resident between invocations, and alternating them keeps the form's kept
+# read out of the way — so in the first pass a read builds the read index
+# it needs (or finds the planned one) and in the second it probes it.
 # The last three are the `nd`, `dn` and `dd` forms `a[nn]` covers: pinning
 # `a[nn]` retired the `a[nd]` resident the first query built, and they read
 # `a[nn]`'s frontier. Each must be byte-identical to an unoptimized `xdl
@@ -128,7 +128,7 @@ if ! grep -q '"resident_forms":1[,}]' "$smoke_dir/stats.out" \
 fi
 # Payload bytes: a symbol that ends in `\r` (only `\n` ends a payload
 # line) and a relation of 1 200 rows cross the socket verbatim, from the
-# cold evaluation and from the memo.
+# cold evaluation that pins the form and from its kept read.
 {
     printf 's("ab\r").\ns("c d").\ns("\303\251").\n'
     printf 'w(X, Y) :- r(X, Y).\n'
@@ -293,11 +293,14 @@ for args in "serve --port 0 --threads 2" "serve --port 0 --rebuild-ms 5" \
 done
 echo "check.sh: option smoke ok"
 
-# Incremental-serving smoke: ingest after a warm query, then demand the
-# resident-frontier answer is byte-identical to a server with residency
-# disabled (--resident-forms 0 forces invalidate-and-recompute). `n`
-# negates `a`, so every FACT grows its negated predicate and its resident
-# recomputes the `n` stratum; the last FACT closes a cycle and empties `n`.
+# Incremental-serving smoke: ingest after warm queries, then demand the
+# resident answers are byte-identical to a server with residency disabled
+# (--resident-forms 0 recomputes every query). `n` negates `a`, so every
+# FACT grows its negated predicate and its resident recomputes the `n`
+# stratum; the last FACT closes a cycle and empties `n`. Every query is
+# asked twice, so on the 8-form server the second answer is a resident's
+# kept read (`cache=answers`), and `a(X, _)` is covered by the live
+# `a(X, Y)`: the kept reads, covered ones included, are compared too.
 { cat "$smoke_dir/tc.dl"; printf 'n(X) :- p(X, Y), not a(Y, X).\n'; } > "$smoke_dir/tcn.dl"
 for forms in 8 0; do
     ./target/release/xdl serve --port 0 --resident-forms "$forms" \
@@ -313,14 +316,30 @@ for forms in 8 0; do
         echo "check.sh: incremental smoke server ($forms) did not announce" >&2
         exit 1
     fi
-    ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tcn.dl" \
-        '?- a(X, _).' > /dev/null
-    ./target/release/xdl query --connect "$addr" '?- n(X).' > "$smoke_dir/inc$forms.out"
-    ./target/release/xdl query --connect "$addr" --fact 'p(3, 4).' \
-        --fact 'p(4, 5).' '?- a(X, _).' >> "$smoke_dir/inc$forms.out"
-    ./target/release/xdl query --connect "$addr" '?- n(X).' >> "$smoke_dir/inc$forms.out"
-    ./target/release/xdl query --connect "$addr" --fact 'p(5, 1).' \
-        '?- n(X).' >> "$smoke_dir/inc$forms.out"
+    ask() {
+        for q in "$@"; do
+            for _ in 1 2; do
+                ./target/release/xdl query --connect "$addr" "?- $q." \
+                    >> "$smoke_dir/inc$forms.out"
+            done
+        done
+    }
+    : > "$smoke_dir/inc$forms.out"
+    ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tcn.dl"
+    ask 'a(X, Y)' 'a(X, _)' 'n(X)'
+    ./target/release/xdl query --connect "$addr" --fact 'p(3, 4).' --fact 'p(4, 5).'
+    ask 'a(X, _)' 'a(X, Y)' 'n(X)'
+    ./target/release/xdl query --connect "$addr" --fact 'p(5, 1).'
+    ask 'n(X)' 'a(X, _)'
+    if [ "$forms" -ne 0 ]; then
+        ./target/release/xdl query --connect "$addr" --stats > "$smoke_dir/inc-stats.out"
+        if ! grep -q '"answer_hits":[1-9]' "$smoke_dir/inc-stats.out" \
+            || ! grep -q '"covered_reads":[1-9]' "$smoke_dir/inc-stats.out"; then
+            echo "check.sh: the incremental smoke read no kept or covered answer:" >&2
+            cat "$smoke_dir/inc-stats.out" >&2
+            exit 1
+        fi
+    fi
     ./target/release/xdl query --connect "$addr" --shutdown
     wait "$serve_pid"
     serve_pid=""
