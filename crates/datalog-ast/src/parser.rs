@@ -667,6 +667,124 @@ mod tests {
         }
     }
 
+    /// The exact `(line, col, message)` of every error shape the parser
+    /// reports. Columns count bytes; at the end of the input an error sits
+    /// one column past the start of the last token; and a lexical error
+    /// anywhere in the text wins over a syntax error before it.
+    #[test]
+    fn error_surface_is_pinned() {
+        let program: &[(&str, usize, usize, &str)] = &[
+            // The `lexer_failure_injection` inputs.
+            ("p(\"abc).", 1, 9, "unterminated string literal"),
+            ("p[n](X) :- q(X) r(X).", 1, 17, "expected '.'"),
+            ("p^ (X).", 1, 5, "expected adornment letters after '^'"),
+            ("p[zz](X).", 1, 3, "bad adornment 'zz' (use only n/d)"),
+            ("p(X,).", 1, 6, "expected term"),
+            ("p(X", 1, 4, "expected ')'"),
+            ("@p(X).", 1, 1, "unexpected character '@'"),
+            ("?~ q(X).", 1, 2, "expected '-' after '?'"),
+            // End of input inside an atom.
+            ("a(X) :- p(X", 1, 12, "expected ')'"),
+            ("p(abc", 1, 4, "expected ')'"),
+            ("q(X) :- ", 1, 7, "expected predicate name"),
+            ("p(1)", 1, 5, "expected '.' or ':-'"),
+            ("a :- b", 1, 7, "expected '.'"),
+            // A lone `-`, and integers just past `i64`.
+            ("p(-).", 1, 4, "bad integer literal '-'"),
+            ("-", 1, 2, "bad integer literal '-'"),
+            (
+                "p(9223372036854775808).",
+                1,
+                22,
+                "bad integer literal '9223372036854775808'",
+            ),
+            (
+                "p(-9223372036854775809).",
+                1,
+                23,
+                "bad integer literal '-9223372036854775809'",
+            ),
+            // Non-ground facts, after a fact holding `i64::MIN`.
+            (
+                "p(-9223372036854775808).\np(X).",
+                2,
+                6,
+                "fact 'p(X)' is not ground (facts belong to the EDB)",
+            ),
+            (
+                "p(1, X).",
+                1,
+                9,
+                "fact 'p(1, X)' is not ground (facts belong to the EDB)",
+            ),
+            (
+                "p(_).",
+                1,
+                6,
+                "fact 'p(_)' is not ground (facts belong to the EDB)",
+            ),
+            // `not(` is an atom named `not`, in literal position too.
+            ("q(X) :- not(X.", 1, 14, "expected ')'"),
+            ("q(X) :- not p(X), not(.", 1, 24, "expected term"),
+            // Adornments.
+            ("q(X) :- p^x(X).", 1, 12, "bad adornment 'x' (use only n/d)"),
+            ("q(X) :- p[nd.", 1, 13, "expected ']'"),
+            ("_(1).", 1, 2, "expected predicate name"),
+            // CRLF line endings: `\r` is whitespace and takes a column.
+            ("p(1).\r\nq(X) :-\r\n  p(X Y).\r\n", 3, 7, "expected ')'"),
+            ("p(1).\r\n  @", 2, 3, "unexpected character '@'"),
+            // A `%` comment running to the end of the input.
+            ("q(X) :- p(X % comment at EOF", 1, 12, "expected ')'"),
+            // Non-ASCII text outside a string literal.
+            ("p(é).", 1, 3, "unexpected character 'é'"),
+            ("p(\"日本\", é).", 1, 13, "unexpected character 'é'"),
+            // Punctuation.
+            ("p(1) :~ q.", 1, 7, "expected '-' after ':'"),
+            ("p:q", 1, 3, "expected '-' after ':'"),
+            ("p(1) q", 1, 6, "expected '.' or ':-'"),
+            ("?- q(X).\n?- r(X).", 2, 9, "multiple queries in program"),
+            // A lexical error after a syntax error is the one reported.
+            ("p(X Y).\n@", 2, 1, "unexpected character '@'"),
+            ("p(X.\n\"abc", 2, 5, "unterminated string literal"),
+        ];
+        for &(src, line, col, message) in program {
+            let e = parse_program(src).unwrap_err();
+            assert_eq!(
+                (e.line, e.col, e.message.as_str()),
+                (line, col, message),
+                "{src:?}"
+            );
+        }
+        let rule: &[(&str, usize, usize, &str)] = &[
+            ("q(X) :- p(X) extra", 1, 14, "trailing input after rule"),
+            ("p(X) q", 1, 6, "expected ':-'"),
+            ("q(X) :- ", 1, 7, "expected predicate name"),
+            ("p(X)..", 1, 5, "expected ':-'"),
+        ];
+        for &(src, line, col, message) in rule {
+            let e = parse_rule(src).unwrap_err();
+            assert_eq!(
+                (e.line, e.col, e.message.as_str()),
+                (line, col, message),
+                "{src:?}"
+            );
+        }
+        let atom: &[(&str, usize, usize, &str)] = &[
+            ("q(X) :- p(X) extra", 1, 6, "trailing input after atom"),
+            ("p(X)..", 1, 6, "trailing input after atom"),
+            ("p(X", 1, 4, "expected ')'"),
+            ("p(é)", 1, 3, "unexpected character 'é'"),
+        ];
+        for &(src, line, col, message) in atom {
+            let e = parse_atom(src).unwrap_err();
+            assert_eq!(
+                (e.line, e.col, e.message.as_str()),
+                (line, col, message),
+                "{src:?}"
+            );
+        }
+    }
+
     #[test]
     fn negation_parses() {
         let r = parse_rule("alive(X) :- node(X), not dead(X)").unwrap();
