@@ -46,10 +46,10 @@
 //! ?- a(X, _).
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use existential_datalog::ast::FactTable;
 use existential_datalog::engine::oracle::{bounded_equiv_check, EquivCheckConfig};
 use existential_datalog::grammar::regular::{monadic_equivalent, KeptArg};
 use existential_datalog::grammar::{bounded_language, program_to_grammar};
@@ -212,11 +212,10 @@ impl<'a> Args<'a> {
     }
 }
 
-/// A file's facts as the parser groups them: what `run`, `profile` and
-/// `explain` hand the engine as their input, unconverted.
-type Facts = BTreeMap<PredRef, Vec<Vec<Value>>>;
-
-fn load(path: &str) -> Result<(Program, Facts), String> {
+/// Read and parse one `.dl` file. Its facts come as the parser's flat
+/// table: what `run`, `profile` and `explain` hand the engine as their
+/// input, unconverted.
+fn load(path: &str) -> Result<(Program, FactTable), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // `file:line:col: message` — the shape editors and CI annotate from.
     let parsed = parse_program(&text).map_err(|e| e.render_at(path))?;

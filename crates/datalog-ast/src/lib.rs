@@ -13,9 +13,11 @@
 //! * [`Atom`], [`Rule`], [`Program`] with safety (range-restriction)
 //!   validation, predicate dependency graphs and SCC-based recursion
 //!   analysis;
-//! * a hand-written lexer/parser for a small Datalog text format
+//! * a hand-written pull lexer and parser for a small Datalog text format
 //!   ([`parse_program`]), including adornment syntax (`p[nd]` or `p^nd`),
-//!   wildcards and `?-` queries, plus round-tripping pretty printers;
+//!   wildcards and `?-` queries, plus round-tripping pretty printers; the
+//!   parser reads facts straight into flat per-predicate batches
+//!   ([`FactTable`]);
 //! * substitutions, matching and unification for the function-free case,
 //!   and Sagiv-style *freezing* of rules into ground instances
 //!   ([`subst::freeze_rule`]).
@@ -27,6 +29,7 @@
 
 pub mod adornment;
 pub mod atom;
+pub mod facts;
 pub mod intern;
 pub mod parser;
 pub mod pred;
@@ -38,6 +41,7 @@ pub mod term;
 
 pub use adornment::{Ad, Adornment};
 pub use atom::Atom;
+pub use facts::{FactBatch, FactRows, FactTable};
 pub use intern::Symbol;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError, ParsedProgram};
 pub use pred::PredRef;

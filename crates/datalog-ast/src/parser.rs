@@ -1,4 +1,4 @@
-//! Lexer and recursive-descent parser for the Datalog text format.
+//! Pull lexer and recursive-descent parser for the Datalog text format.
 //!
 //! Grammar (whitespace and `%`-to-end-of-line comments are skipped):
 //!
@@ -22,11 +22,24 @@
 //! * Facts (ground atoms used as statements) are collected separately into
 //!   [`ParsedProgram::facts`]: per the paper's convention the IDB holds no
 //!   facts.
+//!
+//! The lexer is an iterator the parser pulls one token at a time, with a
+//! lookahead of one token (two after `not`); no token list is built. A
+//! fact's values go straight into its predicate's [`FactBatch`], found
+//! through a map local to the parse, as are the symbols of the text, so a
+//! fact costs no allocation of its own and no global interner lock.
+//!
+//! Positions are 1-based lines and byte columns. An error at the end of the
+//! input sits one column past the start of the last token, and a lexical
+//! error anywhere in the text wins over a syntax error before it: after a
+//! syntax error the rest of the text is still lexed.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::adornment::Adornment;
 use crate::atom::Atom;
+use crate::facts::{FactBatch, FactTable};
+use crate::intern::Symbol;
 use crate::pred::PredRef;
 use crate::program::{Program, Query};
 use crate::rule::Rule;
@@ -71,16 +84,15 @@ impl std::error::Error for ParseError {}
 pub struct ParsedProgram {
     /// Rules and query.
     pub program: Program,
-    /// Ground facts, grouped by predicate.
-    pub facts: BTreeMap<PredRef, Vec<Vec<Value>>>,
+    /// Ground facts: one flat batch per predicate and arity, each row's
+    /// statement position beside it.
+    pub facts: FactTable,
     /// 1-based (line, col) of the first token of each rule statement,
     /// parallel to `program.rules`. Diagnostics tools (`datalog-lint`) use
     /// these to point at the offending statement.
     pub rule_spans: Vec<(usize, usize)>,
     /// 1-based (line, col) of the `?-` token of the query, if any.
     pub query_span: Option<(usize, usize)>,
-    /// 1-based (line, col) of each fact statement, in source order.
-    pub fact_spans: Vec<(PredRef, usize, usize)>,
 }
 
 impl ParsedProgram {
@@ -92,7 +104,7 @@ impl ParsedProgram {
 }
 
 /// A token. Names, string contents and integer digits are slices of the
-/// source, so lexing allocates only the token vector.
+/// source, so lexing allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tok<'a> {
     Ident(&'a str),   // lower-case identifier
@@ -111,11 +123,27 @@ enum Tok<'a> {
     Underscore,
 }
 
+/// A token and the line and column it starts at.
+#[derive(Debug, Clone, Copy)]
+struct Lexeme<'a> {
+    tok: Tok<'a>,
+    line: usize,
+    col: usize,
+}
+
+/// The lexer: an iterator of tokens that ends at the end of the input or
+/// at its first error, which it keeps.
+#[derive(Clone)]
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
-    col: usize,
+    /// Byte offset of the current line's start: the column of `pos` is
+    /// `pos - line_start + 1`.
+    line_start: usize,
+    /// Where the last token read starts; line 0 before the first.
+    last: (usize, usize),
+    error: Option<ParseError>,
 }
 
 impl<'a> Lexer<'a> {
@@ -124,176 +152,215 @@ impl<'a> Lexer<'a> {
             src,
             pos: 0,
             line: 1,
-            col: 1,
+            line_start: 0,
+            last: (0, 0),
+            error: None,
         }
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
+    fn col(&self) -> usize {
+        self.pos - self.line_start + 1
+    }
+
+    /// Keep an error at the current position, and end the tokens.
+    fn fail(&mut self, message: impl Into<String>) -> Option<Lexeme<'a>> {
+        self.error = Some(ParseError {
             message: message.into(),
             line: self.line,
-            col: self.col,
-        }
+            col: self.col(),
+        });
+        self.pos = self.src.len();
+        None
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn byte(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+    /// Move to `end`, counting the newlines on the way.
+    fn advance_to(&mut self, end: usize) {
+        let skipped = &self.src.as_bytes()[self.pos..end];
+        if let Some(last) = skipped.iter().rposition(|&c| c == b'\n') {
+            self.line += skipped.iter().filter(|&&c| c == b'\n').count();
+            self.line_start = self.pos + last + 1;
         }
-        Some(c)
+        self.pos = end;
     }
 
-    /// Consume bytes while `pred` holds; returns the slice consumed, which
-    /// starts at `start`.
+    /// Consume bytes while `pred` holds (it never holds for a newline);
+    /// returns the slice from `start`.
     fn take_while(&mut self, start: usize, pred: impl Fn(u8) -> bool) -> &'a str {
-        while self.peek().is_some_and(&pred) {
-            self.bump();
-        }
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&c| !pred(c)).unwrap_or(rest.len());
         &self.src[start..self.pos]
     }
 
     fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
+        while let Some(c) = self.byte() {
+            match c {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.line_start = self.pos;
                 }
-                Some(b'%') => {
-                    while let Some(c) = self.bump() {
-                        if c == b'\n' {
-                            break;
-                        }
-                    }
+                b'%' => {
+                    let rest = &self.src.as_bytes()[self.pos..];
+                    let end = rest
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(rest.len(), |i| i + 1);
+                    self.advance_to(self.pos + end);
                 }
+                c if c.is_ascii_whitespace() => self.pos += 1,
                 _ => return,
             }
         }
     }
+}
 
-    /// Tokenize the whole input, recording each token's position.
-    fn tokenize(mut self) -> Result<Vec<(Tok<'a>, usize, usize)>, ParseError> {
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Lexeme<'a>;
+
+    fn next(&mut self) -> Option<Lexeme<'a>> {
         let word = |d: u8| d.is_ascii_alphanumeric() || d == b'_';
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let (line, col, start) = (self.line, self.col, self.pos);
-            let Some(c) = self.peek() else { break };
-            let tok = match c {
-                b'(' => {
-                    self.bump();
-                    Tok::LParen
+        self.skip_trivia();
+        let (line, col, start) = (self.line, self.col(), self.pos);
+        let c = self.byte()?;
+        self.pos += 1;
+        let tok = match c {
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'[' => Tok::LBracket,
+            b']' => Tok::RBracket,
+            b'^' => Tok::Caret,
+            b',' => Tok::Comma,
+            b'.' => Tok::Dot,
+            b':' | b'?' => {
+                if self.byte() != Some(b'-') {
+                    return self.fail(format!("expected '-' after '{}'", c as char));
                 }
-                b')' => {
-                    self.bump();
-                    Tok::RParen
+                self.pos += 1;
+                if c == b':' {
+                    Tok::Implies
+                } else {
+                    Tok::QueryLead
                 }
-                b'[' => {
-                    self.bump();
-                    Tok::LBracket
+            }
+            b'"' => {
+                // Both quotes are ASCII, so the contents are a char-
+                // aligned slice of the UTF-8 source.
+                let Some(len) = self.src[self.pos..].find('"') else {
+                    self.advance_to(self.src.len());
+                    return self.fail("unterminated string literal");
+                };
+                let text = &self.src[self.pos..self.pos + len];
+                self.advance_to(self.pos + len + 1);
+                Tok::Str(text)
+            }
+            b'-' | b'0'..=b'9' => {
+                let s = self.take_while(start, |d| d.is_ascii_digit());
+                match int_value(s) {
+                    Some(n) => Tok::Int(n),
+                    None => return self.fail(format!("bad integer literal '{s}'")),
                 }
-                b']' => {
-                    self.bump();
-                    Tok::RBracket
+            }
+            b'_' => {
+                // `_` alone is a wildcard; `_x`/`_X` is a named variable.
+                let s = self.take_while(start, word);
+                if s.len() > 1 {
+                    Tok::VarName(s)
+                } else {
+                    Tok::Underscore
                 }
-                b'^' => {
-                    self.bump();
-                    Tok::Caret
+            }
+            c if c.is_ascii_alphabetic() => {
+                let s = self.take_while(start, word);
+                if c.is_ascii_uppercase() {
+                    Tok::VarName(s)
+                } else {
+                    Tok::Ident(s)
                 }
-                b',' => {
-                    self.bump();
-                    Tok::Comma
-                }
-                b'.' => {
-                    self.bump();
-                    Tok::Dot
-                }
-                b':' => {
-                    self.bump();
-                    if self.peek() == Some(b'-') {
-                        self.bump();
-                        Tok::Implies
-                    } else {
-                        return Err(self.err("expected '-' after ':'"));
-                    }
-                }
-                b'?' => {
-                    self.bump();
-                    if self.peek() == Some(b'-') {
-                        self.bump();
-                        Tok::QueryLead
-                    } else {
-                        return Err(self.err("expected '-' after '?'"));
-                    }
-                }
-                b'"' => {
-                    self.bump();
-                    // Both quotes are ASCII, so the contents are a char-
-                    // aligned slice of the UTF-8 source.
-                    let text = self.take_while(start + 1, |d| d != b'"');
-                    if self.bump().is_none() {
-                        return Err(self.err("unterminated string literal"));
-                    }
-                    Tok::Str(text)
-                }
-                b'-' | b'0'..=b'9' => {
-                    self.bump();
-                    let s = self.take_while(start, |d| d.is_ascii_digit());
-                    let n: i64 = s
-                        .parse()
-                        .map_err(|_| self.err(format!("bad integer literal '{s}'")))?;
-                    Tok::Int(n)
-                }
-                b'_' => {
-                    self.bump();
-                    // `_` alone is a wildcard; `_x`/`_X` is a named variable.
-                    let s = self.take_while(start, word);
-                    if s.len() > 1 {
-                        Tok::VarName(s)
-                    } else {
-                        Tok::Underscore
-                    }
-                }
-                c if c.is_ascii_alphabetic() => {
-                    let s = self.take_while(start, word);
-                    if c.is_ascii_uppercase() {
-                        Tok::VarName(s)
-                    } else {
-                        Tok::Ident(s)
-                    }
-                }
-                _ => {
-                    let other = self.src[start..].chars().next().unwrap_or_default();
-                    return Err(self.err(format!("unexpected character '{other}'")));
-                }
-            };
-            out.push((tok, line, col));
-        }
-        Ok(out)
+            }
+            _ => {
+                self.pos = start;
+                let other = self.src[start..].chars().next().unwrap_or_default();
+                return self.fail(format!("unexpected character '{other}'"));
+            }
+        };
+        self.last = (line, col);
+        Some(Lexeme { tok, line, col })
     }
 }
 
+/// The value of an integer token: an optional `-`, then ASCII digits.
+/// Up to 18 digits cannot overflow, so they are summed directly.
+fn int_value(s: &str) -> Option<i64> {
+    let digits = s.strip_prefix('-').unwrap_or(s);
+    if digits.is_empty() || digits.len() > 18 {
+        return s.parse().ok();
+    }
+    let n = digits
+        .bytes()
+        .fold(0i64, |n, d| n * 10 + i64::from(d - b'0'));
+    Some(if digits.len() < s.len() { -n } else { n })
+}
+
+/// A predicate as written: its name and, if adorned, its adornment
+/// letters (checked to be `n`/`d`).
+type PredKey<'a> = (&'a str, Option<&'a str>);
+
+/// A statement position as a fact batch keeps it.
+fn span32((line, col): (usize, usize)) -> (u32, u32) {
+    let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    (narrow(line), narrow(col))
+}
+
 struct Parser<'a> {
-    toks: Vec<(Tok<'a>, usize, usize)>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The next unconsumed token; `None` at the end of the input.
+    cur: Option<Lexeme<'a>>,
+    /// Predicates and symbols, each interned once per parse.
+    preds: HashMap<PredKey<'a>, PredRef>,
+    symbols: HashMap<&'a str, Symbol>,
+    /// The terms of the atom being read, reused from atom to atom.
+    terms: Vec<Term>,
+    /// The fact batches, and which one holds each predicate and arity.
+    facts: Vec<FactBatch>,
+    batch_of: HashMap<(PredKey<'a>, usize), usize>,
+    /// The batch the previous fact went to: consecutive facts of one
+    /// predicate skip the map.
+    last_batch: Option<(PredKey<'a>, usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut lexer = Lexer::new(src);
+        let cur = lexer.next();
+        Parser {
+            lexer,
+            cur,
+            preds: HashMap::new(),
+            symbols: HashMap::new(),
+            terms: Vec::new(),
+            facts: Vec::new(),
+            batch_of: HashMap::new(),
+            last_batch: None,
+        }
+    }
+
+    /// Position of the token about to be consumed (start of a statement).
+    fn here(&self) -> (usize, usize) {
+        self.cur.map_or((1, 1), |t| (t.line, t.col))
+    }
+
     fn err_here(&self, message: impl Into<String>) -> ParseError {
-        let (line, col) = self
-            .toks
-            .get(self.pos)
-            .map(|&(_, l, c)| (l, c))
-            .or_else(|| self.toks.last().map(|&(_, l, c)| (l, c + 1)))
-            .unwrap_or((1, 1));
+        // At the end of the input the lexer's last token is the last one
+        // consumed.
+        let (line, col) = match (self.cur, self.lexer.last) {
+            (Some(t), _) => (t.line, t.col),
+            (None, (0, _)) => (1, 1),
+            (None, (line, col)) => (line, col + 1),
+        };
         ParseError {
             message: message.into(),
             line,
@@ -302,27 +369,46 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<Tok<'a>> {
-        self.toks.get(self.pos).map(|&(t, _, _)| t)
+        self.cur.map(|t| t.tok)
+    }
+
+    /// The token after the next one, read by a copy of the lexer.
+    fn peek2(&self) -> Option<Tok<'a>> {
+        self.lexer.clone().next().map(|t| t.tok)
     }
 
     fn bump(&mut self) -> Option<Tok<'a>> {
-        let t = self.peek();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let t = self.cur?;
+        self.cur = self.lexer.next();
+        Some(t.tok)
     }
 
     fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(want) {
-            self.pos += 1;
+            self.bump();
             Ok(())
         } else {
             Err(self.err_here(format!("expected {what}")))
         }
     }
 
-    fn parse_pred(&mut self) -> Result<PredRef, ParseError> {
+    fn symbol(&mut self, s: &'a str) -> Symbol {
+        *self.symbols.entry(s).or_insert_with(|| Symbol::intern(s))
+    }
+
+    fn resolve(&mut self, key: PredKey<'a>) -> PredRef {
+        self.preds
+            .entry(key)
+            .or_insert_with(|| PredRef {
+                name: Symbol::intern(key.0),
+                adornment: key.1.map(|s| Adornment::parse(s).expect("letters checked")),
+            })
+            .clone()
+    }
+
+    fn parse_pred(&mut self) -> Result<PredKey<'a>, ParseError> {
+        let is_adornment = |s: &str| s.bytes().all(|c| c == b'n' || c == b'd');
+        let bad = |s: &str| format!("bad adornment '{s}' (use only n/d)");
         let name = match self.bump() {
             Some(Tok::Ident(s)) => s,
             _ => return Err(self.err_here("expected predicate name")),
@@ -330,45 +416,74 @@ impl<'a> Parser<'a> {
         let adornment = match self.peek() {
             Some(Tok::LBracket) => {
                 self.bump();
-                let ad = match self.peek() {
-                    Some(Tok::RBracket) => Adornment(vec![]),
-                    Some(Tok::Ident(s)) => {
-                        let ad = Adornment::parse(s).ok_or_else(|| {
-                            self.err_here(format!("bad adornment '{s}' (use only n/d)"))
-                        })?;
+                let letters = match self.peek() {
+                    Some(Tok::RBracket) => "",
+                    Some(Tok::Ident(s)) if is_adornment(s) => {
                         self.bump();
-                        ad
+                        s
                     }
+                    Some(Tok::Ident(s)) => return Err(self.err_here(bad(s))),
                     _ => return Err(self.err_here("expected adornment letters or ']'")),
                 };
                 self.expect(Tok::RBracket, "']'")?;
-                Some(ad)
+                Some(letters)
             }
             Some(Tok::Caret) => {
                 self.bump();
                 match self.bump() {
-                    Some(Tok::Ident(s)) => Some(Adornment::parse(s).ok_or_else(|| {
-                        self.err_here(format!("bad adornment '{s}' (use only n/d)"))
-                    })?),
+                    Some(Tok::Ident(s)) if is_adornment(s) => Some(s),
+                    Some(Tok::Ident(s)) => return Err(self.err_here(bad(s))),
                     _ => return Err(self.err_here("expected adornment letters after '^'")),
                 }
             }
             _ => None,
         };
-        Ok(PredRef {
-            name: crate::intern::Symbol::intern(name),
-            adornment,
-        })
+        Ok((name, adornment))
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
-            Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(s))),
+            Some(Tok::VarName(s)) => Ok(Term::Var(Var(self.symbol(s)))),
             Some(Tok::Int(i)) => Ok(Term::Const(Value::Int(i))),
-            Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::sym(s))),
+            Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::Sym(self.symbol(s)))),
             Some(Tok::Underscore) => Ok(Term::Var(Var::fresh_wildcard())),
             _ => Err(self.err_here("expected term")),
         }
+    }
+
+    /// Read an atom, leaving its terms in `self.terms`.
+    fn parse_atom_terms(&mut self) -> Result<PredKey<'a>, ParseError> {
+        let pred = self.parse_pred()?;
+        self.terms.clear();
+        if self.peek() == Some(Tok::LParen) {
+            self.bump();
+            if self.peek() != Some(Tok::RParen) {
+                loop {
+                    let term = self.parse_term()?;
+                    self.terms.push(term);
+                    if self.peek() == Some(Tok::Comma) {
+                        self.bump();
+                    } else {
+                        break;
+                    }
+                }
+            }
+            self.expect(Tok::RParen, "')'")?;
+        }
+        Ok(pred)
+    }
+
+    /// The atom of `pred` over the terms just read.
+    fn atom_of(&mut self, pred: PredKey<'a>) -> Atom {
+        Atom {
+            pred: self.resolve(pred),
+            terms: self.terms.clone(),
+        }
+    }
+
+    fn parse_atom(&mut self) -> Result<Atom, ParseError> {
+        let pred = self.parse_atom_terms()?;
+        Ok(self.atom_of(pred))
     }
 
     /// Parse a rule body: positive and negated literals in source order.
@@ -378,8 +493,8 @@ impl<'a> Parser<'a> {
         loop {
             // `not` is a keyword only in literal position; elsewhere it is
             // an ordinary identifier.
-            let negated = self.peek() == Some(Tok::Ident("not"))
-                && !matches!(self.toks.get(self.pos + 1), Some((Tok::LParen, _, _)));
+            let negated =
+                self.peek() == Some(Tok::Ident("not")) && self.peek2() != Some(Tok::LParen);
             if negated {
                 self.bump();
                 negative.push(self.parse_atom()?);
@@ -395,32 +510,29 @@ impl<'a> Parser<'a> {
         Ok((body, negative))
     }
 
-    fn parse_atom(&mut self) -> Result<Atom, ParseError> {
-        let pred = self.parse_pred()?;
-        let mut terms = Vec::new();
-        if self.peek() == Some(Tok::LParen) {
-            self.bump();
-            if self.peek() != Some(Tok::RParen) {
-                loop {
-                    terms.push(self.parse_term()?);
-                    if self.peek() == Some(Tok::Comma) {
-                        self.bump();
-                    } else {
-                        break;
+    /// Append the ground atom just read to its predicate's batch.
+    fn push_fact(&mut self, pred: PredKey<'a>, span: (usize, usize)) {
+        let arity = self.terms.len();
+        let i = match self.last_batch {
+            Some((p, a, i)) if p == pred && a == arity => i,
+            _ => {
+                let i = match self.batch_of.get(&(pred, arity)) {
+                    Some(&i) => i,
+                    None => {
+                        let batch = FactBatch::new(self.resolve(pred), arity);
+                        self.facts.push(batch);
+                        self.batch_of.insert((pred, arity), self.facts.len() - 1);
+                        self.facts.len() - 1
                     }
-                }
+                };
+                self.last_batch = Some((pred, arity, i));
+                i
             }
-            self.expect(Tok::RParen, "')'")?;
-        }
-        Ok(Atom { pred, terms })
-    }
-
-    /// Position of the token about to be consumed (start of a statement).
-    fn here(&self) -> (usize, usize) {
-        self.toks
-            .get(self.pos)
-            .map(|&(_, l, c)| (l, c))
-            .unwrap_or((1, 1))
+        };
+        let batch = &mut self.facts[i];
+        let values = self.terms.iter().map(|t| t.as_const().expect("ground"));
+        batch.values.extend(values);
+        batch.spans.push(span32(span));
     }
 
     fn parse_statement(&mut self, out: &mut ParsedProgram) -> Result<(), ParseError> {
@@ -436,26 +548,23 @@ impl<'a> Parser<'a> {
             out.query_span = Some(span);
             return Ok(());
         }
-        let head = self.parse_atom()?;
+        let head = self.parse_atom_terms()?;
         match self.peek() {
             Some(Tok::Dot) => {
                 self.bump();
                 // A fact statement.
-                match head.ground_values() {
-                    Some(values) => {
-                        out.fact_spans.push((head.pred.clone(), span.0, span.1));
-                        out.facts.entry(head.pred).or_default().push(values);
-                    }
-                    None => {
-                        return Err(self.err_here(format!(
-                            "fact '{head}' is not ground (facts belong to the EDB)"
-                        )))
-                    }
+                if self.terms.iter().any(Term::is_var) {
+                    let head = self.atom_of(head);
+                    return Err(self.err_here(format!(
+                        "fact '{head}' is not ground (facts belong to the EDB)"
+                    )));
                 }
+                self.push_fact(head, span);
                 Ok(())
             }
             Some(Tok::Implies) => {
                 self.bump();
+                let head = self.atom_of(head);
                 let (body, negative) = self.parse_body()?;
                 self.expect(Tok::Dot, "'.'")?;
                 out.program
@@ -467,60 +576,87 @@ impl<'a> Parser<'a> {
             _ => Err(self.err_here("expected '.' or ':-'")),
         }
     }
+
+    /// Accept an optional trailing `.`, then require the end of the input.
+    fn finish(&mut self, what: &str) -> Result<(), ParseError> {
+        if self.peek() == Some(Tok::Dot) {
+            self.bump();
+        }
+        match self.peek() {
+            Some(_) => Err(self.err_here(format!("trailing input after {what}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Run `parse` over `src`. A lexical error wins over what the parser made
+/// of the tokens before it, and over a syntax error before it: after a
+/// syntax error the rest of the text is still lexed.
+fn parse_with<'a, T>(
+    src: &'a str,
+    parse: impl FnOnce(&mut Parser<'a>) -> Result<T, ParseError>,
+) -> Result<T, ParseError> {
+    let mut p = Parser::new(src);
+    let parsed = parse(&mut p);
+    if parsed.is_err() {
+        p.lexer.by_ref().for_each(drop);
+    }
+    match p.lexer.error.take() {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
 /// Parse a full program text.
 pub fn parse_program(src: &str) -> Result<ParsedProgram, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser { toks, pos: 0 };
-    let mut out = ParsedProgram {
-        program: Program::default(),
-        facts: BTreeMap::new(),
-        rule_spans: Vec::new(),
-        query_span: None,
-        fact_spans: Vec::new(),
-    };
-    while p.peek().is_some() {
-        p.parse_statement(&mut out)?;
-    }
-    Ok(out)
+    parse_with(src, |p| {
+        let mut out = ParsedProgram {
+            program: Program::default(),
+            facts: FactTable::new(),
+            rule_spans: Vec::new(),
+            query_span: None,
+        };
+        while p.peek().is_some() {
+            p.parse_statement(&mut out)?;
+        }
+        out.facts = FactTable::from_batches(std::mem::take(&mut p.facts));
+        Ok(out)
+    })
 }
 
 /// Parse a single rule, e.g. `"a(X,Y) :- p(X,Z), a(Z,Y)."` (trailing dot
 /// optional).
 pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser { toks, pos: 0 };
-    let head = p.parse_atom()?;
-    p.expect(Tok::Implies, "':-'")?;
-    let (body, negative) = p.parse_body()?;
-    if p.peek() == Some(Tok::Dot) {
-        p.bump();
-    }
-    if p.peek().is_some() {
-        return Err(p.err_here("trailing input after rule"));
-    }
-    Ok(Rule::with_negation(head, body, negative))
+    parse_with(src, |p| {
+        let head = p.parse_atom()?;
+        p.expect(Tok::Implies, "':-'")?;
+        let (body, negative) = p.parse_body()?;
+        p.finish("rule")?;
+        Ok(Rule::with_negation(head, body, negative))
+    })
 }
 
 /// Parse a single atom, e.g. `"p[nd](X, 3)"`.
 pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser { toks, pos: 0 };
-    let a = p.parse_atom()?;
-    if p.peek() == Some(Tok::Dot) {
-        p.bump();
-    }
-    if p.peek().is_some() {
-        return Err(p.err_here("trailing input after atom"));
-    }
-    Ok(a)
+    parse_with(src, |p| {
+        let a = p.parse_atom()?;
+        p.finish("atom")?;
+        Ok(a)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adornment::Ad;
+
+    /// Every row of `pred` in `p`'s fact table.
+    fn rows(p: &ParsedProgram, pred: &str) -> Vec<Vec<Value>> {
+        p.facts
+            .rows(&PredRef::new(pred))
+            .map(<[Value]>::to_vec)
+            .collect()
+    }
 
     #[test]
     fn parse_transitive_closure() {
@@ -559,13 +695,13 @@ mod tests {
              q(X) :- p(X, Y).",
         )
         .unwrap();
-        assert_eq!(p.facts[&PredRef::new("p")].len(), 2);
+        assert_eq!(rows(&p, "p").len(), 2);
         assert_eq!(
-            p.facts[&PredRef::new("name")][0],
+            rows(&p, "name")[0],
             vec![Value::sym("alice"), Value::int(1)]
         );
         assert_eq!(
-            p.facts[&PredRef::new("label")][0],
+            rows(&p, "label")[0],
             vec![Value::sym("hello world"), Value::int(1)]
         );
         assert_eq!(p.program.rules.len(), 1);
@@ -631,10 +767,7 @@ mod tests {
     #[test]
     fn negative_integers() {
         let p = parse_program("p(-5, 3).").unwrap();
-        assert_eq!(
-            p.facts[&PredRef::new("p")][0],
-            vec![Value::int(-5), Value::int(3)]
-        );
+        assert_eq!(rows(&p, "p")[0], vec![Value::int(-5), Value::int(3)]);
     }
 
     #[test]
@@ -808,31 +941,41 @@ mod tests {
         assert_eq!(p.rule_span(0), (2, 1));
         assert_eq!(p.rule_span(99), (1, 1));
         assert_eq!(p.query_span, Some((6, 1)));
-        assert_eq!(p.fact_spans, vec![(PredRef::new("p"), 1, 1)]);
+        let batch = &p.facts.batches()[0];
+        assert_eq!(
+            (&batch.pred, &batch.spans[..]),
+            (&PredRef::new("p"), &[(1, 1)][..])
+        );
     }
 
     #[test]
     fn string_literals_decode_as_utf8() {
         let p = parse_program("p(\"café\").\nq(\"naïve\", \"日本\").").unwrap();
-        assert_eq!(p.facts[&PredRef::new("p")][0], vec![Value::sym("café")]);
+        assert_eq!(rows(&p, "p")[0], vec![Value::sym("café")]);
         assert_eq!(
-            p.facts[&PredRef::new("q")][0],
+            rows(&p, "q")[0],
             vec![Value::sym("naïve"), Value::sym("日本")]
         );
-        assert_eq!(p.facts[&PredRef::new("p")][0][0].to_string(), "café");
+        assert_eq!(rows(&p, "p")[0][0].to_string(), "café");
         // Outside a literal, a non-ASCII character is named whole.
         let e = parse_program("p(é).").unwrap_err();
         assert_eq!(e.message, "unexpected character 'é'");
         assert_eq!((e.line, e.col), (1, 3));
     }
 
-    /// A seeded round trip: `parse_program(p.to_string())` is `p`, and a
-    /// fact rendered as an atom reads back as the same tuple, for symbols
-    /// that print bare and symbols that must be quoted to keep their
-    /// meaning (a variable, an integer, a space, a named variable, UTF-8).
+    /// A seeded round trip of whole files: rules, facts and the query,
+    /// each rendered and the lot shuffled, with comments, CRLF or LF line
+    /// endings and indentation between them, parse back to the same rules
+    /// in the same order, the same query, and every fact's tuple at its
+    /// statement's position — for negative integers and for symbols that
+    /// print bare or must be quoted to keep their meaning (a variable, an
+    /// integer, a named variable, UTF-8, and text holding a space, `,`,
+    /// `)`, `.` or `%`).
     #[test]
     fn rendered_programs_and_facts_parse_back_unchanged() {
-        const SYMBOLS: [&str; 6] = ["bob", "Alice", "a b", "42", "_x", "café"];
+        const SYMBOLS: [&str; 11] = [
+            "bob", "Alice", "a b", "42", "_x", "café", "a,b", "x)", "end.", " lead", "50%",
+        ];
         let mut state: u64 = 0x2545_f491_4f6c_dd1d;
         let mut below = |n: usize| {
             state ^= state << 13;
@@ -841,30 +984,72 @@ mod tests {
             (state % n as u64) as usize
         };
         for round in 0..200 {
-            let mut term = |vars: bool| match below(if vars { 4 } else { 2 }) {
+            let term = |vars: bool, below: &mut dyn FnMut(usize) -> usize| match below(if vars {
+                4
+            } else {
+                2
+            }) {
                 0 => Term::int(below(100) as i64 - 50),
                 1 => Term::sym(SYMBOLS[below(SYMBOLS.len())]),
                 _ => Term::var(["X", "Y"][below(2)]),
             };
-            let mut atom = |pred: &str, vars: bool| {
-                Atom::new(PredRef::new(pred), vec![term(vars), term(vars)])
+            let atom = |pred: &str, vars: bool, below: &mut dyn FnMut(usize) -> usize| {
+                let terms = vec![term(vars, below), term(vars, below)];
+                Atom::new(PredRef::new(pred), terms)
             };
-            let rules: Vec<Rule> = (0..3)
-                .map(|k| Rule::new(atom(&format!("q{k}"), true), vec![atom("e", true)]))
+            // Statements: a rule, a fact (with its tuple) or the query.
+            let mut statements: Vec<(String, Option<Atom>)> = (0..3)
+                .map(|k| {
+                    let head = atom(&format!("q{k}"), true, &mut below);
+                    let rule = Rule::new(head, vec![atom("e", true, &mut below)]);
+                    (rule.to_string(), None)
+                })
                 .collect();
-            let program = Program {
-                rules,
-                query: Some(Query::new(atom("q0", true))),
-            };
-            let fact = atom("f", false);
-            let text = format!("{program}{fact}.\n");
+            for _ in 0..1 + below(6) {
+                let fact = atom(["f", "g"][below(2)], false, &mut below);
+                statements.push((format!("{fact}."), Some(fact)));
+            }
+            let query = Query::new(atom("q0", true, &mut below));
+            statements.push((query.to_string(), None));
+            for i in (1..statements.len()).rev() {
+                statements.swap(i, below(i + 1));
+            }
+            let eol = ["\n", "\r\n"][below(2)];
+            let mut text = String::new();
+            let mut line = 1;
+            let mut rules = Vec::new();
+            let mut facts: Vec<(Atom, (u32, u32))> = Vec::new();
+            for (statement, fact) in &statements {
+                if below(3) == 0 {
+                    text.push_str(&format!("% a comment: p(1), \"q\" .{eol}"));
+                    line += 1;
+                }
+                let indent = below(3);
+                text.push_str(&" ".repeat(indent));
+                text.push_str(statement);
+                text.push_str(if below(4) == 0 { " % trailing" } else { "" });
+                text.push_str(eol);
+                match fact {
+                    Some(f) => facts.push((f.clone(), (line, indent as u32 + 1))),
+                    None if statement.starts_with("?-") => {}
+                    None => rules.push(parse_rule(statement).unwrap()),
+                }
+                line += 1;
+            }
             let parsed = parse_program(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_eq!(parsed.program, program, "round {round}: {text}");
-            assert_eq!(
-                parsed.facts[&fact.pred],
-                vec![fact.ground_values().unwrap()],
-                "round {round}: {text}"
-            );
+            assert_eq!(parsed.program.rules, rules, "round {round}: {text}");
+            assert_eq!(parsed.program.query, Some(query), "round {round}: {text}");
+            for batch in parsed.facts.batches() {
+                let (want_rows, want_spans): (Vec<Vec<Value>>, Vec<(u32, u32)>) = facts
+                    .iter()
+                    .filter(|(f, _)| f.pred == batch.pred)
+                    .map(|(f, span)| (f.ground_values().unwrap(), *span))
+                    .unzip();
+                let rows: Vec<Vec<Value>> = batch.rows().map(<[Value]>::to_vec).collect();
+                assert_eq!(rows, want_rows, "round {round}: {text}");
+                assert_eq!(batch.spans, want_spans, "round {round}: {text}");
+            }
+            assert_eq!(parsed.facts.len(), facts.len(), "round {round}: {text}");
         }
     }
 

@@ -64,7 +64,7 @@ use datalog_trace::{EvalProfile, IterationProfile, PredDelta, RuleProfile};
 
 use crate::cancel::{CancelToken, Clock};
 use crate::database::{Database, PredId};
-use crate::facts::{AnswerSet, Edb};
+use crate::facts::{AnswerSet, Batch, Edb};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
 use crate::EngineError;
@@ -1304,18 +1304,20 @@ fn compile(
 }
 
 /// The one loader: every input row reaches a [`Database`] through here,
-/// one sorted batch per predicate — a cold start's input and every
-/// resident batch alike. Each batch is sorted and checked against one
-/// arity: the program's for a predicate the program mentions, else that
-/// of the relation already registered for it, else that of the batch's
-/// first row. Every batch is checked before any is loaded, so a refused
+/// one flat batch per predicate — a cold start's input and every resident
+/// batch alike. Each predicate's batches are checked against one arity:
+/// the program's for a predicate the program mentions, else that of the
+/// relation already registered for it, else that of its smallest row in
+/// tuple order. Every batch is checked before any is loaded, so a refused
 /// input leaves the database as it was. A checked batch goes to
-/// [`Relation::load_batch`], which inserts it in order through the dedup
-/// every stored tuple goes through, keeping the first of equal rows.
-/// Batches come in `PredRef` order, so unknown predicates register in
-/// that order and every relation's loaded rows lie in tuple order: the
-/// database is row for row what inserting a [`FactSet`](crate::FactSet)'s
-/// facts one at a time builds. Returns the number of rows that were new.
+/// [`Relation::load_batch`] in tuple order — through a sorted permutation
+/// of its row ids, unless its rows are in order already — and is inserted
+/// through the dedup every stored tuple goes through, keeping the first of
+/// equal rows. Batches come in `PredRef` order, so unknown predicates
+/// register in that order and every relation's loaded rows lie in tuple
+/// order: the database is row for row what inserting a
+/// [`FactSet`](crate::FactSet)'s facts one at a time builds. Returns the
+/// number of rows that were new.
 ///
 /// [`Relation::load_batch`]: crate::relation::Relation::load_batch
 pub(crate) fn load_input(
@@ -1323,30 +1325,82 @@ pub(crate) fn load_input(
     arities: &BTreeMap<PredRef, usize>,
     input: Edb,
 ) -> Result<usize, EngineError> {
-    let mut checked = Vec::with_capacity(input.batches.len());
-    for (pred, mut rows) in input.batches {
-        rows.sort_unstable();
-        let Some(first) = rows.first() else { continue };
-        let expected = arities
-            .get(&pred)
-            .copied()
-            .or_else(|| db.pred_id(&pred).map(|id| db.relation(id).arity()))
-            .unwrap_or(first.len());
-        if let Some(row) = rows.iter().find(|row| row.len() != expected) {
-            return Err(EngineError::FactArity {
-                pred: pred.to_string(),
-                expected,
-                found: row.len(),
-            });
-        }
-        checked.push((pred, expected, rows));
+    let mut rest = &input.batches[..];
+    while let Some(first) = rest.first() {
+        let n = rest.iter().take_while(|b| b.pred == first.pred).count();
+        let (batches, tail) = rest.split_at(n);
+        check_arity(db, arities, batches)?;
+        rest = tail;
     }
     let mut new_rows = 0;
-    for (pred, arity, rows) in checked {
-        let id = db.register(&pred, arity);
-        new_rows += db.relation_mut(id).load_batch(rows);
+    for batch in input.batches {
+        let id = db.register(&batch.pred, batch.arity);
+        let rel = db.relation_mut(id);
+        let in_order = (1..batch.len).all(|i| batch.row(i - 1) <= batch.row(i));
+        new_rows += if in_order {
+            rel.load_batch((0..batch.len).map(|i| batch.row(i)))
+        } else {
+            // Row ids sorted beside their rows' first values, which settle
+            // most comparisons without reading the rows.
+            let mut ids: Vec<(u128, usize)> = (0..batch.len)
+                .map(|i| (order_key(batch.row(i)[0]), i))
+                .collect();
+            ids.sort_unstable_by(|a, b| {
+                (a.0.cmp(&b.0)).then_with(|| batch.row(a.1).cmp(batch.row(b.1)))
+            });
+            rel.load_batch(ids.iter().map(|&(_, i)| batch.row(i)))
+        };
     }
     Ok(new_rows)
+}
+
+/// `v` as an integer in value order: every integer below every symbol,
+/// integers by value and symbols by id, as [`Value`]'s `Ord` has them.
+fn order_key(v: Value) -> u128 {
+    match v {
+        Value::Int(i) => u128::from(i as u64 ^ 1 << 63),
+        Value::Sym(s) => 1 << 64 | u128::from(s.id()),
+    }
+}
+
+/// `Err` unless one predicate's batches (one per arity) all have the arity
+/// [`load_input`] expects. Where that arity comes from the rows, and where
+/// they mix arities, rows are taken in tuple order.
+fn check_arity(
+    db: &Database,
+    arities: &BTreeMap<PredRef, usize>,
+    batches: &[Batch],
+) -> Result<(), EngineError> {
+    fn smallest_row<'a>(b: &&'a Batch) -> Option<&'a [Value]> {
+        (0..b.len).map(|i| b.row(i)).min()
+    }
+    let pred = &batches[0].pred;
+    let expected = arities
+        .get(pred)
+        .copied()
+        .or_else(|| db.pred_id(pred).map(|id| db.relation(id).arity()))
+        .unwrap_or_else(|| match batches {
+            [one] => one.arity,
+            _ => {
+                batches
+                    .iter()
+                    .min_by_key(smallest_row)
+                    .expect("a batch")
+                    .arity
+            }
+        });
+    match batches
+        .iter()
+        .filter(|b| b.arity != expected)
+        .min_by_key(smallest_row)
+    {
+        None => Ok(()),
+        Some(b) => Err(EngineError::FactArity {
+            pred: pred.to_string(),
+            expected,
+            found: b.arity,
+        }),
+    }
 }
 
 /// Run a fixpoint evaluation of `program` over `input`.
@@ -2312,6 +2366,49 @@ mod tests {
                 let (m, _) = Machine::start(&program, edb, &EvalOptions::default()).unwrap();
                 assert_eq!(layout(&m.db), want, "round {round}: {source}");
             }
+            // A resident's delta batch: the facts into an empty resident,
+            // in one call. Propagation appends the derived rows after the
+            // loaded ones, so each relation's first rows are what it
+            // loaded.
+            let mut resident =
+                crate::ResidentEval::new(&program, &FactSet::new(), &EvalOptions::default())
+                    .unwrap();
+            let deltas: Vec<crate::Fact> = facts
+                .iter()
+                .map(|(p, t)| crate::Fact::new(p.clone(), t.clone()))
+                .collect();
+            let report = resident
+                .apply_deltas(&deltas, &crate::DeltaLimits::default())
+                .unwrap();
+            let grown = layout(resident.database());
+            assert_eq!(grown.len(), want.len(), "round {round}: deltas");
+            let loaded: Vec<_> = grown
+                .into_iter()
+                .zip(&want)
+                .map(|((pred, arity, rows), (_, _, kept))| {
+                    (pred, arity, rows[..kept.len()].to_vec())
+                })
+                .collect();
+            assert_eq!(loaded, want, "round {round}: deltas");
+            assert_eq!(report.new_facts, fs.len(), "round {round}: deltas");
+        }
+    }
+
+    #[test]
+    fn order_keys_sort_values_as_values_do() {
+        let mut values = [
+            Value::int(i64::MIN),
+            Value::int(-1),
+            Value::int(0),
+            Value::int(1),
+            Value::int(i64::MAX),
+            Value::sym("b"),
+            Value::sym("a"),
+            Value::sym("zz"),
+        ];
+        values.sort();
+        for pair in values.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
         }
     }
 

@@ -6,15 +6,15 @@
 //! fact sets compare equal iff they contain the same facts and iterate
 //! deterministically — essential for the equivalence oracles and tests.
 //!
-//! An [`Edb`] is the input of one evaluation: rows in per-predicate
+//! An [`Edb`] is the input of one evaluation: rows in flat per-predicate
 //! batches, copied at most once on their way into a
 //! [`Relation`](crate::Relation). Every entry point takes `impl Into<Edb>`,
-//! so a `&FactSet`, the parser's fact table and a server snapshot all
-//! reach the same loader.
+//! so a `&FactSet`, the parser's fact table, a server snapshot and a
+//! resident's delta batch all reach the same loader.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use datalog_ast::{Atom, PredRef, Value};
+use datalog_ast::{Atom, FactTable, PredRef, Value};
 
 /// An immutable-ish collection of ground facts grouped by predicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,11 +29,11 @@ impl FactSet {
     }
 
     /// Build from the parser's fact table.
-    pub fn from_parsed(parsed: &BTreeMap<PredRef, Vec<Vec<Value>>>) -> FactSet {
+    pub fn from_parsed(parsed: &FactTable) -> FactSet {
         let mut fs = FactSet::new();
-        for (p, rows) in parsed {
-            for row in rows {
-                fs.insert(p.clone(), row.clone());
+        for batch in parsed.batches() {
+            for row in batch.rows() {
+                fs.insert(batch.pred.clone(), row.to_vec());
             }
         }
         fs
@@ -138,35 +138,90 @@ impl FactSet {
     }
 }
 
-/// The input rows of one evaluation: one batch per predicate, batches in
-/// ascending `PredRef` order. A batch may hold duplicates and rows in any
-/// order, and its rows' arities are not checked yet — the engine's one
-/// loader (`eval::load_input`) sorts and checks each batch before it
-/// loads it, dropping duplicates.
-#[derive(Debug)]
+/// The input rows of one evaluation: flat, arity-strided batches in
+/// ascending `(PredRef, arity)` order, one per predicate — a predicate has
+/// a second only when its rows disagree on the arity, which the loader
+/// refuses. A batch holds at least one row and may hold duplicates and
+/// rows in any order; the engine's one loader (`eval::load_input`) checks
+/// its arity and loads it in tuple order through a sorted permutation of
+/// its row ids, dropping duplicates.
+#[derive(Debug, Default)]
 pub struct Edb {
-    pub(crate) batches: Vec<(PredRef, Vec<Box<[Value]>>)>,
+    pub(crate) batches: Vec<Batch>,
 }
 
-impl From<&FactSet> for Edb {
-    /// Clones every fact (a `FactSet` stays usable by its caller).
-    fn from(facts: &FactSet) -> Edb {
-        let batches = facts
-            .map
-            .iter()
-            .map(|(pred, set)| (pred.clone(), set.iter().map(|t| t[..].into()).collect()))
-            .collect();
+/// One predicate's input rows at one arity: row `i` is
+/// `values[i * arity..(i + 1) * arity]`.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    pub(crate) pred: PredRef,
+    pub(crate) arity: usize,
+    /// Row count (a zero-arity batch stores no values).
+    pub(crate) len: usize,
+    pub(crate) values: Vec<Value>,
+}
+
+impl Batch {
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
+        &self.values[i * self.arity..(i + 1) * self.arity]
+    }
+}
+
+impl Edb {
+    /// Rows grouped into one batch per predicate and arity, each batch's
+    /// rows in the order given.
+    pub(crate) fn from_rows<'a>(rows: impl IntoIterator<Item = (&'a PredRef, &'a [Value])>) -> Edb {
+        let mut batches: Vec<Batch> = Vec::new();
+        // The batch the previous row went to: runs of one predicate skip
+        // the search.
+        let mut last = 0;
+        for (pred, row) in rows {
+            let hit = batches
+                .get(last)
+                .is_some_and(|b| b.pred == *pred && b.arity == row.len());
+            if !hit {
+                let at = batches.binary_search_by(|b| (&b.pred, b.arity).cmp(&(pred, row.len())));
+                last = at.unwrap_or_else(|i| {
+                    let batch = Batch {
+                        pred: pred.clone(),
+                        arity: row.len(),
+                        len: 0,
+                        values: Vec::new(),
+                    };
+                    batches.insert(i, batch);
+                    i
+                });
+            }
+            let batch = &mut batches[last];
+            batch.values.extend_from_slice(row);
+            batch.len += 1;
+        }
         Edb { batches }
     }
 }
 
-impl From<BTreeMap<PredRef, Vec<Vec<Value>>>> for Edb {
-    /// Moves the parser's fact table in: each tuple becomes a row without
-    /// being copied.
-    fn from(facts: BTreeMap<PredRef, Vec<Vec<Value>>>) -> Edb {
+impl From<&FactSet> for Edb {
+    /// Copies every fact (a `FactSet` stays usable by its caller). Each
+    /// batch comes out in tuple order, so the loader does not sort it.
+    fn from(facts: &FactSet) -> Edb {
+        Edb::from_rows(facts.iter().map(|(pred, t)| (pred, &t[..])))
+    }
+}
+
+impl From<FactTable> for Edb {
+    /// Moves the parser's fact table in: each batch's values become an
+    /// input batch without being copied.
+    fn from(facts: FactTable) -> Edb {
         let batches = facts
+            .into_batches()
             .into_iter()
-            .map(|(pred, rows)| (pred, rows.into_iter().map(Vec::into_boxed_slice).collect()))
+            .filter(|b| !b.is_empty())
+            .map(|b| Batch {
+                len: b.len(),
+                pred: b.pred,
+                arity: b.arity,
+                values: b.values,
+            })
             .collect();
         Edb { batches }
     }

@@ -201,8 +201,8 @@ impl ResidentEval {
 
     /// Propagate one batch of ingested facts to a new consistent frontier.
     ///
-    /// The batch enters through the cold evaluation's loader, grouped by
-    /// predicate: every predicate's rows are arity-checked before any is
+    /// The batch enters through the cold evaluation's loader, grouped into
+    /// flat batches by predicate: every predicate's rows are arity-checked before any is
     /// loaded, so a bad fact leaves the frontier untouched, and so does a
     /// fact for a predicate a program with negation derives. Then each
     /// stratum propagates, recomputes or idles (see module docs). If the
@@ -227,19 +227,12 @@ impl ResidentEval {
             });
         }
         let m = &mut self.machine;
-        let mut grouped: BTreeMap<PredRef, Vec<Box<[Value]>>> = BTreeMap::new();
-        for f in batch {
-            grouped
-                .entry(f.pred.clone())
-                .or_default()
-                .push(f.tuple[..].into());
-        }
+        let input = Edb::from_rows(batch.iter().map(|f| (&f.pred, &f.tuple[..])));
         // The converged lengths: every row past them is new in this batch.
         let lens: Vec<usize> = (0..m.db.pred_count())
             .map(|p| m.db.relation(PredId(p as u32)).len())
             .collect();
-        let batches = grouped.into_iter().collect();
-        let new_facts = load_input(&mut m.db, &self.arities, Edb { batches })?;
+        let new_facts = load_input(&mut m.db, &self.arities, input)?;
         // This propagation's counters and limits; there is no fact budget.
         m.stats = EvalStats::default();
         m.started = m.clock.now();

@@ -97,15 +97,20 @@ impl Relation {
         true
     }
 
-    /// Insert a batch of rows in batch order; returns the number of new
-    /// rows. First sightings are kept, so the ids are those that inserting
-    /// the rows one by one gives.
+    /// Insert a batch of rows — slices of a caller's flat rows — in batch
+    /// order; returns the number of new rows. First sightings are kept, so
+    /// the ids are those that inserting the rows one by one gives.
     ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
-    pub fn load_batch(&mut self, batch: Vec<Box<[Value]>>) -> usize {
+    pub fn load_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a [Value]>) -> usize {
         let before = self.rows.len();
-        for row in &batch {
+        let batch = batch.into_iter();
+        // Room for every row, as if none were a duplicate.
+        let rows = batch.size_hint().0;
+        self.rows.reserve(rows);
+        self.dedup.reserve(&self.rows, rows);
+        for row in batch {
             self.insert(row);
         }
         self.rows.len() - before
@@ -133,6 +138,11 @@ impl Relation {
     /// Row by id.
     pub fn row(&self, id: usize) -> &[Value] {
         self.rows.row(id)
+    }
+
+    /// The rows `[0, end)` as one arity-strided slice.
+    pub fn values_to(&self, end: usize) -> &[Value] {
+        self.rows.values_to(end)
     }
 
     /// Iterate rows in the id range `[start, end)`.
@@ -526,23 +536,21 @@ mod tests {
     #[test]
     fn load_batch_keeps_first_sightings_like_per_row_inserts() {
         let mut rng = Rng(0x5eed_0002);
-        let batch = |rng: &mut Rng, k| -> Vec<Box<[Value]>> {
-            (0..k).map(|_| rng.tuple().into_boxed_slice()).collect()
-        };
+        // Flat rows, arity-strided, as a loader hands them over.
+        let batch = |rng: &mut Rng, k| -> Vec<Value> { (0..k).flat_map(|_| rng.tuple()).collect() };
         let (first, second) = (batch(&mut rng, 2500), batch(&mut rng, 1500));
         let mut bulk = Relation::new(3);
         let mut slow = Relation::new(3);
         // An index planned on the empty relation is filled as rows arrive.
         bulk.ensure_index(&[1]);
         for rows in [first, second] {
-            let fresh = rows.iter().filter(|row| slow.insert(row)).count();
-            assert_eq!(bulk.load_batch(rows), fresh);
+            let fresh = rows.chunks(3).filter(|row| slow.insert(row)).count();
+            assert_eq!(bulk.load_batch(rows.chunks(3)), fresh);
             assert!(bulk.iter().eq(slow.iter()), "rows or their order differ");
             check_against_scan(&bulk, &mut rng, "after a batch");
         }
         // A batch of nothing but duplicates adds nothing.
-        let again: Vec<Box<[Value]>> = slow.iter().take(10).map(Box::from).collect();
-        assert_eq!(bulk.load_batch(again), 0);
+        assert_eq!(bulk.load_batch(bulk.values_to(10).to_vec().chunks(3)), 0);
         assert_eq!(bulk.len(), slow.len());
     }
 

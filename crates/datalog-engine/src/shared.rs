@@ -31,7 +31,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use datalog_ast::{PredRef, Value};
 
-use crate::facts::{Edb, FactSet};
+use crate::facts::{Batch, Edb, FactSet};
 use crate::relation::Relation;
 
 /// Recover the guard from a possibly poisoned lock acquisition.
@@ -167,7 +167,7 @@ impl SharedRelation {
             self.check_arity(tuple.len())?;
         }
         let mut rel = lock_or_recover(self.store.write());
-        let fresh = rel.load_batch(batch);
+        let fresh = rel.load_batch(batch.iter().map(|row| &row[..]));
         self.committed.store(rel.len(), Ordering::Release);
         Ok(fresh)
     }
@@ -184,12 +184,17 @@ impl SharedRelation {
         rel.rows_in(start, end).map(|(_, r)| r.to_vec()).collect()
     }
 
-    /// Copy of the first `end` committed rows as boxed rows (an [`Edb`]
-    /// batch), under one read lock.
-    fn rows_to(&self, end: usize) -> Vec<Box<[Value]>> {
+    /// Copy of the first `end` committed rows as an [`Edb`] batch: one
+    /// slice copy under one read lock.
+    fn batch_to(&self, pred: &PredRef, end: usize) -> Batch {
         let rel = lock_or_recover(self.store.read());
-        let end = end.min(rel.len());
-        rel.rows_in(0, end).map(|(_, r)| r.into()).collect()
+        let len = end.min(rel.len());
+        Batch {
+            pred: pred.clone(),
+            arity: self.arity,
+            len,
+            values: rel.values_to(len).to_vec(),
+        }
     }
 }
 
@@ -365,16 +370,16 @@ impl DbSnapshot {
     }
 
     /// The cold input of a query form: the rows of the `support`
-    /// predicates visible in this snapshot, each copied once, under its
-    /// relation's read lock, into an [`Edb`] batch. Predicates with no
-    /// visible row are left out; the rest come in `PredRef` order, the
+    /// predicates visible in this snapshot, each relation's copied as one
+    /// slice, under its read lock, into an [`Edb`] batch. Predicates with
+    /// no visible row are left out; the rest come in `PredRef` order, the
     /// order the snapshot lists relations in.
     pub fn edb(&self, support: &BTreeSet<PredRef>) -> Edb {
         let batches = self
             .rels
             .iter()
             .filter(|(pred, _, w)| *w > 0 && support.contains(pred))
-            .map(|(pred, rel, w)| (pred.clone(), rel.rows_to(*w)))
+            .map(|(pred, rel, w)| rel.batch_to(pred, *w))
             .collect();
         Edb { batches }
     }

@@ -99,24 +99,35 @@ fn check_arities(parsed: &ParsedProgram, diags: &mut Vec<Diagnostic>) {
             visit(&mut seen, lit, span, diags);
         }
     }
-    for (pred, line, col) in &parsed.fact_spans {
-        if let (Some(&k), Some(tuples)) = (seen.get(pred), parsed.facts.get(pred)) {
-            if let Some(t) = tuples.iter().find(|t| t.len() != k) {
-                diags.push(Diagnostic::error(
-                    "arity",
-                    (*line, *col),
-                    format!(
-                        "fact for `{pred}` has {} value(s) but the predicate has arity {k}",
-                        t.len()
-                    ),
-                ));
+    // Facts come in one batch per predicate and arity: every fact of a
+    // batch at the wrong arity is reported, at its own statement.
+    for batch in parsed.facts.batches() {
+        let pred = &batch.pred;
+        match seen.get(pred) {
+            Some(&k) if k != batch.arity => {
+                for &span in &batch.spans {
+                    diags.push(Diagnostic::error(
+                        "arity",
+                        fact_span(span),
+                        format!(
+                            "fact for `{pred}` has {} value(s) but the predicate has arity {k}",
+                            batch.arity
+                        ),
+                    ));
+                }
             }
+            _ => {}
         }
     }
     if let Some(q) = &parsed.program.query {
         let span = parsed.query_span.unwrap_or((1, 1));
         visit(&mut seen, &q.atom, span, diags);
     }
+}
+
+/// A fact's statement position as a diagnostic's.
+fn fact_span((line, col): (u32, u32)) -> (usize, usize) {
+    (line as usize, col as usize)
 }
 
 /// Range restriction: every head variable and every variable of a negated
@@ -189,16 +200,19 @@ fn check_predicates(parsed: &ParsedProgram, diags: &mut Vec<Diagnostic>) {
     let program = &parsed.program;
     let derived = program.idb_preds();
 
-    for (pred, line, col) in &parsed.fact_spans {
+    for batch in parsed.facts.batches() {
+        let pred = &batch.pred;
         if derived.contains(pred) {
-            diags.push(Diagnostic::warning(
-                "fact-for-derived",
-                (*line, *col),
-                format!(
-                    "fact for derived predicate `{pred}`: by the paper's convention \
-                     the IDB holds no facts (EDB facts arrive with the database)"
-                ),
-            ));
+            for &span in &batch.spans {
+                diags.push(Diagnostic::warning(
+                    "fact-for-derived",
+                    fact_span(span),
+                    format!(
+                        "fact for derived predicate `{pred}`: by the paper's convention \
+                         the IDB holds no facts (EDB facts arrive with the database)"
+                    ),
+                ));
+            }
         }
     }
 
@@ -315,7 +329,7 @@ fn check_query(parsed: &ParsedProgram, diags: &mut Vec<Diagnostic>) {
                 .chain(r.negative.iter())
         })
         .map(|a| a.pred.base())
-        .chain(parsed.facts.keys().map(|p| p.base()))
+        .chain(parsed.facts.preds().map(|p| p.base()))
         .collect();
     if !known.contains(&q.atom.pred.base()) {
         diags.push(Diagnostic::error(

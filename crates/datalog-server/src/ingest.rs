@@ -22,19 +22,17 @@
 //! durable when it was written, so replay skips admission and logging and
 //! keeps only the insert's own arity check.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use datalog_ast::{parse_atom, parse_program, parse_rule, Atom, PredRef, Rule, Value};
+use datalog_ast::{
+    parse_atom, parse_program, parse_rule, Atom, FactBatch, FactTable, PredRef, Rule, Value,
+};
 use datalog_engine::SharedDbError;
 
 use crate::protocol::{ErrCode, Response};
 use crate::server::{lock, read_lock, write_lock, RuleSet, ServerState};
 use crate::wal::{RunBatch, Wal, WalOp};
-
-/// Ground tuples by predicate, as the parser groups a file's facts.
-type Facts = BTreeMap<PredRef, Vec<Vec<Value>>>;
 
 /// What one ingest changed.
 struct Applied {
@@ -56,7 +54,8 @@ impl ServerState {
         let Some(values) = atom.ground_values() else {
             return Response::err(format!("fact '{atom}' is not ground"));
         };
-        let facts = Facts::from([(atom.pred.clone(), vec![values])]);
+        let mut facts = FactTable::new();
+        facts.push(&atom.pred, &values, (1, 1));
         match self.ingest(&[], &facts, "") {
             Ok(applied) => Response::ok()
                 .with_info("new", applied.new_facts > 0)
@@ -104,16 +103,16 @@ impl ServerState {
     /// The one ingest path: all of `rules` and `facts`, or nothing. A
     /// refusal of the batch itself is prefixed with `origin` (a `LOAD`
     /// names its file).
-    fn ingest(&self, rules: &[Rule], facts: &Facts, origin: &str) -> Result<Applied, Response> {
+    fn ingest(&self, rules: &[Rule], facts: &FactTable, origin: &str) -> Result<Applied, Response> {
         let refuse = |e: String| Response::err(format!("{origin}{e}"));
         // The facts are rendered in front of the lock; the rules only once
         // admission has picked the ones not held yet.
         let mut ops: Vec<WalOp> = facts
+            .batches()
             .iter()
-            .flat_map(|(pred, tuples)| {
-                tuples
-                    .iter()
-                    .map(move |t| WalOp::Fact(Atom::fact(pred.clone(), t.clone()).to_string()))
+            .flat_map(|b| {
+                b.rows()
+                    .map(|t| WalOp::Fact(Atom::fact(b.pred.clone(), t.to_vec()).to_string()))
             })
             .collect();
         let applied = {
@@ -145,7 +144,7 @@ impl ServerState {
     /// before anything is logged: a refused request must leave no WAL
     /// record behind (it would be skipped at every recovery until
     /// compaction). Returns the rules the server does not hold yet.
-    fn admit(&self, rules: &[Rule], facts: &Facts) -> Result<Vec<Rule>, String> {
+    fn admit(&self, rules: &[Rule], facts: &FactTable) -> Result<Vec<Rule>, String> {
         let held = Arc::clone(&read_lock(&self.rules));
         let fresh: Vec<Rule> = rules
             .iter()
@@ -167,31 +166,40 @@ impl ServerState {
                 }
             }
         }
-        for (pred, tuples) in facts {
+        for batches in facts.by_pred() {
+            let pred = &batches[0].pred;
             let base = pred.base();
             if held.heads.contains(&base) || fresh.iter().any(|r| r.head.pred.base() == base) {
                 return Err(format!(
                     "{pred} is derived by rules; facts may only be asserted for EDB predicates"
                 ));
             }
-            self.check_arity(pred, tuples)?;
+            self.check_arity(pred, batches)?;
         }
         Ok(fresh)
     }
 
-    /// `Err` when a tuple clashes with the arity `pred` is stored at (the
-    /// first tuple's, for a predicate not stored yet).
-    fn check_arity(&self, pred: &PredRef, tuples: &[Vec<Value>]) -> Result<(), String> {
+    /// `Err` when a fact clashes with the arity `pred` is stored at (the
+    /// first fact's in source order, for a predicate not stored yet).
+    /// `batches` are the predicate's facts, one batch per arity; a batch's
+    /// first span is its earliest fact.
+    fn check_arity(&self, pred: &PredRef, batches: &[FactBatch]) -> Result<(), String> {
+        let first = |b: &&FactBatch| b.spans[0];
         let stored = self.db.arity(pred);
-        let Some(expected) = stored.or_else(|| tuples.first().map(Vec::len)) else {
+        let Some(expected) = stored.or_else(|| batches.iter().min_by_key(first).map(|b| b.arity))
+        else {
             return Ok(());
         };
-        match tuples.iter().find(|t| t.len() != expected) {
+        match batches
+            .iter()
+            .filter(|b| b.arity != expected)
+            .min_by_key(first)
+        {
             None => Ok(()),
-            Some(t) => Err(SharedDbError::Arity {
+            Some(b) => Err(SharedDbError::Arity {
                 pred: pred.to_string(),
                 expected,
-                found: t.len(),
+                found: b.arity,
             }
             .to_string()),
         }
@@ -199,7 +207,7 @@ impl ServerState {
 
     /// Extend the rule set, insert the rows. An ingest applies only after
     /// its WAL append, so an acknowledged write is a durable write.
-    fn apply(&self, fresh: Vec<Rule>, facts: &Facts) -> Result<Applied, String> {
+    fn apply(&self, fresh: Vec<Rule>, facts: &FactTable) -> Result<Applied, String> {
         let mut new_rules = 0;
         if !fresh.is_empty() {
             let mut held = write_lock(&self.rules);
@@ -218,9 +226,10 @@ impl ServerState {
         }
         let mut new_facts = 0;
         let mut touched = Vec::new();
-        for (pred, tuples) in facts {
+        for batches in facts.by_pred() {
+            let pred = &batches[0].pred;
             let before = new_facts;
-            for t in tuples {
+            for t in batches.iter().flat_map(FactBatch::rows) {
                 if self.db.insert(pred, t).map_err(|e| e.to_string())? {
                     new_facts += 1;
                 }
@@ -292,12 +301,13 @@ impl ServerState {
                 let values = atom
                     .ground_values()
                     .ok_or_else(|| format!("wal fact '{atom}' is not ground"))?;
-                self.apply(Vec::new(), &Facts::from([(atom.pred, vec![values])]))
-                    .map(drop)
+                let mut facts = FactTable::new();
+                facts.push(&atom.pred, &values, (1, 1));
+                self.apply(Vec::new(), &facts).map(drop)
             }
             WalOp::Rule(text) => {
                 let rule = parse_rule(&text).map_err(|e| e.render_at("wal"))?;
-                self.apply(vec![rule], &Facts::new()).map(drop)
+                self.apply(vec![rule], &FactTable::new()).map(drop)
             }
             // A snapshot's rows: one order-preserving sort-dedup per record
             // instead of per-row parsing and hashing.

@@ -30,6 +30,29 @@ if ./target/release/xdl lint tests/lint/unsafe_rule.dl tests/lint/dead_code.dl \
 fi
 echo "check.sh: broken fixtures still caught"
 
+# A generated 100 000-fact file: linting it must stay linear in the facts
+# (`timeout 10` fails a quadratic check), and the optimizer must not change
+# a byte of its answers. Its one rule is a two-step join, so the
+# unoptimized run stays small too.
+chain_dir=$(mktemp -d)
+trap 'rm -rf "$chain_dir"' EXIT
+chain="$chain_dir/chain.dl"
+{
+    printf 'a(X, Y) :- p(X, Z), p(Z, Y).\n'
+    awk 'BEGIN { for (i = 0; i < 100000; i++) {
+        j = (i * 7919) % 100000; printf "p(%d, %d).\n", j, j + 1 } }'
+    printf '?- a(X, _).\n'
+} > "$chain"
+timeout 10 ./target/release/xdl lint "$chain" > /dev/null
+./target/release/xdl run "$chain" > "$chain_dir/run.out"
+./target/release/xdl run --no-optimize "$chain" > "$chain_dir/plain.out"
+if ! cmp -s "$chain_dir/run.out" "$chain_dir/plain.out"; then
+    echo "check.sh: the chain file's answers differ under --no-optimize" >&2
+    exit 1
+fi
+rm -rf "$chain_dir"
+echo "check.sh: 100 000-fact chain file lints in time, answers unchanged"
+
 # Derivation-bound gate: the examples must stay warning-free even with
 # the bound lints made binding, and the bounds table must render for
 # each of them.

@@ -57,6 +57,19 @@ fn dead_code_fixture_diagnostics_are_stable() {
 }
 
 #[test]
+fn a_fact_at_the_wrong_arity_is_the_only_one_reported() {
+    // `p` has arity 1 in the rule; of its four facts only `p(3, 4).` on
+    // line 4 disagrees.
+    assert_eq!(
+        rendered("fact_arity.dl"),
+        vec![
+            "tests/lint/fact_arity.dl:4:1: error[arity]: fact for `p` has 2 \
+             value(s) but the predicate has arity 1",
+        ]
+    );
+}
+
+#[test]
 fn cartesian_fixture_diagnostics_are_stable() {
     let src = fixture("cartesian.dl");
     assert!(!has_errors(&lint_source(&src)), "warnings only");
