@@ -26,7 +26,7 @@
 //! The lexer is an iterator the parser pulls one token at a time, with a
 //! lookahead of one token (two after `not`); no token list is built. A
 //! fact's values go straight into its predicate's [`FactBatch`], found
-//! through a map local to the parse, as are the symbols of the text, so a
+//! through a map local to the parse, as are its symbolic constants, so a
 //! fact costs no allocation of its own and no global interner lock.
 //!
 //! Positions are 1-based lines and byte columns. An error at the end of the
@@ -309,6 +309,13 @@ fn int_value(s: &str) -> Option<i64> {
 /// letters (checked to be `n`/`d`).
 type PredKey<'a> = (&'a str, Option<&'a str>);
 
+/// A fact batch's predicate as written, and its arity.
+type BatchKey<'a> = (PredKey<'a>, usize);
+
+/// Up to this many fact batches are found by scanning their keys, which
+/// is faster than hashing; past it, through a map.
+const SCANNED_BATCHES: usize = 16;
+
 /// A statement position as a fact batch keeps it.
 fn span32((line, col): (usize, usize)) -> (u32, u32) {
     let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
@@ -319,17 +326,18 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     /// The next unconsumed token; `None` at the end of the input.
     cur: Option<Lexeme<'a>>,
-    /// Predicates and symbols, each interned once per parse.
-    preds: HashMap<PredKey<'a>, PredRef>,
+    /// The symbolic constants read so far, each interned once per parse.
     symbols: HashMap<&'a str, Symbol>,
     /// The terms of the atom being read, reused from atom to atom.
     terms: Vec<Term>,
-    /// The fact batches, and which one holds each predicate and arity.
+    /// The fact batches, the predicate and arity of each, and — once there
+    /// are more than [`SCANNED_BATCHES`] — a map from those to the batch.
     facts: Vec<FactBatch>,
-    batch_of: HashMap<(PredKey<'a>, usize), usize>,
+    batch_keys: Vec<BatchKey<'a>>,
+    batch_of: HashMap<BatchKey<'a>, usize>,
     /// The batch the previous fact went to: consecutive facts of one
     /// predicate skip the map.
-    last_batch: Option<(PredKey<'a>, usize, usize)>,
+    last_batch: Option<(BatchKey<'a>, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -339,10 +347,10 @@ impl<'a> Parser<'a> {
         Parser {
             lexer,
             cur,
-            preds: HashMap::new(),
             symbols: HashMap::new(),
             terms: Vec::new(),
             facts: Vec::new(),
+            batch_keys: Vec::new(),
             batch_of: HashMap::new(),
             last_batch: None,
         }
@@ -396,14 +404,11 @@ impl<'a> Parser<'a> {
         *self.symbols.entry(s).or_insert_with(|| Symbol::intern(s))
     }
 
-    fn resolve(&mut self, key: PredKey<'a>) -> PredRef {
-        self.preds
-            .entry(key)
-            .or_insert_with(|| PredRef {
-                name: Symbol::intern(key.0),
-                adornment: key.1.map(|s| Adornment::parse(s).expect("letters checked")),
-            })
-            .clone()
+    fn resolve((name, letters): PredKey<'_>) -> PredRef {
+        PredRef {
+            name: Symbol::intern(name),
+            adornment: letters.map(|s| Adornment::parse(s).expect("letters checked")),
+        }
     }
 
     fn parse_pred(&mut self) -> Result<PredKey<'a>, ParseError> {
@@ -443,7 +448,7 @@ impl<'a> Parser<'a> {
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
-            Some(Tok::VarName(s)) => Ok(Term::Var(Var(self.symbol(s)))),
+            Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(s))),
             Some(Tok::Int(i)) => Ok(Term::Const(Value::Int(i))),
             Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::Sym(self.symbol(s)))),
             Some(Tok::Underscore) => Ok(Term::Var(Var::fresh_wildcard())),
@@ -474,9 +479,9 @@ impl<'a> Parser<'a> {
     }
 
     /// The atom of `pred` over the terms just read.
-    fn atom_of(&mut self, pred: PredKey<'a>) -> Atom {
+    fn atom_of(&self, pred: PredKey<'_>) -> Atom {
         Atom {
-            pred: self.resolve(pred),
+            pred: Parser::resolve(pred),
             terms: self.terms.clone(),
         }
     }
@@ -510,22 +515,37 @@ impl<'a> Parser<'a> {
         Ok((body, negative))
     }
 
+    /// The batch of `key`, made on first sight.
+    fn batch(&mut self, key: BatchKey<'a>) -> usize {
+        let found = if self.batch_keys.len() <= SCANNED_BATCHES {
+            self.batch_keys.iter().position(|&k| k == key)
+        } else {
+            self.batch_of.get(&key).copied()
+        };
+        found.unwrap_or_else(|| {
+            let i = self.facts.len();
+            self.facts
+                .push(FactBatch::new(Parser::resolve(key.0), key.1));
+            self.batch_keys.push(key);
+            if self.batch_keys.len() > SCANNED_BATCHES {
+                // The map holds every key from the first that the scan
+                // does not reach.
+                let from = if i == SCANNED_BATCHES { 0 } else { i };
+                let keys = self.batch_keys[from..].iter().copied();
+                self.batch_of.extend(keys.zip(from..));
+            }
+            i
+        })
+    }
+
     /// Append the ground atom just read to its predicate's batch.
     fn push_fact(&mut self, pred: PredKey<'a>, span: (usize, usize)) {
-        let arity = self.terms.len();
+        let key = (pred, self.terms.len());
         let i = match self.last_batch {
-            Some((p, a, i)) if p == pred && a == arity => i,
+            Some((last, i)) if last == key => i,
             _ => {
-                let i = match self.batch_of.get(&(pred, arity)) {
-                    Some(&i) => i,
-                    None => {
-                        let batch = FactBatch::new(self.resolve(pred), arity);
-                        self.facts.push(batch);
-                        self.batch_of.insert((pred, arity), self.facts.len() - 1);
-                        self.facts.len() - 1
-                    }
-                };
-                self.last_batch = Some((pred, arity, i));
+                let i = self.batch(key);
+                self.last_batch = Some((key, i));
                 i
             }
         };
@@ -1050,6 +1070,35 @@ mod tests {
                 assert_eq!(batch.spans, want_spans, "round {round}: {text}");
             }
             assert_eq!(parsed.facts.len(), facts.len(), "round {round}: {text}");
+        }
+    }
+
+    #[test]
+    fn facts_of_many_predicates_and_arities_fill_one_batch_each() {
+        // More predicate-arity pairs than are found by a scan, interleaved.
+        let text: String = (0..200)
+            .map(|i| match i % 40 {
+                k if k % 2 == 0 => format!("p{}({i}).\n", k / 2),
+                k => format!("p{}({i}, {i}).\n", k / 2),
+            })
+            .collect();
+        let p = parse_program(&text).unwrap();
+        assert_eq!(p.facts.batches().len(), 40);
+        assert_eq!(p.facts.by_pred().count(), 20);
+        for batch in p.facts.batches() {
+            let k: usize = batch.pred.name.as_str()[1..].parse().unwrap();
+            let kind = 2 * k + batch.arity - 1;
+            let firsts: Vec<i64> = (0..200).filter(|i| i % 40 == kind as i64).collect();
+            let rows: Vec<Value> = batch.rows().map(|r| r[0]).collect();
+            assert_eq!(
+                rows,
+                firsts.iter().map(|&i| Value::int(i)).collect::<Vec<_>>()
+            );
+            let lines: Vec<u32> = batch.spans.iter().map(|&(line, _)| line).collect();
+            assert_eq!(
+                lines,
+                firsts.iter().map(|&i| i as u32 + 1).collect::<Vec<_>>()
+            );
         }
     }
 

@@ -1342,24 +1342,29 @@ pub(crate) fn load_input(
         } else {
             // Row ids sorted beside their rows' first values, which settle
             // most comparisons without reading the rows.
-            let mut ids: Vec<(u128, usize)> = (0..batch.len)
-                .map(|i| (order_key(batch.row(i)[0]), i))
+            let len = u32::try_from(batch.len).expect("row ids fit in 31 bits");
+            let mut ids: Vec<(u64, u32)> = (0..len)
+                .map(|i| (order_key(batch.row(i as usize)[0]), i))
                 .collect();
             ids.sort_unstable_by(|a, b| {
-                (a.0.cmp(&b.0)).then_with(|| batch.row(a.1).cmp(batch.row(b.1)))
+                let row = |i: u32| batch.row(i as usize);
+                a.0.cmp(&b.0).then_with(|| row(a.1).cmp(row(b.1)))
             });
-            rel.load_batch(ids.iter().map(|&(_, i)| batch.row(i)))
+            rel.load_batch(ids.iter().map(|&(_, i)| batch.row(i as usize)))
         };
     }
     Ok(new_rows)
 }
 
-/// `v` as an integer in value order: every integer below every symbol,
-/// integers by value and symbols by id, as [`Value`]'s `Ord` has them.
-fn order_key(v: Value) -> u128 {
+/// `v` as an integer that never sorts against [`Value`]'s `Ord`: every
+/// integer below every symbol, symbols by id, and integers by value —
+/// exactly within ±2^62, beyond which they share the end keys and the
+/// rows themselves decide.
+fn order_key(v: Value) -> u64 {
+    const HALF: i64 = 1 << 62;
     match v {
-        Value::Int(i) => u128::from(i as u64 ^ 1 << 63),
-        Value::Sym(s) => 1 << 64 | u128::from(s.id()),
+        Value::Int(i) => (i.clamp(-HALF, HALF - 1) + HALF) as u64,
+        Value::Sym(s) => 1 << 63 | u64::from(s.id()),
     }
 }
 
@@ -2398,9 +2403,13 @@ mod tests {
     fn order_keys_sort_values_as_values_do() {
         let mut values = [
             Value::int(i64::MIN),
+            Value::int(-(1 << 62) - 1),
+            Value::int(-(1 << 62)),
             Value::int(-1),
             Value::int(0),
             Value::int(1),
+            Value::int((1 << 62) - 1),
+            Value::int(1 << 62),
             Value::int(i64::MAX),
             Value::sym("b"),
             Value::sym("a"),
@@ -2408,7 +2417,14 @@ mod tests {
         ];
         values.sort();
         for pair in values.windows(2) {
-            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+            let (a, b) = (order_key(pair[0]), order_key(pair[1]));
+            let clamped =
+                |v: Value| matches!(v, Value::Int(i) if !(-(1 << 62)..1 << 62).contains(&i));
+            if clamped(pair[0]) || clamped(pair[1]) {
+                assert!(a <= b, "{pair:?}");
+            } else {
+                assert!(a < b, "{pair:?}");
+            }
         }
     }
 
