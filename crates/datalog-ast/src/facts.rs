@@ -126,14 +126,6 @@ impl FactTable {
         self.by_pred().map(|group| &group[0].pred)
     }
 
-    /// Every row of `pred`, batch by batch.
-    pub fn rows<'a>(&'a self, pred: &'a PredRef) -> impl Iterator<Item = &'a [Value]> + 'a {
-        self.batches
-            .iter()
-            .filter(move |b| &b.pred == pred)
-            .flat_map(FactBatch::rows)
-    }
-
     /// Total number of facts.
     pub fn len(&self) -> usize {
         self.batches.iter().map(FactBatch::len).sum()
@@ -215,8 +207,11 @@ mod tests {
         assert_eq!(shape, want);
         assert_eq!(t.by_pred().count(), 2);
         assert_eq!(t.preds().collect::<Vec<_>>().len(), 2);
-        let p_rows: Vec<&[Value]> = t.rows(&p).collect();
-        assert_eq!(p_rows, vec![&ints(&[1, 2])[..], &ints(&[3, 4])[..]]);
+        let ps = t.batches().iter().find(|b| b.pred == p).unwrap();
+        assert_eq!(
+            ps.rows().collect::<Vec<_>>(),
+            [&ints(&[1, 2])[..], &ints(&[3, 4])[..]]
+        );
         let qs = t.batches().iter().find(|b| b.pred == q && b.arity == 1);
         assert_eq!(qs.unwrap().spans, vec![(1, 1), (3, 1)]);
         // By value: one pair per batch, each row a vector.

@@ -335,9 +335,6 @@ struct Parser<'a> {
     facts: Vec<FactBatch>,
     batch_keys: Vec<BatchKey<'a>>,
     batch_of: HashMap<BatchKey<'a>, usize>,
-    /// The batch the previous fact went to: consecutive facts of one
-    /// predicate skip the map.
-    last_batch: Option<(BatchKey<'a>, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -352,7 +349,6 @@ impl<'a> Parser<'a> {
             facts: Vec::new(),
             batch_keys: Vec::new(),
             batch_of: HashMap::new(),
-            last_batch: None,
         }
     }
 
@@ -540,15 +536,7 @@ impl<'a> Parser<'a> {
 
     /// Append the ground atom just read to its predicate's batch.
     fn push_fact(&mut self, pred: PredKey<'a>, span: (usize, usize)) {
-        let key = (pred, self.terms.len());
-        let i = match self.last_batch {
-            Some((last, i)) if last == key => i,
-            _ => {
-                let i = self.batch(key);
-                self.last_batch = Some((key, i));
-                i
-            }
-        };
+        let i = self.batch((pred, self.terms.len()));
         let batch = &mut self.facts[i];
         let values = self.terms.iter().map(|t| t.as_const().expect("ground"));
         batch.values.extend(values);
@@ -672,8 +660,10 @@ mod tests {
 
     /// Every row of `pred` in `p`'s fact table.
     fn rows(p: &ParsedProgram, pred: &str) -> Vec<Vec<Value>> {
-        p.facts
-            .rows(&PredRef::new(pred))
+        let pred = PredRef::new(pred);
+        let batches = p.facts.batches().iter().filter(|b| b.pred == pred);
+        batches
+            .flat_map(FactBatch::rows)
             .map(<[Value]>::to_vec)
             .collect()
     }

@@ -1356,10 +1356,10 @@ pub(crate) fn load_input(
     Ok(new_rows)
 }
 
-/// `v` as an integer that never sorts against [`Value`]'s `Ord`: every
+/// `v` as an integer whose order never contradicts [`Value`]'s: every
 /// integer below every symbol, symbols by id, and integers by value —
-/// exactly within ±2^62, beyond which they share the end keys and the
-/// rows themselves decide.
+/// exactly within ±2^62; beyond, they share the end keys and the rows
+/// themselves decide.
 fn order_key(v: Value) -> u64 {
     const HALF: i64 = 1 << 62;
     match v {

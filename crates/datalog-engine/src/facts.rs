@@ -145,7 +145,7 @@ impl FactSet {
 /// rows in any order; the engine's one loader (`eval::load_input`) checks
 /// its arity and loads it in tuple order through a sorted permutation of
 /// its row ids, dropping duplicates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Edb {
     pub(crate) batches: Vec<Batch>,
 }
@@ -172,27 +172,19 @@ impl Edb {
     /// rows in the order given.
     pub(crate) fn from_rows<'a>(rows: impl IntoIterator<Item = (&'a PredRef, &'a [Value])>) -> Edb {
         let mut batches: Vec<Batch> = Vec::new();
-        // The batch the previous row went to: runs of one predicate skip
-        // the search.
-        let mut last = 0;
         for (pred, row) in rows {
-            let hit = batches
-                .get(last)
-                .is_some_and(|b| b.pred == *pred && b.arity == row.len());
-            if !hit {
-                let at = batches.binary_search_by(|b| (&b.pred, b.arity).cmp(&(pred, row.len())));
-                last = at.unwrap_or_else(|i| {
-                    let batch = Batch {
-                        pred: pred.clone(),
-                        arity: row.len(),
-                        len: 0,
-                        values: Vec::new(),
-                    };
-                    batches.insert(i, batch);
-                    i
-                });
-            }
-            let batch = &mut batches[last];
+            let at = batches.binary_search_by(|b| (&b.pred, b.arity).cmp(&(pred, row.len())));
+            let i = at.unwrap_or_else(|i| {
+                let batch = Batch {
+                    pred: pred.clone(),
+                    arity: row.len(),
+                    len: 0,
+                    values: Vec::new(),
+                };
+                batches.insert(i, batch);
+                i
+            });
+            let batch = &mut batches[i];
             batch.values.extend_from_slice(row);
             batch.len += 1;
         }
