@@ -84,20 +84,42 @@ impl Atom {
     }
 }
 
+/// `pred(t1, ..., tk)`, or `pred` alone when there are no terms.
+fn write_atom(
+    f: &mut std::fmt::Formatter<'_>,
+    pred: &PredRef,
+    terms: impl ExactSizeIterator<Item = Term>,
+) -> std::fmt::Result {
+    write!(f, "{pred}")?;
+    if terms.len() > 0 {
+        write!(f, "(")?;
+        for (i, t) in terms.enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{t}")?;
+        }
+        write!(f, ")")?;
+    }
+    Ok(())
+}
+
 impl std::fmt::Display for Atom {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.pred)?;
-        if !self.terms.is_empty() {
-            write!(f, "(")?;
-            for (i, t) in self.terms.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{t}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        write_atom(f, &self.pred, self.terms.iter().copied())
+    }
+}
+
+/// A fact written as `Atom::fact(pred, values)` displays, without
+/// building the atom.
+pub struct FactDisplay<'a> {
+    pub pred: &'a PredRef,
+    pub values: &'a [Value],
+}
+
+impl std::fmt::Display for FactDisplay<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write_atom(f, self.pred, self.values.iter().map(|&v| Term::Const(v)))
     }
 }
 
@@ -116,6 +138,24 @@ mod tests {
             vec![Term::var("X"), Term::int(3)],
         );
         assert_eq!(c.to_string(), "q[nd](X, 3)");
+    }
+
+    #[test]
+    fn a_fact_displays_as_its_atom() {
+        let pred = PredRef::adorned("q", "nd");
+        for values in [
+            vec![],
+            vec![Value::int(-3), Value::sym("a b"), Value::sym("x")],
+        ] {
+            let shown = FactDisplay {
+                pred: &pred,
+                values: &values,
+            };
+            assert_eq!(
+                shown.to_string(),
+                Atom::fact(pred.clone(), values.clone()).to_string()
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod subst;
 pub mod term;
 
 pub use adornment::{Ad, Adornment};
-pub use atom::Atom;
+pub use atom::{Atom, FactDisplay};
 pub use facts::{FactBatch, FactRows, FactTable};
 pub use intern::Symbol;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError, ParsedProgram};

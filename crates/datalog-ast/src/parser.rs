@@ -25,9 +25,10 @@
 //!
 //! The lexer is an iterator the parser pulls one token at a time, with a
 //! lookahead of one token (two after `not`); no token list is built. A
-//! fact's values go straight into its predicate's [`FactBatch`], found
-//! through a map local to the parse, as are its symbolic constants, so a
-//! fact costs no allocation of its own and no global interner lock.
+//! fact's values go straight into its predicate's [`FactBatch`], found by
+//! the predicate as written, and its symbolic constants through a map
+//! local to the parse, so a fact costs no allocation of its own and no
+//! global interner lock.
 //!
 //! Positions are 1-based lines and byte columns. An error at the end of the
 //! input sits one column past the start of the last token, and a lexical

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use datalog_ast::{
-    parse_atom, parse_program, parse_rule, Atom, FactBatch, FactTable, PredRef, Rule, Value,
+    parse_atom, parse_program, parse_rule, FactBatch, FactDisplay, FactTable, PredRef, Rule, Value,
 };
 use datalog_engine::SharedDbError;
 
@@ -111,8 +111,15 @@ impl ServerState {
             .batches()
             .iter()
             .flat_map(|b| {
-                b.rows()
-                    .map(|t| WalOp::Fact(Atom::fact(b.pred.clone(), t.to_vec()).to_string()))
+                b.rows().map(|values| {
+                    WalOp::Fact(
+                        FactDisplay {
+                            pred: &b.pred,
+                            values,
+                        }
+                        .to_string(),
+                    )
+                })
             })
             .collect();
         let applied = {
