@@ -55,13 +55,6 @@ impl FactBatch {
     pub fn rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
         (0..self.len()).map(move |i| self.row(i))
     }
-
-    /// Append a row of this batch's arity, read at `span`.
-    pub fn push(&mut self, row: &[Value], span: (u32, u32)) {
-        assert_eq!(row.len(), self.arity, "row arity differs from its batch's");
-        self.values.extend_from_slice(row);
-        self.spans.push(span);
-    }
 }
 
 /// A source text's facts: one [`FactBatch`] per predicate and arity, in
@@ -86,17 +79,17 @@ impl FactTable {
         FactTable { batches }
     }
 
-    /// Append one fact to its predicate's batch at its arity.
-    pub fn push(&mut self, pred: &PredRef, row: &[Value], span: (u32, u32)) {
-        let at = self
-            .batches
-            .binary_search_by(|b| (&b.pred, b.arity).cmp(&(pred, row.len())));
-        let i = at.unwrap_or_else(|i| {
-            self.batches
-                .insert(i, FactBatch::new(pred.clone(), row.len()));
-            i
-        });
-        self.batches[i].push(row, span);
+    /// The table of one fact, `pred(row)`, at position 1:1.
+    pub fn one(pred: PredRef, row: Vec<Value>) -> FactTable {
+        let batch = FactBatch {
+            pred,
+            arity: row.len(),
+            values: row,
+            spans: vec![(1, 1)],
+        };
+        FactTable {
+            batches: vec![batch],
+        }
     }
 
     /// The batches, in `(PredRef, arity)` order.
@@ -188,14 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn pushes_group_by_predicate_and_arity_in_order() {
+    fn batches_are_ordered_by_predicate_and_arity() {
         let (p, q) = (PredRef::new("p"), PredRef::new("q"));
-        let mut t = FactTable::new();
-        t.push(&q, &ints(&[1]), (1, 1));
-        t.push(&p, &ints(&[1, 2]), (2, 1));
-        t.push(&q, &ints(&[2]), (3, 1));
-        t.push(&q, &ints(&[]), (4, 1));
-        t.push(&p, &ints(&[3, 4]), (5, 1));
+        let batch = |pred: &PredRef, rows: &[&[i64]], lines: &[u32]| FactBatch {
+            pred: pred.clone(),
+            arity: rows[0].len(),
+            values: rows.iter().flat_map(|r| ints(r)).collect(),
+            spans: lines.iter().map(|&l| (l, 1)).collect(),
+        };
+        let t = FactTable::from_batches(vec![
+            batch(&q, &[&[1], &[2]], &[1, 3]),
+            batch(&p, &[&[1, 2], &[3, 4]], &[2, 5]),
+            batch(&q, &[&[]], &[4]),
+        ]);
         assert_eq!(t.len(), 5);
         let shape: Vec<(&PredRef, usize, usize)> = t
             .batches()
@@ -218,6 +216,8 @@ mod tests {
         let rows: Vec<(PredRef, Vec<Vec<Value>>)> =
             t.into_iter().map(|(p, rows)| (p, rows.collect())).collect();
         assert!(rows.contains(&(p, vec![ints(&[1, 2]), ints(&[3, 4])])));
-        assert!(rows.contains(&(q, vec![vec![]])));
+        assert!(rows.contains(&(q.clone(), vec![vec![]])));
+        let one = FactTable::one(q.clone(), ints(&[7]));
+        assert_eq!(one.batches(), [batch(&q, &[&[7]], &[1])]);
     }
 }

@@ -260,9 +260,9 @@ impl<'a> Iterator for Lexer<'a> {
             }
             b'-' | b'0'..=b'9' => {
                 let s = self.take_while(start, |d| d.is_ascii_digit());
-                match int_value(s) {
-                    Some(n) => Tok::Int(n),
-                    None => return self.fail(format!("bad integer literal '{s}'")),
+                match s.parse() {
+                    Ok(n) => Tok::Int(n),
+                    Err(_) => return self.fail(format!("bad integer literal '{s}'")),
                 }
             }
             b'_' => {
@@ -293,29 +293,12 @@ impl<'a> Iterator for Lexer<'a> {
     }
 }
 
-/// The value of an integer token: an optional `-`, then ASCII digits.
-/// Up to 18 digits cannot overflow, so they are summed directly.
-fn int_value(s: &str) -> Option<i64> {
-    let digits = s.strip_prefix('-').unwrap_or(s);
-    if digits.is_empty() || digits.len() > 18 {
-        return s.parse().ok();
-    }
-    let n = digits
-        .bytes()
-        .fold(0i64, |n, d| n * 10 + i64::from(d - b'0'));
-    Some(if digits.len() < s.len() { -n } else { n })
-}
-
 /// A predicate as written: its name and, if adorned, its adornment
 /// letters (checked to be `n`/`d`).
 type PredKey<'a> = (&'a str, Option<&'a str>);
 
 /// A fact batch's predicate as written, and its arity.
 type BatchKey<'a> = (PredKey<'a>, usize);
-
-/// Up to this many fact batches are found by scanning their keys, which
-/// is faster than hashing; past it, through a map.
-const SCANNED_BATCHES: usize = 16;
 
 /// A statement position as a fact batch keeps it.
 fn span32((line, col): (usize, usize)) -> (u32, u32) {
@@ -331,10 +314,8 @@ struct Parser<'a> {
     symbols: HashMap<&'a str, Symbol>,
     /// The terms of the atom being read, reused from atom to atom.
     terms: Vec<Term>,
-    /// The fact batches, the predicate and arity of each, and — once there
-    /// are more than [`SCANNED_BATCHES`] — a map from those to the batch.
+    /// The fact batches, and the index of each by predicate and arity.
     facts: Vec<FactBatch>,
-    batch_keys: Vec<BatchKey<'a>>,
     batch_of: HashMap<BatchKey<'a>, usize>,
 }
 
@@ -348,7 +329,6 @@ impl<'a> Parser<'a> {
             symbols: HashMap::new(),
             terms: Vec::new(),
             facts: Vec::new(),
-            batch_keys: Vec::new(),
             batch_of: HashMap::new(),
         }
     }
@@ -514,24 +494,10 @@ impl<'a> Parser<'a> {
 
     /// The batch of `key`, made on first sight.
     fn batch(&mut self, key: BatchKey<'a>) -> usize {
-        let found = if self.batch_keys.len() <= SCANNED_BATCHES {
-            self.batch_keys.iter().position(|&k| k == key)
-        } else {
-            self.batch_of.get(&key).copied()
-        };
-        found.unwrap_or_else(|| {
-            let i = self.facts.len();
-            self.facts
-                .push(FactBatch::new(Parser::resolve(key.0), key.1));
-            self.batch_keys.push(key);
-            if self.batch_keys.len() > SCANNED_BATCHES {
-                // The map holds every key from the first that the scan
-                // does not reach.
-                let from = if i == SCANNED_BATCHES { 0 } else { i };
-                let keys = self.batch_keys[from..].iter().copied();
-                self.batch_of.extend(keys.zip(from..));
-            }
-            i
+        let facts = &mut self.facts;
+        *self.batch_of.entry(key).or_insert_with(|| {
+            facts.push(FactBatch::new(Parser::resolve(key.0), key.1));
+            facts.len() - 1
         })
     }
 
@@ -1066,7 +1032,7 @@ mod tests {
 
     #[test]
     fn facts_of_many_predicates_and_arities_fill_one_batch_each() {
-        // More predicate-arity pairs than are found by a scan, interleaved.
+        // Forty predicate-arity pairs, interleaved.
         let text: String = (0..200)
             .map(|i| match i % 40 {
                 k if k % 2 == 0 => format!("p{}({i}).\n", k / 2),

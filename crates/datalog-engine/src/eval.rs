@@ -1340,32 +1340,13 @@ pub(crate) fn load_input(
         new_rows += if in_order {
             rel.load_batch((0..batch.len).map(|i| batch.row(i)))
         } else {
-            // Row ids sorted beside their rows' first values, which settle
-            // most comparisons without reading the rows.
-            let len = u32::try_from(batch.len).expect("row ids fit in 31 bits");
-            let mut ids: Vec<(u64, u32)> = (0..len)
-                .map(|i| (order_key(batch.row(i as usize)[0]), i))
-                .collect();
-            ids.sort_unstable_by(|a, b| {
-                let row = |i: u32| batch.row(i as usize);
-                a.0.cmp(&b.0).then_with(|| row(a.1).cmp(row(b.1)))
-            });
-            rel.load_batch(ids.iter().map(|&(_, i)| batch.row(i as usize)))
+            let len = u32::try_from(batch.len).expect("row ids fit in 32 bits");
+            let mut ids: Vec<u32> = (0..len).collect();
+            ids.sort_unstable_by(|&a, &b| batch.row(a as usize).cmp(batch.row(b as usize)));
+            rel.load_batch(ids.iter().map(|&i| batch.row(i as usize)))
         };
     }
     Ok(new_rows)
-}
-
-/// `v` as an integer whose order never contradicts [`Value`]'s: every
-/// integer below every symbol, symbols by id, and integers by value —
-/// exactly within ±2^62; beyond, they share the end keys and the rows
-/// themselves decide.
-fn order_key(v: Value) -> u64 {
-    const HALF: i64 = 1 << 62;
-    match v {
-        Value::Int(i) => (i.clamp(-HALF, HALF - 1) + HALF) as u64,
-        Value::Sym(s) => 1 << 63 | u64::from(s.id()),
-    }
 }
 
 /// `Err` unless one predicate's batches (one per arity) all have the arity
@@ -2396,35 +2377,6 @@ mod tests {
                 .collect();
             assert_eq!(loaded, want, "round {round}: deltas");
             assert_eq!(report.new_facts, fs.len(), "round {round}: deltas");
-        }
-    }
-
-    #[test]
-    fn order_keys_sort_values_as_values_do() {
-        let mut values = [
-            Value::int(i64::MIN),
-            Value::int(-(1 << 62) - 1),
-            Value::int(-(1 << 62)),
-            Value::int(-1),
-            Value::int(0),
-            Value::int(1),
-            Value::int((1 << 62) - 1),
-            Value::int(1 << 62),
-            Value::int(i64::MAX),
-            Value::sym("b"),
-            Value::sym("a"),
-            Value::sym("zz"),
-        ];
-        values.sort();
-        for pair in values.windows(2) {
-            let (a, b) = (order_key(pair[0]), order_key(pair[1]));
-            let clamped =
-                |v: Value| matches!(v, Value::Int(i) if !(-(1 << 62)..1 << 62).contains(&i));
-            if clamped(pair[0]) || clamped(pair[1]) {
-                assert!(a <= b, "{pair:?}");
-            } else {
-                assert!(a < b, "{pair:?}");
-            }
         }
     }
 

@@ -106,10 +106,14 @@ impl Relation {
     pub fn load_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a [Value]>) -> usize {
         let before = self.rows.len();
         let batch = batch.into_iter();
-        // Room for every row, as if none were a duplicate.
-        let rows = batch.size_hint().0;
-        self.rows.reserve(rows);
-        self.dedup.reserve(&self.rows, rows);
+        if before == 0 {
+            // A cold load: room for every row, as if none were a duplicate.
+            // The batch bounds it; a relation that already holds rows grows
+            // only as keys arrive, so a batch of duplicates cannot inflate it.
+            let rows = batch.size_hint().0;
+            self.rows.reserve(rows);
+            self.dedup.reserve(&self.rows, rows);
+        }
         for row in batch {
             self.insert(row);
         }
@@ -549,9 +553,15 @@ mod tests {
             assert!(bulk.iter().eq(slow.iter()), "rows or their order differ");
             check_against_scan(&bulk, &mut rng, "after a batch");
         }
-        // A batch of nothing but duplicates adds nothing.
-        assert_eq!(bulk.load_batch(bulk.values_to(10).to_vec().chunks(3)), 0);
+        // A batch of nothing but duplicates adds nothing, and grows no
+        // table, however long it is.
+        let bytes = bulk.overhead_bytes_estimate();
+        assert_eq!(
+            bulk.load_batch(bulk.values_to(10).repeat(10_000).chunks(3)),
+            0
+        );
         assert_eq!(bulk.len(), slow.len());
+        assert_eq!(bulk.overhead_bytes_estimate(), bytes);
     }
 
     /// Rows whose column `col` holds `key`, by scanning.

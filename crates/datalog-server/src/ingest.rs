@@ -54,8 +54,7 @@ impl ServerState {
         let Some(values) = atom.ground_values() else {
             return Response::err(format!("fact '{atom}' is not ground"));
         };
-        let mut facts = FactTable::new();
-        facts.push(&atom.pred, &values, (1, 1));
+        let facts = FactTable::one(atom.pred.clone(), values);
         match self.ingest(&[], &facts, "") {
             Ok(applied) => Response::ok()
                 .with_info("new", applied.new_facts > 0)
@@ -308,9 +307,8 @@ impl ServerState {
                 let values = atom
                     .ground_values()
                     .ok_or_else(|| format!("wal fact '{atom}' is not ground"))?;
-                let mut facts = FactTable::new();
-                facts.push(&atom.pred, &values, (1, 1));
-                self.apply(Vec::new(), &facts).map(drop)
+                self.apply(Vec::new(), &FactTable::one(atom.pred, values))
+                    .map(drop)
             }
             WalOp::Rule(text) => {
                 let rule = parse_rule(&text).map_err(|e| e.render_at("wal"))?;
