@@ -105,15 +105,6 @@ impl Relation {
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn load_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a [Value]>) -> usize {
         let before = self.rows.len();
-        let batch = batch.into_iter();
-        if before == 0 {
-            // A cold load: room for every row, as if none were a duplicate.
-            // The batch bounds it; a relation that already holds rows grows
-            // only as keys arrive, so a batch of duplicates cannot inflate it.
-            let rows = batch.size_hint().0;
-            self.rows.reserve(rows);
-            self.dedup.reserve(&self.rows, rows);
-        }
         for row in batch {
             self.insert(row);
         }

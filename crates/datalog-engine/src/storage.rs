@@ -87,11 +87,6 @@ impl Rows {
         self.len += 1;
     }
 
-    /// Make room for `additional` more rows.
-    pub fn reserve(&mut self, additional: usize) {
-        self.vals.reserve(additional * self.arity);
-    }
-
     /// Drop the last row.
     pub fn pop(&mut self) {
         debug_assert!(self.len > 0, "pop from no rows");
@@ -387,7 +382,7 @@ impl KeyIndex {
     pub fn insert(&mut self, rows: &Rows, id: u32) -> bool {
         assert!(id < GROUP, "row id {id} collides with the group tag");
         if (self.keys + 1) * 2 > self.slots.len() {
-            self.grow(rows, (self.slots.len() * 2).max(8));
+            self.grow(rows);
         }
         let row = rows.row(id as usize);
         let h = self.key_hash(row);
@@ -433,18 +428,10 @@ impl KeyIndex {
         true
     }
 
-    /// Make room for `additional` more keys without growing on the way.
-    pub fn reserve(&mut self, rows: &Rows, additional: usize) {
-        let want = (self.keys + additional) * 2;
-        if want > self.slots.len() {
-            self.grow(rows, want.next_power_of_two().max(8));
-        }
-    }
-
-    /// Grow the table to `len` slots (a power of two: eight at first, then
-    /// doubling as keys arrive) and re-place every key, rehashed through
-    /// its group's first row.
-    fn grow(&mut self, rows: &Rows, len: usize) {
+    /// Double the table (eight slots at first) and re-place every key,
+    /// rehashed through its group's first row.
+    fn grow(&mut self, rows: &Rows) {
+        let len = (self.slots.len() * 2).max(8);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
         for slot in old.into_iter().filter(|&s| s != EMPTY) {
             let row = rows.row(self.group(&slot)[0] as usize);
