@@ -205,6 +205,11 @@ struct Step {
     /// variant walking this order enumerates, so probing never mutates the
     /// database. Empty means the step scans its range.
     probe: Box<[usize]>,
+    /// Per column of the literal: whether it holds a variable's first
+    /// occurrence in the order (no earlier step and no earlier column binds
+    /// it), so that matching a row writes the variable instead of comparing
+    /// it. Every other column is compared.
+    binds: Box<[bool]>,
 }
 
 #[derive(Debug, Clone)]
@@ -267,15 +272,35 @@ struct Candidates {
     premises: Vec<(PredId, u32)>,
 }
 
+/// The join walk's working values, kept by a stratum run and reused by
+/// each of its variants, so that the walk allocates nothing per row or per
+/// probe.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// One value per rule variable. A step writes the variables it binds
+    /// ([`Step::binds`]) before any later column or step reads them, so a
+    /// value left from an earlier row is always overwritten before it is
+    /// read and nothing is undone on backtrack.
+    bindings: Vec<Value>,
+    /// One slot per body literal, filled as the walk reaches it, so a
+    /// premise list reads in body order whichever order enumerated it.
+    premises: Vec<(PredId, u32)>,
+    /// The probe key being built.
+    key: Vec<Value>,
+    /// The negated tuple being tested.
+    tuple: Vec<Value>,
+}
+
 /// One variant's join walk. Reads the machine frozen at the iteration
-/// barrier; writes only the candidate buffer and its own counters, which
-/// the merge folds into the global [`EvalStats`].
+/// barrier; writes only the candidate buffer, its scratch and its own
+/// counters, which the merge folds into the global [`EvalStats`].
 struct Enumerator<'v> {
     m: &'v Machine,
     plan: &'v RulePlan,
     order: &'v [Step],
     delta_idx: Option<usize>,
     out: &'v mut Candidates,
+    scratch: &'v mut Scratch,
     derivations: u64,
     tuples_scanned: u64,
     index_probes: u64,
@@ -290,17 +315,11 @@ struct Enumerator<'v> {
 }
 
 impl Enumerator<'_> {
-    fn join_from(
-        &mut self,
-        outer: (usize, usize),
-        step: usize,
-        bindings: &mut Vec<Option<Value>>,
-        premises: &mut [(PredId, u32)],
-    ) {
-        let (plan, order) = (self.plan, self.order);
-        let Some(Step { lit, probe }) = order.get(step) else {
-            if self.negatives_hold(bindings) {
-                self.emit(bindings, premises);
+    fn join_from(&mut self, outer: (usize, usize), step: usize) {
+        let (m, plan, order) = (self.m, self.plan, self.order);
+        let Some(Step { lit, probe, .. }) = order.get(step) else {
+            if self.negatives_hold() {
+                self.emit();
             }
             return;
         };
@@ -315,7 +334,7 @@ impl Enumerator<'_> {
                 Some(d) if *lit == d => Range::Delta,
                 Some(_) => Range::Old,
             };
-            self.m.bounds(lp.pred, range)
+            m.bounds(lp.pred, range)
         };
         if start >= end {
             return;
@@ -323,7 +342,7 @@ impl Enumerator<'_> {
         if probe.is_empty() {
             // No bound column: scan the range.
             for row_id in start as u32..end as u32 {
-                if !self.try_row(outer, step, row_id, bindings, premises) {
+                if !self.try_row(outer, step, row_id) {
                     return;
                 }
             }
@@ -331,21 +350,15 @@ impl Enumerator<'_> {
             // Probe the composite index over every bound column; the
             // binary-searched subslice holds exactly this range's hits.
             self.index_probes += 1;
-            let key: Vec<Value> = probe
-                .iter()
-                .map(|&col| match &lp.slots[col] {
-                    Slot::Const(c) => *c,
-                    Slot::Var(v) => bindings[*v as usize]
-                        .expect("compile plans only bound columns as probe columns"),
-                })
-                .collect();
-            let hits = self
-                .m
-                .db
-                .relation(lp.pred)
-                .probe_range(probe, &key, start, end);
+            let Scratch { bindings, key, .. } = &mut *self.scratch;
+            key.clear();
+            key.extend(probe.iter().map(|&col| match lp.slots[col] {
+                Slot::Const(c) => c,
+                Slot::Var(v) => bindings[v as usize],
+            }));
+            let hits = m.db.relation(lp.pred).probe_range(probe, key, start, end);
             for &row_id in hits {
-                if !self.try_row(outer, step, row_id, bindings, premises) {
+                if !self.try_row(outer, step, row_id) {
                     return;
                 }
             }
@@ -354,14 +367,7 @@ impl Enumerator<'_> {
 
     /// Match one candidate row at `step` and recurse. Returns `false` when
     /// the enumeration must unwind (limit trip or boolean stop).
-    fn try_row(
-        &mut self,
-        outer: (usize, usize),
-        step: usize,
-        row_id: u32,
-        bindings: &mut Vec<Option<Value>>,
-        premises: &mut [(PredId, u32)],
-    ) -> bool {
+    fn try_row(&mut self, outer: (usize, usize), step: usize, row_id: u32) -> bool {
         self.tuples_scanned += 1;
         // Cooperative limit check: a variant enumerating a pathological
         // cross product must still observe its deadline (or cancellation)
@@ -374,67 +380,64 @@ impl Enumerator<'_> {
                 return false;
             }
         }
-        let lit = self.order[step].lit;
-        let lp = &self.plan.body[lit];
+        let Step { lit, binds, .. } = &self.order[step];
+        let lp = &self.plan.body[*lit];
         let row = self.m.db.relation(lp.pred).row(row_id as usize);
-        // Match the row against the slots, recording new bindings so we can
-        // undo them on backtrack.
-        let mut bound_here: Vec<u16> = Vec::new();
-        let ok = lp.slots.iter().enumerate().all(|(col, s)| match s {
-            Slot::Const(c) => row[col] == *c,
-            Slot::Var(v) => match bindings[*v as usize] {
-                Some(val) => val == row[col],
-                None => {
-                    bindings[*v as usize] = Some(row[col]);
-                    bound_here.push(*v);
+        // Match the row against the slots: a column that binds writes its
+        // variable, every other column compares.
+        let bindings = &mut self.scratch.bindings;
+        let ok = lp
+            .slots
+            .iter()
+            .zip(binds.iter())
+            .zip(row)
+            .all(|((s, &bind), &val)| match *s {
+                Slot::Const(c) => val == c,
+                Slot::Var(v) if bind => {
+                    bindings[v as usize] = val;
                     true
                 }
-            },
-        });
+                Slot::Var(v) => bindings[v as usize] == val,
+            });
         if ok {
-            premises[lit] = (lp.pred, row_id);
-            self.join_from(outer, step + 1, bindings, premises);
-        }
-        for v in bound_here {
-            bindings[v as usize] = None;
+            self.scratch.premises[*lit] = (lp.pred, row_id);
+            self.join_from(outer, step + 1);
         }
         !(self.stop || self.trip.is_some())
     }
 
-    /// Check the negated literals under fully-bound `bindings`.
+    /// Check the negated literals under the fully bound variables.
     /// Stratification guarantees the negated relations are complete, so a
     /// plain membership test implements negation-as-failure.
-    fn negatives_hold(&mut self, bindings: &[Option<Value>]) -> bool {
+    fn negatives_hold(&mut self) -> bool {
+        let Scratch {
+            bindings, tuple, ..
+        } = &mut *self.scratch;
         for neg in &self.plan.negatives {
-            let tuple: Vec<Value> = neg
-                .slots
-                .iter()
-                .map(|s| match s {
-                    Slot::Const(c) => *c,
-                    Slot::Var(v) => bindings[*v as usize]
-                        .expect("safety guarantees negated variables are bound"),
-                })
-                .collect();
+            tuple.clear();
+            tuple.extend(neg.slots.iter().map(|s| match *s {
+                Slot::Const(c) => c,
+                Slot::Var(v) => bindings[v as usize],
+            }));
             self.index_probes += 1;
-            if self.m.db.relation(neg.pred).contains(&tuple) {
+            if self.m.db.relation(neg.pred).contains(tuple) {
                 return false;
             }
         }
         true
     }
 
-    fn emit(&mut self, bindings: &[Option<Value>], premises: &[(PredId, u32)]) {
+    fn emit(&mut self) {
         self.derivations += 1;
+        let bindings = &self.scratch.bindings;
         self.out
             .heads
-            .extend(self.plan.head_slots.iter().map(|s| match s {
-                Slot::Const(c) => *c,
-                Slot::Var(v) => {
-                    bindings[*v as usize].expect("safety guarantees head variables are bound")
-                }
+            .extend(self.plan.head_slots.iter().map(|s| match *s {
+                Slot::Const(c) => c,
+                Slot::Var(v) => bindings[v as usize],
             }));
         if self.m.provenance.is_some() {
-            self.out.premises.extend_from_slice(premises);
+            self.out.premises.extend_from_slice(&self.scratch.premises);
         }
         // One witness suffices for a boolean head (section 3.1's cut).
         if self.m.boolean_cut && self.plan.head_slots.is_empty() {
@@ -653,7 +656,12 @@ impl Machine {
     /// mutation point of the fixpoint: dedup, provenance, the exact fact
     /// budget and profile attribution all live here. Returns the
     /// variant's (enumeration ns, merge ns).
-    fn run_variant(&mut self, v: Variant, buf: &mut Candidates) -> (u64, u64) {
+    fn run_variant(
+        &mut self,
+        v: Variant,
+        buf: &mut Candidates,
+        scratch: &mut Scratch,
+    ) -> (u64, u64) {
         let (delta_first, outer) = self.walk(v);
         let plan = &self.plans[v.plan_idx];
         let order = match v.delta_idx {
@@ -670,6 +678,12 @@ impl Machine {
         }
         buf.heads.clear();
         buf.premises.clear();
+        // Every variable is written by the step that binds it before it is
+        // read, so the placeholder is never seen.
+        scratch.bindings.clear();
+        scratch.bindings.resize(plan.nvars, Value::int(0));
+        scratch.premises.clear();
+        scratch.premises.resize(plan.body.len(), (PredId(0), 0));
         let t0 = Instant::now();
         let mut en = Enumerator {
             m: self,
@@ -677,6 +691,7 @@ impl Machine {
             order,
             delta_idx: v.delta_idx,
             out: buf,
+            scratch,
             derivations: 0,
             tuples_scanned: 0,
             index_probes: 0,
@@ -684,11 +699,7 @@ impl Machine {
             stop: false,
             trip: None,
         };
-        let mut bindings: Vec<Option<Value>> = vec![None; plan.nvars];
-        // One slot per body literal, filled as the walk reaches it, so a
-        // premise list reads in body order whichever order enumerated it.
-        let mut premises: Vec<(PredId, u32)> = vec![(PredId(0), 0); plan.body.len()];
-        en.join_from(outer, 0, &mut bindings, &mut premises);
+        en.join_from(outer, 0);
         let (derivations, tuples_scanned, index_probes, trip) =
             (en.derivations, en.tuples_scanned, en.index_probes, en.trip);
         let enum_ns = t0.elapsed().as_nanos() as u64;
@@ -895,6 +906,7 @@ impl Machine {
         self.mark_prev.resize(n_preds, 0);
         self.mark_cur.resize(n_preds, 0);
         let mut buf = Candidates::default();
+        let mut scratch = Scratch::default();
         let mut local_iter = 0usize;
         loop {
             if self.stats.iterations >= max_iterations {
@@ -934,7 +946,7 @@ impl Machine {
                 if self.trip.is_some() {
                     break;
                 }
-                let (e, m) = self.run_variant(v, &mut buf);
+                let (e, m) = self.run_variant(v, &mut buf, &mut scratch);
                 enum_ns += e;
                 merge_ns += m;
             }
@@ -1226,12 +1238,15 @@ fn plan_order(body: &[LitPlan], first: Option<usize>) -> Vec<Step> {
         };
         let lit = remaining.remove(pos);
         let probe = probe_of(lit, &bound_vars);
-        for s in &body[lit].slots {
-            if let Slot::Var(v) = s {
-                bound_vars.insert(*v);
-            }
-        }
-        steps.push(Step { lit, probe });
+        let binds = body[lit]
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::Var(v) => bound_vars.insert(*v),
+                Slot::Const(_) => false,
+            })
+            .collect();
+        steps.push(Step { lit, probe, binds });
     }
     steps
 }

@@ -8,7 +8,11 @@
 //! the row ids grouped by key, used three ways:
 //!
 //! - **dedup** is one over all columns in which a key never gets a second
-//!   id;
+//!   id. It sits behind a `OnceLock` and is built over the stored rows by
+//!   the first [`Relation::insert`] or [`Relation::contains`] that needs
+//!   it: a relation filled by one sorted [`Relation::load_batch`] had its
+//!   duplicates dropped by that order, and an EDB relation that nothing
+//!   inserts into or tests never builds one;
 //! - each **planned join index** is one over its probe columns, built by
 //!   [`Relation::ensure_index`] right before the first join variant whose
 //!   order probes it enumerates. A probe ([`Relation::probe_range`]) is a
@@ -21,14 +25,15 @@
 //!   index serves reads too, and planning one takes over the read index.
 //!
 //! [`Relation::insert`] maintains every index that exists, so each covers
-//! every row: nothing is sealed, merged or folded, and a probe's ids in
-//! `[start, end)` are ascending — what a filtered scan of
-//! [`Relation::rows_in`] finds, the reference the tests hold every index
-//! to ([`crate::oracle::check_indexes`]). The same structure holds the
-//! server's shared EDB ([`crate::shared`]), so a tuple is deduplicated by
-//! one piece of code whether it arrives by `FACT`, by recovery or from a
-//! fixpoint.
+//! every row (the dedup too, once built): nothing is sealed, merged or
+//! folded, and a probe's ids in `[start, end)` are ascending — what a
+//! filtered scan of [`Relation::rows_in`] finds, the reference the tests
+//! hold every index to ([`crate::oracle::check_indexes`]). The same
+//! structure holds the server's shared EDB ([`crate::shared`]), so a tuple
+//! is deduplicated by one piece of code whether it arrives by `FACT`, by
+//! recovery or from a fixpoint.
 
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use datalog_ast::Value;
@@ -39,8 +44,8 @@ use crate::storage::{self, KeyIndex, Rows};
 #[derive(Debug, Clone)]
 pub struct Relation {
     rows: Rows,
-    /// All columns, one id per key.
-    dedup: KeyIndex,
+    /// All columns, one id per key; built on first need.
+    dedup: OnceLock<KeyIndex>,
     /// The planned join indexes, one per column set.
     indices: Vec<KeyIndex>,
     /// One lazily filled read index per column.
@@ -52,7 +57,7 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             rows: Rows::new(arity),
-            dedup: KeyIndex::unique(arity),
+            dedup: OnceLock::new(),
             indices: Vec::new(),
             read: (0..arity).map(|_| OnceLock::new()).collect(),
         }
@@ -81,8 +86,11 @@ impl Relation {
     pub fn insert(&mut self, tuple: &[Value]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity(), "relation arity mismatch");
         let id = u32::try_from(self.rows.len()).expect("row ids fit in 31 bits");
+        // Built over the rows held so far, before this one joins them.
+        self.dedup();
         self.rows.push(tuple);
-        if !self.dedup.insert(&self.rows, id) {
+        let dedup = self.dedup.get_mut().expect("built above");
+        if !dedup.insert(&self.rows, id) {
             self.rows.pop();
             return false;
         }
@@ -101,10 +109,36 @@ impl Relation {
     /// order; returns the number of new rows. First sightings are kept, so
     /// the ids are those that inserting the rows one by one gives.
     ///
+    /// Into an empty relation with no index, rows that arrive in tuple
+    /// order are appended with adjacent repeats dropped, and no dedup is
+    /// built: the order has already put every duplicate beside its first
+    /// sighting. From the first row out of order on — or from the start,
+    /// when the relation holds rows or an index — rows go through
+    /// [`Relation::insert`], which builds the dedup over what is held.
+    ///
     /// # Panics
     /// Panics (debug) on arity mismatch; callers validate arities upfront.
     pub fn load_batch<'a>(&mut self, batch: impl IntoIterator<Item = &'a [Value]>) -> usize {
         let before = self.rows.len();
+        let mut batch = batch.into_iter();
+        let bare = self.rows.is_empty()
+            && self.dedup.get().is_none()
+            && self.indices.is_empty()
+            && self.read.iter().all(|slot| slot.get().is_none());
+        if bare {
+            for row in batch.by_ref() {
+                debug_assert_eq!(row.len(), self.arity(), "relation arity mismatch");
+                let last = self.rows.len().checked_sub(1).map(|id| self.rows.row(id));
+                match last.map(|last| last.cmp(row)) {
+                    None | Some(Ordering::Less) => self.rows.push(row),
+                    Some(Ordering::Equal) => {}
+                    Some(Ordering::Greater) => {
+                        self.insert(row);
+                        break;
+                    }
+                }
+            }
+        }
         for row in batch {
             self.insert(row);
         }
@@ -116,7 +150,7 @@ impl Relation {
     /// join orders' indexes need no planning again.
     pub fn clear(&mut self) {
         self.rows.clear();
-        self.dedup.clear();
+        self.dedup.take();
         for index in &mut self.indices {
             index.clear();
         }
@@ -127,7 +161,15 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        !self.dedup.get(&self.rows, tuple).is_empty()
+        !self.dedup().get(&self.rows, tuple).is_empty()
+    }
+
+    /// The dedup, built over the stored rows the first time it is asked
+    /// for. Stored rows are distinct whether or not it was built, so the
+    /// build keeps every one of them under its own id.
+    fn dedup(&self) -> &KeyIndex {
+        self.dedup
+            .get_or_init(|| KeyIndex::unique(self.arity()).filled(&self.rows))
     }
 
     /// Row by id.
@@ -152,14 +194,14 @@ impl Relation {
     /// Does nothing, like [`Relation::seal`].
     pub fn consolidate(&mut self) {}
 
-    /// Heap bytes held beside the row store, by capacity: dedup, the
-    /// planned indexes and the read indexes.
+    /// Heap bytes held beside the row store, by capacity: the dedup once
+    /// built, the planned indexes and the read indexes.
     pub fn overhead_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
         let read = self.read.iter().filter_map(OnceLock::get);
-        let indexes: usize = self.indices.iter().chain(read).map(KeyIndex::bytes).sum();
-        self.dedup.bytes()
-            + indexes
+        let built = self.dedup.get().into_iter().chain(&self.indices);
+        let indexes: usize = built.chain(read).map(KeyIndex::bytes).sum();
+        indexes
             + self.indices.capacity() * size_of::<KeyIndex>()
             + self.read.len() * size_of::<OnceLock<KeyIndex>>()
     }
@@ -553,6 +595,108 @@ mod tests {
         );
         assert_eq!(bulk.len(), slow.len());
         assert_eq!(bulk.overhead_bytes_estimate(), bytes);
+    }
+
+    #[test]
+    fn a_lazily_deduplicated_load_answers_like_per_row_inserts() {
+        let mut rng = Rng(0x5eed_0003);
+        let plans: [&[usize]; 6] = [&[0], &[1], &[2], &[0, 1], &[1, 2], &[0, 2]];
+        let no_tables = Relation::new(3).overhead_bytes_estimate();
+        for case in 0..24 {
+            let sorted = case % 2 == 0;
+            // Into an empty relation, one holding rows, one with an index.
+            let start = ["empty", "non-empty", "indexed"][case % 6 / 2];
+            // A batch with copies of its own rows scattered through it.
+            let mut rows: Vec<Vec<Value>> = (0..1 + rng.below(700)).map(|_| rng.tuple()).collect();
+            for _ in 0..rows.len() / 4 {
+                let copy = rows[rng.below(rows.len() as u64) as usize].clone();
+                rows.insert(rng.below(rows.len() as u64 + 1) as usize, copy);
+            }
+            if sorted {
+                rows.sort();
+            }
+            let step = format!("case {case}: {start}, sorted {sorted}");
+            let mut lazy = Relation::new(3);
+            let mut eager = Relation::new(3);
+            let mut planned_cols: Vec<&[usize]> = Vec::new();
+            if start == "indexed" {
+                let cols = plans[rng.below(6) as usize];
+                lazy.ensure_index(cols);
+                eager.ensure_index(cols);
+                planned_cols.push(cols);
+            }
+            if start == "non-empty" {
+                for _ in 0..1 + rng.below(200) {
+                    let tuple = rng.tuple();
+                    assert_eq!(lazy.insert(&tuple), eager.insert(&tuple), "{step}");
+                }
+            }
+            let fresh = rows.iter().filter(|row| eager.insert(row)).count();
+            assert_eq!(
+                lazy.load_batch(rows.iter().map(Vec::as_slice)),
+                fresh,
+                "{step}"
+            );
+            assert!(lazy.iter().eq(eager.iter()), "{step}: rows or ids differ");
+            if sorted && start == "empty" {
+                // The order dropped the duplicates; no table was built.
+                assert_eq!(lazy.overhead_bytes_estimate(), no_tables, "{step}");
+                let probe = rng.tuple();
+                assert_eq!(lazy.contains(&probe), eager.contains(&probe), "{step}");
+                assert_eq!(
+                    lazy.overhead_bytes_estimate(),
+                    eager.overhead_bytes_estimate(),
+                    "{step}: the built dedup is the one per-row inserts grow"
+                );
+            }
+            for op in 0..600 {
+                let step = format!("{step}, op {op}");
+                match rng.below(4) {
+                    0 => {
+                        let tuple = rng.tuple();
+                        assert_eq!(lazy.insert(&tuple), eager.insert(&tuple), "{step}");
+                    }
+                    1 => {
+                        let tuple = match rng.below(2) {
+                            0 if !eager.is_empty() => {
+                                eager.row(rng.below(eager.len() as u64) as usize).to_vec()
+                            }
+                            _ => rng.tuple(),
+                        };
+                        assert_eq!(lazy.contains(&tuple), eager.contains(&tuple), "{step}");
+                    }
+                    2 => {
+                        let cols = plans[rng.below(6) as usize];
+                        lazy.ensure_index(cols);
+                        eager.ensure_index(cols);
+                        if !planned_cols.contains(&cols) {
+                            planned_cols.push(cols);
+                        }
+                    }
+                    _ => {
+                        let Some(&cols) = planned_cols.get(op % planned_cols.len().max(1)) else {
+                            continue;
+                        };
+                        let n = eager.len();
+                        let source = match n {
+                            0 => rng.tuple(),
+                            _ => eager.row(rng.below(n as u64) as usize).to_vec(),
+                        };
+                        let key: Vec<Value> = cols.iter().map(|&c| source[c]).collect();
+                        let a = rng.below(n as u64 + 1) as usize;
+                        let b = a + rng.below((n - a) as u64 + 1) as usize;
+                        assert_eq!(
+                            lazy.probe_range(cols, &key, a, b),
+                            eager.probe_range(cols, &key, a, b),
+                            "{step}: probe {cols:?} {key:?} [{a}, {b})"
+                        );
+                    }
+                }
+            }
+            assert!(lazy.iter().eq(eager.iter()), "{step}: rows or ids differ");
+            assert_eq!(lazy.index_columns(), eager.index_columns(), "{step}");
+            check_against_scan(&lazy, &mut rng, &step);
+        }
     }
 
     /// Rows whose column `col` holds `key`, by scanning.

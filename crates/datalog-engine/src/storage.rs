@@ -294,11 +294,15 @@ impl KeyIndex {
 
     /// An index over `cols` holding every row of `rows`.
     pub fn build(rows: &Rows, cols: &[usize]) -> KeyIndex {
-        let mut index = KeyIndex::new(cols);
+        KeyIndex::new(cols).filled(rows)
+    }
+
+    /// This index with every row of `rows` inserted, in id order.
+    pub fn filled(mut self, rows: &Rows) -> KeyIndex {
         for id in 0..rows.len() {
-            index.insert(rows, id as u32);
+            self.insert(rows, id as u32);
         }
-        index
+        self
     }
 
     /// The indexed column set.

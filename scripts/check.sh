@@ -33,25 +33,45 @@ echo "check.sh: broken fixtures still caught"
 # A generated 100 000-fact file: linting it must stay linear in the facts
 # (`timeout 10` fails a quadratic check), and the optimizer must not change
 # a byte of its answers. Its one rule is a two-step join, so the
-# unoptimized run stays small too.
+# unoptimized run stays small too. Its facts come out of order, so the
+# load sorts them; a twin that states every seventh fact a second time, at
+# a scattered position, must print the same answers and the same fixpoint
+# counters (the sort drops the repeats), and a ground query over the loaded facts must find its fact
+# (the membership test builds the dedup the sorted load skipped).
 chain_dir=$(mktemp -d)
 trap 'rm -rf "$chain_dir"' EXIT
 chain="$chain_dir/chain.dl"
-{
-    printf 'a(X, Y) :- p(X, Z), p(Z, Y).\n'
-    awk 'BEGIN { for (i = 0; i < 100000; i++) {
-        j = (i * 7919) % 100000; printf "p(%d, %d).\n", j, j + 1 } }'
-    printf '?- a(X, _).\n'
-} > "$chain"
+# $1 = 1 repeats fact r (r % 7 == 0) after fact i, where r = 4099 i mod 10^5.
+chain_facts() {
+    awk -v twin="$1" 'function fact(i, j) {
+            j = (i * 7919) % 100000; printf "p(%d, %d).\n", j, j + 1 }
+        BEGIN { for (i = 0; i < 100000; i++) {
+            fact(i); r = (i * 4099) % 100000; if (twin && r % 7 == 0) fact(r) } }'
+}
+rule='a(X, Y) :- p(X, Z), p(Z, Y).'
+{ echo "$rule"; chain_facts 0; echo '?- a(X, _).'; } > "$chain"
+{ echo "$rule"; chain_facts 1; echo '?- a(X, _).'; } > "$chain_dir/twin.dl"
+{ echo "$rule"; chain_facts 0; echo '?- p(4242, 4243).'; } > "$chain_dir/ground.dl"
 timeout 10 ./target/release/xdl lint "$chain" > /dev/null
-./target/release/xdl run "$chain" > "$chain_dir/run.out"
+./target/release/xdl run --stats "$chain" > "$chain_dir/run.out" 2> "$chain_dir/run.stats"
 ./target/release/xdl run --no-optimize "$chain" > "$chain_dir/plain.out"
 if ! cmp -s "$chain_dir/run.out" "$chain_dir/plain.out"; then
     echo "check.sh: the chain file's answers differ under --no-optimize" >&2
     exit 1
 fi
+./target/release/xdl run --stats "$chain_dir/twin.dl" > "$chain_dir/twin.out" \
+    2> "$chain_dir/twin.stats"
+if ! cmp -s "$chain_dir/run.out" "$chain_dir/twin.out" \
+    || ! cmp -s "$chain_dir/run.stats" "$chain_dir/twin.stats"; then
+    echo "check.sh: repeating facts changed the chain file's answers" >&2
+    exit 1
+fi
+if [ "$(./target/release/xdl run "$chain_dir/ground.dl")" != true ]; then
+    echo "check.sh: a ground query missed a loaded chain fact" >&2
+    exit 1
+fi
 rm -rf "$chain_dir"
-echo "check.sh: 100 000-fact chain file lints in time, answers unchanged"
+echo "check.sh: 100 000-fact chain file lints in time, answers unchanged, repeats dropped, ground fact found"
 
 # Derivation-bound gate: the examples must stay warning-free even with
 # the bound lints made binding, and the bounds table must render for
