@@ -64,6 +64,12 @@ impl Symbol {
     pub fn id(&self) -> u32 {
         self.0
     }
+
+    /// Number of strings interned so far in this process. The table only
+    /// grows, so this is also its size.
+    pub fn interned_count() -> usize {
+        interner().read().expect("interner poisoned").strings.len()
+    }
 }
 
 impl std::fmt::Display for Symbol {

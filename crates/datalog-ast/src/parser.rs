@@ -16,8 +16,8 @@
 //! ```
 //!
 //! * Identifiers starting with an upper-case letter (or `_` followed by a
-//!   letter) are variables; `_` alone is a wildcard expanded to a fresh
-//!   variable.
+//!   letter) are variables; `_` alone is a wildcard expanded to a variable
+//!   of its own, numbered within the statement ([`Var::wildcard`]).
 //! * `p[nd]` and the paper's `p^nd` both denote the adorned predicate.
 //! * Facts (ground atoms used as statements) are collected separately into
 //!   [`ParsedProgram::facts`]: per the paper's convention the IDB holds no
@@ -314,6 +314,8 @@ struct Parser<'a> {
     symbols: HashMap<&'a str, Symbol>,
     /// The terms of the atom being read, reused from atom to atom.
     terms: Vec<Term>,
+    /// Wildcards read so far in the current statement.
+    wildcards: usize,
     /// The fact batches, and the index of each by predicate and arity.
     facts: Vec<FactBatch>,
     batch_of: HashMap<BatchKey<'a>, usize>,
@@ -328,6 +330,7 @@ impl<'a> Parser<'a> {
             cur,
             symbols: HashMap::new(),
             terms: Vec::new(),
+            wildcards: 0,
             facts: Vec::new(),
             batch_of: HashMap::new(),
         }
@@ -428,7 +431,10 @@ impl<'a> Parser<'a> {
             Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(s))),
             Some(Tok::Int(i)) => Ok(Term::Const(Value::Int(i))),
             Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::Sym(self.symbol(s)))),
-            Some(Tok::Underscore) => Ok(Term::Var(Var::fresh_wildcard())),
+            Some(Tok::Underscore) => {
+                self.wildcards += 1;
+                Ok(Term::Var(Var::wildcard(self.wildcards - 1)))
+            }
             _ => Err(self.err_here("expected term")),
         }
     }
@@ -512,6 +518,7 @@ impl<'a> Parser<'a> {
 
     fn parse_statement(&mut self, out: &mut ParsedProgram) -> Result<(), ParseError> {
         let span = self.here();
+        self.wildcards = 0;
         if self.peek() == Some(Tok::QueryLead) {
             self.bump();
             let atom = self.parse_atom()?;
@@ -692,6 +699,17 @@ mod tests {
         assert!(w1.is_wildcard());
         assert!(w2.is_wildcard());
         assert_ne!(w1, w2, "each wildcard must be a distinct variable");
+    }
+
+    #[test]
+    fn wildcards_are_numbered_per_statement() {
+        let p = parse_program("q(X) :- p(X, _), p(_, X).\nr(X) :- p(_, X).").unwrap();
+        let wild = |r: usize, a: usize, t: usize| p.program.rules[r].body[a].terms[t];
+        assert_eq!(wild(0, 0, 1), Term::Var(Var::wildcard(0)));
+        assert_eq!(wild(0, 1, 0), Term::Var(Var::wildcard(1)));
+        assert_eq!(wild(1, 0, 0), Term::Var(Var::wildcard(0)));
+        let q = parse_atom("a(_, _, _)").unwrap();
+        assert_eq!(q.terms[2], Term::Var(Var::wildcard(2)));
     }
 
     #[test]

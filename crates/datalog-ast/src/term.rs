@@ -63,8 +63,8 @@ impl From<&str> for Value {
 ///
 /// Variables are rule-scoped: the same name in two rules denotes two
 /// unrelated variables. Wildcards (`_` in the text format) are expanded by
-/// the parser into fresh variables named `$_N`, so by the time an AST exists
-/// every variable is named.
+/// the parser into variables named `$_N`, distinct within their statement,
+/// so by the time an AST exists every variable is named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub Symbol);
 
@@ -82,6 +82,14 @@ impl Var {
     /// A fresh variable rendered as an anonymous wildcard.
     pub fn fresh_wildcard() -> Var {
         Var(fresh_symbol("$_"))
+    }
+
+    /// The `n`th wildcard of a statement, `$_n`. Variables are rule-scoped,
+    /// so the parser numbers each statement's wildcards from zero: parsing
+    /// interns no new name for a wildcard once a statement with that many
+    /// has been read, where [`Var::fresh_wildcard`] interns one per call.
+    pub fn wildcard(n: usize) -> Var {
+        Var::new(&format!("$_{n}"))
     }
 
     /// Whether this variable came from a `_` wildcard.

@@ -5,7 +5,7 @@
 //! a small fixed-seed smoke round on every `cargo test`, keeping the
 //! differential oracle exercised without a separate manual step.
 
-use datalog_ast::{Ad, Adornment, Atom, Term, Value, Var};
+use datalog_ast::{Ad, Adornment, Atom, PredRef, Term, Value, Var};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
 use datalog_engine::oracle::{check_indexes, extract_by_matching};
 use datalog_engine::{
@@ -174,22 +174,26 @@ fn incremental_pass(
     failures
 }
 
-/// Covered-read arm: a query server answers a form off a live form that
-/// covers it (Lemma 3.2). Prepare the query predicate's all-`n` form, make
-/// it resident over the instance, and read every other adornment through
-/// it — the plain atom and its [`point_reads`], with each `d` position a
-/// wildcard. Each read must be byte-identical to the covered form's own
-/// cold evaluation (its prepared program, instantiated with the atom).
-/// Returns disagreements found.
+/// Covered- and held-read arm: a query server answers a form off a live
+/// form that covers it (Lemma 3.2), or whose program holds it or a form
+/// covering it (derives the form's answer relation by the same rules).
+/// Prepare the query predicate's all-`n` form and make it resident over
+/// the instance. Then, for the query predicate and every other derived
+/// predicate whose all-`n` form the resident holds, read each of the
+/// predicate's forms through it — the plain atom and its
+/// [`point_reads`], with each `d` position a wildcard, spliced into the
+/// form's own program when the resident holds that, else into the
+/// predicate's all-`n` program. Each read must be byte-identical to the
+/// form's own cold evaluation (its prepared program, instantiated with the
+/// atom). Returns disagreements found.
 fn covered_read_differential(
     program: &datalog_ast::Program,
     instance: &datalog_engine::FactSet,
     mut complain: impl FnMut(&str),
 ) -> u64 {
-    let Some(q) = &program.query else {
+    let (Some(q), Ok(arities)) = (&program.query, program.arities()) else {
         return 0;
     };
-    let (pred, arity) = (&q.atom.pred, q.atom.arity());
     let config = OptimizerConfig::default();
     // What the server runs every fixpoint with.
     let opts = EvalOptions {
@@ -197,16 +201,21 @@ fn covered_read_differential(
         reorder_joins: true,
         ..EvalOptions::default()
     };
-    let cover = match prepare(&program.rules, pred, &Adornment::all_needed(arity), &config) {
-        Ok(p) if ResidentEval::supports(&p.program) => p,
-        Ok(_) => return 0, // unstratifiable forms are never resident
-        Err(e) => {
-            complain(&format!(
-                "covered read: preparing {pred}'s all-n form failed: {e}"
-            ));
+    let prep = |pred: &PredRef, adornment: &Adornment| {
+        prepare(&program.rules, pred, adornment, &config)
+            .map_err(|e| format!("covered read: preparing {pred}[{adornment}] failed: {e}"))
+    };
+    let query_pred = &q.atom.pred;
+    let cover = match prep(query_pred, &Adornment::all_needed(q.atom.arity())) {
+        Ok(p) => p,
+        Err(msg) => {
+            complain(&msg);
             return 1;
         }
     };
+    if !ResidentEval::supports(&cover.program) {
+        return 0; // unstratifiable forms are never resident
+    }
     let resident = match ResidentEval::new(&cover.program, instance, &opts) {
         Ok(r) => r,
         Err(e) => {
@@ -214,57 +223,79 @@ fn covered_read_differential(
             return 1;
         }
     };
-    let full = Atom::new(
-        pred.clone(),
-        (0..arity).map(|i| Term::var(&format!("V{i}"))).collect(),
-    );
-    let mut reads = point_reads(&full, instance);
-    reads.push(full);
     let mut failures = 0;
-    // Every adornment but the all-`n` one, `n` where `bits` has a one.
-    for bits in 0..(1usize << arity) - 1 {
-        let adornment: Adornment = (0..arity)
-            .map(|i| if bits >> i & 1 == 1 { Ad::N } else { Ad::D })
-            .collect();
-        let own = match prepare(&program.rules, pred, &adornment, &config) {
-            Ok(p) => p,
-            Err(e) => {
-                complain(&format!(
-                    "covered read: preparing {pred}[{adornment}] failed: {e}"
-                ));
-                failures += 1;
-                continue;
+    for pred in program.idb_preds() {
+        let arity = arities[&pred];
+        let all_needed = Adornment::all_needed(arity);
+        let held = if pred == *query_pred {
+            cover.clone()
+        } else {
+            match prep(&pred, &all_needed) {
+                Ok(p) if cover.holds(&p) => p,
+                Ok(_) => continue,
+                Err(msg) => {
+                    complain(&msg);
+                    failures += 1;
+                    continue;
+                }
             }
         };
-        for read in &reads {
-            let mut atom = read.clone();
-            for i in adornment.existential_positions() {
-                atom.terms[i] = Term::Var(Var::fresh_wildcard());
-            }
-            let (Some(spliced), Some(own_program)) =
-                (cover.instantiate_atom(&atom), own.instantiate(&atom))
-            else {
-                complain(&format!("covered read: ?- {atom}. does not instantiate"));
-                failures += 1;
+        let full = Atom::new(
+            pred.clone(),
+            (0..arity).map(|i| Term::var(&format!("V{i}"))).collect(),
+        );
+        let mut reads = point_reads(&full, instance);
+        reads.push(full);
+        // Every adornment, `n` where `bits` has a one; the query
+        // predicate's all-`n` form is the resident itself.
+        for bits in 0..1usize << arity {
+            let adornment: Adornment = (0..arity)
+                .map(|i| if bits >> i & 1 == 1 { Ad::N } else { Ad::D })
+                .collect();
+            if pred == *query_pred && adornment == all_needed {
                 continue;
-            };
-            let covered = resident.answers(&spliced);
-            match query_answers_full(&own_program, instance, &opts) {
-                Ok((want, _)) if want.to_string() == covered.to_string() => {}
-                Ok((want, _)) => {
-                    complain(&format!(
-                        "covered read: ?- {atom}. off {pred}[{}] gives\n{covered}\n\
-                         its own form [{adornment}] gives\n{want}\nprogram:\n{}",
-                        cover.adornment,
-                        program.to_text()
-                    ));
+            }
+            let own = match prep(&pred, &adornment) {
+                Ok(p) => p,
+                Err(msg) => {
+                    complain(&msg);
                     failures += 1;
+                    continue;
                 }
-                Err(e) => {
-                    complain(&format!(
-                        "covered read: ?- {atom}. own evaluation failed: {e}"
-                    ));
+            };
+            let via = if cover.holds(&own) { &own } else { &held };
+            for read in &reads {
+                let mut atom = read.clone();
+                for i in adornment.existential_positions() {
+                    atom.terms[i] = Term::Var(Var::fresh_wildcard());
+                }
+                let (Some(spliced), Some(own_program)) =
+                    (via.instantiate_atom(&atom), own.instantiate(&atom))
+                else {
+                    complain(&format!("covered read: ?- {atom}. does not instantiate"));
                     failures += 1;
+                    continue;
+                };
+                let covered = resident.answers(&spliced);
+                match query_answers_full(&own_program, instance, &opts) {
+                    Ok((want, _)) if want.to_string() == covered.to_string() => {}
+                    Ok((want, _)) => {
+                        complain(&format!(
+                            "covered read: ?- {atom}. off {query_pred}[{}] as {}[{}] gives\n\
+                             {covered}\nits own form [{adornment}] gives\n{want}\nprogram:\n{}",
+                            cover.adornment,
+                            via.program.query.as_ref().map_or(&pred, |q| &q.atom.pred),
+                            via.adornment,
+                            program.to_text()
+                        ));
+                        failures += 1;
+                    }
+                    Err(e) => {
+                        complain(&format!(
+                            "covered read: ?- {atom}. own evaluation failed: {e}"
+                        ));
+                        failures += 1;
+                    }
                 }
             }
         }
@@ -478,8 +509,9 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
                 stratified.to_text()
             );
         });
-        // Covered reads: every other form of the query predicate read off
-        // its resident all-`n` form vs that form's own cold evaluation.
+        // Covered and held reads: every other form of the query predicate,
+        // and every form of a predicate it holds, read off its resident
+        // all-`n` form vs that form's own cold evaluation.
         failures += covered_read_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });

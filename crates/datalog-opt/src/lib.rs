@@ -52,7 +52,8 @@ pub use deletion::{summary_deletion, SummaryConfig};
 pub use fold::{extract_definition, fold_with};
 pub use pipeline::{optimize, OptimizeOutcome, OptimizerConfig};
 pub use prepare::{
-    canonical_query_atom, edb_support, fingerprint_rules, prepare, PreparedProgram, QueryShape,
+    canonical_query_atom, closure_fingerprints, edb_support, fingerprint_rules, prepare,
+    PreparedProgram, QueryShape,
 };
 pub use projection::push_projections;
 pub use report::{Action, EquivalenceLevel, Phase, Report, Snapshot};

@@ -12,6 +12,10 @@
 //!
 //! * [`fingerprint_rules`] — an order-insensitive 64-bit fingerprint of a
 //!   rule set (FNV-1a over sorted rule renderings);
+//! * [`closure_fingerprints`] — one fingerprint per derived predicate of an
+//!   optimized program, over the rules that derive it, so a server can
+//!   tell when one form's program already computes another form's answer
+//!   relation;
 //! * [`prepare`] — run the full pipeline against a *canonical* query atom
 //!   of the given adornment and remember how the pipeline reshaped the
 //!   query (projection may have dropped the `d` positions, Lemma 3.2);
@@ -25,9 +29,9 @@
 //! repeated variables are selections applied on top of that relation at
 //! extraction time.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use datalog_ast::{Ad, Adornment, Atom, PredRef, Program, Query, Rule, Term, Var};
+use datalog_ast::{Ad, Adornment, Atom, PredRef, Program, Query, Rule, Term, Value, Var};
 use datalog_lint::bounds::BoundsReport;
 use datalog_trace::{BoundClass, PhaseEvent};
 
@@ -35,25 +39,96 @@ use crate::pipeline::{optimize, OptimizerConfig};
 use crate::report::{EquivalenceLevel, Phase, Report};
 use crate::OptError;
 
-/// Order-insensitive FNV-1a fingerprint of a rule set. Renders each rule,
-/// sorts the renderings, and hashes the result — so rule order, which does
-/// not affect semantics, does not affect the fingerprint either.
-pub fn fingerprint_rules(rules: &[Rule]) -> u64 {
+/// FNV-1a over `texts`, each followed by a separator so boundaries
+/// matter.
+fn fnv1a<'a>(texts: impl IntoIterator<Item = &'a str>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut texts: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
-    texts.sort();
     let mut h = OFFSET;
-    for t in &texts {
+    for t in texts {
         for b in t.bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(PRIME);
         }
-        // Separator so rule boundaries matter.
         h ^= 0xff;
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// Order-insensitive FNV-1a fingerprint of a rule set. Renders each rule,
+/// sorts the renderings, and hashes the result — so rule order, which does
+/// not affect semantics, does not affect the fingerprint either.
+pub fn fingerprint_rules(rules: &[Rule]) -> u64 {
+    let mut texts: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
+    texts.sort();
+    fnv1a(texts.iter().map(String::as_str))
+}
+
+/// A rule as text that does not depend on its variable names: variables
+/// are numbered by first occurrence (`?0`, `?1`, ...), integers are `#n`
+/// and symbols carry their byte length, so no two different rules share a
+/// text.
+fn canonical_rule(rule: &Rule) -> String {
+    use std::fmt::Write as _;
+    let vars = rule.vars();
+    let mut out = String::new();
+    let atom = |out: &mut String, lead: &str, a: &Atom| {
+        let _ = write!(out, "{lead}{}(", a.pred);
+        for t in &a.terms {
+            let _ = match t {
+                Term::Var(v) => write!(out, "?{},", vars.iter().position(|w| w == v).unwrap_or(0)),
+                Term::Const(Value::Int(i)) => write!(out, "#{i},"),
+                Term::Const(Value::Sym(s)) => s.with_str(|s| write!(out, "${}:{s},", s.len())),
+            };
+        }
+        out.push(')');
+    };
+    atom(&mut out, "", &rule.head);
+    for a in &rule.body {
+        atom(&mut out, " ", a);
+    }
+    for a in &rule.negative {
+        atom(&mut out, " !", a);
+    }
+    out
+}
+
+/// One fingerprint per derived predicate the program's query reads (every
+/// derived predicate when it has no query): FNV-1a over the sorted
+/// [canonical](canonical_rule) texts of the rules that define the
+/// predicate and, transitively, every derived predicate those rules read,
+/// negated ones included.
+///
+/// Two programs that give a predicate the same fingerprint derive the same
+/// relation for it from the same EDB, whatever else they hold — which is
+/// what lets a resident of one program answer a form of the other. A
+/// generated name (`b1`) may make two equal closures miss each other; a
+/// miss is safe.
+pub fn closure_fingerprints(program: &Program) -> BTreeMap<PredRef, u64> {
+    let graph = program.dependency_graph();
+    let texts: Vec<(&PredRef, String)> = (program.rules.iter())
+        .map(|r| (&r.head.pred, canonical_rule(r)))
+        .collect();
+    let reachable = program.reachable_from_query();
+    (graph.keys())
+        .filter(|p| reachable.contains(*p))
+        .map(|p| {
+            let mut closure = BTreeSet::new();
+            let mut work = vec![p];
+            while let Some(q) = work.pop() {
+                if closure.insert(q) {
+                    work.extend(graph.get(q).into_iter().flatten());
+                }
+            }
+            let mut mine: Vec<&str> = (texts.iter())
+                .filter(|(head, _)| closure.contains(head))
+                .map(|(_, text)| text.as_str())
+                .collect();
+            mine.sort_unstable();
+            (p.clone(), fnv1a(mine))
+        })
+        .collect()
 }
 
 /// How the pipeline reshaped the query atom, i.e. how to splice a concrete
@@ -92,6 +167,10 @@ pub struct PreparedProgram {
     /// Worst recursion classification across the optimized program's IDB
     /// predicates — the form-level verdict admission control keys on.
     pub bound_class: BoundClass,
+    /// [`closure_fingerprints`] of the optimized program: a resident of
+    /// this program holds the answer relation of every form whose
+    /// [`query_closure`](PreparedProgram::query_closure) is among them.
+    pub closures: BTreeMap<PredRef, u64>,
 }
 
 /// The canonical query atom of a form: fresh named variables `Qc<i>` at
@@ -179,6 +258,7 @@ pub fn prepare(
         QueryShape::Projected(adornment.needed_positions())
     };
     let support = edb_support(&out.program);
+    let closures = closure_fingerprints(&out.program);
     Ok(PreparedProgram {
         program: out.program,
         report: out.report,
@@ -187,6 +267,7 @@ pub fn prepare(
         support,
         bounds,
         bound_class,
+        closures,
     })
 }
 
@@ -239,6 +320,28 @@ impl PreparedProgram {
             }
         };
         Some(Atom::new(opt_query.atom.pred.clone(), terms))
+    }
+
+    /// The closure fingerprint of the optimized query predicate: any
+    /// program that defines that predicate under this fingerprint computes
+    /// this form's answer relation. `None` when no rule derives it (the
+    /// form's answers are empty).
+    pub fn query_closure(&self) -> Option<u64> {
+        let query = self.program.query.as_ref()?;
+        self.closures.get(&query.atom.pred).copied()
+    }
+
+    /// Whether a resident of this program computes `form`'s answer
+    /// relation: it defines `form`'s optimized query predicate under
+    /// `form`'s own [closure fingerprint](PreparedProgram::query_closure).
+    /// The same rules over the same facts derive the same relation, so a
+    /// read of `form`'s spliced atom off such a resident answers `form`.
+    pub fn holds(&self, form: &PreparedProgram) -> bool {
+        let Some(query) = &form.program.query else {
+            return false;
+        };
+        form.query_closure().is_some()
+            && self.closures.get(&query.atom.pred) == form.query_closure().as_ref()
     }
 
     /// Whether an update to (base) predicate `pred` can change this form's
@@ -431,6 +534,87 @@ mod tests {
         assert!(prep
             .instantiate_atom(&Atom::new(PredRef::new("a"), vec![Term::var("X")]))
             .is_none());
+    }
+
+    /// The org schema's rules: `clean[n]`'s program contains `flagged[n]`'s
+    /// rule for rule, and that contains `above[nn]`'s.
+    const ORG: &str = "above(X, Y) :- mgr(X, Y).
+above(X, Y) :- mgr(X, Z), above(Z, Y).
+peer(X, Y) :- mgr(Z, X), mgr(Z, Y).
+flagged(X) :- above(X, Y), audit(Y).
+clean(X) :- emp(X), not flagged(X).
+clean(X) :- flagged(X), cleared(X).";
+
+    fn prep(src: &str, pred: &str, ad: &str) -> PreparedProgram {
+        let p = parse_program(src).unwrap().program;
+        let ad = Adornment::parse(ad).unwrap();
+        prepare(
+            &p.rules,
+            &PredRef::new(pred),
+            &ad,
+            &OptimizerConfig::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_program_holds_the_forms_whose_closures_it_contains() {
+        let clean = prep(ORG, "clean", "n");
+        let flagged = prep(ORG, "flagged", "n");
+        let above = prep(ORG, "above", "nn");
+        for (holder, form, want) in [
+            (&clean, &flagged, true),
+            (&clean, &above, true),
+            (&flagged, &above, true),
+            (&clean, &clean, true),
+            (&above, &flagged, false),
+            (&flagged, &clean, false),
+            // `above[nd]` is one projected rule: `above[nn]`'s program
+            // covers it (Lemma 3.2) but does not hold it.
+            (&above, &prep(ORG, "above", "nd"), false),
+            (&clean, &prep(ORG, "peer", "nn"), false),
+        ] {
+            let (h, f) = (&holder.program, &form.program);
+            assert_eq!(holder.holds(form), want, "{h:?} holds {f:?}");
+        }
+        // Only what the query reaches is fingerprinted: `peer` is not.
+        assert_eq!(clean.closures.len(), 3);
+        // A query predicate no rule derives has no closure: nothing holds
+        // its (empty) answers.
+        let mut none = prep("a(X) :- p(X).\nb(X) :- q(X).", "a", "n");
+        assert_eq!(none.closures.len(), 1, "b is not reached");
+        none.program.rules.clear();
+        none.closures = closure_fingerprints(&none.program);
+        assert_eq!(none.query_closure(), None);
+    }
+
+    #[test]
+    fn closure_fingerprints_ignore_names_and_order_but_not_content() {
+        let fp = |src: &str| {
+            let mut p = parse_program(src).unwrap().program;
+            p.query = Some(Query::new(Atom::new(
+                PredRef::new("a"),
+                vec![Term::var("Q")],
+            )));
+            closure_fingerprints(&p)[&PredRef::new("a")]
+        };
+        let base = fp("a(X) :- e(X, Y), a(Y).\na(X) :- f(X).");
+        assert_eq!(base, fp("a(F) :- f(F).\na(U) :- e(U, W), a(W)."));
+        for other in [
+            "a(X) :- e(Y, X), a(Y).\na(X) :- f(X).",
+            "a(X) :- e(X, Y), a(Y).\na(X) :- g(X).",
+            "a(X) :- e(X, Y), a(Y).\na(X) :- f(X), not g(X).",
+            "a(X) :- e(X, 1), a(X).\na(X) :- f(X).",
+            "a(X) :- e(X, \"1\"), a(X).\na(X) :- f(X).",
+            "a(X) :- e(X, Y), a(Y).",
+        ] {
+            assert_ne!(base, fp(other), "{other}");
+        }
+        // A rule for a predicate the closure reads changes it; one for a
+        // predicate it does not read does not.
+        let with = |extra: &str| fp(&format!("a(X) :- b(X).\nb(X) :- f(X).\n{extra}"));
+        assert_ne!(with(""), with("b(X) :- g(X)."));
+        assert_eq!(with(""), with("c(X) :- g(X)."));
     }
 
     #[test]

@@ -20,21 +20,24 @@
 //! live entries have their own, separately bounded LRU
 //! (`--resident-forms=N`; 0 disables pinning).
 //!
-//! A live form also answers every form it [covers](FormKey::covers): the
-//! same rule set, predicate and arity, with `n` wherever the covered form
-//! has `n`. By Lemma 3.2 those answers are a projection of the live form's, so
-//! [`PreparedCache::live_cover`] finds the live form a covered query
-//! reads, and [`PreparedCache::pin_resident`] retires the live forms a
-//! newly pinned one covers — one resident per predicate serves all of its
-//! forms.
+//! A live form answers every form it [holds](PreparedProgram::holds) —
+//! whose answer relation its program derives by the same rules, itself
+//! included — and every form a held form [covers](FormKey::covers)
+//! (Lemma 3.2). One keyed lookup, from closure fingerprint to live form,
+//! is kept on every pin, retirement, eviction and poisoning;
+//! [`PreparedCache::live_source`] reads it, and
+//! [`PreparedCache::pin_resident`] retires the live forms a newly pinned
+//! one answers: one resident per defining closure.
 //!
-//! The form sits behind its own mutex so a drain propagates without the
-//! cache lock. Lock order is cache → form, and the cache lock is never
-//! held while *blocking* on a form lock: the cache only hands the form
-//! handle out, and everything about the form is read under its own lock.
+//! The form sits behind its own read-write lock, so a drain propagates
+//! without the cache lock (exclusively) and the reads of every form it
+//! answers run side by side (shared). Lock order is cache → form, and the
+//! cache lock is never held while *blocking* on a form lock: the cache only
+//! hands the form handle out, and everything about the form is read under
+//! its own lock.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, RwLock};
 
 use datalog_ast::PredRef;
 use datalog_engine::incremental::ResidentEval;
@@ -51,7 +54,7 @@ use crate::server::render_answers;
 pub const PREPARED_CAPACITY: usize = 256;
 
 /// Cache key: the query form.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FormKey {
     /// [`datalog_opt::fingerprint_rules`] of the server's rule set.
     pub fingerprint: u64,
@@ -119,12 +122,17 @@ pub struct ResidentForm {
     /// shared store is append-only).
     pub applied: Watermarks,
     /// The last read of each form this one answers (its own and every form
-    /// it covers), keyed by that form: the query text and the table
-    /// rendered for it off this form's frontier. Cleared by every
+    /// it holds or covers), keyed by that form: the query text and the
+    /// table rendered for it off this form's frontier. Cleared by every
     /// propagation that loads rows, so a kept table is always the current
-    /// frontier's.
-    pub reads: BTreeMap<FormKey, (String, Rendered)>,
+    /// frontier's. Behind its own lock, so readers that share the form
+    /// fill it.
+    pub reads: Mutex<BTreeMap<FormKey, (String, Rendered)>>,
 }
+
+/// A live form, shared so drains can propagate without the cache lock:
+/// written by a propagation, read by any number of queries at once.
+pub type Live = Arc<RwLock<ResidentForm>>;
 
 /// One cache entry: the prepared program plus reuse bookkeeping.
 #[derive(Debug)]
@@ -132,36 +140,46 @@ pub struct Entry {
     /// The optimizer's output for this form. Shared, so a query stage can
     /// keep reading it after the cache lock drops.
     pub prepared: Arc<PreparedProgram>,
-    /// The pinned resident state, shared so drains can propagate without
-    /// the cache lock. `None` when the form was never pinned, is not
-    /// eligible, was evicted by the resident LRU, or was poisoned; an
-    /// eligible form pins with its next cold evaluation. Bounded
-    /// separately — see [`PreparedCache::pin_resident`].
-    pub resident: Option<Arc<Mutex<ResidentForm>>>,
-    /// Whether the form may hold resident state at all, fixed when the
-    /// entry is created: the prepared program never changes.
+    resident: Option<Live>,
     pinnable: bool,
     /// LRU clock value of the last use.
     last_used: u64,
 }
 
 impl Entry {
-    /// What this form would keep resident: its prepared program, when the
-    /// form is stratifiable ([`ResidentEval::supports`]: negation is kept
-    /// resident too) and its bound class is admitted. The one
-    /// eligibility test — first pin and rebuild both ask here (whether
-    /// pinning is enabled at all is the caller's `--resident-forms`
-    /// check). Decided once, when [`PreparedCache::insert`] creates the
-    /// entry.
-    pub fn pin_target(&self) -> Option<&Arc<PreparedProgram>> {
-        self.pinnable.then_some(&self.prepared)
+    /// Whether the form may hold resident state: it is stratifiable
+    /// ([`ResidentEval::supports`]: negation is kept resident too) and its
+    /// bound class is admitted. Decided once, when
+    /// [`PreparedCache::insert`] creates the entry; first pin and rebuild
+    /// both ask here.
+    pub fn pinnable(&self) -> bool {
+        self.pinnable
     }
+
+    /// The pinned resident state. `None` when the form was never pinned,
+    /// is not eligible, or was evicted, retired or poisoned; an eligible
+    /// form pins with its next cold evaluation.
+    pub fn resident(&self) -> Option<&Live> {
+        self.resident.as_ref()
+    }
+}
+
+/// The live form that answers a query form ([`PreparedCache::live_source`]).
+pub struct LiveSource {
+    pub key: FormKey,
+    pub form: Live,
+    /// The program the read is spliced into: the query form's own, or
+    /// that of a form covering it. `key` holds it.
+    pub splice: Arc<PreparedProgram>,
 }
 
 /// The prepared-query cache: bounded, LRU-evicted.
 #[derive(Debug)]
 pub struct PreparedCache {
     entries: BTreeMap<FormKey, Entry>,
+    /// `(closure fingerprint, live form)` for every closure of every live
+    /// form's program.
+    held: BTreeSet<(u64, FormKey)>,
     capacity: usize,
     /// Resident-form bound (0 = pinning disabled). Independent of
     /// `capacity`: prepared programs are cheap, resident databases are not.
@@ -174,6 +192,7 @@ impl PreparedCache {
     pub fn new(capacity: usize) -> PreparedCache {
         PreparedCache {
             entries: BTreeMap::new(),
+            held: BTreeSet::new(),
             capacity: capacity.max(1),
             resident_capacity: 0,
             clock: 0,
@@ -200,66 +219,114 @@ impl PreparedCache {
 
     /// Drop the least recently used resident (excluding `keep`, if given).
     fn evict_one_resident(&mut self, keep: Option<&FormKey>) {
-        if let Some(victim) = self
-            .entries
-            .iter_mut()
+        if let Some(victim) = (self.entries.iter())
             .filter(|(k, e)| e.resident.is_some() && Some(*k) != keep)
             .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone())
         {
-            victim.1.resident = None;
+            self.unpin(&victim, None);
         }
     }
 
-    /// Make an entry live with freshly built state. Every other live form
-    /// it covers is retired first (a covered query reads this one now),
-    /// then the least recently used other resident is evicted if the bound
-    /// is still reached. Returns the retired residents, or `None`
-    /// (dropping `form`) when pinning is disabled, the entry is gone, or
-    /// it is live already (a concurrent builder won) — all fine: the
-    /// request that built `form` has its answers either way.
-    pub fn pin_resident(
-        &mut self,
-        key: &FormKey,
-        form: ResidentForm,
-    ) -> Option<Vec<Arc<Mutex<ResidentForm>>>> {
-        if self.resident_capacity == 0
-            || self.entries.get(key).map_or(true, |e| e.resident.is_some())
-        {
+    /// Take `key`'s resident state — only if it is `form`, when given (a
+    /// poisoned form may have been replaced already) — and take its
+    /// closures out of the lookup.
+    pub fn unpin(&mut self, key: &FormKey, form: Option<&Live>) -> Option<Live> {
+        let e = self.entries.get_mut(key)?;
+        let current = e.resident.as_ref()?;
+        if form.is_some_and(|f| !Arc::ptr_eq(f, current)) {
             return None;
         }
-        let mut retired = Vec::new();
-        for (k, e) in &mut self.entries {
-            if k != key && key.covers(k) {
-                retired.extend(e.resident.take());
-            }
+        for &fp in e.prepared.closures.values() {
+            self.held.remove(&(fp, key.clone()));
         }
+        e.resident.take()
+    }
+
+    /// Retire every live form but `keep` that one of `by` covers.
+    pub fn retire(&mut self, by: &[FormKey], keep: &FormKey) -> Vec<Live> {
+        let victims: Vec<FormKey> = (self.entries.iter())
+            .filter(|(k, e)| e.resident.is_some() && *k != keep && by.iter().any(|c| c.covers(k)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        victims.iter().filter_map(|k| self.unpin(k, None)).collect()
+    }
+
+    /// Make an entry live with freshly built state, retiring first every
+    /// other live form it now answers — each form it holds, and each form
+    /// one of those covers — then evicting the least recently used other
+    /// resident if the bound is still reached. Returns the live handle and
+    /// the retired residents, or `None` (dropping `form`) when pinning is
+    /// disabled, the entry is gone, or a live form answers it already (a
+    /// concurrent builder won) — all fine: the request that built `form`
+    /// has its answers either way.
+    pub fn pin_resident(&mut self, key: &FormKey, form: ResidentForm) -> Option<(Live, Vec<Live>)> {
+        let prepared = Arc::clone(&self.entries.get(key)?.prepared);
+        if self.resident_capacity == 0 || self.live_source(key, false).is_some() {
+            return None;
+        }
+        let held: Vec<FormKey> = (self.entries.iter())
+            .filter(|(k, e)| *k == key || prepared.holds(&e.prepared))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let retired = self.retire(&held, key);
         while self.resident_count() >= self.resident_capacity {
             self.evict_one_resident(Some(key));
         }
-        self.entries.get_mut(key)?.resident = Some(Arc::new(Mutex::new(form)));
-        Some(retired)
+        let live = Arc::new(RwLock::new(form));
+        self.entries.get_mut(key)?.resident = Some(Arc::clone(&live));
+        (self.held).extend(prepared.closures.values().map(|&fp| (fp, key.clone())));
+        Some((live, retired))
     }
 
-    /// The live form that answers `q` while `q` itself is not live: of the
-    /// live forms covering `q`, the one with the fewest `n` positions
-    /// (the least to read past), ties broken by key order. Bumps its LRU
-    /// clock — a covered read is a use of the covering form.
-    pub fn live_cover(&mut self, q: &FormKey) -> Option<(&FormKey, &mut Entry)> {
+    /// The live form that answers `q`: `q`'s own, else one that holds `q`,
+    /// else — when `covered` (a query whose `d` positions are all
+    /// wildcards) — the one that is or holds a form covering `q`, covers
+    /// with the fewest `n` positions (the least to read past) first, ties
+    /// in key order. Bumps that form's LRU clock: a read through it is a
+    /// use of it.
+    pub fn live_source(&mut self, q: &FormKey, covered: bool) -> Option<LiveSource> {
+        // The live form that is or holds `via`, and `via`'s program.
+        let answering = |via: &FormKey, e: &Entry| {
+            let live = match e.resident {
+                Some(_) => via,
+                None => {
+                    let fp = e.prepared.query_closure()?;
+                    let (held, key) = self.held.range((fp, FormKey::default())..).next()?;
+                    (*held == fp).then_some(key)?
+                }
+            };
+            Some((live.clone(), Arc::clone(&e.prepared)))
+        };
+        let own = self.entries.get_key_value(q);
+        let found = own.and_then(|(k, e)| answering(k, e)).or_else(|| {
+            if !covered {
+                return None;
+            }
+            let first = FormKey {
+                adornment: String::new(),
+                ..q.clone()
+            };
+            let needed = |k: &FormKey| k.adornment.bytes().filter(|&b| b == b'n').count();
+            (self.entries.range(first..))
+                .take_while(|(k, _)| k.fingerprint == q.fingerprint && k.pred == q.pred)
+                .filter(|(k, _)| *k != q && k.covers(q))
+                .filter_map(|(k, e)| Some((needed(k), answering(k, e)?)))
+                .min_by_key(|(n, _)| *n)
+                .map(|(_, found)| found)
+        });
+        let (key, splice) = found?;
         self.clock += 1;
-        let clock = self.clock;
-        let (key, e) = self
-            .entries
-            .iter_mut()
-            .filter(|(k, e)| e.resident.is_some() && *k != q && k.covers(q))
-            .min_by_key(|(k, _)| k.adornment.bytes().filter(|&b| b == b'n').count())?;
-        e.last_used = clock;
-        Some((key, e))
+        let e = self.entries.get_mut(&key)?;
+        e.last_used = self.clock;
+        let form = Arc::clone(e.resident.as_ref()?);
+        Some(LiveSource { key, form, splice })
     }
 
     /// Iterate every entry (key + mutable entry), without touching LRU
     /// clocks — ingestion and `STATS` walk residents through this.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&FormKey, &mut Entry)> {
-        self.entries.iter_mut()
+    pub fn iter(&self) -> impl Iterator<Item = (&FormKey, &Entry)> {
+        self.entries.iter()
     }
 
     /// Number of prepared forms currently cached.
@@ -273,8 +340,7 @@ impl PreparedCache {
     }
 
     /// Look up a form *without* bumping its LRU clock — maintenance
-    /// bookkeeping (finishing a drain, dropping a poisoned form) must not
-    /// make a form look recently used.
+    /// bookkeeping must not make a form look recently used.
     pub fn peek_mut(&mut self, key: &FormKey) -> Option<&mut Entry> {
         self.entries.get_mut(key)
     }
@@ -302,6 +368,7 @@ impl PreparedCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
+                self.unpin(&victim, None);
                 self.entries.remove(&victim);
             }
         }
@@ -364,7 +431,7 @@ mod tests {
         ResidentForm {
             eval: ResidentEval::new(&p, &FactSet::new(), &EvalOptions::default()).unwrap(),
             applied: BTreeMap::new(),
-            reads: BTreeMap::new(),
+            reads: Mutex::default(),
         }
     }
 
@@ -438,18 +505,27 @@ mod tests {
     }
 
     /// A cache with one prepared entry per key, all pinnable.
-    fn cache_of(keys: &[&FormKey]) -> PreparedCache {
-        let (_, p) = prep("a(X, Y) :- p(X, Y).\n?- a(X, Y).", "a", "nn");
+    fn cache_of(src: &str, keys: &[&FormKey]) -> PreparedCache {
         let mut cache = PreparedCache::new(16);
         cache.set_resident_capacity(8);
         for k in keys {
-            cache.insert((*k).clone(), p.clone());
+            cache.insert((*k).clone(), prep(src, &k.pred, &k.adornment).1);
         }
         cache
     }
 
+    const FLAT: &str = "a(X, Y) :- p(X, Y).\nb(X, Y) :- q(X, Y).\nt(X, Y, Z) :- p(X, Y), q(Y, Z).";
+
     fn live(cache: &mut PreparedCache, k: &FormKey) -> bool {
         cache.peek_mut(k).unwrap().resident.is_some()
+    }
+
+    /// Pin a stand-in resident under `k`: how many forms it retired.
+    fn pin(cache: &mut PreparedCache, k: &FormKey) -> Option<usize> {
+        let form = resident("a(X, Y) :- p(X, Y).");
+        cache
+            .pin_resident(k, form)
+            .map(|(_, retired)| retired.len())
     }
 
     #[test]
@@ -460,21 +536,11 @@ mod tests {
             key(1, "a", "dd"),
             key(1, "b", "nd"),
         );
-        let mut cache = cache_of(&[&nn, &nd, &dd, &b]);
+        let mut cache = cache_of(FLAT, &[&nn, &nd, &dd, &b]);
         for k in [&nd, &dd, &b] {
-            assert_eq!(
-                cache
-                    .pin_resident(k, resident("a(X, Y) :- p(X, Y)."))
-                    .map(|r| r.len()),
-                Some(0)
-            );
+            assert_eq!(pin(&mut cache, k), Some(0));
         }
-        assert_eq!(
-            cache
-                .pin_resident(&nn, resident("a(X, Y) :- p(X, Y)."))
-                .map(|r| r.len()),
-            Some(2)
-        );
+        assert_eq!(pin(&mut cache, &nn), Some(2));
         assert!(live(&mut cache, &nn) && live(&mut cache, &b));
         assert!(!live(&mut cache, &nd) && !live(&mut cache, &dd));
         assert_eq!(cache.resident_count(), 2);
@@ -488,13 +554,10 @@ mod tests {
             key(1, "t", "ndn"),
             key(1, "t", "ndd"),
         );
-        let mut cache = cache_of(&[&nnn, &nnd, &ndn, &ndd]);
+        let mut cache = cache_of(FLAT, &[&nnn, &nnd, &ndn, &ndd]);
         let cover =
-            |cache: &mut PreparedCache, q: &FormKey| cache.live_cover(q).map(|(k, _)| k.clone());
+            |cache: &mut PreparedCache, q: &FormKey| cache.live_source(q, true).map(|s| s.key);
         assert_eq!(cover(&mut cache, &ndd), None, "nothing live");
-        let pin = |cache: &mut PreparedCache, k: &FormKey| {
-            (cache.pin_resident(k, resident("a(X, Y) :- p(X, Y)."))).map(|r| r.len())
-        };
         assert_eq!(pin(&mut cache, &nnn), Some(0));
         assert_eq!(cover(&mut cache, &ndd), Some(nnn.clone()));
         // `nnd` covers less than `nnn`, so it pins beside it and wins.
@@ -503,8 +566,51 @@ mod tests {
         // Two `n` each: key order breaks the tie (`ndn` < `nnd`).
         assert_eq!(pin(&mut cache, &ndn), Some(0));
         assert_eq!(cover(&mut cache, &ndd), Some(ndn));
-        // Only a form itself covers the all-`n` form, and it is no cover.
-        assert_eq!(cover(&mut cache, &nnn), None);
+        // A live form answers itself before any cover.
+        assert_eq!(cover(&mut cache, &nnn), Some(nnn));
+    }
+
+    /// The org schema's rules: `clean[n]`'s program contains `flagged[n]`'s,
+    /// which contains `above[nn]`'s.
+    const ORG: &str = "above(X, Y) :- mgr(X, Y).\nabove(X, Y) :- mgr(X, Z), above(Z, Y).\n\
+                       flagged(X) :- above(X, Y), audit(Y).\n\
+                       clean(X) :- emp(X), not flagged(X).\nclean(X) :- flagged(X), cleared(X).";
+
+    #[test]
+    fn a_live_form_answers_the_forms_it_holds_and_retires_them_on_pin() {
+        let [nn, nd, flagged, clean] = [
+            ("above", "nn"),
+            ("above", "nd"),
+            ("flagged", "n"),
+            ("clean", "n"),
+        ]
+        .map(|(p, ad)| key(1, p, ad));
+        let mut cache = cache_of(ORG, &[&nn, &nd, &flagged, &clean]);
+        let source = |cache: &mut PreparedCache, q: &FormKey, covered| {
+            cache
+                .live_source(q, covered)
+                .map(|s| (s.key.pred, s.splice.adornment.to_string()))
+        };
+        let held_by = |p: &str, via: &str| Some((p.to_string(), via.to_string()));
+        assert_eq!(pin(&mut cache, &nd), Some(0));
+        // `flagged[n]` holds `above[nn]`, which covers the live `above[nd]`.
+        assert_eq!(pin(&mut cache, &flagged), Some(1));
+        assert_eq!(source(&mut cache, &nn, false), held_by("flagged", "nn"));
+        assert_eq!(source(&mut cache, &nd, true), held_by("flagged", "nn"));
+        assert_eq!(source(&mut cache, &nd, false), None, "an adorned text");
+        // `clean[n]` holds `flagged[n]`: one resident answers all four, and
+        // a held form does not pin beside it.
+        assert_eq!(pin(&mut cache, &clean), Some(1));
+        assert_eq!(cache.resident_count(), 1);
+        assert_eq!(source(&mut cache, &nd, true), held_by("clean", "nn"));
+        assert_eq!(pin(&mut cache, &nn), None);
+        // Poisoning the holder takes its closures out of the lookup.
+        let form = cache.peek_mut(&clean).unwrap().resident().cloned();
+        assert!(cache.unpin(&clean, form.as_ref()).is_some());
+        assert!(cache.unpin(&clean, form.as_ref()).is_none(), "once");
+        assert_eq!(source(&mut cache, &nn, true), None);
+        assert_eq!(pin(&mut cache, &flagged), Some(0));
+        assert_eq!(source(&mut cache, &nn, false), held_by("flagged", "nn"));
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //! fresh read of the frontier (`cache=resident`) that refills the slot.
 //! A cold form keeps nothing: it evaluates on every query.
 //!
-//! The resident form that answers is the query's own when it is live, and
-//! otherwise a live form that [covers](crate::cache::FormKey::covers) it
-//! (Lemma 3.2: the query's answers are a projection of the covering
-//! form's), found after the own-form lookup — on a first sighting after the
-//! optimizer ran, so the entry and `TRACE` exist either way. A covered
-//! form is never built while its cover is live; its read goes through the
-//! covering form's program and read plan, and fills the covering form's
-//! slot for the covered form. If the covering form dies mid-plan, the
-//! covered form's own program is evaluated and pinned.
+//! The resident form that answers is the query's own when it is live,
+//! else a live form that holds it (its program derives the query form's
+//! answer relation by the same rules), else one that is or holds a form
+//! that [covers](crate::cache::FormKey::covers) it (Lemma 3.2: the query's
+//! answers are a projection of the covering form's) — one keyed lookup,
+//! [`live_source`](crate::cache::PreparedCache::live_source), after the
+//! own-form lookup, so on a first sighting after the optimizer ran and the
+//! entry and `TRACE` exist either way. A form answered so is never built;
+//! its read asks the query's atom, spliced once into its own or its
+//! cover's program, of the live form's read plan, and fills the live
+//! form's slot for the query's form. A first sighting answered by a holder
+//! retires the live forms it covers. If the live form dies mid-plan, the
+//! query form's own program is evaluated and pinned.
 //!
 //! Lock order is cache → form, and a stage never *blocks* on a form lock
 //! while it holds the cache lock: `choose_source` hands the form handle
@@ -48,7 +52,7 @@ use datalog_engine::{query_answers_full, DbSnapshot, EngineError, EvalOptions, E
 use datalog_opt::{prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::Json;
 
-use crate::cache::{Entry, FormKey, Rendered, ResidentForm};
+use crate::cache::{FormKey, LiveSource, Rendered, ResidentForm};
 use crate::metrics::{Phase, PHASES};
 use crate::protocol::{ErrCode, Response};
 use crate::server::{lock, read_lock, Decrement, RuleSet, ServerState};
@@ -78,7 +82,7 @@ pub(crate) struct QueryCtx {
 
 /// Where a query's answer comes from, decided under the cache lock.
 pub(crate) enum Source {
-    /// The form, or a form covering it, has live resident state.
+    /// A live form answers it: its own, or one that holds or covers it.
     Resident(ResidentPlan),
     /// Evaluate from the snapshot.
     Cold(ColdPlan),
@@ -87,14 +91,11 @@ pub(crate) enum Source {
 /// How to serve live resident state: the form handle, read after draining
 /// it to the query's snapshot.
 pub(crate) struct ResidentPlan {
-    /// The live form that answers: the query's own, or one covering it.
-    form: Arc<Mutex<ResidentForm>>,
-    /// That form's program.
-    prepared: Arc<PreparedProgram>,
+    /// The live form that answers, and the program the read is spliced
+    /// into.
+    source: LiveSource,
     /// The query atom spliced into that program's namespace.
     q_atom: Atom,
-    /// The covering form's key, when the form is not the query's own.
-    cover: Option<FormKey>,
     /// What runs when the form dies mid-plan: the query's *own* form,
     /// evaluated cold and pinned under the query's key.
     fallback: ColdPlan,
@@ -105,11 +106,11 @@ pub(crate) struct ColdPlan {
     /// `miss` when this request ran the optimizer, `hit` otherwise.
     status: &'static str,
     prepared: Arc<PreparedProgram>,
-    /// The spliced query atom when the form may pin: the evaluation then
-    /// *builds* resident state instead of a throwaway fixpoint. On a `hit`
-    /// the form had lost its resident (eviction, poisoning, a covering
-    /// form that pinned), so pinning again is the rebuild.
-    pin: Option<Atom>,
+    /// Whether the form may pin: the evaluation then *builds* resident
+    /// state instead of a throwaway fixpoint. On a `hit` the form had lost
+    /// its resident (eviction, poisoning, a form that answers it pinned),
+    /// so pinning again is the rebuild.
+    pin: bool,
 }
 
 /// What the response tail needs from whichever source answered.
@@ -117,9 +118,9 @@ pub(crate) struct Served {
     /// The `cache=` header value.
     tag: &'static str,
     table: Rendered,
-    /// The answering form's program.
+    /// The program the read asked: the query form's own or its cover's.
     prepared: Arc<PreparedProgram>,
-    /// The covering form that answered, when it is not the query's own.
+    /// The live form that answered, when it is not the query's own.
     served_by: Option<FormKey>,
     /// The program the optimizer built for this request, if it ran.
     optimized: Option<Arc<PreparedProgram>>,
@@ -152,7 +153,7 @@ fn build_resident(
             .watermarks_for(&prepared.support)
             .into_iter()
             .collect(),
-        reads: BTreeMap::new(),
+        reads: Mutex::default(),
     })
 }
 
@@ -225,27 +226,14 @@ impl ServerState {
 
     /// Pick the answer source. Holds the cache lock throughout — across
     /// the optimizer on a cold miss, which deduplicates concurrent misses
-    /// of the same form.
+    /// of the same form — except that a first sighting which retires live
+    /// forms hands their kept texts to its holder after the lock drops.
     fn choose_source(&self, ctx: &QueryCtx) -> Result<Source, Response> {
         let mut cache = lock(&self.cache);
-        let own = match cache.get_mut(&ctx.key) {
+        let (status, entry) = match cache.get_mut(&ctx.key) {
             Some(entry) => {
                 self.metrics.prepared_hits.inc();
-                let plan = ColdPlan {
-                    status: "hit",
-                    prepared: Arc::clone(&entry.prepared),
-                    pin: self.pin_atom(ctx, entry),
-                };
-                if let (Some(form), Some(q_atom)) = (&entry.resident, &plan.pin) {
-                    return Ok(Source::Resident(ResidentPlan {
-                        form: Arc::clone(form),
-                        prepared: Arc::clone(&entry.prepared),
-                        q_atom: q_atom.clone(),
-                        cover: None,
-                        fallback: plan,
-                    }));
-                }
-                plan
+                ("hit", entry)
             }
             None => {
                 self.metrics.cache_misses.inc();
@@ -256,43 +244,39 @@ impl ServerState {
                 let prepared =
                     prepare(&ctx.rules.rules, &ctx.query.atom.pred, &ctx.adornment, &cfg)
                         .map_err(|e| Response::err(format!("optimizer: {e}")))?;
-                let entry = cache.insert(ctx.key.clone(), prepared);
-                ColdPlan {
-                    status: "miss",
-                    prepared: Arc::clone(&entry.prepared),
-                    pin: self.pin_atom(ctx, entry),
-                }
+                ("miss", cache.insert(ctx.key.clone(), prepared))
             }
         };
-        // Not live itself: a live form that covers it answers it, by
-        // Lemma 3.2, without building anything. An explicitly adorned
-        // query may name a `d` position, which the covering read would
-        // return as a column, so only a query whose `d` positions are its
-        // wildcards is covered.
-        if ctx.query.atom.pred.adornment.is_none() {
-            if let Some((key, entry)) = cache.live_cover(&ctx.key) {
-                let q_atom = entry.prepared.instantiate_atom(&ctx.query.atom);
-                if let (Some(form), Some(q_atom)) = (&entry.resident, q_atom) {
-                    return Ok(Source::Resident(ResidentPlan {
-                        form: Arc::clone(form),
-                        prepared: Arc::clone(&entry.prepared),
-                        q_atom,
-                        cover: Some(key.clone()),
-                        fallback: own,
-                    }));
-                }
-            }
+        let fallback = ColdPlan {
+            status,
+            prepared: Arc::clone(&entry.prepared),
+            pin: self.cfg.resident_forms > 0 && entry.pinnable(),
+        };
+        // An explicitly adorned query may name a `d` position, which a
+        // covering read would return as a column, so only a query whose
+        // `d` positions are its wildcards reads through a cover.
+        let covered = ctx.query.atom.pred.adornment.is_none();
+        let live = (self.cfg.resident_forms > 0).then(|| cache.live_source(&ctx.key, covered));
+        let Some(source) = live.flatten() else {
+            return Ok(Source::Cold(fallback));
+        };
+        let Some(q_atom) = source.splice.instantiate_atom(&ctx.query.atom) else {
+            return Ok(Source::Cold(fallback));
+        };
+        // A first sighting that a live form holds (not merely covers):
+        // retire the live forms it covers, as pinning the holder after it
+        // would have, and let the holder read their kept texts once the
+        // cache lock drops.
+        if status == "miss" && !source.key.covers(&ctx.key) {
+            let retired = cache.retire(std::slice::from_ref(&ctx.key), &source.key);
+            drop(cache);
+            self.adopt(&source.form, retired);
         }
-        Ok(Source::Cold(own))
-    }
-
-    /// The query atom in the canonical program's namespace, when the form
-    /// may hold resident state.
-    fn pin_atom(&self, ctx: &QueryCtx, entry: &Entry) -> Option<Atom> {
-        if self.cfg.resident_forms == 0 {
-            return None;
-        }
-        entry.pin_target()?.instantiate_atom(&ctx.query.atom)
+        Ok(Source::Resident(ResidentPlan {
+            source,
+            q_atom,
+            fallback,
+        }))
     }
 
     /// Execute a [`ResidentPlan`] with the cache lock released: drain the
@@ -300,22 +284,28 @@ impl ServerState {
     /// slot or a fresh read. If the form died mid-plan (poisoned — already
     /// counted and dropped) the plan's fallback recomputes from cold.
     fn serve_resident(&self, ctx: &QueryCtx, plan: ResidentPlan) -> Result<Served, Response> {
-        let key = plan.cover.as_ref().unwrap_or(&ctx.key);
-        let read = Some((&ctx.key, &plan.q_atom, ctx.query_repr.as_str()));
-        let Ok(Some((tag, table))) = self.drain(key, &plan.form, &ctx.snapshot, read) else {
-            return self.serve_cold(ctx, plan.fallback);
+        let ResidentPlan {
+            source,
+            q_atom,
+            fallback,
+        } = plan;
+        let read = Some((&ctx.key, &q_atom, ctx.query_repr.as_str()));
+        let Ok(Some((tag, table))) = self.drain(&source.key, &source.form, &ctx.snapshot, read)
+        else {
+            return self.serve_cold(ctx, fallback);
         };
+        let served_by = (source.key != ctx.key).then_some(source.key);
         if tag == "answers" {
             self.metrics.answer_hits.inc();
-        } else if plan.cover.is_some() {
+        } else if served_by.is_some() {
             self.metrics.covered_reads.inc();
         }
         Ok(Served {
             tag,
             table,
-            prepared: plan.prepared,
-            served_by: plan.cover,
-            optimized: (plan.fallback.status == "miss").then_some(plan.fallback.prepared),
+            prepared: source.splice,
+            served_by,
+            optimized: (fallback.status == "miss").then_some(fallback.prepared),
             cold: None,
         })
     }
@@ -352,11 +342,15 @@ impl ServerState {
     /// pinned: a resident must never hold a truncated fixpoint.
     fn serve_cold(&self, ctx: &QueryCtx, plan: ColdPlan) -> Result<Served, Response> {
         let d_cache = ctx.t_cache.elapsed();
-        let rebuild = plan.status == "hit" && plan.pin.is_some();
+        let prepared = &plan.prepared;
+        let pin = plan
+            .pin
+            .then(|| prepared.instantiate_atom(&ctx.query.atom))
+            .flatten();
+        let rebuild = plan.status == "hit" && pin.is_some();
         if rebuild {
             self.metrics.fallback_recomputes.inc();
         }
-        let prepared = &plan.prepared;
         let (bound, cost_hints) = Self::live_bound(prepared, &ctx.snapshot);
         // Bound-aware admission: the static derivation bound at this
         // snapshot's cardinalities upper-bounds what the fixpoint can
@@ -375,7 +369,7 @@ impl ServerState {
         }
         let opts = self.eval_opts(ctx.started, cost_hints);
         let t_eval = Instant::now();
-        let evaluated = match &plan.pin {
+        let evaluated = match &pin {
             Some(q_atom) => build_resident(prepared, &ctx.snapshot, &opts).map(|form| {
                 (
                     form.eval.answers(q_atom),
@@ -403,11 +397,11 @@ impl ServerState {
 
         let t_serialize = Instant::now();
         let table = Rendered::of(&answers);
-        if let Some(mut form) = pinned {
+        if let Some(form) = pinned {
             // Built at this snapshot: the table is its frontier's read.
             let slot = (ctx.query_repr.clone(), table.clone());
-            form.reads.insert(ctx.key.clone(), slot);
-            self.pin_built(&ctx.key, prepared, form, rebuild);
+            lock(&form.reads).insert(ctx.key.clone(), slot);
+            self.pin_built(&ctx.key, form, rebuild);
         }
         Ok(Served {
             tag: plan.status,
@@ -521,7 +515,7 @@ pub(crate) struct LastQuery {
     query: Query,
     key: FormKey,
     tag: &'static str,
-    /// The answering form's program.
+    /// The program the read asked.
     prepared: Arc<PreparedProgram>,
     served_by: Option<FormKey>,
     optimized: Option<Arc<PreparedProgram>>,
@@ -529,8 +523,9 @@ pub(crate) struct LastQuery {
 
 impl LastQuery {
     /// The `TRACE` document. `form` is the query's own form, `served_by`
-    /// the covering form that answered it (or `null`), and
-    /// `prepared_report` the answering form's report. `new_events` holds
+    /// the live form that answered it when that is another form's resident
+    /// (else `null`), and `prepared_report` the report of the program the
+    /// read asked. `new_events` holds
     /// the phase events the optimizer emitted *for this request* — the
     /// query's own form's full trace on a first sighting, empty on any
     /// cache hit (the observable promised by the prepared-query cache).
@@ -558,7 +553,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::protocol::Request;
-    use crate::server::ServerConfig;
+    use crate::server::{write_lock, ServerConfig};
     use datalog_ast::{PredRef, Value};
     use datalog_engine::incremental::{DeltaLimits, Fact};
     use datalog_engine::CancelToken;
@@ -602,10 +597,7 @@ mod tests {
         let Ok(Source::Resident(plan)) = state.choose_source(&ctx) else {
             panic!("a[nd] is covered by the live a[nn]");
         };
-        assert_eq!(
-            plan.cover.as_ref().map(|k| k.adornment.as_str()),
-            Some("nn")
-        );
+        assert_eq!(plan.source.key.adornment, "nn");
         {
             // A propagation under a cancelled token poisons the state.
             let cancelled = CancelToken::new();
@@ -615,7 +607,7 @@ mod tests {
                 cancel: Some(cancelled),
             };
             let row = vec![Value::int(7), Value::int(8)];
-            let mut form = lock(&plan.form);
+            let mut form = write_lock(&plan.source.form);
             let fact = Fact::new(PredRef::new("p"), row);
             assert!(form.eval.apply_deltas(&[fact], &limits).is_err());
         }
@@ -732,11 +724,15 @@ mod tests {
         // One slot per form: the adorned text took `a[nd]`'s.
         assert_eq!(ask(&state, FORMS[0], "resident"), read);
         let nd = state.resolve(FORMS[0], Instant::now()).unwrap().key;
-        let retired = lock(&state.cache).peek_mut(&nd).unwrap().resident.clone();
+        let retired = lock(&state.cache)
+            .peek_mut(&nd)
+            .unwrap()
+            .resident()
+            .cloned();
         let retired = retired.expect("a[nd] is live");
         ask(&state, "?- a(X, Y).", "hit");
         assert_eq!(Arc::strong_count(&retired), 1, "the cache let go of it");
-        assert!(lock(&retired).reads.is_empty());
+        assert!(lock(&read_lock(&retired).reads).is_empty());
         assert_eq!(ask(&state, FORMS[0], "answers"), read);
         // An explicitly adorned text is never a covered read: it evaluates
         // its own form, which pins again (evicting `a[nn]`).

@@ -8,8 +8,9 @@
 //! the same `AnswerSet` and `render_answers` the same bytes.
 //!
 //! A server also reads a query off a live form that *covers* the query's
-//! own (Lemma 3.2): the last test holds every such read to the covered
-//! form's own cold evaluation.
+//! own (Lemma 3.2), or whose program *holds* it (derives its answer
+//! relation by the same rules): the last two tests hold every such read to
+//! the form's own cold evaluation.
 
 use datalog_ast::{parse_program, Adornment, Atom, PredRef, Program, Term, Value, Var};
 use datalog_engine::incremental::{DeltaLimits, Fact, ResidentEval};
@@ -344,6 +345,85 @@ fn covered_reads_match_the_covered_forms_own_cold_evaluation() {
                         cover.adornment
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `c`'s program contains `f`'s rule for rule, and `f`'s contains `a`'s;
+/// `c` negates `f`, so a batch that grows `f` recomputes `c`'s stratum.
+const NESTED_RULES: &str = "a(X, Y) :- e(X, Y).\n\
+                            a(X, Y) :- e(X, Z), a(Z, Y).\n\
+                            f(X) :- a(X, Y), m(Y).\n\
+                            c(X) :- v(X), not f(X).\n\
+                            c(X) :- f(X), k(X).\n\
+                            ?- c(X).";
+
+#[test]
+fn held_reads_match_the_held_forms_own_cold_evaluation() {
+    let rules = program(NESTED_RULES).rules;
+    let opts = EvalOptions {
+        boolean_cut: true,
+        reorder_joins: true,
+        ..EvalOptions::default()
+    };
+    let mark = |pred: &str, i: usize| Fact::new(PredRef::new(pred), vec![node(i)]);
+    let mut facts: Vec<Fact> = (0..10).map(|i| mark("v", i)).collect();
+    facts.extend((0..10).step_by(3).map(|i| mark("m", i)));
+    facts.extend((0..10).step_by(4).map(|i| mark("k", i)));
+    facts.extend(edges(10, 24, &mut Rng(0xc1d)));
+    let (loaded, batch) = facts.split_at(facts.len() - 10);
+    let prep = |pred: &str, ad: &str| {
+        let ad = Adornment::parse(ad).unwrap();
+        prepare(
+            &rules,
+            &PredRef::new(pred),
+            &ad,
+            &OptimizerConfig::default(),
+        )
+        .unwrap()
+    };
+    let holder = prep("c", "n");
+    let (a, f) = (prep("a", "nn"), prep("f", "n"));
+    assert!(holder.holds(&a) && holder.holds(&f) && f.holds(&a));
+    let mut resident = ResidentEval::new(&holder.program, &factset(loaded), &opts).unwrap();
+    for (label, input) in [("loaded", loaded), ("after a batch", &facts[..])] {
+        if label != "loaded" {
+            resident
+                .apply_deltas(batch, &DeltaLimits::default())
+                .unwrap();
+        }
+        let input = factset(input);
+        let cold = evaluate(&program(NESTED_RULES), &input, &EvalOptions::default()).unwrap();
+        let row_of = |pred: &str, arity: usize| {
+            let id = cold.database.pred_id(&PredRef::new(pred));
+            let rel = id
+                .map(|id| cold.database.relation(id))
+                .filter(|r| !r.is_empty());
+            rel.map_or(vec![Value::int(0); arity], |r| r.row(0).to_vec())
+        };
+        // Each form reads through its own program when the holder holds
+        // it, else through the all-`n` form of its predicate, which it
+        // holds and which covers it.
+        for (pred, adornment, via) in [
+            ("a", "nn", &a),
+            ("a", "nd", &a),
+            ("a", "dn", &a),
+            ("a", "dd", &a),
+            ("f", "n", &f),
+            ("f", "d", &f),
+        ] {
+            let own = prep(pred, adornment);
+            for atom in form_atoms(pred, adornment, &row_of(pred, adornment.len())) {
+                let held = resident.answers(&via.instantiate_atom(&atom).unwrap());
+                let program = own.instantiate(&atom).unwrap();
+                let (want, _) = query_answers_full(&program, &input, &opts).unwrap();
+                assert_eq!(
+                    render_answers(&held),
+                    render_answers(&want),
+                    "{label}: ?- {atom}. read off c[n] as {}",
+                    via.program.query.as_ref().unwrap().atom.pred
+                );
             }
         }
     }

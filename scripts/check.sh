@@ -195,6 +195,53 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: server smoke ok (incl. METRICS scrape, point reads and verbatim payloads)"
 
+# Held reads: `clean[n]`'s optimized program contains `flagged[n]`'s and
+# `above[nn]`'s rule for rule, so once `clean(X)` pins it, it answers
+# `above(X, c)` and `flagged(c)` itself, and `above(c, _)` through
+# `above[nn]`, which covers it: one resident, and every read byte-identical
+# to an unoptimized `xdl run` on the same text.
+{
+    printf 'above(X, Y) :- mgr(X, Y).\nabove(X, Y) :- mgr(X, Z), above(Z, Y).\n'
+    printf 'flagged(X) :- above(X, Y), audit(Y).\n'
+    printf 'clean(X) :- emp(X), not flagged(X).\nclean(X) :- flagged(X), cleared(X).\n'
+    seq 1 20 | awk '{ printf "mgr(%d, %d).\nemp(%d).\n", int(($1 - 1) / 4), $1, $1 }'
+    printf 'emp(0).\naudit(6).\naudit(17).\ncleared(1).\n'
+} > "$smoke_dir/org.dl"
+./target/release/xdl serve --port 0 > "$smoke_dir/serve-org.out" &
+serve_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-org.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "check.sh: the held-read server did not announce its address" >&2
+    exit 1
+fi
+./target/release/xdl query --connect "$addr" --load "$smoke_dir/org.dl" > /dev/null
+for q in 'clean(X)' 'above(X, 17)' 'above(1, _)' 'flagged(1)'; do
+    { cat "$smoke_dir/org.dl"; printf '?- %s.\n' "$q"; } > "$smoke_dir/org-q.dl"
+    ./target/release/xdl run --no-optimize "$smoke_dir/org-q.dl" > "$smoke_dir/ran-org.out"
+    ./target/release/xdl query --connect "$addr" "?- $q." > "$smoke_dir/served-org.out"
+    if ! cmp -s "$smoke_dir/served-org.out" "$smoke_dir/ran-org.out"; then
+        echo "check.sh: served ?- $q. differs from xdl run --no-optimize:" >&2
+        diff "$smoke_dir/served-org.out" "$smoke_dir/ran-org.out" >&2 || true
+        exit 1
+    fi
+done
+./target/release/xdl query --connect "$addr" --stats > "$smoke_dir/stats-org.out"
+if ! grep -q '"resident_forms":1[,}]' "$smoke_dir/stats-org.out" \
+    || ! grep -q '"covered_reads":[1-9]' "$smoke_dir/stats-org.out"; then
+    echo "check.sh: the held reads did not share clean(X)'s resident:" >&2
+    cat "$smoke_dir/stats-org.out" >&2
+    exit 1
+fi
+./target/release/xdl query --connect "$addr" --shutdown
+wait "$serve_pid"
+serve_pid=""
+echo "check.sh: held-read smoke ok"
+
 # Connection smokes. `hold <addr> <ready-file> <command>` keeps connections
 # open from bash (`/dev/tcp`) until it is killed: it runs <command> (which
 # opens them), touches <ready-file> if that succeeded, then sleeps.
