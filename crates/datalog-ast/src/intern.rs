@@ -1,51 +1,63 @@
-//! Global string interning.
+//! Global interning: symbols, and the ints too wide for a value's cell.
 //!
 //! Symbols are process-global: two [`Symbol`]s are equal iff their underlying
 //! strings are equal, regardless of which program or database they came from.
 //! This keeps every AST node and engine tuple `Copy`-cheap and makes hashing
 //! a single `u32` hash. The table only grows; for a query optimizer working
 //! over programs with a few hundred identifiers this is the right trade.
+//!
+//! A [`crate::Value`] is one 8-byte cell that holds an int in [−2^61, 2^61)
+//! inline. An `i64` outside that range is *wide*: it is interned here once,
+//! in a second process-global, append-only table, and its value's cell holds
+//! its index. One table entry per distinct wide int keeps every value's cell
+//! canonical, so equal values have equal cells.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string. Cheap to copy, hash and compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<String, u32>,
-    strings: Vec<String>,
+/// An append-only table holding each distinct key once: each key's index,
+/// and each index's key.
+#[derive(Default)]
+struct Table<K> {
+    map: HashMap<K, u32>,
+    keys: Vec<K>,
 }
 
-static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
+/// Intern `key` in `table`, returning its index.
+fn intern_in<K, Q>(table: &RwLock<Table<K>>, key: &Q) -> u32
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: ?Sized + Hash + Eq + ToOwned<Owned = K>,
+{
+    if let Some(&id) = table.read().expect("interner poisoned").map.get(key) {
+        return id;
+    }
+    let mut guard = table.write().expect("interner poisoned");
+    if let Some(&id) = guard.map.get(key) {
+        return id;
+    }
+    let id = u32::try_from(guard.keys.len()).expect("fewer than 2^32 interned keys");
+    guard.keys.push(key.to_owned());
+    guard.map.insert(key.to_owned(), id);
+    id
+}
 
-fn interner() -> &'static RwLock<Interner> {
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+static INTERNER: OnceLock<RwLock<Table<String>>> = OnceLock::new();
+
+fn interner() -> &'static RwLock<Table<String>> {
+    INTERNER.get_or_init(RwLock::default)
 }
 
 impl Symbol {
     /// Intern `s`, returning its symbol.
     pub fn intern(s: &str) -> Symbol {
-        {
-            let guard = interner().read().expect("interner poisoned");
-            if let Some(&id) = guard.map.get(s) {
-                return Symbol(id);
-            }
-        }
-        let mut guard = interner().write().expect("interner poisoned");
-        if let Some(&id) = guard.map.get(s) {
-            return Symbol(id);
-        }
-        let id = guard.strings.len() as u32;
-        guard.strings.push(s.to_owned());
-        guard.map.insert(s.to_owned(), id);
-        Symbol(id)
+        Symbol(intern_in(interner(), s))
     }
 
     /// The interned string, cloned out of the table.
@@ -57,7 +69,7 @@ impl Symbol {
     /// lock — no allocation. `f` must not intern (the lock is not
     /// reentrant for writers).
     pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
-        f(&interner().read().expect("interner poisoned").strings[self.0 as usize])
+        f(&interner().read().expect("interner poisoned").keys[self.0 as usize])
     }
 
     /// Raw id; stable within a process run. Useful for dense tables.
@@ -65,10 +77,15 @@ impl Symbol {
         self.0
     }
 
+    /// The symbol with raw id `id`, which an earlier [`Symbol::id`] gave.
+    pub(crate) fn from_id(id: u32) -> Symbol {
+        Symbol(id)
+    }
+
     /// Number of strings interned so far in this process. The table only
     /// grows, so this is also its size.
     pub fn interned_count() -> usize {
-        interner().read().expect("interner poisoned").strings.len()
+        interner().read().expect("interner poisoned").keys.len()
     }
 }
 
@@ -82,6 +99,22 @@ impl From<&str> for Symbol {
     fn from(s: &str) -> Symbol {
         Symbol::intern(s)
     }
+}
+
+static WIDE_INTS: OnceLock<RwLock<Table<i64>>> = OnceLock::new();
+
+fn wide_ints() -> &'static RwLock<Table<i64>> {
+    WIDE_INTS.get_or_init(RwLock::default)
+}
+
+/// Intern the wide int `i`, returning its index.
+pub(crate) fn intern_wide(i: i64) -> u32 {
+    intern_in(wide_ints(), &i)
+}
+
+/// The wide int with index `id`, which [`intern_wide`] gave.
+pub(crate) fn wide_int(id: u32) -> i64 {
+    wide_ints().read().expect("interner poisoned").keys[id as usize]
 }
 
 /// Generate a fresh symbol with the given prefix that is guaranteed not to

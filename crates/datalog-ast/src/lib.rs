@@ -48,7 +48,7 @@ pub use pred::PredRef;
 pub use program::{check_arity, Program, Query};
 pub use rule::Rule;
 pub use subst::{freeze_rule, unify_atoms, FrozenRule, Subst};
-pub use term::{Term, Value, Var};
+pub use term::{Kind, Term, Value, Var};
 
 /// Errors raised by structural validation of programs and rules.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -429,8 +429,8 @@ impl<'a> Parser<'a> {
     fn parse_term(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
             Some(Tok::VarName(s)) => Ok(Term::Var(Var::new(s))),
-            Some(Tok::Int(i)) => Ok(Term::Const(Value::Int(i))),
-            Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::Sym(self.symbol(s)))),
+            Some(Tok::Int(i)) => Ok(Term::Const(Value::int(i))),
+            Some(Tok::Ident(s) | Tok::Str(s)) => Ok(Term::Const(Value::from(self.symbol(s)))),
             Some(Tok::Underscore) => {
                 self.wildcards += 1;
                 Ok(Term::Var(Var::wildcard(self.wildcards - 1)))

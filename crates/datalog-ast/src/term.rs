@@ -1,11 +1,32 @@
 //! Terms of function-free Datalog: variables and constants.
 
-use crate::intern::{fresh_symbol, Symbol};
+use crate::intern::{fresh_symbol, intern_wide, wide_int, Symbol};
 
-/// A constant value. Function-free Datalog only has atomic constants; we
-/// support integers and interned symbolic constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Value {
+/// A constant value: one 8-byte cell. Function-free Datalog only has
+/// atomic constants; we support every `i64` and interned symbolic
+/// constants.
+///
+/// The cell's layout:
+/// - below 2^62, an *inline* int `i`, stored as `i + 2^61` for `i` in
+///   [−2^61, 2^61);
+/// - in [2^62, 2^63), a *wide* int: the index of its entry in a
+///   process-wide, append-only table that holds each such `i64` once (see
+///   [`crate::intern`]);
+/// - from 2^63 up, a symbol, its id in the low 32 bits.
+///
+/// Every value has exactly one cell, so `Eq` and `Hash` are the cell's.
+/// `Ord` is that of [`Kind`]: ints before symbols, ints by value, symbols
+/// by id. The raw cells already order that way unless one of the two is
+/// a wide int, which is the only case that decodes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Value(u64);
+
+// One column of one row costs one word.
+const _: () = assert!(std::mem::size_of::<Value>() == 8);
+
+/// A [`Value`], decoded: what it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Kind {
     /// Integer constant, e.g. `42`.
     Int(i64),
     /// Symbolic constant, e.g. `alice`. Also used for the skolem constants
@@ -13,43 +34,94 @@ pub enum Value {
     Sym(Symbol),
 }
 
+/// An inline int's offset: `i + BIAS` maps [−2^61, 2^61) onto [0, 2^62).
+const BIAS: u64 = 1 << 61;
+/// The tag bit of a wide int's cell.
+const WIDE: u64 = 1 << 62;
+/// The tag bit of a symbol's cell.
+const SYM: u64 = 1 << 63;
+
 impl Value {
     /// Symbolic constant from a string.
     pub fn sym(s: &str) -> Value {
-        Value::Sym(Symbol::intern(s))
+        Value::from(Symbol::intern(s))
     }
 
     /// Integer constant.
     pub fn int(i: i64) -> Value {
-        Value::Int(i)
+        let cell = (i as u64).wrapping_add(BIAS);
+        if cell < WIDE {
+            Value(cell)
+        } else {
+            Value(WIDE | u64::from(intern_wide(i)))
+        }
+    }
+
+    /// What this value holds.
+    pub fn kind(self) -> Kind {
+        if self.0 < WIDE {
+            Kind::Int(self.0.wrapping_sub(BIAS) as i64)
+        } else if self.0 < SYM {
+            Kind::Int(wide_int(self.0 as u32))
+        } else {
+            Kind::Sym(Symbol::from_id(self.0 as u32))
+        }
     }
 
     /// A fresh skolem constant, distinct from all interned symbols.
     pub fn fresh_skolem() -> Value {
-        Value::Sym(fresh_symbol("$c"))
+        Value::from(fresh_symbol("$c"))
     }
 
     /// True if this is a skolem constant produced by [`Value::fresh_skolem`].
     pub fn is_skolem(&self) -> bool {
-        match self {
-            Value::Sym(s) => s.with_str(|s| s.starts_with("$c")),
-            Value::Int(_) => false,
+        match self.kind() {
+            Kind::Sym(s) => s.with_str(|s| s.starts_with("$c")),
+            Kind::Int(_) => false,
         }
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Value) -> std::cmp::Ordering {
+        if (self.0 | other.0) & WIDE == 0 {
+            self.0.cmp(&other.0)
+        } else {
+            self.kind().cmp(&other.kind())
+        }
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.kind().fmt(f)
     }
 }
 
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Sym(s) => write!(f, "{s}"),
+        match self.kind() {
+            Kind::Int(i) => write!(f, "{i}"),
+            Kind::Sym(s) => write!(f, "{s}"),
         }
+    }
+}
+
+impl From<Symbol> for Value {
+    fn from(s: Symbol) -> Value {
+        Value(SYM | u64::from(s.id()))
     }
 }
 
 impl From<i64> for Value {
     fn from(i: i64) -> Value {
-        Value::Int(i)
+        Value::int(i)
     }
 }
 
@@ -135,7 +207,7 @@ impl Term {
 
     /// Integer constant term.
     pub fn int(i: i64) -> Term {
-        Term::Const(Value::Int(i))
+        Term::Const(Value::int(i))
     }
 
     /// The variable inside, if any.
@@ -177,14 +249,16 @@ impl std::fmt::Display for Term {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(Value::Sym(s)) => s.with_str(|text| {
-                if is_plain_ident(text) {
-                    f.write_str(text)
-                } else {
-                    write!(f, "\"{text}\"")
-                }
-            }),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(c) => match c.kind() {
+                Kind::Sym(s) => s.with_str(|text| {
+                    if is_plain_ident(text) {
+                        f.write_str(text)
+                    } else {
+                        write!(f, "\"{text}\"")
+                    }
+                }),
+                Kind::Int(i) => write!(f, "{i}"),
+            },
         }
     }
 }
@@ -209,7 +283,7 @@ mod tests {
     fn value_display() {
         assert_eq!(Value::int(7).to_string(), "7");
         assert_eq!(Value::sym("abc").to_string(), "abc");
-        assert_eq!(Value::Int(-3).to_string(), "-3");
+        assert_eq!(Value::int(-3).to_string(), "-3");
     }
 
     #[test]
@@ -239,7 +313,7 @@ mod tests {
         assert!(!c.is_var());
         assert_eq!(v.as_var(), Some(Var::new("X")));
         assert_eq!(v.as_const(), None);
-        assert_eq!(c.as_const(), Some(Value::Int(1)));
+        assert_eq!(c.as_const(), Some(Value::int(1)));
         assert_eq!(c.as_var(), None);
     }
 

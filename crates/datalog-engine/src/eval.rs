@@ -1586,7 +1586,7 @@ pub(crate) fn read_answers(
 mod tests {
     use super::*;
     use crate::facts::FactSet;
-    use datalog_ast::parse_program;
+    use datalog_ast::{parse_program, Kind};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1655,9 +1655,9 @@ mod tests {
                 .iter()
                 .map(|r| {
                     r.iter()
-                        .map(|v| match v {
-                            Value::Int(i) => *i,
-                            Value::Sym(_) => unreachable!(),
+                        .map(|v| match v.kind() {
+                            Kind::Int(i) => i,
+                            Kind::Sym(_) => unreachable!(),
                         })
                         .collect()
                 })

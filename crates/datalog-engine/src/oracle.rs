@@ -202,7 +202,7 @@ pub fn bounded_equiv_check(
     // symbol) is false for both programs on every instance that cannot
     // contain it, and the comparison would pass vacuously: the constants
     // the programs name are part of the domain.
-    let mut domain: Vec<Value> = (0..cfg.domain).map(Value::Int).collect();
+    let mut domain: Vec<Value> = (0..cfg.domain).map(Value::int).collect();
     let atoms = [p1, p2].into_iter().flat_map(|p| {
         let rule_atoms = p
             .rules

@@ -1,6 +1,6 @@
 //! Stratified-negation evaluation tests (the §6 extension).
 
-use datalog_ast::{parse_program, PredRef, Value};
+use datalog_ast::{parse_program, Kind, PredRef, Value};
 use datalog_engine::{evaluate, query_answers, EngineError, EvalOptions, FactSet, Strategy};
 
 fn fs(pairs: &[(&str, &[i64])]) -> FactSet {
@@ -32,8 +32,8 @@ fn basic_negation_as_failure() {
     let rows: Vec<i64> = ans
         .rows
         .iter()
-        .map(|r| match r[0] {
-            Value::Int(i) => i,
+        .map(|r| match r[0].kind() {
+            Kind::Int(i) => i,
             _ => unreachable!(),
         })
         .collect();

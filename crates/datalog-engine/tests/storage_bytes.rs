@@ -2,7 +2,10 @@
 //! a `Relation` holds; `Relation::overhead_bytes_estimate` — the number
 //! behind `storage.overhead_bytes_per_fact` — must agree with it to within
 //! 10 %, and each shape's bytes a row beside the row store are capped, so
-//! that storage cannot grow fatter unnoticed.
+//! that storage cannot grow fatter unnoticed. One shape counts the row
+//! store too: a value is one 8-byte cell, so the rows of a sorted load
+//! hold 8 B per cell of their store's capacity, and its dedup, once built,
+//! stays under the dedup cap beside them.
 //!
 //! The file holds one test: the allocator counts per thread, and nothing
 //! else runs on the test's thread while it counts.
@@ -86,6 +89,26 @@ fn per_row(rows: &[Vec<Value>], index: Option<&[usize]>) -> (f64, f64) {
     )
 }
 
+/// Bytes a sorted load of `rows` holds: `(rows only, rows and dedup,
+/// capacity of the row store in cells)`. The load builds no dedup; a
+/// membership test then builds it.
+fn loaded(rows: &[Vec<Value>]) -> (usize, usize, usize) {
+    let start = live();
+    let mut rel = Relation::new(rows[0].len());
+    assert_eq!(rel.load_batch(rows.iter().map(Vec::as_slice)), rows.len());
+    // The relation's per-column read slots, held from `new` on.
+    let slots = rel.overhead_bytes_estimate() as isize;
+    let bare = live() - start - slots;
+    assert!(rel.contains(&rows[0]));
+    let with_dedup = live() - start - slots;
+    // A flat vector grown the way the row store grows: its capacity.
+    let mut vals: Vec<Value> = Vec::new();
+    for row in rows {
+        vals.extend_from_slice(row);
+    }
+    (bare as usize, with_dedup as usize, vals.capacity())
+}
+
 fn ints(pairs: impl Iterator<Item = (i64, i64)>) -> Vec<Vec<Value>> {
     pairs
         .map(|(a, b)| vec![Value::int(a), Value::int(b)])
@@ -126,4 +149,17 @@ fn the_estimate_matches_counted_bytes_and_each_shape_stays_under_its_cap() {
             "{shape}: {counted:.1} B/row beside the rows, cap {cap}"
         );
     }
+    // A sorted load: the row store and the dedup, counted together.
+    let rows = ints((0..n).map(|i| (i, 7 * i)));
+    let (bare, with_dedup, cells) = loaded(&rows);
+    assert_eq!(
+        bare,
+        8 * cells,
+        "the row store holds 8 B per cell of capacity"
+    );
+    let dedup = (with_dedup - bare) as f64 / n as f64;
+    assert!(
+        dedup <= 15.0,
+        "sorted load: {dedup:.1} B/row of dedup, cap 15"
+    );
 }

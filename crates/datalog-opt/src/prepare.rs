@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use datalog_ast::{Ad, Adornment, Atom, PredRef, Program, Query, Rule, Term, Value, Var};
+use datalog_ast::{Ad, Adornment, Atom, Kind, PredRef, Program, Query, Rule, Term, Var};
 use datalog_lint::bounds::BoundsReport;
 use datalog_trace::{BoundClass, PhaseEvent};
 
@@ -78,8 +78,10 @@ fn canonical_rule(rule: &Rule) -> String {
         for t in &a.terms {
             let _ = match t {
                 Term::Var(v) => write!(out, "?{},", vars.iter().position(|w| w == v).unwrap_or(0)),
-                Term::Const(Value::Int(i)) => write!(out, "#{i},"),
-                Term::Const(Value::Sym(s)) => s.with_str(|s| write!(out, "${}:{s},", s.len())),
+                Term::Const(c) => match c.kind() {
+                    Kind::Int(i) => write!(out, "#{i},"),
+                    Kind::Sym(s) => s.with_str(|s| write!(out, "${}:{s},", s.len())),
+                },
             };
         }
         out.push(')');

@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use datalog_ast::Value;
+use datalog_ast::{Kind, Value};
 use datalog_trace::Histogram;
 
 use crate::fault::FaultPlan;
@@ -208,12 +208,12 @@ fn write_batch(out: &mut impl Write, batch: &RunBatch) -> std::io::Result<()> {
         }
         let mark = payload.len();
         for v in row.iter() {
-            match v {
-                Value::Int(i) => {
+            match v.kind() {
+                Kind::Int(i) => {
                     payload.push(0);
                     payload.extend_from_slice(&i.to_le_bytes());
                 }
-                Value::Sym(s) => {
+                Kind::Sym(s) => {
                     let text = s.as_str();
                     payload.push(1);
                     payload.extend_from_slice(&(text.len() as u32).to_le_bytes());

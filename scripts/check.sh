@@ -529,6 +529,63 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: crash-recovery smoke ok"
 
+# Wide-int smoke: a value is one 8-byte cell holding ints in [-2^61, 2^61)
+# inline; both sides of both edges, both ends of i64 and symbols (one that
+# reads like an int) go through LOAD, a two-step join and the WAL, and
+# every read must `cmp` equal to `xdl run --no-optimize` before and after
+# a SIGKILL and restart.
+{
+    printf 'r(X, Y) :- e(X, Z), e(Z, Y).\n'
+    for v in -9223372036854775808 9223372036854775807 -2305843009213693953 \
+        -2305843009213693952 2305843009213693951 2305843009213693952 0 -1 \
+        '"42"' zed '"Bob"'; do
+        printf 'v(%s).\n' "$v"
+    done
+    printf 'e(-9223372036854775808, 2305843009213693952).\n'
+    printf 'e(2305843009213693952, "42").\ne("42", 0).\ne(0, -2305843009213693953).\n'
+    printf 'e(-2305843009213693953, 9223372036854775807).\n'
+} > "$smoke_dir/wideint.dl"
+wideint_reads() {
+    for q in 'v(X)' 'r(X, Y)' 'r(2305843009213693952, Y)' 'r(X, 9223372036854775807)'; do
+        { cat "$smoke_dir/wideint.dl"; printf '?- %s.\n' "$q"; } > "$smoke_dir/wideint-q.dl"
+        ./target/release/xdl run --no-optimize "$smoke_dir/wideint-q.dl" \
+            > "$smoke_dir/ran-wideint.out"
+        ./target/release/xdl query --connect "$addr" "?- $q." > "$smoke_dir/served-wideint.out"
+        if ! cmp -s "$smoke_dir/served-wideint.out" "$smoke_dir/ran-wideint.out"; then
+            echo "check.sh: served ?- $q. ($1) differs from xdl run --no-optimize:" >&2
+            diff "$smoke_dir/served-wideint.out" "$smoke_dir/ran-wideint.out" >&2 || true
+            exit 1
+        fi
+    done
+}
+for pass in before after; do
+    ./target/release/xdl serve --port 0 --wal "$smoke_dir/wal-wideint" \
+        > "$smoke_dir/serve-wideint.out" &
+    serve_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-wideint.out")
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    if [ -z "$addr" ]; then
+        echo "check.sh: wide-int smoke server ($pass) did not announce its address" >&2
+        exit 1
+    fi
+    if [ "$pass" = before ]; then
+        ./target/release/xdl query --connect "$addr" --load "$smoke_dir/wideint.dl" > /dev/null
+    elif ! grep -q '"skipped":0' "$smoke_dir/serve-wideint.out"; then
+        echo "check.sh: the wide-int facts did not all recover:" >&2
+        cat "$smoke_dir/serve-wideint.out" >&2
+        exit 1
+    fi
+    wideint_reads "$pass"
+    kill -9 "$serve_pid"
+    wait "$serve_pid" 2>/dev/null || true
+    serve_pid=""
+done
+echo "check.sh: wide-int smoke ok"
+
 # Snapshot-recovery smoke: same SIGKILL discipline, but with compaction
 # enabled (--compact-every 4) so the surviving WAL directory holds a
 # snapshot.log beside the log. The restart must replay the snapshot (a

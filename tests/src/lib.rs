@@ -120,7 +120,7 @@ pub fn instance_strategy(domain: i64, max_facts: usize) -> impl Strategy<Value =
         let mut fs = FactSet::new();
         for (pi, vals) in facts {
             let (name, arity) = &schema.edb[pi];
-            let tuple: Vec<Value> = (0..*arity).map(|k| Value::Int(vals[k])).collect();
+            let tuple: Vec<Value> = (0..*arity).map(|k| Value::int(vals[k])).collect();
             fs.insert(PredRef::new(name), tuple);
         }
         fs

@@ -54,7 +54,7 @@ proptest! {
         // Bind the first query argument to a constant.
         let mut bound_program = program.clone();
         let q = bound_program.query.as_mut().unwrap();
-        q.atom.terms[0] = datalog_ast::Term::Const(datalog_ast::Value::Int(bound));
+        q.atom.terms[0] = datalog_ast::Term::Const(datalog_ast::Value::int(bound));
         match datalog_magic::magic_rewrite(&bound_program) {
             Ok(m) => {
                 let (orig, _) =

@@ -23,7 +23,7 @@ fn chain_instance(program: &datalog_ast::Program, seed: u64) -> FactSet {
             let b = rng.gen_range(0..8i64);
             fs.insert(
                 pred.clone(),
-                vec![datalog_ast::Value::Int(a), datalog_ast::Value::Int(b)],
+                vec![datalog_ast::Value::int(a), datalog_ast::Value::int(b)],
             );
         }
     }
@@ -80,8 +80,8 @@ proptest! {
                 fs.insert(
                     datalog_ast::PredRef { name: *sym, adornment: None },
                     vec![
-                        datalog_ast::Value::Int(i as i64),
-                        datalog_ast::Value::Int(i as i64 + 1),
+                        datalog_ast::Value::int(i as i64),
+                        datalog_ast::Value::int(i as i64 + 1),
                     ],
                 );
             }
